@@ -4,7 +4,7 @@
 //! Aggregates compute in 64-bit to survive paper-scale inputs (a SUM over
 //! 60 M four-byte ints overflows 32 bits immediately).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 #[cfg(test)]
@@ -196,6 +196,7 @@ pub fn merge_partials(partials: Vec<AggPartial>) -> Result<AggPartial> {
             out.sort_by(|a, b| a.0.cmp(&b.0));
         }
         AggStrategy::Sorted => {
+            let mut seen: HashSet<Vec<u8>> = HashSet::new();
             for p in partials {
                 for (key, accs) in p.groups {
                     match out.last_mut() {
@@ -205,10 +206,8 @@ pub fn merge_partials(partials: Vec<AggPartial>) -> Result<AggPartial> {
                             }
                         }
                         _ => {
-                            if out.iter().any(|(k, _)| *k == key) {
-                                return Err(Error::InvalidPlan(
-                                    "sorted aggregation over ungrouped input".into(),
-                                ));
+                            if !seen.insert(key.clone()) {
+                                return Err(ungrouped_input());
                             }
                             out.push((key, accs));
                         }
@@ -221,6 +220,12 @@ pub fn merge_partials(partials: Vec<AggPartial>) -> Result<AggPartial> {
         groups: out,
         strategy,
     })
+}
+
+/// Sorted aggregation requires grouped input: a key may never start a
+/// second run after its first one ended.
+fn ungrouped_input() -> Error {
+    Error::InvalidPlan("sorted aggregation over ungrouped input".into())
 }
 
 /// Grouped (or scalar) aggregation over one child.
@@ -317,15 +322,15 @@ impl Aggregate {
                 while let Some(block) = self.child.next()? {
                     total_rows += block.count() as f64;
                     for i in 0..block.count() {
-                        let key: Vec<u8> = match self.group_by {
-                            Some(g) => block.field(i, g).to_vec(),
-                            None => Vec::new(),
+                        let key: &[u8] = match self.group_by {
+                            Some(g) => block.field(i, g),
+                            None => &[],
                         };
-                        let idx = match table.get(&key) {
+                        let idx = match table.get(key) {
                             Some(&idx) => idx,
                             None => {
-                                results.push((key.clone(), vec![Acc::new(); self.specs.len()]));
-                                table.insert(key, results.len() - 1);
+                                results.push((key.to_vec(), vec![Acc::new(); self.specs.len()]));
+                                table.insert(key.to_vec(), results.len() - 1);
                                 results.len() - 1
                             }
                         };
@@ -350,29 +355,25 @@ impl Aggregate {
             }
             AggStrategy::Sorted => {
                 let mut current: Option<(Vec<u8>, Vec<Acc>)> = None;
+                // Every key that has started a run.
+                let mut seen: HashSet<Vec<u8>> = HashSet::new();
                 while let Some(block) = self.child.next()? {
                     total_rows += block.count() as f64;
                     for i in 0..block.count() {
-                        let key: Vec<u8> = match self.group_by {
-                            Some(g) => block.field(i, g).to_vec(),
-                            None => Vec::new(),
+                        let key: &[u8] = match self.group_by {
+                            Some(g) => block.field(i, g),
+                            None => &[],
                         };
                         let start_new = match &current {
-                            Some((k, _)) => *k != key,
+                            Some((k, _)) => k.as_slice() != key,
                             None => true,
                         };
                         if start_new {
-                            if let Some(done) = current.take() {
-                                // Input must arrive grouped: a key may never
-                                // reappear after its run ended.
-                                if results.iter().any(|(k, _)| *k == key) {
-                                    return Err(Error::InvalidPlan(
-                                        "sorted aggregation over ungrouped input".into(),
-                                    ));
-                                }
-                                results.push(done);
+                            if !seen.insert(key.to_vec()) {
+                                return Err(ungrouped_input());
                             }
-                            current = Some((key, vec![Acc::new(); self.specs.len()]));
+                            results.extend(current.take());
+                            current = Some((key.to_vec(), vec![Acc::new(); self.specs.len()]));
                         }
                         let accs = &mut current.as_mut().expect("set above").1;
                         for (si, s) in self.specs.iter().enumerate() {
@@ -567,6 +568,28 @@ mod tests {
         )
         .unwrap();
         assert!(agg.next().is_err());
+    }
+
+    #[test]
+    fn sorted_merge_joins_boundary_runs_and_rejects_reappearing_keys() {
+        let partial = |keys: &[i32]| AggPartial {
+            groups: keys
+                .iter()
+                .map(|k| {
+                    let mut acc = Acc::new();
+                    acc.update(*k as i64);
+                    (k.to_le_bytes().to_vec(), vec![acc])
+                })
+                .collect(),
+            strategy: AggStrategy::Sorted,
+        };
+        // A run spanning a morsel boundary (key 2) is merged, not rejected.
+        let merged = merge_partials(vec![partial(&[1, 2]), partial(&[2, 3])]).unwrap();
+        assert_eq!(merged.group_count(), 3);
+        assert_eq!(merged.groups[1].1[0].count, 2);
+        // Any other reappearance means the input was not grouped.
+        let err = merge_partials(vec![partial(&[1, 2]), partial(&[3, 1])]).unwrap_err();
+        assert!(matches!(err, Error::InvalidPlan(m) if m.contains("ungrouped input")));
     }
 
     #[test]

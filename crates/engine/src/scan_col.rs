@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use rodb_compress::{Codec, ColumnCompression};
 use rodb_io::{FileId, FileStream, PageRef};
-use rodb_storage::{ColumnPage, ColumnStorage, QuarantinedPage, Table};
+use rodb_storage::{ColumnPage, ColumnStorage, QuarantinedPage, Table, VerifiedPage};
 use rodb_types::{DataType, Error, OnCorrupt, Result, Schema};
 
 use crate::block::TupleBlock;
@@ -44,6 +44,20 @@ pub enum ColumnScanMode {
     Slow,
 }
 
+/// The page a driven scan node currently holds.
+enum HeldPage {
+    /// Checksummed once when it was pulled from the stream; every position
+    /// that lands on it re-opens it without another pass.
+    Verified(VerifiedPage),
+    /// Held without that proof, so every position that reads it re-opens it
+    /// through [`ColumnPage::new`]. A page that failed its checksum is kept
+    /// this way for its geometric span: each position that targets it fails
+    /// again with the same typed error. So, for now, is every page of a
+    /// fast-path node: its fallback reads (text has no block kernel) cost
+    /// what they cost before verify-once; CHANGES.md, PR 15, says why.
+    Unverified(PageRef),
+}
+
 /// One scan node: a column file plus its predicates.
 struct ColNode {
     col: usize,
@@ -62,7 +76,7 @@ struct ColNode {
     /// position actually targets the bad page, so serial and parallel scans
     /// quarantine identical sets).
     policy: OnCorrupt,
-    page: Option<PageRef>,
+    page: Option<HeldPage>,
     page_first_row: u64,
     page_count: usize,
     /// Whole-page decode cache: filled for non-random-access codecs
@@ -97,10 +111,8 @@ impl ColNode {
     /// Make `pos` addressable: advance the stream to the page containing it.
     fn advance_to(&mut self, pos: u64) -> Result<()> {
         loop {
-            if let Some(_p) = &self.page {
-                if pos < self.page_first_row + self.page_count as u64 {
-                    return Ok(());
-                }
+            if self.page.is_some() && pos < self.page_first_row + self.page_count as u64 {
+                return Ok(());
             }
             match self.stream.next_page() {
                 Some(p) => {
@@ -110,21 +122,23 @@ impl ColNode {
                     // per-page counts: a damaged page still spans its slots.
                     self.page_first_row = page_index * vpp;
                     self.page_cached = false;
-                    let page = match ColumnPage::new(p.bytes(), self.dtype) {
-                        Ok(page) => page,
+                    // The one checksum pass this node spends on the page.
+                    let verified = match VerifiedPage::verify(&p) {
+                        Ok(v) => v,
                         Err(e) => {
                             // Keep the damaged page with its geometric span so
                             // node state stays consistent either way: a
                             // position targeting it fails again on decode.
                             let is_target = pos < self.page_first_row + vpp;
                             self.page_count = vpp as usize;
-                            self.page = Some(p);
+                            self.page = Some(HeldPage::Unverified(p));
                             if is_target || !degraded::should_skip(self.policy, &e) {
                                 return Err(e.with_page_context(self.file_id.0, page_index));
                             }
                             continue;
                         }
                     };
+                    let page = verified.column(self.dtype);
                     let count = page.count();
                     self.page_count = count;
                     let is_target = pos < self.page_first_row + count as u64;
@@ -155,7 +169,11 @@ impl ColNode {
                         self.blocks_decoded += count as u64;
                         self.page_cached = true;
                     }
-                    self.page = Some(p);
+                    self.page = Some(if self.fast {
+                        HeldPage::Unverified(p)
+                    } else {
+                        HeldPage::Verified(verified)
+                    });
                 }
                 None => {
                     return Err(Error::corrupt(format!(
@@ -177,9 +195,11 @@ impl ColNode {
                 self.gathered += 1;
             }
         } else {
-            let pref = self.page.as_ref().expect("advance_to ensures page");
-            let page = ColumnPage::new(pref.bytes(), self.dtype)
-                .map_err(|e| e.with_page_context(self.file_id.0, pref.page_index as u64))?;
+            let page = match self.page.as_ref().expect("advance_to ensures page") {
+                HeldPage::Verified(v) => v.column(self.dtype),
+                HeldPage::Unverified(p) => ColumnPage::new(p.bytes(), self.dtype)
+                    .map_err(|e| e.with_page_context(self.file_id.0, p.page_index as u64))?,
+            };
             let pv = page.values(&self.comp);
             pv.write_raw(slot, out)?;
             self.values_decoded += 1;

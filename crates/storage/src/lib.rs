@@ -18,7 +18,9 @@ pub mod wos;
 
 pub use catalog::Catalog;
 pub use loader::{BuildLayouts, TableBuilder};
-pub use page::{page_zone, ColumnPage, ColumnPageBuilder, PageView, RowPage, RowPageBuilder};
+pub use page::{
+    page_zone, ColumnPage, ColumnPageBuilder, PageView, RowPage, RowPageBuilder, VerifiedPage,
+};
 pub use page_packed::{PackedRowPage, PackedRowPageBuilder};
 pub use page_pax::{PaxPage, PaxPageBuilder};
 pub use quarantine::{scrub, Quarantine, QuarantinedPage, ScrubReport};

@@ -19,7 +19,10 @@
 //! is next opened. Compressed layouts amplify bit damage across many tuples,
 //! which is why verification happens at page-open time on the scan path.
 
+use std::cell::Cell;
+
 use rodb_compress::{ColumnCompression, PageValues};
+use rodb_io::PageRef;
 use rodb_types::{CorruptKind, DataType, Error, PageId, Result, Schema, Value};
 
 /// Bytes of the page header (the entry count).
@@ -121,6 +124,19 @@ fn read_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
+thread_local! {
+    /// Checksum passes [`PageView::new`] ran on this thread.
+    static VERIFIED_PAGES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Whole-page checksum passes run on the calling thread so far (every
+/// [`PageView::new`], pass or fail). Read-only telemetry for the verify-once
+/// invariant — a scanner must not verify more pages than its streams
+/// delivered; it feeds no result.
+pub fn verified_pages() -> u64 {
+    VERIFIED_PAGES.with(Cell::get)
+}
+
 /// Common read-side page view: header/trailer decoding and body access.
 #[derive(Debug, Clone, Copy)]
 pub struct PageView<'a> {
@@ -128,8 +144,11 @@ pub struct PageView<'a> {
 }
 
 impl<'a> PageView<'a> {
-    /// Wrap one page-sized byte slice, verifying its checksum.
+    /// Wrap one page-sized byte slice, verifying its checksum. This is the
+    /// only place page bytes are checksummed on the read side: a caller that
+    /// must open the same delivered page again holds a [`VerifiedPage`].
     pub fn new(bytes: &'a [u8]) -> Result<PageView<'a>> {
+        VERIFIED_PAGES.with(|c| c.set(c.get() + 1));
         let n = bytes.len();
         if n < PAGE_HEADER + PAGE_TRAILER {
             return Err(Error::corrupt_kind(
@@ -391,6 +410,39 @@ impl ColumnPageBuilder {
         }
         self.values.clear();
         Ok(page)
+    }
+}
+
+/// A page delivered by a [`rodb_io::FileStream`] whose checksum has passed —
+/// the proof travels with the held page, so a scan node that reads many
+/// positions from one page verifies it once, not once per position.
+///
+/// The only constructor is [`VerifiedPage::verify`], and a [`PageRef`]'s
+/// bytes are immutable, so [`VerifiedPage::column`] cannot be reached with
+/// bytes that were not checksummed. A page that *fails* verification gets no
+/// `VerifiedPage`: callers keep the bare `PageRef` and every later open of
+/// it goes through [`ColumnPage::new`] and fails the same way again.
+#[derive(Debug, Clone)]
+pub struct VerifiedPage {
+    page: PageRef,
+}
+
+impl VerifiedPage {
+    /// The one checksum pass for this delivered page.
+    pub fn verify(page: &PageRef) -> Result<VerifiedPage> {
+        PageView::new(page.bytes())?;
+        Ok(VerifiedPage { page: page.clone() })
+    }
+
+    /// Re-open the already verified bytes as a column page — no checksum
+    /// pass.
+    pub fn column(&self, dtype: DataType) -> ColumnPage<'_> {
+        ColumnPage {
+            view: PageView {
+                bytes: self.page.bytes(),
+            },
+            dtype,
+        }
     }
 }
 
