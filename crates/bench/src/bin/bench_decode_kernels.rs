@@ -122,13 +122,13 @@ fn run_query(
     fast: bool,
     sys: SystemConfig,
 ) -> QueryResult {
+    let sys = sys.with_scan_fast_path(fast);
     QueryBuilder::new(table.clone(), HardwareConfig::default(), sys)
         .layout(ScanLayout::Column)
         .select(proj)
         .expect("projection")
         .filter(col, CmpOp::Lt, Value::Int(lit))
         .expect("predicate")
-        .scan_fast_path(fast)
         .run()
         .expect("bench run")
 }

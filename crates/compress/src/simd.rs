@@ -13,7 +13,7 @@
 //! * Every kernel is a *pure drop-in* for its scalar counterpart: identical
 //!   output bits for every input, including word-straddling widths and
 //!   non-multiple-of-8 tails. Tails always run through the single shared
-//!   scalar tail loop ([`crate::bits::unpack_generic`]) so the two paths
+//!   scalar tail loop (`bits::unpack_generic`) so the two paths
 //!   cannot diverge.
 //! * The simulated-CPU cost model stays calibrated against the *scalar*
 //!   kernels: modeled cycle charges are unchanged by the tier that actually

@@ -23,16 +23,16 @@
 
 use std::sync::Arc;
 
-use rodb_engine::CmpOp;
+use std::time::Instant;
+
 use rodb_engine::{
-    finish_query_trace, run_to_completion, AggPlan, AggSpec, AggStrategy, Aggregate, Chain,
-    ExecContext, MemScan, Operator, ParallelExec, ParallelOutcome, Predicate, RunReport,
-    ScanLayout, ScanSpec, TracedOp,
+    drain_rows, finish_query_trace, settle_report, AggPlan, AggSpec, AggStrategy, CmpOp,
+    ExecContext, Predicate, QueryJob, QueryPlan, RunReport, ScanLayout, ScanSpec, TaskScheduler,
 };
 use rodb_io::SharedPageCache;
 use rodb_storage::Table;
-use rodb_trace::{MetricsRegistry, QueryTrace, SpanKind};
-use rodb_types::{CacheSpec, Error, HardwareConfig, Result, SystemConfig, Value};
+use rodb_trace::{MetricsRegistry, QueryTrace};
+use rodb_types::{Error, HardwareConfig, Result, SystemConfig, Value};
 
 /// What a finished query hands back: the paper-style performance report and
 /// (optionally) the result rows.
@@ -116,8 +116,8 @@ impl QueryBuilder {
     }
 
     /// Route to whichever layout the Section-5 model predicts faster for
-    /// this query — the "fractured mirrors" idea ([19] in the paper's
-    /// related work): keep both representations, send each query to the
+    /// this query — the "fractured mirrors" idea (reference 19 in the
+    /// paper's related work): keep both representations, send each query to the
     /// better one. Call after `select`/`filter`. The model is priced at the
     /// paper's default 10% selectivity (cardinality estimation is out of
     /// scope — the paper has no optimizer, §2.2.3); pass an explicit
@@ -232,49 +232,11 @@ impl QueryBuilder {
         self
     }
 
-    /// Toggle the vectorized scan fast path: block decode kernels,
-    /// predicate evaluation on compressed codes, and zone-map page skipping.
-    /// Off by default — the paper's scalar engine is the reference; results
-    /// are bit-identical either way.
-    pub fn scan_fast_path(mut self, on: bool) -> Self {
-        self.sys.scan_fast_path = on;
-        self
-    }
-
-    /// Model `n`-way page mirroring: a read whose checksum fails is retried
-    /// against the next replica (seek + re-transfer charged to the simulated
-    /// clock). `1` — the default — means no redundancy.
-    pub fn mirror(mut self, n: usize) -> Self {
-        self.sys.mirror = n;
-        self
-    }
-
-    /// Policy for pages that stay bad after every replica was tried: fail
-    /// the query, retry anyway (default), or skip the page's rows and
-    /// continue degraded (reported in `report.io.recovery.dropped_rows`).
-    pub fn on_corrupt(mut self, policy: rodb_types::OnCorrupt) -> Self {
-        self.sys.on_corrupt = policy;
-        self
-    }
-
-    /// Enable the buffer-pool page-cache tier: a sized set of page frames
-    /// with scan-resistant LRU-K eviction sits between the prefetching file
-    /// streams and the simulated disk, so re-referenced pages skip the
-    /// modelled transfer entirely. Off by default — the paper's runs are
-    /// cold scans. Hit/miss/evict/prefetch counts land in
-    /// `report.io.cache`; by itself the cache is per-execution (cold each
-    /// run) — pair with [`QueryBuilder::shared_page_cache`] to model
-    /// cross-query residency.
-    pub fn cache(mut self, spec: CacheSpec) -> Self {
-        self.sys.cache = Some(spec);
-        self
-    }
-
     /// Install a persistent page cache shared across executions, so a
     /// second run of the same (or an overlapping) query hits frames the
     /// first one left resident. Serial executions only: the handle is
     /// single-threaded (`Rc`), so parallel morsel runs ignore it and fall
-    /// back to per-worker caches built from [`QueryBuilder::cache`]. The
+    /// back to per-worker caches built from [`SystemConfig::cache`]. The
     /// cache keys frames by table buffer identity, so one handle is safe to
     /// reuse across different tables — but drop it before dropping the
     /// tables it has seen.
@@ -287,9 +249,10 @@ impl QueryBuilder {
     /// query sees the union of the table and the staged rows — the snapshot
     /// read of the durable ingest path ([`crate::IngestSnapshot`]). Tail
     /// rows pass through the same predicates and projection; their row
-    /// positions continue the table's ordinals. A non-empty tail forces the
-    /// serial execution path (the tail is not morsel-partitionable); an
-    /// empty tail leaves the plan untouched.
+    /// positions continue the table's ordinals. A plan with a non-empty
+    /// tail is not [`QueryPlan::partitionable`], so it executes serially
+    /// whatever [`QueryBuilder::threads`] says; an empty tail leaves the
+    /// plan untouched.
     pub fn wos_tail(mut self, tail: Arc<Vec<Vec<Value>>>) -> Self {
         self.wos_tail = Some(tail);
         self
@@ -305,13 +268,7 @@ impl QueryBuilder {
     }
 
     fn context(&self) -> Result<ExecContext> {
-        let scale = match self.virtual_rows {
-            Some(v) if self.table.row_count > 0 => {
-                (v as f64 / self.table.row_count as f64).max(1.0)
-            }
-            _ => 1.0,
-        };
-        let mut ctx = ExecContext::new(self.hw, self.sys, scale)?;
+        let mut ctx = ExecContext::new(self.hw, self.sys, self.row_scale())?;
         if self.trace {
             ctx = ctx.with_tracing();
         }
@@ -324,79 +281,21 @@ impl QueryBuilder {
         Ok(ctx)
     }
 
-    fn build(&self, ctx: &ExecContext) -> Result<Box<dyn Operator>> {
+    /// Validate this query and translate it into the engine's
+    /// [`QueryPlan`] — what the serial executor, the morsel scheduler and
+    /// the concurrent query service all run.
+    pub fn plan(&self) -> Result<QueryPlan> {
         if self.projection.is_empty() {
             return Err(Error::InvalidPlan("no columns selected".into()));
         }
-        let mut scan = ScanSpec::new(self.table.clone(), self.layout, self.projection.clone())
-            .with_predicates(self.predicates.clone())
-            .build(ctx)?;
-        if let Some(tail) = self.wos_tail.as_ref().filter(|t| !t.is_empty()) {
-            let mem = MemScan::new(
-                &self.table.schema,
-                tail.clone(),
-                self.projection.clone(),
-                self.predicates.clone(),
-                self.table.row_count,
-                ctx,
-            )?;
-            let mem = TracedOp::wrap(Box::new(mem), SpanKind::Scan, ctx);
-            scan = Box::new(Chain::new(scan, mem)?);
-        }
-        if self.aggs.is_empty() {
-            if self.group_by.is_some() {
-                return Err(Error::InvalidPlan("group_by without aggregates".into()));
-            }
-            Ok(scan)
-        } else {
-            // Group key / agg inputs are positions in the projected schema.
-            let group = match self.group_by {
-                Some(base_col) => Some(
-                    self.projection
-                        .iter()
-                        .position(|&c| c == base_col)
-                        .ok_or_else(|| {
-                            Error::InvalidPlan("group_by column must be selected".into())
-                        })?,
-                ),
-                None => None,
-            };
-            let agg: Box<dyn Operator> = Box::new(Aggregate::new(
-                scan,
-                group,
-                self.aggs.clone(),
-                self.agg_strategy,
-                ctx,
-            )?);
-            Ok(TracedOp::wrap(agg, SpanKind::Agg, ctx))
-        }
-    }
-
-    /// True when this query should take the morsel-driven parallel path.
-    /// A non-empty WOS tail forces the serial path: the tail is a single
-    /// in-memory stream, not morsel-partitionable.
-    fn parallel_eligible(&self) -> bool {
-        self.sys.threads > 1
-            && matches!(self.layout, ScanLayout::Row | ScanLayout::Column)
-            && self.wos_tail.as_ref().is_none_or(|t| t.is_empty())
-    }
-
-    /// The scan spec + aggregation plan of this query, for the parallel
-    /// executor and the concurrent query service (mirrors
-    /// [`QueryBuilder::build`]).
-    pub(crate) fn parallel_plan(&self) -> Result<(ScanSpec, Option<AggPlan>)> {
-        if self.projection.is_empty() {
-            return Err(Error::InvalidPlan("no columns selected".into()));
-        }
-        let spec = ScanSpec::new(self.table.clone(), self.layout, self.projection.clone())
-            .with_predicates(self.predicates.clone());
         let agg = if self.aggs.is_empty() {
             if self.group_by.is_some() {
                 return Err(Error::InvalidPlan("group_by without aggregates".into()));
             }
             None
         } else {
-            let group = match self.group_by {
+            // Group key / agg inputs are positions in the projected schema.
+            let group_by = match self.group_by {
                 Some(base_col) => Some(
                     self.projection
                         .iter()
@@ -408,12 +307,18 @@ impl QueryBuilder {
                 None => None,
             };
             Some(AggPlan {
-                group_by: group,
+                group_by,
                 specs: self.aggs.clone(),
                 strategy: self.agg_strategy,
             })
         };
-        Ok((spec, agg))
+        let scan = ScanSpec::new(self.table.clone(), self.layout, self.projection.clone())
+            .with_predicates(self.predicates.clone());
+        Ok(QueryPlan {
+            scan,
+            tail: self.wos_tail.clone(),
+            agg,
+        })
     }
 
     pub(crate) fn row_scale(&self) -> f64 {
@@ -451,78 +356,43 @@ impl QueryBuilder {
         }
     }
 
-    fn run_parallel(&self, collect: bool) -> Result<QueryResult> {
-        let (spec, agg) = self.parallel_plan()?;
-        let exec = ParallelExec::new(self.sys.threads).traced(self.trace);
-        let out: ParallelOutcome = if collect {
-            exec.run_collect(
-                &spec,
-                agg.as_ref(),
-                &self.hw,
-                &self.sys,
-                self.row_scale(),
-                self.competing_scans,
-            )?
-        } else {
-            exec.run(
-                &spec,
-                agg.as_ref(),
-                &self.hw,
-                &self.sys,
-                self.row_scale(),
-                self.competing_scans,
-            )?
+    /// Morsel-driven execution: one job on a `threads`-wide scheduler pool.
+    fn run_parallel(&self, plan: QueryPlan, collect: bool) -> Result<QueryResult> {
+        let start = Instant::now();
+        let job = QueryJob {
+            row_scale: self.row_scale(),
+            competing_scans: self.competing_scans,
+            collect,
+            trace: self.trace,
+            ..QueryJob::new(plan, self.hw, self.sys)
         };
+        let out = TaskScheduler::new(self.sys.threads)
+            .run_jobs(&[job])?
+            .pop()
+            .expect("one job in, one outcome out");
         self.register_run(&out.report, true);
         Ok(QueryResult {
             report: out.report,
             rows: out.rows,
             parallel: Some(ParallelInfo {
-                wall_s: out.wall_s,
+                wall_s: start.elapsed().as_secs_f64(),
                 cpu_crit_s: out.cpu_crit_s,
-                threads: out.threads,
-                morsels: out.morsels,
+                threads: self.sys.threads,
+                morsels: out.tasks,
             }),
             trace: out.trace,
         })
     }
 
-    /// Execute for measurement only (results are produced and discarded,
-    /// exactly like the paper's queries).
-    pub fn run(&self) -> Result<QueryResult> {
-        if self.parallel_eligible() {
-            return self.run_parallel(false);
+    fn execute(&self, collect: bool) -> Result<QueryResult> {
+        let plan = self.plan()?;
+        if self.sys.threads > 1 && plan.partitionable().is_ok() {
+            return self.run_parallel(plan, collect);
         }
         let ctx = self.context()?;
-        let mut op = self.build(&ctx)?;
-        let report = run_to_completion(op.as_mut(), &ctx)?;
-        self.register_run(&report, false);
-        let trace = finish_query_trace(&ctx, &report);
-        Ok(QueryResult {
-            report,
-            rows: Vec::new(),
-            parallel: None,
-            trace,
-        })
-    }
-
-    /// Execute and materialize the result rows (small results only).
-    pub fn run_collect(&self) -> Result<QueryResult> {
-        if self.parallel_eligible() {
-            return self.run_parallel(true);
-        }
-        let ctx = self.context()?;
-        let mut op = self.build(&ctx)?;
-        let mut rows = Vec::new();
-        let mut blocks = 0u64;
-        while let Some(b) = op.next()? {
-            blocks += 1;
-            rows.extend(b.rows()?);
-        }
-        // Settle accounting through the normal path (op is drained).
-        let mut report = run_to_completion(op.as_mut(), &ctx)?;
-        report.rows = rows.len() as u64;
-        report.blocks = blocks;
+        let mut op = plan.build(&ctx)?;
+        let (rows, nrows, blocks) = drain_rows(op.as_mut(), collect)?;
+        let report = settle_report(&ctx, nrows, blocks);
         self.register_run(&report, false);
         let trace = finish_query_trace(&ctx, &report);
         Ok(QueryResult {
@@ -533,9 +403,15 @@ impl QueryBuilder {
         })
     }
 
-    /// Column indices this query projects (resolved).
-    pub fn projection(&self) -> &[usize] {
-        &self.projection
+    /// Execute for measurement only (results are produced and discarded,
+    /// exactly like the paper's queries).
+    pub fn run(&self) -> Result<QueryResult> {
+        self.execute(false)
+    }
+
+    /// Execute and materialize the result rows (small results only).
+    pub fn run_collect(&self) -> Result<QueryResult> {
+        self.execute(true)
     }
 }
 

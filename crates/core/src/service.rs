@@ -623,14 +623,21 @@ impl QueryService {
         // caching: residency persists across segments and queries.
         let cache: Option<SharedPageCache> = self.sys.cache.as_ref().map(shared_page_cache);
         let workers = self.sys.threads.max(1);
-        // All riders of one clock must agree on the virtual-rows scale.
+        // All riders of one clock must agree on the virtual-rows scale, and
+        // every plan must be one a shared cursor answers exactly — checked
+        // before any segment is scanned (a WOS tail would otherwise be
+        // silently dropped: riders see ROS row ranges only).
         let scale = requests[0].query.row_scale();
+        let mut plans = Vec::with_capacity(requests.len());
         for r in &requests {
             if (r.query.row_scale() - scale).abs() > f64::EPSILON {
                 return Err(Error::InvalidPlan(
                     "service requests must share one scale_to_rows setting".into(),
                 ));
             }
+            let plan = r.query.plan()?;
+            plan.partitionable()?;
+            plans.push(plan);
             self.reg.counter_add("query.sched.submitted", 1.0);
         }
         let tracer = self.trace.then(Tracer::new);
@@ -745,7 +752,8 @@ impl QueryService {
                     }
                 }
                 // Attach to (or create) the query's shared cursor.
-                let (spec, agg) = w.req.query.parallel_plan()?;
+                let plan = plans[w.seq].clone();
+                let spec = &plan.scan;
                 let key = (
                     std::sync::Arc::as_ptr(&spec.table) as usize,
                     spec.layout as u8,
@@ -778,11 +786,9 @@ impl QueryService {
                     cursors[cidx].cursor.active_count() > 0 || cursors[cidx].cursor.pos() != 0;
                 cursors[cidx].cursor.attach(CursorQuery {
                     token: w.seq,
-                    projection: spec.projection.clone(),
-                    predicates: spec.predicates.clone(),
-                    agg,
+                    plan,
                     collect: w.req.collect,
-                });
+                })?;
                 admitted_at[w.seq] = clock;
                 let wait = clock - w.req.arrival_s;
                 self.reg.counter_add("query.sched.admitted", 1.0);

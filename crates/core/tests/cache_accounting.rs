@@ -36,11 +36,18 @@ fn table() -> Arc<rodb_storage::Table> {
     Arc::new(b.finish().expect("table"))
 }
 
-fn builder(t: &Arc<rodb_storage::Table>, layout: ScanLayout) -> QueryBuilder {
+fn builder(
+    t: &Arc<rodb_storage::Table>,
+    layout: ScanLayout,
+    cache: Option<CacheSpec>,
+) -> QueryBuilder {
     QueryBuilder::new(
         t.clone(),
         HardwareConfig::default(),
-        SystemConfig::default(),
+        SystemConfig {
+            cache,
+            ..SystemConfig::default()
+        },
     )
     .layout(layout)
     .select(&["id", "val"])
@@ -73,7 +80,7 @@ fn hits_plus_misses_is_invariant_across_cache_geometry() {
         ];
         let runs: Vec<QueryResult> = specs
             .iter()
-            .map(|&s| builder(&t, layout).cache(s).run().expect("run"))
+            .map(|&s| builder(&t, layout, Some(s)).run().expect("run"))
             .collect();
         let requested = cache_requests(&runs[0]);
         assert!(requested > 4, "multi-page scan expected, got {requested}");
@@ -100,7 +107,7 @@ fn warm_rescan_charges_no_disk_time() {
         let spec = CacheSpec::lru_k(1 << 16);
         let handle: SharedPageCache =
             std::rc::Rc::new(std::cell::RefCell::new(PageCache::new(&spec)));
-        let q = builder(&t, layout).cache(spec).shared_page_cache(&handle);
+        let q = builder(&t, layout, Some(spec)).shared_page_cache(&handle);
         let cold = q.clone().run().expect("cold run");
         let warm = q.run().expect("warm run");
         let what = format!("{layout:?}");
@@ -132,9 +139,7 @@ fn partially_warm_rescan_charges_misses_only() {
     // misses most pages, but every page it does hit costs nothing.
     let spec = CacheSpec::lru_k(8);
     let handle: SharedPageCache = std::rc::Rc::new(std::cell::RefCell::new(PageCache::new(&spec)));
-    let q = builder(&t, ScanLayout::Column)
-        .cache(spec)
-        .shared_page_cache(&handle);
+    let q = builder(&t, ScanLayout::Column, Some(spec)).shared_page_cache(&handle);
     let cold = q.clone().run().expect("cold");
     let rescan = q.run().expect("rescan");
     assert_eq!(cache_requests(&rescan), cache_requests(&cold));
@@ -154,12 +159,11 @@ fn cache_off_and_cold_runs_report_identical_disk_time() {
     let t = table();
     for layout in [ScanLayout::Row, ScanLayout::Column] {
         let what = format!("{layout:?}");
-        let off = builder(&t, layout).run().expect("cache off");
+        let off = builder(&t, layout, None).run().expect("cache off");
         assert_eq!(cache_requests(&off), 0, "{what}: off means no counters");
         assert_eq!(off.report.io.cache.evictions, 0, "{what}");
         assert_eq!(off.report.io.cache.prefetched, 0, "{what}");
-        let cold = builder(&t, layout)
-            .cache(CacheSpec::lru_k(4))
+        let cold = builder(&t, layout, Some(CacheSpec::lru_k(4)))
             .run()
             .expect("cache on, cold");
         assert_eq!(
@@ -181,12 +185,10 @@ fn cache_off_and_cold_runs_report_identical_disk_time() {
 fn parallel_morsels_merge_cache_counters() {
     let t = table();
     let spec = CacheSpec::lru_k(1 << 16);
-    let serial = builder(&t, ScanLayout::Column)
-        .cache(spec)
+    let serial = builder(&t, ScanLayout::Column, Some(spec))
         .run()
         .expect("serial");
-    let parallel = builder(&t, ScanLayout::Column)
-        .cache(spec)
+    let parallel = builder(&t, ScanLayout::Column, Some(spec))
         .threads(4)
         .run()
         .expect("parallel");

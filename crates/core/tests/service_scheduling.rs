@@ -4,11 +4,12 @@
 
 use std::sync::Arc;
 
-use rodb_core::{QueryBuilder, QueryService, ServiceRequest};
+use rodb_core::{IngestStore, QueryBuilder, QueryService, ServiceRequest};
 use rodb_engine::{AggSpec, CmpOp, ScanLayout};
 use rodb_storage::{BuildLayouts, Table, TableBuilder};
 use rodb_types::{
-    Admission, CacheSpec, Column, HardwareConfig, Schema, ServiceSpec, SystemConfig, Value,
+    Admission, CacheSpec, Column, Error, HardwareConfig, IngestSpec, Schema, ServiceSpec,
+    SystemConfig, Value,
 };
 
 // A wide lineitem-style hot table: row-store scans of it are strongly
@@ -302,5 +303,52 @@ fn sched_trace_spans_carry_attach_and_wait() {
         .any(|sp| sp.metrics.get("attach_seg") > 0.0 || sp.metrics.get("wrapped") > 0.0));
     for sp in scheds {
         assert!(sp.metrics.get("latency_s") > 0.0);
+    }
+}
+
+/// A snapshot query (1 000-row ROS + 50 staged rows) answers all 1 050 rows
+/// solo and under `threads(3)` — the plan knows a tail is not
+/// morsel-partitionable and runs serially — and the service, whose riders
+/// scan ROS row ranges only, refuses it with a typed error before any
+/// segment is scanned rather than returning the 1 000 ROS rows.
+#[test]
+fn wos_tail_is_answered_serially_and_refused_by_the_service() {
+    let ros = table(1_000);
+    let hw = HardwareConfig::default();
+    let s = sys(ServiceSpec::new(4).with_slice(0.2));
+    let mut store = IngestStore::new(ros, Vec::new(), None, IngestSpec::manual()).unwrap();
+    store
+        .insert((0..50).map(|i| vec![Value::Int(1_000 + i); 8]).collect())
+        .unwrap();
+    let snap = store.snapshot();
+    let q = QueryBuilder::new(snap.ros.clone(), hw, s)
+        .wos_tail(snap.tail.clone())
+        .layout(ScanLayout::Row)
+        .select_indices(&[1, 0]);
+
+    let solo = q.run_collect().unwrap();
+    assert_eq!(solo.rows.len(), 1_050);
+    assert_eq!(solo.rows[1_049], vec![Value::Int(1_049), Value::Int(1_049)]);
+    for threads in [1, 3] {
+        let res = q.clone().threads(threads).run_collect().unwrap();
+        assert_eq!(res.rows, solo.rows, "threads={threads}");
+        assert!(res.parallel.is_none(), "a tail forces the serial path");
+    }
+
+    let mut svc = QueryService::new(hw, s).unwrap();
+    // A tail-free rider first: validation must not depend on arrival order.
+    svc.submit(ServiceRequest::new(
+        QueryBuilder::new(snap.ros.clone(), hw, s).select_indices(&[0]),
+    ));
+    svc.submit(ServiceRequest::new(q).at(0.5));
+    match svc.run() {
+        Err(Error::InvalidPlan(msg)) => {
+            assert!(msg.contains("WOS tail of 50 staged rows"), "{msg}")
+        }
+        Ok(r) => panic!(
+            "service answered a tailed plan with {} rows",
+            r.outcomes[1].nrows
+        ),
+        Err(e) => panic!("expected InvalidPlan, got {e}"),
     }
 }

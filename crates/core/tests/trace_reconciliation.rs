@@ -39,16 +39,16 @@ fn table() -> Arc<rodb_storage::Table> {
 }
 
 fn builder(t: &Arc<rodb_storage::Table>, layout: ScanLayout) -> QueryBuilder {
-    QueryBuilder::new(
-        t.clone(),
-        HardwareConfig::default(),
-        SystemConfig::default(),
-    )
-    .layout(layout)
-    .select(&["id", "val"])
-    .expect("projection")
-    .filter("id", CmpOp::Lt, Value::Int((ROWS / 2) as i32))
-    .expect("predicate")
+    builder_on(t, layout, SystemConfig::default())
+}
+
+fn builder_on(t: &Arc<rodb_storage::Table>, layout: ScanLayout, sys: SystemConfig) -> QueryBuilder {
+    QueryBuilder::new(t.clone(), HardwareConfig::default(), sys)
+        .layout(layout)
+        .select(&["id", "val"])
+        .expect("projection")
+        .filter("id", CmpOp::Lt, Value::Int((ROWS / 2) as i32))
+        .expect("predicate")
 }
 
 /// The root span must mirror the report exactly — `apply_report` pins it,
@@ -104,8 +104,8 @@ fn root_span_reconciles_across_all_strategies() {
         for fast in [false, true] {
             for threads in [1, 4] {
                 let what = format!("{name} fast={fast} threads={threads}");
-                let res = builder(&t, layout)
-                    .scan_fast_path(fast)
+                let sys = SystemConfig::default().with_scan_fast_path(fast);
+                let res = builder_on(&t, layout, sys)
                     .threads(threads)
                     .trace(true)
                     .run()
@@ -187,8 +187,8 @@ fn root_span_reconciles_with_caching_on() {
         for (layout, name) in LAYOUTS {
             for threads in [1, 4] {
                 let what = format!("cache {spec:?} {name} threads={threads}");
-                let res = builder(&t, layout)
-                    .cache(spec)
+                let sys = SystemConfig::default().with_cache(spec);
+                let res = builder_on(&t, layout, sys)
                     .threads(threads)
                     .trace(true)
                     .run()

@@ -9,7 +9,7 @@ use rodb_cpu::CpuBreakdown;
 use rodb_io::IoStats;
 use rodb_types::Result;
 
-use crate::op::{ExecContext, Operator};
+use crate::op::{drain, ExecContext, Operator};
 
 /// Everything one execution produced and cost.
 #[derive(Debug, Clone)]
@@ -56,13 +56,13 @@ pub const DEFAULT_OVERLAP_LOSS: f64 = 0.05;
 
 /// Drain `root`, then settle all accounting into a [`RunReport`].
 pub fn run_to_completion(root: &mut dyn Operator, ctx: &ExecContext) -> Result<RunReport> {
-    let mut rows = 0u64;
-    let mut blocks = 0u64;
-    while let Some(b) = root.next()? {
-        rows += b.count() as u64;
-        blocks += 1;
-    }
+    let (rows, blocks) = drain(root)?;
+    Ok(settle_report(ctx, rows, blocks))
+}
 
+/// Settle the accounting of a plan already drained on `ctx` (it produced
+/// `rows` rows in `blocks` blocks) into a [`RunReport`].
+pub fn settle_report(ctx: &ExecContext, rows: u64, blocks: u64) -> RunReport {
     let scale = ctx.row_scale;
     let io = *ctx.disk.borrow().stats();
     // Kernel-side CPU work mirrors the disk traffic; settlement is
@@ -75,13 +75,13 @@ pub fn run_to_completion(root: &mut dyn Operator, ctx: &ExecContext) -> Result<R
     let overlapped = io_s.min(cpu_s);
     let elapsed_s = io_s.max(cpu_s) + DEFAULT_OVERLAP_LOSS * overlapped;
 
-    Ok(RunReport {
+    RunReport {
         rows,
         blocks,
         io,
         cpu,
         elapsed_s,
-    })
+    }
 }
 
 #[cfg(test)]

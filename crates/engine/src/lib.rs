@@ -13,13 +13,12 @@ pub mod exec;
 pub mod join;
 pub mod memscan;
 pub mod op;
-pub mod par;
+pub mod page_cursor;
 pub mod plan;
 pub mod predicate;
 pub mod scan_col;
 pub mod scan_col_single;
 pub mod scan_row;
-pub mod scan_shared;
 pub mod sched;
 pub mod shared_cursor;
 pub mod sort;
@@ -29,18 +28,17 @@ pub use agg::{merge_partials, AggFunc, AggPartial, AggSpec, AggStrategy, Aggrega
 pub use block::TupleBlock;
 pub use codepred::{rewrite, rewrite_all, zone_rejects, CodePred};
 pub use degraded::DropSet;
-pub use exec::{run_to_completion, RunReport};
+pub use exec::{run_to_completion, settle_report, RunReport};
 pub use join::MergeJoin;
 pub use memscan::{Chain, MemScan};
-pub use op::{ExecContext, Operator};
-pub use par::{AggPlan, ParallelExec, ParallelOutcome};
-pub use plan::{ScanLayout, ScanSpec};
+pub use op::{drain_rows, ExecContext, Operator};
+pub use page_cursor::{HeldPage, PageCursor};
+pub use plan::{AggPlan, QueryPlan, ScanLayout, ScanSpec};
 pub use predicate::{CmpOp, Predicate};
 pub use scan_col::{ColumnScanMode, ColumnScanner};
 pub use scan_col_single::SingleIteratorColumnScanner;
 pub use scan_row::RowScanner;
-pub use scan_shared::{shared_row_scan, SharedScanOutput, SharedScanQuery};
-pub use sched::{emit_aggregate, JobOutcome, QueryJob, TaskScheduler};
+pub use sched::{JobOutcome, QueryJob, TaskScheduler};
 pub use shared_cursor::{CursorQuery, QueryDone, SharedCursor, SharedCursorConfig};
 pub use sort::Sort;
 pub use traced::{apply_report, finish_query_trace, record_block, TracedOp};

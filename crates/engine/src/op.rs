@@ -153,6 +153,25 @@ pub fn drain(op: &mut dyn Operator) -> Result<(u64, u64)> {
     Ok((rows, blocks))
 }
 
+/// Result rows (empty unless collected), row count, block count.
+pub type Drained = (Vec<Vec<rodb_types::Value>>, u64, u64);
+
+/// Drain an operator, materializing its rows when `collect` is set.
+pub fn drain_rows(op: &mut dyn Operator, collect: bool) -> Result<Drained> {
+    if !collect {
+        let (rows, blocks) = drain(op)?;
+        return Ok((Vec::new(), rows, blocks));
+    }
+    let mut rows = Vec::new();
+    let mut blocks = 0u64;
+    while let Some(b) = op.next()? {
+        blocks += 1;
+        rows.extend(b.rows()?);
+    }
+    let n = rows.len() as u64;
+    Ok((rows, n, blocks))
+}
+
 /// Helper: collect all rows as values (tests and small results).
 pub fn collect_rows(op: &mut dyn Operator) -> Result<Vec<Vec<rodb_types::Value>>> {
     let mut out = Vec::new();

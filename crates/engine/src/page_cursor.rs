@@ -1,0 +1,259 @@
+//! The one page boundary below the scanners.
+//!
+//! A [`PageCursor`] is everything a scanner needs to know about *getting*
+//! pages of one file: the prefetching [`FileStream`], the simulated
+//! [`FileId`], the file's units-per-page geometry (tuples for the row file,
+//! values for a column file), the row-range window the stream is clamped
+//! to, and the `on_corrupt` policy. The row scanner, every node of the
+//! pipelined column scanner and every cursor of the single-iterator scanner
+//! *configure* one; none of them opens a stream, checksums a page, attaches
+//! `(file, page)` context or touches the quarantine by hand.
+//!
+//! Bytes reach a decoder only through [`VerifiedPage`]: iterating the cursor
+//! yields `(page_index, first_row, Result<VerifiedPage>)`, the one checksum
+//! pass already spent and the error already located. Position-driven
+//! readers use [`PageCursor::seek`], which holds the page containing the
+//! requested position; a damaged page keeps its geometric span and every
+//! position inside it re-fails with the identical typed error.
+
+use rodb_io::{FileId, FileStream, PageRef, SharedDisk};
+use rodb_storage::{Quarantine, QuarantinedPage, Table, VerifiedPage};
+use rodb_types::{Error, OnCorrupt, Result};
+
+use crate::degraded::{should_skip, DropSet};
+use crate::op::ExecContext;
+
+/// The page a position-driven reader currently holds.
+pub enum HeldPage {
+    /// Checksummed once when it was pulled; every position that lands on it
+    /// re-opens it without another pass.
+    Verified(VerifiedPage),
+    /// The fast path's arm: checksummed when pulled, but held as bare bytes
+    /// that every read re-opens (and re-checksums). The one place unverified
+    /// bytes survive past the cursor; ROADMAP item 1(a) removes it.
+    Unverified(PageRef),
+}
+
+/// Sequential, window-clamped, checksum-verifying page source of one file.
+pub struct PageCursor {
+    stream: FileStream,
+    disk: SharedDisk,
+    quarantine: Quarantine,
+    file_id: FileId,
+    /// `None` for the row file, else the column this file stores.
+    col: Option<usize>,
+    /// Full-page capacity in rows — the geometric page → ordinal unit.
+    upp: u64,
+    /// Row-ordinal window `[start, end)` the owning scanner covers.
+    range: (u64, u64),
+    policy: OnCorrupt,
+    window_bytes: f64,
+    hold_unverified: bool,
+    /// What [`PageCursor::seek`] holds: the page, or the error it failed
+    /// with, spanning rows `[held_first_row, held_first_row + held_rows)`.
+    held: Option<Result<HeldPage>>,
+    held_first_row: u64,
+    held_rows: u64,
+}
+
+impl PageCursor {
+    /// Open the row file (`col = None`) or one column file of `table`,
+    /// clamped to the pages holding `range` (the whole table when `None`):
+    /// the scanner never touches, or pays I/O for, the rest of the file.
+    pub fn open(
+        ctx: &ExecContext,
+        table: &Table,
+        col: Option<usize>,
+        range: Option<(u64, u64)>,
+    ) -> Result<PageCursor> {
+        let (file, page_size, upp, pages) = match col {
+            None => {
+                let rs = table.row_storage()?;
+                (&rs.file, rs.page_size, rs.tuples_per_page, rs.pages)
+            }
+            Some(c) => {
+                let cs = &table.col_storage()?.columns[c];
+                (&cs.file, cs.page_size, cs.values_per_page, cs.pages)
+            }
+        };
+        let file_id = ctx.next_file_id();
+        let mut stream = FileStream::new(ctx.disk.clone(), file_id, file.clone(), page_size)?;
+        let rows = table.row_count;
+        let range = range.map_or((0, rows), |(s, e)| (s.min(rows), e.min(rows)));
+        let upp = upp.max(1) as u64;
+        let first_page = (range.0 / upp) as usize;
+        let end_page = (range.1.div_ceil(upp) as usize).min(pages).max(first_page);
+        stream.set_window(first_page, end_page);
+        Ok(PageCursor {
+            stream,
+            disk: ctx.disk.clone(),
+            quarantine: table.quarantine.clone(),
+            file_id,
+            col,
+            upp,
+            range,
+            policy: ctx.sys.on_corrupt,
+            window_bytes: ((end_page - first_page) * page_size) as f64,
+            hold_unverified: false,
+            held: None,
+            held_first_row: 0,
+            held_rows: 0,
+        })
+    }
+
+    /// Hold sought pages as [`HeldPage::Unverified`] (fast-path nodes).
+    pub fn hold_unverified(mut self, on: bool) -> PageCursor {
+        self.hold_unverified = on;
+        self
+    }
+
+    /// The (clamped) row-ordinal window this cursor serves.
+    pub fn range(&self) -> (u64, u64) {
+        self.range
+    }
+
+    /// File bytes inside the page window (memory-traffic accounting).
+    pub fn window_bytes(&self) -> f64 {
+        self.window_bytes
+    }
+
+    /// Index of the page the next pull would return; `None` at the end of
+    /// the window. Scanners peek this to consult zone maps.
+    pub fn peek_index(&self) -> Option<usize> {
+        (self.stream.remaining() > 0).then(|| self.stream.peek_index())
+    }
+
+    /// Skip the next page without transferring it (a zone map proved it
+    /// holds no qualifying value).
+    pub fn skip_zoned(&mut self) {
+        self.stream.skip_pages_zoned(1);
+    }
+
+    /// Read past every remaining page: I/O cost only, nothing is verified.
+    pub fn drain(&mut self) {
+        while self.stream.next_page().is_some() {}
+    }
+
+    /// Attach this file's `(file, page)` context to a decode-side error.
+    pub fn locate(&self, e: Error, page_index: u64) -> Error {
+        e.with_page_context(self.file_id.0, page_index)
+    }
+
+    /// Whether the policy absorbs `e` as a degraded skip.
+    pub fn skips(&self, e: &Error) -> bool {
+        should_skip(self.policy, e)
+    }
+
+    /// Quarantine page `page_index` (bad on every replica) and drop exactly
+    /// the ordinals it would hold by geometry — never its own claimed count
+    /// — clamped to this cursor's window.
+    pub fn quarantine(&self, page_index: u64, dropped: &mut DropSet) {
+        let page = match self.col {
+            None => QuarantinedPage::Row { page: page_index },
+            Some(col) => QuarantinedPage::Col {
+                col,
+                page: page_index,
+            },
+        };
+        if self.quarantine.insert(page) {
+            self.disk.borrow_mut().note_quarantined(1);
+        }
+        let start = (page_index * self.upp).max(self.range.0);
+        let end = ((page_index + 1) * self.upp).min(self.range.1);
+        dropped.add(start, end);
+    }
+
+    /// [`PageCursor::quarantine`] for the page that would hold row `pos`.
+    pub fn quarantine_row(&self, pos: u64, dropped: &mut DropSet) {
+        self.quarantine(pos / self.upp, dropped);
+    }
+
+    /// Pull the next page and spend its one checksum pass.
+    fn pull(&mut self) -> Option<(PageRef, Result<VerifiedPage>)> {
+        let p = self.stream.next_page()?;
+        let verified = VerifiedPage::verify(&p).map_err(|e| self.locate(e, p.page_index as u64));
+        Some((p, verified))
+    }
+
+    /// Whether a clean page containing row `pos` is already held — the
+    /// per-position fast path in front of [`PageCursor::seek`].
+    #[inline]
+    pub fn holds(&self, pos: u64) -> bool {
+        matches!(self.held, Some(Ok(_))) && pos < self.held_first_row + self.held_rows
+    }
+
+    /// Advance until the held page contains row `pos`. `on_page(page,
+    /// is_target)` runs once for every clean page pulled on the way (eager
+    /// decoders hook in here). A page that fails — its checksum, or
+    /// `on_page` — is held as that error over its geometric span, so every
+    /// later position inside it re-fails identically; damage the reader only
+    /// streams past is tolerated under `Skip` (the rows demanding that page
+    /// were already dropped through another column).
+    pub fn seek(
+        &mut self,
+        pos: u64,
+        mut on_page: impl FnMut(&VerifiedPage, bool) -> Result<()>,
+    ) -> Result<()> {
+        loop {
+            if let Some(held) = &self.held {
+                if pos < self.held_first_row + self.held_rows {
+                    return held.as_ref().map(|_| ()).map_err(Error::clone);
+                }
+            }
+            let Some((p, verified)) = self.pull() else {
+                let what = self
+                    .col
+                    .map_or("row".to_string(), |c| format!("column {c}"));
+                return Err(Error::corrupt(format!("position {pos} beyond {what} file")));
+            };
+            let page_index = p.page_index as u64;
+            // Boundaries come from file geometry, not a running sum of
+            // per-page counts: a damaged page still spans its slots.
+            self.held_first_row = page_index * self.upp;
+            let loaded = verified.and_then(|v| {
+                let rows = v.count() as u64;
+                on_page(&v, pos < self.held_first_row + rows)
+                    .map_err(|e| self.locate(e, page_index))?;
+                Ok((v, rows))
+            });
+            match loaded {
+                Ok((v, rows)) => {
+                    self.held_rows = rows;
+                    self.held = Some(Ok(if self.hold_unverified {
+                        HeldPage::Unverified(p)
+                    } else {
+                        HeldPage::Verified(v)
+                    }));
+                }
+                Err(e) => {
+                    self.held_rows = self.upp;
+                    self.held = Some(Err(e.clone()));
+                    if pos < self.held_first_row + self.upp || !self.skips(&e) {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The page the last successful [`PageCursor::seek`] landed on, and the
+    /// ordinal of its first row.
+    pub fn held(&self) -> (&HeldPage, u64) {
+        match &self.held {
+            Some(Ok(page)) => (page, self.held_first_row),
+            _ => panic!("PageCursor::held without a successful seek"),
+        }
+    }
+}
+
+/// Sequential pulls: `(page_index, first_row, page)` — ordinals from file
+/// geometry, so a damaged page never shifts the positions after it.
+impl Iterator for PageCursor {
+    type Item = (u64, u64, Result<VerifiedPage>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (p, verified) = self.pull()?;
+        let page_index = p.page_index as u64;
+        Some((page_index, page_index * self.upp, verified))
+    }
+}

@@ -5,6 +5,8 @@
 //! Text comparisons are bytewise on the zero-padded fixed-width value, which
 //! matches lexicographic order for the generated data.
 
+use std::sync::Arc;
+
 use rodb_types::{DataType, Error, Result, Schema, Value};
 
 /// Comparison operator.
@@ -155,6 +157,39 @@ impl Predicate {
             _ => false,
         }
     }
+}
+
+/// Validate a scan's projection and predicates against the base `schema`
+/// and return the projected output schema.
+pub(crate) fn scan_schema(
+    schema: &Schema,
+    projection: &[usize],
+    predicates: &[Predicate],
+) -> Result<Arc<Schema>> {
+    if projection.is_empty() {
+        return Err(Error::InvalidPlan("empty projection".into()));
+    }
+    for p in predicates {
+        p.validate(schema)?;
+    }
+    Ok(Arc::new(schema.project(projection)?))
+}
+
+/// Column order of a column scan: predicate columns first (deepest, so
+/// nodes that yield few qualifying tuples run early), in predicate order,
+/// then the remaining projected columns in projection order.
+pub(crate) fn scan_columns(projection: &[usize], predicates: &[Predicate]) -> Vec<usize> {
+    let mut cols: Vec<usize> = Vec::new();
+    for c in predicates
+        .iter()
+        .map(|p| p.col)
+        .chain(projection.iter().copied())
+    {
+        if !cols.contains(&c) {
+            cols.push(c);
+        }
+    }
+    cols
 }
 
 impl std::fmt::Display for Predicate {

@@ -22,15 +22,15 @@
 use std::sync::Arc;
 
 use rodb_compress::{Codec, ColumnCompression};
-use rodb_io::{FileId, FileStream, PageRef};
-use rodb_storage::{ColumnPage, ColumnStorage, QuarantinedPage, Table, VerifiedPage};
-use rodb_types::{DataType, Error, OnCorrupt, Result, Schema};
+use rodb_storage::{ColumnPage, ColumnStorage, Table};
+use rodb_types::{DataType, Error, Result, Schema};
 
 use crate::block::TupleBlock;
 use crate::codepred::{rewrite_all, zone_rejects};
-use crate::degraded::{self, DropSet};
+use crate::degraded::DropSet;
 use crate::op::{ExecContext, Operator};
-use crate::predicate::Predicate;
+use crate::page_cursor::{HeldPage, PageCursor};
+use crate::predicate::{scan_columns, scan_schema, Predicate};
 
 /// Disk-request submission behaviour (§4.5 / Figure 11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,20 +44,6 @@ pub enum ColumnScanMode {
     Slow,
 }
 
-/// The page a driven scan node currently holds.
-enum HeldPage {
-    /// Checksummed once when it was pulled from the stream; every position
-    /// that lands on it re-opens it without another pass.
-    Verified(VerifiedPage),
-    /// Held without that proof, so every position that reads it re-opens it
-    /// through [`ColumnPage::new`]. A page that failed its checksum is kept
-    /// this way for its geometric span: each position that targets it fails
-    /// again with the same typed error. So, for now, is every page of a
-    /// fast-path node: its fallback reads (text has no block kernel) cost
-    /// what they cost before verify-once; CHANGES.md, PR 15, says why.
-    Unverified(PageRef),
-}
-
 /// One scan node: a column file plus its predicates.
 struct ColNode {
     col: usize,
@@ -69,16 +55,12 @@ struct ColNode {
     out_col: Option<usize>,
     /// Storage handle for zone-map trailer peeks (catalog-resident metadata).
     storage: ColumnStorage,
-    stream: FileStream,
-    file_id: FileId,
-    /// Corruption policy: under `Skip`, damaged pages this node only streams
-    /// past are tolerated (quarantine is lazy — it happens when a requested
-    /// position actually targets the bad page, so serial and parallel scans
-    /// quarantine identical sets).
-    policy: OnCorrupt,
-    page: Option<HeldPage>,
-    page_first_row: u64,
-    page_count: usize,
+    /// This column's file, clamped to the pages holding the row range. Under
+    /// `Skip`, damaged pages a driven node only streams past are tolerated
+    /// (quarantine is lazy — it happens when a requested position actually
+    /// targets the bad page, so serial and parallel scans quarantine
+    /// identical sets).
+    pages: PageCursor,
     /// Whole-page decode cache: filled for non-random-access codecs
     /// (FOR-delta must decode every prior code anyway) and, on the fast
     /// path, for any int column — block kernels make eager whole-page
@@ -89,7 +71,6 @@ struct ColNode {
     /// Vectorized fast path enabled ([`rodb_types::SystemConfig`]
     /// `scan_fast_path`).
     fast: bool,
-    file_bytes: f64,
     // --- accumulated accounting, flushed in finish() ---
     values_decoded: u64,
     blocks_decoded: u64,
@@ -108,109 +89,78 @@ impl ColNode {
         !self.comp.codec.random_access() || (self.fast && self.dtype == DataType::Int)
     }
 
-    /// Make `pos` addressable: advance the stream to the page containing it.
+    /// Make `pos` addressable: seek to the page containing it, decoding on
+    /// the way what this node's codec forces it to.
     fn advance_to(&mut self, pos: u64) -> Result<()> {
-        loop {
-            if self.page.is_some() && pos < self.page_first_row + self.page_count as u64 {
-                return Ok(());
-            }
-            match self.stream.next_page() {
-                Some(p) => {
-                    let page_index = p.page_index as u64;
-                    let vpp = self.storage.values_per_page.max(1) as u64;
-                    // Boundaries come from file geometry, not a running sum of
-                    // per-page counts: a damaged page still spans its slots.
-                    self.page_first_row = page_index * vpp;
-                    self.page_cached = false;
-                    // The one checksum pass this node spends on the page.
-                    let verified = match VerifiedPage::verify(&p) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            // Keep the damaged page with its geometric span so
-                            // node state stays consistent either way: a
-                            // position targeting it fails again on decode.
-                            let is_target = pos < self.page_first_row + vpp;
-                            self.page_count = vpp as usize;
-                            self.page = Some(HeldPage::Unverified(p));
-                            if is_target || !degraded::should_skip(self.policy, &e) {
-                                return Err(e.with_page_context(self.file_id.0, page_index));
-                            }
-                            continue;
-                        }
-                    };
-                    let page = verified.column(self.dtype);
-                    let count = page.count();
-                    self.page_count = count;
-                    let is_target = pos < self.page_first_row + count as u64;
-                    if !self.comp.codec.random_access() {
-                        // FOR-delta: sequential decode of the entire page —
-                        // even pages we only pass through (Figure 9's CPU
-                        // effect). The fast path does the same work through
-                        // the block kernels.
-                        self.decoded.clear();
-                        let pv = page.values(&self.comp);
-                        if self.fast {
-                            pv.decode_ints_into(&mut self.decoded)?;
-                            self.blocks_decoded += count as u64;
-                        } else {
-                            let mut cur = pv.cursor();
-                            for _ in 0..count {
-                                self.decoded.push(cur.next_int()?);
-                            }
-                            self.values_decoded += count as u64;
-                        }
-                        self.page_cached = true;
-                    } else if self.eager() && is_target {
-                        // Fast path: block-decode the whole target page once;
-                        // per-position reads become array lookups. Pages only
-                        // streamed past are not decoded.
-                        let pv = page.values(&self.comp);
-                        pv.decode_ints_into(&mut self.decoded)?;
-                        self.blocks_decoded += count as u64;
-                        self.page_cached = true;
-                    }
-                    self.page = Some(if self.fast {
-                        HeldPage::Unverified(p)
-                    } else {
-                        HeldPage::Verified(verified)
-                    });
-                }
-                None => {
-                    return Err(Error::corrupt(format!(
-                        "position {pos} beyond column {} file",
-                        self.col
-                    )))
-                }
-            }
+        if self.pages.holds(pos) {
+            return Ok(());
         }
+        let eager = self.eager();
+        let ColNode {
+            pages,
+            dtype,
+            comp,
+            fast,
+            decoded,
+            page_cached,
+            values_decoded,
+            blocks_decoded,
+            ..
+        } = self;
+        pages.seek(pos, |verified, is_target| {
+            *page_cached = false;
+            let page = verified.column(*dtype);
+            let count = page.count();
+            if !comp.codec.random_access() {
+                // FOR-delta: sequential decode of the entire page — even
+                // pages we only pass through (Figure 9's CPU effect). The
+                // fast path does the same work through the block kernels.
+                decoded.clear();
+                let pv = page.values(comp);
+                if *fast {
+                    pv.decode_ints_into(decoded)?;
+                    *blocks_decoded += count as u64;
+                } else {
+                    let mut cur = pv.cursor();
+                    for _ in 0..count {
+                        decoded.push(cur.next_int()?);
+                    }
+                    *values_decoded += count as u64;
+                }
+                *page_cached = true;
+            } else if eager && is_target {
+                // Fast path: block-decode the whole target page once;
+                // per-position reads become array lookups. Pages only
+                // streamed past are not decoded.
+                page.values(comp).decode_ints_into(decoded)?;
+                *blocks_decoded += count as u64;
+                *page_cached = true;
+            }
+            Ok(())
+        })
     }
 
     /// Decode the value at `pos` into `out` (full declared width).
     fn read_raw(&mut self, pos: u64, out: &mut Vec<u8>) -> Result<()> {
         self.advance_to(pos)?;
-        let slot = (pos - self.page_first_row) as usize;
+        let (held, first_row) = self.pages.held();
+        let slot = (pos - first_row) as usize;
         if self.page_cached {
             out.extend_from_slice(&self.decoded[slot].to_le_bytes());
             if self.eager() && self.comp.codec.random_access() {
                 self.gathered += 1;
             }
         } else {
-            let page = match self.page.as_ref().expect("advance_to ensures page") {
+            let page = match held {
                 HeldPage::Verified(v) => v.column(self.dtype),
-                HeldPage::Unverified(p) => ColumnPage::new(p.bytes(), self.dtype)
-                    .map_err(|e| e.with_page_context(self.file_id.0, p.page_index as u64))?,
+                // Fast-path fallback reads (text has no block kernel) cost
+                // what they did before verify-once: a pass per position.
+                HeldPage::Unverified(p) => ColumnPage::new(p.bytes(), self.dtype)?,
             };
-            let pv = page.values(&self.comp);
-            pv.write_raw(slot, out)?;
+            page.values(&self.comp).write_raw(slot, out)?;
             self.values_decoded += 1;
         }
         Ok(())
-    }
-
-    /// Drain any unread pages (I/O cost only — a sequential scan reads the
-    /// whole column file even when late positions never arrive).
-    fn drain(&mut self) {
-        while self.stream.next_page().is_some() {}
     }
 }
 
@@ -244,7 +194,6 @@ pub struct ColumnScanner {
     nodes: Vec<ColNode>,
     pending: Pending,
     node0_eof: bool,
-    node0_next_row: u64,
     /// Row-ordinal window `[start, end)` this scanner is responsible for.
     range: (u64, u64),
     done: bool,
@@ -278,56 +227,14 @@ impl ColumnScanner {
         ctx: &ExecContext,
         range: Option<(u64, u64)>,
     ) -> Result<ColumnScanner> {
-        if projection.is_empty() {
-            return Err(Error::InvalidPlan("empty projection".into()));
-        }
-        for p in &predicates {
-            p.validate(&table.schema)?;
-        }
-        let out_schema = Arc::new(table.schema.project(&projection)?);
+        let out_schema = scan_schema(&table.schema, &projection, &predicates)?;
         let cs = table.col_storage()?;
-        let range = match range {
-            Some((s, e)) => (s.min(table.row_count), e.min(table.row_count)),
-            None => (0, table.row_count),
-        };
 
-        // Node order: predicate columns first (deepest), in predicate order,
-        // then remaining projected columns in projection order.
-        let mut node_cols: Vec<usize> = Vec::new();
-        for p in &predicates {
-            if !node_cols.contains(&p.col) {
-                node_cols.push(p.col);
-            }
-        }
-        for &c in &projection {
-            if !node_cols.contains(&c) {
-                node_cols.push(c);
-            }
-        }
-
+        let fast = ctx.sys.scan_fast_path;
+        let node_cols = scan_columns(&projection, &predicates);
         let mut nodes = Vec::with_capacity(node_cols.len());
-        let mut node0_first_row = 0u64;
         for &col in &node_cols {
             let storage = &cs.columns[col];
-            let file_id = ctx.next_file_id();
-            let mut stream = FileStream::new(
-                ctx.disk.clone(),
-                file_id,
-                storage.file.clone(),
-                storage.page_size,
-            )?;
-            // Clamp each node's stream to the pages of its column that hold
-            // the row range (columns pack different value counts per page, so
-            // the window is computed per column).
-            let vpp = storage.values_per_page.max(1) as u64;
-            let first_page = (range.0 / vpp) as usize;
-            let end_page = ((range.1.div_ceil(vpp)) as usize)
-                .min(storage.pages)
-                .max(first_page);
-            stream.set_window(first_page, end_page);
-            if nodes.is_empty() {
-                node0_first_row = first_page as u64 * vpp;
-            }
             nodes.push(ColNode {
                 col,
                 dtype: table.schema.dtype(col),
@@ -340,16 +247,12 @@ impl ColumnScanner {
                     .collect(),
                 out_col: projection.iter().position(|&c| c == col),
                 storage: storage.clone(),
-                stream,
-                file_id,
-                policy: ctx.sys.on_corrupt,
-                page: None,
-                page_first_row: first_page as u64 * vpp,
-                page_count: 0,
+                // Columns pack different value counts per page, so each
+                // node's page window is computed from its own geometry.
+                pages: PageCursor::open(ctx, &table, Some(col), range)?.hold_unverified(fast),
                 decoded: Vec::new(),
                 page_cached: false,
-                fast: ctx.sys.scan_fast_path,
-                file_bytes: ((end_page - first_page) * storage.page_size) as f64,
+                fast,
                 values_decoded: 0,
                 blocks_decoded: 0,
                 vec_pred_evals: 0,
@@ -361,6 +264,7 @@ impl ColumnScanner {
                 values_written: 0,
             });
         }
+        let range = nodes[0].pages.range();
 
         // Submission aggressiveness (§4.5): the pipelined scanner keeps the
         // next column's request in flight; the slow variant (and single-file
@@ -378,7 +282,6 @@ impl ColumnScanner {
             nodes,
             pending: Pending::default(),
             node0_eof: false,
-            node0_next_row: node0_first_row,
             range,
             done: false,
             mode,
@@ -400,55 +303,31 @@ impl ColumnScanner {
         // Zone-map page skipping (fast path): the page trailer's min/max can
         // prove no value qualifies — skip the page without transferring it.
         if node.fast && !node.preds.is_empty() {
-            let vpp = node.storage.values_per_page.max(1) as u64;
-            loop {
-                if node.stream.remaining() == 0 {
-                    break;
-                }
-                match node.storage.zone_of(node.stream.peek_index()) {
+            while let Some(idx) = node.pages.peek_index() {
+                match node.storage.zone_of(idx) {
                     Some((zmin, zmax)) if zone_rejects(&node.preds, zmin, zmax) => {
-                        node.stream.skip_pages_zoned(1);
+                        node.pages.skip_zoned();
                         node.pages_skipped_z += 1;
-                        // Full-page capacity; a short last page overshoots
-                        // harmlessly past the range end.
-                        self.node0_next_row += vpp;
                     }
                     _ => break,
                 }
             }
         }
 
-        let pref = match node.stream.next_page() {
-            Some(p) => p,
-            None => return Ok(false),
+        let Some((page_index, first_row, page)) = node.pages.next() else {
+            return Ok(false);
         };
-        let page_index = pref.page_index as u64;
-        let vpp = node.storage.values_per_page.max(1) as u64;
-        // Ordinals come from file geometry: a skipped damaged page must not
-        // shift the positions of every value after it.
-        self.node0_next_row = page_index * vpp;
-        let page = match ColumnPage::new(pref.bytes(), node.dtype) {
+        let page = match page {
             Ok(page) => page,
-            Err(e) if degraded::should_skip(node.policy, &e) => {
-                // Degraded skip: quarantine the page and drop exactly the
-                // ordinals it would hold by geometry.
-                if self.table.quarantine.insert(QuarantinedPage::Col {
-                    col: node.col,
-                    page: page_index,
-                }) {
-                    self.ctx.disk.borrow_mut().note_quarantined(1);
-                }
-                let start = (page_index * vpp).max(self.range.0);
-                let end = ((page_index + 1) * vpp).min(self.range.1);
-                self.dropped.add(start, end);
-                self.node0_next_row += vpp;
+            Err(e) if node.pages.skips(&e) => {
+                node.pages.quarantine(page_index, &mut self.dropped);
                 return Ok(true);
             }
-            Err(e) => return Err(e.with_page_context(node.file_id.0, page_index)),
+            Err(e) => return Err(e),
         };
+        let page = page.column(node.dtype);
         let pv = page.values(&node.comp);
         let count = pv.count();
-        let first_row = self.node0_next_row;
 
         if node.fast && node.dtype == DataType::Int {
             // Code-space evaluation: rewrite the predicates against this
@@ -514,7 +393,6 @@ impl ColumnScanner {
                 }
                 node.blocks_decoded += count as u64;
                 node.vec_pred_evals += (count * node.preds.len()) as u64;
-                self.node0_next_row += count as u64;
                 return Ok(true);
             }
 
@@ -538,7 +416,6 @@ impl ColumnScanner {
                     self.pending.values.extend_from_slice(&v.to_le_bytes());
                 }
             }
-            self.node0_next_row += count as u64;
             return Ok(true);
         }
 
@@ -572,7 +449,6 @@ impl ColumnScanner {
             }
         }
         node.values_decoded += count as u64;
-        self.node0_next_row += count as u64;
         Ok(true)
     }
 
@@ -589,7 +465,7 @@ impl ColumnScanner {
         let hw = self.ctx.hw;
         let mut meter = self.ctx.meter.borrow_mut();
         for (ni, node) in self.nodes.iter_mut().enumerate() {
-            node.drain();
+            node.pages.drain();
             // CPU: decode + loop + predicates + position handling. Scalar and
             // block-kernel work are metered at their own rates.
             meter.decode(node.comp.codec.kind(), node.values_decoded as f64);
@@ -610,8 +486,8 @@ impl ColumnScanner {
             // pages, which were never transferred); driven nodes stream or
             // miss depending on how densely they touched it. FOR-delta nodes
             // touched everything (they decode all codes).
-            let file_bytes =
-                node.file_bytes - (node.pages_skipped_z as usize * node.storage.page_size) as f64;
+            let file_bytes = node.pages.window_bytes()
+                - (node.pages_skipped_z as usize * node.storage.page_size) as f64;
             let decoded_all = (node.values_decoded + node.blocks_decoded) as f64;
             let touched = if ni == 0 {
                 decoded_all
@@ -693,25 +569,14 @@ impl Operator for ColumnScanner {
                         node.read_raw(pos, &mut scratch)
                     };
                     if let Err(e) = read {
-                        if !degraded::should_skip(self.ctx.sys.on_corrupt, &e) {
+                        let pages = &self.nodes[ni].pages;
+                        if !pages.skips(&e) {
                             self.scratch = scratch;
                             return Err(e);
                         }
                         // Degraded skip: the requested position targets a page
-                        // bad on every replica. Quarantine it and drop the
-                        // ordinals it holds by geometry.
-                        let node = &self.nodes[ni];
-                        let vpp = node.storage.values_per_page.max(1) as u64;
-                        let page_index = pos / vpp;
-                        if self.table.quarantine.insert(QuarantinedPage::Col {
-                            col: node.col,
-                            page: page_index,
-                        }) {
-                            self.ctx.disk.borrow_mut().note_quarantined(1);
-                        }
-                        let start = (page_index * vpp).max(self.range.0);
-                        let end = ((page_index + 1) * vpp).min(self.range.1);
-                        self.dropped.add(start, end);
+                        // bad on every replica.
+                        pages.quarantine_row(pos, &mut self.dropped);
                         continue;
                     }
                     let node = &mut self.nodes[ni];

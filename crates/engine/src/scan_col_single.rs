@@ -13,32 +13,22 @@
 
 use std::sync::Arc;
 
-use rodb_io::{FileId, FileStream, PageRef};
-use rodb_storage::{ColumnPage, QuarantinedPage, Table};
-use rodb_types::{CorruptKind, DataType, Error, OnCorrupt, Result, Schema};
+use rodb_storage::Table;
+use rodb_types::{DataType, Result, Schema};
 
 use crate::block::TupleBlock;
-use crate::degraded::{self, DropSet};
+use crate::degraded::DropSet;
 use crate::op::{ExecContext, Operator};
-use crate::predicate::Predicate;
+use crate::page_cursor::PageCursor;
+use crate::predicate::{scan_columns, scan_schema, Predicate};
 
 struct ColCursor {
-    col: usize,
     dtype: DataType,
     width: usize,
     comp: rodb_compress::ColumnCompression,
     preds: Vec<Predicate>,
     out_col: Option<usize>,
-    stream: FileStream,
-    file_id: FileId,
-    policy: OnCorrupt,
-    /// Full-page value capacity — the geometric page → ordinal unit.
-    vpp: u64,
-    page: Option<PageRef>,
-    page_first_row: u64,
-    page_count: usize,
-    /// Current page was bad on every replica (its span is geometric).
-    page_bad: bool,
+    pages: PageCursor,
     /// All values of the current page, decoded eagerly (raw full-width bytes,
     /// strided by `width`).
     decoded: Vec<u8>,
@@ -49,7 +39,6 @@ struct ColCursor {
     pass_map: Vec<bool>,
     /// Vectorized fast path enabled (`scan_fast_path`).
     fast: bool,
-    file_bytes: f64,
     values_decoded: u64,
     blocks_decoded: u64,
     vec_pred_evals: u64,
@@ -65,81 +54,65 @@ impl ColCursor {
         self.fast && self.dtype == DataType::Int && !self.preds.is_empty()
     }
 
+    /// Seek to the page holding `pos`, eagerly decoding every page pulled
+    /// on the way — the defining trait of this scanner.
     fn load_page_for(&mut self, pos: u64) -> Result<()> {
-        loop {
-            if self.page.is_some() && pos < self.page_first_row + self.page_count as u64 {
-                if self.page_bad {
-                    // Re-entry into a page already found bad: every one of
-                    // its rows fails identically (the scanner drops them).
-                    return Err(Error::corrupt_kind(
-                        CorruptKind::Checksum,
-                        "page bad on every replica",
-                    )
-                    .with_page_context(self.file_id.0, self.page_first_row / self.vpp));
-                }
-                return Ok(());
-            }
-            let p = self.stream.next_page().ok_or_else(|| {
-                Error::corrupt(format!("row {pos} beyond column {} file", self.col))
-            })?;
-            let page_index = p.page_index as u64;
-            // Boundaries come from file geometry, not a running sum of
-            // per-page counts: a damaged page still spans its slots.
-            self.page_first_row = page_index * self.vpp;
-            let page = match ColumnPage::new(p.bytes(), self.dtype) {
-                Ok(page) => page,
-                Err(e) => {
-                    let is_target = pos < self.page_first_row + self.vpp;
-                    self.page_count = self.vpp as usize;
-                    self.page = Some(p);
-                    self.page_bad = true;
-                    self.decoded.clear();
-                    if is_target || !degraded::should_skip(self.policy, &e) {
-                        return Err(e.with_page_context(self.file_id.0, page_index));
-                    }
-                    // Pass-through damage under `Skip`: the rows demanding
-                    // this page were already dropped by another column.
-                    continue;
-                }
-            };
+        if self.pages.holds(pos) {
+            return Ok(());
+        }
+        let ColCursor {
+            pages,
+            dtype,
+            width,
+            comp,
+            preds,
+            decoded,
+            ints,
+            pass_map,
+            fast,
+            values_decoded,
+            blocks_decoded,
+            vec_pred_evals,
+            ..
+        } = self;
+        pages.seek(pos, |verified, _| {
+            let page = verified.column(*dtype);
             let count = page.count();
-            // Eager whole-page decode — the defining trait of this scanner.
-            self.decoded.clear();
-            self.decoded.reserve(count * self.width);
-            let pv = page.values(&self.comp);
-            if self.fast && self.dtype == DataType::Int {
+            decoded.clear();
+            decoded.reserve(count * *width);
+            let pv = page.values(comp);
+            if *fast && *dtype == DataType::Int {
                 // Block-kernel decode plus one vectorized predicate pass.
-                pv.decode_ints_into(&mut self.ints)?;
-                for v in &self.ints {
-                    self.decoded.extend_from_slice(&v.to_le_bytes());
+                pv.decode_ints_into(ints)?;
+                for v in ints.iter() {
+                    decoded.extend_from_slice(&v.to_le_bytes());
                 }
-                self.blocks_decoded += count as u64;
-                if !self.preds.is_empty() {
-                    self.pass_map.clear();
-                    let preds = &self.preds;
-                    self.pass_map.extend(
-                        self.ints
-                            .iter()
-                            .map(|&v| preds.iter().all(|p| p.eval_int(v))),
-                    );
-                    self.vec_pred_evals += (count * self.preds.len()) as u64;
+                *blocks_decoded += count as u64;
+                if !preds.is_empty() {
+                    pass_map.clear();
+                    pass_map.extend(ints.iter().map(|&v| preds.iter().all(|p| p.eval_int(v))));
+                    *vec_pred_evals += (count * preds.len()) as u64;
                 }
             } else {
                 let mut cur = pv.cursor();
                 for _ in 0..count {
-                    cur.next_raw(&mut self.decoded)?;
+                    cur.next_raw(decoded)?;
                 }
-                self.values_decoded += count as u64;
+                *values_decoded += count as u64;
             }
-            self.page_count = count;
-            self.page = Some(p);
-            self.page_bad = false;
-        }
+            Ok(())
+        })
+    }
+
+    /// Slot of `pos` in the held page.
+    #[inline]
+    fn slot(&self, pos: u64) -> usize {
+        (pos - self.pages.held().1) as usize
     }
 
     #[inline]
     fn raw_at(&self, pos: u64) -> &[u8] {
-        let slot = (pos - self.page_first_row) as usize;
+        let slot = self.slot(pos);
         &self.decoded[slot * self.width..(slot + 1) * self.width]
     }
 }
@@ -165,59 +138,27 @@ impl SingleIteratorColumnScanner {
         predicates: Vec<Predicate>,
         ctx: &ExecContext,
     ) -> Result<SingleIteratorColumnScanner> {
-        if projection.is_empty() {
-            return Err(Error::InvalidPlan("empty projection".into()));
-        }
-        for p in &predicates {
-            p.validate(&table.schema)?;
-        }
-        let out_schema = Arc::new(table.schema.project(&projection)?);
+        let out_schema = scan_schema(&table.schema, &projection, &predicates)?;
         let cs = table.col_storage()?;
 
-        let mut cols: Vec<usize> = Vec::new();
-        for p in &predicates {
-            if !cols.contains(&p.col) {
-                cols.push(p.col);
-            }
-        }
-        for &c in &projection {
-            if !cols.contains(&c) {
-                cols.push(c);
-            }
-        }
+        let cols = scan_columns(&projection, &predicates);
         let mut cursors = Vec::with_capacity(cols.len());
         for &col in &cols {
-            let storage = &cs.columns[col];
-            let file_id = ctx.next_file_id();
             cursors.push(ColCursor {
-                col,
                 dtype: table.schema.dtype(col),
                 width: table.schema.dtype(col).width(),
-                comp: storage.comp.clone(),
+                comp: cs.columns[col].comp.clone(),
                 preds: predicates
                     .iter()
                     .filter(|p| p.col == col)
                     .cloned()
                     .collect(),
                 out_col: projection.iter().position(|&c| c == col),
-                stream: FileStream::new(
-                    ctx.disk.clone(),
-                    file_id,
-                    storage.file.clone(),
-                    storage.page_size,
-                )?,
-                file_id,
-                policy: ctx.sys.on_corrupt,
-                vpp: storage.values_per_page.max(1) as u64,
-                page: None,
-                page_first_row: 0,
-                page_count: 0,
-                page_bad: false,
+                pages: PageCursor::open(ctx, &table, Some(col), None)?,
                 decoded: Vec::new(),
                 ints: Vec::new(),
                 pass_map: Vec::new(),
                 fast: ctx.sys.scan_fast_path,
-                file_bytes: storage.byte_len() as f64,
                 values_decoded: 0,
                 blocks_decoded: 0,
                 vec_pred_evals: 0,
@@ -254,7 +195,7 @@ impl SingleIteratorColumnScanner {
         let hw = self.ctx.hw;
         let mut meter = self.ctx.meter.borrow_mut();
         for c in &mut self.cursors {
-            while c.stream.next_page().is_some() {}
+            c.pages.drain();
             let decoded_all = (c.values_decoded + c.blocks_decoded) as f64;
             meter.decode(c.comp.codec.kind(), c.values_decoded as f64);
             meter.decode_block(c.comp.codec.kind(), c.blocks_decoded as f64);
@@ -269,7 +210,7 @@ impl SingleIteratorColumnScanner {
                 c.values_written as f64 * c.width as f64,
             );
             // Everything is touched: dense sequential streaming of each file.
-            meter.memory_access(&hw, c.file_bytes, decoded_all, c.width as f64);
+            meter.memory_access(&hw, c.pages.window_bytes(), decoded_all, c.width as f64);
         }
     }
 }
@@ -300,23 +241,14 @@ impl Operator for SingleIteratorColumnScanner {
             // Predicate pass over the row (cursors hold decoded pages).
             for ci in 0..self.cursors.len() {
                 if let Err(e) = self.cursors[ci].load_page_for(pos) {
-                    if !degraded::should_skip(self.ctx.sys.on_corrupt, &e) {
+                    let pages = &self.cursors[ci].pages;
+                    if !pages.skips(&e) {
                         return Err(e);
                     }
                     // Degraded skip: quarantine the bad page and drop the
                     // ordinals it holds by geometry. Later cursors are not
                     // advanced for this row; they catch up lazily.
-                    let c = &self.cursors[ci];
-                    let page_index = pos / c.vpp;
-                    if self.table.quarantine.insert(QuarantinedPage::Col {
-                        col: c.col,
-                        page: page_index,
-                    }) {
-                        self.ctx.disk.borrow_mut().note_quarantined(1);
-                    }
-                    let start = page_index * c.vpp;
-                    let end = ((page_index + 1) * c.vpp).min(self.row_count);
-                    self.dropped.add(start, end);
+                    pages.quarantine_row(pos, &mut self.dropped);
                     row_dropped = true;
                     break;
                 }
@@ -324,8 +256,7 @@ impl Operator for SingleIteratorColumnScanner {
                 if pass {
                     if c.vectorized() {
                         // Verdict was computed in the page-load block pass.
-                        let slot = (pos - c.page_first_row) as usize;
-                        pass = c.pass_map[slot];
+                        pass = c.pass_map[c.slot(pos)];
                     } else {
                         for p in &c.preds {
                             c.pred_evals += 1;

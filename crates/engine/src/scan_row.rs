@@ -14,15 +14,15 @@
 use std::sync::Arc;
 
 use rodb_compress::{Codec, CodecKind};
-use rodb_io::{FileId, FileStream, PageRef};
-use rodb_storage::{PackedRowPage, PaxPage, QuarantinedPage, RowFormat, RowPage, Table};
-use rodb_types::{Error, Result, Schema};
+use rodb_storage::{RowFormat, Table, VerifiedPage};
+use rodb_types::{Result, Schema};
 
 use crate::block::TupleBlock;
 use crate::codepred::{rewrite, CodePred};
-use crate::degraded::{self, DropSet};
+use crate::degraded::DropSet;
 use crate::op::{ExecContext, Operator};
-use crate::predicate::Predicate;
+use crate::page_cursor::PageCursor;
+use crate::predicate::{scan_schema, Predicate};
 
 /// Scans a table's row representation, applying SARGable predicates and a
 /// projection.
@@ -32,20 +32,13 @@ pub struct RowScanner {
     projection: Vec<usize>,
     predicates: Vec<Predicate>,
     out_schema: Arc<Schema>,
-    stream: FileStream,
-    file_id: FileId,
-    row_ordinal: u64,
-    /// Full-page tuple capacity: the geometric unit of page → ordinal math.
-    tpp: u64,
+    /// The row file, clamped to the pages holding this scanner's row range
+    /// (whole table by default; a morsel of it under parallel execution).
+    pages: PageCursor,
     done: bool,
     /// Ordinal ranges dropped by degraded skips (empty unless `on_corrupt =
     /// Skip` absorbed a page whose every replica was bad).
     dropped: DropSet,
-    /// Row-ordinal range `[start, end)` this scanner covers (whole table by
-    /// default; a morsel of it under parallel execution).
-    range: (u64, u64),
-    /// File bytes inside this scanner's page window (for memory accounting).
-    window_bytes: f64,
     /// Bytes of the fields the projection copies per qualifying tuple.
     proj_bytes: usize,
     /// Qualifying projected tuples not yet emitted (strided by out width).
@@ -76,27 +69,8 @@ impl RowScanner {
         ctx: &ExecContext,
         range: Option<(u64, u64)>,
     ) -> Result<RowScanner> {
-        if projection.is_empty() {
-            return Err(Error::InvalidPlan("empty projection".into()));
-        }
-        for p in &predicates {
-            p.validate(&table.schema)?;
-        }
-        let out_schema = Arc::new(table.schema.project(&projection)?);
-        let rs = table.row_storage()?;
-        let file_id = ctx.next_file_id();
-        let mut stream = FileStream::new(ctx.disk.clone(), file_id, rs.file.clone(), rs.page_size)?;
-        let range = match range {
-            Some((s, e)) => (s.min(table.row_count), e.min(table.row_count)),
-            None => (0, table.row_count),
-        };
-        // Clamp the stream to the pages holding the range; the scanner never
-        // touches (or pays I/O for) the rest of the file.
-        let tpp = rs.tuples_per_page.max(1) as u64;
-        let first_page = (range.0 / tpp) as usize;
-        let end_page = (range.1.div_ceil(tpp) as usize).min(rs.pages);
-        stream.set_window(first_page, end_page);
-        let window_bytes = end_page.saturating_sub(first_page) as f64 * rs.page_size as f64;
+        let out_schema = scan_schema(&table.schema, &projection, &predicates)?;
+        let pages = PageCursor::open(ctx, &table, None, range)?;
         // A single sequential scan keeps one request outstanding.
         ctx.disk.borrow_mut().set_interleave(1);
         let proj_bytes = table.schema.selected_bytes(&projection);
@@ -106,14 +80,9 @@ impl RowScanner {
             projection,
             predicates,
             out_schema,
-            stream,
-            file_id,
-            row_ordinal: first_page as u64 * tpp,
-            tpp,
+            pages,
             done: false,
             dropped: DropSet::default(),
-            range,
-            window_bytes,
             proj_bytes,
             pending: Vec::new(),
             pending_pos: Vec::new(),
@@ -128,47 +97,30 @@ impl RowScanner {
 
     /// Process one whole page into the pending buffer. False at EOF.
     fn fill_from_next_page(&mut self) -> Result<bool> {
-        let pref = match self.stream.next_page() {
-            Some(p) => p,
-            None => return Ok(false),
+        let Some((page_index, first_row, page)) = self.pages.next() else {
+            return Ok(false);
         };
-        let page_index = pref.page_index as u64;
-        // Ordinals come from file geometry, not a running counter: a damaged
-        // page skipped under degraded reads must not shift the positions of
-        // every page after it.
-        self.row_ordinal = page_index * self.tpp;
-        let pend_bytes = self.pending.len();
-        let pend_rows = self.pending_pos.len();
-        match self.process_page(&pref) {
-            Ok(()) => Ok(true),
-            Err(e) if degraded::should_skip(self.ctx.sys.on_corrupt, &e) => {
-                // Degraded skip: roll back anything the half-parsed page
-                // contributed, quarantine it, and drop exactly the ordinals
-                // it would hold by geometry (never its own claimed count).
-                self.pending.truncate(pend_bytes);
-                self.pending_pos.truncate(pend_rows);
-                if self
-                    .table
-                    .quarantine
-                    .insert(QuarantinedPage::Row { page: page_index })
-                {
-                    self.ctx.disk.borrow_mut().note_quarantined(1);
-                }
-                let start = (page_index * self.tpp).max(self.range.0);
-                let end = ((page_index + 1) * self.tpp).min(self.range.1);
-                self.dropped.add(start, end);
-                Ok(true)
-            }
-            Err(e) => Err(e.with_page_context(self.file_id.0, page_index)),
+        match page {
+            Ok(page) => self
+                .process_page(&page, first_row)
+                .map_err(|e| self.pages.locate(e, page_index))?,
+            // Degraded skip. Nothing to roll back: a retryable error is a
+            // failed checksum, raised before any tuple of the page is read.
+            Err(e) if self.pages.skips(&e) => self.pages.quarantine(page_index, &mut self.dropped),
+            Err(e) => return Err(e),
         }
+        Ok(true)
     }
 
     /// Parse one page, appending qualifying projected tuples to the pending
-    /// buffer and charging CPU work.
-    fn process_page(&mut self, pref: &PageRef) -> Result<()> {
+    /// buffer and charging CPU work. `first_row` is the page's first ordinal
+    /// by file geometry.
+    fn process_page(&mut self, page: &VerifiedPage, first_row: u64) -> Result<()> {
         let schema = self.table.schema.clone();
         let rs = self.table.row_storage()?;
         let out_width = self.out_schema.logical_width();
+        let range = self.pages.range();
+        let mut row_ordinal = first_row;
 
         let mut visited = 0u64;
         let mut pred_evals = vec![0u64; self.predicates.len()];
@@ -178,10 +130,10 @@ impl RowScanner {
 
         match &rs.format {
             RowFormat::Plain { stored_width } => {
-                let page = RowPage::new(pref.bytes(), *stored_width)?;
+                let page = page.row(*stored_width)?;
                 for raw in page.tuples() {
-                    if self.row_ordinal < self.range.0 || self.row_ordinal >= self.range.1 {
-                        self.row_ordinal += 1;
+                    if row_ordinal < range.0 || row_ordinal >= range.1 {
+                        row_ordinal += 1;
                         continue;
                     }
                     visited += 1;
@@ -204,9 +156,9 @@ impl RowScanner {
                             let w = schema.dtype(c).width();
                             self.pending.extend_from_slice(&raw[off..off + w]);
                         }
-                        self.pending_pos.push(self.row_ordinal);
+                        self.pending_pos.push(row_ordinal);
                     }
-                    self.row_ordinal += 1;
+                    row_ordinal += 1;
                 }
             }
             RowFormat::Pax => {
@@ -214,10 +166,10 @@ impl RowScanner {
                 // contiguous in the page — predicate evaluation touches
                 // densely packed cache lines (§6's locality benefit).
                 dense_l1 = true;
-                let page = PaxPage::new(pref.bytes(), &schema)?;
+                let page = page.pax(&schema)?;
                 for i in 0..page.count() {
-                    if self.row_ordinal < self.range.0 || self.row_ordinal >= self.range.1 {
-                        self.row_ordinal += 1;
+                    if row_ordinal < range.0 || row_ordinal >= range.1 {
+                        row_ordinal += 1;
                         continue;
                     }
                     visited += 1;
@@ -237,13 +189,13 @@ impl RowScanner {
                         for &c in &self.projection {
                             self.pending.extend_from_slice(page.field(&schema, i, c));
                         }
-                        self.pending_pos.push(self.row_ordinal);
+                        self.pending_pos.push(row_ordinal);
                     }
-                    self.row_ordinal += 1;
+                    row_ordinal += 1;
                 }
             }
             RowFormat::Packed { comps, .. } => {
-                let page = PackedRowPage::new(pref.bytes(), comps)?;
+                let page = page.packed(comps)?;
                 // Fast path: rewrite each predicate against this page's
                 // compression metadata; rewritten predicates are evaluated on
                 // the raw stored codes without decoding the field.
@@ -268,11 +220,11 @@ impl RowScanner {
                     .count();
                 let mut scratch = std::mem::take(&mut self.scratch);
                 while cur.advance()? {
-                    if self.row_ordinal < self.range.0 || self.row_ordinal >= self.range.1 {
+                    if row_ordinal < range.0 || row_ordinal >= range.1 {
                         // Out-of-range rows on a shared boundary page: the
                         // cursor still decodes past them (FOR-delta is
                         // sequential) but they are not visited.
-                        self.row_ordinal += 1;
+                        row_ordinal += 1;
                         continue;
                     }
                     visited += 1;
@@ -302,9 +254,9 @@ impl RowScanner {
                         for &c in &self.projection {
                             cur.field_raw(c, &mut self.pending)?;
                         }
-                        self.pending_pos.push(self.row_ordinal);
+                        self.pending_pos.push(row_ordinal);
                     }
-                    self.row_ordinal += 1;
+                    row_ordinal += 1;
                 }
                 self.scratch = scratch;
                 // Decompression CPU: predicate fields for every tuple (unless
@@ -368,7 +320,10 @@ impl RowScanner {
         if dropped > 0 {
             self.ctx.disk.borrow_mut().note_dropped_rows(dropped);
         }
-        self.ctx.meter.borrow_mut().seq_region(self.window_bytes);
+        self.ctx
+            .meter
+            .borrow_mut()
+            .seq_region(self.pages.window_bytes());
     }
 }
 

@@ -1,16 +1,31 @@
 //! General morsel task scheduler: one worker pool executing tasks from
 //! *many* in-flight queries.
 //!
-//! [`crate::par::ParallelExec`] is the single-query face of this module: it
-//! submits one [`QueryJob`] and unwraps the one [`JobOutcome`]. The
-//! concurrent query service submits a *batch* of jobs — one per query
-//! attached to a shared scan cursor segment — and the same pool interleaves
-//! their tasks round-robin, so every worker owns morsels from multiple
-//! queries at once.
+//! A parallel query submits one [`QueryJob`]: its table is split into
+//! page-aligned [`rodb_storage::Morsel`]s, workers pull morsels from a
+//! shared queue and run the job's [`QueryPlan`] over each (as a partial
+//! aggregation when the plan has one), and merging is done once,
+//! deterministically, after the pool joins. The concurrent query service
+//! submits a *batch* of jobs — one per query attached to a shared scan
+//! cursor segment — and the same pool interleaves their tasks round-robin,
+//! so every worker owns morsels from multiple queries at once.
+//!
+//! The per-job merge, all on the *simulated* clock:
+//!
+//! * **Rows** concatenate in morsel order, which equals serial scan order.
+//! * **Aggregates** travel as per-morsel [`AggPartial`]s folded by
+//!   [`merge_partials`] — exact for COUNT/SUM/MIN/MAX/AVG; sorted-strategy
+//!   runs spanning a morsel boundary are stitched.
+//! * **I/O** sums element-wise, then — because the workers share the one
+//!   simulated disk array — every burst is charged a head-switch seek
+//!   ([`rodb_io::merge_parallel`]); disk time serializes across workers.
+//! * **CPU** counters sum into one query-wide breakdown; the modelled
+//!   *elapsed* time uses the critical path `max(total/workers, largest
+//!   morsel)` — the classic makespan lower bound, deterministic under work
+//!   stealing.
 //!
 //! Determinism: each task is tagged with its position in the interleaved
-//! task list, and every job's outcomes are merged in morsel order after the
-//! pool joins — exactly the [`crate::par`] merge. Which worker ran which
+//! task list and outcomes are merged in morsel order. Which worker ran which
 //! task never affects any merged result, so reports and rows are identical
 //! across worker counts.
 
@@ -18,15 +33,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rodb_cpu::CpuBreakdown;
 use rodb_io::IoStats;
-use rodb_trace::{QueryTrace, SpanKind};
+use rodb_trace::QueryTrace;
 use rodb_types::{Error, HardwareConfig, Result, SystemConfig, Value};
 
-use crate::agg::{merge_partials, AggPartial, Aggregate};
+use crate::agg::{merge_partials, AggPartial};
 use crate::exec::{RunReport, DEFAULT_OVERLAP_LOSS};
-use crate::op::{drain, ExecContext, Operator};
-use crate::par::AggPlan;
-use crate::plan::ScanSpec;
-use crate::traced::{apply_report, finish_query_trace, record_block};
+use crate::op::{drain_rows, ExecContext};
+use crate::plan::QueryPlan;
+use crate::traced::{apply_report, finish_query_trace};
 
 /// Morsels per worker thread: small enough that the queue load-balances,
 /// large enough that per-morsel setup stays negligible.
@@ -41,13 +55,12 @@ pub(crate) const MORSELS_PER_THREAD: usize = 4;
 pub(crate) const MIN_MORSEL_ROWS: u64 = 32_768;
 
 /// One query's work order for the scheduler. A job with no `row_range` on
-/// its spec is split into page-aligned morsels like a standalone parallel
-/// scan; a job whose spec carries a range (a shared-cursor segment) is a
-/// single task.
+/// its plan's scan is split into page-aligned morsels; a job whose scan
+/// carries a range (a shared-cursor segment) is a single task. The plan must
+/// be [`QueryPlan::partitionable`].
 #[derive(Debug, Clone)]
 pub struct QueryJob {
-    pub spec: ScanSpec,
-    pub agg: Option<AggPlan>,
+    pub plan: QueryPlan,
     pub hw: HardwareConfig,
     pub sys: SystemConfig,
     pub row_scale: f64,
@@ -64,15 +77,9 @@ pub struct QueryJob {
 }
 
 impl QueryJob {
-    pub fn new(
-        spec: ScanSpec,
-        agg: Option<AggPlan>,
-        hw: HardwareConfig,
-        sys: SystemConfig,
-    ) -> QueryJob {
+    pub fn new(plan: QueryPlan, hw: HardwareConfig, sys: SystemConfig) -> QueryJob {
         QueryJob {
-            spec,
-            agg,
+            plan,
             hw,
             sys,
             row_scale: 1.0,
@@ -85,7 +92,7 @@ impl QueryJob {
 }
 
 /// The per-job result of a scheduler batch, merged deterministically in
-/// morsel order (field semantics match [`crate::par::ParallelOutcome`]).
+/// morsel order.
 #[derive(Debug, Clone)]
 pub struct JobOutcome {
     /// Merged report on the simulated clock. `report.cpu` is the *sum* of
@@ -97,9 +104,6 @@ pub struct JobOutcome {
     pub partial: Option<AggPartial>,
     /// Modelled CPU critical path in seconds across the worker pool.
     pub cpu_crit_s: f64,
-    /// CPU seconds of the job's largest single task (the indivisible unit
-    /// a caller scheduling many jobs needs for its own makespan bound).
-    pub max_task_cpu_s: f64,
     /// Tasks (morsels) this job split into.
     pub tasks: usize,
     /// Merged per-task span trace (only when the job asked for tracing).
@@ -110,17 +114,15 @@ pub struct JobOutcome {
 /// (plain data — the `Rc`-based context stays inside the worker).
 struct TaskOutcome {
     rows: Vec<Vec<Value>>,
-    nrows: u64,
-    blocks: u64,
-    io: IoStats,
-    cpu: CpuBreakdown,
+    /// The task's own accounting (no cross-task effects yet).
+    report: RunReport,
     partial: Option<AggPartial>,
     trace: Option<QueryTrace>,
 }
 
 /// The worker pool. `workers` bounds concurrency *and* is the thread count
 /// the merged accounting models (head-switch seek recharge, CPU critical
-/// path) — the same convention as [`crate::par::ParallelExec::threads`].
+/// path).
 #[derive(Debug, Clone, Copy)]
 pub struct TaskScheduler {
     pub workers: usize,
@@ -141,6 +143,9 @@ impl TaskScheduler {
             return Err(Error::InvalidPlan(
                 "parallel execution with 0 threads".into(),
             ));
+        }
+        for job in jobs {
+            job.plan.partitionable()?;
         }
         if jobs.is_empty() {
             return Ok(Vec::new());
@@ -209,14 +214,13 @@ impl TaskScheduler {
             .collect()
     }
 
-    /// The deterministic per-job merge (identical to the historical
-    /// single-query `ParallelExec` merge).
+    /// The deterministic per-job merge.
     fn merge_job(&self, job: &QueryJob, mut outcomes: Vec<TaskOutcome>) -> Result<JobOutcome> {
         let ntasks = outcomes.len();
         // Per-task traces, in morsel order (matching the accounting merge).
         let traces: Vec<QueryTrace> = outcomes.iter_mut().filter_map(|o| o.trace.take()).collect();
 
-        let per_io: Vec<IoStats> = outcomes.iter().map(|o| o.io).collect();
+        let per_io: Vec<IoStats> = outcomes.iter().map(|o| o.report.io).collect();
         let merged_io = rodb_io::merge_parallel(&per_io, self.workers, job.hw.seek_s);
         // Workers share one array: transfer/seek time serializes, plus the
         // head-switch seeks merge_parallel charged on top — both of which
@@ -226,8 +230,8 @@ impl TaskScheduler {
         let mut cpu = CpuBreakdown::default();
         let mut max_task_cpu = 0.0f64;
         for o in &outcomes {
-            cpu.add(&o.cpu);
-            max_task_cpu = max_task_cpu.max(o.cpu.total());
+            cpu.add(&o.report.cpu);
+            max_task_cpu = max_task_cpu.max(o.report.cpu.total());
         }
         // Makespan lower bound over any task→worker assignment.
         let mut cpu_crit = (cpu.total() / self.workers as f64).max(max_task_cpu);
@@ -236,37 +240,28 @@ impl TaskScheduler {
         let mut nrows = 0u64;
         let mut blocks = 0u64;
         let mut partial = None;
-        match &job.agg {
-            None => {
-                for mut o in outcomes {
-                    nrows += o.nrows;
-                    blocks += o.blocks;
-                    rows.append(&mut o.rows);
-                }
+        if job.plan.agg.is_none() {
+            for mut o in outcomes {
+                nrows += o.report.rows;
+                blocks += o.report.blocks;
+                rows.append(&mut o.rows);
             }
-            Some(plan) => {
-                let partials: Vec<AggPartial> =
-                    outcomes.into_iter().filter_map(|o| o.partial).collect();
-                let merged = merge_partials(partials)?;
-                if job.emit {
-                    // Final merge + emission is a serial tail on one core.
-                    let (r, n, b, tail) = emit_aggregate(
-                        &job.spec,
-                        plan,
-                        &job.hw,
-                        &job.sys,
-                        job.row_scale,
-                        merged,
-                        job.collect,
-                    )?;
-                    rows = r;
-                    nrows = n;
-                    blocks += b;
-                    cpu_crit += tail.total();
-                    cpu.add(&tail);
-                } else {
-                    partial = Some(merged);
-                }
+        } else {
+            let partials: Vec<AggPartial> =
+                outcomes.into_iter().filter_map(|o| o.partial).collect();
+            let merged = merge_partials(partials)?;
+            if job.emit {
+                // Final merge + emission is a serial tail on one core.
+                let ((r, n, b), tail) =
+                    job.plan
+                        .emit(&job.hw, &job.sys, job.row_scale, merged, job.collect)?;
+                rows = r;
+                nrows = n;
+                blocks += b;
+                cpu_crit += tail.total();
+                cpu.add(&tail);
+            } else {
+                partial = Some(merged);
             }
         }
 
@@ -291,7 +286,6 @@ impl TaskScheduler {
             rows,
             partial,
             cpu_crit_s: cpu_crit,
-            max_task_cpu_s: max_task_cpu,
             tasks: ntasks,
             trace,
         })
@@ -301,55 +295,21 @@ impl TaskScheduler {
 /// The task list of one job: its explicit segment range, or the standard
 /// page-aligned morsel split of the whole table.
 fn job_tasks(job: &QueryJob, workers: usize) -> Vec<(u64, u64)> {
-    if let Some((start, end)) = job.spec.row_range {
+    let scan = &job.plan.scan;
+    if let Some((start, end)) = scan.row_range {
         return if end > start {
             vec![(start, end)]
         } else {
             Vec::new()
         };
     }
-    let by_size = (job.spec.table.row_count / MIN_MORSEL_ROWS).max(1) as usize;
+    let by_size = (scan.table.row_count / MIN_MORSEL_ROWS).max(1) as usize;
     let want = (workers * MORSELS_PER_THREAD).min(by_size.max(workers));
-    job.spec
-        .table
+    scan.table
         .morsels(want)
         .iter()
         .map(|m| (m.start, m.end))
         .collect()
-}
-
-/// Merge + emit an aggregating job's final rows from its folded partial
-/// (the serial tail of a parallel aggregation, also used by the shared
-/// cursor at query completion). Returns `(rows, nrows, blocks, tail_cpu)`.
-pub fn emit_aggregate(
-    spec: &ScanSpec,
-    plan: &AggPlan,
-    hw: &HardwareConfig,
-    sys: &SystemConfig,
-    row_scale: f64,
-    partial: AggPartial,
-    collect: bool,
-) -> Result<(Vec<Vec<Value>>, u64, u64, CpuBreakdown)> {
-    let ctx = ExecContext::new(*hw, *sys, row_scale)?;
-    let scan = spec.clone().with_row_range(0, 0).build(&ctx)?;
-    let mut emitter = Aggregate::new(scan, plan.group_by, plan.specs.clone(), plan.strategy, &ctx)?;
-    emitter.install_partial(partial);
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    let nrows;
-    let mut blocks = 0u64;
-    if collect {
-        while let Some(b) = emitter.next()? {
-            blocks += 1;
-            rows.extend(b.rows()?);
-        }
-        nrows = rows.len() as u64;
-    } else {
-        let (r, b) = drain(&mut emitter)?;
-        nrows = r;
-        blocks = b;
-    }
-    let tail = ctx.meter.borrow().breakdown(hw).scaled(row_scale);
-    Ok((rows, nrows, blocks, tail))
 }
 
 /// Run one task (morsel) on its own single-threaded context and detach the
@@ -362,56 +322,31 @@ fn run_task(job: &QueryJob, range: (u64, u64)) -> Result<TaskOutcome> {
     for _ in 0..job.competing_scans {
         ctx.add_competing_scan();
     }
-    let scan = job
-        .spec
-        .clone()
-        .with_row_range(range.0, range.1)
-        .build(&ctx)?;
-    let mut out = TaskOutcome {
-        rows: Vec::new(),
-        nrows: 0,
-        blocks: 0,
-        io: IoStats::default(),
-        cpu: CpuBreakdown::default(),
-        partial: None,
-        trace: None,
-    };
-    match &job.agg {
-        None => {
-            let mut op = scan;
-            if job.collect {
-                while let Some(b) = op.next()? {
-                    out.blocks += 1;
-                    out.rows.extend(b.rows()?);
-                }
-                out.nrows = out.rows.len() as u64;
-            } else {
-                let (r, b) = drain(op.as_mut())?;
-                out.nrows = r;
-                out.blocks = b;
-            }
-        }
-        Some(plan) => {
-            let agg_op =
-                Aggregate::new(scan, plan.group_by, plan.specs.clone(), plan.strategy, &ctx)?;
-            let label = agg_op.label();
-            out.partial = Some(record_block(&ctx, &label, SpanKind::Agg, move || {
-                agg_op.into_partial()
-            })?);
-        }
+    let plan = job.plan.with_row_range(range.0, range.1);
+    let (mut rows, mut nrows, mut blocks, mut partial) = (Vec::new(), 0, 0, None);
+    if plan.agg.is_none() {
+        let mut op = plan.build(&ctx)?;
+        (rows, nrows, blocks) = drain_rows(op.as_mut(), job.collect)?;
+    } else {
+        partial = Some(plan.run_partial(&ctx)?);
     }
     ctx.settle_io_kernel_work();
-    out.io = *ctx.disk.borrow().stats();
-    out.cpu = ctx.meter.borrow().breakdown(&job.hw).scaled(job.row_scale);
+    let io = *ctx.disk.borrow().stats();
+    let cpu = ctx.meter.borrow().breakdown(&job.hw).scaled(job.row_scale);
     let report = RunReport {
-        rows: out.nrows,
-        blocks: out.blocks,
-        io: out.io,
-        cpu: out.cpu,
-        elapsed_s: out.io.total_s().max(out.cpu.total()),
+        rows: nrows,
+        blocks,
+        io,
+        cpu,
+        elapsed_s: io.total_s().max(cpu.total()),
     };
-    out.trace = finish_query_trace(&ctx, &report);
-    Ok(out)
+    let trace = finish_query_trace(&ctx, &report);
+    Ok(TaskOutcome {
+        rows,
+        report,
+        partial,
+        trace,
+    })
 }
 
 #[cfg(test)]
@@ -419,8 +354,7 @@ mod tests {
     use super::*;
     use crate::agg::{AggSpec, AggStrategy};
     use crate::op::collect_rows;
-    use crate::par::ParallelExec;
-    use crate::plan::ScanLayout;
+    use crate::plan::{AggPlan, ScanLayout, ScanSpec};
     use crate::predicate::Predicate;
     use rodb_storage::{BuildLayouts, Table, TableBuilder};
     use rodb_types::{Column, Schema};
@@ -445,8 +379,7 @@ mod tests {
             spec = spec.with_predicates(vec![p]);
         }
         let mut j = QueryJob::new(
-            spec,
-            None,
+            QueryPlan::new(spec),
             HardwareConfig::default(),
             SystemConfig::default(),
         );
@@ -466,7 +399,7 @@ mod tests {
         assert_eq!(batch.len(), jobs.len());
         for (j, out) in jobs.iter().zip(&batch) {
             let ctx = ExecContext::default_ctx();
-            let mut solo = j.spec.clone().build(&ctx).unwrap();
+            let mut solo = j.plan.build(&ctx).unwrap();
             assert_eq!(out.rows, collect_rows(&mut solo).unwrap());
         }
     }
@@ -475,7 +408,7 @@ mod tests {
     fn outcomes_are_identical_across_worker_counts() {
         let t = table(7_000);
         let mut agg_job = job(&t, ScanLayout::Column, Some(Predicate::lt(0, 5_000)), true);
-        agg_job.agg = Some(AggPlan {
+        agg_job.plan.agg = Some(AggPlan {
             group_by: Some(1),
             specs: vec![AggSpec::count(), AggSpec::sum(0)],
             strategy: AggStrategy::Hash,
@@ -505,45 +438,20 @@ mod tests {
     }
 
     #[test]
-    fn single_job_is_bit_identical_to_parallel_exec() {
-        let t = table(12_000);
-        let spec = ScanSpec::new(t.clone(), ScanLayout::Column, vec![0, 1])
-            .with_predicates(vec![Predicate::lt(1, 6)]);
-        let hw = HardwareConfig::default();
-        let sys = SystemConfig::default();
-        let via_par = ParallelExec::new(3)
-            .run_collect(&spec, None, &hw, &sys, 1.0, 0)
-            .unwrap();
-        let mut j = QueryJob::new(spec, None, hw, sys);
-        j.collect = true;
-        let via_sched = TaskScheduler::new(3).run_jobs(&[j]).unwrap().pop().unwrap();
-        assert_eq!(via_par.rows, via_sched.rows);
-        assert_eq!(via_par.report.elapsed_s, via_sched.report.elapsed_s);
-        assert_eq!(via_par.report.io, via_sched.report.io);
-        assert_eq!(via_par.cpu_crit_s, via_sched.cpu_crit_s);
-        assert_eq!(via_par.morsels, via_sched.tasks);
-    }
-
-    #[test]
     fn unemitted_partials_fold_to_the_emitted_answer() {
         let t = table(6_000);
-        let spec = ScanSpec::new(t.clone(), ScanLayout::Row, vec![0, 1]);
-        let plan = AggPlan {
+        let mut plan = QueryPlan::new(ScanSpec::new(t.clone(), ScanLayout::Row, vec![0, 1]));
+        plan.agg = Some(AggPlan {
             group_by: Some(1),
             specs: vec![AggSpec::count()],
             strategy: AggStrategy::Hash,
-        };
+        });
         let hw = HardwareConfig::default();
         let sys = SystemConfig::default();
         // Split the table into two explicit segment jobs, emit: false.
         let mid = 3_000u64;
         let mk = |s: u64, e: u64| {
-            let mut j = QueryJob::new(
-                spec.clone().with_row_range(s, e),
-                Some(plan.clone()),
-                hw,
-                sys,
-            );
+            let mut j = QueryJob::new(plan.with_row_range(s, e), hw, sys);
             j.emit = false;
             j
         };
@@ -552,12 +460,12 @@ mod tests {
             .unwrap();
         let partials: Vec<AggPartial> = outs.into_iter().map(|o| o.partial.unwrap()).collect();
         let merged = merge_partials(partials).unwrap();
-        let (rows, ..) = emit_aggregate(&spec, &plan, &hw, &sys, 1.0, merged, true).unwrap();
+        let ((rows, ..), _) = plan.emit(&hw, &sys, 1.0, merged, true).unwrap();
         // Reference: the ordinary single-query parallel path.
-        let want = ParallelExec::new(2)
-            .run_collect(&spec, Some(&plan), &hw, &sys, 1.0, 0)
-            .unwrap();
-        assert_eq!(rows, want.rows);
+        let mut whole = QueryJob::new(plan, hw, sys);
+        whole.collect = true;
+        let want = TaskScheduler::new(2).run_jobs(&[whole]).unwrap();
+        assert_eq!(rows, want[0].rows);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Shared circular scan cursors: many concurrent queries over one table
-//! ride a single physical scan (§2.1.1's scan sharing, generalized from
-//! the row-plain teaching model in [`crate::scan_shared`] to the column
-//! layout, per-query aggregation, and the page cache).
+//! ride a single physical scan (§2.1.1's scan sharing: "employ a single
+//! scanner and deliver data to multiple queries off a single reading
+//! stream") — over the Row and Column layouts in any stored format, with
+//! per-query aggregation, the fast path and the page cache.
 //!
 //! The cursor walks the table's page-aligned segments in a circle. Queries
 //! *attach* at whatever segment the cursor is currently on — a late
@@ -27,7 +28,7 @@
 //! segment order `0..S` at completion, so a wrapped query's rows come out
 //! in exactly the order its solo scan would have produced. Aggregation
 //! partials merge in the same order and emit through
-//! [`crate::sched::emit_aggregate`], matching the parallel-equals-serial
+//! [`QueryPlan::emit`], matching the parallel-equals-serial
 //! guarantee of the morsel executor. All merges are indexed, never
 //! arrival- or worker-ordered, so a cursor run is deterministic across
 //! worker counts.
@@ -41,10 +42,8 @@ use rodb_types::{Error, HardwareConfig, Result, SystemConfig, Value};
 use crate::agg::{merge_partials, AggPartial};
 use crate::exec::DEFAULT_OVERLAP_LOSS;
 use crate::op::{drain, ExecContext};
-use crate::par::AggPlan;
-use crate::plan::{ScanLayout, ScanSpec};
-use crate::predicate::Predicate;
-use crate::sched::{emit_aggregate, QueryJob, TaskScheduler};
+use crate::plan::{QueryPlan, ScanLayout, ScanSpec};
+use crate::sched::{QueryJob, TaskScheduler};
 
 /// Cursor-level knobs (the service derives these from
 /// [`rodb_types::ServiceSpec`]).
@@ -57,15 +56,15 @@ pub struct SharedCursorConfig {
     pub workers: usize,
 }
 
-/// One query as the cursor sees it: the per-query half of a plan applied
+/// One query as the cursor sees it: its plan, evaluated segment by segment
 /// off the shared stream.
 #[derive(Debug, Clone)]
 pub struct CursorQuery {
     /// Caller's correlation id, echoed in [`QueryDone`].
     pub token: usize,
-    pub projection: Vec<usize>,
-    pub predicates: Vec<Predicate>,
-    pub agg: Option<AggPlan>,
+    /// Must scan the cursor's `(table, layout)` and be
+    /// [`QueryPlan::partitionable`].
+    pub plan: QueryPlan,
     /// Materialize result rows (vs measurement-only).
     pub collect: bool,
 }
@@ -144,7 +143,7 @@ impl SharedCursor {
         row_scale: f64,
         cache: Option<SharedPageCache>,
     ) -> Result<SharedCursor> {
-        if !matches!(layout, ScanLayout::Row | ScanLayout::Column) {
+        if !layout.supports_ranges() {
             return Err(Error::InvalidPlan(format!(
                 "shared cursor supports the Row and Column layouts, not {layout:?}"
             )));
@@ -178,8 +177,17 @@ impl SharedCursor {
 
     /// Attach a query at the cursor's current position; returns the attach
     /// segment index. The query completes after visiting all segments —
-    /// one full circle.
-    pub fn attach(&mut self, q: CursorQuery) -> usize {
+    /// one full circle. Fails closed on a plan the cursor cannot answer
+    /// exactly: one that is not [`QueryPlan::partitionable`] (a WOS tail
+    /// would be silently lost), or one over another table or layout.
+    pub fn attach(&mut self, q: CursorQuery) -> Result<usize> {
+        q.plan.partitionable()?;
+        if !Arc::ptr_eq(&q.plan.scan.table, &self.table) || q.plan.scan.layout != self.layout {
+            return Err(Error::InvalidPlan(format!(
+                "query over {} [{}] attached to the shared cursor of {} [{}]",
+                q.plan.scan.table.name, q.plan.scan.layout, self.table.name, self.layout
+            )));
+        }
         let s = self.segments.len();
         let attach_seg = self.pos;
         self.active.push(ActiveQuery {
@@ -192,7 +200,7 @@ impl SharedCursor {
             blocks: 0,
             cpu_s: 0.0,
         });
-        attach_seg
+        Ok(attach_seg)
     }
 
     pub fn active_count(&self) -> usize {
@@ -239,10 +247,11 @@ impl SharedCursor {
             .active
             .iter()
             .flat_map(|a| {
-                a.q.projection
+                let scan = &a.q.plan.scan;
+                scan.projection
                     .iter()
                     .copied()
-                    .chain(a.q.predicates.iter().map(|p| p.col))
+                    .chain(scan.predicates.iter().map(|p| p.col))
             })
             .collect();
         union_cols.sort_unstable();
@@ -276,12 +285,9 @@ impl SharedCursor {
             .active
             .iter()
             .map(|a| {
-                let spec = ScanSpec::new(self.table.clone(), self.layout, a.q.projection.clone())
-                    .with_predicates(a.q.predicates.clone())
-                    .with_row_range(start, end);
-                let mut j = QueryJob::new(spec, a.q.agg.clone(), self.hw, self.sys);
+                let mut j = QueryJob::new(a.q.plan.with_row_range(start, end), self.hw, self.sys);
                 j.row_scale = self.row_scale;
-                j.collect = a.q.collect && a.q.agg.is_none();
+                j.collect = a.q.collect && a.q.plan.agg.is_none();
                 j.emit = false;
                 j
             })
@@ -293,7 +299,7 @@ impl SharedCursor {
             let q_cpu = out.report.cpu.total();
             cpu_sum += q_cpu;
             a.cpu_s += q_cpu;
-            if a.q.agg.is_some() {
+            if a.q.plan.agg.is_some() {
                 a.partial_by_seg[seg_idx] = out.partial;
             } else {
                 a.nrows += out.report.rows;
@@ -315,63 +321,29 @@ impl SharedCursor {
         // 0..S — table order, independent of attach point.
         let nsegs = self.segments.len();
         let mut done = Vec::new();
-        let mut finished: Vec<ActiveQuery> = Vec::new();
-        self.active.retain_mut(|a| {
-            if a.visited == nsegs {
-                finished.push(ActiveQuery {
-                    q: a.q.clone(),
-                    attach_seg: a.attach_seg,
-                    visited: a.visited,
-                    rows_by_seg: std::mem::take(&mut a.rows_by_seg),
-                    partial_by_seg: std::mem::take(&mut a.partial_by_seg),
-                    nrows: a.nrows,
-                    blocks: a.blocks,
-                    cpu_s: a.cpu_s,
-                });
-                false
-            } else {
-                true
-            }
-        });
-        for mut a in finished {
-            let mut rows: Vec<Vec<Value>> = Vec::new();
+        let (finished, riding): (Vec<_>, Vec<_>) = std::mem::take(&mut self.active)
+            .into_iter()
+            .partition(|a| a.visited == nsegs);
+        self.active = riding;
+        for a in finished {
+            let rows: Vec<Vec<Value>>;
             let mut nrows = a.nrows;
             let mut blocks = a.blocks;
             let mut cpu_s = a.cpu_s;
-            match &a.q.agg {
-                None => {
-                    for slot in a.rows_by_seg.iter_mut() {
-                        if let Some(mut r) = slot.take() {
-                            rows.append(&mut r);
-                        }
-                    }
-                }
-                Some(plan) => {
-                    let partials: Vec<AggPartial> = a
-                        .partial_by_seg
-                        .iter_mut()
-                        .filter_map(Option::take)
-                        .collect();
-                    let merged = merge_partials(partials)?;
-                    let spec =
-                        ScanSpec::new(self.table.clone(), self.layout, a.q.projection.clone())
-                            .with_predicates(a.q.predicates.clone());
-                    // Final merge + emission is a serial tail on one core.
-                    let (r, n, b, tail) = emit_aggregate(
-                        &spec,
-                        plan,
-                        &self.hw,
-                        &self.sys,
-                        self.row_scale,
-                        merged,
-                        a.q.collect,
-                    )?;
-                    rows = r;
-                    nrows = n;
-                    blocks += b;
-                    cpu_s += tail.total();
-                    cpu_crit += tail.total();
-                }
+            if a.q.plan.agg.is_none() {
+                rows = a.rows_by_seg.into_iter().flatten().flatten().collect();
+            } else {
+                let partials: Vec<AggPartial> = a.partial_by_seg.into_iter().flatten().collect();
+                let merged = merge_partials(partials)?;
+                // Final merge + emission is a serial tail on one core.
+                let ((r, n, b), tail) =
+                    a.q.plan
+                        .emit(&self.hw, &self.sys, self.row_scale, merged, a.q.collect)?;
+                rows = r;
+                nrows = n;
+                blocks += b;
+                cpu_s += tail.total();
+                cpu_crit += tail.total();
             }
             done.push(QueryDone {
                 token: a.q.token,
@@ -409,7 +381,8 @@ mod tests {
     use super::*;
     use crate::agg::{AggSpec, AggStrategy};
     use crate::op::collect_rows;
-    use crate::par::ParallelExec;
+    use crate::plan::AggPlan;
+    use crate::predicate::Predicate;
     use rodb_storage::{BuildLayouts, TableBuilder};
     use rodb_types::{Column, Schema};
 
@@ -442,22 +415,19 @@ mod tests {
         .unwrap()
     }
 
-    fn q(token: usize, pred: Option<Predicate>) -> CursorQuery {
+    fn q(c: &SharedCursor, token: usize, pred: Option<Predicate>) -> CursorQuery {
+        let scan = ScanSpec::new(c.table.clone(), c.layout, vec![0, 1])
+            .with_predicates(pred.into_iter().collect());
         CursorQuery {
             token,
-            projection: vec![0, 1],
-            predicates: pred.into_iter().collect(),
-            agg: None,
+            plan: QueryPlan::new(scan),
             collect: true,
         }
     }
 
-    fn solo_rows(t: &Arc<Table>, layout: ScanLayout, cq: &CursorQuery) -> Vec<Vec<Value>> {
+    fn solo_rows(cq: &CursorQuery) -> Vec<Vec<Value>> {
         let ctx = ExecContext::default_ctx();
-        let mut op = ScanSpec::new(t.clone(), layout, cq.projection.clone())
-            .with_predicates(cq.predicates.clone())
-            .build(&ctx)
-            .unwrap();
+        let mut op = cq.plan.build(&ctx).unwrap();
         collect_rows(&mut op).unwrap()
     }
 
@@ -466,14 +436,14 @@ mod tests {
         let t = table(12_000);
         let mut c = cursor(&t, ScanLayout::Column, 2);
         assert!(c.segment_count() >= 4);
-        let q0 = q(0, Some(Predicate::lt(1, 4)));
-        let q1 = q(1, Some(Predicate::eq(0, 7_777)));
-        c.attach(q0.clone());
+        let q0 = q(&c, 0, Some(Predicate::lt(1, 4)));
+        let q1 = q(&c, 1, Some(Predicate::eq(0, 7_777)));
+        c.attach(q0.clone()).unwrap();
         let first = c.step().unwrap();
         assert!(first.done.is_empty());
         assert!(first.elapsed_s > 0.0);
         // q1 arrives mid-scan: it must wrap to finish.
-        let attach = c.attach(q1.clone());
+        let attach = c.attach(q1.clone()).unwrap();
         assert_eq!(attach, 1);
         let mut done = Vec::new();
         for _ in 0..c.segment_count() {
@@ -485,37 +455,62 @@ mod tests {
         assert_eq!(done[1].token, 1);
         assert!(done[1].wrapped);
         assert_eq!(done[1].attach_seg, 1);
-        assert_eq!(done[0].rows, solo_rows(&t, ScanLayout::Column, &q0));
-        assert_eq!(done[1].rows, solo_rows(&t, ScanLayout::Column, &q1));
+        assert_eq!(done[0].rows, solo_rows(&q0));
+        assert_eq!(done[1].rows, solo_rows(&q1));
         assert_eq!(c.active_count(), 0);
         assert_eq!(c.cycles(), 1);
     }
 
     #[test]
-    fn one_driver_pass_per_cycle_regardless_of_query_count() {
+    fn io_is_one_file_pass_and_cpu_is_charged_per_rider() {
         let t = table(10_000);
-        for k in [1usize, 4] {
+        let file_bytes = t.row_storage().unwrap().byte_len() as f64;
+        let preds = [
+            Some(Predicate::lt(1, 4)),
+            Some(Predicate::eq(0, 7_777)),
+            None,
+        ];
+        let mut solo_cpu = None;
+        for k in [1usize, 3] {
             let mut c = cursor(&t, ScanLayout::Row, 1);
-            for i in 0..k {
-                c.attach(q(i, None));
+            for (i, pred) in preds.iter().take(k).enumerate() {
+                c.attach(q(&c, i, pred.clone())).unwrap();
             }
+            let mut done = Vec::new();
             for _ in 0..c.segment_count() {
-                c.step().unwrap();
+                done.extend(c.step().unwrap().done);
             }
-            let per_cycle = c.io_stats().bytes_read;
-            // Bytes charged for a cycle are the driver's single pass —
-            // identical for 1 or 4 riders of the same projection.
-            let mut solo = cursor(&t, ScanLayout::Row, 1);
-            solo.attach(q(0, None));
-            for _ in 0..solo.segment_count() {
-                solo.step().unwrap();
-            }
-            assert_eq!(per_cycle, solo.io_stats().bytes_read, "k={k}");
+            // I/O: the driver's single pass over the file, however many
+            // queries ride it.
+            assert_eq!(c.io_stats().bytes_read, file_bytes, "k={k}");
+            // CPU: a rider is charged the same whoever else rides along (the
+            // cursor amortizes the disk, never the tuple loop).
+            assert_eq!(done.len(), k);
+            let rider0 = done.iter().find(|d| d.token == 0).unwrap().cpu_s;
+            assert_eq!(*solo_cpu.get_or_insert(rider0), rider0, "k={k}");
         }
     }
 
     #[test]
-    fn aggregate_through_wraparound_matches_parallel_exec() {
+    fn a_plan_with_a_wos_tail_is_rejected_at_attach() {
+        let t = table(1_000);
+        let mut c = cursor(&t, ScanLayout::Row, 1);
+        let mut rider = q(&c, 0, None);
+        rider.plan.tail = Some(Arc::new(vec![vec![Value::Int(1), Value::Int(2)]]));
+        let err = c.attach(rider).unwrap_err();
+        assert!(
+            matches!(&err, Error::InvalidPlan(m) if m.contains("WOS tail")),
+            "{err}"
+        );
+        assert_eq!(c.active_count(), 0);
+        // So is a plan over another layout than the cursor's.
+        let mut other = q(&c, 1, None);
+        other.plan.scan.layout = ScanLayout::Column;
+        assert!(c.attach(other).is_err());
+    }
+
+    #[test]
+    fn aggregate_through_wraparound_matches_the_morsel_scheduler() {
         let t = table(9_000);
         let plan = AggPlan {
             group_by: Some(1),
@@ -524,15 +519,11 @@ mod tests {
         };
         let mut c = cursor(&t, ScanLayout::Column, 2);
         // Burn one step with a placeholder so the agg query attaches late.
-        c.attach(q(9, None));
+        c.attach(q(&c, 9, None)).unwrap();
         c.step().unwrap();
-        c.attach(CursorQuery {
-            token: 1,
-            projection: vec![0, 1],
-            predicates: vec![Predicate::lt(0, 8_000)],
-            agg: Some(plan.clone()),
-            collect: true,
-        });
+        let mut agg_q = q(&c, 1, Some(Predicate::lt(0, 8_000)));
+        agg_q.plan.agg = Some(plan);
+        c.attach(agg_q.clone()).unwrap();
         let mut agg_done = None;
         for _ in 0..c.segment_count() {
             for d in c.step().unwrap().done {
@@ -543,18 +534,13 @@ mod tests {
         }
         let d = agg_done.unwrap();
         assert!(d.wrapped);
-        let spec = ScanSpec::new(t.clone(), ScanLayout::Column, vec![0, 1])
-            .with_predicates(vec![Predicate::lt(0, 8_000)]);
-        let want = ParallelExec::new(2)
-            .run_collect(
-                &spec,
-                Some(&plan),
-                &HardwareConfig::default(),
-                &SystemConfig::default(),
-                1.0,
-                0,
-            )
-            .unwrap();
+        let mut job = QueryJob::new(
+            agg_q.plan,
+            HardwareConfig::default(),
+            SystemConfig::default(),
+        );
+        job.collect = true;
+        let want = TaskScheduler::new(2).run_jobs(&[job]).unwrap().remove(0);
         assert_eq!(d.rows, want.rows);
     }
 
@@ -563,8 +549,8 @@ mod tests {
         let t = table(8_000);
         let run = |workers: usize| {
             let mut c = cursor(&t, ScanLayout::Column, workers);
-            c.attach(q(0, Some(Predicate::lt(1, 5))));
-            c.attach(q(1, None));
+            c.attach(q(&c, 0, Some(Predicate::lt(1, 5)))).unwrap();
+            c.attach(q(&c, 1, None)).unwrap();
             let mut elapsed = Vec::new();
             let mut rows = Vec::new();
             for _ in 0..c.segment_count() {

@@ -167,6 +167,11 @@ impl<'a> PageView<'a> {
         Ok(PageView { bytes })
     }
 
+    /// The whole page, header and trailer included.
+    pub(crate) fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
     /// Number of entries (tuples or values) stored in the page.
     pub fn count(&self) -> usize {
         u32::from_le_bytes([self.bytes[0], self.bytes[1], self.bytes[2], self.bytes[3]]) as usize
@@ -267,7 +272,11 @@ pub struct RowPage<'a> {
 
 impl<'a> RowPage<'a> {
     pub fn new(bytes: &'a [u8], stored_width: usize) -> Result<RowPage<'a>> {
-        let view = PageView::new(bytes)?;
+        RowPage::from_view(PageView::new(bytes)?, stored_width)
+    }
+
+    /// The structural checks behind a passed checksum.
+    fn from_view(view: PageView<'a>, stored_width: usize) -> Result<RowPage<'a>> {
         let count = view.count();
         if count * stored_width > view.body().len() {
             return Err(Error::corrupt(format!(
@@ -418,10 +427,10 @@ impl ColumnPageBuilder {
 /// positions from one page verifies it once, not once per position.
 ///
 /// The only constructor is [`VerifiedPage::verify`], and a [`PageRef`]'s
-/// bytes are immutable, so [`VerifiedPage::column`] cannot be reached with
-/// bytes that were not checksummed. A page that *fails* verification gets no
-/// `VerifiedPage`: callers keep the bare `PageRef` and every later open of
-/// it goes through [`ColumnPage::new`] and fails the same way again.
+/// bytes are immutable, so the re-openers ([`VerifiedPage::row`],
+/// [`VerifiedPage::packed`], [`VerifiedPage::pax`], [`VerifiedPage::column`])
+/// cannot be reached with bytes that were not checksummed. A page that
+/// *fails* verification gets no `VerifiedPage`.
 #[derive(Debug, Clone)]
 pub struct VerifiedPage {
     page: PageRef,
@@ -434,13 +443,27 @@ impl VerifiedPage {
         Ok(VerifiedPage { page: page.clone() })
     }
 
-    /// Re-open the already verified bytes as a column page — no checksum
-    /// pass.
+    /// The already verified bytes as a view — no checksum pass.
+    pub(crate) fn view(&self) -> PageView<'_> {
+        PageView {
+            bytes: self.page.bytes(),
+        }
+    }
+
+    /// Entries (tuples or values) the page header claims.
+    pub fn count(&self) -> usize {
+        self.view().count()
+    }
+
+    /// Re-open as a plain row page (structural checks only).
+    pub fn row(&self, stored_width: usize) -> Result<RowPage<'_>> {
+        RowPage::from_view(self.view(), stored_width)
+    }
+
+    /// Re-open as a column page.
     pub fn column(&self, dtype: DataType) -> ColumnPage<'_> {
         ColumnPage {
-            view: PageView {
-                bytes: self.page.bytes(),
-            },
+            view: self.view(),
             dtype,
         }
     }

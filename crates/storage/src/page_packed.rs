@@ -17,7 +17,7 @@
 use rodb_compress::{BitReader, BitWriter, Codec, ColumnCompression};
 use rodb_types::{DataType, Error, PageId, Result, Schema, Value};
 
-use crate::page::{write_trailer, PageView, PAGE_HEADER, PAGE_TRAILER};
+use crate::page::{write_trailer, PageView, VerifiedPage, PAGE_HEADER, PAGE_TRAILER};
 
 /// Bits per packed tuple for a codec assignment.
 pub fn packed_tuple_bits(schema: &Schema, comps: &[ColumnCompression]) -> usize {
@@ -226,6 +226,13 @@ impl PackedRowPageBuilder {
     }
 }
 
+impl VerifiedPage {
+    /// Re-open as a bit-packed row page (structural checks only).
+    pub fn packed(&self, comps: &[ColumnCompression]) -> Result<PackedRowPage<'_>> {
+        PackedRowPage::from_view(self.view(), comps)
+    }
+}
+
 /// Read-side view of one packed row page.
 pub struct PackedRowPage<'a> {
     bytes: &'a [u8],
@@ -235,7 +242,12 @@ pub struct PackedRowPage<'a> {
 
 impl<'a> PackedRowPage<'a> {
     pub fn new(bytes: &'a [u8], comps: &[ColumnCompression]) -> Result<PackedRowPage<'a>> {
-        let view = PageView::new(bytes)?;
+        PackedRowPage::from_view(PageView::new(bytes)?, comps)
+    }
+
+    /// The structural checks behind a passed checksum.
+    fn from_view(view: PageView<'a>, comps: &[ColumnCompression]) -> Result<PackedRowPage<'a>> {
+        let bytes = view.bytes();
         let count = view.count();
         let n_bases = base_columns(comps).len();
         if PAGE_HEADER + n_bases * 8 > bytes.len() - PAGE_TRAILER {

@@ -21,7 +21,7 @@
 
 use rodb_types::{Error, PageId, Result, Schema, Value};
 
-use crate::page::{write_trailer, PageView, PAGE_HEADER, PAGE_TRAILER};
+use crate::page::{write_trailer, PageView, VerifiedPage, PAGE_HEADER, PAGE_TRAILER};
 
 /// Tuples per PAX page: the unpadded tuple width packs the body.
 #[inline]
@@ -102,6 +102,13 @@ impl PaxPageBuilder {
     }
 }
 
+impl VerifiedPage {
+    /// Re-open as a PAX page (structural checks only).
+    pub fn pax(&self, schema: &Schema) -> Result<PaxPage<'_>> {
+        PaxPage::from_view(self.view(), schema)
+    }
+}
+
 /// Read-side view of one PAX page.
 #[derive(Debug, Clone, Copy)]
 pub struct PaxPage<'a> {
@@ -111,8 +118,12 @@ pub struct PaxPage<'a> {
 
 impl<'a> PaxPage<'a> {
     pub fn new(bytes: &'a [u8], schema: &Schema) -> Result<PaxPage<'a>> {
-        let view = PageView::new(bytes)?;
-        let capacity = pax_tuples_per_page(bytes.len(), schema);
+        PaxPage::from_view(PageView::new(bytes)?, schema)
+    }
+
+    /// The structural checks behind a passed checksum.
+    fn from_view(view: PageView<'a>, schema: &Schema) -> Result<PaxPage<'a>> {
+        let capacity = pax_tuples_per_page(view.bytes().len(), schema);
         if view.count() > capacity {
             return Err(Error::corrupt(format!(
                 "PAX page claims {} tuples, capacity {capacity}",

@@ -13,7 +13,7 @@
 //!
 //! [`MonitorState`] deliberately lives here, *outside* the `monitor`
 //! feature gate: publishers (the query service) can always update a
-//! snapshot handle; only the TCP listener in [`crate::http`] is gated.
+//! snapshot handle; only the TCP listener in `crate::http` is gated.
 //!
 //! [`Registry`]: crate::metrics::Registry
 

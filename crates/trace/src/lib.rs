@@ -19,7 +19,7 @@
 //!   K slowest / all anomalous query flight records per window.
 //! - [`expo`]: Prometheus text exposition + validator, the `rodb-top`
 //!   text renderer, and the [`MonitorHandle`] publishers update.
-//! - [`http`] (feature `monitor`, off by default): a std-only blocking
+//! - `http` (feature `monitor`, off by default): a std-only blocking
 //!   `TcpListener` endpoint serving `/metrics`, `/healthz`, `/status`.
 //! - [`json`]: the std-only [`Json`] build/render/parse/flatten value
 //!   used by every JSON writer in the workspace (traces, fuzz `--json`,

@@ -34,11 +34,11 @@ pub mod prelude {
         QueryBuilder, QueryOutcome, QueryPattern, QueryResult, QueryService, ServiceReport,
         ServiceRequest,
     };
-    pub use rodb_engine::{shared_row_scan, SharedScanOutput, SharedScanQuery};
     pub use rodb_engine::{
         AggFunc, AggPlan, AggSpec, AggStrategy, Aggregate, CmpOp, ColumnScanMode, ColumnScanner,
-        ExecContext, MergeJoin, Operator, ParallelExec, ParallelOutcome, Predicate, RowScanner,
-        RunReport, ScanLayout, ScanSpec, Sort, TupleBlock,
+        CursorQuery, ExecContext, MergeJoin, Operator, Predicate, QueryJob, QueryPlan, RowScanner,
+        RunReport, ScanLayout, ScanSpec, SharedCursor, SharedCursorConfig, Sort, TaskScheduler,
+        TupleBlock,
     };
     pub use rodb_model::{speedup_at, surface, Figure2Config, Platform, Workload};
     pub use rodb_storage::{
