@@ -37,18 +37,10 @@ pub fn compare_layouts(qb: &QueryBuilder) -> Result<LayoutComparison> {
     Ok(LayoutComparison { row, column })
 }
 
-/// Model-predicted column-over-row speedup for a projective scan with the
-/// given selectivity on this table and platform.
-pub fn predicted_speedup(
-    table: &Table,
-    projection: &[usize],
-    selectivity: f64,
-    cpdb: f64,
-) -> Result<f64> {
-    let costs = OpCosts::default();
-    let params = CostParams::default();
-    let cols: Vec<ColumnSpec> = projection
-        .iter()
+/// The model's view of `cols` of `table`: stored and raw bytes per value and
+/// the codec, as every Section-5 pricer takes them.
+pub(crate) fn column_specs(table: &Table, cols: &[usize]) -> Vec<ColumnSpec> {
+    cols.iter()
         .map(|&c| {
             let dtype = table.schema.dtype(c);
             let comp = table
@@ -62,7 +54,20 @@ pub fn predicted_speedup(
                 codec: comp.codec.kind(),
             }
         })
-        .collect();
+        .collect()
+}
+
+/// Model-predicted column-over-row speedup for a projective scan with the
+/// given selectivity on this table and platform.
+pub fn predicted_speedup(
+    table: &Table,
+    projection: &[usize],
+    selectivity: f64,
+    cpdb: f64,
+) -> Result<f64> {
+    let costs = OpCosts::default();
+    let params = CostParams::default();
+    let cols = column_specs(table, projection);
     // Row store reads the full stored tuple (compressed width if its row
     // representation is compressed — here we use the schema's stored width,
     // matching the paper's uncompressed-vs-uncompressed comparisons).

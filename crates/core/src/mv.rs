@@ -14,9 +14,11 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rodb_cpu::{CostParams, OpCosts};
-use rodb_model::{self as model, ColumnSpec, Platform};
+use rodb_model::{self as model, Platform};
 use rodb_storage::{BuildLayouts, Layout, Table, TableBuilder};
 use rodb_types::{Error, Result, Value};
+
+use crate::compare::column_specs;
 
 /// One recurring query shape in the workload.
 #[derive(Debug, Clone)]
@@ -51,24 +53,6 @@ pub struct MvRecommendation {
     pub serves: Vec<usize>,
 }
 
-fn col_specs(table: &Table, cols: &[usize]) -> Vec<ColumnSpec> {
-    cols.iter()
-        .map(|&c| {
-            let dtype = table.schema.dtype(c);
-            let comp = table
-                .col
-                .as_ref()
-                .map(|cs| cs.columns[c].comp.clone())
-                .unwrap_or_else(rodb_compress::ColumnCompression::none);
-            ColumnSpec {
-                bytes: comp.bits_per_value(dtype) as f64 / 8.0,
-                raw_bytes: dtype.width() as f64,
-                codec: comp.codec.kind(),
-            }
-        })
-        .collect()
-}
-
 /// Model-predicted per-tuple scan *time* (1 / rate) for answering a query
 /// needing `needed` columns from a **row-organized** vertical partition
 /// holding `stored` columns.
@@ -88,8 +72,8 @@ fn scan_time(
 ) -> f64 {
     let costs = OpCosts::default();
     let params = CostParams::default();
-    let needed_specs = col_specs(table, needed);
-    let stored_specs = col_specs(table, stored);
+    let needed_specs = column_specs(table, needed);
+    let stored_specs = column_specs(table, stored);
     let stored_bytes: f64 = stored_specs
         .iter()
         .map(|c| c.raw_bytes)

@@ -30,7 +30,7 @@ use rodb_engine::{
     ExecContext, Predicate, QueryJob, QueryPlan, RunReport, ScanLayout, ScanSpec, TaskScheduler,
 };
 use rodb_io::SharedPageCache;
-use rodb_storage::Table;
+use rodb_storage::{Layout, Table};
 use rodb_trace::{MetricsRegistry, QueryTrace};
 use rodb_types::{Error, HardwareConfig, Result, SystemConfig, Value};
 
@@ -124,26 +124,23 @@ impl QueryBuilder {
     /// [`QueryBuilder::layout`] when the workload's selectivity is known to
     /// be extreme.
     pub fn layout_auto(mut self) -> Result<Self> {
-        if !self.table.has_layout(rodb_storage::Layout::Row) {
-            self.layout = ScanLayout::Column;
-            return Ok(self);
-        }
-        if !self.table.has_layout(rodb_storage::Layout::Column) {
-            self.layout = ScanLayout::Row;
-            return Ok(self);
-        }
-        let sel = 0.10;
-        let mut needed: Vec<usize> = self.projection.clone();
-        for p in &self.predicates {
-            if !needed.contains(&p.col) {
-                needed.push(p.col);
-            }
-        }
-        let speedup = crate::compare::predicted_speedup(&self.table, &needed, sel, self.hw.cpdb())?;
-        self.layout = if speedup >= 1.0 {
-            ScanLayout::Column
+        let has = |l| self.table.has_layout(l);
+        let layout = if !has(Layout::Row) {
+            Layout::Column
+        } else if !has(Layout::Column) {
+            Layout::Row
         } else {
-            ScanLayout::Row
+            let mut needed: Vec<usize> = self.projection.clone();
+            for p in &self.predicates {
+                if !needed.contains(&p.col) {
+                    needed.push(p.col);
+                }
+            }
+            crate::compare::recommend_layout(&self.table, &needed, 0.10, self.hw.cpdb())?
+        };
+        self.layout = match layout {
+            Layout::Row => ScanLayout::Row,
+            Layout::Column => ScanLayout::Column,
         };
         Ok(self)
     }

@@ -8,8 +8,8 @@ use rodb_core::{IngestStore, QueryBuilder, QueryService, ServiceRequest};
 use rodb_engine::{AggSpec, CmpOp, ScanLayout};
 use rodb_storage::{BuildLayouts, Table, TableBuilder};
 use rodb_types::{
-    Admission, CacheSpec, Column, Error, HardwareConfig, IngestSpec, Schema, ServiceSpec,
-    SystemConfig, Value,
+    Admission, CacheSpec, Column, Error, FaultSpec, HardwareConfig, IngestSpec, OnCorrupt, Schema,
+    ServiceSpec, SystemConfig, Value,
 };
 
 // A wide lineitem-style hot table: row-store scans of it are strongly
@@ -350,5 +350,46 @@ fn wos_tail_is_answered_serially_and_refused_by_the_service() {
             r.outcomes[1].nrows
         ),
         Err(e) => panic!("expected InvalidPlan, got {e}"),
+    }
+}
+
+/// Today's error propagation, pinned: the service does **not** isolate
+/// riders. One damaged page under `OnCorrupt::Fail` fails the whole batch
+/// with the scanner's own typed error — page context attached, no panic, no
+/// partial report — and leaves nothing behind: the shared cache lives for
+/// one `run()`, so a fresh service with the same cache spec answers the
+/// same (healthy) table exactly.
+#[test]
+fn a_corrupt_page_fails_the_whole_batch_with_page_context() {
+    let t = table(4_000);
+    let hw = HardwareConfig::default();
+    let mut healthy = sys(ServiceSpec::new(4).with_slice(0.2));
+    healthy.cache = Some(CacheSpec::lru_k(64));
+    let damaged = healthy
+        .with_faults(FaultSpec::always(7))
+        .with_on_corrupt(OnCorrupt::Fail);
+    let submit = |s: SystemConfig| {
+        let mut svc = QueryService::new(hw, s).unwrap();
+        for req in workload(&t, hw, s) {
+            svc.submit(req);
+        }
+        svc
+    };
+
+    match submit(damaged).run() {
+        Err(Error::Corrupt(c)) => {
+            assert!(
+                c.file_id.is_some() && c.page_id.is_some(),
+                "no page context: {c:?}"
+            )
+        }
+        Ok(r) => panic!("{} riders answered over damaged pages", r.outcomes.len()),
+        Err(e) => panic!("expected Corrupt, got {e}"),
+    }
+    assert!(t.quarantine.is_empty(), "Fail never quarantines");
+
+    let report = submit(healthy).run().unwrap();
+    for (out, req) in report.outcomes.iter().zip(workload(&t, hw, healthy)) {
+        assert_eq!(out.rows, solo_rows(&req));
     }
 }

@@ -45,12 +45,10 @@ pub struct CasePlan {
     pub sorted_agg: bool,
     pub threads: usize,
     /// Vectorized scan fast path (block decode + code-space predicates +
-    /// zone maps). Healthy-mode runs sweep both settings regardless; this
-    /// drawn value decides what fault-mode runs use.
+    /// zone maps). Modes that sweep the exec axis run both settings
+    /// regardless; the others (faults, recovery, the services) use this one.
     pub scan_fast_path: bool,
-    /// Page-cache geometry for cache-mode runs ([`crate::run_cache_case`]
-    /// sweeps this against cache-off). Healthy/fault/recovery modes ignore
-    /// it.
+    /// Page-cache geometry of every cache-on cell ([`crate::Axes::cache`]).
     pub cache: CacheSpec,
     /// Per-column distribution tag, for failure reports.
     pub dist_tags: Vec<&'static str>,

@@ -1,60 +1,200 @@
-//! Deterministic query fuzzer with a model oracle.
+//! One differential harness for every plane of the engine.
 //!
-//! Each seed expands (via [`gen::generate`]) into a random schema, data set,
-//! physical design, and query plan. The plan is executed through the real
-//! engine — serially and with the case's thread count — and the result rows
-//! are diffed against [`oracle::expected`], a naive `Vec`-of-tuples
-//! evaluator that shares no scan/page/codec code with the engine.
+//! A case is a seed's [`gen::CasePlan`] (random schema, data, physical
+//! design, query) plus an [`Axes`] value saying *how* it is run — see
+//! [`axes`]. [`run`] is one pipeline: build the table → (drive the ingest
+//! schedule) → expected rows from the [`oracle`], a naive `Vec`-of-tuples
+//! evaluator sharing no scan, page or codec code with the engine → execute
+//! every cell through the one plan-to-`QueryBuilder` helper → apply
+//! [`INVARIANTS`], a flat table of named checks, each guarded by a
+//! precondition on the axes. DESIGN.md ("Model oracle") lists what each
+//! name asserts.
 //!
-//! [`run_fault_case`] runs the same plan with 100 % fault injection
-//! ([`rodb_types::FaultSpec::always`]): every page read comes back damaged
-//! (bit flips, truncations, short reads), and the only acceptable outcome
-//! is `Err(Error::Corrupt)` — never a panic, never silently wrong rows.
-//!
-//! Failures are reproducible from the seed alone:
-//! `cargo run -p rodb-fuzz -- --seed <n> [--faults]`.
+//! Failures are reproducible from the mode and seed alone:
+//! `cargo run -p rodb-fuzz -- --mode <mode> --seed <n>`.
 
+pub mod axes;
 pub mod gen;
+mod ingest;
+mod join;
 pub mod oracle;
 
+use std::rc::Rc;
 use std::sync::Arc;
 
-use rodb_compress::{Codec, ColumnCompression};
-use rodb_core::{
-    Database, IngestStore, QueryBuilder, QueryResult, QueryService, ServiceReport, ServiceRequest,
-};
-use rodb_engine::{AggSpec, CmpOp, Predicate, ScanLayout};
-use rodb_storage::{BuildLayouts, Layout, QuarantinedPage, Table, TableBuilder};
-use rodb_trace::Registry;
-use rodb_types::{
-    Admission, CacheSpec, DataType, Error, FaultSpec, HardwareConfig, IngestSpec, ObserveSpec,
-    OnCorrupt, ServiceSpec, SplitMix64, SystemConfig, Value,
-};
+use rodb_core::{Observed, QueryBuilder, QueryResult, QueryService, ServiceReport, ServiceRequest};
+use rodb_engine::ScanLayout;
+use rodb_io::{CacheStats, IoStats};
+use rodb_storage::{BuildLayouts, QuarantinedPage, Table, TableBuilder};
+use rodb_trace::{MetricsRegistry, Registry};
+use rodb_types::{Error, HardwareConfig, ObserveSpec, SystemConfig, Value};
 
+pub use axes::{Axes, Damage, Mode, Rider, Runner, ServiceDraw, Source};
 use gen::{CasePlan, StorageKind};
+use ingest::IngestRun;
+
+type Rows = Vec<Vec<Value>>;
+pub(crate) type Verdict = Result<(), String>;
+
+/// `ensure!(cond, "message {}", args)`: fail the check unless `cond`.
+macro_rules! ensure {
+    ($cond:expr, $($msg:tt)+) => {
+        if !$cond {
+            return Err(format!($($msg)+));
+        }
+    };
+}
+pub(crate) use ensure;
+
+/// One seed under one mode: the plan, how it is run, and the seed's own
+/// query as rider 0.
+pub struct Case {
+    pub mode: Mode,
+    pub seed: u64,
+    pub plan: CasePlan,
+    pub axes: Axes,
+    query: Rider,
+}
+
+/// One execution configuration of a case.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Cell {
+    pub threads: usize,
+    pub fast: bool,
+    pub cache: bool,
+    pub damage: Damage,
+}
+
+const fn cell(threads: usize, fast: bool, cache: bool, damage: Damage) -> Cell {
+    Cell {
+        threads,
+        fast,
+        cache,
+        damage,
+    }
+}
+
+/// What the cells read: a table, the staged tail spliced behind it (ingest
+/// sources only), and the rows a full healthy scan of the table sees.
+struct View {
+    table: Arc<Table>,
+    tail: Option<Arc<Rows>>,
+    ros: Rows,
+}
+
+/// A solo `QueryBuilder` run of one cell and what it left behind.
+struct SoloRun {
+    table: Arc<Table>,
+    got: rodb_types::Result<QueryResult>,
+    /// Oracle rows over the visible rows minus the quarantined spans.
+    want: Arc<Rows>,
+    quarantine: Vec<QuarantinedPage>,
+    /// Row ordinals covered by the quarantined pages.
+    union: u64,
+    has_tail: bool,
+    /// The serial run of the same `fast × cache × damage` group.
+    serial: Option<Rc<SoloRun>>,
+}
+
+/// A `QueryService` run of one cell: plane off, then (when the case
+/// observes and the off run succeeded) plane on.
+struct ServiceRun {
+    table: Arc<Table>,
+    /// Each rider's solo rows.
+    want: Rc<Vec<Rows>>,
+    has_tail: bool,
+    off: rodb_types::Result<ServiceReport>,
+    on: Option<ServiceReport>,
+}
+
+enum Evidence<'a> {
+    Case,
+    Ingest(&'a axes::IngestDraw, &'a IngestRun),
+    Solo(&'a SoloRun),
+    Service(&'a ServiceRun),
+}
+
+/// How an invariant is checked, i.e. which evidence it reads.
+enum Check {
+    /// Enforced by [`Case::engine`] around every engine call.
+    Engine,
+    Case(fn(&Case) -> Verdict),
+    Ingest(fn(&Case, &axes::IngestDraw, &IngestRun) -> Verdict),
+    Solo(fn(&Cell, &SoloRun) -> Verdict),
+    Service(fn(&ServiceDraw, &ServiceRun) -> Verdict),
+    /// The I/O accounting of a successful solo or plane-off service run.
+    Io(fn(&Case, &IoStats, &Table) -> Verdict),
+    /// The plane-on report, the plane-off report, and the plane.
+    Observed(fn(&ServiceReport, &ServiceReport, &Observed) -> Verdict),
+}
+
+/// A named check and the axis precondition under which it applies.
+pub struct Invariant {
+    pub name: &'static str,
+    when: fn(&Axes, &Cell) -> bool,
+    check: Check,
+}
+
+const fn inv(name: &'static str, when: fn(&Axes, &Cell) -> bool, check: Check) -> Invariant {
+    Invariant { name, when, check }
+}
+
+fn ingested(a: &Axes, _: &Cell) -> bool {
+    matches!(a.source, Source::Ingest(_))
+}
+
+fn observed(a: &Axes, _: &Cell) -> bool {
+    a.observe.is_some()
+}
+
+/// Every behaviour the harness checks. A row applies to a run when its
+/// precondition holds for the case's axes and the cell being run.
+pub const INVARIANTS: &[Invariant] = &[
+    inv("P0", |_, _| true, Check::Engine),
+    inv("J1", join::applies, Check::Case(join::j1)),
+    inv("W1", ingested, Check::Ingest(ingest::w1)),
+    inv("W2", ingested, Check::Ingest(ingest::w2)),
+    inv("W3", ingested, Check::Ingest(ingest::w3)),
+    inv("W4", ingested, Check::Ingest(ingest::w4)),
+    inv("W5", ingested, Check::Ingest(ingest::w5)),
+    inv("R1", |_, c| c.damage != Damage::Fail, Check::Solo(r1)),
+    inv("W6", ingested, Check::Solo(w6)),
+    inv("F1", |_, c| c.damage == Damage::Fail, Check::Solo(f1)),
+    inv("M1", |_, c| c.damage == Damage::Retry, Check::Io(m1)),
+    inv(
+        "S1",
+        |_, c| matches!(c.damage, Damage::Skip(_)),
+        Check::Solo(s1),
+    ),
+    inv("C1", |_, c| !c.cache, Check::Io(c1)),
+    inv("C2", |_, c| c.cache, Check::Io(c2)),
+    inv("C3", |_, c| c.cache && c.threads == 1, Check::Solo(c3)),
+    inv(
+        "C4",
+        |_, c| c.cache && c.damage == Damage::Retry,
+        Check::Io(c4),
+    ),
+    inv("Q1", |a, _| a.is_service(), Check::Service(q1)),
+    inv(
+        "Q2",
+        |a, c| a.is_service() && ingested(a, c),
+        Check::Service(q2),
+    ),
+    inv("O1", observed, Check::Observed(o1)),
+    inv("O2", observed, Check::Observed(o2)),
+    inv("O3", observed, Check::Observed(o3)),
+    inv("O4", observed, Check::Observed(o4)),
+];
 
 /// Build the case's table through the real loader.
 fn build_table(plan: &CasePlan) -> rodb_types::Result<Table> {
+    let (schema, page, both) = (plan.schema.clone(), plan.page_size, BuildLayouts::both());
     let mut b = match plan.storage {
-        StorageKind::Plain => TableBuilder::new(
-            "t",
-            plan.schema.clone(),
-            plan.page_size,
-            BuildLayouts::both(),
-        )?,
-        StorageKind::Pax => TableBuilder::new_pax(
-            "t",
-            plan.schema.clone(),
-            plan.page_size,
-            BuildLayouts::both(),
-        )?,
-        StorageKind::Compressed => TableBuilder::with_compression(
-            "t",
-            plan.schema.clone(),
-            plan.page_size,
-            BuildLayouts::both(),
-            plan.comps.clone(),
-        )?,
+        StorageKind::Plain => TableBuilder::new("t", schema, page, both)?,
+        StorageKind::Pax => TableBuilder::new_pax("t", schema, page, both)?,
+        StorageKind::Compressed => {
+            TableBuilder::with_compression("t", schema, page, both, plan.comps.clone())?
+        }
     };
     for r in &plan.rows {
         b.push_row(r)?;
@@ -62,1715 +202,680 @@ fn build_table(plan: &CasePlan) -> rodb_types::Result<Table> {
     b.finish()
 }
 
-/// Execute the plan through the engine with `threads` workers and the given
-/// fast-path setting, optionally under fault injection with a recovery
-/// configuration (mirror count + corruption policy).
-#[allow(clippy::too_many_arguments)]
-fn execute_traced(
-    plan: &CasePlan,
-    table: Table,
-    threads: usize,
-    fast: bool,
-    faults: Option<FaultSpec>,
-    mirror: usize,
-    on_corrupt: OnCorrupt,
-    cache: Option<CacheSpec>,
-    trace: bool,
-) -> rodb_types::Result<QueryResult> {
-    let sys = SystemConfig {
-        page_size: plan.page_size,
-        threads,
-        scan_fast_path: fast,
-        faults,
-        mirror,
-        on_corrupt,
-        cache,
-        ..SystemConfig::default()
-    };
-    let mut db = Database::with_config(HardwareConfig::default(), sys)?;
-    db.register(table);
-    let mut q = db
-        .query("t")?
-        .layout(plan.layout)
-        .select_indices(&plan.projection)
-        .trace(trace);
-    for p in &plan.predicates {
-        q = q.filter_pred(p.clone())?;
-    }
-    if let Some(g) = plan.group_by {
-        q = q.group_by(&format!("c{g}"))?;
-    }
-    for a in &plan.aggs {
-        q = q.aggregate(*a);
-    }
-    if plan.sorted_agg {
-        q = q.sorted_aggregation();
-    }
-    q.run_collect()
-}
-
-/// [`execute_traced`] without tracing or caching — what the healthy,
-/// fault, and recovery sweeps run.
-fn execute(
-    plan: &CasePlan,
-    table: Table,
-    threads: usize,
-    fast: bool,
-    faults: Option<FaultSpec>,
-    mirror: usize,
-    on_corrupt: OnCorrupt,
-) -> rodb_types::Result<QueryResult> {
-    execute_traced(
-        plan, table, threads, fast, faults, mirror, on_corrupt, None, false,
-    )
-}
-
-/// Re-run one seed with span tracing on and save both trace formats
-/// (`<dir>/fuzz_<mode>_seed_<n>.{trace,chrome}.json`) — the CI artifact
-/// path. `"recovery"` runs the mirrored-repair configuration (every primary
-/// read damaged, clean second replica) so the trace carries retry/repair
-/// events; any other mode runs the plan healthy.
-pub fn save_case_trace(seed: u64, mode: &str, dir: &str) -> Result<std::path::PathBuf, String> {
-    let plan = gen::generate(seed);
-    let table = catching(|| build_table(&plan))
-        .map_err(|p| format!("seed {seed}: build panicked: {p}"))?
-        .map_err(|e| format!("seed {seed}: build failed: {e:?}"))?;
-    let (faults, mirror, policy) = if mode == "recovery" {
-        (Some(FaultSpec::always(seed)), 2, OnCorrupt::Retry)
-    } else {
-        (None, 1, OnCorrupt::Fail)
-    };
-    let res = execute_traced(
-        &plan,
-        table,
-        plan.threads,
-        plan.scan_fast_path,
-        faults,
-        mirror,
-        policy,
-        if mode == "cache" {
-            Some(plan.cache)
-        } else {
-            None
-        },
-        true,
-    )
-    .map_err(|e| format!("seed {seed}: traced run failed: {e:?}"))?;
-    let trace = res
-        .trace
-        .ok_or_else(|| format!("seed {seed}: traced run produced no trace"))?;
-    trace
-        .save(dir, &format!("fuzz_{mode}_seed_{seed}"))
-        .map_err(|e| format!("seed {seed}: could not save trace: {e}"))
-}
-
-/// Run `f`, converting a panic into `Err(message)`. A panic anywhere in the
-/// engine is a fuzzer failure in both modes.
-fn catching<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|e| {
-        if let Some(s) = e.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = e.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    })
-}
-
-/// The thread counts to exercise: serial always, plus the case's own count
-/// when it differs.
-fn thread_counts(plan: &CasePlan) -> Vec<usize> {
-    if plan.threads == 1 {
-        vec![1]
-    } else {
-        vec![1, plan.threads]
-    }
-}
-
-/// Healthy-mode case: engine (serial and parallel) must match the oracle.
-pub fn run_case(seed: u64) -> Result<(), String> {
-    let plan = gen::generate(seed);
-    let want = oracle::expected(&plan);
-    let table = catching(|| build_table(&plan))
-        .map_err(|p| {
-            format!(
-                "seed {seed}: build panicked: {p}\n  case: {}",
-                plan.describe()
-            )
-        })?
-        .map_err(|e| {
-            format!(
-                "seed {seed}: build failed: {e:?}\n  case: {}",
-                plan.describe()
-            )
-        })?;
-    // Four-mode sweep: {serial, parallel} × {scalar, fast path}. Every mode
-    // must produce bit-identical rows — the fast path is an execution
-    // strategy, never an answer change.
-    for threads in thread_counts(&plan) {
-        for fast in [false, true] {
-            let got = catching(|| {
-                execute(
-                    &plan,
-                    table.clone(),
-                    threads,
-                    fast,
-                    None,
-                    1,
-                    OnCorrupt::Fail,
-                )
-            })
-            .map_err(|p| {
-                format!(
-                    "seed {seed}: engine panicked ({threads} threads, fast={fast}): {p}\n  \
-                         case: {}",
-                    plan.describe()
-                )
-            })?
-            .map_err(|e| {
-                format!(
-                    "seed {seed}: engine error ({threads} threads, fast={fast}): {e:?}\n  \
-                         case: {}",
-                    plan.describe()
-                )
-            })?;
-            if got.rows != want {
-                return Err(format!(
-                    "seed {seed}: MISMATCH ({threads} threads, fast={fast}): engine {} rows, \
-                     oracle {} rows\n  case: {}\n  engine: {:?}\n  oracle: {:?}",
-                    got.rows.len(),
-                    want.len(),
-                    plan.describe(),
-                    got.rows,
-                    want,
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Fault-mode case: with every page read corrupted, the engine must return
-/// `Err(Corrupt)` — no panic, no other error kind, no successful result.
-///
-/// One exception: the fast path's zone maps live in clean in-memory table
-/// metadata and can prove every driver page irrelevant, so no page is ever
-/// *parsed* — remaining bytes are only drained for I/O accounting, never
-/// decoded. That `Ok` is accepted only when the I/O stats confirm pages were
-/// zone-skipped and the rows still match the oracle (corrupt data that is
-/// actually decoded always fails its checksum).
-pub fn run_fault_case(seed: u64) -> Result<(), String> {
-    let plan = gen::generate(seed);
-    if plan.rows.is_empty() {
-        // No pages, nothing to corrupt.
-        return Ok(());
-    }
-    let want = oracle::expected(&plan);
-    let table = catching(|| build_table(&plan))
-        .map_err(|p| format!("seed {seed}: build panicked: {p}"))?
-        .map_err(|e| format!("seed {seed}: build failed: {e:?}"))?;
-    for threads in thread_counts(&plan) {
-        // Fault mode honours the plan's drawn fast-path setting, so over the
-        // seed space both paths face corrupted pages.
-        let outcome = catching(|| {
-            execute(
-                &plan,
-                table.clone(),
-                threads,
-                plan.scan_fast_path,
-                Some(FaultSpec::always(plan.seed)),
-                1,
-                OnCorrupt::Fail,
-            )
-        })
-        .map_err(|p| {
-            format!(
-                "seed {seed}: PANIC under faults ({threads} threads): {p}\n  case: {}",
-                plan.describe()
-            )
-        })?;
-        match outcome {
-            Err(Error::Corrupt(_)) => {}
-            Err(other) => {
-                return Err(format!(
-                    "seed {seed}: expected Corrupt under faults ({threads} threads), got \
-                     {other:?}\n  case: {}",
-                    plan.describe()
-                ));
-            }
-            Ok(res) => {
-                let zone_skipped = res.report.io.pages_skipped > 0;
-                if !(zone_skipped && res.rows == want) {
-                    return Err(format!(
-                        "seed {seed}: fault-injected run returned {} rows without error \
-                         ({threads} threads, skipped {} pages)\n  case: {}",
-                        res.rows.len(),
-                        res.report.io.pages_skipped,
-                        plan.describe()
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Cache-mode case: the page-cache tier is an I/O accounting layer, never
-/// an answer change. The drawn cache geometry (including 0-frame,
-/// single-frame and larger-than-table sizes) runs across
-/// {serial, parallel} × {scalar, fast path} × {cache on, cache off} and
-/// every mode must produce bit-identical rows. With caching on, the
-/// accounting must reconcile: each enabled run classifies every page read
-/// as exactly one hit or one miss, and the cache-off runs report zero
-/// cache activity.
-///
-/// The recovery sweep then re-runs the plan under 100 % primary-read
-/// damage with a clean mirror and caching on: repaired pages must be
-/// re-read from disk, never served stale — every retry is a repair, a
-/// repaired read is always accounted a miss (hits never roll faults, so
-/// `repairs <= misses`), and the rows still match the oracle exactly.
-pub fn run_cache_case(seed: u64) -> Result<(), String> {
-    let plan = gen::generate(seed);
-    let want = oracle::expected(&plan);
-    let table = catching(|| build_table(&plan))
-        .map_err(|p| {
-            format!(
-                "seed {seed}: build panicked: {p}\n  case: {}",
-                plan.describe()
-            )
-        })?
-        .map_err(|e| {
-            format!(
-                "seed {seed}: build failed: {e:?}\n  case: {}",
-                plan.describe()
-            )
-        })?;
-    for threads in thread_counts(&plan) {
-        for fast in [false, true] {
-            for cache in [None, Some(plan.cache)] {
-                let what = format!("{threads} threads, fast={fast}, cache={cache:?}");
-                let got = catching(|| {
-                    execute_traced(
-                        &plan,
-                        table.clone(),
-                        threads,
-                        fast,
-                        None,
-                        1,
-                        OnCorrupt::Fail,
-                        cache,
-                        false,
-                    )
-                })
-                .map_err(|p| {
-                    format!(
-                        "seed {seed}: engine panicked ({what}): {p}\n  case: {}",
-                        plan.describe()
-                    )
-                })?
-                .map_err(|e| {
-                    format!(
-                        "seed {seed}: engine error ({what}): {e:?}\n  case: {}",
-                        plan.describe()
-                    )
-                })?;
-                if got.rows != want {
-                    return Err(format!(
-                        "seed {seed}: MISMATCH ({what}): engine {} rows, oracle {} rows\n  \
-                         case: {}\n  engine: {:?}\n  oracle: {:?}",
-                        got.rows.len(),
-                        want.len(),
-                        plan.describe(),
-                        got.rows,
-                        want,
-                    ));
-                }
-                let c = got.report.io.cache;
-                if cache.is_none() && c != rodb_io::CacheStats::default() {
-                    return Err(format!(
-                        "seed {seed}: cache-off run reported cache activity {c:?} ({what})\n  \
-                         case: {}",
-                        plan.describe()
-                    ));
-                }
-                if let Some(spec) = cache {
-                    if spec.frames == 0 && c.hits + c.evictions > 0 {
-                        return Err(format!(
-                            "seed {seed}: zero-frame cache hit or evicted ({c:?}, {what})\n  \
-                             case: {}",
-                            plan.describe()
-                        ));
-                    }
-                    // Zone-rejected pages bypass the cache entirely (neither
-                    // fetched nor cached), so a fully skipped scan legally
-                    // requests no pages — but then the skip counter must say
-                    // so.
-                    let skipped = got.report.io.pages_skipped;
-                    if !plan.rows.is_empty()
-                        && threads == 1
-                        && c.hits + c.misses == 0
-                        && skipped == 0
-                    {
-                        return Err(format!(
-                            "seed {seed}: cache-on scan of a non-empty table neither \
-                             requested nor skipped any page ({what})\n  case: {}",
-                            plan.describe()
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    // Recovery sweep: repaired pages are re-read from disk, never stale.
-    for threads in thread_counts(&plan) {
-        let what = format!("mirrored faults, cache on, {threads} threads");
-        let res = catching(|| {
-            execute_traced(
-                &plan,
-                table.clone(),
-                threads,
-                plan.scan_fast_path,
-                Some(FaultSpec::always(seed)),
-                2,
-                OnCorrupt::Retry,
-                Some(plan.cache),
-                false,
-            )
-        })
-        .map_err(|p| {
-            format!(
-                "seed {seed}: PANIC ({what}): {p}\n  case: {}",
-                plan.describe()
-            )
-        })?
-        .map_err(|e| {
-            format!(
-                "seed {seed}: run failed ({what}): {e:?}\n  case: {}",
-                plan.describe()
-            )
-        })?;
-        if res.rows != want {
-            return Err(format!(
-                "seed {seed}: stale or wrong rows ({what}): engine {} rows, oracle {} rows\n  \
-                 case: {}",
-                res.rows.len(),
-                want.len(),
-                plan.describe()
-            ));
-        }
-        let rec = res.report.io.recovery;
-        let c = res.report.io.cache;
-        if rec.repairs != rec.retries {
-            return Err(format!(
-                "seed {seed}: {} retries but {} repairs ({what})\n  case: {}",
-                rec.retries,
-                rec.repairs,
-                plan.describe()
-            ));
-        }
-        if rec.repairs > c.misses {
-            return Err(format!(
-                "seed {seed}: {} repairs but only {} cache misses — a repaired page was \
-                 served from the cache instead of disk ({what})\n  case: {}",
-                rec.repairs,
-                c.misses,
-                plan.describe()
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// One rider query for concurrent mode: query 0 is the seed's own plan,
-/// the rest are drawn from a *separate* SplitMix64 stream so existing
-/// seeds keep their exact plans in every other mode.
-struct RiderQuery {
-    projection: Vec<usize>,
-    predicates: Vec<Predicate>,
-    group_by: Option<usize>,
-    aggs: Vec<AggSpec>,
-    sorted_agg: bool,
-}
-
-/// Draw one extra rider within the same validity envelope as
-/// [`gen::generate`]: shuffled-prefix projection, mostly sampled-literal
-/// predicates, optional (grouped) aggregation over projected int positions.
-fn draw_rider(rng: &mut SplitMix64, plan: &CasePlan) -> RiderQuery {
-    let ncols = plan.schema.len();
-    let mut idx: Vec<usize> = (0..ncols).collect();
-    for i in (1..ncols).rev() {
-        let j = rng.below(i as u64 + 1) as usize;
-        idx.swap(i, j);
-    }
-    let nproj = 1 + rng.below(ncols as u64) as usize;
-    let projection = idx[..nproj].to_vec();
-
-    const OPS: [CmpOp; 6] = [
-        CmpOp::Lt,
-        CmpOp::Le,
-        CmpOp::Eq,
-        CmpOp::Ne,
-        CmpOp::Ge,
-        CmpOp::Gt,
-    ];
-    let npred = rng.below(3) as usize;
-    let mut predicates = Vec::with_capacity(npred);
-    for _ in 0..npred {
-        let c = rng.below(ncols as u64) as usize;
-        let op = OPS[rng.below(6) as usize];
-        let sample = !plan.rows.is_empty() && rng.below(10) < 7;
-        let lit = if sample {
-            plan.rows[rng.below(plan.rows.len() as u64) as usize][c].clone()
-        } else {
-            match plan.schema.dtype(c) {
-                DataType::Int => Value::Int(rng.range_i32(-1100, 1100)),
-                DataType::Text(w) => {
-                    let len = rng.below(w as u64 + 1) as usize;
-                    let bytes: Vec<u8> = (0..len).map(|_| b'a' + rng.below(26) as u8).collect();
-                    Value::Text(bytes.into_boxed_slice())
-                }
-                DataType::Long => unreachable!("generator never emits Long columns"),
-            }
-        };
-        predicates.push(Predicate::new(c, op, lit));
-    }
-
-    let mut group_by = None;
-    let mut aggs: Vec<AggSpec> = Vec::new();
-    if rng.below(100) < 35 {
-        if rng.below(10) < 6 {
-            group_by = Some(projection[rng.below(nproj as u64) as usize]);
-        }
-        let int_positions: Vec<usize> = projection
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| plan.schema.dtype(c) == DataType::Int)
-            .map(|(p, _)| p)
-            .collect();
-        for _ in 0..1 + rng.below(2) as usize {
-            let choice = if int_positions.is_empty() {
-                0
-            } else {
-                rng.below(4)
-            };
-            aggs.push(if choice == 0 {
-                AggSpec::count()
-            } else {
-                let p = int_positions[rng.below(int_positions.len() as u64) as usize];
-                match choice {
-                    1 => AggSpec::sum(p),
-                    2 => AggSpec::min(p),
-                    _ => AggSpec::max(p),
-                }
-            });
-        }
-    }
-    RiderQuery {
-        projection,
-        predicates,
-        group_by,
-        aggs,
-        sorted_agg: false,
-    }
-}
-
-/// Build one rider as a [`QueryBuilder`] under `sys`. Every rider scales to
-/// the same virtual row count — the service requires one shared clock scale,
-/// and a multi-second modeled pass is what makes late arrivals attach
-/// mid-scan instead of finding an idle cursor.
-fn build_rider(
-    table: &Arc<Table>,
-    layout: ScanLayout,
-    r: &RiderQuery,
-    hw: HardwareConfig,
-    sys: SystemConfig,
-) -> rodb_types::Result<QueryBuilder> {
-    let mut q = QueryBuilder::new(table.clone(), hw, sys)
-        .layout(layout)
-        .select_indices(&r.projection)
-        .scale_to_rows(10_000_000);
-    for p in &r.predicates {
-        q = q.filter_pred(p.clone())?;
-    }
-    if let Some(g) = r.group_by {
-        q = q.group_by(&format!("c{g}"))?;
-    }
-    for a in &r.aggs {
-        q = q.aggregate(*a);
-    }
-    if r.sorted_agg {
-        q = q.sorted_aggregation();
-    }
-    Ok(q)
-}
-
-/// Concurrent-mode case: the seed's plan plus 1..=3 drawn riders go through
-/// the query service — mixed arrival order, drawn admission discipline,
-/// tenants and priorities, with and without the shared page cache — and
-/// every query's rows must be bit-identical to its own solo run. The
-/// scheduler is a scan-sharing layer, never an answer change.
-pub fn run_concurrent_case(seed: u64) -> Result<(), String> {
-    let plan = gen::generate(seed);
-    if plan.rows.is_empty() {
-        // A shared cursor needs at least one page to segment; empty tables
-        // are covered by every other mode.
-        return Ok(());
-    }
-    let table = Arc::new(
-        catching(|| build_table(&plan))
-            .map_err(|p| format!("seed {seed}: build panicked: {p}"))?
-            .map_err(|e| format!("seed {seed}: build failed: {e:?}"))?,
-    );
-    // The cursor generalizes scan sharing to the Row and Column layouts;
-    // the slow column variants are execution strategies of the same column
-    // files, so they fold onto the Column cursor here.
-    let layout = match plan.layout {
-        ScanLayout::Row => ScanLayout::Row,
-        _ => ScanLayout::Column,
-    };
-
-    // Concurrency draws come from their own stream so the base plan for
-    // this seed is exactly what the healthy/fault/recovery/cache modes ran.
-    let mut rng = SplitMix64::new(seed ^ 0xc0c0_17ab_5eed_5eed);
-    let mut riders = vec![RiderQuery {
-        projection: plan.projection.clone(),
-        predicates: plan.predicates.clone(),
-        group_by: plan.group_by,
-        aggs: plan.aggs.clone(),
-        sorted_agg: plan.sorted_agg,
-    }];
-    let k = 2 + rng.below(3) as usize;
-    while riders.len() < k {
-        riders.push(draw_rider(&mut rng, &plan));
-    }
-    let arrivals: Vec<f64> = (0..k)
-        .map(|i| if i == 0 { 0.0 } else { rng.f64() * 1.5 })
-        .collect();
-    let tenants: Vec<&str> = (0..k)
-        .map(|_| ["a", "b", "c"][rng.below(3) as usize])
-        .collect();
-    let priorities: Vec<u8> = (0..k).map(|_| rng.below(10) as u8).collect();
-    let spec = ServiceSpec::new(1 + rng.below(k as u64) as usize)
-        .with_slice([0.1, 0.25, 0.5][rng.below(3) as usize])
-        .with_admission(if rng.bool() {
-            Admission::Priority
-        } else {
-            Admission::Fifo
-        });
-
-    let base_sys = SystemConfig {
-        page_size: plan.page_size,
-        threads: plan.threads,
-        scan_fast_path: plan.scan_fast_path,
-        ..SystemConfig::default()
-    };
-
-    // Solo baseline per rider: the ordinary bypassed engine, no cache.
-    let mut want: Vec<Vec<Vec<Value>>> = Vec::with_capacity(k);
-    for (i, r) in riders.iter().enumerate() {
-        let rows = catching(|| {
-            build_rider(&table, layout, r, HardwareConfig::default(), base_sys)?.run_collect()
-        })
-        .map_err(|p| {
-            format!(
-                "seed {seed}: solo rider {i} panicked: {p}\n  case: {}",
-                plan.describe()
-            )
-        })?
-        .map_err(|e| {
-            format!(
-                "seed {seed}: solo rider {i} failed: {e:?}\n  case: {}",
-                plan.describe()
-            )
-        })?
-        .rows;
-        want.push(rows);
-    }
-
-    for cache in [None, Some(plan.cache)] {
-        let sys = SystemConfig {
-            service: Some(spec),
-            cache,
-            ..base_sys
-        };
-        let what = format!(
-            "{k} queries, max_inflight {}, {:?}, cache={}",
-            spec.max_inflight,
-            spec.admission,
-            cache.is_some()
-        );
-        let mut svc = QueryService::new(HardwareConfig::default(), sys)
-            .map_err(|e| format!("seed {seed}: service rejected config: {e:?}"))?;
-        for (i, r) in riders.iter().enumerate() {
-            let q = build_rider(&table, layout, r, HardwareConfig::default(), sys)
-                .map_err(|e| format!("seed {seed}: rider {i} build failed: {e:?}"))?;
-            svc.submit(
-                ServiceRequest::new(q)
-                    .at(arrivals[i])
-                    .tenant(tenants[i])
-                    .priority(priorities[i]),
-            );
-        }
-        let report = catching(|| svc.run())
-            .map_err(|p| {
-                format!(
-                    "seed {seed}: service PANIC ({what}): {p}\n  case: {}",
-                    plan.describe()
-                )
-            })?
-            .map_err(|e| {
-                format!(
-                    "seed {seed}: service run failed ({what}): {e:?}\n  case: {}",
-                    plan.describe()
-                )
-            })?;
-        if report.outcomes.len() != k {
-            return Err(format!(
-                "seed {seed}: {} outcomes for {k} requests ({what})",
-                report.outcomes.len()
-            ));
-        }
-        for (i, out) in report.outcomes.iter().enumerate() {
-            if out.rejected {
-                return Err(format!(
-                    "seed {seed}: rider {i} rejected with no deadline configured ({what})\n  \
-                     case: {}",
-                    plan.describe()
-                ));
-            }
-            if out.rows != want[i] {
-                return Err(format!(
-                    "seed {seed}: rider {i} MISMATCH through the scheduler ({what}): service \
-                     {} rows, solo {} rows\n  case: {}\n  service: {:?}\n  solo: {:?}",
-                    out.rows.len(),
-                    want[i].len(),
-                    plan.describe(),
-                    out.rows,
-                    want[i],
-                ));
-            }
-        }
-        if cache.is_none() && report.io.cache != rodb_io::CacheStats::default() {
-            return Err(format!(
-                "seed {seed}: cache-off service run reported cache activity {:?} ({what})",
-                report.io.cache
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Observe-mode case: the concurrent-style service workload run twice —
-/// observability off, then fully on (timelines + flight recorder + SLO
-/// accounting, a drawn window/K/reservoir geometry) — demanding the
-/// modeled system is **bit-identical** either way: every query's rows, the
-/// makespan and per-query latency clocks (compared by f64 bits), the I/O
-/// accounting, and the segment/wraparound counts. Observation must never
-/// perturb the simulation. The observed run's plane must also reconcile
-/// with the report it rode along with: timeline counter totals equal to
-/// outcome counts, every deadline-missed completion retained by the flight
-/// recorder in its completion window, and per-tenant SLO counts and
-/// quantiles equal to a Vec oracle over the outcomes.
-pub fn run_observe_case(seed: u64) -> Result<(), String> {
-    let plan = gen::generate(seed);
-    if plan.rows.is_empty() {
-        return Ok(());
-    }
-    let table = Arc::new(
-        catching(|| build_table(&plan))
-            .map_err(|p| format!("seed {seed}: build panicked: {p}"))?
-            .map_err(|e| format!("seed {seed}: build failed: {e:?}"))?,
-    );
-    let layout = match plan.layout {
-        ScanLayout::Row => ScanLayout::Row,
-        _ => ScanLayout::Column,
-    };
-
-    // A distinct draw stream: this mode's workloads need not match the
-    // concurrent mode's for the same seed, only be self-reproducible.
-    let mut rng = SplitMix64::new(seed ^ 0x0b5e_7e5e_ed15_c0de);
-    let mut riders = vec![RiderQuery {
-        projection: plan.projection.clone(),
-        predicates: plan.predicates.clone(),
-        group_by: plan.group_by,
-        aggs: plan.aggs.clone(),
-        sorted_agg: plan.sorted_agg,
-    }];
-    let k = 2 + rng.below(3) as usize;
-    while riders.len() < k {
-        riders.push(draw_rider(&mut rng, &plan));
-    }
-    let arrivals: Vec<f64> = (0..k)
-        .map(|i| if i == 0 { 0.0 } else { rng.f64() * 1.5 })
-        .collect();
-    let tenants: Vec<&str> = (0..k)
-        .map(|_| ["a", "b", "c"][rng.below(3) as usize])
-        .collect();
-    let priorities: Vec<u8> = (0..k).map(|_| rng.below(10) as u8).collect();
-    let mut spec = ServiceSpec::new(1 + rng.below(k as u64) as usize)
-        .with_slice([0.1, 0.25, 0.5][rng.below(3) as usize])
-        .with_admission(if rng.bool() {
-            Admission::Priority
-        } else {
-            Admission::Fifo
-        });
-    // Half the cases run with a deadline so the rejection / deadline-miss
-    // paths (and their flight-recorder anomaly retention) get exercised.
-    if rng.bool() {
-        spec = spec.with_deadline(0.25 + rng.f64());
-    }
-    let cache = if rng.bool() { Some(plan.cache) } else { None };
-    let base_sys = SystemConfig {
-        page_size: plan.page_size,
-        threads: plan.threads,
-        scan_fast_path: plan.scan_fast_path,
-        ..SystemConfig::default()
-    };
-    let ospec = ObserveSpec::new([0.25, 0.5, 1.0][rng.below(3) as usize])
-        .with_flight_k(1 + rng.below(4) as usize)
-        .with_reservoir(rng.below(5) as usize);
-
-    let run = |observe: Option<ObserveSpec>| -> Result<ServiceReport, String> {
-        let sys = SystemConfig {
-            service: Some(spec),
-            cache,
-            observe,
-            ..base_sys
-        };
-        // Each run owns its registry: sweeps never pollute the global one.
-        let mut svc = QueryService::new(HardwareConfig::default(), sys)
-            .map_err(|e| format!("seed {seed}: service rejected config: {e:?}"))?
-            .metrics(Registry::handle());
-        for (i, r) in riders.iter().enumerate() {
-            let q = build_rider(&table, layout, r, HardwareConfig::default(), sys)
-                .map_err(|e| format!("seed {seed}: rider {i} build failed: {e:?}"))?;
-            svc.submit(
-                ServiceRequest::new(q)
-                    .at(arrivals[i])
-                    .tenant(tenants[i])
-                    .priority(priorities[i]),
-            );
-        }
-        catching(|| svc.run())
-            .map_err(|p| {
-                format!(
-                    "seed {seed}: service PANIC (observe={}): {p}\n  case: {}",
-                    observe.is_some(),
-                    plan.describe()
-                )
-            })?
-            .map_err(|e| {
-                format!(
-                    "seed {seed}: service run failed (observe={}): {e:?}\n  case: {}",
-                    observe.is_some(),
-                    plan.describe()
-                )
-            })
-    };
-    let off = run(None)?;
-    let on = run(Some(ospec))?;
-
-    // --- The modeled system must be bit-identical. ---
-    if off.observed.is_some() {
-        return Err(format!("seed {seed}: observe-off run carries a plane"));
-    }
-    if on.makespan_s.to_bits() != off.makespan_s.to_bits() {
-        return Err(format!(
-            "seed {seed}: observation PERTURBED the clock: makespan {} (on) vs {} (off)",
-            on.makespan_s, off.makespan_s
-        ));
-    }
-    if (on.segments, on.wraparounds) != (off.segments, off.wraparounds) {
-        return Err(format!(
-            "seed {seed}: segment/wrap divergence: ({}, {}) on vs ({}, {}) off",
-            on.segments, on.wraparounds, off.segments, off.wraparounds
-        ));
-    }
-    if on.io != off.io {
-        return Err(format!(
-            "seed {seed}: I/O accounting divergence:\n  on:  {:?}\n  off: {:?}",
-            on.io, off.io
-        ));
-    }
-    if on.outcomes.len() != off.outcomes.len() {
-        return Err(format!("seed {seed}: outcome count divergence"));
-    }
-    for (i, (a, b)) in on.outcomes.iter().zip(&off.outcomes).enumerate() {
-        let clocks_match = a.latency_s.to_bits() == b.latency_s.to_bits()
-            && a.queue_wait_s.to_bits() == b.queue_wait_s.to_bits();
-        if !clocks_match
-            || a.rows != b.rows
-            || a.nrows != b.nrows
-            || (a.rejected, a.deadline_missed, a.wrapped, a.attach_seg)
-                != (b.rejected, b.deadline_missed, b.wrapped, b.attach_seg)
-        {
-            return Err(format!(
-                "seed {seed}: outcome {i} diverged under observation\n  on:  latency {} wait {} \
-                 rows {} rejected {}\n  off: latency {} wait {} rows {} rejected {}\n  case: {}",
-                a.latency_s,
-                a.queue_wait_s,
-                a.nrows,
-                a.rejected,
-                b.latency_s,
-                b.queue_wait_s,
-                b.nrows,
-                b.rejected,
-                plan.describe()
-            ));
-        }
-    }
-
-    // --- The plane must reconcile with the report it rode along with. ---
-    let obs = on
-        .observed
-        .as_ref()
-        .ok_or_else(|| format!("seed {seed}: observe-on run has no plane"))?;
-    let completed = on.outcomes.iter().filter(|o| !o.rejected).count() as f64;
-    let rejected = on.outcomes.iter().filter(|o| o.rejected).count() as f64;
-    let tl_completed = obs.timeline.counter_total("service.completed");
-    let tl_rejected = obs.timeline.counter_total("service.rejected");
-    if (tl_completed, tl_rejected) != (completed, rejected) {
-        return Err(format!(
-            "seed {seed}: timeline does not reconcile: ({tl_completed}, {tl_rejected}) vs \
-             outcomes ({completed}, {rejected})"
-        ));
-    }
-    for (i, o) in on.outcomes.iter().enumerate() {
-        if o.deadline_missed && !o.rejected {
-            let w = obs.flight.window_of(o.arrival_s + o.latency_s);
-            if !obs
-                .flight
-                .anomalies(w)
-                .iter()
-                .any(|e| e.seq == i as u64 && e.deadline_missed)
-            {
-                return Err(format!(
-                    "seed {seed}: deadline-missed query {i} not retained by the flight \
-                     recorder in window {w}"
-                ));
-            }
-        }
-    }
-    for slo in &obs.slo.tenants {
-        let outs: Vec<_> = on
-            .outcomes
-            .iter()
-            .filter(|o| o.tenant == slo.tenant)
-            .collect();
-        let done = outs.iter().filter(|o| !o.rejected).count() as u64;
-        let rej = outs.iter().filter(|o| o.rejected).count() as u64;
-        if (slo.completed, slo.rejected) != (done, rej) {
-            return Err(format!(
-                "seed {seed}: tenant {} SLO counts ({}, {}) vs outcomes ({done}, {rej})",
-                slo.tenant, slo.completed, slo.rejected
-            ));
-        }
-        // Quantiles against the sorted-Vec oracle (populations here are
-        // far below the histogram's exact-sample cap).
-        let mut lats: Vec<f64> = outs
-            .iter()
-            .filter(|o| !o.rejected)
-            .map(|o| o.latency_s)
-            .collect();
-        lats.sort_by(f64::total_cmp);
-        for q in [0.5, 0.95, 0.99] {
-            let want = if lats.is_empty() {
-                0.0
-            } else {
-                lats[((lats.len() - 1) as f64 * q).round() as usize]
-            };
-            let got = slo.latency.quantile(q);
-            if got.to_bits() != want.to_bits() {
-                return Err(format!(
-                    "seed {seed}: tenant {} p{} {} != oracle {}",
-                    slo.tenant,
-                    (q * 100.0) as u32,
-                    got,
-                    want
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Global row ordinals covered by a quarantined page, derived from file
 /// geometry the same way the scanners rebase (page index × full-page
 /// capacity, clamped to the table's row count).
 fn mark_quarantined_span(table: &Table, q: QuarantinedPage, dropped: &mut [bool]) {
-    let (start, cap) = match q {
+    let (page, cap) = match q {
         QuarantinedPage::Row { page } => {
-            let tpp = table.row.as_ref().map(|r| r.tuples_per_page).unwrap_or(0) as u64;
-            (page * tpp, tpp)
+            (page, table.row.as_ref().map_or(0, |r| r.tuples_per_page))
         }
         QuarantinedPage::Col { col, page } => {
-            let vpp = table
-                .col
-                .as_ref()
-                .map(|c| c.columns[col].values_per_page)
-                .unwrap_or(0) as u64;
-            (page * vpp, vpp)
+            let vpp = |c: &rodb_storage::ColStorage| c.columns[col].values_per_page;
+            (page, table.col.as_ref().map_or(0, vpp))
         }
     };
-    let end = (start + cap).min(dropped.len() as u64);
-    for p in start..end {
+    let end = ((page + 1) * cap as u64).min(dropped.len() as u64);
+    for p in page * cap as u64..end {
         dropped[p as usize] = true;
     }
 }
 
-/// Recovery-mode case, two halves.
-///
-/// **Mirrored repair** (mirror = 2, every primary read damaged, policy
-/// `Retry`): the second replica is always clean (`replica_rate_ppm` = 0), so
-/// every damaged read must be repaired transparently and the rows must be
-/// bit-identical to the oracle — nothing quarantined, nothing dropped, and
-/// every retry accounted as a repair.
-///
-/// **Degraded scan** (mirror = 1, policy `Skip`, 100 % and ~15 % fault
-/// rates): pages bad on the only replica are quarantined and their rows
-/// dropped. The result must equal the oracle evaluated over exactly the
-/// surviving positions — the complement of the quarantined pages' row
-/// spans — and the serial run's `dropped_rows` must equal that span union.
-/// A parallel run must produce the same rows and the same quarantine set;
-/// its `dropped_rows` may undercount the union (a straddling page demanded
-/// by only one morsel charges only that morsel's window) but never exceed
-/// it, and is non-zero whenever anything was quarantined.
-pub fn run_recovery_case(seed: u64) -> Result<(), String> {
-    let plan = gen::generate(seed);
-    let want = oracle::expected(&plan);
-
-    // --- Mode A: mirrored reads repair every damaged page. ---
-    let table = catching(|| build_table(&plan))
-        .map_err(|p| format!("seed {seed}: build panicked: {p}"))?
-        .map_err(|e| format!("seed {seed}: build failed: {e:?}"))?;
-    for threads in thread_counts(&plan) {
-        let res = catching(|| {
-            execute(
-                &plan,
-                table.clone(),
-                threads,
-                plan.scan_fast_path,
-                Some(FaultSpec::always(seed)),
-                2,
-                OnCorrupt::Retry,
-            )
-        })
-        .map_err(|p| {
-            format!(
-                "seed {seed}: PANIC under mirrored faults ({threads} threads): {p}\n  case: {}",
-                plan.describe()
-            )
-        })?
-        .map_err(|e| {
-            format!(
-                "seed {seed}: mirrored run failed ({threads} threads): {e:?}\n  case: {}",
-                plan.describe()
-            )
-        })?;
-        if res.rows != want {
-            return Err(format!(
-                "seed {seed}: mirrored run MISMATCH ({threads} threads): engine {} rows, \
-                 oracle {} rows\n  case: {}",
-                res.rows.len(),
-                want.len(),
-                plan.describe()
-            ));
-        }
-        let rec = res.report.io.recovery;
-        if rec.quarantined_pages != 0 || rec.dropped_rows != 0 {
-            return Err(format!(
-                "seed {seed}: mirrored run quarantined {} pages / dropped {} rows with a clean \
-                 replica available ({threads} threads)\n  case: {}",
-                rec.quarantined_pages,
-                rec.dropped_rows,
-                plan.describe()
-            ));
-        }
-        if rec.repairs != rec.retries {
-            return Err(format!(
-                "seed {seed}: mirrored run: {} retries but {} repairs — the clean replica must \
-                 repair every retry ({threads} threads)\n  case: {}",
-                rec.retries,
-                rec.repairs,
-                plan.describe()
-            ));
-        }
-        if !table.quarantine.is_empty() {
-            return Err(format!(
-                "seed {seed}: mirrored run left {} pages in the table quarantine\n  case: {}",
-                table.quarantine.len(),
-                plan.describe()
-            ));
+impl Case {
+    pub fn new(mode: Mode, seed: u64) -> Case {
+        let mut plan = gen::generate(seed);
+        let axes = Axes::for_mode(mode, &mut plan);
+        let query = Rider::of(&plan);
+        Case {
+            mode,
+            seed,
+            plan,
+            axes,
+            query,
         }
     }
 
-    // --- Mode B: single replica, Skip policy, degraded results. ---
-    for rate in [1_000_000u32, 150_000] {
-        // The quarantine is shared across clones of a table handle, so every
-        // run gets a freshly built table.
-        let mut serial_rows: Option<Vec<Vec<rodb_types::Value>>> = None;
-        let mut serial_quarantine: Option<Vec<QuarantinedPage>> = None;
-        let mut serial_union = 0u64;
-        for threads in thread_counts(&plan) {
-            let table = catching(|| build_table(&plan))
-                .map_err(|p| format!("seed {seed}: build panicked: {p}"))?
-                .map_err(|e| format!("seed {seed}: build failed: {e:?}"))?;
-            let res = catching(|| {
-                execute(
-                    &plan,
-                    table.clone(),
-                    threads,
-                    plan.scan_fast_path,
-                    Some(FaultSpec::at_rate(seed, rate)),
-                    1,
-                    OnCorrupt::Skip,
-                )
-            })
-            .map_err(|p| {
-                format!(
-                    "seed {seed}: PANIC in degraded scan (rate {rate}, {threads} threads): {p}\n  \
-                     case: {}",
-                    plan.describe()
-                )
-            })?
-            .map_err(|e| {
-                format!(
-                    "seed {seed}: degraded scan failed (rate {rate}, {threads} threads): {e:?}\n  \
-                     case: {}",
-                    plan.describe()
-                )
-            })?;
+    fn fail(&self, name: &str, what: &str, msg: &str) -> String {
+        let (seed, mode, case) = (self.seed, self.mode.name(), self.plan.describe());
+        format!("seed {seed} [{mode}] {name} ({what}): {msg}\n  case: {case}")
+    }
 
-            let snapshot = table.quarantine.snapshot();
-            let mut dropped = vec![false; plan.rows.len()];
-            for &q in &snapshot {
-                mark_quarantined_span(&table, q, &mut dropped);
-            }
-            let union: u64 = dropped.iter().filter(|&&d| d).count() as u64;
-
-            // Expected rows: the oracle over the surviving positions.
-            let mut degraded = plan.clone();
-            degraded.rows = plan
-                .rows
-                .iter()
-                .zip(&dropped)
-                .filter(|&(_, &d)| !d)
-                .map(|(r, _)| r.clone())
-                .collect();
-            let want_sub = oracle::expected(&degraded);
-            if res.rows != want_sub {
-                return Err(format!(
-                    "seed {seed}: degraded scan MISMATCH (rate {rate}, {threads} threads): \
-                     engine {} rows, oracle-over-survivors {} rows ({} of {} positions \
-                     dropped)\n  case: {}",
-                    res.rows.len(),
-                    want_sub.len(),
-                    union,
-                    plan.rows.len(),
-                    plan.describe()
-                ));
-            }
-            let rec = res.report.io.recovery;
-            if rec.quarantined_pages != snapshot.len() as u64 {
-                return Err(format!(
-                    "seed {seed}: degraded scan counted {} quarantined pages but the table \
-                     quarantine holds {} (rate {rate}, {threads} threads)\n  case: {}",
-                    rec.quarantined_pages,
-                    snapshot.len(),
-                    plan.describe()
-                ));
-            }
-            if threads == 1 {
-                if rec.dropped_rows != union {
-                    return Err(format!(
-                        "seed {seed}: serial degraded scan dropped_rows {} != quarantined span \
-                         union {} (rate {rate})\n  case: {}",
-                        rec.dropped_rows,
-                        union,
-                        plan.describe()
-                    ));
-                }
-                serial_rows = Some(res.rows);
-                serial_quarantine = Some(snapshot);
-                serial_union = union;
-            } else {
-                if rec.dropped_rows > union || (union > 0 && rec.dropped_rows == 0) {
-                    return Err(format!(
-                        "seed {seed}: parallel degraded scan dropped_rows {} outside (0, {}] \
-                         (rate {rate}, {threads} threads)\n  case: {}",
-                        rec.dropped_rows,
-                        union,
-                        plan.describe()
-                    ));
-                }
-                if let Some(sq) = &serial_quarantine {
-                    if *sq != snapshot {
-                        return Err(format!(
-                            "seed {seed}: parallel degraded scan quarantined {:?}, serial \
-                             quarantined {:?} (rate {rate}, {threads} threads)\n  case: {}",
-                            snapshot,
-                            sq,
-                            plan.describe()
-                        ));
-                    }
-                    if union != serial_union {
-                        return Err(format!(
-                            "seed {seed}: span union changed across runs: serial {}, parallel \
-                             {} (rate {rate})\n  case: {}",
-                            serial_union,
-                            union,
-                            plan.describe()
-                        ));
-                    }
-                }
-                if let Some(sr) = &serial_rows {
-                    if *sr != res.rows {
-                        return Err(format!(
-                            "seed {seed}: parallel degraded rows differ from serial (rate \
-                             {rate}, {threads} threads)\n  case: {}",
-                            plan.describe()
-                        ));
-                    }
-                }
+    /// Run one engine call. A panic is a `P0` failure, an `Err` an engine
+    /// failure; a caller for whom `Err` is a legal outcome wraps it in `Ok`.
+    pub(crate) fn engine<T>(
+        &self,
+        what: &str,
+        f: impl FnOnce() -> rodb_types::Result<T>,
+    ) -> Result<T, String> {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+            Ok(Ok(v)) => Ok(v),
+            Ok(Err(e)) => Err(self.fail("engine error", what, &format!("{e:?}"))),
+            Err(p) => {
+                let msg = (p.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .or_else(|| p.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".into());
+                Err(self.fail("P0", what, &format!("panic: {msg}")))
             }
         }
     }
-    Ok(())
-}
 
-/// One logged ingest operation. [`IngestOp::frame_len`] predicts its WAL
-/// frame extent from the *documented* arithmetic alone — header
-/// `len(4) + seq(8) + kind(1)`, insert payload `4 + n × logical_width`,
-/// merge markers `16`, trailing `crc(4)` — sharing no framing code with the
-/// engine, so an encoding bug cannot cancel itself out of the crash model.
-enum IngestOp {
-    Insert(Vec<Vec<Value>>),
-    MergeBegin,
-    MergeCommit(usize),
-}
-
-const WAL_HEADER: usize = 4 + 8 + 1;
-const WAL_CRC: usize = 4;
-
-impl IngestOp {
-    fn frame_len(&self, logical_width: usize) -> usize {
-        let payload = match self {
-            IngestOp::Insert(rows) => 4 + rows.len() * logical_width,
-            IngestOp::MergeBegin | IngestOp::MergeCommit(_) => 16,
+    /// Apply every invariant whose precondition holds and whose check reads
+    /// this kind of evidence.
+    fn apply(&self, cell: &Cell, ev: Evidence) -> Verdict {
+        let io = match &ev {
+            Evidence::Solo(r) => r.got.as_ref().ok().map(|q| (&q.report.io, &r.table)),
+            Evidence::Service(r) => r.off.as_ref().ok().map(|q| (&q.io, &r.table)),
+            _ => None,
         };
-        WAL_HEADER + payload + WAL_CRC
-    }
-}
-
-/// Vec-of-tuples model of the durable store: the read-optimized rows in
-/// engine scan order, the staged tail in arrival order, and the epoch.
-#[derive(Clone, PartialEq)]
-struct IngestModel {
-    ros: Vec<Vec<Value>>,
-    wos: Vec<Vec<Value>>,
-    epoch: u64,
-}
-
-impl IngestModel {
-    /// A committed merge moves the frozen prefix of `n` staged rows into the
-    /// read-optimized set and (when a sort key is configured) re-sorts it —
-    /// a stable sort, exactly like the engine's rebuild.
-    fn commit(&mut self, n: usize, sort_by: Option<usize>) {
-        let moved: Vec<Vec<Value>> = self.wos.drain(..n).collect();
-        self.ros.extend(moved);
-        if let Some(k) = sort_by {
-            self.ros.sort_by(|a, b| a[k].cmp(&b[k]));
-        }
-        self.epoch += 1;
-    }
-}
-
-/// Fold the ops whose predicted frames fit inside the first `k` log bytes —
-/// the model's prediction of what recovery from a crash at byte `k` must
-/// rebuild.
-fn fold_model(
-    base: &[Vec<Value>],
-    ops: &[IngestOp],
-    width: usize,
-    k: usize,
-    sort_by: Option<usize>,
-) -> IngestModel {
-    let mut m = IngestModel {
-        ros: base.to_vec(),
-        wos: Vec::new(),
-        epoch: 0,
-    };
-    let mut off = 0usize;
-    for op in ops {
-        off += op.frame_len(width);
-        if off > k {
-            break;
-        }
-        match op {
-            IngestOp::Insert(rows) => m.wos.extend(rows.iter().cloned()),
-            // A begin without its commit is an aborted merge: nothing to redo.
-            IngestOp::MergeBegin => {}
-            IngestOp::MergeCommit(n) => m.commit(*n, sort_by),
-        }
-    }
-    m
-}
-
-/// Adapt a generated plan for ingest mode and draw the ingest-only knobs
-/// from a separate stream (existing seeds keep their exact plans in every
-/// other mode).
-///
-/// A merge re-sorts on at most one key, so the first FOR-delta column (which
-/// *requires* sorted input) becomes the sort key and any further FOR-delta
-/// columns are demoted to uncompressed; without one the key is a free draw.
-/// Sorted aggregation is dropped: merges re-order rows and the staged tail
-/// is unsorted, so the "globally sorted group key" precondition no longer
-/// holds.
-fn ingest_plan(seed: u64) -> (gen::CasePlan, Option<usize>, IngestSpec, SplitMix64) {
-    let mut plan = gen::generate(seed);
-    let mut rng = SplitMix64::new(seed ^ 0x16e5_7a11_0c5e_ed17);
-    let fordelta: Vec<usize> = plan
-        .comps
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| matches!(c.codec, Codec::ForDelta { .. }))
-        .map(|(i, _)| i)
-        .collect();
-    let sort_by = match fordelta.first() {
-        Some(&k) => Some(k),
-        None if rng.bool() => Some(rng.below(plan.schema.len() as u64) as usize),
-        None => None,
-    };
-    for (i, c) in plan.comps.iter_mut().enumerate() {
-        if matches!(c.codec, Codec::ForDelta { .. }) && Some(i) != sort_by {
-            *c = ColumnCompression::none();
-        }
-    }
-    plan.sorted_agg = false;
-    let spec = if rng.below(10) < 3 {
-        IngestSpec::manual().with_auto_merge(1 + rng.below(6) as usize)
-    } else {
-        IngestSpec::manual()
-    };
-    (plan, sort_by, spec, rng)
-}
-
-/// Drive a drawn insert/merge schedule through the real [`IngestStore`]
-/// while recording every op (in *log* order) and maintaining the live
-/// model. Inserted rows are sampled from the plan's own rows so every
-/// data-dependent codec domain (BitPack range, FOR span, dictionaries,
-/// FOR-delta adjacent gaps, TextPack content width) stays valid across
-/// merges.
-fn drive_ingest(
-    seed: u64,
-    plan: &gen::CasePlan,
-    base: Arc<Table>,
-    sort_by: Option<usize>,
-    spec: IngestSpec,
-    rng: &mut SplitMix64,
-) -> Result<(IngestStore, Vec<IngestOp>, IngestModel), String> {
-    let mut st = IngestStore::new(base, plan.comps.clone(), sort_by, spec)
-        .map_err(|e| format!("seed {seed}: ingest store rejected the plan: {e:?}"))?;
-    let mut ops: Vec<IngestOp> = Vec::new();
-    let mut model = IngestModel {
-        ros: plan.rows.clone(),
-        wos: Vec::new(),
-        epoch: 0,
-    };
-    // The frozen row count of a begun-but-uncommitted merge.
-    let mut pending: Option<usize> = None;
-
-    let insert = |st: &mut IngestStore,
-                  ops: &mut Vec<IngestOp>,
-                  model: &mut IngestModel,
-                  pending: &Option<usize>,
-                  rng: &mut SplitMix64|
-     -> Result<(), String> {
-        let n = 1 + rng.below(8) as usize;
-        let rows: Vec<Vec<Value>> = (0..n)
-            .map(|_| plan.rows[rng.below(plan.rows.len() as u64) as usize].clone())
-            .collect();
-        st.insert(rows.clone())
-            .map_err(|e| format!("seed {seed}: insert of {n} sampled rows failed: {e:?}"))?;
-        ops.push(IngestOp::Insert(rows.clone()));
-        model.wos.extend(rows);
-        // Mirror the auto-merge: threshold reached, no pending merge.
-        if spec.auto_merge_rows > 0 && pending.is_none() && model.wos.len() >= spec.auto_merge_rows
-        {
-            let full = model.wos.len();
-            ops.push(IngestOp::MergeBegin);
-            ops.push(IngestOp::MergeCommit(full));
-            model.commit(full, sort_by);
+        let what = || match ev {
+            Evidence::Case => "case".to_string(),
+            Evidence::Ingest(..) => "ingest schedule".to_string(),
+            _ => format!("{cell:?}"),
+        };
+        for inv in INVARIANTS.iter().filter(|i| (i.when)(&self.axes, cell)) {
+            let verdict = match (&inv.check, &ev, &self.axes.runner) {
+                (Check::Case(f), Evidence::Case, _) => f(self),
+                (Check::Ingest(f), Evidence::Ingest(d, run), _) => f(self, d, run),
+                (Check::Solo(f), Evidence::Solo(run), _) => f(cell, run),
+                (Check::Service(f), Evidence::Service(run), Runner::Service(draw)) => f(draw, run),
+                (Check::Io(f), _, _) => match io {
+                    Some((io, table)) => f(self, io, table),
+                    None => continue,
+                },
+                (Check::Observed(f), Evidence::Service(run), _) => match (&run.on, &run.off) {
+                    (Some(on), Ok(off)) => match &on.observed {
+                        Some(plane) => f(on, off, plane),
+                        None => Err("observe-on run has no plane".into()),
+                    },
+                    _ => continue,
+                },
+                _ => continue,
+            };
+            // How often each invariant was really checked lands in `--json`.
+            MetricsRegistry::counter_add(&format!("fuzz.checked.{}", inv.name), 1.0);
+            verdict.map_err(|m| self.fail(inv.name, &what(), &m))?;
         }
         Ok(())
-    };
+    }
 
-    let nops = 3 + rng.below(6);
-    for _ in 0..nops {
-        let r = rng.below(100);
-        if let Some(frozen) = pending {
-            if r < 60 {
-                insert(&mut st, &mut ops, &mut model, &pending, rng)?;
-            } else {
-                st.commit_merge()
-                    .map_err(|e| format!("seed {seed}: commit_merge failed: {e:?}"))?;
-                ops.push(IngestOp::MergeCommit(frozen));
-                model.commit(frozen, sort_by);
-                pending = None;
-            }
-        } else if r < 55 {
-            insert(&mut st, &mut ops, &mut model, &pending, rng)?;
-        } else if r < 80 {
-            // Full merge; a no-op on an empty WOS leaves no WAL record.
-            let full = model.wos.len();
-            st.merge()
-                .map_err(|e| format!("seed {seed}: merge failed: {e:?}"))?;
-            if full > 0 {
-                ops.push(IngestOp::MergeBegin);
-                ops.push(IngestOp::MergeCommit(full));
-                model.commit(full, sort_by);
-            }
-        } else {
-            let frozen = model.wos.len();
-            st.begin_merge()
-                .map_err(|e| format!("seed {seed}: begin_merge failed: {e:?}"))?;
-            ops.push(IngestOp::MergeBegin);
-            pending = Some(frozen);
+    fn sys(&self, cell: &Cell) -> SystemConfig {
+        let (faults, mirror, on_corrupt) = cell.damage.config(self.seed);
+        SystemConfig {
+            page_size: self.plan.page_size,
+            threads: cell.threads,
+            scan_fast_path: cell.fast,
+            faults,
+            mirror,
+            on_corrupt,
+            cache: cell.cache.then_some(self.plan.cache),
+            ..SystemConfig::default()
         }
     }
-    if let Some(frozen) = pending {
-        if rng.bool() {
-            st.commit_merge()
-                .map_err(|e| format!("seed {seed}: final commit_merge failed: {e:?}"))?;
-            ops.push(IngestOp::MergeCommit(frozen));
-            model.commit(frozen, sort_by);
+
+    /// The one translation of a rider into a `QueryBuilder`. A `shared`
+    /// query is one the service runs (or the solo baseline it is compared
+    /// with): the cursor generalizes scan sharing to the Row and Column
+    /// layouts, so the slow column variants fold onto Column, and every
+    /// rider scales to the same virtual row count — the service requires
+    /// one clock scale, and a multi-second modeled pass is what makes late
+    /// arrivals attach mid-scan instead of finding an idle cursor.
+    fn query(
+        &self,
+        (table, tail): (&Arc<Table>, &Option<Arc<Rows>>),
+        r: &Rider,
+        sys: SystemConfig,
+        shared: bool,
+    ) -> rodb_types::Result<QueryBuilder> {
+        let layout = match self.plan.layout {
+            ScanLayout::Row => ScanLayout::Row,
+            _ if shared => ScanLayout::Column,
+            l => l,
+        };
+        let mut q = QueryBuilder::new(table.clone(), HardwareConfig::default(), sys)
+            .layout(layout)
+            .select_indices(&r.projection);
+        if shared {
+            q = q.scale_to_rows(10_000_000);
         }
-        // Otherwise the log ends with an uncommitted begin — recovery must
-        // treat it as aborted.
+        if let Some(tail) = tail {
+            q = q.wos_tail(tail.clone());
+        }
+        for p in &r.predicates {
+            q = q.filter_pred(p.clone())?;
+        }
+        if let Some(g) = r.group_by {
+            q = q.group_by(&format!("c{g}"))?;
+        }
+        for a in &r.aggs {
+            q = q.aggregate(*a);
+        }
+        if r.sorted_agg {
+            q = q.sorted_aggregation();
+        }
+        Ok(q)
     }
-    Ok((st, ops, model))
+
+    /// Oracle rows for the case's query over what a scan of `view` may
+    /// see: the table rows not `dropped`, then the staged tail.
+    fn expected(&self, view: &View, dropped: &[bool]) -> Rows {
+        let kept = |&(i, _): &(usize, &Vec<Value>)| !dropped.get(i).copied().unwrap_or(false);
+        let survivors = view.ros.iter().enumerate().filter(kept).map(|(_, r)| r);
+        let rows = survivors.chain(view.tail.iter().flat_map(|t| t.iter()));
+        oracle::expected(&CasePlan {
+            rows: rows.cloned().collect(),
+            ..self.plan.clone()
+        })
+    }
+
+    /// The case's cells, grouped by `damage × cache × fast`; a group is its
+    /// thread sweep, serial first.
+    fn groups(&self) -> Vec<Vec<Cell>> {
+        let a = &self.axes;
+        let mut out = Vec::new();
+        for &damage in &a.damage {
+            for &cache in &a.cache {
+                for &fast in &a.fast {
+                    out.push(
+                        a.threads
+                            .iter()
+                            .map(|&t| cell(t, fast, cache, damage))
+                            .collect(),
+                    );
+                }
+            }
+        }
+        out
+    }
+
+    fn run(&self) -> Verdict {
+        let table = Arc::new(self.engine("build", || build_table(&self.plan))?);
+        let first = self.groups()[0][0];
+        self.apply(&first, Evidence::Case)?;
+        let view = match &self.axes.source {
+            Source::Built => View {
+                table,
+                tail: None,
+                ros: self.plan.rows.clone(),
+            },
+            Source::Ingest(d) => {
+                let run = ingest::drive(self, table, d)?;
+                self.apply(&first, Evidence::Ingest(d, &run))?;
+                let store = if d.recovered {
+                    &run.recovered
+                } else {
+                    &run.store
+                };
+                let snap = store.snapshot();
+                View {
+                    table: snap.ros,
+                    tail: Some(snap.tail),
+                    ros: run.model.ros,
+                }
+            }
+        };
+        let has_tail = view.tail.as_ref().is_some_and(|t| !t.is_empty());
+        match &self.axes.runner {
+            Runner::Solo => self.solo_cells(&view, has_tail),
+            Runner::Service(draw) => self.service_cells(&view, has_tail, draw),
+        }
+    }
+
+    /// Solo runner: each group runs serial first, so its parallel runs can
+    /// be compared with it.
+    fn solo_cells(&self, view: &View, has_tail: bool) -> Verdict {
+        let healthy = Arc::new(self.expected(view, &[]));
+        for group in self.groups() {
+            let mut serial: Option<Rc<SoloRun>> = None;
+            for cell in group {
+                // The quarantine is shared across clones of a table handle,
+                // so a run that may quarantine pages reads through a fresh one.
+                let table = match cell.damage {
+                    Damage::Skip(_) => Arc::new(Table {
+                        quarantine: Default::default(),
+                        ..(*view.table).clone()
+                    }),
+                    _ => view.table.clone(),
+                };
+                let got = self.engine(&format!("{cell:?}"), || {
+                    let q =
+                        self.query((&table, &view.tail), &self.query, self.sys(&cell), false)?;
+                    Ok(q.run_collect())
+                })?;
+                let quarantine = table.quarantine.snapshot();
+                let mut dropped = vec![false; view.ros.len()];
+                for &q in &quarantine {
+                    mark_quarantined_span(&table, q, &mut dropped);
+                }
+                let union = dropped.iter().filter(|&&d| d).count() as u64;
+                let want = match union {
+                    0 => healthy.clone(),
+                    _ => Arc::new(self.expected(view, &dropped)),
+                };
+                let run = SoloRun {
+                    table,
+                    got,
+                    want,
+                    quarantine,
+                    union,
+                    has_tail,
+                    serial: serial.clone(),
+                };
+                self.apply(&cell, Evidence::Solo(&run))?;
+                if cell.threads == 1 {
+                    serial = Some(Rc::new(run));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Service runner: the drawn riders go through `QueryService` once per
+    /// cell and are compared with their own solo runs — the ordinary
+    /// bypassed engine on the plan's pool, healthy, no cache.
+    fn service_cells(&self, view: &View, has_tail: bool, draw: &ServiceDraw) -> Verdict {
+        let source = (&view.table, &view.tail);
+        let solo = cell(
+            self.plan.threads,
+            self.plan.scan_fast_path,
+            false,
+            Damage::None,
+        );
+        let mut want = Vec::with_capacity(draw.riders.len());
+        for (i, r) in draw.riders.iter().enumerate() {
+            let q = || self.query(source, r, self.sys(&solo), true)?.run_collect();
+            want.push(self.engine(&format!("solo rider {i}"), q)?.rows);
+        }
+        let want = Rc::new(want);
+        // One service run; the inner `Err` is the service's own verdict on
+        // the batch (legal for a tailed plan, see `Q2`).
+        let report = |cell: &Cell, observe: Option<ObserveSpec>| {
+            let sys = SystemConfig {
+                service: Some(draw.spec),
+                observe,
+                ..self.sys(cell)
+            };
+            let run = || {
+                // Each run owns its registry: sweeps never pollute the
+                // process-wide one.
+                let mut svc =
+                    QueryService::new(HardwareConfig::default(), sys)?.metrics(Registry::handle());
+                for (i, r) in draw.riders.iter().enumerate() {
+                    let req = ServiceRequest::new(self.query(source, r, sys, true)?);
+                    let req = req.at(draw.arrivals[i]).tenant(draw.tenants[i]);
+                    svc.submit(req.priority(draw.priorities[i]));
+                }
+                svc.run()
+            };
+            let what = format!("service, observe={}, {cell:?}", observe.is_some());
+            self.engine(&what, || Ok(run()))
+        };
+        for cell in self.groups().into_iter().flatten() {
+            let off = report(&cell, None)?;
+            let on = match (self.axes.observe, &off) {
+                (Some(_), Ok(_)) => {
+                    let on = report(&cell, self.axes.observe)?;
+                    Some(self.engine("observed service run", || on)?)
+                }
+                _ => None,
+            };
+            let (table, want) = (view.table.clone(), want.clone());
+            let run = ServiceRun {
+                table,
+                want,
+                has_tail,
+                off,
+                on,
+            };
+            self.apply(&cell, Evidence::Service(&run))?;
+        }
+        Ok(())
+    }
 }
 
-/// The recovered (or snapshotted) store must match the model exactly: same
-/// epoch, same staged tail in arrival order, same read-optimized rows in
-/// scan order.
-fn check_against_model(
-    st: &IngestStore,
-    m: &IngestModel,
-    seed: u64,
-    plan: &gen::CasePlan,
-    what: &str,
-) -> Result<(), String> {
-    let snap = st.snapshot();
-    if snap.epoch != m.epoch {
-        return Err(format!(
-            "seed {seed}: epoch {} != model {} ({what})\n  case: {}",
-            snap.epoch,
-            m.epoch,
-            plan.describe()
-        ));
+/// R1: rows == oracle(visible − dropped) in every exec × cache cell.
+fn r1(_: &Cell, run: &SoloRun) -> Verdict {
+    let res = (run.got.as_ref()).map_err(|e| format!("engine error {e:?}"))?;
+    let (got, want) = (&res.rows, &*run.want);
+    ensure!(
+        got == want,
+        "MISMATCH: engine {} rows, oracle {} rows ({} positions dropped)\n  engine: {got:?}\n  \
+         oracle: {want:?}",
+        got.len(),
+        want.len(),
+        run.union
+    );
+    Ok(())
+}
+
+/// W6: a snapshot read with a non-empty tail never runs in parallel.
+fn w6(_: &Cell, run: &SoloRun) -> Verdict {
+    let parallel = run.got.as_ref().is_ok_and(|r| r.parallel.is_some());
+    ensure!(
+        !(run.has_tail && parallel),
+        "a query with a staged tail took the parallel path"
+    );
+    Ok(())
+}
+
+/// F1: every read damaged + `Fail` ⇒ `Err(Corrupt)`, with one legal `Ok`:
+/// the fast path's zone maps live in clean in-memory
+/// table metadata and can prove every driver page irrelevant, so no page is
+/// ever *parsed* — remaining bytes are only drained for I/O accounting.
+/// Corrupt data that is actually decoded always fails its checksum.
+fn f1(_: &Cell, run: &SoloRun) -> Verdict {
+    match &run.got {
+        Err(Error::Corrupt(_)) => Ok(()),
+        Err(other) => Err(format!("expected Corrupt under faults, got {other:?}")),
+        Ok(res) if res.report.io.pages_skipped > 0 && res.rows == *run.want => Ok(()),
+        Ok(res) => Err(format!(
+            "fault-injected run returned {} rows without error (skipped {} pages)",
+            res.rows.len(),
+            res.report.io.pages_skipped
+        )),
     }
-    if *snap.tail != m.wos {
-        return Err(format!(
-            "seed {seed}: staged tail diverges from model ({what}): {} vs {} rows\n  case: {}",
-            snap.tail.len(),
-            m.wos.len(),
-            plan.describe()
-        ));
+}
+
+/// M1: a mirrored `Retry` repairs everything and quarantines nothing.
+fn m1(_: &Case, io: &IoStats, table: &Table) -> Verdict {
+    let (rec, held) = (io.recovery, table.quarantine.len());
+    ensure!(
+        rec.quarantined_pages == 0 && rec.dropped_rows == 0 && held == 0,
+        "a clean replica was available, yet {rec:?} and {held} pages in the table quarantine"
+    );
+    ensure!(
+        rec.repairs == rec.retries,
+        "the clean replica must repair every retry: {rec:?}"
+    );
+    Ok(())
+}
+
+/// S1: `Skip` accounting matches the quarantine the run left behind. A
+/// parallel run's `dropped_rows` may undercount the union (a straddling
+/// page demanded by only one morsel charges only that morsel's window) but
+/// never exceeds it, and is non-zero whenever anything was quarantined.
+fn s1(cell: &Cell, run: &SoloRun) -> Verdict {
+    let Ok(res) = &run.got else { return Ok(()) };
+    let (rec, union, held) = (
+        res.report.io.recovery,
+        run.union,
+        run.quarantine.len() as u64,
+    );
+    let (counted, dropped) = (rec.quarantined_pages, rec.dropped_rows);
+    ensure!(
+        counted == held,
+        "counted {counted} quarantined pages but the table quarantine holds {held}"
+    );
+    if cell.threads == 1 {
+        ensure!(
+            dropped == union,
+            "serial dropped_rows {dropped} != quarantined span union {union}"
+        );
+    } else {
+        ensure!(
+            dropped <= union && (union == 0 || dropped > 0),
+            "parallel dropped_rows {dropped} outside (0, {union}]"
+        );
     }
-    let ros = snap
-        .ros
-        .read_all(Layout::Row)
-        .map_err(|e| format!("seed {seed}: recovered ROS unreadable ({what}): {e:?}"))?;
-    if ros != m.ros {
-        return Err(format!(
-            "seed {seed}: ROS rows diverge from model ({what}): {} vs {} rows\n  case: {}",
-            ros.len(),
-            m.ros.len(),
-            plan.describe()
-        ));
+    if let Some(serial) = &run.serial {
+        let (par, ser) = (&run.quarantine, &serial.quarantine);
+        ensure!(
+            par == ser,
+            "parallel quarantined {par:?}, serial quarantined {ser:?}"
+        );
+        let same_rows = !serial.got.as_ref().is_ok_and(|s| s.rows != res.rows);
+        ensure!(same_rows, "parallel degraded rows differ from serial");
     }
     Ok(())
 }
 
-/// Run the plan's query over an ingest snapshot (ROS scan + spliced staged
-/// tail) under the given execution knobs.
-fn run_snapshot_query(
-    plan: &gen::CasePlan,
-    snap: &rodb_core::IngestSnapshot,
-    threads: usize,
-    fast: bool,
-    cache: Option<CacheSpec>,
-) -> rodb_types::Result<QueryResult> {
-    let sys = SystemConfig {
-        page_size: plan.page_size,
-        threads,
-        scan_fast_path: fast,
-        cache,
-        ..SystemConfig::default()
-    };
-    let mut q = QueryBuilder::new(snap.ros.clone(), HardwareConfig::default(), sys)
-        .layout(plan.layout)
-        .select_indices(&plan.projection)
-        .wos_tail(snap.tail.clone());
-    for p in &plan.predicates {
-        q = q.filter_pred(p.clone())?;
-    }
-    if let Some(g) = plan.group_by {
-        q = q.group_by(&format!("c{g}"))?;
-    }
-    for a in &plan.aggs {
-        q = q.aggregate(*a);
-    }
-    q.run_collect()
+/// C1: a cache-off run reports no cache activity.
+fn c1(_: &Case, io: &IoStats, _: &Table) -> Verdict {
+    ensure!(
+        io.cache == CacheStats::default(),
+        "cache-off run reported {:?}",
+        io.cache
+    );
+    Ok(())
 }
 
-/// Ingest-mode case: a drawn insert/merge/crash schedule against the durable
-/// write path, checked four ways.
-///
-/// 1. **Framing**: the WAL image length must equal the model's documented
-///    frame arithmetic summed over the logged ops.
-/// 2. **Crash points**: recovery from a clean truncation at every record
-///    boundary, every boundary − 1, and sampled interior offsets must
-///    rebuild exactly the model's fold of the surviving records — and the
-///    full-image recovery must re-derive the live store's row pages
-///    **bit-identically**.
-/// 3. **Corrupting crashes**: recovery from a bit-flipped image must never
-///    panic and must rebuild the model state at the longest valid prefix.
-/// 4. **Snapshot reads**: the plan's query over the final snapshot must
-///    match the oracle over `model ROS ++ staged tail` across
-///    {serial, parallel} × {scalar, fast path} × {cache on, off} — the tail
-///    splice is a visibility rule, never an answer change.
-pub fn run_ingest_case(seed: u64) -> Result<(), String> {
-    let (plan, sort_by, spec, mut rng) = ingest_plan(seed);
-    if plan.rows.is_empty() {
-        // Sampled inserts need a pool; empty tables are covered by every
-        // other mode (and by the core crate's ingest tests).
+/// C2: a zero-frame cache never hits or evicts.
+fn c2(case: &Case, io: &IoStats, _: &Table) -> Verdict {
+    let idle = io.cache.hits + io.cache.evictions == 0;
+    ensure!(
+        case.plan.cache.frames > 0 || idle,
+        "zero-frame cache hit or evicted: {:?}",
+        io.cache
+    );
+    Ok(())
+}
+
+/// C3: a serial cache-on scan of a non-empty table is seen by the cache.
+/// Zone-rejected pages bypass the cache entirely (neither fetched nor
+/// cached), so a fully skipped scan legally requests no pages — but then
+/// the skip counter must say so.
+fn c3(_: &Cell, run: &SoloRun) -> Verdict {
+    let Ok(res) = &run.got else { return Ok(()) };
+    let (c, skipped) = (res.report.io.cache, res.report.io.pages_skipped);
+    ensure!(
+        run.table.row_count == 0 || c.hits + c.misses > 0 || skipped > 0,
+        "cache-on scan of a non-empty table neither requested nor skipped a page"
+    );
+    Ok(())
+}
+
+/// C4: repairs == retries ≤ misses under a mirrored, cached run. Hits
+/// never roll faults, so a repaired read is always accounted a miss:
+/// a repaired page is re-read from disk, never served stale.
+fn c4(_: &Case, io: &IoStats, _: &Table) -> Verdict {
+    let (rec, misses) = (io.recovery, io.cache.misses);
+    ensure!(
+        rec.repairs == rec.retries && rec.repairs <= misses,
+        "{rec:?} with only {misses} cache misses"
+    );
+    Ok(())
+}
+
+/// Q1: one outcome per request, no rejection without a deadline, each
+/// rider's rows == its solo rows.
+fn q1(draw: &ServiceDraw, run: &ServiceRun) -> Verdict {
+    let report = match &run.off {
+        Ok(report) => report,
+        Err(_) if run.has_tail => return Ok(()), // Q2's case
+        Err(e) => return Err(format!("service run failed: {e:?}")),
+    };
+    let (got, k) = (&report.outcomes, run.want.len());
+    ensure!(got.len() == k, "{} outcomes for {k} requests", got.len());
+    for (i, (out, want)) in got.iter().zip(run.want.iter()).enumerate() {
+        let deadline = draw.spec.deadline_s.is_some();
+        ensure!(
+            !out.rejected || deadline,
+            "rider {i} rejected with no deadline configured"
+        );
+        ensure!(
+            out.rejected || out.rows == *want,
+            "rider {i} MISMATCH through the scheduler: service {} rows, solo {} rows\n  \
+             service: {:?}\n  solo: {want:?}",
+            out.rows.len(),
+            want.len(),
+            out.rows
+        );
+    }
+    Ok(())
+}
+
+/// Q2: non-empty tail ⇔ typed `InvalidPlan`. Riders see ROS row ranges
+/// only, so a tail would be silently dropped; the service must refuse.
+fn q2(_: &ServiceDraw, run: &ServiceRun) -> Verdict {
+    let refused = matches!(&run.off, Err(Error::InvalidPlan(_)));
+    let got = run.off.as_ref().map(|r| r.outcomes.len());
+    ensure!(
+        refused == run.has_tail && (refused || got.is_ok()),
+        "staged tail: {}, but the service returned {got:?}",
+        run.has_tail
+    );
+    Ok(())
+}
+
+/// O1: the modeled system is bit-identical with the plane on and off —
+/// every field of the report but the plane itself: makespan, I/O, segments,
+/// wraparounds, each outcome's clocks, rows and flags. `f64`'s `Debug` text
+/// round-trips, so equal text is equal bits.
+fn o1(on: &ServiceReport, off: &ServiceReport, _: &Observed) -> Verdict {
+    ensure!(off.observed.is_none(), "observe-off run carries a plane");
+    let bare = ServiceReport {
+        observed: None,
+        ..on.clone()
+    };
+    let (on, off) = (format!("{bare:#?}"), format!("{off:#?}"));
+    let diverged = on.lines().zip(off.lines()).find(|(a, b)| a != b);
+    ensure!(
+        on == off,
+        "observation PERTURBED the report; first divergence (on, off): {diverged:?}"
+    );
+    Ok(())
+}
+
+/// O2: timeline totals == outcome counts.
+fn o2(on: &ServiceReport, _: &ServiceReport, plane: &Observed) -> Verdict {
+    let rejected = on.outcomes.iter().filter(|o| o.rejected).count();
+    let want = ((on.outcomes.len() - rejected) as f64, rejected as f64);
+    let total = |name| plane.timeline.counter_total(name);
+    let got = (total("service.completed"), total("service.rejected"));
+    ensure!(
+        got == want,
+        "timeline (completed, rejected) {got:?} vs outcomes {want:?}"
+    );
+    Ok(())
+}
+
+/// O3: every deadline-missed completion is retained by the flight
+/// recorder in its completion window.
+fn o3(on: &ServiceReport, _: &ServiceReport, plane: &Observed) -> Verdict {
+    let missed = |o: &&rodb_core::QueryOutcome| o.deadline_missed && !o.rejected;
+    for (i, o) in on.outcomes.iter().enumerate().filter(|(_, o)| missed(o)) {
+        let w = plane.flight.window_of(o.arrival_s + o.latency_s);
+        let kept = plane.flight.anomalies(w);
+        ensure!(
+            kept.iter().any(|e| e.seq == i as u64 && e.deadline_missed),
+            "deadline-missed query {i} not retained by the flight recorder in window {w}"
+        );
+    }
+    Ok(())
+}
+
+/// O4: per-tenant SLO counts and p50/p95/p99 == a sorted-Vec oracle
+/// (populations here are far below the histogram's exact-sample cap).
+fn o4(on: &ServiceReport, _: &ServiceReport, plane: &Observed) -> Verdict {
+    for slo in &plane.slo.tenants {
+        let outs = on.outcomes.iter().filter(|o| o.tenant == slo.tenant);
+        let done = outs.clone().filter(|o| !o.rejected);
+        let mut lats: Vec<f64> = done.map(|o| o.latency_s).collect();
+        lats.sort_by(f64::total_cmp);
+        let (tenant, got) = (&slo.tenant, (slo.completed, slo.rejected));
+        let counts = (lats.len() as u64, (outs.count() - lats.len()) as u64);
+        ensure!(
+            got == counts,
+            "tenant {tenant} SLO (completed, rejected) {got:?} vs outcomes {counts:?}"
+        );
+        for q in [0.5, 0.95, 0.99] {
+            let want = match lats.len() {
+                0 => 0.0,
+                n => lats[((n - 1) as f64 * q).round() as usize],
+            };
+            let got = slo.latency.quantile(q);
+            ensure!(
+                got.to_bits() == want.to_bits(),
+                "tenant {tenant} p{} {got} != oracle {want}",
+                q * 100.0
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Run one seed under one mode; `Err` names the violated invariant, the
+/// cell, and the case.
+pub fn run(mode: Mode, seed: u64) -> Result<(), String> {
+    let case = Case::new(mode, seed);
+    if case.plan.rows.is_empty() && case.axes.needs_rows() {
         return Ok(());
     }
-    let width = plan.schema.logical_width();
-    let base = Arc::new(
-        catching(|| build_table(&plan))
-            .map_err(|p| format!("seed {seed}: build panicked: {p}"))?
-            .map_err(|e| format!("seed {seed}: build failed: {e:?}"))?,
+    case.run()
+}
+
+/// Re-run one seed with span tracing on and save both trace formats
+/// (`<dir>/fuzz_<mode>_seed_<n>.{trace,chrome}.json`) — the CI artifact
+/// path. The traced cell is the plan's own pool with the mode's cache
+/// setting; a mode that only runs damaged (recovery) traces the
+/// mirrored-repair configuration so the trace carries retry/repair events,
+/// every other mode runs healthy.
+pub fn save_case_trace(seed: u64, mode: Mode, dir: &str) -> Result<std::path::PathBuf, String> {
+    let case = Case::new(mode, seed);
+    let (axes, plan) = (&case.axes, &case.plan);
+    let table = Arc::new(case.engine("build", || build_table(plan))?);
+    let healthy = axes.damage.contains(&Damage::None) || !axes.damage.contains(&Damage::Retry);
+    let damage = if healthy { Damage::None } else { Damage::Retry };
+    let cache = *axes.cache.last().expect("every axis has a value");
+    let sys = case.sys(&cell(plan.threads, plan.scan_fast_path, cache, damage));
+    let res = case.engine("traced run", || {
+        let q = case.query((&table, &None), &case.query, sys, false)?;
+        q.trace(true).run_collect()
+    })?;
+    let trace = (res.trace).ok_or_else(|| format!("seed {seed}: traced run produced no trace"))?;
+    trace
+        .save(dir, &format!("fuzz_{}_seed_{seed}", mode.name()))
+        .map_err(|e| format!("seed {seed}: could not save trace: {e}"))
+}
+
+/// FNV-1a over the `Debug` text of everything `mode` draws for `seed`: the
+/// plan, the riders and their schedule, the observe and ingest knobs, the
+/// ingest op list and crash points. Pins that old seeds replay unchanged.
+pub fn replay_digest(mode: Mode, seed: u64) -> u64 {
+    let case = Case::new(mode, seed);
+    let (p, a) = (&case.plan, &case.axes);
+    let query = (
+        &p.projection,
+        &p.predicates,
+        p.group_by,
+        &p.aggs,
+        p.sorted_agg,
     );
-    let (st, ops, model) =
-        catching(|| drive_ingest(seed, &plan, base.clone(), sort_by, spec, &mut rng)).map_err(
-            |p| {
-                format!(
-                    "seed {seed}: PANIC in ingest schedule: {p}\n  case: {}",
-                    plan.describe()
-                )
-            },
-        )??;
-
-    // 1. The documented frame arithmetic is the real format.
-    let image = st.wal_image().to_vec();
-    let model_len: usize = ops.iter().map(|o| o.frame_len(width)).sum();
-    if image.len() != model_len {
-        return Err(format!(
-            "seed {seed}: WAL image {} bytes, frame arithmetic predicts {model_len}\n  case: {}",
-            image.len(),
-            plan.describe()
-        ));
-    }
-
-    // Live store vs the live model.
-    check_against_model(&st, &model, seed, &plan, "live store")?;
-
-    // 2. Clean-truncation crash points.
-    let mut ends = Vec::with_capacity(ops.len());
-    let mut off = 0usize;
-    for op in &ops {
-        off += op.frame_len(width);
-        ends.push(off);
-    }
-    let mut offsets: std::collections::BTreeSet<usize> = [0usize].into();
-    for &e in &ends {
-        offsets.insert(e);
-        offsets.insert(e - 1);
-    }
-    for _ in 0..8 {
-        offsets.insert(rng.below(image.len() as u64 + 1) as usize);
-    }
-    for &k in &offsets {
-        let (rec, rep) = catching(|| {
-            IngestStore::recover(
-                base.clone(),
-                plan.comps.clone(),
-                sort_by,
-                spec,
-                &image[..k],
-                None,
-            )
-        })
-        .map_err(|p| {
-            format!(
-                "seed {seed}: PANIC recovering crash at byte {k}: {p}\n  case: {}",
-                plan.describe()
-            )
-        })?
-        .map_err(|e| {
-            format!(
-                "seed {seed}: recovery failed on a clean prefix at byte {k}: {e:?}\n  case: {}",
-                plan.describe()
-            )
-        })?;
-        let m = fold_model(&plan.rows, &ops, width, k, sort_by);
-        check_against_model(&rec, &m, seed, &plan, &format!("crash at byte {k}"))?;
-        let durable = ends.iter().filter(|&&e| e <= k).count() as u64;
-        if rep.replayed != durable {
-            return Err(format!(
-                "seed {seed}: crash at byte {k} replayed {} records, model says {durable}\n  \
-                 case: {}",
-                rep.replayed,
-                plan.describe()
-            ));
+    let exec = (p.threads, p.scan_fast_path, p.cache);
+    let mut text = format!("{}\n{query:?}\n{exec:?}\n{:?}\n", p.describe(), p.rows);
+    if !p.rows.is_empty() {
+        if let Runner::Service(d) = &a.runner {
+            text += &format!("{d:?}\n{:?}\n", a.observe.map(|o| (o, &a.cache)));
         }
-        if k == image.len() {
-            // Full-image recovery re-derives the live pages bit-identically.
-            let (live, redo) = (st.ros(), rec.ros());
-            let same = match (live.row.as_ref(), redo.row.as_ref()) {
-                (Some(a), Some(b)) => a.file == b.file,
-                (None, None) => true,
-                _ => false,
-            };
-            if !same {
-                return Err(format!(
-                    "seed {seed}: full-image recovery rebuilt different row pages\n  case: {}",
-                    plan.describe()
-                ));
-            }
+        if let Source::Ingest(d) = &a.source {
+            let base = Arc::new(build_table(p).expect("generated table builds"));
+            let run = ingest::drive(&case, base, d).expect("drawn schedule is valid");
+            let knobs = (d.sort_by, d.spec, &run.sampled, &run.flips);
+            text += &format!("{knobs:?}\n{:?}\n", run.ops);
         }
     }
-
-    // 3. Corrupting crashes: never panic, recover the longest valid prefix.
-    for _ in 0..6 {
-        if image.is_empty() {
-            break;
-        }
-        let i = rng.below(image.len() as u64) as usize;
-        let bit = 1u8 << rng.below(8);
-        let mut dmg = image.clone();
-        dmg[i] ^= bit;
-        let (rec, rep) = catching(|| {
-            IngestStore::recover(base.clone(), plan.comps.clone(), sort_by, spec, &dmg, None)
-        })
-        .map_err(|p| {
-            format!(
-                "seed {seed}: PANIC recovering flipped byte {i}: {p}\n  case: {}",
-                plan.describe()
-            )
-        })?
-        .map_err(|e| {
-            format!(
-                "seed {seed}: recovery errored on flipped byte {i} (must degrade to the valid \
-                 prefix): {e:?}\n  case: {}",
-                plan.describe()
-            )
-        })?;
-        let m = fold_model(&plan.rows, &ops, width, rep.valid_len, sort_by);
-        check_against_model(&rec, &m, seed, &plan, &format!("flip at byte {i}"))?;
-    }
-
-    // 4. Snapshot reads across the config riders.
-    let snap = st.snapshot();
-    let mut oracle_plan = plan.clone();
-    oracle_plan.rows = model
-        .ros
-        .iter()
-        .cloned()
-        .chain(model.wos.iter().cloned())
-        .collect();
-    let want = oracle::expected(&oracle_plan);
-    for threads in thread_counts(&plan) {
-        for fast in [false, true] {
-            for cache in [None, Some(plan.cache)] {
-                let what = format!("{threads} threads, fast={fast}, cache={}", cache.is_some());
-                let got = catching(|| run_snapshot_query(&plan, &snap, threads, fast, cache))
-                    .map_err(|p| {
-                        format!(
-                            "seed {seed}: snapshot query PANIC ({what}): {p}\n  case: {}",
-                            plan.describe()
-                        )
-                    })?
-                    .map_err(|e| {
-                        format!(
-                            "seed {seed}: snapshot query failed ({what}): {e:?}\n  case: {}",
-                            plan.describe()
-                        )
-                    })?;
-                if got.rows != want {
-                    return Err(format!(
-                        "seed {seed}: snapshot MISMATCH ({what}): engine {} rows, oracle {} \
-                         rows\n  case: {}\n  engine: {:?}\n  oracle: {:?}",
-                        got.rows.len(),
-                        want.len(),
-                        plan.describe(),
-                        got.rows,
-                        want,
-                    ));
-                }
-                if !snap.tail.is_empty() && got.parallel.is_some() {
-                    return Err(format!(
-                        "seed {seed}: a query with a staged tail took the parallel path \
-                         ({what})\n  case: {}",
-                        plan.describe()
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     /// A slice of the seed space stays green in-tree so `cargo test` keeps
-    /// exercising the fuzzer end to end; CI and local runs sweep far more.
+    /// exercising every mode end to end; CI and local runs sweep far more.
     #[test]
-    fn smoke_oracle_agreement() {
-        for seed in 0..60 {
-            run_case(seed).unwrap();
-        }
-    }
-
-    #[test]
-    fn smoke_faults_fail_closed() {
-        for seed in 0..60 {
-            run_fault_case(seed).unwrap();
-        }
-    }
-
-    #[test]
-    fn smoke_recovery_repairs_and_degrades() {
-        for seed in 0..60 {
-            run_recovery_case(seed).unwrap();
-        }
-    }
-
-    #[test]
-    fn smoke_cache_modes_are_transparent() {
-        for seed in 0..60 {
-            run_cache_case(seed).unwrap();
-        }
-    }
-
-    #[test]
-    fn smoke_concurrent_matches_solo() {
-        for seed in 0..60 {
-            run_concurrent_case(seed).unwrap();
-        }
-    }
-
-    #[test]
-    fn smoke_ingest_recovers_and_reads() {
-        for seed in 0..60 {
-            run_ingest_case(seed).unwrap();
+    fn every_mode_is_clean_and_legal_on_a_seed_window() {
+        for mode in Mode::ALL {
+            for seed in 0..60 {
+                assert_eq!(
+                    Case::new(mode, seed).axes.legal(),
+                    Ok(()),
+                    "{mode:?} {seed}"
+                );
+                run(mode, seed).unwrap();
+            }
         }
     }
 
@@ -1780,25 +885,24 @@ mod tests {
         // protocol distinguishes: auto-merge specs, multi-epoch histories,
         // a log ending in an uncommitted begin, and inserts landing behind
         // a frozen prefix — otherwise the ingest sweep's claim is hollow.
-        let mut auto = false;
-        let mut multi_epoch = false;
-        let mut uncommitted_tail = false;
-        let mut sorted_key = false;
-        let mut unsorted = false;
+        let (mut auto, mut multi_epoch, mut uncommitted_tail) = (false, false, false);
+        let (mut sorted_key, mut unsorted) = (false, false);
         for seed in 0..200 {
-            let (plan, sort_by, spec, mut rng) = ingest_plan(seed);
-            if plan.rows.is_empty() {
+            let case = Case::new(Mode::Ingest, seed);
+            let Source::Ingest(d) = &case.axes.source else {
+                panic!("ingest mode reads an ingest source");
+            };
+            if case.plan.rows.is_empty() {
                 continue;
             }
-            auto |= spec.auto_merge_rows > 0;
-            sorted_key |= sort_by.is_some();
-            unsorted |= sort_by.is_none();
-            let base = Arc::new(build_table(&plan).unwrap());
-            let (st, ops, model) =
-                drive_ingest(seed, &plan, base, sort_by, spec, &mut rng).unwrap();
-            multi_epoch |= model.epoch >= 2;
-            uncommitted_tail |= matches!(ops.last(), Some(IngestOp::MergeBegin))
-                || (st.wos_len() > 0 && model.epoch > 0);
+            auto |= d.spec.auto_merge_rows > 0;
+            sorted_key |= d.sort_by.is_some();
+            unsorted |= d.sort_by.is_none();
+            let base = Arc::new(build_table(&case.plan).unwrap());
+            let run = ingest::drive(&case, base, d).unwrap();
+            multi_epoch |= run.model.epoch >= 2;
+            uncommitted_tail |= matches!(run.ops.last(), Some(ingest::IngestOp::MergeBegin))
+                || (run.store.wos_len() > 0 && run.model.epoch > 0);
         }
         assert!(auto, "no schedule drew an auto-merge spec");
         assert!(multi_epoch, "no schedule committed two merges");
@@ -1820,7 +924,6 @@ mod tests {
         // The generator should hit every storage kind, several codecs, all
         // four layouts, and both empty and multi-page tables within a small
         // window — otherwise the fuzzer's coverage claim is hollow.
-        use std::collections::HashSet;
         let mut storages = HashSet::new();
         let mut layouts = HashSet::new();
         let mut codecs = HashSet::new();
@@ -1850,6 +953,45 @@ mod tests {
                 cache_frames.contains(&frames),
                 "cache sizes: {cache_frames:?}"
             );
+        }
+    }
+
+    #[test]
+    fn composed_draws_every_legal_pair_of_axis_values() {
+        // (axis, non-default value, does the case take it?)
+        type Tag = (u8, &'static str, fn(&Axes) -> bool);
+        let tags: [Tag; 10] = [
+            (0, "parallel", |a| a.threads.iter().any(|&n| n > 1)),
+            (1, "fast", |a| a.fast.contains(&true)),
+            (2, "cache", |a| a.cache.contains(&true)),
+            (3, "retry", |a| a.damage.contains(&Damage::Retry)),
+            (3, "skip", |a| matches!(a.damage[0], Damage::Skip(_))),
+            (3, "fail", |a| a.damage.contains(&Damage::Fail)),
+            (
+                4,
+                "snapshot",
+                |a| matches!(&a.source, Source::Ingest(d) if !d.recovered),
+            ),
+            (
+                4,
+                "recovered",
+                |a| matches!(&a.source, Source::Ingest(d) if d.recovered),
+            ),
+            (5, "service", |a| a.is_service()),
+            (6, "observe", |a| a.observe.is_some()),
+        ];
+        let drawn: Vec<Axes> = (0..400)
+            .map(|s| Case::new(Mode::Composed, s).axes)
+            .collect();
+        // What `Axes::legal` excludes: lossy damage under the service, which
+        // an observed case needs. Narrowing `legal` must show up here.
+        let excluded =
+            |a: &str, b: &str| matches!(a, "skip" | "fail") && matches!(b, "service" | "observe");
+        for a in &tags {
+            for b in tags.iter().filter(|b| a.0 < b.0 && !excluded(a.1, b.1)) {
+                let both = drawn.iter().any(|x| a.2(x) && b.2(x));
+                assert!(both, "{} x {} never drawn in 400 seeds", a.1, b.1);
+            }
         }
     }
 }

@@ -1,59 +1,41 @@
 //! Fuzzer CLI.
 //!
 //! ```text
-//! cargo run -p rodb-fuzz --release -- --iters 10000             # oracle diff
-//! cargo run -p rodb-fuzz --release -- --iters 10000 --faults    # fault mode
-//! cargo run -p rodb-fuzz --release -- --iters 10000 --recovery  # recovery mode
-//! cargo run -p rodb-fuzz --release -- --iters 10000 --cache     # cache mode
-//! cargo run -p rodb-fuzz --release -- --iters 10000 --concurrent # scheduler
-//! cargo run -p rodb-fuzz --release -- --iters 10000 --ingest     # durable ingest
-//! cargo run -p rodb-fuzz --release -- --iters 10000 --observe    # observability
-//! cargo run -p rodb-fuzz -- --seed 1234                         # replay one
+//! cargo run -p rodb-fuzz --release -- --iters 10000                  # plain oracle diff
+//! cargo run -p rodb-fuzz --release -- --iters 10000 --mode composed  # every axis drawn
+//! cargo run -p rodb-fuzz -- --mode recovery --seed 1234              # replay one
 //! ```
 //!
-//! Every failure prints the reproducing seed; the exit code is non-zero if
-//! any seed failed. `--json PATH` additionally writes a one-object summary
-//! (mode, seed window, failing seeds, drained metrics registry) for CI
-//! artifacts; `--trace-dir DIR` re-runs the sweep's first seed with span
-//! tracing and saves both trace formats there.
+//! Every failure prints the reproducing mode and seed; the exit code is
+//! non-zero if any seed failed. `--json PATH` additionally writes a
+//! one-object summary (mode, seed window, failing seeds, drained metrics
+//! registry) for CI artifacts; `--trace-dir DIR` re-runs the sweep's first
+//! seed with span tracing and saves both trace formats there.
 
 use std::process::ExitCode;
 
+use rodb_fuzz::Mode;
 use rodb_trace::{Json, MetricsRegistry};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: rodb-fuzz [--seed N | --start-seed N --iters N] [--faults | --recovery | \
-         --cache | --concurrent | --ingest] [--json PATH]\n\
+        "usage: rodb-fuzz [--seed N | --start-seed N --iters N] [--mode MODE] [--json PATH] \
+         [--trace-dir DIR]\n\
          \n\
          --seed N        run exactly one seed (replay a failure)\n\
          --start-seed N  first seed of a sweep (default 0)\n\
          --iters N       number of seeds to sweep (default 200)\n\
-         --faults        fault-injection mode: every page read is corrupted\n\
-                         and the engine must return Err(Corrupt)\n\
-         --recovery      recovery mode: mirrored reads must repair to\n\
-                         oracle-identical rows; mirror=1 Skip scans must\n\
-                         return the oracle over exactly the surviving rows\n\
-         --cache         cache mode: the drawn page-cache geometry across\n\
-                         {{serial,parallel}}x{{scalar,fast}}x{{on,off}} must\n\
-                         stay bit-identical; repaired pages re-read, never\n\
-                         served stale\n\
-         --concurrent    concurrent mode: the seed's plan plus drawn riders\n\
-                         run through the query service (mixed arrivals,\n\
-                         admission, cache on/off) and every query's rows\n\
-                         must match its solo run\n\
-         --ingest        ingest mode: a drawn insert/merge/crash schedule\n\
-                         against the WAL-backed store; recovery at sampled\n\
-                         crash points and snapshot reads must match a\n\
-                         Vec-of-tuples model exactly\n\
-         --observe       observe mode: the concurrent-style service runs\n\
-                         with the observability plane off vs fully on;\n\
-                         rows, clocks and report aggregates must be\n\
-                         bit-identical, and the plane must reconcile with\n\
-                         the report\n\
+         --mode MODE     which projection of the axis space to run (default plain):\n\
+         \x20 plain       {{serial,parallel}}x{{scalar,fast}} rows == oracle; merge join\n\
+         \x20 faults      every page read damaged + Fail: Err(Corrupt) or a proven skip\n\
+         \x20 recovery    mirrored Retry == oracle; Skip (100%, 15%) == oracle over survivors\n\
+         \x20 cache       drawn cache geometry on/off, healthy and mirrored: same rows\n\
+         \x20 concurrent  plan + drawn riders through the service: rows == solo runs\n\
+         \x20 observe     service with the observability plane off vs on: bit-identical\n\
+         \x20 ingest      drawn insert/merge/crash schedule: recovery and reads == model\n\
+         \x20 composed    every axis drawn independently (DESIGN.md, \"Model oracle\")\n\
          --json PATH     write a JSON summary of the sweep to PATH\n\
-         --trace-dir DIR re-run the first seed traced; save span + Chrome\n\
-                         trace JSON under DIR"
+         --trace-dir DIR re-run the first seed traced; save span + Chrome trace JSON"
     );
     std::process::exit(2);
 }
@@ -90,12 +72,7 @@ fn main() -> ExitCode {
     let mut seed: Option<u64> = None;
     let mut start: u64 = 0;
     let mut iters: u64 = 200;
-    let mut faults = false;
-    let mut recovery = false;
-    let mut cache = false;
-    let mut concurrent = false;
-    let mut ingest = false;
-    let mut observe = false;
+    let mut mode = Mode::Plain;
     let mut json: Option<String> = None;
     let mut trace_dir: Option<String> = None;
     while let Some(a) = args.next() {
@@ -103,63 +80,29 @@ fn main() -> ExitCode {
             "--seed" => seed = Some(parse_u64(args.next())),
             "--start-seed" => start = parse_u64(args.next()),
             "--iters" => iters = parse_u64(args.next()),
-            "--faults" => faults = true,
-            "--recovery" => recovery = true,
-            "--cache" => cache = true,
-            "--concurrent" => concurrent = true,
-            "--ingest" => ingest = true,
-            "--observe" => observe = true,
+            "--mode" => {
+                mode = args
+                    .next()
+                    .and_then(|m| Mode::parse(&m))
+                    .unwrap_or_else(|| usage())
+            }
             "--json" => json = Some(args.next().unwrap_or_else(|| usage())),
             "--trace-dir" => trace_dir = Some(args.next().unwrap_or_else(|| usage())),
             _ => usage(),
         }
     }
-    if (faults as u8)
-        + (recovery as u8)
-        + (cache as u8)
-        + (concurrent as u8)
-        + (ingest as u8)
-        + (observe as u8)
-        > 1
-    {
-        usage();
-    }
     let (first, count) = match seed {
         Some(s) => (s, 1),
         None => (start, iters),
     };
-    type CaseFn = fn(u64) -> Result<(), String>;
-    let (mode, run): (&str, CaseFn) = if faults {
-        ("faults", rodb_fuzz::run_fault_case)
-    } else if recovery {
-        ("recovery", rodb_fuzz::run_recovery_case)
-    } else if cache {
-        ("cache", rodb_fuzz::run_cache_case)
-    } else if concurrent {
-        ("concurrent", rodb_fuzz::run_concurrent_case)
-    } else if ingest {
-        ("ingest", rodb_fuzz::run_ingest_case)
-    } else if observe {
-        ("observe", rodb_fuzz::run_observe_case)
-    } else {
-        ("healthy", rodb_fuzz::run_case)
-    };
+    let name = mode.name();
 
     let mut failed: Vec<u64> = Vec::new();
     for s in first..first.saturating_add(count) {
-        if let Err(msg) = run(s) {
+        if let Err(msg) = rodb_fuzz::run(mode, s) {
             failed.push(s);
             eprintln!("FAIL {msg}");
-            let flag = match mode {
-                "faults" => " --faults",
-                "recovery" => " --recovery",
-                "cache" => " --cache",
-                "concurrent" => " --concurrent",
-                "ingest" => " --ingest",
-                "observe" => " --observe",
-                _ => "",
-            };
-            eprintln!("  reproduce: cargo run -p rodb-fuzz -- --seed {s}{flag}");
+            eprintln!("  reproduce: cargo run -p rodb-fuzz -- --mode {name} --seed {s}");
         }
     }
     if let Some(dir) = &trace_dir {
@@ -169,15 +112,15 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &json {
-        if let Err(e) = write_json(path, mode, first, count, &failed) {
+        if let Err(e) = write_json(path, &name, first, count, &failed) {
             eprintln!("warning: could not write {path}: {e}");
         }
     }
     if failed.is_empty() {
-        println!("ok: {count} seed(s) from {first} clean ({mode} mode)");
+        println!("ok: {count} seed(s) from {first} clean ({name} mode)");
         ExitCode::SUCCESS
     } else {
-        eprintln!("{}/{count} seed(s) failed ({mode} mode)", failed.len());
+        eprintln!("{}/{count} seed(s) failed ({name} mode)", failed.len());
         ExitCode::FAILURE
     }
 }

@@ -202,3 +202,21 @@ fn aggregate(plan: &CasePlan, projected: &[Vec<Value>]) -> Vec<Vec<Value>> {
         })
         .collect()
 }
+
+/// Expected rows of an inner equi-join of `left` and `right` on
+/// `left[lkey] == right[rkey]`: a nested loop, left-major — the order a
+/// merge join emits when both inputs are sorted on their keys.
+pub fn expected_join(
+    left: &[Vec<Value>],
+    lkey: usize,
+    right: &[Vec<Value>],
+    rkey: usize,
+) -> Vec<Vec<Value>> {
+    let mut out = Vec::new();
+    for l in left {
+        for r in right.iter().filter(|r| r[rkey] == l[lkey]) {
+            out.push(l.iter().chain(r).cloned().collect());
+        }
+    }
+    out
+}
