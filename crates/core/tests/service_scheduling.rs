@@ -6,10 +6,11 @@ use std::sync::Arc;
 
 use rodb_core::{IngestStore, QueryBuilder, QueryService, ServiceRequest};
 use rodb_engine::{AggSpec, CmpOp, ScanLayout};
+use rodb_storage::page::verified_pages;
 use rodb_storage::{BuildLayouts, Table, TableBuilder};
 use rodb_types::{
-    Admission, CacheSpec, Column, Error, FaultSpec, HardwareConfig, IngestSpec, OnCorrupt, Schema,
-    ServiceSpec, SystemConfig, Value,
+    Admission, CacheSpec, Column, CorruptKind, Error, FaultSpec, HardwareConfig, IngestSpec,
+    OnCorrupt, Schema, ServiceSpec, SystemConfig, Value,
 };
 
 // A wide lineitem-style hot table: row-store scans of it are strongly
@@ -392,4 +393,71 @@ fn a_corrupt_page_fails_the_whole_batch_with_page_context() {
     for (out, req) in report.outcomes.iter().zip(workload(&t, hw, healthy)) {
         assert_eq!(out.rows, solo_rows(&req));
     }
+
+    // Damage only the driver pass meets: one flipped bit in the last page of
+    // `tag` (rows 3 556..). The rider that reads `tag` filters `v < 2 000`
+    // first, so its own scan drives `tag` through the first 2 000 positions
+    // and reads past the rest of the file unverified — solo, it answers. The
+    // driver decodes nothing but still checksums every page of every union
+    // column, so the batch fails on that page: `tag` is the third file the
+    // driver opens (union columns in index order).
+    let tagged = || {
+        let schema = vec![Column::int("k"), Column::int("v"), Column::text("tag", 8)];
+        let schema = Arc::new(Schema::new(schema).unwrap());
+        let mut b = TableBuilder::new("tagged", schema, 4096, BuildLayouts::both()).unwrap();
+        for i in 0..4_000 {
+            let tag = Value::text(["aa", "bb", "cc"][i as usize % 3]);
+            b.push_row(&[Value::Int(i % 100), Value::Int(i), tag])
+                .unwrap();
+        }
+        b.finish().unwrap()
+    };
+    let mut flipped = tagged();
+    let tag = &mut flipped.col.as_mut().unwrap().columns[2];
+    assert_eq!((tag.values_per_page, tag.pages), (508, 8));
+    Arc::make_mut(&mut tag.file)[7 * 4_096 + 100] ^= 0x10;
+    let (clean, flipped) = (Arc::new(tagged()), Arc::new(flipped));
+    // The fast path is where a full-scan driver paid a checksum pass per
+    // position of every text column.
+    let s = sys(ServiceSpec::new(4))
+        .with_threads(2)
+        .with_scan_fast_path(true);
+    let riders = |t: &Arc<Table>| {
+        let q = || QueryBuilder::new(t.clone(), hw, s).layout(ScanLayout::Column);
+        vec![
+            ServiceRequest::new(q().select_indices(&[0, 1])),
+            ServiceRequest::new(
+                q().select_indices(&[2])
+                    .filter("v", CmpOp::Lt, 2_000)
+                    .unwrap(),
+            ),
+        ]
+    };
+    assert_eq!(solo_rows(&riders(&flipped)[1]).len(), 2_000);
+    let service = |t: &Arc<Table>| {
+        let mut svc = QueryService::new(hw, s).unwrap();
+        for r in riders(t) {
+            svc.submit(r);
+        }
+        svc
+    };
+    match service(&flipped).run() {
+        Err(Error::Corrupt(c)) => {
+            assert_eq!(c.kind, CorruptKind::Checksum, "{c:?}");
+            assert_eq!((c.file_id, c.page_id), (Some(3), Some(7)), "{c:?}");
+        }
+        Ok(_) => panic!("the driver pass missed the flipped bit"),
+        Err(e) => panic!("expected Corrupt, got {e}"),
+    }
+
+    // Verify-once for the driver: over the healthy table it spends one
+    // checksum pass per page it moves, however many rows and text columns
+    // the riders read. `verified_pages` counts the calling thread only, and
+    // with two riders on a two-worker pool every rider job runs on a spawned
+    // thread — what is left on this one is the driver.
+    let before = verified_pages();
+    let report = service(&clean).run().unwrap();
+    let pages_read = report.io.bytes_read / 4_096.0;
+    assert!(pages_read > 0.0);
+    assert_eq!((verified_pages() - before) as f64, pages_read);
 }

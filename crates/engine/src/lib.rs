@@ -35,9 +35,9 @@ pub use op::{drain_rows, ExecContext, Operator};
 pub use page_cursor::{HeldPage, PageCursor};
 pub use plan::{AggPlan, QueryPlan, ScanLayout, ScanSpec};
 pub use predicate::{CmpOp, Predicate};
-pub use scan_col::{ColumnScanMode, ColumnScanner};
+pub use scan_col::{column_page_pass, ColumnScanMode, ColumnScanner};
 pub use scan_col_single::SingleIteratorColumnScanner;
-pub use scan_row::RowScanner;
+pub use scan_row::{row_page_pass, RowScanner};
 pub use sched::{JobOutcome, QueryJob, TaskScheduler};
 pub use shared_cursor::{CursorQuery, QueryDone, SharedCursor, SharedCursorConfig};
 pub use sort::Sort;

@@ -19,6 +19,7 @@
 //!   (Figure 9's CPU effect) — the page decode cache below does exactly
 //!   that work and charges it.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rodb_compress::{Codec, ColumnCompression};
@@ -42,6 +43,18 @@ pub enum ColumnScanMode {
     /// Waits for each column's request to complete before submitting the
     /// next (the "slow" curve of Figure 11).
     Slow,
+}
+
+impl ColumnScanMode {
+    /// Submission aggressiveness (§4.5): the pipelined scanner keeps the
+    /// next column's request in flight; the slow variant (and single-file
+    /// row scans) submit strictly one at a time.
+    fn interleave(self, nodes: usize) -> u64 {
+        match self {
+            ColumnScanMode::Pipelined if nodes > 1 => 2,
+            _ => 1,
+        }
+    }
 }
 
 /// One scan node: a column file plus its predicates.
@@ -266,14 +279,9 @@ impl ColumnScanner {
         }
         let range = nodes[0].pages.range();
 
-        // Submission aggressiveness (§4.5): the pipelined scanner keeps the
-        // next column's request in flight; the slow variant (and single-file
-        // row scans) submit strictly one at a time.
-        let interleave = match mode {
-            ColumnScanMode::Pipelined if nodes.len() > 1 => 2,
-            _ => 1,
-        };
-        ctx.disk.borrow_mut().set_interleave(interleave);
+        ctx.disk
+            .borrow_mut()
+            .set_interleave(mode.interleave(nodes.len()));
 
         Ok(ColumnScanner {
             ctx: ctx.clone(),
@@ -617,6 +625,98 @@ impl Operator for ColumnScanner {
             // Entire batch filtered out — continue with the next batch.
         }
     }
+}
+
+/// The pipelined scanner's page schedule with the values taken out — the
+/// shared cursor's driver pass ([`crate::shared_cursor`]). It moves and
+/// checksums (once each) exactly the pages a predicate-free
+/// [`ColumnScanner`] over `cols` and `range` would, in the order that scanner
+/// would request them, and decodes no value, evaluates nothing and assembles
+/// no block.
+///
+/// The block-fill rule is [`ColumnScanner::next`]'s: node 0 pulls pages
+/// until a block's worth of window positions is pending, then every later
+/// column is driven through the block's positions, pulling each page on the
+/// way. Positions — not just a block's last ordinal — are carried so that
+/// `on_corrupt = Skip` quarantines and drops what the scanner would: a
+/// damaged page is quarantined only when a position that survived the
+/// earlier columns targets it. `tests/page_pass_lockstep.rs` holds this
+/// function to the scanner's `IoStats`, disk events and cache residency.
+pub fn column_page_pass(
+    table: &Table,
+    cols: &[usize],
+    ctx: &ExecContext,
+    range: (u64, u64),
+) -> Result<()> {
+    scan_schema(&table.schema, cols, &[])?;
+    let mut nodes = cols
+        .iter()
+        .map(|&col| PageCursor::open(ctx, table, Some(col), Some(range)))
+        .collect::<Result<Vec<_>>>()?;
+    ctx.disk
+        .borrow_mut()
+        .set_interleave(ColumnScanMode::Pipelined.interleave(nodes.len()));
+    let (node0, driven) = nodes
+        .split_first_mut()
+        .expect("scan_schema rejects an empty projection");
+    let range = node0.range();
+    let block_cap = ctx.sys.block_tuples;
+    let mut dropped = DropSet::default();
+    let mut pending: VecDeque<u64> = VecDeque::new();
+    let mut node0_eof = false;
+    loop {
+        while !node0_eof && pending.len() < block_cap {
+            match node0.next() {
+                None => node0_eof = true,
+                Some((_, first_row, Ok(page))) => {
+                    let rows =
+                        first_row.max(range.0)..(first_row + page.count() as u64).min(range.1);
+                    pending.extend(rows.filter(|&pos| !dropped.contains(pos)));
+                }
+                Some((page_index, _, Err(e))) if node0.skips(&e) => {
+                    node0.quarantine(page_index, &mut dropped)
+                }
+                Some((_, _, Err(e))) => return Err(e),
+            }
+        }
+        if pending.is_empty() {
+            break;
+        }
+        let take = block_cap.min(pending.len());
+        let mut block: Vec<u64> = pending.drain(..take).collect();
+        for node in driven.iter_mut() {
+            let mut failed = None;
+            block.retain(|&pos| {
+                if failed.is_some() || dropped.contains(pos) {
+                    return false;
+                }
+                if node.holds(pos) {
+                    return true;
+                }
+                match node.seek(pos, |_, _| Ok(())) {
+                    Ok(()) => true,
+                    Err(e) if node.skips(&e) => {
+                        node.quarantine_row(pos, &mut dropped);
+                        false
+                    }
+                    Err(e) => {
+                        failed = Some(e);
+                        false
+                    }
+                }
+            });
+            if let Some(e) = failed {
+                return Err(e);
+            }
+        }
+    }
+    if dropped.total() > 0 {
+        ctx.disk.borrow_mut().note_dropped_rows(dropped.total());
+    }
+    for node in &mut nodes {
+        node.drain();
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -372,6 +372,28 @@ impl Operator for RowScanner {
     }
 }
 
+/// The row scanner's page schedule with the tuples taken out — the shared
+/// cursor's driver pass over the row file (see
+/// [`crate::scan_col::column_page_pass`]): pull and checksum, once, every
+/// page holding `range`, quarantining under `on_corrupt = Skip` what a
+/// [`RowScanner`] would, and parse no tuple.
+pub fn row_page_pass(table: &Table, ctx: &ExecContext, range: (u64, u64)) -> Result<()> {
+    let mut pages = PageCursor::open(ctx, table, None, Some(range))?;
+    ctx.disk.borrow_mut().set_interleave(1);
+    let mut dropped = DropSet::default();
+    while let Some((page_index, _, page)) = pages.next() {
+        match page {
+            Ok(_) => {}
+            Err(e) if pages.skips(&e) => pages.quarantine(page_index, &mut dropped),
+            Err(e) => return Err(e),
+        }
+    }
+    if dropped.total() > 0 {
+        ctx.disk.borrow_mut().note_dropped_rows(dropped.total());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

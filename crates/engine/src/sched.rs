@@ -177,29 +177,38 @@ impl TaskScheduler {
             "sched.worker_occupancy",
             pool as f64 / self.workers as f64,
         );
-        std::thread::scope(|scope| -> Result<()> {
-            let mut handles = Vec::with_capacity(pool);
-            for _ in 0..pool {
-                let queue = &queue;
-                let tasks = &tasks;
-                let morsel_lists = &morsel_lists;
-                handles.push(scope.spawn(move || -> Result<Vec<(usize, TaskOutcome)>> {
-                    let mut mine = Vec::new();
-                    loop {
-                        let idx = queue.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(j, m)) = tasks.get(idx) else { break };
-                        let out = run_task(&jobs[j], morsel_lists[j][m])?;
-                        mine.push((idx, out));
-                    }
-                    Ok(mine)
-                }));
+        if pool == 1 {
+            // A pool of one is the calling thread: the shared cursor runs a
+            // batch per segment visit, and a spawn + join per batch costs
+            // more than its one-worker tasks.
+            for (idx, &(j, m)) in tasks.iter().enumerate() {
+                tagged.push((idx, run_task(&jobs[j], morsel_lists[j][m])?));
             }
-            for h in handles {
-                let mine = h.join().expect("scheduler worker panicked")?;
-                tagged.extend(mine);
-            }
-            Ok(())
-        })?;
+        } else {
+            std::thread::scope(|scope| -> Result<()> {
+                let mut handles = Vec::with_capacity(pool);
+                for _ in 0..pool {
+                    let queue = &queue;
+                    let tasks = &tasks;
+                    let morsel_lists = &morsel_lists;
+                    handles.push(scope.spawn(move || -> Result<Vec<(usize, TaskOutcome)>> {
+                        let mut mine = Vec::new();
+                        loop {
+                            let idx = queue.fetch_add(1, Ordering::Relaxed);
+                            let Some(&(j, m)) = tasks.get(idx) else { break };
+                            let out = run_task(&jobs[j], morsel_lists[j][m])?;
+                            mine.push((idx, out));
+                        }
+                        Ok(mine)
+                    }));
+                }
+                for h in handles {
+                    let mine = h.join().expect("scheduler worker panicked")?;
+                    tagged.extend(mine);
+                }
+                Ok(())
+            })?;
+        }
         tagged.sort_by_key(|(idx, _)| *idx);
 
         // Regroup per job. Tasks of one job appear in morsel order within

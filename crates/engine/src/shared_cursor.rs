@@ -10,18 +10,21 @@
 //! its missed prefix after the cursor wraps around. Each segment visit
 //! runs:
 //!
-//! 1. **One driver pass** — a serial scan of the union of all attached
-//!    queries' columns (projection ∪ predicate inputs), with no
-//!    predicates, optionally through a shared page cache. This is the only
-//!    I/O the segment charges: one file pass per wraparound cycle no
-//!    matter how many queries ride it.
-//! 2. **Per-query work** off the shared stream — each query's predicates,
-//!    projection and partial aggregation over the segment, executed as
-//!    single-task jobs on one [`TaskScheduler`] pool. Their simulated I/O
-//!    is discarded (the driver already paid it); their CPU is charged in
-//!    full per query. That is deliberately conservative: the paper's
-//!    shared-scan model amortizes predicate evaluation too, but here
-//!    every query keeps its exact solo kernel costs so results and
+//! 1. **One driver pass** — the pages of the union of all attached
+//!    queries' columns (projection ∪ predicate inputs) are moved and
+//!    checksummed once each, in the order a predicate-free scan of that
+//!    union would request them ([`row_page_pass`] / [`column_page_pass`]),
+//!    optionally through a shared page cache. The driver decodes nothing:
+//!    it exists to charge the segment's only I/O — one file pass per
+//!    wraparound cycle no matter how many queries ride it — and to fail
+//!    the batch on a page that is bad on every replica.
+//! 2. **Per-query work** off the shared stream — riders decode: each
+//!    query's predicates, projection and partial aggregation over the
+//!    segment, executed as single-task jobs on one [`TaskScheduler`] pool.
+//!    Their simulated I/O is discarded (the driver already paid it); their
+//!    CPU is charged in full per query. That is deliberately conservative:
+//!    the paper's shared-scan model amortizes predicate evaluation too, but
+//!    here every query keeps its exact solo kernel costs so results and
 //!    per-query CPU attribution stay bit-identical to solo runs.
 //!
 //! Per-segment results are stored by *segment index* and reassembled in
@@ -41,8 +44,10 @@ use rodb_types::{Error, HardwareConfig, Result, SystemConfig, Value};
 
 use crate::agg::{merge_partials, AggPartial};
 use crate::exec::DEFAULT_OVERLAP_LOSS;
-use crate::op::{drain, ExecContext};
-use crate::plan::{QueryPlan, ScanLayout, ScanSpec};
+use crate::op::ExecContext;
+use crate::plan::{QueryPlan, ScanLayout};
+use crate::scan_col::column_page_pass;
+use crate::scan_row::row_page_pass;
 use crate::sched::{QueryJob, TaskScheduler};
 
 /// Cursor-level knobs (the service derives these from
@@ -125,6 +130,10 @@ pub struct SharedCursor {
     segments: Vec<(u64, u64)>,
     pos: usize,
     active: Vec<ActiveQuery>,
+    /// Sorted union of the active queries' projection and predicate
+    /// columns — what the driver pass moves. Kept current by
+    /// [`SharedCursor::refresh_union_cols`] whenever `active` changes.
+    union_cols: Vec<usize>,
     io: IoStats,
     cycles: u64,
 }
@@ -170,6 +179,7 @@ impl SharedCursor {
             segments,
             pos: 0,
             active: Vec::new(),
+            union_cols: Vec::new(),
             io: IoStats::default(),
             cycles: 0,
         })
@@ -200,7 +210,24 @@ impl SharedCursor {
             blocks: 0,
             cpu_s: 0.0,
         });
+        self.refresh_union_cols();
         Ok(attach_seg)
+    }
+
+    fn refresh_union_cols(&mut self) {
+        self.union_cols = self
+            .active
+            .iter()
+            .flat_map(|a| {
+                let scan = &a.q.plan.scan;
+                scan.projection
+                    .iter()
+                    .copied()
+                    .chain(scan.predicates.iter().map(|p| p.col))
+            })
+            .collect();
+        self.union_cols.sort_unstable();
+        self.union_cols.dedup();
     }
 
     pub fn active_count(&self) -> usize {
@@ -239,43 +266,26 @@ impl SharedCursor {
         let seg_idx = self.pos;
         let (start, end) = self.segments[seg_idx];
 
-        // 1. Driver pass: union projection, no predicates, I/O charged
-        // once. The driver's *scan* CPU is not charged (each query already
-        // pays its own full kernel costs below); only the kernel-side I/O
-        // work of the bytes it actually moved is.
-        let mut union_cols: Vec<usize> = self
-            .active
-            .iter()
-            .flat_map(|a| {
-                let scan = &a.q.plan.scan;
-                scan.projection
-                    .iter()
-                    .copied()
-                    .chain(scan.predicates.iter().map(|p| p.col))
-            })
-            .collect();
-        union_cols.sort_unstable();
-        union_cols.dedup();
+        // 1. Driver pass: the union columns' pages, moved and verified, I/O
+        // charged once. It does no scan work (each query pays its own full
+        // kernel costs below), so its meter holds only the kernel-side I/O
+        // work of the bytes it actually moved.
         let ctx = ExecContext::new(self.hw, self.sys, self.row_scale)?;
         if let Some(cache) = &self.cache {
             ctx.disk.borrow_mut().set_page_cache(cache.clone());
         }
-        let spec =
-            ScanSpec::new(self.table.clone(), self.layout, union_cols).with_row_range(start, end);
-        let mut op = spec.build(&ctx)?;
-        drain(op.as_mut())?;
-        let before_settle = ctx
-            .meter
-            .borrow()
-            .breakdown(&self.hw)
-            .scaled(self.row_scale);
+        match self.layout {
+            // `new` admits only the Row and Column layouts.
+            ScanLayout::Row => row_page_pass(&self.table, &ctx, (start, end))?,
+            _ => column_page_pass(&self.table, &self.union_cols, &ctx, (start, end))?,
+        }
         ctx.settle_io_kernel_work();
-        let after_settle = ctx
+        let driver_kernel_s = ctx
             .meter
             .borrow()
             .breakdown(&self.hw)
-            .scaled(self.row_scale);
-        let driver_kernel_s = after_settle.total() - before_settle.total();
+            .scaled(self.row_scale)
+            .total();
         let driver_io = *ctx.disk.borrow().stats();
         self.io.merge(&driver_io);
 
@@ -325,6 +335,9 @@ impl SharedCursor {
             .into_iter()
             .partition(|a| a.visited == nsegs);
         self.active = riding;
+        if !finished.is_empty() {
+            self.refresh_union_cols();
+        }
         for a in finished {
             let rows: Vec<Vec<Value>>;
             let mut nrows = a.nrows;
@@ -381,7 +394,7 @@ mod tests {
     use super::*;
     use crate::agg::{AggSpec, AggStrategy};
     use crate::op::collect_rows;
-    use crate::plan::AggPlan;
+    use crate::plan::{AggPlan, ScanSpec};
     use crate::predicate::Predicate;
     use rodb_storage::{BuildLayouts, TableBuilder};
     use rodb_types::{Column, Schema};
