@@ -460,4 +460,29 @@ fn a_corrupt_page_fails_the_whole_batch_with_page_context() {
     let pages_read = report.io.bytes_read / 4_096.0;
     assert!(pages_read > 0.0);
     assert_eq!((verified_pages() - before) as f64, pages_read);
+
+    // The same holds for a rider: one rider on a one-worker pool runs inline
+    // on this thread, so the count is the driver's pages plus the pages the
+    // rider's own streams pulled — what its solo run transfers, and at most
+    // one boundary page per column and segment more — although it reads
+    // every row of `tag` through the fast path's per-position fallback.
+    let s = s.with_threads(1);
+    let rider = QueryBuilder::new(clean.clone(), hw, s)
+        .layout(ScanLayout::Column)
+        .select_indices(&[0, 1, 2]);
+    let solo_pages = rider.run().unwrap().report.io.bytes_read / 4_096.0;
+    let mut svc = QueryService::new(hw, s).unwrap();
+    svc.submit(ServiceRequest::new(rider));
+    let before = verified_pages();
+    let report = svc.run().unwrap();
+    let passes = (verified_pages() - before) as f64;
+    let driver_pages = report.io.bytes_read / 4_096.0;
+    assert_eq!(report.outcomes[0].rows.len(), 4_000);
+    assert!(passes > driver_pages, "the rider's job must run inline");
+    let bound = driver_pages + solo_pages + (3 * report.segments) as f64;
+    assert!(
+        passes <= bound,
+        "{passes} passes for {driver_pages} driver + {solo_pages} rider pages, {} segments",
+        report.segments
+    );
 }

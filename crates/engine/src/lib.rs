@@ -32,7 +32,7 @@ pub use exec::{run_to_completion, settle_report, RunReport};
 pub use join::MergeJoin;
 pub use memscan::{Chain, MemScan};
 pub use op::{drain_rows, ExecContext, Operator};
-pub use page_cursor::{HeldPage, PageCursor};
+pub use page_cursor::PageCursor;
 pub use plan::{AggPlan, QueryPlan, ScanLayout, ScanSpec};
 pub use predicate::{CmpOp, Predicate};
 pub use scan_col::{column_page_pass, ColumnScanMode, ColumnScanner};

@@ -16,23 +16,12 @@
 //! requested position; a damaged page keeps its geometric span and every
 //! position inside it re-fails with the identical typed error.
 
-use rodb_io::{FileId, FileStream, PageRef, SharedDisk};
+use rodb_io::{FileId, FileStream, SharedDisk};
 use rodb_storage::{Quarantine, QuarantinedPage, Table, VerifiedPage};
 use rodb_types::{Error, OnCorrupt, Result};
 
 use crate::degraded::{should_skip, DropSet};
 use crate::op::ExecContext;
-
-/// The page a position-driven reader currently holds.
-pub enum HeldPage {
-    /// Checksummed once when it was pulled; every position that lands on it
-    /// re-opens it without another pass.
-    Verified(VerifiedPage),
-    /// The fast path's arm: checksummed when pulled, but held as bare bytes
-    /// that every read re-opens (and re-checksums). The one place unverified
-    /// bytes survive past the cursor; ROADMAP item 1(a) removes it.
-    Unverified(PageRef),
-}
 
 /// Sequential, window-clamped, checksum-verifying page source of one file.
 pub struct PageCursor {
@@ -48,10 +37,11 @@ pub struct PageCursor {
     range: (u64, u64),
     policy: OnCorrupt,
     window_bytes: f64,
-    hold_unverified: bool,
-    /// What [`PageCursor::seek`] holds: the page, or the error it failed
-    /// with, spanning rows `[held_first_row, held_first_row + held_rows)`.
-    held: Option<Result<HeldPage>>,
+    /// What [`PageCursor::seek`] holds: the page — checksummed once when it
+    /// was pulled, re-opened by every position that lands on it without
+    /// another pass — or the error it failed with, spanning rows
+    /// `[held_first_row, held_first_row + held_rows)`.
+    held: Option<Result<VerifiedPage>>,
     held_first_row: u64,
     held_rows: u64,
 }
@@ -94,17 +84,10 @@ impl PageCursor {
             range,
             policy: ctx.sys.on_corrupt,
             window_bytes: ((end_page - first_page) * page_size) as f64,
-            hold_unverified: false,
             held: None,
             held_first_row: 0,
             held_rows: 0,
         })
-    }
-
-    /// Hold sought pages as [`HeldPage::Unverified`] (fast-path nodes).
-    pub fn hold_unverified(mut self, on: bool) -> PageCursor {
-        self.hold_unverified = on;
-        self
     }
 
     /// The (clamped) row-ordinal window this cursor serves.
@@ -169,10 +152,11 @@ impl PageCursor {
     }
 
     /// Pull the next page and spend its one checksum pass.
-    fn pull(&mut self) -> Option<(PageRef, Result<VerifiedPage>)> {
+    fn pull(&mut self) -> Option<(u64, Result<VerifiedPage>)> {
         let p = self.stream.next_page()?;
-        let verified = VerifiedPage::verify(&p).map_err(|e| self.locate(e, p.page_index as u64));
-        Some((p, verified))
+        let page_index = p.page_index as u64;
+        let verified = VerifiedPage::verify(&p).map_err(|e| self.locate(e, page_index));
+        Some((page_index, verified))
     }
 
     /// Whether a clean page containing row `pos` is already held — the
@@ -200,13 +184,12 @@ impl PageCursor {
                     return held.as_ref().map(|_| ()).map_err(Error::clone);
                 }
             }
-            let Some((p, verified)) = self.pull() else {
+            let Some((page_index, verified)) = self.pull() else {
                 let what = self
                     .col
                     .map_or("row".to_string(), |c| format!("column {c}"));
                 return Err(Error::corrupt(format!("position {pos} beyond {what} file")));
             };
-            let page_index = p.page_index as u64;
             // Boundaries come from file geometry, not a running sum of
             // per-page counts: a damaged page still spans its slots.
             self.held_first_row = page_index * self.upp;
@@ -219,11 +202,7 @@ impl PageCursor {
             match loaded {
                 Ok((v, rows)) => {
                     self.held_rows = rows;
-                    self.held = Some(Ok(if self.hold_unverified {
-                        HeldPage::Unverified(p)
-                    } else {
-                        HeldPage::Verified(v)
-                    }));
+                    self.held = Some(Ok(v));
                 }
                 Err(e) => {
                     self.held_rows = self.upp;
@@ -238,7 +217,7 @@ impl PageCursor {
 
     /// The page the last successful [`PageCursor::seek`] landed on, and the
     /// ordinal of its first row.
-    pub fn held(&self) -> (&HeldPage, u64) {
+    pub fn held(&self) -> (&VerifiedPage, u64) {
         match &self.held {
             Some(Ok(page)) => (page, self.held_first_row),
             _ => panic!("PageCursor::held without a successful seek"),
@@ -252,8 +231,7 @@ impl Iterator for PageCursor {
     type Item = (u64, u64, Result<VerifiedPage>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let (p, verified) = self.pull()?;
-        let page_index = p.page_index as u64;
+        let (page_index, verified) = self.pull()?;
         Some((page_index, page_index * self.upp, verified))
     }
 }

@@ -23,14 +23,14 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rodb_compress::{Codec, ColumnCompression};
-use rodb_storage::{ColumnPage, ColumnStorage, Table};
+use rodb_storage::{ColumnStorage, Table};
 use rodb_types::{DataType, Error, Result, Schema};
 
 use crate::block::TupleBlock;
 use crate::codepred::{rewrite_all, zone_rejects};
 use crate::degraded::DropSet;
 use crate::op::{ExecContext, Operator};
-use crate::page_cursor::{HeldPage, PageCursor};
+use crate::page_cursor::PageCursor;
 use crate::predicate::{scan_columns, scan_schema, Predicate};
 
 /// Disk-request submission behaviour (§4.5 / Figure 11).
@@ -164,12 +164,9 @@ impl ColNode {
                 self.gathered += 1;
             }
         } else {
-            let page = match held {
-                HeldPage::Verified(v) => v.column(self.dtype),
-                // Fast-path fallback reads (text has no block kernel) cost
-                // what they did before verify-once: a pass per position.
-                HeldPage::Unverified(p) => ColumnPage::new(p.bytes(), self.dtype)?,
-            };
+            // Scalar reads and the fast path's fallback (text has no block
+            // kernel) alike re-open the held page: no checksum pass here.
+            let page = held.column(self.dtype);
             page.values(&self.comp).write_raw(slot, out)?;
             self.values_decoded += 1;
         }
@@ -262,7 +259,7 @@ impl ColumnScanner {
                 storage: storage.clone(),
                 // Columns pack different value counts per page, so each
                 // node's page window is computed from its own geometry.
-                pages: PageCursor::open(ctx, &table, Some(col), range)?.hold_unverified(fast),
+                pages: PageCursor::open(ctx, &table, Some(col), range)?,
                 decoded: Vec::new(),
                 page_cached: false,
                 fast,

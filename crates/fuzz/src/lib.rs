@@ -25,6 +25,7 @@ use std::sync::Arc;
 use rodb_core::{Observed, QueryBuilder, QueryResult, QueryService, ServiceReport, ServiceRequest};
 use rodb_engine::ScanLayout;
 use rodb_io::{CacheStats, IoStats};
+use rodb_storage::page::verified_pages;
 use rodb_storage::{BuildLayouts, QuarantinedPage, Table, TableBuilder};
 use rodb_trace::{MetricsRegistry, Registry};
 use rodb_types::{Error, HardwareConfig, ObserveSpec, SystemConfig, Value};
@@ -91,6 +92,8 @@ struct SoloRun {
     quarantine: Vec<QuarantinedPage>,
     /// Row ordinals covered by the quarantined pages.
     union: u64,
+    /// Checksum passes the run spent on this thread.
+    passes: u64,
     has_tail: bool,
     /// The serial run of the same `fast × cache × damage` group.
     serial: Option<Rc<SoloRun>>,
@@ -159,6 +162,11 @@ pub const INVARIANTS: &[Invariant] = &[
     inv("W5", ingested, Check::Ingest(ingest::w5)),
     inv("R1", |_, c| c.damage != Damage::Fail, Check::Solo(r1)),
     inv("W6", ingested, Check::Solo(w6)),
+    inv(
+        "V1",
+        |_, c| c.threads == 1 && !c.cache && c.damage == Damage::None,
+        Check::Solo(v1),
+    ),
     inv("F1", |_, c| c.damage == Damage::Fail, Check::Solo(f1)),
     inv("M1", |_, c| c.damage == Damage::Retry, Check::Io(m1)),
     inv(
@@ -436,11 +444,13 @@ impl Case {
                     }),
                     _ => view.table.clone(),
                 };
+                let before = verified_pages();
                 let got = self.engine(&format!("{cell:?}"), || {
                     let q =
                         self.query((&table, &view.tail), &self.query, self.sys(&cell), false)?;
                     Ok(q.run_collect())
                 })?;
+                let passes = verified_pages() - before;
                 let quarantine = table.quarantine.snapshot();
                 let mut dropped = vec![false; view.ros.len()];
                 for &q in &quarantine {
@@ -457,6 +467,7 @@ impl Case {
                     want,
                     quarantine,
                     union,
+                    passes,
                     has_tail,
                     serial: serial.clone(),
                 };
@@ -543,6 +554,21 @@ fn r1(_: &Cell, run: &SoloRun) -> Verdict {
         got.len(),
         want.len(),
         run.union
+    );
+    Ok(())
+}
+
+/// V1: a serial, uncached, healthy scan spends no more checksum passes than
+/// it transferred pages, whatever the layout or path.
+fn v1(_: &Cell, run: &SoloRun) -> Verdict {
+    let res = (run.got.as_ref()).map_err(|e| format!("engine error {e:?}"))?;
+    // Every table the harness builds carries both layouts at one page size.
+    let storage = run.table.row_storage().map_err(|e| format!("{e:?}"))?;
+    let pages = (res.report.io.bytes_read / storage.page_size as f64) as u64;
+    ensure!(
+        run.passes <= pages,
+        "{} checksum passes for {pages} pages read",
+        run.passes
     );
     Ok(())
 }
