@@ -9,9 +9,9 @@
 use rodb_compress::{AdvisorGoal, ColumnCompression};
 use rodb_cpu::{CostParams, OpCosts};
 use rodb_engine::{RunReport, ScanLayout};
-use rodb_model::{self as model, ColumnSpec, Platform, Workload};
+use rodb_model::{self as model, ColumnSpec, Platform, ScannerCost, Workload};
 use rodb_storage::{Layout, Table};
-use rodb_types::{Result, Value};
+use rodb_types::{HardwareConfig, Result, SystemConfig, Value};
 
 use crate::query::QueryBuilder;
 
@@ -57,6 +57,34 @@ pub(crate) fn column_specs(table: &Table, cols: &[usize]) -> Vec<ColumnSpec> {
         .collect()
 }
 
+/// The one pricer behind both layout advisors: the Section-5 `(row, column)`
+/// scanner costs of a scan needing columns `needed` at `selectivity`, the
+/// row side reading tuples of `stored_bytes`. Calibrated cost tables, on the
+/// default platform's issue width and I/O unit.
+pub(crate) fn scanner_costs(
+    table: &Table,
+    stored_bytes: f64,
+    needed: &[usize],
+    selectivity: f64,
+) -> (ScannerCost, ScannerCost) {
+    let (costs, params) = (OpCosts::default(), CostParams::default());
+    let uops_per_cycle = HardwareConfig::default().uops_per_cycle;
+    let io_unit = SystemConfig::default().io_unit as f64;
+    let cols = column_specs(table, needed);
+    (
+        model::row_scanner_cost(
+            &costs,
+            &params,
+            uops_per_cycle,
+            io_unit,
+            stored_bytes,
+            selectivity,
+            &cols,
+        ),
+        model::col_scanner_cost(&costs, &params, uops_per_cycle, io_unit, &cols, selectivity),
+    )
+}
+
 /// Model-predicted column-over-row speedup for a projective scan with the
 /// given selectivity on this table and platform.
 pub fn predicted_speedup(
@@ -65,26 +93,16 @@ pub fn predicted_speedup(
     selectivity: f64,
     cpdb: f64,
 ) -> Result<f64> {
-    let costs = OpCosts::default();
-    let params = CostParams::default();
-    let cols = column_specs(table, projection);
     // Row store reads the full stored tuple (compressed width if its row
     // representation is compressed — here we use the schema's stored width,
     // matching the paper's uncompressed-vs-uncompressed comparisons).
     let row_bytes = table.schema.stored_width() as f64;
+    let (row_cost, col_cost) = scanner_costs(table, row_bytes, projection, selectivity);
     let w = Workload {
         row_bytes,
-        col_bytes: model::col_bytes(&cols),
-        row_cost: model::row_scanner_cost(
-            &costs,
-            &params,
-            3.0,
-            131072.0,
-            row_bytes,
-            selectivity,
-            &cols,
-        ),
-        col_cost: model::col_scanner_cost(&costs, &params, 3.0, 131072.0, &cols, selectivity),
+        col_bytes: model::col_bytes(&column_specs(table, projection)),
+        row_cost,
+        col_cost,
         extra_ops: 0.0,
     };
     Ok(model::speedup(&w, &Platform::new(cpdb)))

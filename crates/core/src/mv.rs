@@ -13,12 +13,11 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use rodb_cpu::{CostParams, OpCosts};
 use rodb_model::{self as model, Platform};
 use rodb_storage::{BuildLayouts, Layout, Table, TableBuilder};
 use rodb_types::{Error, Result, Value};
 
-use crate::compare::column_specs;
+use crate::compare::{column_specs, scanner_costs};
 
 /// One recurring query shape in the workload.
 #[derive(Debug, Clone)]
@@ -70,24 +69,12 @@ fn scan_time(
     selectivity: f64,
     p: &Platform,
 ) -> f64 {
-    let costs = OpCosts::default();
-    let params = CostParams::default();
-    let needed_specs = column_specs(table, needed);
-    let stored_specs = column_specs(table, stored);
-    let stored_bytes: f64 = stored_specs
+    let stored_bytes: f64 = column_specs(table, stored)
         .iter()
         .map(|c| c.raw_bytes)
         .sum::<f64>()
         .max(1.0);
-    let row_cost = model::row_scanner_cost(
-        &costs,
-        &params,
-        3.0,
-        131072.0,
-        stored_bytes,
-        selectivity,
-        &needed_specs,
-    );
+    let (row_cost, _) = scanner_costs(table, stored_bytes, needed, selectivity);
     let row_rate = model::store_rate(stored_bytes, &row_cost, 0.0, p);
     1.0 / row_rate.max(f64::MIN_POSITIVE)
 }

@@ -18,6 +18,7 @@ pub mod plan;
 pub mod predicate;
 pub mod scan_col;
 pub mod scan_col_single;
+mod scan_core;
 pub mod scan_row;
 pub mod sched;
 pub mod shared_cursor;

@@ -16,6 +16,7 @@ use rodb_types::{Result, Schema, Value};
 use crate::block::TupleBlock;
 use crate::op::{ExecContext, Operator};
 use crate::predicate::Predicate;
+use crate::scan_core::{conjunction, Field, Fields, Pending, PredTally, Sink};
 
 /// Block iterator over in-memory rows (the snapshot's WOS tail).
 pub struct MemScan {
@@ -24,11 +25,21 @@ pub struct MemScan {
     rows: Arc<Vec<Vec<Value>>>,
     projection: Vec<usize>,
     predicates: Vec<Predicate>,
+    /// Evaluations of one `next()` call, per predicate.
+    tallies: Vec<PredTally>,
     /// Next source row to visit.
     next: usize,
     /// Position offset: tail rows continue the base table's row ordinals so
     /// lineage positions stay globally unique across the chain.
     base_pos: u64,
+    sink: Sink,
+}
+
+/// An owned row under the conjunction: decided on the values themselves.
+impl Fields for &[Value] {
+    fn field(&mut self, _: usize, pred: &Predicate) -> Result<Field<'_>> {
+        Ok(Field::Decided(pred.eval_value(&self[pred.col])))
+    }
 }
 
 impl MemScan {
@@ -48,10 +59,12 @@ impl MemScan {
             p.validate(base_schema)?;
         }
         Ok(MemScan {
+            sink: Sink::new(out_schema.clone(), Pending::Tuples),
             out_schema,
             ctx: ctx.clone(),
             rows,
             projection,
+            tallies: vec![PredTally::default(); predicates.len()],
             predicates,
             next: 0,
             base_pos,
@@ -69,57 +82,38 @@ impl Operator for MemScan {
             return Ok(None);
         }
         let cap = self.ctx.sys.block_tuples.max(1);
-        let mut block = TupleBlock::new(self.out_schema.clone(), cap);
-        let mut raw = Vec::with_capacity(self.out_schema.logical_width());
-        let mut visited = 0u64;
-        let mut evals = 0u64;
-        let mut passes = 0u64;
-        while block.count() < cap && self.next < self.rows.len() {
-            let row = &self.rows[self.next];
+        let visited = self.next;
+        self.tallies.fill(PredTally::default());
+        while self.sink.remaining() < cap && self.next < self.rows.len() {
+            let mut row = self.rows[self.next].as_slice();
             let pos = self.base_pos + self.next as u64;
             self.next += 1;
-            visited += 1;
-            let mut keep = true;
-            for p in &self.predicates {
-                evals += 1;
-                if !p.eval_value(&row[p.col]) {
-                    keep = false;
-                    break;
-                }
-            }
-            if !keep {
+            if !conjunction(&self.predicates, &mut self.tallies, &mut row)? {
                 continue;
             }
-            passes += 1;
-            raw.clear();
-            for (&c, col) in self.projection.iter().zip(self.out_schema.columns()) {
-                row[c].encode_into(col.dtype, &mut raw)?;
-            }
-            block.push_tuple(&raw, pos)?;
+            let mut fields = self.projection.iter().zip(self.out_schema.columns());
+            self.sink.push_with(pos, |out| {
+                fields.try_for_each(|(&c, col)| row[c].encode_into(col.dtype, out))
+            })?;
         }
         // Charge the scalar tuple-at-a-time costs the row scanner would pay,
         // minus every I/O-side term: the WOS tail is memory-resident.
         {
             let mut meter = self.ctx.meter.borrow_mut();
-            meter.row_iter(visited as f64);
+            let passes = self.sink.remaining() as f64;
+            meter.row_iter((self.next - visited) as f64);
             if !self.predicates.is_empty() {
-                meter.predicate(evals as f64, passes as f64);
+                let evals: u64 = self.tallies.iter().map(|t| t.evals).sum();
+                meter.predicate(evals as f64, passes);
             }
             meter.project(
-                passes as f64,
+                passes,
                 self.projection.len() as f64,
-                passes as f64 * self.out_schema.logical_width() as f64,
+                passes * self.out_schema.logical_width() as f64,
             );
-            if block.count() > 0 {
-                meter.block_calls(1.0);
-                meter.stream_bytes(block.byte_len() as f64);
-            }
         }
-        if block.is_empty() {
-            // Every remaining row failed its predicates.
-            return Ok(None);
-        }
-        Ok(Some(block))
+        // `None`: every remaining row failed its predicates.
+        self.sink.emit(&self.ctx, cap)
     }
 
     fn label(&self) -> String {

@@ -151,6 +151,29 @@ impl PageCursor {
         self.quarantine(pos / self.upp, dropped);
     }
 
+    /// Sequential pull with the `on_corrupt` policy applied:
+    /// `(page_index, first_row, page)`, `None` at the end of the window. A
+    /// page bad on every replica is quarantined under `Skip` — its ordinals
+    /// added to `dropped` — and comes back as `None` in its place; any other
+    /// error propagates.
+    pub fn next_or_skip(
+        &mut self,
+        dropped: &mut DropSet,
+    ) -> Result<Option<(u64, u64, Option<VerifiedPage>)>> {
+        let Some((page_index, first_row, page)) = self.next() else {
+            return Ok(None);
+        };
+        let page = match page {
+            Ok(page) => Some(page),
+            Err(e) if self.skips(&e) => {
+                self.quarantine(page_index, dropped);
+                None
+            }
+            Err(e) => return Err(e),
+        };
+        Ok(Some((page_index, first_row, page)))
+    }
+
     /// Pull the next page and spend its one checksum pass.
     fn pull(&mut self) -> Option<(u64, Result<VerifiedPage>)> {
         let p = self.stream.next_page()?;

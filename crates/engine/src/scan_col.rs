@@ -11,27 +11,29 @@
 //! possible; nodes with predicates re-write the surviving tuples (charged as
 //! copies), nodes without predicates only attach their value.
 //!
-//! Two behavioural switches the paper studies are exposed here:
-//! * [`ColumnScanMode::Slow`] serializes disk requests per column — the
-//!   reference variant of Figure 11 that loses the "one step ahead"
-//!   controller advantage.
-//! * FOR-delta columns decode *every* stored code up to a needed position
-//!   (Figure 9's CPU effect) — the page decode cache below does exactly
-//!   that work and charges it.
+//! A scan node is the scan core's column node (`scan_core.rs`) opened under
+//! the *pipelined* decode policy: FOR-delta columns decode every stored code
+//! up to a needed position (Figure 9's CPU effect), everything else is read
+//! per position from the held page. What this file keeps is the schedule —
+//! node 0 pulls pages and filters them (on the fast path in code space,
+//! which only node 0 can), later nodes are driven off the position list —
+//! and [`ColumnScanMode::Slow`], which serializes disk requests per column:
+//! the reference variant of Figure 11 that loses the "one step ahead"
+//! controller advantage.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use rodb_compress::{Codec, ColumnCompression};
-use rodb_storage::{ColumnStorage, Table};
+use rodb_compress::Codec;
+use rodb_storage::Table;
 use rodb_types::{DataType, Error, Result, Schema};
 
 use crate::block::TupleBlock;
 use crate::codepred::{rewrite_all, zone_rejects};
-use crate::degraded::DropSet;
 use crate::op::{ExecContext, Operator};
 use crate::page_cursor::PageCursor;
-use crate::predicate::{scan_columns, scan_schema, Predicate};
+use crate::predicate::{scan_schema, Predicate};
+use crate::scan_core::{conjunction, ColumnNode, DecodePolicy, Pending, Sink, Window};
 
 /// Disk-request submission behaviour (§4.5 / Figure 11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,149 +51,10 @@ impl ColumnScanMode {
     /// Submission aggressiveness (§4.5): the pipelined scanner keeps the
     /// next column's request in flight; the slow variant (and single-file
     /// row scans) submit strictly one at a time.
-    fn interleave(self, nodes: usize) -> u64 {
+    pub(crate) fn interleave(self, nodes: usize) -> u64 {
         match self {
             ColumnScanMode::Pipelined if nodes > 1 => 2,
             _ => 1,
-        }
-    }
-}
-
-/// One scan node: a column file plus its predicates.
-struct ColNode {
-    col: usize,
-    dtype: DataType,
-    width: usize,
-    comp: ColumnCompression,
-    preds: Vec<Predicate>,
-    /// Offset of this column in the output schema, if projected.
-    out_col: Option<usize>,
-    /// Storage handle for zone-map trailer peeks (catalog-resident metadata).
-    storage: ColumnStorage,
-    /// This column's file, clamped to the pages holding the row range. Under
-    /// `Skip`, damaged pages a driven node only streams past are tolerated
-    /// (quarantine is lazy — it happens when a requested position actually
-    /// targets the bad page, so serial and parallel scans quarantine
-    /// identical sets).
-    pages: PageCursor,
-    /// Whole-page decode cache: filled for non-random-access codecs
-    /// (FOR-delta must decode every prior code anyway) and, on the fast
-    /// path, for any int column — block kernels make eager whole-page
-    /// decode cheaper than per-position scalar `get()`.
-    decoded: Vec<i32>,
-    /// True when `decoded` serves reads for the current page.
-    page_cached: bool,
-    /// Vectorized fast path enabled ([`rodb_types::SystemConfig`]
-    /// `scan_fast_path`).
-    fast: bool,
-    // --- accumulated accounting, flushed in finish() ---
-    values_decoded: u64,
-    blocks_decoded: u64,
-    vec_pred_evals: u64,
-    gathered: u64,
-    pages_skipped_z: u64,
-    positions_seen: u64,
-    pred_evals: u64,
-    pred_passes: u64,
-    values_written: u64,
-}
-
-impl ColNode {
-    /// Whether this node eagerly materializes whole pages into `decoded`.
-    fn eager(&self) -> bool {
-        !self.comp.codec.random_access() || (self.fast && self.dtype == DataType::Int)
-    }
-
-    /// Make `pos` addressable: seek to the page containing it, decoding on
-    /// the way what this node's codec forces it to.
-    fn advance_to(&mut self, pos: u64) -> Result<()> {
-        if self.pages.holds(pos) {
-            return Ok(());
-        }
-        let eager = self.eager();
-        let ColNode {
-            pages,
-            dtype,
-            comp,
-            fast,
-            decoded,
-            page_cached,
-            values_decoded,
-            blocks_decoded,
-            ..
-        } = self;
-        pages.seek(pos, |verified, is_target| {
-            *page_cached = false;
-            let page = verified.column(*dtype);
-            let count = page.count();
-            if !comp.codec.random_access() {
-                // FOR-delta: sequential decode of the entire page — even
-                // pages we only pass through (Figure 9's CPU effect). The
-                // fast path does the same work through the block kernels.
-                decoded.clear();
-                let pv = page.values(comp);
-                if *fast {
-                    pv.decode_ints_into(decoded)?;
-                    *blocks_decoded += count as u64;
-                } else {
-                    let mut cur = pv.cursor();
-                    for _ in 0..count {
-                        decoded.push(cur.next_int()?);
-                    }
-                    *values_decoded += count as u64;
-                }
-                *page_cached = true;
-            } else if eager && is_target {
-                // Fast path: block-decode the whole target page once;
-                // per-position reads become array lookups. Pages only
-                // streamed past are not decoded.
-                page.values(comp).decode_ints_into(decoded)?;
-                *blocks_decoded += count as u64;
-                *page_cached = true;
-            }
-            Ok(())
-        })
-    }
-
-    /// Decode the value at `pos` into `out` (full declared width).
-    fn read_raw(&mut self, pos: u64, out: &mut Vec<u8>) -> Result<()> {
-        self.advance_to(pos)?;
-        let (held, first_row) = self.pages.held();
-        let slot = (pos - first_row) as usize;
-        if self.page_cached {
-            out.extend_from_slice(&self.decoded[slot].to_le_bytes());
-            if self.eager() && self.comp.codec.random_access() {
-                self.gathered += 1;
-            }
-        } else {
-            // Scalar reads and the fast path's fallback (text has no block
-            // kernel) alike re-open the held page: no checksum pass here.
-            let page = held.column(self.dtype);
-            page.values(&self.comp).write_raw(slot, out)?;
-            self.values_decoded += 1;
-        }
-        Ok(())
-    }
-}
-
-/// Pending qualifying rows produced by node 0 and not yet emitted.
-#[derive(Default)]
-struct Pending {
-    positions: Vec<u64>,
-    /// Node-0 values, strided by node-0 width.
-    values: Vec<u8>,
-    taken: usize,
-}
-
-impl Pending {
-    fn remaining(&self) -> usize {
-        self.positions.len() - self.taken
-    }
-    fn reset_if_empty(&mut self) {
-        if self.taken == self.positions.len() {
-            self.positions.clear();
-            self.values.clear();
-            self.taken = 0;
         }
     }
 }
@@ -200,18 +63,18 @@ impl Pending {
 pub struct ColumnScanner {
     ctx: ExecContext,
     table: Arc<Table>,
-    out_schema: Arc<Schema>,
-    nodes: Vec<ColNode>,
-    pending: Pending,
-    node0_eof: bool,
-    /// Row-ordinal window `[start, end)` this scanner is responsible for.
-    range: (u64, u64),
-    done: bool,
+    /// One scan node per column touched, deepest first.
+    nodes: Vec<ColumnNode>,
+    /// Qualifying {position, value} pairs produced by node 0 and not yet
+    /// emitted.
+    sink: Sink,
+    /// Row-ordinal window this scanner is responsible for, shared by every
+    /// scan node of the projection.
+    window: Window,
     mode: ColumnScanMode,
     scratch: Vec<u8>,
-    /// Ordinal ranges dropped by degraded skips, shared by every scan node of
-    /// this projection so columns never misalign.
-    dropped: DropSet,
+    /// Block indices a driven node keeps.
+    keep: Vec<usize>,
 }
 
 impl ColumnScanner {
@@ -238,60 +101,20 @@ impl ColumnScanner {
         range: Option<(u64, u64)>,
     ) -> Result<ColumnScanner> {
         let out_schema = scan_schema(&table.schema, &projection, &predicates)?;
-        let cs = table.col_storage()?;
-
-        let fast = ctx.sys.scan_fast_path;
-        let node_cols = scan_columns(&projection, &predicates);
-        let mut nodes = Vec::with_capacity(node_cols.len());
-        for &col in &node_cols {
-            let storage = &cs.columns[col];
-            nodes.push(ColNode {
-                col,
-                dtype: table.schema.dtype(col),
-                width: table.schema.dtype(col).width(),
-                comp: storage.comp.clone(),
-                preds: predicates
-                    .iter()
-                    .filter(|p| p.col == col)
-                    .cloned()
-                    .collect(),
-                out_col: projection.iter().position(|&c| c == col),
-                storage: storage.clone(),
-                // Columns pack different value counts per page, so each
-                // node's page window is computed from its own geometry.
-                pages: PageCursor::open(ctx, &table, Some(col), range)?,
-                decoded: Vec::new(),
-                page_cached: false,
-                fast,
-                values_decoded: 0,
-                blocks_decoded: 0,
-                vec_pred_evals: 0,
-                gathered: 0,
-                pages_skipped_z: 0,
-                positions_seen: 0,
-                pred_evals: 0,
-                pred_passes: 0,
-                values_written: 0,
-            });
-        }
-        let range = nodes[0].pages.range();
-
+        let policy = DecodePolicy::Pipelined;
+        let nodes = ColumnNode::open_all(&table, &projection, &predicates, ctx, range, policy)?;
         ctx.disk
             .borrow_mut()
             .set_interleave(mode.interleave(nodes.len()));
-
         Ok(ColumnScanner {
             ctx: ctx.clone(),
             table,
-            out_schema,
+            sink: Sink::new(out_schema, Pending::Column(nodes[0].out_col)),
+            window: Window::new(nodes[0].pages.range()),
             nodes,
-            pending: Pending::default(),
-            node0_eof: false,
-            range,
-            done: false,
             mode,
             scratch: Vec::new(),
-            dropped: DropSet::default(),
+            keep: Vec::new(),
         })
     }
 
@@ -301,9 +124,9 @@ impl ColumnScanner {
     }
 
     /// Node 0: process one more page of the deepest column, appending
-    /// qualifying {position, value} pairs to `pending`. Returns false at EOF.
+    /// qualifying {position, value} pairs to the sink. Returns false at EOF.
     fn node0_fill(&mut self) -> Result<bool> {
-        let node = &mut self.nodes[0];
+        let (node, sink, window) = (&mut self.nodes[0], &mut self.sink, &mut self.window);
 
         // Zone-map page skipping (fast path): the page trailer's min/max can
         // prove no value qualifies — skip the page without transferring it.
@@ -312,26 +135,21 @@ impl ColumnScanner {
                 match node.storage.zone_of(idx) {
                     Some((zmin, zmax)) if zone_rejects(&node.preds, zmin, zmax) => {
                         node.pages.skip_zoned();
-                        node.pages_skipped_z += 1;
+                        node.tally.pages_skipped_z += 1;
                     }
                     _ => break,
                 }
             }
         }
 
-        let Some((page_index, first_row, page)) = node.pages.next() else {
+        let Some((_, first_row, page)) = node.pages.next_or_skip(&mut window.dropped)? else {
             return Ok(false);
         };
-        let page = match page {
-            Ok(page) => page,
-            Err(e) if node.pages.skips(&e) => {
-                node.pages.quarantine(page_index, &mut self.dropped);
-                return Ok(true);
-            }
-            Err(e) => return Err(e),
+        let Some(page) = page else {
+            return Ok(true);
         };
-        let page = page.column(node.dtype);
-        let pv = page.values(&node.comp);
+        let comp = &node.storage.comp;
+        let pv = page.column(node.dtype).values(comp);
         let count = pv.count();
 
         if node.fast && node.dtype == DataType::Int {
@@ -341,12 +159,19 @@ impl ColumnScanner {
             let code_preds = if node.preds.is_empty() {
                 None
             } else {
-                rewrite_all(&node.preds, &node.comp, pv.base(), pv.code_base())
+                rewrite_all(&node.preds, comp, pv.base(), pv.code_base())
+            };
+            // Survivors are gathered out of the block into {position, value}
+            // pairs.
+            let mut gather = |pos: u64, v: i32| {
+                node.tally.positions_seen += 1;
+                node.tally.gathered += 1;
+                sink.push(pos, &v.to_le_bytes());
             };
             if let Some(cps) = code_preds {
                 let base = pv.base();
                 let code_base = pv.code_base() as usize;
-                let dict_table = match &node.comp.codec {
+                let dict_table = match &comp.codec {
                     Codec::Dict { .. } | Codec::DictFor { .. } => Some(pv.dict_int_table()?),
                     _ => None,
                 };
@@ -357,13 +182,10 @@ impl ColumnScanner {
                     pv.codes_block(slot, &mut block[..n])?;
                     for (k, &code) in block[..n].iter().enumerate() {
                         let pos = first_row + (slot + k) as u64;
-                        if pos < self.range.0 || pos >= self.range.1 || self.dropped.contains(pos) {
+                        if !window.admits(pos) || !cps.iter().all(|cp| cp.eval(code)) {
                             continue;
                         }
-                        if !cps.iter().all(|cp| cp.eval(code)) {
-                            continue;
-                        }
-                        let v: i32 = match (&node.comp.codec, &dict_table) {
+                        let v: i32 = match (&comp.codec, &dict_table) {
                             // PFOR codes arrive already exception-patched.
                             (Codec::For { .. } | Codec::Pfor { .. }, _) => {
                                 (base + code as i64) as i32
@@ -389,124 +211,48 @@ impl ColumnScanner {
                             // BitPack stores non-negative ints verbatim.
                             _ => code as i32,
                         };
-                        node.positions_seen += 1;
-                        node.gathered += 1;
-                        self.pending.positions.push(pos);
-                        self.pending.values.extend_from_slice(&v.to_le_bytes());
+                        gather(pos, v);
                     }
                     slot += n;
                 }
-                node.blocks_decoded += count as u64;
-                node.vec_pred_evals += (count * node.preds.len()) as u64;
-                return Ok(true);
-            }
-
-            // Value-space vectorized fallback (raw / FOR-delta / text-literal
-            // predicates): block-decode the page, then a branchless filter
-            // over the decoded ints.
-            node.decoded.clear();
-            pv.decode_ints_into(&mut node.decoded)?;
-            node.blocks_decoded += count as u64;
-            node.vec_pred_evals += (count * node.preds.len()) as u64;
-            for slot in 0..count {
-                let v = node.decoded[slot];
-                let pos = first_row + slot as u64;
-                if pos < self.range.0 || pos >= self.range.1 || self.dropped.contains(pos) {
-                    continue;
-                }
-                if node.preds.iter().all(|p| p.eval_int(v)) {
-                    node.positions_seen += 1;
-                    node.gathered += 1;
-                    self.pending.positions.push(pos);
-                    self.pending.values.extend_from_slice(&v.to_le_bytes());
+            } else {
+                // Value-space vectorized fallback (raw / FOR-delta /
+                // text-literal predicates): block-decode the page, then a
+                // branchless filter over the decoded ints.
+                pv.decode_ints_into(&mut node.ints)?;
+                for (slot, &v) in node.ints.iter().enumerate() {
+                    let pos = first_row + slot as u64;
+                    if window.admits(pos) && node.preds.iter().all(|p| p.eval_int(v)) {
+                        gather(pos, v);
+                    }
                 }
             }
+            node.tally.blocks_decoded += count as u64;
+            node.tally.vec_pred_evals += (count * node.preds.len()) as u64;
             return Ok(true);
         }
 
         let mut cur = pv.cursor();
-        self.scratch.clear();
         for slot in 0..count {
             self.scratch.clear();
             cur.next_raw(&mut self.scratch)?;
             let pos = first_row + slot as u64;
-            if pos < self.range.0 || pos >= self.range.1 || self.dropped.contains(pos) {
-                // Boundary page of a morsel: slots outside the window belong
-                // to a neighbouring worker (decode cost is still paid — the
-                // cursor walked over them). Dropped ordinals were lost to a
-                // quarantined page of another column.
-                continue;
-            }
-            let mut pass = true;
-            for p in &node.preds {
-                node.pred_evals += 1;
-                if p.eval_raw(node.dtype, &self.scratch) {
-                    node.pred_passes += 1;
-                } else {
-                    pass = false;
-                    break;
-                }
-            }
-            if pass {
-                node.positions_seen += 1; // {position, value} pair created
-                self.pending.positions.push(pos);
-                self.pending.values.extend_from_slice(&self.scratch);
+            // Decode cost is paid for slots outside the window too — the
+            // cursor walked over them.
+            let mut value = (node.dtype, self.scratch.as_slice());
+            if window.admits(pos) && conjunction(&node.preds, &mut node.pred_tallies, &mut value)? {
+                node.tally.positions_seen += 1; // {position, value} pair created
+                sink.push(pos, &self.scratch);
             }
         }
-        node.values_decoded += count as u64;
+        node.tally.values_decoded += count as u64;
         Ok(true)
-    }
-
-    /// Flush accumulated accounting and drain remaining I/O.
-    fn finish(&mut self) {
-        if self.done {
-            return;
-        }
-        self.done = true;
-        let dropped = self.dropped.total();
-        if dropped > 0 {
-            self.ctx.disk.borrow_mut().note_dropped_rows(dropped);
-        }
-        let hw = self.ctx.hw;
-        let mut meter = self.ctx.meter.borrow_mut();
-        for (ni, node) in self.nodes.iter_mut().enumerate() {
-            node.pages.drain();
-            // CPU: decode + loop + predicates + position handling. Scalar and
-            // block-kernel work are metered at their own rates.
-            meter.decode(node.comp.codec.kind(), node.values_decoded as f64);
-            meter.decode_block(node.comp.codec.kind(), node.blocks_decoded as f64);
-            meter.col_iter(node.values_decoded.max(node.positions_seen) as f64);
-            if !node.preds.is_empty() {
-                meter.predicate(node.pred_evals as f64, node.pred_passes as f64);
-                meter.vec_predicate(node.vec_pred_evals as f64);
-            }
-            meter.selvec_gather(node.gathered as f64);
-            meter.position_pairs(node.positions_seen as f64);
-            meter.project(
-                node.values_written as f64,
-                1.0,
-                node.values_written as f64 * node.width as f64,
-            );
-            // Memory: node 0 streams its whole file (minus zone-skipped
-            // pages, which were never transferred); driven nodes stream or
-            // miss depending on how densely they touched it. FOR-delta nodes
-            // touched everything (they decode all codes).
-            let file_bytes = node.pages.window_bytes()
-                - (node.pages_skipped_z as usize * node.storage.page_size) as f64;
-            let decoded_all = (node.values_decoded + node.blocks_decoded) as f64;
-            let touched = if ni == 0 {
-                decoded_all
-            } else {
-                decoded_all.max(node.positions_seen as f64)
-            };
-            meter.memory_access(&hw, file_bytes.max(0.0), touched, node.width as f64);
-        }
     }
 }
 
 impl Operator for ColumnScanner {
     fn schema(&self) -> &Arc<Schema> {
-        &self.out_schema
+        self.sink.schema()
     }
 
     fn label(&self) -> String {
@@ -518,105 +264,62 @@ impl Operator for ColumnScanner {
     }
 
     fn next(&mut self) -> Result<Option<TupleBlock>> {
-        if self.done {
-            return Ok(None);
-        }
         let block_cap = self.ctx.sys.block_tuples;
         loop {
             // Refill the pending pool from node 0.
-            while !self.node0_eof && self.pending.remaining() < block_cap {
-                if !self.node0_fill()? {
-                    self.node0_eof = true;
-                }
-            }
-            if self.pending.remaining() == 0 {
-                self.finish();
-                return Ok(None);
-            }
-
+            while self.sink.remaining() < block_cap && self.node0_fill()? {}
             // Assemble one block from the next batch of pending pairs.
-            let take = self.pending.remaining().min(block_cap);
-            let node0_width = self.nodes[0].width;
-            let node0_out = self.nodes[0].out_col;
-            let mut block = TupleBlock::new(self.out_schema.clone(), take);
-            for k in 0..take {
-                let idx = self.pending.taken + k;
-                let pos = self.pending.positions[idx];
-                let bi = block.push_blank(pos);
-                if let Some(oc) = node0_out {
-                    let src = &self.pending.values[idx * node0_width..(idx + 1) * node0_width];
-                    block.field_mut(bi, oc).copy_from_slice(src);
-                    self.nodes[0].values_written += 1;
-                }
+            let Some(mut block) = self.sink.take(block_cap)? else {
+                ColumnNode::finish(&mut self.nodes, &mut self.window, &self.ctx);
+                return Ok(None);
+            };
+            if self.nodes[0].out_col.is_some() {
+                self.nodes[0].tally.values_written += block.count() as u64;
             }
-            self.pending.taken += take;
-            self.pending.reset_if_empty();
 
             // Drive the remaining nodes off the position list.
-            let mut keep_buf: Vec<usize> = Vec::new();
-            for ni in 1..self.nodes.len() {
+            for node in &mut self.nodes[1..] {
                 if block.is_empty() {
                     break;
                 }
-                keep_buf.clear();
-                let mut scratch = std::mem::take(&mut self.scratch);
+                self.keep.clear();
                 for i in 0..block.count() {
                     let pos = block.position(i).expect("scanners keep lineage");
-                    if self.dropped.contains(pos) {
+                    if !self.window.admits(pos) {
                         // Lost to a page another node quarantined after this
                         // position had already been produced.
                         continue;
                     }
-                    scratch.clear();
-                    let read = {
-                        let node = &mut self.nodes[ni];
-                        node.positions_seen += 1;
-                        node.read_raw(pos, &mut scratch)
-                    };
-                    if let Err(e) = read {
-                        let pages = &self.nodes[ni].pages;
-                        if !pages.skips(&e) {
-                            self.scratch = scratch;
-                            return Err(e);
+                    node.tally.positions_seen += 1;
+                    let scratch = &mut self.scratch;
+                    match node.seek(pos).and_then(|()| node.passes(pos, scratch)) {
+                        Ok(false) => {}
+                        Ok(true) => {
+                            if let Some(oc) = node.out_col {
+                                block.field_mut(i, oc).copy_from_slice(scratch);
+                                node.tally.values_written += 1;
+                            }
+                            self.keep.push(i);
                         }
-                        // Degraded skip: the requested position targets a page
-                        // bad on every replica.
-                        pages.quarantine_row(pos, &mut self.dropped);
-                        continue;
-                    }
-                    let node = &mut self.nodes[ni];
-                    let mut pass = true;
-                    for p in &node.preds {
-                        node.pred_evals += 1;
-                        if p.eval_raw(node.dtype, &scratch) {
-                            node.pred_passes += 1;
-                        } else {
-                            pass = false;
-                            break;
+                        // Degraded skip: the requested position targets a
+                        // page bad on every replica.
+                        Err(e) if node.pages.skips(&e) => {
+                            node.pages.quarantine_row(pos, &mut self.window.dropped)
                         }
-                    }
-                    if pass {
-                        if let Some(oc) = node.out_col {
-                            block.field_mut(i, oc).copy_from_slice(&scratch);
-                            node.values_written += 1;
-                        }
-                        keep_buf.push(i);
+                        Err(e) => return Err(e),
                     }
                 }
-                self.scratch = scratch;
-                if keep_buf.len() < block.count() {
+                if self.keep.len() < block.count() {
                     // Predicate (or degraded) nodes re-write the surviving
                     // tuples (§2.2.2).
-                    let moved = block.retain_indices(&keep_buf);
+                    let moved = block.retain_indices(&self.keep);
                     self.ctx.meter.borrow_mut().project(0.0, 0.0, moved as f64);
                 }
             }
 
             if !block.is_empty() {
-                let mut meter = self.ctx.meter.borrow_mut();
                 // A block hop per scan node plus the hand-off to the parent.
-                meter.block_calls(self.nodes.len() as f64);
-                meter.stream_bytes(block.byte_len() as f64);
+                Sink::ship(&self.ctx, &block, self.nodes.len());
                 return Ok(Some(block));
             }
             // Entire batch filtered out — continue with the next batch.
@@ -656,60 +359,50 @@ pub fn column_page_pass(
     let (node0, driven) = nodes
         .split_first_mut()
         .expect("scan_schema rejects an empty projection");
-    let range = node0.range();
+    let mut window = Window::new(node0.range());
     let block_cap = ctx.sys.block_tuples;
-    let mut dropped = DropSet::default();
     let mut pending: VecDeque<u64> = VecDeque::new();
-    let mut node0_eof = false;
+    let mut block: Vec<u64> = Vec::new();
     loop {
-        while !node0_eof && pending.len() < block_cap {
-            match node0.next() {
-                None => node0_eof = true,
-                Some((_, first_row, Ok(page))) => {
-                    let rows =
-                        first_row.max(range.0)..(first_row + page.count() as u64).min(range.1);
-                    pending.extend(rows.filter(|&pos| !dropped.contains(pos)));
+        while pending.len() < block_cap {
+            match node0.next_or_skip(&mut window.dropped)? {
+                None => break,
+                Some((_, first_row, Some(page))) => {
+                    let rows = first_row..first_row + page.count() as u64;
+                    pending.extend(rows.filter(|&pos| window.admits(pos)));
                 }
-                Some((page_index, _, Err(e))) if node0.skips(&e) => {
-                    node0.quarantine(page_index, &mut dropped)
-                }
-                Some((_, _, Err(e))) => return Err(e),
+                Some(_) => {}
             }
         }
         if pending.is_empty() {
             break;
         }
-        let take = block_cap.min(pending.len());
-        let mut block: Vec<u64> = pending.drain(..take).collect();
+        block.clear();
+        block.extend(pending.drain(..block_cap.min(pending.len())));
         for node in driven.iter_mut() {
-            let mut failed = None;
-            block.retain(|&pos| {
-                if failed.is_some() || dropped.contains(pos) {
-                    return false;
+            let mut kept = 0;
+            for i in 0..block.len() {
+                let pos = block[i];
+                if !window.admits(pos) {
+                    continue;
                 }
-                if node.holds(pos) {
-                    return true;
-                }
-                match node.seek(pos, |_, _| Ok(())) {
-                    Ok(()) => true,
-                    Err(e) if node.skips(&e) => {
-                        node.quarantine_row(pos, &mut dropped);
-                        false
-                    }
-                    Err(e) => {
-                        failed = Some(e);
-                        false
+                if !node.holds(pos) {
+                    match node.seek(pos, |_, _| Ok(())) {
+                        Ok(()) => {}
+                        Err(e) if node.skips(&e) => {
+                            node.quarantine_row(pos, &mut window.dropped);
+                            continue;
+                        }
+                        Err(e) => return Err(e),
                     }
                 }
-            });
-            if let Some(e) = failed {
-                return Err(e);
+                block[kept] = pos;
+                kept += 1;
             }
+            block.truncate(kept);
         }
     }
-    if dropped.total() > 0 {
-        ctx.disk.borrow_mut().note_dropped_rows(dropped.total());
-    }
+    window.settle(ctx);
     for node in &mut nodes {
         node.drain();
     }
@@ -722,7 +415,7 @@ mod tests {
     use crate::op::collect_rows;
     use crate::predicate::CmpOp;
     use crate::scan_row::RowScanner;
-    use rodb_compress::Codec;
+    use rodb_compress::{Codec, ColumnCompression};
     use rodb_storage::{BuildLayouts, TableBuilder};
     use rodb_types::{Column, Value};
     use std::sync::Arc;
@@ -1201,5 +894,60 @@ mod tests {
             ColumnScanner::new(t.clone(), vec![], vec![], ColumnScanMode::Pipelined, &ctx).is_err()
         );
         assert!(ColumnScanner::new(t, vec![9], vec![], ColumnScanMode::Pipelined, &ctx).is_err());
+    }
+    /// The scan core's column node, under both decode policies and both
+    /// paths, hands back for every position the bytes the codec's own
+    /// random-access read gives — whatever it decoded eagerly on the way.
+    #[test]
+    fn a_column_node_reads_what_the_page_holds() {
+        use crate::scan_core::{ColumnNode, DecodePolicy};
+        for t in [table(3000), compressed_table(5000), zoned_table(4000)] {
+            let cs = t.col_storage().unwrap();
+            for (col, storage) in cs.columns.iter().enumerate() {
+                let dtype = t.schema.dtype(col);
+                // The oracle: `ColumnPage::values(..).write_raw`, where the
+                // codec allows it; a sequential decode where it does not.
+                let mut expect: Vec<Vec<u8>> = Vec::new();
+                for page in 0..storage.pages {
+                    let page = storage.page(page, dtype).unwrap();
+                    let pv = page.values(&storage.comp);
+                    let mut cur = pv.cursor();
+                    for slot in 0..pv.count() {
+                        let mut raw = Vec::new();
+                        if storage.comp.codec.random_access() {
+                            pv.write_raw(slot, &mut raw).unwrap();
+                        } else {
+                            cur.next_raw(&mut raw).unwrap();
+                        }
+                        expect.push(raw);
+                    }
+                }
+                assert_eq!(expect.len() as u64, t.row_count);
+                for policy in [DecodePolicy::Pipelined, DecodePolicy::EveryPage] {
+                    // Every position, then a stride that streams past pages.
+                    for (fast, step) in [(false, 1), (true, 1), (false, 611), (true, 611)] {
+                        let ctx = if fast {
+                            fast_ctx()
+                        } else {
+                            ExecContext::default_ctx()
+                        };
+                        let mut nodes =
+                            ColumnNode::open_all(&t, &[col], &[], &ctx, None, policy).unwrap();
+                        let node = &mut nodes[0];
+                        let mut raw = Vec::new();
+                        for pos in (0..t.row_count).step_by(step) {
+                            raw.clear();
+                            node.seek(pos).unwrap();
+                            node.read(pos, &mut raw).unwrap();
+                            assert_eq!(
+                                raw, expect[pos as usize],
+                                "{} col {col} {policy:?} fast={fast} pos {pos}",
+                                t.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -6,46 +6,57 @@
 //! the list of attributes selected by the query and are placed in a block of
 //! tuples."
 //!
-//! Handles both row formats: plain padded tuples and the packed (compressed)
-//! tuples of the -Z tables, whose FOR-delta attributes force sequential
-//! per-tuple decoding (§4.4: the row store "shows a small increase in user
-//! CPU time ... the cost of decompression").
+//! That is one loop (`TupleLoop::process_page`) over the pieces of the scan
+//! core (`scan_core.rs`: admit, select, emit), monomorphized over a
+//! `TupleReader` per row format: plain padded tuples, PAX minipages, and the
+//! packed (compressed) tuples of the -Z tables, whose FOR-delta attributes
+//! force sequential per-tuple decoding (§4.4: the row store "shows a small
+//! increase in user CPU time ... the cost of decompression"). A reader knows
+//! how its format steps, lends a field and is charged for decoding; it knows
+//! nothing of windows, tallies or blocks.
 
 use std::sync::Arc;
 
-use rodb_compress::{Codec, CodecKind};
+use rodb_compress::{Codec, CodecKind, ColumnCompression};
+use rodb_cpu::CpuMeter;
+use rodb_storage::page_packed::PackedRowCursor;
 use rodb_storage::{RowFormat, Table, VerifiedPage};
 use rodb_types::{Result, Schema};
 
 use crate::block::TupleBlock;
 use crate::codepred::{rewrite, CodePred};
-use crate::degraded::DropSet;
 use crate::op::{ExecContext, Operator};
 use crate::page_cursor::PageCursor;
 use crate::predicate::{scan_schema, Predicate};
+use crate::scan_core::{conjunction, Field, Fields, Pending, PredTally, Sink, Window};
 
 /// Scans a table's row representation, applying SARGable predicates and a
 /// projection.
 pub struct RowScanner {
     table: Arc<Table>,
-    ctx: ExecContext,
-    projection: Vec<usize>,
-    predicates: Vec<Predicate>,
-    out_schema: Arc<Schema>,
     /// The row file, clamped to the pages holding this scanner's row range
     /// (whole table by default; a morsel of it under parallel execution).
     pages: PageCursor,
-    done: bool,
-    /// Ordinal ranges dropped by degraded skips (empty unless `on_corrupt =
-    /// Skip` absorbed a page whose every replica was bad).
-    dropped: DropSet,
+    tuples: TupleLoop,
+    /// Packed pages: this page's code-space rewrites, and decode space.
+    code_preds: Vec<Option<CodePred>>,
+    scratch: Vec<u8>,
+}
+
+/// What the tuple loop reads and writes — everything of a [`RowScanner`]
+/// but the table its page readers borrow from.
+struct TupleLoop {
+    ctx: ExecContext,
+    schema: Arc<Schema>,
+    projection: Vec<usize>,
+    predicates: Vec<Predicate>,
+    /// This page's evaluations and passes, per predicate.
+    tallies: Vec<PredTally>,
     /// Bytes of the fields the projection copies per qualifying tuple.
     proj_bytes: usize,
-    /// Qualifying projected tuples not yet emitted (strided by out width).
-    pending: Vec<u8>,
-    pending_pos: Vec<u64>,
-    pending_taken: usize,
-    scratch: Vec<u8>,
+    window: Window,
+    /// Qualifying projected tuples not yet emitted.
+    sink: Sink,
 }
 
 impl RowScanner {
@@ -73,263 +84,254 @@ impl RowScanner {
         let pages = PageCursor::open(ctx, &table, None, range)?;
         // A single sequential scan keeps one request outstanding.
         ctx.disk.borrow_mut().set_interleave(1);
-        let proj_bytes = table.schema.selected_bytes(&projection);
+        let tuples = TupleLoop {
+            ctx: ctx.clone(),
+            schema: table.schema.clone(),
+            proj_bytes: table.schema.selected_bytes(&projection),
+            projection,
+            tallies: vec![PredTally::default(); predicates.len()],
+            predicates,
+            window: Window::new(pages.range()),
+            sink: Sink::new(out_schema, Pending::Tuples),
+        };
         Ok(RowScanner {
             table,
-            ctx: ctx.clone(),
-            projection,
-            predicates,
-            out_schema,
             pages,
-            done: false,
-            dropped: DropSet::default(),
-            proj_bytes,
-            pending: Vec::new(),
-            pending_pos: Vec::new(),
-            pending_taken: 0,
+            tuples,
+            code_preds: Vec::new(),
             scratch: Vec::new(),
         })
     }
 
-    fn pending_remaining(&self) -> usize {
-        self.pending_pos.len() - self.pending_taken
-    }
-
-    /// Process one whole page into the pending buffer. False at EOF.
+    /// Process one whole page into the sink. False at EOF.
     fn fill_from_next_page(&mut self) -> Result<bool> {
-        let Some((page_index, first_row, page)) = self.pages.next() else {
+        let Some((page_index, first_row, page)) =
+            self.pages.next_or_skip(&mut self.tuples.window.dropped)?
+        else {
             return Ok(false);
         };
-        match page {
-            Ok(page) => self
-                .process_page(&page, first_row)
-                .map_err(|e| self.pages.locate(e, page_index))?,
-            // Degraded skip. Nothing to roll back: a retryable error is a
-            // failed checksum, raised before any tuple of the page is read.
-            Err(e) if self.pages.skips(&e) => self.pages.quarantine(page_index, &mut self.dropped),
-            Err(e) => return Err(e),
+        // A quarantined page leaves nothing to roll back: a retryable error
+        // is a failed checksum, raised before any tuple of the page is read.
+        if let Some(page) = page {
+            self.open_page(&page, first_row)
+                .map_err(|e| self.pages.locate(e, page_index))?;
         }
         Ok(true)
     }
 
-    /// Parse one page, appending qualifying projected tuples to the pending
-    /// buffer and charging CPU work. `first_row` is the page's first ordinal
-    /// by file geometry.
-    fn process_page(&mut self, page: &VerifiedPage, first_row: u64) -> Result<()> {
-        let schema = self.table.schema.clone();
-        let rs = self.table.row_storage()?;
-        let out_width = self.out_schema.logical_width();
-        let range = self.pages.range();
-        let mut row_ordinal = first_row;
-
-        let mut visited = 0u64;
-        let mut pred_evals = vec![0u64; self.predicates.len()];
-        let mut pred_passes = vec![0u64; self.predicates.len()];
-        let mut passed_total = 0u64;
-        let mut dense_l1 = false;
-
-        match &rs.format {
+    /// Open `page` in the table's row format and run the tuple loop over it.
+    /// `first_row` is the page's first ordinal by file geometry.
+    fn open_page(&mut self, page: &VerifiedPage, first_row: u64) -> Result<()> {
+        let schema: &Schema = &self.table.schema;
+        match &self.table.row_storage()?.format {
             RowFormat::Plain { stored_width } => {
                 let page = page.row(*stored_width)?;
-                for raw in page.tuples() {
-                    if row_ordinal < range.0 || row_ordinal >= range.1 {
-                        row_ordinal += 1;
-                        continue;
-                    }
-                    visited += 1;
-                    let mut pass = true;
-                    for (pi, pred) in self.predicates.iter().enumerate() {
-                        pred_evals[pi] += 1;
-                        let dt = schema.dtype(pred.col);
-                        let off = schema.offset(pred.col);
-                        if pred.eval_raw(dt, &raw[off..off + dt.width()]) {
-                            pred_passes[pi] += 1;
-                        } else {
-                            pass = false;
-                            break;
-                        }
-                    }
-                    if pass {
-                        passed_total += 1;
-                        for &c in &self.projection {
-                            let off = schema.offset(c);
-                            let w = schema.dtype(c).width();
-                            self.pending.extend_from_slice(&raw[off..off + w]);
-                        }
-                        self.pending_pos.push(row_ordinal);
-                    }
-                    row_ordinal += 1;
-                }
+                let field = |i, col| {
+                    let off = schema.offset(col);
+                    &page.tuple(i)[off..off + schema.dtype(col).width()]
+                };
+                let reader = Indexed::<_, false> {
+                    schema,
+                    count: page.count(),
+                    next: 0,
+                    field,
+                };
+                self.tuples.process_page(reader, first_row)
             }
             RowFormat::Pax => {
-                // PAX: same bytes off disk, but fields of one column are
-                // contiguous in the page — predicate evaluation touches
-                // densely packed cache lines (§6's locality benefit).
-                dense_l1 = true;
-                let page = page.pax(&schema)?;
-                for i in 0..page.count() {
-                    if row_ordinal < range.0 || row_ordinal >= range.1 {
-                        row_ordinal += 1;
-                        continue;
-                    }
-                    visited += 1;
-                    let mut pass = true;
-                    for (pi, pred) in self.predicates.iter().enumerate() {
-                        pred_evals[pi] += 1;
-                        let dt = schema.dtype(pred.col);
-                        if pred.eval_raw(dt, page.field(&schema, i, pred.col)) {
-                            pred_passes[pi] += 1;
-                        } else {
-                            pass = false;
-                            break;
-                        }
-                    }
-                    if pass {
-                        passed_total += 1;
-                        for &c in &self.projection {
-                            self.pending.extend_from_slice(page.field(&schema, i, c));
-                        }
-                        self.pending_pos.push(row_ordinal);
-                    }
-                    row_ordinal += 1;
-                }
+                // Same bytes off disk, but the fields of one column are
+                // contiguous in the page.
+                let page = page.pax(schema)?;
+                let field = |i, col| page.field(schema, i, col);
+                let reader = Indexed::<_, true> {
+                    schema,
+                    count: page.count(),
+                    next: 0,
+                    field,
+                };
+                self.tuples.process_page(reader, first_row)
             }
             RowFormat::Packed { comps, .. } => {
                 let page = page.packed(comps)?;
                 // Fast path: rewrite each predicate against this page's
                 // compression metadata; rewritten predicates are evaluated on
                 // the raw stored codes without decoding the field.
-                let code_preds: Vec<Option<CodePred>> = if self.ctx.sys.scan_fast_path {
-                    self.predicates
-                        .iter()
-                        .map(|p| {
-                            let base = page.base_of(comps, p.col).unwrap_or(0);
-                            // Packed row formats only carry fixed-width codecs
-                            // (packed_equivalent demotion), so code_base is 0.
-                            rewrite(p, &comps[p.col], base, 0)
-                        })
-                        .collect()
-                } else {
-                    vec![None; self.predicates.len()]
+                let fast = self.tuples.ctx.sys.scan_fast_path;
+                self.code_preds.clear();
+                self.code_preds
+                    .extend(self.tuples.predicates.iter().map(|p| {
+                        let base = page.base_of(comps, p.col).unwrap_or(0);
+                        // Packed row formats only carry fixed-width codecs
+                        // (packed_equivalent demotion), so code_base is 0.
+                        fast.then(|| rewrite(p, &comps[p.col], base, 0)).flatten()
+                    }));
+                let reader = PackedTuples {
+                    schema,
+                    comps,
+                    cur: page.cursor(schema, comps),
+                    code_preds: &self.code_preds,
+                    scratch: &mut self.scratch,
                 };
-                let mut vec_evals = vec![0u64; self.predicates.len()];
-                let mut cur = page.cursor(&schema, comps);
-                let delta_cols = comps
-                    .iter()
-                    .filter(|c| matches!(c.codec, Codec::ForDelta { .. }))
-                    .count();
-                let mut scratch = std::mem::take(&mut self.scratch);
-                while cur.advance()? {
-                    if row_ordinal < range.0 || row_ordinal >= range.1 {
-                        // Out-of-range rows on a shared boundary page: the
-                        // cursor still decodes past them (FOR-delta is
-                        // sequential) but they are not visited.
-                        row_ordinal += 1;
-                        continue;
-                    }
-                    visited += 1;
-                    let mut pass = true;
-                    for (pi, pred) in self.predicates.iter().enumerate() {
-                        if let Some(cp) = &code_preds[pi] {
-                            vec_evals[pi] += 1;
-                            if !cp.eval(cur.field_code(pred.col)?) {
-                                pass = false;
-                                break;
-                            }
-                            continue;
-                        }
-                        pred_evals[pi] += 1;
-                        let dt = schema.dtype(pred.col);
-                        scratch.clear();
-                        cur.field_raw(pred.col, &mut scratch)?;
-                        if pred.eval_raw(dt, &scratch) {
-                            pred_passes[pi] += 1;
-                        } else {
-                            pass = false;
-                            break;
-                        }
-                    }
-                    if pass {
-                        passed_total += 1;
-                        for &c in &self.projection {
-                            cur.field_raw(c, &mut self.pending)?;
-                        }
-                        self.pending_pos.push(row_ordinal);
-                    }
-                    row_ordinal += 1;
-                }
-                self.scratch = scratch;
-                // Decompression CPU: predicate fields for every tuple (unless
-                // evaluated in code space), delta maintenance for every
-                // tuple, projected fields for qualifying tuples.
-                let mut meter = self.ctx.meter.borrow_mut();
-                for (pi, pred) in self.predicates.iter().enumerate() {
-                    if code_preds[pi].is_some() {
-                        meter.vec_predicate(vec_evals[pi] as f64);
-                    } else {
-                        meter.decode(comps[pred.col].codec.kind(), visited as f64);
-                    }
-                }
-                meter.decode(CodecKind::ForDelta, (visited * delta_cols as u64) as f64);
-                for &c in &self.projection {
-                    if !matches!(comps[c].codec, Codec::ForDelta { .. }) {
-                        meter.decode(comps[c].codec.kind(), passed_total as f64);
-                    }
-                }
+                self.tuples.process_page(reader, first_row)
             }
         }
+    }
+}
 
-        debug_assert_eq!(self.pending.len(), (self.pending_pos.len()) * out_width);
+/// One row-format page as the tuple loop steps through it.
+trait TupleReader: Fields {
+    /// Fields of one column sit contiguously in the page, so evaluation
+    /// touches densely packed cache lines (PAX — §6's locality benefit).
+    const DENSE_L1: bool;
 
-        // Common CPU accounting for the page.
-        {
-            let mut meter = self.ctx.meter.borrow_mut();
-            meter.row_iter(visited as f64);
-            for (pi, pred) in self.predicates.iter().enumerate() {
-                meter.predicate(pred_evals[pi] as f64, pred_passes[pi] as f64);
-                let w = schema.dtype(pred.col).width() as f64;
-                if dense_l1 {
-                    meter.touch_l1_dense(pred_evals[pi] as f64 * w);
-                } else {
-                    meter.touch_l1(pred_evals[pi] as f64, w);
+    /// Step to the next tuple; false at the end of the page.
+    fn advance(&mut self) -> Result<bool>;
+
+    /// Append column `col` of the current tuple at full declared width.
+    fn project(&mut self, col: usize, out: &mut Vec<u8>) -> Result<()>;
+
+    /// Charge what decoding the page's tuples cost, `visited` of them in the
+    /// window and `passed` qualifying; a predicate decided without its
+    /// stored bytes takes its tally along. Formats that store values
+    /// verbatim decode nothing.
+    fn charge(&self, _: &mut TupleLoop, _visited: u64, _passed: u64) {}
+}
+
+impl TupleLoop {
+    /// The tuple loop: every tuple of one page, in order — admit, select,
+    /// project into the sink — then the page's CPU accounting.
+    fn process_page<R: TupleReader>(&mut self, mut reader: R, first_row: u64) -> Result<()> {
+        let (mut visited, mut passed) = (0u64, 0u64);
+        self.tallies.fill(PredTally::default());
+        let mut pos = first_row;
+        while reader.advance()? {
+            // Out-of-window rows on a shared boundary page are stepped over
+            // (a sequential decoder still decodes past them), not visited.
+            if self.window.admits(pos) {
+                visited += 1;
+                if conjunction(&self.predicates, &mut self.tallies, &mut reader)? {
+                    passed += 1;
+                    let mut fields = self.projection.iter();
+                    self.sink
+                        .push_with(pos, |out| fields.try_for_each(|&c| reader.project(c, out)))?;
                 }
             }
-            meter.project(
-                passed_total as f64,
-                self.projection.len() as f64,
-                passed_total as f64 * self.proj_bytes as f64,
-            );
-            if dense_l1 {
-                meter.touch_l1_dense(passed_total as f64 * self.proj_bytes as f64);
+            pos += 1;
+        }
+
+        reader.charge(self, visited, passed);
+        let mut meter = self.ctx.meter.borrow_mut();
+        let touch_l1 = |meter: &mut CpuMeter, n: f64, width: f64| {
+            if R::DENSE_L1 {
+                meter.touch_l1_dense(n * width);
             } else {
-                meter.touch_l1(passed_total as f64, self.proj_bytes as f64);
+                meter.touch_l1(n, width);
             }
+        };
+        meter.row_iter(visited as f64);
+        for (pred, tally) in self.predicates.iter().zip(&self.tallies) {
+            meter.predicate(tally.evals as f64, tally.passes as f64);
+            let width = self.schema.dtype(pred.col).width();
+            touch_l1(&mut meter, tally.evals as f64, width as f64);
         }
+        let (passed, proj_bytes) = (passed as f64, self.proj_bytes as f64);
+        meter.project(passed, self.projection.len() as f64, passed * proj_bytes);
+        touch_l1(&mut meter, passed, proj_bytes);
         Ok(())
     }
+}
 
-    /// End-of-scan memory accounting: the scanner's page window streamed
-    /// through the memory bus (dense sequential access → hardware
-    /// prefetched). A whole-table scan streams the whole file.
-    fn finish(&mut self) {
-        if self.done {
-            return;
+/// Plain and PAX pages: tuples addressed by index, `field(tuple, col)`
+/// lending a field as stored. `DENSE`: see [`TupleReader::DENSE_L1`].
+struct Indexed<'a, F, const DENSE: bool> {
+    schema: &'a Schema,
+    count: usize,
+    /// Index of the tuple after the current one.
+    next: usize,
+    field: F,
+}
+
+impl<'a, F: Fn(usize, usize) -> &'a [u8], const DENSE: bool> Fields for Indexed<'a, F, DENSE> {
+    fn field(&mut self, _: usize, pred: &Predicate) -> Result<Field<'_>> {
+        let raw = (self.field)(self.next - 1, pred.col);
+        Ok(Field::Raw(self.schema.dtype(pred.col), raw))
+    }
+}
+
+impl<'a, F: Fn(usize, usize) -> &'a [u8], const DENSE: bool> TupleReader for Indexed<'a, F, DENSE> {
+    const DENSE_L1: bool = DENSE;
+
+    fn advance(&mut self) -> Result<bool> {
+        self.next += 1;
+        Ok(self.next <= self.count)
+    }
+
+    fn project(&mut self, col: usize, out: &mut Vec<u8>) -> Result<()> {
+        out.extend_from_slice((self.field)(self.next - 1, col));
+        Ok(())
+    }
+}
+
+/// Packed tuples: a sequential cursor (FOR-delta fields are maintained
+/// tuple by tuple); a predicate rewritten into code space reads the stored
+/// code, any other field is decoded on demand.
+struct PackedTuples<'a> {
+    schema: &'a Schema,
+    comps: &'a [ColumnCompression],
+    cur: PackedRowCursor<'a>,
+    code_preds: &'a [Option<CodePred>],
+    scratch: &'a mut Vec<u8>,
+}
+
+impl Fields for PackedTuples<'_> {
+    fn field(&mut self, pi: usize, pred: &Predicate) -> Result<Field<'_>> {
+        if let Some(cp) = &self.code_preds[pi] {
+            return Ok(Field::Decided(cp.eval(self.cur.field_code(pred.col)?)));
         }
-        self.done = true;
-        let dropped = self.dropped.total();
-        if dropped > 0 {
-            self.ctx.disk.borrow_mut().note_dropped_rows(dropped);
+        self.scratch.clear();
+        self.cur.field_raw(pred.col, self.scratch)?;
+        Ok(Field::Raw(self.schema.dtype(pred.col), self.scratch))
+    }
+}
+
+impl TupleReader for PackedTuples<'_> {
+    const DENSE_L1: bool = false;
+
+    fn advance(&mut self) -> Result<bool> {
+        self.cur.advance()
+    }
+
+    fn project(&mut self, col: usize, out: &mut Vec<u8>) -> Result<()> {
+        self.cur.field_raw(col, out)
+    }
+
+    /// Decompression CPU: predicate fields for every tuple (unless evaluated
+    /// in code space), delta maintenance for every tuple, projected fields
+    /// for qualifying tuples.
+    fn charge(&self, lp: &mut TupleLoop, visited: u64, passed: u64) {
+        let mut meter = lp.ctx.meter.borrow_mut();
+        let kind = |col: usize| self.comps[col].codec.kind();
+        let is_delta = |col: usize| matches!(self.comps[col].codec, Codec::ForDelta { .. });
+        for (pi, pred) in lp.predicates.iter().enumerate() {
+            if self.code_preds[pi].is_some() {
+                // A vectorized compare on the code, not an interpreted
+                // predicate on the value: charged here, not by the loop.
+                meter.vec_predicate(std::mem::take(&mut lp.tallies[pi]).evals as f64);
+            } else {
+                meter.decode(kind(pred.col), visited as f64);
+            }
         }
-        self.ctx
-            .meter
-            .borrow_mut()
-            .seq_region(self.pages.window_bytes());
+        let delta_cols = (0..self.comps.len()).filter(|&c| is_delta(c)).count();
+        meter.decode(CodecKind::ForDelta, (visited * delta_cols as u64) as f64);
+        for &c in lp.projection.iter().filter(|&&c| !is_delta(c)) {
+            meter.decode(kind(c), passed as f64);
+        }
     }
 }
 
 impl Operator for RowScanner {
     fn schema(&self) -> &Arc<Schema> {
-        &self.out_schema
+        self.tuples.sink.schema()
     }
 
     fn label(&self) -> String {
@@ -337,38 +339,17 @@ impl Operator for RowScanner {
     }
 
     fn next(&mut self) -> Result<Option<TupleBlock>> {
-        if self.done {
-            return Ok(None);
+        let block_cap = self.tuples.ctx.sys.block_tuples;
+        while self.tuples.sink.remaining() < block_cap && self.fill_from_next_page()? {}
+        let ctx = &self.tuples.ctx;
+        let block = self.tuples.sink.emit(ctx, block_cap)?;
+        if block.is_none() && self.tuples.window.settle(ctx) {
+            // End-of-scan memory accounting: the scanner's page window
+            // streamed through the memory bus (dense sequential access →
+            // hardware prefetched). A whole-table scan streams the whole file.
+            ctx.meter.borrow_mut().seq_region(self.pages.window_bytes());
         }
-        let block_cap = self.ctx.sys.block_tuples;
-        while self.pending_remaining() < block_cap {
-            if !self.fill_from_next_page()? {
-                break;
-            }
-        }
-        if self.pending_remaining() == 0 {
-            self.finish();
-            return Ok(None);
-        }
-        let take = self.pending_remaining().min(block_cap);
-        let w = self.out_schema.logical_width();
-        let mut block = TupleBlock::new(self.out_schema.clone(), take);
-        for k in 0..take {
-            let idx = self.pending_taken + k;
-            block.push_tuple(&self.pending[idx * w..(idx + 1) * w], self.pending_pos[idx])?;
-        }
-        self.pending_taken += take;
-        if self.pending_taken == self.pending_pos.len() {
-            self.pending.clear();
-            self.pending_pos.clear();
-            self.pending_taken = 0;
-        }
-        {
-            let mut meter = self.ctx.meter.borrow_mut();
-            meter.block_calls(1.0);
-            meter.stream_bytes(block.byte_len() as f64);
-        }
-        Ok(Some(block))
+        Ok(block)
     }
 }
 
@@ -380,17 +361,9 @@ impl Operator for RowScanner {
 pub fn row_page_pass(table: &Table, ctx: &ExecContext, range: (u64, u64)) -> Result<()> {
     let mut pages = PageCursor::open(ctx, table, None, Some(range))?;
     ctx.disk.borrow_mut().set_interleave(1);
-    let mut dropped = DropSet::default();
-    while let Some((page_index, _, page)) = pages.next() {
-        match page {
-            Ok(_) => {}
-            Err(e) if pages.skips(&e) => pages.quarantine(page_index, &mut dropped),
-            Err(e) => return Err(e),
-        }
-    }
-    if dropped.total() > 0 {
-        ctx.disk.borrow_mut().note_dropped_rows(dropped.total());
-    }
+    let mut window = Window::new(pages.range());
+    while pages.next_or_skip(&mut window.dropped)?.is_some() {}
+    window.settle(ctx);
     Ok(())
 }
 
