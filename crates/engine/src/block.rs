@@ -37,29 +37,6 @@ impl TupleBlock {
         }
     }
 
-    /// A block over `positions.len()` tuples already assembled row-major in
-    /// `data` — a scanner's pending buffer that is exactly one block.
-    pub(crate) fn from_parts(
-        schema: Arc<Schema>,
-        data: Vec<u8>,
-        positions: Vec<u64>,
-    ) -> Result<TupleBlock> {
-        if data.len() != positions.len() * schema.logical_width() {
-            return Err(Error::corrupt(format!(
-                "{} bytes for {} tuples of width {}",
-                data.len(),
-                positions.len(),
-                schema.logical_width()
-            )));
-        }
-        Ok(TupleBlock {
-            schema,
-            count: positions.len(),
-            data,
-            positions,
-        })
-    }
-
     pub fn schema(&self) -> &Arc<Schema> {
         &self.schema
     }

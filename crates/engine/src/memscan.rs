@@ -16,11 +16,10 @@ use rodb_types::{Result, Schema, Value};
 use crate::block::TupleBlock;
 use crate::op::{ExecContext, Operator};
 use crate::predicate::Predicate;
-use crate::scan_core::{conjunction, Field, Fields, Pending, PredTally, Sink};
+use crate::scan_core::{conjunction, Pending, PredTally, Sink};
 
 /// Block iterator over in-memory rows (the snapshot's WOS tail).
 pub struct MemScan {
-    out_schema: Arc<Schema>,
     ctx: ExecContext,
     rows: Arc<Vec<Vec<Value>>>,
     projection: Vec<usize>,
@@ -33,13 +32,6 @@ pub struct MemScan {
     /// lineage positions stay globally unique across the chain.
     base_pos: u64,
     sink: Sink,
-}
-
-/// An owned row under the conjunction: decided on the values themselves.
-impl Fields for &[Value] {
-    fn field(&mut self, _: usize, pred: &Predicate) -> Result<Field<'_>> {
-        Ok(Field::Decided(pred.eval_value(&self[pred.col])))
-    }
 }
 
 impl MemScan {
@@ -59,8 +51,7 @@ impl MemScan {
             p.validate(base_schema)?;
         }
         Ok(MemScan {
-            sink: Sink::new(out_schema.clone(), Pending::Tuples),
-            out_schema,
+            sink: Sink::new(out_schema, Pending::Tuples),
             ctx: ctx.clone(),
             rows,
             projection,
@@ -74,24 +65,25 @@ impl MemScan {
 
 impl Operator for MemScan {
     fn schema(&self) -> &Arc<Schema> {
-        &self.out_schema
+        self.sink.schema()
     }
 
     fn next(&mut self) -> Result<Option<TupleBlock>> {
-        if self.next >= self.rows.len() {
-            return Ok(None);
-        }
         let cap = self.ctx.sys.block_tuples.max(1);
-        let visited = self.next;
+        let out_schema = self.sink.schema().clone();
+        let (visited, mut passes) = (self.next, 0u64);
         self.tallies.fill(PredTally::default());
         while self.sink.remaining() < cap && self.next < self.rows.len() {
-            let mut row = self.rows[self.next].as_slice();
+            let row = &self.rows[self.next];
             let pos = self.base_pos + self.next as u64;
             self.next += 1;
-            if !conjunction(&self.predicates, &mut self.tallies, &mut row)? {
+            // An owned row: decided on the values themselves.
+            let holds = |_, pred: &Predicate| Ok(pred.eval_value(&row[pred.col]));
+            if !conjunction(&self.predicates, &mut self.tallies, holds)? {
                 continue;
             }
-            let mut fields = self.projection.iter().zip(self.out_schema.columns());
+            passes += 1;
+            let mut fields = self.projection.iter().zip(out_schema.columns());
             self.sink.push_with(pos, |out| {
                 fields.try_for_each(|(&c, col)| row[c].encode_into(col.dtype, out))
             })?;
@@ -100,7 +92,7 @@ impl Operator for MemScan {
         // minus every I/O-side term: the WOS tail is memory-resident.
         {
             let mut meter = self.ctx.meter.borrow_mut();
-            let passes = self.sink.remaining() as f64;
+            let passes = passes as f64;
             meter.row_iter((self.next - visited) as f64);
             if !self.predicates.is_empty() {
                 let evals: u64 = self.tallies.iter().map(|t| t.evals).sum();
@@ -109,10 +101,10 @@ impl Operator for MemScan {
             meter.project(
                 passes,
                 self.projection.len() as f64,
-                passes * self.out_schema.logical_width() as f64,
+                passes * out_schema.logical_width() as f64,
             );
         }
-        // `None`: every remaining row failed its predicates.
+        // `None`: no row is left, or every remaining row failed its predicates.
         self.sink.emit(&self.ctx, cap)
     }
 

@@ -123,7 +123,7 @@ impl PageCursor {
     }
 
     /// Whether the policy absorbs `e` as a degraded skip.
-    pub fn skips(&self, e: &Error) -> bool {
+    fn skips(&self, e: &Error) -> bool {
         should_skip(self.policy, e)
     }
 
@@ -146,9 +146,16 @@ impl PageCursor {
         dropped.add(start, end);
     }
 
-    /// [`PageCursor::quarantine`] for the page that would hold row `pos`.
-    pub fn quarantine_row(&self, pos: u64, dropped: &mut DropSet) {
+    /// The `on_corrupt` policy applied to `e`, raised seeking row `pos`:
+    /// under `Skip` a page bad on every replica is quarantined
+    /// ([`PageCursor::quarantine`], the page that would hold `pos`) and the
+    /// scan carries on without the row; any other error propagates.
+    pub fn absorb(&self, e: Error, pos: u64, dropped: &mut DropSet) -> Result<()> {
+        if !self.skips(&e) {
+            return Err(e);
+        }
         self.quarantine(pos / self.upp, dropped);
+        Ok(())
     }
 
     /// Sequential pull with the `on_corrupt` policy applied:

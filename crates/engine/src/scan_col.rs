@@ -33,7 +33,7 @@ use crate::codepred::{rewrite_all, zone_rejects};
 use crate::op::{ExecContext, Operator};
 use crate::page_cursor::PageCursor;
 use crate::predicate::{scan_schema, Predicate};
-use crate::scan_core::{conjunction, ColumnNode, DecodePolicy, Pending, Sink, Window};
+use crate::scan_core::{judge, ColumnNode, DecodePolicy, Pending, Sink, Window};
 
 /// Disk-request submission behaviour (§4.5 / Figure 11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,10 +106,14 @@ impl ColumnScanner {
         ctx.disk
             .borrow_mut()
             .set_interleave(mode.interleave(nodes.len()));
+        let pending = Pending::Column {
+            width: nodes[0].dtype.width(),
+            out: nodes[0].out_col,
+        };
         Ok(ColumnScanner {
             ctx: ctx.clone(),
             table,
-            sink: Sink::new(out_schema, Pending::Column(nodes[0].out_col)),
+            sink: Sink::new(out_schema, pending),
             window: Window::new(nodes[0].pages.range()),
             nodes,
             mode,
@@ -166,7 +170,10 @@ impl ColumnScanner {
             let mut gather = |pos: u64, v: i32| {
                 node.tally.positions_seen += 1;
                 node.tally.gathered += 1;
-                sink.push(pos, &v.to_le_bytes());
+                sink.push_with(pos, |out| {
+                    out.extend_from_slice(&v.to_le_bytes());
+                    Ok(())
+                })
             };
             if let Some(cps) = code_preds {
                 let base = pv.base();
@@ -211,7 +218,7 @@ impl ColumnScanner {
                             // BitPack stores non-negative ints verbatim.
                             _ => code as i32,
                         };
-                        gather(pos, v);
+                        gather(pos, v)?;
                     }
                     slot += n;
                 }
@@ -223,7 +230,7 @@ impl ColumnScanner {
                 for (slot, &v) in node.ints.iter().enumerate() {
                     let pos = first_row + slot as u64;
                     if window.admits(pos) && node.preds.iter().all(|p| p.eval_int(v)) {
-                        gather(pos, v);
+                        gather(pos, v)?;
                     }
                 }
             }
@@ -239,10 +246,13 @@ impl ColumnScanner {
             let pos = first_row + slot as u64;
             // Decode cost is paid for slots outside the window too — the
             // cursor walked over them.
-            let mut value = (node.dtype, self.scratch.as_slice());
-            if window.admits(pos) && conjunction(&node.preds, &mut node.pred_tallies, &mut value)? {
+            let raw = self.scratch.as_slice();
+            if window.admits(pos) && judge(&node.preds, &mut node.pred_tallies, node.dtype, raw)? {
                 node.tally.positions_seen += 1; // {position, value} pair created
-                sink.push(pos, &self.scratch);
+                sink.push_with(pos, |out| {
+                    out.extend_from_slice(raw);
+                    Ok(())
+                })?;
             }
         }
         node.tally.values_decoded += count as u64;
@@ -279,9 +289,6 @@ impl Operator for ColumnScanner {
 
             // Drive the remaining nodes off the position list.
             for node in &mut self.nodes[1..] {
-                if block.is_empty() {
-                    break;
-                }
                 self.keep.clear();
                 for i in 0..block.count() {
                     let pos = block.position(i).expect("scanners keep lineage");
@@ -303,10 +310,7 @@ impl Operator for ColumnScanner {
                         }
                         // Degraded skip: the requested position targets a
                         // page bad on every replica.
-                        Err(e) if node.pages.skips(&e) => {
-                            node.pages.quarantine_row(pos, &mut self.window.dropped)
-                        }
-                        Err(e) => return Err(e),
+                        Err(e) => node.pages.absorb(e, pos, &mut self.window.dropped)?,
                     }
                 }
                 if self.keep.len() < block.count() {
@@ -387,13 +391,9 @@ pub fn column_page_pass(
                     continue;
                 }
                 if !node.holds(pos) {
-                    match node.seek(pos, |_, _| Ok(())) {
-                        Ok(()) => {}
-                        Err(e) if node.skips(&e) => {
-                            node.quarantine_row(pos, &mut window.dropped);
-                            continue;
-                        }
-                        Err(e) => return Err(e),
+                    if let Err(e) = node.seek(pos, |_, _| Ok(())) {
+                        node.absorb(e, pos, &mut window.dropped)?;
+                        continue;
                     }
                 }
                 block[kept] = pos;

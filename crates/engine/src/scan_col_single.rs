@@ -95,13 +95,10 @@ impl Operator for SingleIteratorColumnScanner {
             let mut pass = true;
             for node in &mut self.nodes {
                 if let Err(e) = node.seek(pos) {
-                    if !node.pages.skips(&e) {
-                        return Err(e);
-                    }
                     // Degraded skip: quarantine the bad page and drop the
                     // ordinals it holds by geometry. Later cursors are not
                     // advanced for this row; they catch up lazily.
-                    node.pages.quarantine_row(pos, &mut self.window.dropped);
+                    node.pages.absorb(e, pos, &mut self.window.dropped)?;
                     continue 'rows;
                 }
                 if pass && !node.preds.is_empty() {

@@ -7,7 +7,7 @@
 //! ([`crate::page_cursor`]) each primitive step of a scan has one home:
 //!
 //! * **select** — [`conjunction`]: the short-circuit predicate loop with its
-//!   eval/pass tally, over whatever [`Fields`] the caller's tuple offers;
+//!   eval/pass tally, over a field accessor the caller's tuple format supplies;
 //! * **admit** — [`Window`]: the row-ordinal range a scan answers for, less
 //!   the ordinals degraded skips dropped;
 //! * **emit** — [`Sink`]: pending selections → [`TupleBlock`], with the
@@ -17,9 +17,9 @@
 //!   opened by [`ColumnNode::open_all`], flushed by [`ColumnNode::charge`].
 //!
 //! The row scanner, the pipelined column scanner, the single-iterator
-//! column scanner and `MemScan` configure these; none of them evaluates a
-//! predicate on stored bytes, meters a decode, or assembles a block by hand
-//! (the CI lint job greps for it). What stays per scanner is its *schedule*:
+//! column scanner and `MemScan` configure these; none of them tallies a
+//! predicate, meters a decode, or assembles a block by hand (the CI lint job
+//! greps for it). What stays per scanner is its *schedule*:
 //! which page is pulled when, and — for node 0 of the pipelined scanner —
 //! the code-space block filter only it runs.
 
@@ -46,48 +46,36 @@ pub(crate) struct PredTally {
     pub passes: u64,
 }
 
-/// How one predicate is decided on the tuple at hand.
-pub(crate) enum Field<'a> {
-    /// By its stored field at full declared width — compared here, the one
-    /// place stored bytes meet a literal.
-    Raw(DataType, &'a [u8]),
-    /// Without the bytes: in code space, or on an owned value.
-    Decided(bool),
-}
-
-/// A tuple as [`conjunction`] sees it. (A trait, not a closure: the packed
-/// row format decodes into its own scratch and lends that out.)
-pub(crate) trait Fields {
-    /// What decides predicate number `pi` of the conjunction on this tuple.
-    fn field(&mut self, pi: usize, pred: &Predicate) -> Result<Field<'_>>;
-}
-
-/// One stored value: every predicate of a column node reads the same bytes.
-impl Fields for (DataType, &[u8]) {
-    fn field(&mut self, _: usize, _: &Predicate) -> Result<Field<'_>> {
-        Ok(Field::Raw(self.0, self.1))
-    }
-}
-
-/// Whether `tuple` passes every predicate: evaluated in order, stopping at
-/// the first that fails, each evaluation and each pass tallied.
+/// Whether a tuple passes every predicate: evaluated in order, stopping at
+/// the first that fails, each evaluation and each pass tallied. `holds(pi,
+/// pred)` decides predicate number `pi` on the tuple at hand — on its stored
+/// field, in code space or on an owned value, as the caller's format allows.
+#[inline]
 pub(crate) fn conjunction(
     preds: &[Predicate],
     tallies: &mut [PredTally],
-    tuple: &mut impl Fields,
+    mut holds: impl FnMut(usize, &Predicate) -> Result<bool>,
 ) -> Result<bool> {
     for (pi, (pred, tally)) in preds.iter().zip(tallies).enumerate() {
         tally.evals += 1;
-        let holds = match tuple.field(pi, pred)? {
-            Field::Raw(dtype, raw) => pred.eval_raw(dtype, raw),
-            Field::Decided(verdict) => verdict,
-        };
-        if !holds {
+        if !holds(pi, pred)? {
             return Ok(false);
         }
         tally.passes += 1;
     }
     Ok(true)
+}
+
+/// [`conjunction`] on one stored value at full declared width, which every
+/// predicate reads: a column node's.
+#[inline]
+pub(crate) fn judge(
+    preds: &[Predicate],
+    tallies: &mut [PredTally],
+    dtype: DataType,
+    raw: &[u8],
+) -> Result<bool> {
+    conjunction(preds, tallies, |_, pred| Ok(pred.eval_raw(dtype, raw)))
 }
 
 // ---------------------------------------------------------------------------
@@ -143,9 +131,9 @@ impl Window {
 pub(crate) enum Pending {
     /// Whole output tuples.
     Tuples,
-    /// Values of the deepest scan column, which is output column `Some(c)`
-    /// or not projected at all (positions only).
-    Column(Option<usize>),
+    /// Values of the deepest scan column, `width` bytes each: output column
+    /// `out`, or not projected at all (only their positions are emitted).
+    Column { width: usize, out: Option<usize> },
 }
 
 /// Qualifying rows selected but not yet emitted, and the one way they become
@@ -165,7 +153,7 @@ impl Sink {
     pub fn new(schema: Arc<Schema>, pending: Pending) -> Sink {
         let stride = match pending {
             Pending::Tuples => schema.logical_width(),
-            Pending::Column(out) => out.map_or(0, |c| schema.dtype(c).width()),
+            Pending::Column { width, .. } => width,
         };
         Sink {
             schema,
@@ -188,26 +176,20 @@ impl Sink {
         self.positions.len() - self.taken
     }
 
-    /// Append one row whose bytes are already contiguous.
-    #[inline]
-    pub fn push(&mut self, pos: u64, raw: &[u8]) {
-        self.positions.push(pos);
-        if self.stride > 0 {
-            self.bytes.extend_from_slice(raw);
-        }
-    }
-
-    /// Append one row field by field: `fill` appends its bytes. An error
-    /// leaves the sink as it was, so a scan resumed past it stays aligned.
+    /// Append one row: `fill` appends its bytes, field by field if it likes.
+    /// An error leaves the sink as it was, so a scan resumed past it stays
+    /// aligned.
     pub fn push_with(
         &mut self,
         pos: u64,
         fill: impl FnOnce(&mut Vec<u8>) -> Result<()>,
     ) -> Result<()> {
         let len = self.bytes.len();
-        fill(&mut self.bytes).inspect_err(|_| self.bytes.truncate(len))?;
         self.positions.push(pos);
-        Ok(())
+        fill(&mut self.bytes).inspect_err(|_| {
+            self.positions.pop();
+            self.bytes.truncate(len);
+        })
     }
 
     /// Move up to `cap` pending rows into a block; `None` when none pend.
@@ -217,19 +199,13 @@ impl Sink {
             return Ok(None);
         }
         debug_assert_eq!(self.bytes.len(), self.positions.len() * self.stride);
-        if take == self.positions.len() && matches!(self.pending, Pending::Tuples) {
-            // Everything pending is one block: hand the buffers over.
-            let bytes = std::mem::replace(&mut self.bytes, Vec::with_capacity(take * self.stride));
-            let positions = std::mem::replace(&mut self.positions, Vec::with_capacity(take));
-            return TupleBlock::from_parts(self.schema.clone(), bytes, positions).map(Some);
-        }
         let mut block = TupleBlock::new(self.schema.clone(), take);
         for idx in self.taken..self.taken + take {
             let pos = self.positions[idx];
             let raw = &self.bytes[idx * self.stride..(idx + 1) * self.stride];
             match self.pending {
                 Pending::Tuples => block.push_tuple(raw, pos)?,
-                Pending::Column(out) => {
+                Pending::Column { out, .. } => {
                     let bi = block.push_blank(pos);
                     if let Some(oc) = out {
                         block.field_mut(bi, oc).copy_from_slice(raw);
@@ -285,16 +261,6 @@ pub(crate) enum DecodePolicy {
     EveryPage,
 }
 
-/// What the held page has been decoded into.
-enum Held {
-    /// Nothing: values are read per position through the codec.
-    Encoded,
-    /// `ints`, one per slot (block kernels).
-    Ints,
-    /// `raw`, full declared width per slot.
-    Raw,
-}
-
 /// Work one column node did, flushed into the meter by
 /// [`ColumnNode::finish`].
 #[derive(Debug, Default)]
@@ -337,8 +303,12 @@ pub(crate) struct ColumnNode {
     /// Vectorized fast path enabled ([`rodb_types::SystemConfig`]
     /// `scan_fast_path`).
     pub fast: bool,
-    held: Held,
-    /// Block-kernel output; also node 0's value-space filter scratch.
+    /// Whether the held page was decoded whole — an int column's into
+    /// `ints` (by the block kernels on the fast path, code by code off it),
+    /// a text column's into `raw` at full declared width. Otherwise values
+    /// are read per position through the codec.
+    decoded: bool,
+    /// Also node 0's value-space filter scratch.
     pub ints: Vec<i32>,
     raw: Vec<u8>,
     /// Per-slot verdict of `preds` on the held page, where decoding judged
@@ -376,7 +346,7 @@ impl ColumnNode {
                 pages: PageCursor::open(ctx, table, Some(col), range)?,
                 policy,
                 fast: ctx.sys.scan_fast_path,
-                held: Held::Encoded,
+                decoded: false,
                 ints: Vec::new(),
                 raw: Vec::new(),
                 verdicts: Vec::new(),
@@ -399,11 +369,11 @@ impl ColumnNode {
         let comp = &self.storage.comp;
         let fast_int = self.fast && self.dtype == DataType::Int;
         self.pages.seek(pos, |verified: &VerifiedPage, is_target| {
-            self.held = Held::Encoded;
+            self.decoded = false;
             let whole = match self.policy {
                 // Pages only streamed past are not decoded — unless the
                 // codec needs every prior code anyway (FOR-delta and the
-                // RLE family are int-only, so scalar or kernel).
+                // RLE family, all int-only).
                 DecodePolicy::Pipelined => !comp.codec.random_access() || (fast_int && is_target),
                 DecodePolicy::EveryPage => true,
             };
@@ -415,30 +385,29 @@ impl ColumnNode {
             if fast_int {
                 pv.decode_ints_into(&mut self.ints)?;
                 self.tally.blocks_decoded += count as u64;
-                self.held = Held::Ints;
             } else {
-                self.raw.clear();
-                self.raw.reserve(count * self.dtype.width());
                 let mut cur = pv.cursor();
-                for _ in 0..count {
-                    cur.next_raw(&mut self.raw)?;
+                if self.dtype == DataType::Int {
+                    self.ints.clear();
+                    for _ in 0..count {
+                        self.ints.push(cur.next_int()?);
+                    }
+                } else {
+                    self.raw.clear();
+                    for _ in 0..count {
+                        cur.next_raw(&mut self.raw)?;
+                    }
                 }
                 self.tally.values_decoded += count as u64;
-                self.held = Held::Raw;
             }
-            if fast_int && self.policy == DecodePolicy::EveryPage {
-                // The row loop reads bytes, and judges int predicates here,
-                // in one vectorized pass.
-                self.raw.clear();
-                self.raw
-                    .extend(self.ints.iter().flat_map(|v| v.to_le_bytes()));
-                self.held = Held::Raw;
-                if !self.preds.is_empty() {
-                    let verdict = |&v| self.preds.iter().all(|p| p.eval_int(v));
-                    self.verdicts.clear();
-                    self.verdicts.extend(self.ints.iter().map(verdict));
-                    self.tally.vec_pred_evals += (count * self.preds.len()) as u64;
-                }
+            self.decoded = true;
+            if fast_int && self.policy == DecodePolicy::EveryPage && !self.preds.is_empty() {
+                // The row loop's int predicates are judged here, in one
+                // vectorized pass.
+                let verdict = |&v| self.preds.iter().all(|p| p.eval_int(v));
+                self.verdicts.clear();
+                self.verdicts.extend(self.ints.iter().map(verdict));
+                self.tally.vec_pred_evals += (count * self.preds.len()) as u64;
             }
             Ok(())
         })
@@ -451,22 +420,21 @@ impl ColumnNode {
         let (page, first_row) = self.pages.held();
         let slot = (pos - first_row) as usize;
         let width = self.dtype.width();
-        match self.held {
-            Held::Raw => out.extend_from_slice(&self.raw[slot * width..][..width]),
-            Held::Ints => {
-                out.extend_from_slice(&self.ints[slot].to_le_bytes());
-                if self.storage.comp.codec.random_access() {
-                    // Block-decoded for the lookups' sake, not the codec's.
-                    self.tally.gathered += 1;
-                }
-            }
+        let comp = &self.storage.comp;
+        if !self.decoded {
             // Scalar reads and the fast path's fallback (text has no block
             // kernel) alike re-open the held page: no checksum pass here.
-            Held::Encoded => {
-                let comp = &self.storage.comp;
-                page.column(self.dtype).values(comp).write_raw(slot, out)?;
-                self.tally.values_decoded += 1;
+            page.column(self.dtype).values(comp).write_raw(slot, out)?;
+            self.tally.values_decoded += 1;
+        } else if self.dtype == DataType::Int {
+            out.extend_from_slice(&self.ints[slot].to_le_bytes());
+            if self.policy == DecodePolicy::Pipelined && comp.codec.random_access() {
+                // Block-decoded for the lookups' sake, not the codec's or
+                // the policy's.
+                self.tally.gathered += 1;
             }
+        } else {
+            out.extend_from_slice(&self.raw[slot * width..][..width]);
         }
         Ok(())
     }
@@ -481,8 +449,7 @@ impl ColumnNode {
         }
         scratch.clear();
         self.read(pos, scratch)?;
-        let mut value = (self.dtype, scratch.as_slice());
-        conjunction(&self.preds, &mut self.pred_tallies, &mut value)
+        judge(&self.preds, &mut self.pred_tallies, self.dtype, scratch)
     }
 
     /// End of a column scan (once, however often it is called): settle the
@@ -570,8 +537,8 @@ mod tests {
                 .map(|i| if failing.contains(&i) { &fails } else { &holds }.clone())
                 .collect();
             let mut tallies = vec![PredTally::default(); 3];
-            let mut value = (DataType::Int, raw.as_slice());
-            let pass = conjunction(&preds, &mut tallies, &mut value).unwrap();
+            let holds = |_, p: &Predicate| Ok(p.eval_raw(DataType::Int, &raw));
+            let pass = conjunction(&preds, &mut tallies, holds).unwrap();
             assert_eq!(
                 (pass, tallies),
                 hand_loop(&preds, DataType::Int, &raw),
@@ -583,8 +550,8 @@ mod tests {
         let preds = vec![holds.clone(), fails.clone()];
         let mut tallies = vec![PredTally::default(); 2];
         for _ in 0..4 {
-            let mut value = (DataType::Int, raw.as_slice());
-            assert!(!conjunction(&preds, &mut tallies, &mut value).unwrap());
+            let holds = |_, p: &Predicate| Ok(p.eval_raw(DataType::Int, &raw));
+            assert!(!conjunction(&preds, &mut tallies, holds).unwrap());
         }
         let tally = |evals, passes| PredTally { evals, passes };
         assert_eq!(tallies, [tally(4, 4), tally(4, 0)]);
@@ -616,17 +583,15 @@ mod tests {
             while sink.remaining() < cap && next < ROWS {
                 for pos in next..(next + batch as u64).min(ROWS) {
                     let v = (pos as i32 * 7).to_le_bytes();
-                    if whole {
-                        let text = [b'a' + (pos % 26) as u8; 3];
-                        sink.push_with(pos, |out| {
+                    let text = [b'a' + (pos % 26) as u8; 3];
+                    sink.push_with(pos, |out| {
+                        if whole {
                             out.extend_from_slice(&text);
-                            out.extend_from_slice(&v);
-                            Ok(())
-                        })
-                        .unwrap();
-                    } else {
-                        sink.push(pos, &v);
-                    }
+                        }
+                        out.extend_from_slice(&v);
+                        Ok(())
+                    })
+                    .unwrap();
                 }
                 next = (next + batch as u64).min(ROWS);
             }
@@ -652,8 +617,14 @@ mod tests {
         for cap in [1, 3, 100] {
             for pending in [
                 || Pending::Tuples,
-                || Pending::Column(Some(1)),
-                || Pending::Column(None),
+                || Pending::Column {
+                    width: 4,
+                    out: Some(1),
+                },
+                || Pending::Column {
+                    width: 4,
+                    out: None,
+                },
             ] {
                 let paged = blocks(pending(), cap, 250);
                 let single = blocks(pending(), cap, 1);
@@ -670,8 +641,8 @@ mod tests {
                 for (pos, tuple) in tuples.chunks(7).enumerate() {
                     let (text, v) = match pending() {
                         Pending::Tuples => ([b'a' + (pos % 26) as u8; 3], pos as i32 * 7),
-                        Pending::Column(Some(_)) => ([0; 3], pos as i32 * 7),
-                        Pending::Column(None) => ([0; 3], 0),
+                        Pending::Column { out: Some(_), .. } => ([0; 3], pos as i32 * 7),
+                        Pending::Column { out: None, .. } => ([0; 3], 0),
                     };
                     assert_eq!(tuple, [&text[..], &v.to_le_bytes()].concat(), "row {pos}");
                 }

@@ -12,8 +12,9 @@
 //! packed (compressed) tuples of the -Z tables, whose FOR-delta attributes
 //! force sequential per-tuple decoding (§4.4: the row store "shows a small
 //! increase in user CPU time ... the cost of decompression"). A reader knows
-//! how its format steps, lends a field and is charged for decoding; it knows
-//! nothing of windows, tallies or blocks.
+//! how its format steps, decides one predicate on the current tuple, appends
+//! one field of it and is charged for decoding; it knows nothing of windows,
+//! tallies or blocks.
 
 use std::sync::Arc;
 
@@ -21,14 +22,14 @@ use rodb_compress::{Codec, CodecKind, ColumnCompression};
 use rodb_cpu::CpuMeter;
 use rodb_storage::page_packed::PackedRowCursor;
 use rodb_storage::{RowFormat, Table, VerifiedPage};
-use rodb_types::{Result, Schema};
+use rodb_types::{DataType, Result, Schema};
 
 use crate::block::TupleBlock;
 use crate::codepred::{rewrite, CodePred};
 use crate::op::{ExecContext, Operator};
 use crate::page_cursor::PageCursor;
 use crate::predicate::{scan_schema, Predicate};
-use crate::scan_core::{conjunction, Field, Fields, Pending, PredTally, Sink, Window};
+use crate::scan_core::{conjunction, Pending, PredTally, Sink, Window};
 
 /// Scans a table's row representation, applying SARGable predicates and a
 /// projection.
@@ -126,15 +127,13 @@ impl RowScanner {
         match &self.table.row_storage()?.format {
             RowFormat::Plain { stored_width } => {
                 let page = page.row(*stored_width)?;
-                let field = |i, col| {
-                    let off = schema.offset(col);
-                    &page.tuple(i)[off..off + schema.dtype(col).width()]
-                };
-                let reader = Indexed::<_, false> {
-                    schema,
-                    count: page.count(),
-                    next: 0,
-                    field,
+                let reader = Stored::<_, _, false> {
+                    tuples: page.tuples(),
+                    cur: &[][..],
+                    field: |tuple, col| {
+                        let off = schema.offset(col);
+                        &tuple[off..off + schema.dtype(col).width()]
+                    },
                 };
                 self.tuples.process_page(reader, first_row)
             }
@@ -142,12 +141,10 @@ impl RowScanner {
                 // Same bytes off disk, but the fields of one column are
                 // contiguous in the page.
                 let page = page.pax(schema)?;
-                let field = |i, col| page.field(schema, i, col);
-                let reader = Indexed::<_, true> {
-                    schema,
-                    count: page.count(),
-                    next: 0,
-                    field,
+                let reader = Stored::<_, _, true> {
+                    tuples: 0..page.count(),
+                    cur: 0,
+                    field: |i, col| page.field(schema, i, col),
                 };
                 self.tuples.process_page(reader, first_row)
             }
@@ -166,7 +163,6 @@ impl RowScanner {
                         fast.then(|| rewrite(p, &comps[p.col], base, 0)).flatten()
                     }));
                 let reader = PackedTuples {
-                    schema,
                     comps,
                     cur: page.cursor(schema, comps),
                     code_preds: &self.code_preds,
@@ -179,7 +175,7 @@ impl RowScanner {
 }
 
 /// One row-format page as the tuple loop steps through it.
-trait TupleReader: Fields {
+trait TupleReader {
     /// Fields of one column sit contiguously in the page, so evaluation
     /// touches densely packed cache lines (PAX — §6's locality benefit).
     const DENSE_L1: bool;
@@ -187,14 +183,23 @@ trait TupleReader: Fields {
     /// Step to the next tuple; false at the end of the page.
     fn advance(&mut self) -> Result<bool>;
 
+    /// Whether predicate number `pi` of the scan, on a column of type
+    /// `dtype`, holds on the current tuple.
+    fn holds(&mut self, pi: usize, pred: &Predicate, dtype: DataType) -> Result<bool>;
+
     /// Append column `col` of the current tuple at full declared width.
     fn project(&mut self, col: usize, out: &mut Vec<u8>) -> Result<()>;
 
+    /// Whether predicate number `pi` is decided on this page's stored codes,
+    /// its field never decoded.
+    fn decided_in_code(&self, _pi: usize) -> bool {
+        false
+    }
+
     /// Charge what decoding the page's tuples cost, `visited` of them in the
-    /// window and `passed` qualifying; a predicate decided without its
-    /// stored bytes takes its tally along. Formats that store values
-    /// verbatim decode nothing.
-    fn charge(&self, _: &mut TupleLoop, _visited: u64, _passed: u64) {}
+    /// window and `passed` qualifying. Formats that store values verbatim
+    /// decode nothing.
+    fn charge_decode(&self, _: &mut CpuMeter, _: &TupleLoop, _visited: u64, _passed: u64) {}
 }
 
 impl TupleLoop {
@@ -209,18 +214,23 @@ impl TupleLoop {
             // (a sequential decoder still decodes past them), not visited.
             if self.window.admits(pos) {
                 visited += 1;
-                if conjunction(&self.predicates, &mut self.tallies, &mut reader)? {
+                let holds =
+                    |pi, pred: &Predicate| reader.holds(pi, pred, self.schema.dtype(pred.col));
+                if conjunction(&self.predicates, &mut self.tallies, holds)? {
                     passed += 1;
-                    let mut fields = self.projection.iter();
-                    self.sink
-                        .push_with(pos, |out| fields.try_for_each(|&c| reader.project(c, out)))?;
+                    self.sink.push_with(pos, |out| {
+                        for &c in &self.projection {
+                            reader.project(c, out)?;
+                        }
+                        Ok(())
+                    })?;
                 }
             }
             pos += 1;
         }
 
-        reader.charge(self, visited, passed);
         let mut meter = self.ctx.meter.borrow_mut();
+        reader.charge_decode(&mut meter, self, visited, passed);
         let touch_l1 = |meter: &mut CpuMeter, n: f64, width: f64| {
             if R::DENSE_L1 {
                 meter.touch_l1_dense(n * width);
@@ -229,7 +239,13 @@ impl TupleLoop {
             }
         };
         meter.row_iter(visited as f64);
-        for (pred, tally) in self.predicates.iter().zip(&self.tallies) {
+        for (pi, (pred, tally)) in self.predicates.iter().zip(&self.tallies).enumerate() {
+            if reader.decided_in_code(pi) {
+                // A vectorized compare on the code, not an interpreted
+                // predicate on a value read out of the tuple.
+                meter.vec_predicate(tally.evals as f64);
+                continue;
+            }
             meter.predicate(tally.evals as f64, tally.passes as f64);
             let width = self.schema.dtype(pred.col).width();
             touch_l1(&mut meter, tally.evals as f64, width as f64);
@@ -241,33 +257,34 @@ impl TupleLoop {
     }
 }
 
-/// Plain and PAX pages: tuples addressed by index, `field(tuple, col)`
-/// lending a field as stored. `DENSE`: see [`TupleReader::DENSE_L1`].
-struct Indexed<'a, F, const DENSE: bool> {
-    schema: &'a Schema,
-    count: usize,
-    /// Index of the tuple after the current one.
-    next: usize,
+/// Plain and PAX pages: tuples stored at full width, `field(tuple, col)`
+/// lending a field of the current one — `cur`, a slice of a plain page or an
+/// index into a PAX page's minipages. `DENSE`: see [`TupleReader::DENSE_L1`].
+struct Stored<'a, I: Iterator, F: Fn(I::Item, usize) -> &'a [u8], const DENSE: bool> {
+    tuples: I,
+    cur: I::Item,
     field: F,
 }
 
-impl<'a, F: Fn(usize, usize) -> &'a [u8], const DENSE: bool> Fields for Indexed<'a, F, DENSE> {
-    fn field(&mut self, _: usize, pred: &Predicate) -> Result<Field<'_>> {
-        let raw = (self.field)(self.next - 1, pred.col);
-        Ok(Field::Raw(self.schema.dtype(pred.col), raw))
-    }
-}
-
-impl<'a, F: Fn(usize, usize) -> &'a [u8], const DENSE: bool> TupleReader for Indexed<'a, F, DENSE> {
+impl<'a, I, F, const DENSE: bool> TupleReader for Stored<'a, I, F, DENSE>
+where
+    I: Iterator<Item: Copy>,
+    F: Fn(I::Item, usize) -> &'a [u8],
+{
     const DENSE_L1: bool = DENSE;
 
     fn advance(&mut self) -> Result<bool> {
-        self.next += 1;
-        Ok(self.next <= self.count)
+        let next = self.tuples.next();
+        self.cur = next.unwrap_or(self.cur);
+        Ok(next.is_some())
+    }
+
+    fn holds(&mut self, _: usize, pred: &Predicate, dtype: DataType) -> Result<bool> {
+        Ok(pred.eval_raw(dtype, (self.field)(self.cur, pred.col)))
     }
 
     fn project(&mut self, col: usize, out: &mut Vec<u8>) -> Result<()> {
-        out.extend_from_slice((self.field)(self.next - 1, col));
+        out.extend_from_slice((self.field)(self.cur, col));
         Ok(())
     }
 }
@@ -276,22 +293,10 @@ impl<'a, F: Fn(usize, usize) -> &'a [u8], const DENSE: bool> TupleReader for Ind
 /// tuple by tuple); a predicate rewritten into code space reads the stored
 /// code, any other field is decoded on demand.
 struct PackedTuples<'a> {
-    schema: &'a Schema,
     comps: &'a [ColumnCompression],
     cur: PackedRowCursor<'a>,
     code_preds: &'a [Option<CodePred>],
     scratch: &'a mut Vec<u8>,
-}
-
-impl Fields for PackedTuples<'_> {
-    fn field(&mut self, pi: usize, pred: &Predicate) -> Result<Field<'_>> {
-        if let Some(cp) = &self.code_preds[pi] {
-            return Ok(Field::Decided(cp.eval(self.cur.field_code(pred.col)?)));
-        }
-        self.scratch.clear();
-        self.cur.field_raw(pred.col, self.scratch)?;
-        Ok(Field::Raw(self.schema.dtype(pred.col), self.scratch))
-    }
 }
 
 impl TupleReader for PackedTuples<'_> {
@@ -301,23 +306,32 @@ impl TupleReader for PackedTuples<'_> {
         self.cur.advance()
     }
 
+    #[inline]
+    fn holds(&mut self, pi: usize, pred: &Predicate, dtype: DataType) -> Result<bool> {
+        if let Some(cp) = &self.code_preds[pi] {
+            return Ok(cp.eval(self.cur.field_code(pred.col)?));
+        }
+        self.scratch.clear();
+        self.cur.field_raw(pred.col, self.scratch)?;
+        Ok(pred.eval_raw(dtype, self.scratch))
+    }
+
     fn project(&mut self, col: usize, out: &mut Vec<u8>) -> Result<()> {
         self.cur.field_raw(col, out)
+    }
+
+    fn decided_in_code(&self, pi: usize) -> bool {
+        self.code_preds[pi].is_some()
     }
 
     /// Decompression CPU: predicate fields for every tuple (unless evaluated
     /// in code space), delta maintenance for every tuple, projected fields
     /// for qualifying tuples.
-    fn charge(&self, lp: &mut TupleLoop, visited: u64, passed: u64) {
-        let mut meter = lp.ctx.meter.borrow_mut();
+    fn charge_decode(&self, meter: &mut CpuMeter, lp: &TupleLoop, visited: u64, passed: u64) {
         let kind = |col: usize| self.comps[col].codec.kind();
         let is_delta = |col: usize| matches!(self.comps[col].codec, Codec::ForDelta { .. });
         for (pi, pred) in lp.predicates.iter().enumerate() {
-            if self.code_preds[pi].is_some() {
-                // A vectorized compare on the code, not an interpreted
-                // predicate on the value: charged here, not by the loop.
-                meter.vec_predicate(std::mem::take(&mut lp.tallies[pi]).evals as f64);
-            } else {
+            if !self.decided_in_code(pi) {
                 meter.decode(kind(pred.col), visited as f64);
             }
         }
