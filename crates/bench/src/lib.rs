@@ -1,5 +1,7 @@
 //! Shared plumbing for the experiment harnesses (one binary per figure and
-//! table of the paper — see DESIGN.md's per-experiment index).
+//! table of the paper — see DESIGN.md's per-experiment index). Every bin
+//! prints modeled-clock numbers only, so its output regenerates byte for
+//! byte; host wall time is measured by the `benchmark/` package alone.
 //!
 //! Environment knobs:
 //! * `RODB_ROWS` — actual rows generated per table (default 200 000).
@@ -14,8 +16,6 @@ use std::sync::Arc;
 use rodb_core::ExperimentConfig;
 use rodb_storage::{BuildLayouts, Table};
 use rodb_tpch::{load_lineitem, load_orders, Variant};
-
-pub mod harness;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)

@@ -367,7 +367,7 @@ impl Plane {
 
     /// The SLO table from the accumulated per-tenant facts plus the run's
     /// charged service-time shares.
-    fn slo_report(&self, tenant_service: &HashMap<String, f64>) -> SloReport {
+    fn slo_report(&self, tenant_service: &BTreeMap<String, f64>) -> SloReport {
         let total: f64 = tenant_service.values().sum();
         let tenants: Vec<TenantSlo> = self
             .tenants
@@ -409,7 +409,7 @@ fn build_status(
     segments: u64,
     wraparounds: u64,
     plane: Option<&Plane>,
-    tenant_service: &HashMap<String, f64>,
+    tenant_service: &BTreeMap<String, f64>,
 ) -> Json {
     let mut doc = Json::obj().set(
         "service",
@@ -675,7 +675,9 @@ impl QueryService {
         let mut cursor_key: HashMap<(usize, u8), usize> = HashMap::new();
         let mut queue: Vec<Waiting> = Vec::new();
         let mut inflight: Vec<Inflight> = Vec::new();
-        let mut tenant_service: HashMap<String, f64> = HashMap::new();
+        // Ordered, so `slo_report` sums it in tenant-name order: a hash
+        // map's iteration order moves `share` in the last ulp run to run.
+        let mut tenant_service: BTreeMap<String, f64> = BTreeMap::new();
         let mut outcomes: Vec<Option<QueryOutcome>> = requests.iter().map(|_| None).collect();
         let mut admitted_at: Vec<f64> = vec![0.0; requests.len()];
         let mut clock = 0.0f64;

@@ -124,6 +124,7 @@ fn warm_rescan_charges_no_disk_time() {
             0.0,
             "{what}: all hits, so zero modeled disk time"
         );
+        assert!(warm.report.elapsed_s < cold.report.elapsed_s, "{what}");
         // Same rows either way.
         assert_eq!(warm.report.rows, cold.report.rows, "{what}");
     }

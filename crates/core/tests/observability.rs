@@ -2,8 +2,9 @@
 //! bit-identical (and absent from the report), timelines reconcile exactly
 //! with the final [`ServiceReport`], the flight recorder provably retains
 //! the K slowest plus every deadline-missed query per window, tenant SLO
-//! quantiles match a sorted-Vec oracle, and the Prometheus exposition of a
-//! service-owned registry validates and agrees with the outcome counts.
+//! quantiles match a sorted-Vec oracle, the SLO report is a pure function of
+//! the schedule, and the Prometheus exposition of a service-owned registry
+//! validates and agrees with the outcome counts.
 
 use std::sync::Arc;
 
@@ -326,6 +327,32 @@ fn tenant_slo_counts_and_quantiles_match_oracle() {
     assert!(top.contains("rodb-top"));
     assert!(top.contains("TENANT"));
     assert!(top.contains("fairness"));
+}
+
+/// Every value in the SLO report is on the modeled clock, so the same
+/// schedule must serialize to the same bytes on every run. `share` divides
+/// by the sum of the per-tenant service times; eight tenants make a sum
+/// taken in hash-map iteration order move in the last ulp run to run.
+#[test]
+fn slo_report_is_byte_identical_across_runs() {
+    let t = table(6_000);
+    let hw = HardwareConfig::default();
+    let mut s = sys(ServiceSpec::new(2).with_slice(0.05));
+    s.observe = Some(ObserveSpec::new(0.5));
+    let slo_bytes = || {
+        let mut svc = QueryService::new(hw, s)
+            .unwrap()
+            .metrics(Registry::handle());
+        for (i, r) in workload(&t, hw, s).into_iter().enumerate() {
+            svc.submit(r.tenant(format!("t{i}")));
+        }
+        let report = svc.run().unwrap();
+        report.observed.unwrap().slo.to_json().compact()
+    };
+    let first = slo_bytes();
+    assert_eq!(first.matches("\"share\"").count(), 8);
+    let differing = (1..16).filter(|_| slo_bytes() != first).count();
+    assert_eq!(differing, 0, "of 15 re-runs of one schedule");
 }
 
 #[test]

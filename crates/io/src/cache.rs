@@ -81,7 +81,8 @@ pub enum CacheHit {
 /// A sized page cache with deterministic LRU-K eviction. One per
 /// [`DiskArray`](crate::disk::DiskArray) by default; wrap it in
 /// [`SharedPageCache`](crate::SharedPageCache) to persist residency across
-/// query executions (the hot-table scenario `bench_cache` measures).
+/// query executions (the hot-table scenario
+/// `crates/core/tests/cache_accounting.rs` pins).
 #[derive(Debug)]
 pub struct PageCache {
     frames: HashMap<PageKey, Frame>,

@@ -3,14 +3,13 @@
 //! The workspace builds offline (DESIGN.md §6), so every artifact the
 //! repo emits — fuzz sweep summaries, bench results, query traces — goes
 //! through this one writer instead of per-binary hand-rolled string
-//! formatting, and [`bench_diff`] reads them back through the same module.
+//! formatting, and `rodb_top --check` and the measured-wall benchmark read
+//! them back through the same module.
 //!
 //! Object keys keep insertion order so emitted files diff stably across
 //! runs. Numbers are `f64` (every counter in the repo fits exactly below
 //! 2^53); integral values render without a trailing `.0` so `"seeks": 12`
 //! round-trips as written.
-//!
-//! [`bench_diff`]: https://github.com/ (crates/bench/src/bin/bench_diff.rs)
 
 use std::fmt;
 
@@ -123,7 +122,8 @@ impl Json {
     /// Flatten every numeric leaf into `(dotted.path, value)` pairs; array
     /// elements are keyed by an identifying string field when one exists
     /// (`col`+`selectivity`, `layout`, `threads`, `name`) and by index
-    /// otherwise. This is what `bench_diff` aligns two files on.
+    /// otherwise, so two documents align on identity, not position. The
+    /// Prometheus exposition names its samples by these paths.
     pub fn flatten(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         self.flatten_into("", &[], &mut out);

@@ -23,7 +23,7 @@
 //!   `TcpListener` endpoint serving `/metrics`, `/healthz`, `/status`.
 //! - [`json`]: the std-only [`Json`] build/render/parse/flatten value
 //!   used by every JSON writer in the workspace (traces, fuzz `--json`,
-//!   bench outputs, `bench_diff`).
+//!   bench outputs).
 //!
 //! Tracing and observability default off everywhere: the engine holds
 //! `Option<Tracer>`, the disk sim `Option<TraceSink>`, and the service

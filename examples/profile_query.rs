@@ -53,9 +53,9 @@ fn main() -> Result<()> {
     //    RunReport totals exactly.
     println!("{}", result.explain().expect("tracing was on"));
 
-    // 4. The same tree as machine-readable artifacts: a span JSON for
-    //    bench_diff and a Chrome trace-event file you can open at
-    //    chrome://tracing or ui.perfetto.dev.
+    // 4. The same tree as machine-readable artifacts: a span JSON and a
+    //    Chrome trace-event file you can open at chrome://tracing or
+    //    ui.perfetto.dev.
     let trace = result.trace.as_ref().expect("tracing was on");
     let path = trace
         .save("results/traces", "profile_query")

@@ -177,6 +177,36 @@ fn parallel_report_is_coherent() {
     assert!(par.report.elapsed_s > 0.0);
 }
 
+/// The scaling claim itself: on a wide fast array (12 spindles, 0.1 ms
+/// seeks, so cpdb ≈ 4.4 and the compressed scan is decode-bound, not
+/// I/O-bound) four workers finish a half-selective ORDERS-Z projection at
+/// least twice as fast as one on the modeled clock.
+#[test]
+fn four_threads_at_least_halve_a_decode_bound_modeled_scan() {
+    let hw = HardwareConfig {
+        disks: 12,
+        seek_s: 0.1e-3,
+        ..HardwareConfig::default()
+    };
+    let orders =
+        Arc::new(load_orders(60_000, 1, 4096, BuildLayouts::both(), Variant::Compressed).unwrap());
+    let modeled_s = |threads: usize| {
+        QueryBuilder::new(orders.clone(), hw, SystemConfig::default())
+            .layout(ScanLayout::Column)
+            .select(&["o_orderdate", "o_orderkey", "o_custkey", "o_totalprice"])
+            .unwrap()
+            .filter("o_orderdate", CmpOp::Lt, orderdate_threshold(0.5))
+            .unwrap()
+            .threads(threads)
+            .run()
+            .unwrap()
+            .report
+            .elapsed_s
+    };
+    let speedup = modeled_s(1) / modeled_s(4);
+    assert!(speedup >= 2.0, "modeled speedup at 4 threads {speedup:.2}x");
+}
+
 // ---- degenerate shapes -------------------------------------------------
 
 #[test]

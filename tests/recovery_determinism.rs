@@ -171,3 +171,43 @@ fn mirrored_reads_repair_the_same_sites_to_the_clean_answer() {
         }
     }
 }
+
+/// What the mirror costs and what it saves, on the modeled clock. Clean,
+/// `mirror = 2` may cost at most 2 % over `mirror = 1` (replicas are read
+/// only after a checksum fails). Damaged, one mirrored pass must beat the
+/// analytic fail-and-restart alternative: with per-page fault probability
+/// `p` over `P` pages a restarting scan expects `1 / (1 - p)^P` attempts,
+/// each failed one costing half a clean scan. 100 ppm is the rate the
+/// claim is stated at; at 100 000 ppm this table's few dozen pages
+/// actually take damage.
+#[test]
+fn mirror_is_free_when_clean_and_beats_fail_restart_when_not() {
+    for layout in [ScanLayout::Row, ScanLayout::Column] {
+        let (m1, _) = run(layout, 1, false, 1, OnCorrupt::Fail, 0);
+        let (m2, _) = run(layout, 1, false, 2, OnCorrupt::Fail, 0);
+        assert_eq!(m2.rows, m1.rows);
+        let clean_s = m1.report.elapsed_s;
+        let overhead = (m2.report.elapsed_s - clean_s) / clean_s;
+        assert!(overhead <= 0.02, "{layout:?}: clean overhead {overhead}");
+
+        let pages = (m1.report.io.bytes_read / PAGE as f64).round();
+        let retries_beating_restart = |rate_ppm: u32| {
+            let (rec, q) = run(layout, 1, false, 2, OnCorrupt::Retry, rate_ppm);
+            assert_eq!(rec.rows, m1.rows, "{layout:?} at {rate_ppm} ppm");
+            assert!(q.is_empty());
+            let attempts = 1.0 / (1.0 - rate_ppm as f64 / 1e6).powf(pages);
+            let restart_s = clean_s * (1.0 + 0.5 * (attempts - 1.0));
+            assert!(
+                rec.report.elapsed_s < restart_s,
+                "{layout:?} at {rate_ppm} ppm: recovery {} s, fail-restart {restart_s} s",
+                rec.report.elapsed_s
+            );
+            rec.report.io.recovery.retries
+        };
+        retries_beating_restart(100);
+        assert!(
+            retries_beating_restart(100_000) > 0,
+            "{layout:?}: 100 000 ppm must damage a page"
+        );
+    }
+}
