@@ -7,6 +7,7 @@
 //! and [`catalog`] tracks loaded tables.
 
 pub mod catalog;
+mod crc;
 pub mod loader;
 pub mod page;
 pub mod page_packed;

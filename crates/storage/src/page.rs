@@ -25,39 +25,12 @@ use rodb_compress::{ColumnCompression, PageValues};
 use rodb_io::PageRef;
 use rodb_types::{CorruptKind, DataType, Error, PageId, Result, Schema, Value};
 
+pub use crate::crc::crc32;
+
 /// Bytes of the page header (the entry count).
 pub const PAGE_HEADER: usize = 4;
 /// Bytes of the page trailer (page id + compression base + reserved + crc).
 pub const PAGE_TRAILER: usize = 24;
-
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC-32 (IEEE, reflected) — the page checksum function.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 /// Usable body bytes of a page.
 #[inline]
@@ -650,13 +623,6 @@ mod tests {
         page[0..4].copy_from_slice(&1000u32.to_le_bytes());
         write_trailer(&mut page, PageId(0), 0);
         assert!(RowPage::new(&page, 8).is_err());
-    }
-
-    #[test]
-    fn crc32_known_value() {
-        // The standard IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

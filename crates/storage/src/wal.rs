@@ -89,7 +89,7 @@ impl WalRecord {
                         "insert record shorter than its count field",
                     ));
                 }
-                let count = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
+                let count = u32::from_le_bytes(le(payload, 0)) as usize;
                 let w = schema.logical_width();
                 if payload.len() != 4 + count.saturating_mul(w) {
                     return Err(Error::corrupt_kind(
@@ -116,8 +116,8 @@ impl WalRecord {
                         format!("merge marker with {}-byte payload", payload.len()),
                     ));
                 }
-                let epoch = u64::from_le_bytes(payload[..8].try_into().unwrap());
-                let rows = u64::from_le_bytes(payload[8..16].try_into().unwrap());
+                let epoch = u64::from_le_bytes(le(payload, 0));
+                let rows = u64::from_le_bytes(le(payload, 8));
                 Ok(if kind == KIND_MERGE_BEGIN {
                     WalRecord::MergeBegin { epoch, rows }
                 } else {
@@ -157,23 +157,16 @@ pub fn replay(schema: &Schema, image: &[u8]) -> WalReplay {
     let mut next_seq = 1u64;
     let mut damage = None;
     while off < image.len() {
-        let remaining = image.len() - off;
-        if remaining < WAL_HEADER + WAL_CRC {
+        let Some(end) = frame_end(image, off) else {
             damage = Some(CorruptKind::WalTorn);
             break;
-        }
-        let len = u32::from_le_bytes(image[off..off + 4].try_into().unwrap()) as usize;
-        if remaining < WAL_HEADER + len + WAL_CRC {
-            damage = Some(CorruptKind::WalTorn);
-            break;
-        }
-        let frame_end = off + WAL_HEADER + len;
-        let stored = u32::from_le_bytes(image[frame_end..frame_end + 4].try_into().unwrap());
-        if stored != crc32(&image[off..frame_end]) {
+        };
+        let body_end = end - WAL_CRC;
+        if u32::from_le_bytes(le(image, body_end)) != crc32(&image[off..body_end]) {
             damage = Some(CorruptKind::WalChecksum);
             break;
         }
-        let seq = u32_pair_to_u64(&image[off + 4..off + 12]);
+        let seq = u64::from_le_bytes(le(image, off + 4));
         let kind = image[off + 12];
         if seq != next_seq {
             // A valid frame out of sequence means the tail of an older log
@@ -181,7 +174,7 @@ pub fn replay(schema: &Schema, image: &[u8]) -> WalReplay {
             damage = Some(CorruptKind::WalChecksum);
             break;
         }
-        match WalRecord::decode_payload(kind, schema, &image[off + WAL_HEADER..frame_end]) {
+        match WalRecord::decode_payload(kind, schema, &image[off + WAL_HEADER..body_end]) {
             Ok(rec) => records.push((seq, rec)),
             Err(_) => {
                 // Structurally invalid behind a valid CRC: software damage.
@@ -190,7 +183,7 @@ pub fn replay(schema: &Schema, image: &[u8]) -> WalReplay {
             }
         }
         next_seq += 1;
-        off = frame_end + WAL_CRC;
+        off = end;
     }
     // Count what lies beyond the prefix, walking claimed frame lengths so a
     // run of torn-but-intact frames counts per record, and anything
@@ -199,14 +192,9 @@ pub fn replay(schema: &Schema, image: &[u8]) -> WalReplay {
     let mut p = off;
     while p < image.len() {
         discarded += 1;
-        let remaining = image.len() - p;
-        if remaining < WAL_HEADER + WAL_CRC {
-            break;
-        }
-        let len = u32::from_le_bytes(image[p..p + 4].try_into().unwrap()) as usize;
-        match (WAL_HEADER + len + WAL_CRC).checked_add(p) {
-            Some(next) if next <= image.len() => p = next,
-            _ => break,
+        match frame_end(image, p) {
+            Some(next) => p = next,
+            None => break,
         }
     }
     WalReplay {
@@ -218,8 +206,24 @@ pub fn replay(schema: &Schema, image: &[u8]) -> WalReplay {
     }
 }
 
-fn u32_pair_to_u64(bytes: &[u8]) -> u64 {
-    u64::from_le_bytes(bytes.try_into().unwrap())
+/// The `N` bytes at `bytes[at..]` as a fixed array, for `from_le_bytes`; the
+/// caller has bounded `at + N`.
+fn le<const N: usize>(bytes: &[u8], at: usize) -> [u8; N] {
+    let mut a = [0; N];
+    a.copy_from_slice(&bytes[at..at + N]);
+    a
+}
+
+/// Where the frame starting at `off` ends, by its own `len` field — the one
+/// frame-length rule. `None` when the header or the claimed length runs past
+/// the image (torn); checked arithmetic, so a damaged `len` can only say so.
+fn frame_end(image: &[u8], off: usize) -> Option<usize> {
+    if image.len().checked_sub(off)? < WAL_HEADER + WAL_CRC {
+        return None;
+    }
+    let len = u32::from_le_bytes(le(image, off)) as usize;
+    let end = off.checked_add(WAL_HEADER + WAL_CRC)?.checked_add(len)?;
+    (end <= image.len()).then_some(end)
 }
 
 /// The append side of the log: an in-memory image of the simulated WAL
@@ -258,17 +262,20 @@ impl Wal {
     /// Append one record; returns its sequence number. The record is
     /// durable (crash-survivable) from the moment this returns.
     pub fn append(&mut self, rec: &WalRecord) -> Result<u64> {
-        let mut payload = Vec::new();
-        rec.encode_payload(&self.schema, &mut payload)?;
-        let seq = self.next_seq;
         let start = self.buf.len();
-        self.buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&seq.to_le_bytes());
+        // Header with a `len` placeholder, then the payload encoded in place.
+        self.buf.extend_from_slice(&[0; 4]);
+        self.buf.extend_from_slice(&self.next_seq.to_le_bytes());
         self.buf.push(rec.kind());
-        self.buf.extend_from_slice(&payload);
+        if let Err(e) = rec.encode_payload(&self.schema, &mut self.buf) {
+            self.buf.truncate(start);
+            return Err(e);
+        }
+        let len = (self.buf.len() - start - WAL_HEADER) as u32;
+        self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
         let crc = crc32(&self.buf[start..]);
         self.buf.extend_from_slice(&crc.to_le_bytes());
+        let seq = self.next_seq;
         self.next_seq += 1;
         Ok(seq)
     }
@@ -351,6 +358,31 @@ mod tests {
             assert_eq!(*seq, i as u64 + 1);
             assert_eq!(rec, &recs[i]);
         }
+    }
+
+    #[test]
+    fn failed_append_leaves_the_log_and_the_sequence_untouched() {
+        let s = schema();
+        let mut wal = Wal::new(s.clone());
+        wal.append(&WalRecord::Insert {
+            rows: vec![row(1, "a")],
+        })
+        .unwrap();
+        let before = wal.image().to_vec();
+        // The first row encodes into the log before the second one fails.
+        let bad = WalRecord::Insert {
+            rows: vec![row(2, "b"), vec![Value::Int(3)]],
+        };
+        assert!(wal.append(&bad).is_err());
+        assert_eq!(wal.image(), before);
+        assert_eq!(wal.next_seq(), 2);
+        let good = WalRecord::Insert {
+            rows: vec![row(4, "c")],
+        };
+        assert_eq!(wal.append(&good).unwrap(), 2);
+        let rep = replay(&s, wal.image());
+        assert_eq!((rep.replayed, rep.discarded, rep.damage), (2, 0, None));
+        assert_eq!(rep.records[1], (2, good));
     }
 
     #[test]
