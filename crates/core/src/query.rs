@@ -21,18 +21,21 @@
 //! # Ok::<(), rodb_types::Error>(())
 //! ```
 
-use std::sync::Arc;
-
+use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 use rodb_engine::{
     drain_rows, finish_query_trace, settle_report, AggPlan, AggSpec, AggStrategy, CmpOp,
     ExecContext, Predicate, QueryJob, QueryPlan, RunReport, ScanLayout, ScanSpec, TaskScheduler,
 };
-use rodb_io::SharedPageCache;
+use rodb_io::{CacheStats, SharedPageCache};
 use rodb_storage::{Layout, Table};
-use rodb_trace::{MetricsRegistry, QueryTrace};
+use rodb_trace::{Keys, MetricsRegistry, QueryTrace};
 use rodb_types::{Error, HardwareConfig, Result, SystemConfig, Value};
+
+/// The registry counters a cache-mediated run bumps: `query.cache.<field>`,
+/// one per [`CacheStats`] field.
+static CACHE_KEYS: LazyLock<Keys<CacheStats>> = LazyLock::new(|| Keys::new("query.cache.", ""));
 
 /// What a finished query hands back: the paper-style performance report and
 /// (optionally) the result rows.
@@ -344,12 +347,8 @@ impl QueryBuilder {
         MetricsRegistry::observe("query.elapsed_s", report.elapsed_s);
         MetricsRegistry::observe("query.cpu_s", report.cpu.total());
         MetricsRegistry::observe("query.io_s", report.io_s());
-        let cache = &report.io.cache;
-        if cache.hits + cache.misses > 0 {
-            MetricsRegistry::counter_add("query.cache.hits", cache.hits as f64);
-            MetricsRegistry::counter_add("query.cache.misses", cache.misses as f64);
-            MetricsRegistry::counter_add("query.cache.evictions", cache.evictions as f64);
-            MetricsRegistry::counter_add("query.cache.prefetched", cache.prefetched as f64);
+        if report.io.cache.requests() > 0 {
+            CACHE_KEYS.write(&report.io.cache, MetricsRegistry::counter_add);
         }
     }
 

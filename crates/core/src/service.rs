@@ -21,11 +21,14 @@
 //! ordinary single-query engine paths untouched.
 
 use std::collections::{BTreeMap, HashMap};
+use std::time::Instant;
 
-use rodb_engine::{CursorQuery, ScanLayout, SharedCursor, SharedCursorConfig};
+use rodb_engine::{
+    CursorQuery, QueryDone, ScanLayout, SegmentStep, SharedCursor, SharedCursorConfig,
+};
 use rodb_io::{shared_page_cache, IoStats, SharedPageCache};
 use rodb_trace::{
-    FlightEntry, FlightRecorder, Histogram, Json, MetricsHandle, MonitorHandle, QueryTrace,
+    keys, FlightEntry, FlightRecorder, Histogram, Json, MetricsHandle, MonitorHandle, QueryTrace,
     Registry, SpanKind, Timeline, Tracer, ROOT,
 };
 use rodb_types::{
@@ -113,6 +116,32 @@ pub struct QueryOutcome {
     pub rejected: bool,
 }
 
+impl QueryOutcome {
+    /// The one place an outcome is built: the request's own attributes and
+    /// its two clock readings, no rows yet. A rejection reads
+    /// `deadline_missed` too — its whole life was queue wait.
+    fn new(
+        req: &ServiceRequest,
+        queue_wait_s: f64,
+        latency_s: f64,
+        rejected: bool,
+    ) -> QueryOutcome {
+        QueryOutcome {
+            tenant: req.tenant.clone(),
+            priority: req.priority,
+            arrival_s: req.arrival_s,
+            queue_wait_s,
+            latency_s,
+            rows: Vec::new(),
+            nrows: 0,
+            attach_seg: 0,
+            wrapped: false,
+            deadline_missed: rejected,
+            rejected,
+        }
+    }
+}
+
 /// What a whole service run produced.
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
@@ -140,7 +169,7 @@ pub struct ServiceReport {
 /// [`Histogram::SAMPLE_CAP`] observations), deadline-miss and
 /// admission-rejection rates, and this tenant's share of all charged
 /// modeled service time.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TenantSlo {
     pub tenant: String,
     pub submitted: u64,
@@ -255,17 +284,6 @@ fn jain_fairness(xs: &[f64]) -> f64 {
     }
 }
 
-/// Per-tenant accumulators while the run is in motion.
-#[derive(Debug, Default, Clone)]
-struct TenantAcc {
-    submitted: u64,
-    completed: u64,
-    rejected: u64,
-    deadline_missed: u64,
-    latency: Histogram,
-    queue_wait: Histogram,
-}
-
 /// The live observability plane of one `run()`: created only when
 /// `SystemConfig::observe` is set, and fed purely from values the event
 /// loop already computes — it reads the modeled clock but never charges
@@ -273,7 +291,9 @@ struct TenantAcc {
 struct Plane {
     timeline: Timeline,
     flight: FlightRecorder,
-    tenants: BTreeMap<String, TenantAcc>,
+    /// Per-tenant facts so far; `service_s` / `share` are filled in by
+    /// [`Plane::slo_report`] from the run's charged service time.
+    tenants: BTreeMap<String, TenantSlo>,
     /// Per-cursor I/O totals at the previous segment boundary, for
     /// windowed deltas (bytes, cache hits) per segment.
     last_io: Vec<IoStats>,
@@ -293,76 +313,13 @@ impl Plane {
         }
     }
 
-    fn tenant_mut(&mut self, tenant: &str) -> &mut TenantAcc {
-        if !self.tenants.contains_key(tenant) {
-            self.tenants
-                .insert(tenant.to_string(), TenantAcc::default());
-        }
-        self.tenants.get_mut(tenant).unwrap()
-    }
-
-    /// Windowed per-segment deltas and depth gauges.
-    #[allow(clippy::too_many_arguments)]
-    fn on_segment(
-        &mut self,
-        clock: f64,
-        cidx: usize,
-        io: IoStats,
-        wrapped: bool,
-        queued: usize,
-        inflight: usize,
-        cache: Option<&SharedPageCache>,
-        reg: &Registry,
-    ) {
-        self.timeline.counter_add(clock, "service.segments", 1.0);
-        if wrapped {
-            self.timeline.counter_add(clock, "service.wraparounds", 1.0);
-        }
-        if self.last_io.len() <= cidx {
-            self.last_io.resize(cidx + 1, IoStats::default());
-        }
-        let prev = self.last_io[cidx];
-        self.timeline.counter_add(
-            clock,
-            "service.io.bytes_read",
-            io.bytes_read - prev.bytes_read,
-        );
-        self.timeline
-            .counter_add(clock, "service.io.seeks", (io.seeks - prev.seeks) as f64);
-        self.timeline.counter_add(
-            clock,
-            "service.cache.hits",
-            (io.cache.hits - prev.cache.hits) as f64,
-        );
-        self.timeline.counter_add(
-            clock,
-            "service.cache.misses",
-            (io.cache.misses - prev.cache.misses) as f64,
-        );
-        self.timeline.counter_add(
-            clock,
-            "service.cache.evictions",
-            (io.cache.evictions - prev.cache.evictions) as f64,
-        );
-        self.last_io[cidx] = io;
-        self.timeline
-            .gauge_set(clock, "service.queue_depth", queued as f64);
-        self.timeline
-            .gauge_set(clock, "service.inflight", inflight as f64);
-        if let Some(c) = cache {
-            let c = c.borrow();
-            self.timeline
-                .gauge_set(clock, "service.cache.resident_pages", c.len() as f64);
-            self.timeline
-                .gauge_set(clock, "service.cache.occupancy", c.occupancy());
-        }
-        // Sample engine/ingest gauges (WAL lag, WOS size, scheduler depth)
-        // into the timeline so their curves line up with the service's.
-        for (name, v) in reg.gauges() {
-            if name.starts_with("ingest.") || name.starts_with("sched.") {
-                self.timeline.gauge_set(clock, &name, v);
-            }
-        }
+    fn tenant_mut(&mut self, tenant: &str) -> &mut TenantSlo {
+        self.tenants
+            .entry(tenant.to_string())
+            .or_insert_with(|| TenantSlo {
+                tenant: tenant.to_string(),
+                ..TenantSlo::default()
+            })
     }
 
     /// The SLO table from the accumulated per-tenant facts plus the run's
@@ -371,19 +328,13 @@ impl Plane {
         let total: f64 = tenant_service.values().sum();
         let tenants: Vec<TenantSlo> = self
             .tenants
-            .iter()
-            .map(|(name, acc)| {
-                let service_s = tenant_service.get(name).copied().unwrap_or(0.0);
+            .values()
+            .map(|t| {
+                let service_s = tenant_service.get(&t.tenant).copied().unwrap_or(0.0);
                 TenantSlo {
-                    tenant: name.clone(),
-                    submitted: acc.submitted,
-                    completed: acc.completed,
-                    rejected: acc.rejected,
-                    deadline_missed: acc.deadline_missed,
                     service_s,
                     share: if total > 0.0 { service_s / total } else { 0.0 },
-                    latency: acc.latency.clone(),
-                    queue_wait: acc.queue_wait.clone(),
+                    ..t.clone()
                 }
             })
             .collect();
@@ -395,22 +346,35 @@ impl Plane {
     }
 }
 
-/// The `/status` document: a service summary plus — when the plane is on —
-/// the SLO table, timeline, and flight-recorder dump. Shared by the live
-/// publisher and [`ServiceReport::to_status_json`].
-#[allow(clippy::too_many_arguments)]
-fn build_status(
+/// `done` per modeled second of `clock` (0 before the clock moves).
+fn per_second(done: u64, clock: f64) -> f64 {
+    if clock > 0.0 {
+        done as f64 / clock
+    } else {
+        0.0
+    }
+}
+
+/// The `/status` document: a service summary counted off the settled
+/// outcomes plus — when the run is observed — the SLO table, timeline and
+/// flight-recorder dump. The one builder behind the live publisher and
+/// [`ServiceReport::to_status_json`].
+fn status_doc<'a>(
     clock: f64,
-    queued: usize,
-    inflight: usize,
-    completed: u64,
-    rejected: u64,
-    deadline_missed: u64,
-    segments: u64,
-    wraparounds: u64,
-    plane: Option<&Plane>,
-    tenant_service: &BTreeMap<String, f64>,
+    (queued, inflight): (usize, usize),
+    (segments, wraparounds): (u64, u64),
+    outcomes: impl Iterator<Item = &'a QueryOutcome>,
+    observed: Option<(&SloReport, &Timeline, &FlightRecorder)>,
 ) -> Json {
+    let (mut completed, mut rejected, mut missed) = (0u64, 0u64, 0u64);
+    for o in outcomes {
+        if o.rejected {
+            rejected += 1;
+        } else {
+            completed += 1;
+            missed += u64::from(o.deadline_missed);
+        }
+    }
     let mut doc = Json::obj().set(
         "service",
         Json::obj()
@@ -419,44 +383,294 @@ fn build_status(
             .set("inflight", inflight as u64)
             .set("queued", queued as u64)
             .set("rejected", rejected)
-            .set("deadline_missed", deadline_missed)
+            .set("deadline_missed", missed)
             .set("segments", segments)
             .set("wraparounds", wraparounds)
-            .set(
-                "throughput_per_s",
-                if clock > 0.0 {
-                    completed as f64 / clock
-                } else {
-                    0.0
-                },
-            ),
+            .set("throughput_per_s", per_second(completed, clock)),
     );
-    if let Some(p) = plane {
-        let slo = p.slo_report(tenant_service);
+    if let Some((slo, timeline, flight)) = observed {
+        let tenants: Vec<Json> = slo.tenants.iter().map(TenantSlo::to_json).collect();
         doc = doc
             .set("fairness", slo.fairness)
-            .set(
-                "tenants",
-                slo.tenants
-                    .iter()
-                    .map(TenantSlo::to_json)
-                    .collect::<Vec<_>>(),
-            )
-            .set("timeline", p.timeline.to_json())
-            .set("flight", p.flight.to_json());
+            .set("tenants", tenants)
+            .set("timeline", timeline.to_json())
+            .set("flight", flight.to_json());
     }
     doc
+}
+
+/// The books of one `run()`, and the only writer of a request's fate. A
+/// request is *submitted*, then *rejected* or *admitted*; cursors run
+/// *segments*; an admitted request is *completed*. Each of those five facts
+/// passes through the one method named after it, which alone knows what the
+/// fact is called in the registry, the timeline, the tenant table, the
+/// flight recorder and the sched trace. The event loop decides; the ledger
+/// records, and every count the service reports is read back off it.
+struct Ledger<'a> {
+    requests: &'a [ServiceRequest],
+    reg: &'a Registry,
+    deadline_s: Option<f64>,
+    /// The modeled clock. The event loop advances it; every fact is stamped
+    /// with its reading.
+    clock: f64,
+    admitted_at: Vec<f64>,
+    /// One slot per request, filled when its fate is settled.
+    outcomes: Vec<Option<QueryOutcome>>,
+    /// Charged modeled service seconds per tenant — the admission
+    /// fair-share key. Ordered, so `slo_report` sums it in tenant-name
+    /// order: a hash map's iteration order moves `share` in the last ulp
+    /// run to run.
+    tenant_service: BTreeMap<String, f64>,
+    segments: u64,
+    wraparounds: u64,
+    /// Queue and in-flight depth at the last segment boundary.
+    depth: (usize, usize),
+    /// Exists only when configured; with `observe: None` (the default)
+    /// nothing reads or writes it and the run is bit-identical.
+    plane: Option<Plane>,
+    tracer: Option<Tracer>,
+}
+
+impl Ledger<'_> {
+    fn submitted(&mut self, seq: usize) {
+        self.reg.counter_add("query.sched.submitted", 1.0);
+        if let Some(p) = &mut self.plane {
+            let tenant = &self.requests[seq].tenant;
+            p.tenant_mut(tenant).submitted += 1;
+            self.reg.counter_add(&tenant_key(tenant, "submitted"), 1.0);
+        }
+    }
+
+    /// Refused at admission: the deadline expired while `seq` was queued.
+    fn rejected(&mut self, seq: usize) {
+        let wait = self.clock - self.requests[seq].arrival_s;
+        let o = QueryOutcome::new(&self.requests[seq], wait, wait, true);
+        self.reg.counter_add("query.sched.rejected_deadline", 1.0);
+        if let Some(p) = &mut self.plane {
+            p.tenant_mut(&o.tenant).rejected += 1;
+            p.timeline.counter_add(self.clock, "service.rejected", 1.0);
+            p.flight.record(self.clock, flight_entry(seq, &o, false));
+            self.reg
+                .counter_add(&tenant_key(&o.tenant, "rejected"), 1.0);
+        }
+        self.outcomes[seq] = Some(o);
+    }
+
+    /// Attached to a cursor whose I/O totals read `cursor_io`; `mid_scan`
+    /// when the cursor was already moving.
+    fn admitted(&mut self, seq: usize, mid_scan: bool, cursor_io: &IoStats) {
+        self.admitted_at[seq] = self.clock;
+        let wait = self.clock - self.requests[seq].arrival_s;
+        self.reg.counter_add("query.sched.admitted", 1.0);
+        self.reg.observe("query.sched.queue_wait_s", wait);
+        if mid_scan {
+            self.reg.counter_add("query.sched.attach_mid_scan", 1.0);
+        }
+        if let Some(p) = &mut self.plane {
+            p.timeline.counter_add(self.clock, "service.admitted", 1.0);
+            p.timeline.observe(self.clock, "service.queue_wait_s", wait);
+            p.quarantined_at_attach
+                .insert(seq, cursor_io.recovery.quarantined_pages);
+        }
+    }
+
+    /// Cursor `cidx` ran `step` for `riders` and now totals `io`. Charges
+    /// each rider's tenant its even share of the slice, then records the
+    /// windowed I/O deltas and the depth gauges.
+    fn segment(
+        &mut self,
+        cidx: usize,
+        step: &SegmentStep,
+        riders: &[usize],
+        io: IoStats,
+        depth: (usize, usize),
+        cache: Option<&SharedPageCache>,
+    ) {
+        self.segments += 1;
+        self.reg.counter_add("query.sched.segments", 1.0);
+        if step.wrapped {
+            self.wraparounds += 1;
+            self.reg.counter_add("query.sched.wraparounds", 1.0);
+        }
+        let share = step.elapsed_s / riders.len() as f64;
+        for &seq in riders {
+            let tenant = &self.requests[seq].tenant;
+            *self.tenant_service.entry(tenant.clone()).or_insert(0.0) += share;
+        }
+        self.depth = depth;
+        let Some(p) = &mut self.plane else {
+            return;
+        };
+        let (t, clock) = (&mut p.timeline, self.clock);
+        t.counter_add(clock, "service.segments", 1.0);
+        if step.wrapped {
+            t.counter_add(clock, "service.wraparounds", 1.0);
+        }
+        if p.last_io.len() <= cidx {
+            p.last_io.resize(cidx + 1, IoStats::default());
+        }
+        let d = io.delta(&std::mem::replace(&mut p.last_io[cidx], io));
+        t.counter_add(clock, "service.io.bytes_read", d.bytes_read);
+        t.counter_add(clock, "service.io.seeks", d.seeks as f64);
+        t.counter_add(clock, "service.cache.hits", d.cache.hits as f64);
+        t.counter_add(clock, "service.cache.misses", d.cache.misses as f64);
+        t.counter_add(clock, "service.cache.evictions", d.cache.evictions as f64);
+        t.gauge_set(clock, "service.queue_depth", depth.0 as f64);
+        t.gauge_set(clock, "service.inflight", depth.1 as f64);
+        if let Some(c) = cache {
+            let c = c.borrow();
+            t.gauge_set(clock, "service.cache.resident_pages", c.len() as f64);
+            t.gauge_set(clock, "service.cache.occupancy", c.occupancy());
+        }
+        // Sample engine/ingest gauges (WAL lag, WOS size, scheduler depth)
+        // into the timeline so their curves line up with the service's.
+        for (name, v) in self.reg.gauges() {
+            if name.starts_with("ingest.") || name.starts_with("sched.") {
+                t.gauge_set(clock, &name, v);
+            }
+        }
+    }
+
+    /// `done` finished on a cursor whose I/O totals now read `cursor_io`.
+    fn completed(&mut self, done: QueryDone, cursor_io: &IoStats) {
+        let (seq, clock) = (done.token, self.clock);
+        let req = &self.requests[seq];
+        let wait = self.admitted_at[seq] - req.arrival_s;
+        let mut o = QueryOutcome::new(req, wait, clock - req.arrival_s, false);
+        o.rows = done.rows;
+        o.nrows = done.nrows;
+        o.attach_seg = done.attach_seg;
+        o.wrapped = done.wrapped;
+        o.deadline_missed = self.deadline_s.is_some_and(|dl| o.latency_s > dl);
+        self.reg.counter_add("query.sched.completed", 1.0);
+        self.reg.observe("query.sched.latency_s", o.latency_s);
+        if o.deadline_missed {
+            self.reg.counter_add("query.sched.deadline_missed", 1.0);
+        }
+        if let Some(p) = &mut self.plane {
+            let acc = p.tenant_mut(&o.tenant);
+            acc.completed += 1;
+            acc.latency.observe(o.latency_s);
+            acc.queue_wait.observe(o.queue_wait_s);
+            acc.deadline_missed += u64::from(o.deadline_missed);
+            let t = &mut p.timeline;
+            t.counter_add(clock, "service.completed", 1.0);
+            t.observe(clock, "service.latency_s", o.latency_s);
+            t.counter_add(clock, "service.rows", o.nrows as f64);
+            if o.deadline_missed {
+                t.counter_add(clock, "service.deadline_missed", 1.0);
+            }
+            let touched = p
+                .quarantined_at_attach
+                .remove(&seq)
+                .is_some_and(|at| cursor_io.recovery.quarantined_pages > at);
+            p.flight.record(clock, flight_entry(seq, &o, touched));
+            let reg = self.reg;
+            reg.counter_add(&tenant_key(&o.tenant, "completed"), 1.0);
+            reg.observe(&tenant_key(&o.tenant, "latency_s"), o.latency_s);
+            if o.deadline_missed {
+                reg.counter_add(&tenant_key(&o.tenant, "deadline_missed"), 1.0);
+            }
+        }
+        if let Some(tr) = &self.tracer {
+            let span = tr.span(ROOT, &format!("query[{seq}]"), SpanKind::Sched);
+            tr.set(span, "queue_wait_s", o.queue_wait_s);
+            tr.set(span, "attach_seg", o.attach_seg as f64);
+            tr.set(span, "wrapped", if o.wrapped { 1.0 } else { 0.0 });
+            tr.set(span, "latency_s", o.latency_s);
+            tr.set(span, keys::ROWS, o.nrows as f64);
+        }
+        self.outcomes[seq] = Some(o);
+    }
+
+    /// Publish the status-so-far and a registry snapshot for scrapers.
+    /// Copies already-computed values; never touches the clock. A run that
+    /// failed with `error` says so and reads unhealthy until a later run on
+    /// the same handle publishes again.
+    fn publish(&self, monitor: Option<&MonitorHandle>, error: Option<&Error>) {
+        let Some(monitor) = monitor else {
+            return;
+        };
+        let plane = self.plane.as_ref();
+        let observed = plane.map(|p| (p.slo_report(&self.tenant_service), p));
+        let mut status = status_doc(
+            self.clock,
+            self.depth,
+            (self.segments, self.wraparounds),
+            self.outcomes.iter().flatten(),
+            observed
+                .as_ref()
+                .map(|(slo, p)| (slo, &p.timeline, &p.flight)),
+        );
+        if let Some(e) = error {
+            status = status.set("error", e.to_string());
+        }
+        let mut state = monitor
+            .lock()
+            .expect("no monitor reader panics holding the lock");
+        state.healthy = error.is_none();
+        state.metrics = self.reg.snapshot();
+        state.status = status;
+    }
+
+    /// Close the books on a run that charged `io` in `wall_s` host seconds.
+    fn close(mut self, monitor: Option<&MonitorHandle>, io: IoStats, wall_s: f64) -> ServiceReport {
+        self.depth = (0, 0);
+        self.publish(monitor, None);
+        let trace = self.tracer.map(|tr| {
+            tr.set(ROOT, keys::ELAPSED_S, self.clock);
+            tr.set(ROOT, keys::WALL_S, wall_s);
+            tr.set(ROOT, "segments", self.segments as f64);
+            tr.set(ROOT, "wraparounds", self.wraparounds as f64);
+            tr.finish()
+        });
+        let observed = self.plane.map(|p| Observed {
+            slo: p.slo_report(&self.tenant_service),
+            timeline: p.timeline,
+            flight: p.flight,
+        });
+        ServiceReport {
+            makespan_s: self.clock,
+            outcomes: self
+                .outcomes
+                .into_iter()
+                .map(|o| o.expect("every request resolves to an outcome"))
+                .collect(),
+            io,
+            segments: self.segments,
+            wraparounds: self.wraparounds,
+            trace,
+            observed,
+        }
+    }
+}
+
+/// Registry name of a per-tenant fact (kept only while the run is observed).
+fn tenant_key(tenant: &str, fact: &str) -> String {
+    format!("query.tenant.{tenant}.{fact}")
+}
+
+/// The flight record of a settled outcome. A rejection is its own anomaly
+/// class, so its record does not also read as a deadline miss.
+fn flight_entry(seq: usize, o: &QueryOutcome, quarantine_touched: bool) -> FlightEntry {
+    FlightEntry {
+        seq: seq as u64,
+        tenant: o.tenant.clone(),
+        arrival_s: o.arrival_s,
+        queue_wait_s: o.queue_wait_s,
+        latency_s: o.latency_s,
+        rows: o.nrows,
+        deadline_missed: o.deadline_missed && !o.rejected,
+        rejected: o.rejected,
+        quarantine_touched,
+    }
 }
 
 impl ServiceReport {
     /// Completed queries per modeled second.
     pub fn throughput(&self) -> f64 {
         let done = self.outcomes.iter().filter(|o| !o.rejected).count();
-        if self.makespan_s > 0.0 {
-            done as f64 / self.makespan_s
-        } else {
-            0.0
-        }
+        per_second(done as u64, self.makespan_s)
     }
 
     /// The `q`-quantile (0..=1) of completed-query latency.
@@ -480,47 +694,16 @@ impl ServiceReport {
     /// summaries. Includes the SLO table / timeline / flight dump when the
     /// run was observed.
     pub fn to_status_json(&self) -> Json {
-        let completed = self.outcomes.iter().filter(|o| !o.rejected).count() as u64;
-        let rejected = self.outcomes.iter().filter(|o| o.rejected).count() as u64;
-        let missed = self
-            .outcomes
-            .iter()
-            .filter(|o| o.deadline_missed && !o.rejected)
-            .count() as u64;
-        let mut doc = Json::obj().set(
-            "service",
-            Json::obj()
-                .set("clock_s", self.makespan_s)
-                .set("completed", completed)
-                .set("inflight", 0u64)
-                .set("queued", 0u64)
-                .set("rejected", rejected)
-                .set("deadline_missed", missed)
-                .set("segments", self.segments)
-                .set("wraparounds", self.wraparounds)
-                .set("throughput_per_s", self.throughput()),
-        );
-        if let Some(obs) = &self.observed {
-            doc = doc
-                .set("fairness", obs.slo.fairness)
-                .set(
-                    "tenants",
-                    obs.slo
-                        .tenants
-                        .iter()
-                        .map(TenantSlo::to_json)
-                        .collect::<Vec<_>>(),
-                )
-                .set("timeline", obs.timeline.to_json())
-                .set("flight", obs.flight.to_json());
-        }
-        doc
+        status_doc(
+            self.makespan_s,
+            (0, 0),
+            (self.segments, self.wraparounds),
+            self.outcomes.iter(),
+            self.observed
+                .as_ref()
+                .map(|o| (&o.slo, &o.timeline, &o.flight)),
+        )
     }
-}
-
-struct Waiting {
-    seq: usize,
-    req: ServiceRequest,
 }
 
 struct Inflight {
@@ -613,9 +796,39 @@ impl QueryService {
     /// Run every submitted request through shared cursors on the modeled
     /// clock. Results per query are bit-identical to each query's solo
     /// [`QueryBuilder::run_collect`]; the clock reflects shared I/O (one
-    /// driver pass per cursor cycle) and per-query CPU.
+    /// driver pass per cursor cycle) and per-query CPU. On `Err`, a
+    /// published monitor reads unhealthy and its status carries the error.
     pub fn run(&mut self) -> Result<ServiceReport> {
+        let wall = Instant::now();
         let requests = std::mem::take(&mut self.requests);
+        let mut ledger = Ledger {
+            requests: &requests,
+            reg: &self.reg,
+            deadline_s: self.spec.deadline_s,
+            clock: 0.0,
+            admitted_at: vec![0.0; requests.len()],
+            outcomes: requests.iter().map(|_| None).collect(),
+            tenant_service: BTreeMap::new(),
+            segments: 0,
+            wraparounds: 0,
+            depth: (0, 0),
+            plane: self.sys.observe.map(Plane::new),
+            tracer: self.trace.then(Tracer::new),
+        };
+        match self.schedule(&mut ledger) {
+            Ok(io) => Ok(ledger.close(self.monitor.as_ref(), io, wall.elapsed().as_secs_f64())),
+            Err(e) => {
+                ledger.publish(self.monitor.as_ref(), Some(&e));
+                Err(e)
+            }
+        }
+    }
+
+    /// The event loop: arrivals, admission, cursor choice and the clock.
+    /// Every fact it establishes is handed to `ledger`; it returns the
+    /// merged driver-pass I/O of all cursors.
+    fn schedule(&self, ledger: &mut Ledger<'_>) -> Result<IoStats> {
+        let requests = ledger.requests;
         if requests.is_empty() {
             return Err(Error::InvalidPlan("service run with no requests".into()));
         }
@@ -629,7 +842,7 @@ impl QueryService {
         // silently dropped: riders see ROS row ranges only).
         let scale = requests[0].query.row_scale();
         let mut plans = Vec::with_capacity(requests.len());
-        for r in &requests {
+        for (seq, r) in requests.iter().enumerate() {
             if (r.query.row_scale() - scale).abs() > f64::EPSILON {
                 return Err(Error::InvalidPlan(
                     "service requests must share one scale_to_rows setting".into(),
@@ -638,123 +851,59 @@ impl QueryService {
             let plan = r.query.plan()?;
             plan.partitionable()?;
             plans.push(plan);
-            self.reg.counter_add("query.sched.submitted", 1.0);
+            ledger.submitted(seq);
         }
-        let tracer = self.trace.then(Tracer::new);
-        // The observability plane exists only when configured; with
-        // `observe: None` (the default) nothing below reads or writes it
-        // and the run is bit-identical to a plane-less build.
-        let mut plane = self.sys.observe.map(Plane::new);
-        if let Some(p) = &mut plane {
-            for r in &requests {
-                p.tenant_mut(&r.tenant).submitted += 1;
-                self.reg
-                    .counter_add(&format!("query.tenant.{}.submitted", r.tenant), 1.0);
-            }
-        }
-        // Live totals for status publishing (plain locals; never fed back
-        // into scheduling decisions).
-        let (mut completed_n, mut rejected_n, mut missed_n) = (0u64, 0u64, 0u64);
 
-        // Arrival stream: (arrival, seq) ascending.
-        let mut pending: Vec<Waiting> = requests
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(seq, req)| Waiting { seq, req })
-            .collect();
-        pending.sort_by(|a, b| {
-            a.req
-                .arrival_s
-                .total_cmp(&b.req.arrival_s)
-                .then(a.seq.cmp(&b.seq))
+        // Arrival stream: (arrival, seq) ascending; pop() yields the
+        // earliest.
+        let mut pending: Vec<usize> = (0..requests.len()).collect();
+        pending.sort_by(|&a, &b| {
+            let (ta, tb) = (requests[a].arrival_s, requests[b].arrival_s);
+            tb.total_cmp(&ta).then(b.cmp(&a))
         });
-        pending.reverse(); // pop() yields earliest arrival
 
         let mut cursors: Vec<CursorState> = Vec::new();
         let mut cursor_key: HashMap<(usize, u8), usize> = HashMap::new();
-        let mut queue: Vec<Waiting> = Vec::new();
+        let mut queue: Vec<usize> = Vec::new();
         let mut inflight: Vec<Inflight> = Vec::new();
-        // Ordered, so `slo_report` sums it in tenant-name order: a hash
-        // map's iteration order moves `share` in the last ulp run to run.
-        let mut tenant_service: BTreeMap<String, f64> = BTreeMap::new();
-        let mut outcomes: Vec<Option<QueryOutcome>> = requests.iter().map(|_| None).collect();
-        let mut admitted_at: Vec<f64> = vec![0.0; requests.len()];
-        let mut clock = 0.0f64;
-        let mut segments = 0u64;
-        let mut wraparounds = 0u64;
-        let mut total_io = IoStats::default();
 
         loop {
             // 1. Ingest arrivals that have happened by now.
-            while pending.last().is_some_and(|w| w.req.arrival_s <= clock) {
-                queue.push(pending.pop().unwrap());
+            while let Some(seq) = pending.pop_if(|&mut s| requests[s].arrival_s <= ledger.clock) {
+                queue.push(seq);
             }
 
             // 2. Admission: fill free slots from the queue, best candidate
             // first. Expired-deadline candidates are rejected (they do not
             // consume a slot).
             while inflight.len() < self.spec.max_inflight && !queue.is_empty() {
+                let key = |&seq: &usize| {
+                    let req = &requests[seq];
+                    let tsvc = ledger.tenant_service.get(&req.tenant).copied();
+                    let prio = match self.spec.admission {
+                        Admission::Fifo => 0u8,
+                        Admission::Priority => req.priority,
+                    };
+                    (prio, tsvc.unwrap_or(0.0), seq)
+                };
                 let best = (0..queue.len())
                     .min_by(|&a, &b| {
-                        let key = |w: &Waiting| {
-                            let tsvc = tenant_service.get(&w.req.tenant).copied().unwrap_or(0.0);
-                            let prio = match self.spec.admission {
-                                Admission::Fifo => 0u8,
-                                Admission::Priority => w.req.priority,
-                            };
-                            (prio, tsvc, w.seq)
-                        };
-                        let (pa, ta, sa) = key(&queue[a]);
-                        let (pb, tb, sb) = key(&queue[b]);
+                        let ((pa, ta, sa), (pb, tb, sb)) = (key(&queue[a]), key(&queue[b]));
                         pa.cmp(&pb).then(ta.total_cmp(&tb)).then(sa.cmp(&sb))
                     })
                     .expect("queue is non-empty");
-                let w = queue.remove(best);
-                if let Some(deadline) = self.spec.deadline_s {
-                    if clock - w.req.arrival_s > deadline {
-                        self.reg.counter_add("query.sched.rejected_deadline", 1.0);
-                        rejected_n += 1;
-                        if let Some(p) = &mut plane {
-                            p.tenant_mut(&w.req.tenant).rejected += 1;
-                            p.timeline.counter_add(clock, "service.rejected", 1.0);
-                            p.flight.record(
-                                clock,
-                                FlightEntry {
-                                    seq: w.seq as u64,
-                                    tenant: w.req.tenant.clone(),
-                                    arrival_s: w.req.arrival_s,
-                                    queue_wait_s: clock - w.req.arrival_s,
-                                    latency_s: clock - w.req.arrival_s,
-                                    rows: 0,
-                                    deadline_missed: false,
-                                    rejected: true,
-                                    quarantine_touched: false,
-                                },
-                            );
-                            self.reg.counter_add(
-                                &format!("query.tenant.{}.rejected", w.req.tenant),
-                                1.0,
-                            );
-                        }
-                        outcomes[w.seq] = Some(QueryOutcome {
-                            tenant: w.req.tenant.clone(),
-                            priority: w.req.priority,
-                            arrival_s: w.req.arrival_s,
-                            queue_wait_s: clock - w.req.arrival_s,
-                            latency_s: clock - w.req.arrival_s,
-                            rows: Vec::new(),
-                            nrows: 0,
-                            attach_seg: 0,
-                            wrapped: false,
-                            deadline_missed: true,
-                            rejected: true,
-                        });
-                        continue;
-                    }
+                let seq = queue.remove(best);
+                let req = &requests[seq];
+                if self
+                    .spec
+                    .deadline_s
+                    .is_some_and(|dl| ledger.clock - req.arrival_s > dl)
+                {
+                    ledger.rejected(seq);
+                    continue;
                 }
                 // Attach to (or create) the query's shared cursor.
-                let plan = plans[w.seq].clone();
+                let plan = plans[seq].clone();
                 let spec = &plan.scan;
                 let key = (
                     std::sync::Arc::as_ptr(&spec.table) as usize,
@@ -784,53 +933,22 @@ impl QueryService {
                         cursors.len() - 1
                     }
                 };
-                let mid_scan =
-                    cursors[cidx].cursor.active_count() > 0 || cursors[cidx].cursor.pos() != 0;
-                cursors[cidx].cursor.attach(CursorQuery {
-                    token: w.seq,
+                let cursor = &mut cursors[cidx].cursor;
+                let mid_scan = cursor.active_count() > 0 || cursor.pos() != 0;
+                cursor.attach(CursorQuery {
+                    token: seq,
                     plan,
-                    collect: w.req.collect,
+                    collect: req.collect,
                 })?;
-                admitted_at[w.seq] = clock;
-                let wait = clock - w.req.arrival_s;
-                self.reg.counter_add("query.sched.admitted", 1.0);
-                self.reg.observe("query.sched.queue_wait_s", wait);
-                if mid_scan {
-                    self.reg.counter_add("query.sched.attach_mid_scan", 1.0);
-                }
-                if let Some(p) = &mut plane {
-                    p.timeline.counter_add(clock, "service.admitted", 1.0);
-                    p.timeline.observe(clock, "service.queue_wait_s", wait);
-                    p.quarantined_at_attach.insert(
-                        w.seq,
-                        cursors[cidx].cursor.io_stats().recovery.quarantined_pages,
-                    );
-                }
-                inflight.push(Inflight {
-                    seq: w.seq,
-                    cursor: cidx,
-                });
-                // Keep the request's metadata for completion time.
-                outcomes[w.seq] = Some(QueryOutcome {
-                    tenant: w.req.tenant.clone(),
-                    priority: w.req.priority,
-                    arrival_s: w.req.arrival_s,
-                    queue_wait_s: wait,
-                    latency_s: 0.0,
-                    rows: Vec::new(),
-                    nrows: 0,
-                    attach_seg: 0,
-                    wrapped: false,
-                    deadline_missed: false,
-                    rejected: false,
-                });
+                ledger.admitted(seq, mid_scan, &cursor.io_stats());
+                inflight.push(Inflight { seq, cursor: cidx });
             }
 
             // 3. Nothing running: jump to the next arrival or finish.
             if inflight.is_empty() {
                 match pending.last() {
-                    Some(w) => {
-                        clock = clock.max(w.req.arrival_s);
+                    Some(&seq) => {
+                        ledger.clock = ledger.clock.max(requests[seq].arrival_s);
                         continue;
                     }
                     None => break,
@@ -843,184 +961,32 @@ impl QueryService {
                 .filter(|&i| cursors[i].cursor.active_count() > 0)
                 .min_by(|&a, &b| cursors[a].service_s.total_cmp(&cursors[b].service_s))
                 .expect("inflight implies an active cursor");
-            let riders = cursors[cidx].cursor.active_count();
-            let step = cursors[cidx].cursor.step()?;
-            segments += 1;
-            self.reg.counter_add("query.sched.segments", 1.0);
-            if step.wrapped {
-                wraparounds += 1;
-                self.reg.counter_add("query.sched.wraparounds", 1.0);
-            }
-            clock += step.elapsed_s;
+            let riders: Vec<usize> = inflight
+                .iter()
+                .filter(|f| f.cursor == cidx)
+                .map(|f| f.seq)
+                .collect();
+            let mut step = cursors[cidx].cursor.step()?;
+            ledger.clock += step.elapsed_s;
             cursors[cidx].service_s += step.elapsed_s;
-            // Charge tenants their fair share of the slice.
-            let share = step.elapsed_s / riders as f64;
-            for f in inflight.iter().filter(|f| f.cursor == cidx) {
-                if let Some(o) = &outcomes[f.seq] {
-                    *tenant_service.entry(o.tenant.clone()).or_insert(0.0) += share;
-                }
-            }
-            let cursor_quarantined = if plane.is_some() {
-                cursors[cidx].cursor.io_stats().recovery.quarantined_pages
-            } else {
-                0
-            };
+            let io = cursors[cidx].cursor.io_stats();
 
-            // 5. Completions.
-            for d in step.done {
-                inflight.retain(|f| f.seq != d.token);
-                let o = outcomes[d.token]
-                    .as_mut()
-                    .expect("completed query was admitted");
-                o.latency_s = clock - o.arrival_s;
-                o.rows = d.rows;
-                o.nrows = d.nrows;
-                o.attach_seg = d.attach_seg;
-                o.wrapped = d.wrapped;
-                o.deadline_missed = self.spec.deadline_s.is_some_and(|dl| o.latency_s > dl);
-                self.reg.counter_add("query.sched.completed", 1.0);
-                self.reg.observe("query.sched.latency_s", o.latency_s);
-                completed_n += 1;
-                if o.deadline_missed {
-                    self.reg.counter_add("query.sched.deadline_missed", 1.0);
-                    missed_n += 1;
-                }
-                if let Some(p) = &mut plane {
-                    let acc = p.tenant_mut(&o.tenant);
-                    acc.completed += 1;
-                    acc.latency.observe(o.latency_s);
-                    acc.queue_wait.observe(o.queue_wait_s);
-                    if o.deadline_missed {
-                        acc.deadline_missed += 1;
-                    }
-                    p.timeline.counter_add(clock, "service.completed", 1.0);
-                    p.timeline.observe(clock, "service.latency_s", o.latency_s);
-                    p.timeline
-                        .counter_add(clock, "service.rows", o.nrows as f64);
-                    if o.deadline_missed {
-                        p.timeline
-                            .counter_add(clock, "service.deadline_missed", 1.0);
-                    }
-                    let touched = p
-                        .quarantined_at_attach
-                        .remove(&d.token)
-                        .is_some_and(|at| cursor_quarantined > at);
-                    p.flight.record(
-                        clock,
-                        FlightEntry {
-                            seq: d.token as u64,
-                            tenant: o.tenant.clone(),
-                            arrival_s: o.arrival_s,
-                            queue_wait_s: o.queue_wait_s,
-                            latency_s: o.latency_s,
-                            rows: o.nrows,
-                            deadline_missed: o.deadline_missed,
-                            rejected: false,
-                            quarantine_touched: touched,
-                        },
-                    );
-                    self.reg
-                        .counter_add(&format!("query.tenant.{}.completed", o.tenant), 1.0);
-                    self.reg
-                        .observe(&format!("query.tenant.{}.latency_s", o.tenant), o.latency_s);
-                    if o.deadline_missed {
-                        self.reg.counter_add(
-                            &format!("query.tenant.{}.deadline_missed", o.tenant),
-                            1.0,
-                        );
-                    }
-                }
-                if let Some(tr) = &tracer {
-                    let span = tr.span(ROOT, &format!("query[{}]", d.token), SpanKind::Sched);
-                    tr.set(span, "queue_wait_s", o.queue_wait_s);
-                    tr.set(span, "attach_seg", o.attach_seg as f64);
-                    tr.set(span, "wrapped", if o.wrapped { 1.0 } else { 0.0 });
-                    tr.set(span, "latency_s", o.latency_s);
-                    tr.set(span, rodb_trace::keys::ROWS, o.nrows as f64);
-                }
+            // 5. Completions, then the segment itself (its depth gauges
+            // read the queue and the pool after the finished riders left).
+            for done in std::mem::take(&mut step.done) {
+                inflight.retain(|f| f.seq != done.token);
+                ledger.completed(done, &io);
             }
-
-            // 6. Observe the segment just run (windowed I/O deltas, depth
-            // gauges) and publish a live snapshot for scrapers.
-            if let Some(p) = &mut plane {
-                p.on_segment(
-                    clock,
-                    cidx,
-                    cursors[cidx].cursor.io_stats(),
-                    step.wrapped,
-                    queue.len(),
-                    inflight.len(),
-                    cache.as_ref(),
-                    &self.reg,
-                );
-            }
-            if let Some(m) = &self.monitor {
-                let status = build_status(
-                    clock,
-                    queue.len(),
-                    inflight.len(),
-                    completed_n,
-                    rejected_n,
-                    missed_n,
-                    segments,
-                    wraparounds,
-                    plane.as_ref(),
-                    &tenant_service,
-                );
-                let mut state = m.lock().unwrap();
-                state.healthy = true;
-                state.metrics = self.reg.snapshot();
-                state.status = status;
-            }
+            let depth = (queue.len(), inflight.len());
+            ledger.segment(cidx, &step, &riders, io, depth, cache.as_ref());
+            ledger.publish(self.monitor.as_ref(), None);
         }
 
+        let mut total_io = IoStats::default();
         for c in &cursors {
             total_io.merge(&c.cursor.io_stats());
         }
-        let trace = tracer.map(|tr| {
-            tr.set(ROOT, rodb_trace::keys::WALL_S, clock);
-            tr.set(ROOT, "segments", segments as f64);
-            tr.set(ROOT, "wraparounds", wraparounds as f64);
-            tr.finish()
-        });
-        if let Some(m) = &self.monitor {
-            let status = build_status(
-                clock,
-                0,
-                0,
-                completed_n,
-                rejected_n,
-                missed_n,
-                segments,
-                wraparounds,
-                plane.as_ref(),
-                &tenant_service,
-            );
-            let mut state = m.lock().unwrap();
-            state.healthy = true;
-            state.metrics = self.reg.snapshot();
-            state.status = status;
-        }
-        let observed = plane.map(|p| {
-            let slo = p.slo_report(&tenant_service);
-            Observed {
-                timeline: p.timeline,
-                flight: p.flight,
-                slo,
-            }
-        });
-        Ok(ServiceReport {
-            makespan_s: clock,
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every request resolves to an outcome"))
-                .collect(),
-            io: total_io,
-            segments,
-            wraparounds,
-            trace,
-            observed,
-        })
+        Ok(total_io)
     }
 
     /// The naive comparator: the same requests executed query-at-a-time in
@@ -1046,19 +1012,10 @@ impl QueryService {
             };
             clock += res.report.elapsed_s;
             total_io.merge(&res.report.io);
-            outcomes[seq] = Some(QueryOutcome {
-                tenant: req.tenant.clone(),
-                priority: req.priority,
-                arrival_s: req.arrival_s,
-                queue_wait_s: 0.0,
-                latency_s: clock - req.arrival_s,
-                rows: res.rows,
-                nrows: res.report.rows,
-                attach_seg: 0,
-                wrapped: false,
-                deadline_missed: false,
-                rejected: false,
-            });
+            let mut o = QueryOutcome::new(req, 0.0, clock - req.arrival_s, false);
+            o.rows = res.rows;
+            o.nrows = res.report.rows;
+            outcomes[seq] = Some(o);
         }
         Ok(ServiceReport {
             makespan_s: clock,

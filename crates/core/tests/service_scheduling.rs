@@ -8,6 +8,7 @@ use rodb_core::{IngestStore, QueryBuilder, QueryService, ServiceRequest};
 use rodb_engine::{AggSpec, CmpOp, ScanLayout};
 use rodb_storage::page::verified_pages;
 use rodb_storage::{BuildLayouts, Table, TableBuilder};
+use rodb_trace::{monitor_handle, MetricsHandle, Registry};
 use rodb_types::{
     Admission, CacheSpec, Column, CorruptKind, Error, FaultSpec, HardwareConfig, IngestSpec,
     OnCorrupt, Schema, ServiceSpec, SystemConfig, Value,
@@ -305,6 +306,65 @@ fn sched_trace_spans_carry_attach_and_wait() {
     for sp in scheds {
         assert!(sp.metrics.get("latency_s") > 0.0);
     }
+    // Modeled next to measured at the root: `elapsed_s` is the makespan on
+    // the modeled clock, `wall_s` the host time `run()` took.
+    assert_eq!(
+        trace.metric("elapsed_s").to_bits(),
+        report.makespan_s.to_bits()
+    );
+    assert!(trace.metric("wall_s") > 0.0);
+}
+
+/// A run that fails leaves the monitor unhealthy, with the status so far and
+/// the error — not the last healthy snapshot forever — and counts no phantom
+/// completion; the next successful run on the same handle flips it back.
+/// The batch is the damaged one of
+/// `a_corrupt_page_fails_the_whole_batch_with_page_context`.
+#[test]
+fn a_failed_run_publishes_unhealthy_with_the_error() {
+    let t = table(4_000);
+    let hw = HardwareConfig::default();
+    let mut healthy = sys(ServiceSpec::new(4).with_slice(0.2));
+    healthy.cache = Some(CacheSpec::lru_k(64));
+    let damaged = healthy
+        .with_faults(FaultSpec::always(7))
+        .with_on_corrupt(OnCorrupt::Fail);
+    let monitor = monitor_handle();
+    let submit = |s: SystemConfig, reg: &MetricsHandle| {
+        let mut svc = QueryService::new(hw, s)
+            .unwrap()
+            .metrics(reg.clone())
+            .publish(monitor.clone());
+        for req in workload(&t, hw, s) {
+            svc.submit(req);
+        }
+        svc
+    };
+
+    submit(healthy, &Registry::handle()).run().unwrap();
+    assert!(monitor.lock().unwrap().healthy);
+
+    let reg = Registry::handle();
+    let err = submit(damaged, &reg).run().expect_err("damaged batch");
+    assert!(matches!(err, Error::Corrupt(_)), "{err}");
+    {
+        let state = monitor.lock().unwrap();
+        assert!(!state.healthy, "a failed run must read 503");
+        let error = state.status.get("error").and_then(|e| e.as_str());
+        assert_eq!(error, Some(err.to_string().as_str()));
+        let svc = state.status.get("service").expect("status so far");
+        assert_eq!(svc.get("completed").and_then(|c| c.as_f64()), Some(0.0));
+    }
+    assert_eq!(reg.counter("query.sched.submitted"), 4.0);
+    assert_eq!(reg.counter("query.sched.completed"), 0.0);
+
+    let reg = Registry::handle();
+    let report = submit(healthy, &reg).run().unwrap();
+    let state = monitor.lock().unwrap();
+    assert!(state.healthy, "a later successful run flips it back");
+    assert!(state.status.get("error").is_none());
+    assert_eq!(state.status.pretty(), report.to_status_json().pretty());
+    assert_eq!(reg.counter("query.sched.completed"), 4.0);
 }
 
 /// A snapshot query (1 000-row ROS + 50 staged rows) answers all 1 050 rows

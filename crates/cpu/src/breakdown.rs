@@ -10,19 +10,25 @@
 //! * **usr-L1** — upper bound on L2→L1 transfer stalls.
 //! * **usr-rest** — branch mispredictions and remaining stall factors.
 
+use rodb_trace::{fields, Field};
 use rodb_types::HardwareConfig;
 
 use crate::costs::CostParams;
 use crate::counters::CpuCounters;
 
-/// CPU time split the way the paper's Figures 6–9 plot it (all seconds).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CpuBreakdown {
-    pub sys: f64,
-    pub usr_uop: f64,
-    pub usr_l2: f64,
-    pub usr_l1: f64,
-    pub usr_rest: f64,
+fields! {
+    /// CPU time split the way the paper's Figures 6–9 plot it (all seconds).
+    /// Declared once; `merge`, `delta`, `to_json` and the `cpu.*_s` span keys
+    /// derive from this list.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct CpuBreakdown {
+        pub sys: f64,
+        pub usr_uop: f64,
+        pub usr_l2: f64,
+        pub usr_l1: f64,
+        pub usr_rest: f64,
+    }
+    total "total" = total;
 }
 
 impl CpuBreakdown {
@@ -68,22 +74,13 @@ impl CpuBreakdown {
 
     /// Scale all components (virtual row-count adjustment).
     pub fn scaled(&self, k: f64) -> CpuBreakdown {
-        CpuBreakdown {
-            sys: self.sys * k,
-            usr_uop: self.usr_uop * k,
-            usr_l2: self.usr_l2 * k,
-            usr_l1: self.usr_l1 * k,
-            usr_rest: self.usr_rest * k,
-        }
+        Field::scaled(self, k)
     }
 
-    /// Element-wise sum.
+    /// Element-wise sum: [`CpuBreakdown::merge`] under the name the
+    /// measured-wall benchmark calls.
     pub fn add(&mut self, other: &CpuBreakdown) {
-        self.sys += other.sys;
-        self.usr_uop += other.usr_uop;
-        self.usr_l2 += other.usr_l2;
-        self.usr_l1 += other.usr_l1;
-        self.usr_rest += other.usr_rest;
+        self.merge(other);
     }
 }
 
@@ -176,5 +173,29 @@ mod tests {
         // nonlinear overlap term; with transfer ≥ uop both scale linearly.
         let b2 = CpuBreakdown::from_counters(&c.scaled(3.0), &hw(), &CostParams::default());
         assert!((b2.total() - s.total()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn json_round_trips_with_the_total_last() {
+        use rodb_trace::Json;
+        let b = CpuBreakdown {
+            sys: 1.0,
+            usr_uop: 2.5,
+            usr_l2: 0.5,
+            usr_l1: 0.25,
+            usr_rest: 0.125,
+        };
+        let j = b.to_json();
+        assert_eq!(j.get("total").unwrap().as_f64(), Some(b.total()));
+        let parsed = Json::parse(&j.pretty()).unwrap();
+        assert_eq!(parsed.get("usr_l2").unwrap().as_f64(), Some(0.5));
+        assert!(j
+            .compact()
+            .ends_with(&format!("\"total\": {}}}", b.total())));
+        let c = CpuCounters {
+            uops: 10.0,
+            ..Default::default()
+        };
+        assert_eq!(c.to_json().get("uops").unwrap().as_f64(), Some(10.0));
     }
 }

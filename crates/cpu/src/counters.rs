@@ -5,67 +5,46 @@
 //! *counts the same events deterministically* as it executes (uops issued,
 //! bytes streamed, lines touched, random misses, kernel I/O work) and the
 //! same arithmetic converts them into the stacked breakdown of Figure 6.
+//!
+//! The event list is declared once through [`rodb_trace::fields!`]; `merge`,
+//! `delta`, `scaled`, `to_json` and the `cnt.*` span keys derive from it.
 
-/// Accumulated micro-architectural and kernel event counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CpuCounters {
-    /// User-mode micro-operations executed.
-    pub uops: f64,
-    /// Bytes brought from main memory to L2 by *sequential* (hardware
-    /// prefetched) access patterns.
-    pub seq_bytes: f64,
-    /// Non-prefetched (random) L2 misses, each stalling the full memory
-    /// latency.
-    pub rand_misses: f64,
-    /// L2→L1 cache line transfers (L1 misses).
-    pub l1_lines: f64,
-    /// Mispredicted branches.
-    pub branch_mispredicts: f64,
-    /// Kernel-side I/O requests submitted (I/O-unit granularity).
-    pub io_requests: f64,
-    /// Kernel-side bytes moved through the I/O path.
-    pub io_bytes: f64,
-    /// File switches the kernel scheduler handled (one per disk seek the
-    /// foreground query caused) — the paper's "more work needed by the Linux
-    /// scheduler to handle read requests for multiple files".
-    pub io_switches: f64,
-}
+use rodb_trace::fields;
 
-impl CpuCounters {
-    /// Element-wise accumulate (e.g. merging per-operator meters).
-    pub fn add(&mut self, other: &CpuCounters) {
-        self.uops += other.uops;
-        self.seq_bytes += other.seq_bytes;
-        self.rand_misses += other.rand_misses;
-        self.l1_lines += other.l1_lines;
-        self.branch_mispredicts += other.branch_mispredicts;
-        self.io_requests += other.io_requests;
-        self.io_bytes += other.io_bytes;
-        self.io_switches += other.io_switches;
-    }
-
-    /// Scale every counter (used to convert actual-size runs to virtual,
-    /// paper-sized row counts — all counters grow linearly with data size).
-    pub fn scaled(&self, k: f64) -> CpuCounters {
-        CpuCounters {
-            uops: self.uops * k,
-            seq_bytes: self.seq_bytes * k,
-            rand_misses: self.rand_misses * k,
-            l1_lines: self.l1_lines * k,
-            branch_mispredicts: self.branch_mispredicts * k,
-            io_requests: self.io_requests * k,
-            io_bytes: self.io_bytes * k,
-            io_switches: self.io_switches * k,
-        }
+fields! {
+    /// Accumulated micro-architectural and kernel event counts.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct CpuCounters {
+        /// User-mode micro-operations executed.
+        pub uops: f64,
+        /// Bytes brought from main memory to L2 by *sequential* (hardware
+        /// prefetched) access patterns.
+        pub seq_bytes: f64,
+        /// Non-prefetched (random) L2 misses, each stalling the full memory
+        /// latency.
+        pub rand_misses: f64,
+        /// L2→L1 cache line transfers (L1 misses).
+        pub l1_lines: f64,
+        /// Mispredicted branches.
+        pub branch_mispredicts: f64,
+        /// Kernel-side I/O requests submitted (I/O-unit granularity).
+        pub io_requests: f64,
+        /// Kernel-side bytes moved through the I/O path.
+        pub io_bytes: f64,
+        /// File switches the kernel scheduler handled (one per disk seek the
+        /// foreground query caused) — the paper's "more work needed by the Linux
+        /// scheduler to handle read requests for multiple files".
+        pub io_switches: f64,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rodb_trace::Field;
 
     #[test]
-    fn add_and_scale() {
+    fn merge_and_scale() {
         let mut a = CpuCounters {
             uops: 10.0,
             seq_bytes: 100.0,
@@ -76,7 +55,7 @@ mod tests {
             rand_misses: 2.0,
             ..Default::default()
         };
-        a.add(&b);
+        a.merge(&b);
         assert_eq!(a.uops, 15.0);
         assert_eq!(a.rand_misses, 2.0);
         let s = a.scaled(2.0);

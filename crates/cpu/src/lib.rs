@@ -9,7 +9,6 @@
 pub mod breakdown;
 pub mod costs;
 pub mod counters;
-pub mod json;
 pub mod meter;
 pub mod phase;
 

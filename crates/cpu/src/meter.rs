@@ -95,7 +95,7 @@ impl CpuMeter {
     /// meters of a parallel execution into one query-wide meter). Cost
     /// tables are taken from `self`; workers of one query share them.
     pub fn merge(&mut self, other: &CpuMeter) {
-        self.counters.add(&other.counters);
+        self.counters.merge(&other.counters);
         if let (Some(mine), Some(theirs)) = (self.profile.as_deref_mut(), other.profile.as_deref())
         {
             mine.merge(theirs);

@@ -84,7 +84,7 @@ impl PhaseProfile {
     /// Element-wise accumulate (merging per-worker profiles).
     pub fn merge(&mut self, other: &PhaseProfile) {
         for (mine, theirs) in self.per.iter_mut().zip(other.per.iter()) {
-            mine.add(theirs);
+            mine.merge(theirs);
         }
     }
 
@@ -98,7 +98,7 @@ impl PhaseProfile {
     pub fn total(&self) -> CpuCounters {
         let mut sum = CpuCounters::default();
         for c in &self.per {
-            sum.add(c);
+            sum.merge(c);
         }
         sum
     }

@@ -40,6 +40,6 @@ pub use scan_col::{column_page_pass, ColumnScanMode, ColumnScanner};
 pub use scan_col_single::SingleIteratorColumnScanner;
 pub use scan_row::{row_page_pass, RowScanner};
 pub use sched::{JobOutcome, QueryJob, TaskScheduler};
-pub use shared_cursor::{CursorQuery, QueryDone, SharedCursor, SharedCursorConfig};
+pub use shared_cursor::{CursorQuery, QueryDone, SegmentStep, SharedCursor, SharedCursorConfig};
 pub use sort::Sort;
 pub use traced::{apply_report, finish_query_trace, record_block, TracedOp};

@@ -239,7 +239,7 @@ impl TaskScheduler {
         let mut cpu = CpuBreakdown::default();
         let mut max_task_cpu = 0.0f64;
         for o in &outcomes {
-            cpu.add(&o.report.cpu);
+            cpu.merge(&o.report.cpu);
             max_task_cpu = max_task_cpu.max(o.report.cpu.total());
         }
         // Makespan lower bound over any task→worker assignment.
@@ -268,7 +268,7 @@ impl TaskScheduler {
                 nrows = n;
                 blocks += b;
                 cpu_crit += tail.total();
-                cpu.add(&tail);
+                cpu.merge(&tail);
             } else {
                 partial = Some(merged);
             }

@@ -19,17 +19,52 @@
 //! the parallel executor's head-switch seek recharge, neither of which
 //! distributes over per-span summation.
 
+use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 use rodb_cpu::{CpuBreakdown, CpuCounters, CpuPhase, PhaseProfile};
 use rodb_io::IoStats;
-use rodb_trace::{keys, QueryTrace, SpanId, SpanKind, SpanNode, Tracer};
+use rodb_trace::{keys, Field, Keys, Metrics, QueryTrace, SpanId, SpanKind, SpanNode, Tracer};
 use rodb_types::Result;
-use std::sync::Arc;
 
 use crate::block::TupleBlock;
 use crate::exec::RunReport;
 use crate::op::{ExecContext, Operator};
+
+/// Where each accounted struct lands on a span. The key lists come from the
+/// structs' field tables, so a field added to one of them reaches every
+/// span, the root and the phase children with no edit here.
+struct SpanKeys {
+    /// Raw event counters: `cnt.<field>`.
+    cnt: Keys<CpuCounters>,
+    /// Modelled seconds: `cpu.<field>_s`, beside [`keys::CPU_TOTAL_S`].
+    cpu: Keys<CpuBreakdown>,
+    /// Disk counters: `io.<field>`, beside [`keys::IO_S`].
+    io: Keys<IoStats>,
+    /// Per-phase counter deltas, `phase.<name>.<field>` in
+    /// [`CpuPhase::ALL`] order; [`annotate`] folds them into phase child
+    /// spans and removes the raw keys.
+    phase: Vec<Keys<CpuCounters>>,
+}
+
+static KEYS: LazyLock<SpanKeys> = LazyLock::new(|| SpanKeys {
+    cnt: Keys::new("cnt.", ""),
+    cpu: Keys::new("cpu.", "_s"),
+    io: Keys::new("io.", ""),
+    phase: CpuPhase::ALL
+        .iter()
+        .map(|p| Keys::new(&format!("phase.{}.", p.name()), ""))
+        .collect(),
+});
+
+/// The part of the breakdown a synthesized phase span carries.
+const PHASE_CPU: [&str; 3] = [keys::CPU_TOTAL_S, keys::CPU_USR_UOP_S, keys::CPU_USR_L2_S];
+
+/// A breakdown as span metrics: its total, then every component.
+fn write_cpu(b: &CpuBreakdown, mut put: impl FnMut(&str, f64)) {
+    put(keys::CPU_TOTAL_S, b.total());
+    KEYS.cpu.write(b, put);
+}
 
 /// An operator wrapped with span recording. Built only when the context
 /// traces; untraced plans never see this type.
@@ -65,12 +100,8 @@ impl Operator for TracedOp {
     fn next(&mut self) -> Result<Option<TupleBlock>> {
         let before = Snapshot::take(&self.ctx);
         let out = self.inner.next();
-        before.record(&self.ctx, &self.tracer, self.span);
-        self.tracer.add(self.span, keys::CALLS, 1.0);
-        if let Ok(Some(b)) = &out {
-            self.tracer.add(self.span, keys::ROWS, b.count() as f64);
-            self.tracer.add(self.span, keys::BLOCKS, 1.0);
-        }
+        let block = out.as_ref().ok().and_then(|b| b.as_ref());
+        before.record(&self.ctx, &self.tracer, self.span, block.map(|b| b.count()));
         out
     }
 
@@ -94,8 +125,7 @@ pub fn record_block<T>(
     let span = tracer.op_span(label, kind);
     let before = Snapshot::take(ctx);
     let out = f();
-    before.record(ctx, &tracer, span);
-    tracer.add(span, keys::CALLS, 1.0);
+    before.record(ctx, &tracer, span, None);
     out
 }
 
@@ -124,154 +154,32 @@ impl Snapshot {
         }
     }
 
-    fn record(&self, ctx: &ExecContext, tracer: &Tracer, span: SpanId) {
-        tracer.add(span, keys::WALL_S, self.wall.elapsed().as_secs_f64());
-        tracer.add(
-            span,
-            keys::KERNEL_SIMD_BLOCKS,
-            (rodb_compress::simd::simd_blocks_decoded() - self.simd_blocks) as f64,
-        );
-        {
-            let meter = ctx.meter.borrow();
-            add_counter_deltas(tracer, span, &self.cnt, meter.counters());
+    /// Charge one call to `span` — and the block it produced, if any — under
+    /// a single borrow of the tracer.
+    fn record(&self, ctx: &ExecContext, tracer: &Tracer, span: SpanId, block_rows: Option<usize>) {
+        let wall_s = self.wall.elapsed().as_secs_f64();
+        let simd = rodb_compress::simd::simd_blocks_decoded() - self.simd_blocks;
+        let meter = ctx.meter.borrow();
+        let disk = ctx.disk.borrow();
+        tracer.with(span, |m| {
+            m.add(keys::WALL_S, wall_s);
+            m.add(keys::KERNEL_SIMD_BLOCKS, simd as f64);
+            KEYS.cnt
+                .write(&meter.counters().delta(&self.cnt), |k, v| m.add(k, v));
             if let Some(now) = meter.profile() {
-                for (phase, after) in now.iter() {
-                    add_phase_deltas(tracer, span, phase, self.phases.get(phase), after);
+                for ((phase, after), pk) in now.iter().zip(&KEYS.phase) {
+                    pk.write(&after.delta(self.phases.get(phase)), |k, v| m.add(k, v));
                 }
             }
-        }
-        let disk = ctx.disk.borrow();
-        let now = disk.stats();
-        tracer.add(span, keys::IO_S, disk.elapsed() - self.io_elapsed);
-        tracer.add(span, keys::IO_BYTES, now.bytes_read - self.io.bytes_read);
-        tracer.add(span, keys::IO_SEEKS, (now.seeks - self.io.seeks) as f64);
-        tracer.add(span, keys::IO_BURSTS, (now.bursts - self.io.bursts) as f64);
-        tracer.add(
-            span,
-            keys::IO_COMP_BURSTS,
-            (now.comp_bursts - self.io.comp_bursts) as f64,
-        );
-        tracer.add(
-            span,
-            keys::IO_TRANSFER_S,
-            now.transfer_s - self.io.transfer_s,
-        );
-        tracer.add(span, keys::IO_SEEK_S, now.seek_s - self.io.seek_s);
-        tracer.add(span, keys::IO_COMP_S, now.comp_s - self.io.comp_s);
-        tracer.add(
-            span,
-            keys::IO_PAGES_SKIPPED,
-            (now.pages_skipped - self.io.pages_skipped) as f64,
-        );
-        let (r0, r1) = (&self.io.recovery, &now.recovery);
-        tracer.add(span, keys::IO_RETRIES, (r1.retries - r0.retries) as f64);
-        tracer.add(span, keys::IO_REPAIRS, (r1.repairs - r0.repairs) as f64);
-        tracer.add(
-            span,
-            keys::IO_QUARANTINED,
-            (r1.quarantined_pages - r0.quarantined_pages) as f64,
-        );
-        tracer.add(
-            span,
-            keys::IO_DROPPED_ROWS,
-            (r1.dropped_rows - r0.dropped_rows) as f64,
-        );
-        let (c0, c1) = (&self.io.cache, &now.cache);
-        tracer.add(span, keys::IO_CACHE_HITS, (c1.hits - c0.hits) as f64);
-        tracer.add(span, keys::IO_CACHE_MISSES, (c1.misses - c0.misses) as f64);
-        tracer.add(
-            span,
-            keys::IO_CACHE_EVICTIONS,
-            (c1.evictions - c0.evictions) as f64,
-        );
-        tracer.add(
-            span,
-            keys::IO_CACHE_PREFETCHED,
-            (c1.prefetched - c0.prefetched) as f64,
-        );
-    }
-}
-
-fn add_counter_deltas(tracer: &Tracer, span: SpanId, before: &CpuCounters, after: &CpuCounters) {
-    tracer.add(span, keys::CNT_UOPS, after.uops - before.uops);
-    tracer.add(
-        span,
-        keys::CNT_SEQ_BYTES,
-        after.seq_bytes - before.seq_bytes,
-    );
-    tracer.add(
-        span,
-        keys::CNT_RAND_MISSES,
-        after.rand_misses - before.rand_misses,
-    );
-    tracer.add(span, keys::CNT_L1_LINES, after.l1_lines - before.l1_lines);
-    tracer.add(
-        span,
-        keys::CNT_MISPREDICTS,
-        after.branch_mispredicts - before.branch_mispredicts,
-    );
-    tracer.add(
-        span,
-        keys::CNT_IO_REQUESTS,
-        after.io_requests - before.io_requests,
-    );
-    tracer.add(span, keys::CNT_IO_BYTES, after.io_bytes - before.io_bytes);
-    tracer.add(
-        span,
-        keys::CNT_IO_SWITCHES,
-        after.io_switches - before.io_switches,
-    );
-}
-
-/// Per-phase deltas land under `phase.<name>.<field>`; the annotation pass
-/// folds them into synthesized phase child spans and removes the raw keys.
-fn add_phase_deltas(
-    tracer: &Tracer,
-    span: SpanId,
-    phase: CpuPhase,
-    before: &CpuCounters,
-    after: &CpuCounters,
-) {
-    let name = phase.name();
-    let put = |field: &str, delta: f64| {
-        if delta != 0.0 {
-            tracer.add(span, &format!("phase.{name}.{field}"), delta);
-        }
-    };
-    put("uops", after.uops - before.uops);
-    put("seq_bytes", after.seq_bytes - before.seq_bytes);
-    put("rand_misses", after.rand_misses - before.rand_misses);
-    put("l1_lines", after.l1_lines - before.l1_lines);
-    put(
-        "branch_mispredicts",
-        after.branch_mispredicts - before.branch_mispredicts,
-    );
-    put("io_requests", after.io_requests - before.io_requests);
-    put("io_bytes", after.io_bytes - before.io_bytes);
-    put("io_switches", after.io_switches - before.io_switches);
-}
-
-const CNT_FIELDS: [&str; 8] = [
-    "uops",
-    "seq_bytes",
-    "rand_misses",
-    "l1_lines",
-    "branch_mispredicts",
-    "io_requests",
-    "io_bytes",
-    "io_switches",
-];
-
-fn counters_from(get: impl Fn(&str) -> f64) -> CpuCounters {
-    CpuCounters {
-        uops: get("uops"),
-        seq_bytes: get("seq_bytes"),
-        rand_misses: get("rand_misses"),
-        l1_lines: get("l1_lines"),
-        branch_mispredicts: get("branch_mispredicts"),
-        io_requests: get("io_requests"),
-        io_bytes: get("io_bytes"),
-        io_switches: get("io_switches"),
+            m.add(keys::IO_S, disk.elapsed() - self.io_elapsed);
+            KEYS.io
+                .write(&disk.stats().delta(&self.io), |k, v| m.add(k, v));
+            m.add(keys::CALLS, 1.0);
+            if let Some(rows) = block_rows {
+                m.add(keys::ROWS, rows as f64);
+                m.add(keys::BLOCKS, 1.0);
+            }
+        });
     }
 }
 
@@ -300,35 +208,9 @@ pub fn apply_report(trace: &mut QueryTrace, report: &RunReport) {
     );
     m.set(keys::ROWS, report.rows as f64);
     m.set(keys::BLOCKS, report.blocks as f64);
-    m.set(keys::CPU_TOTAL_S, report.cpu.total());
-    m.set(keys::CPU_SYS_S, report.cpu.sys);
-    m.set(keys::CPU_USR_UOP_S, report.cpu.usr_uop);
-    m.set(keys::CPU_USR_L2_S, report.cpu.usr_l2);
-    m.set(keys::CPU_USR_L1_S, report.cpu.usr_l1);
-    m.set(keys::CPU_USR_REST_S, report.cpu.usr_rest);
+    write_cpu(&report.cpu, |k, v| m.set(k, v));
     m.set(keys::IO_S, report.io_s());
-    m.set(keys::IO_BYTES, report.io.bytes_read);
-    m.set(keys::IO_SEEKS, report.io.seeks as f64);
-    m.set(keys::IO_BURSTS, report.io.bursts as f64);
-    m.set(keys::IO_COMP_BURSTS, report.io.comp_bursts as f64);
-    m.set(keys::IO_TRANSFER_S, report.io.transfer_s);
-    m.set(keys::IO_SEEK_S, report.io.seek_s);
-    m.set(keys::IO_COMP_S, report.io.comp_s);
-    m.set(keys::IO_PAGES_SKIPPED, report.io.pages_skipped as f64);
-    m.set(keys::IO_RETRIES, report.io.recovery.retries as f64);
-    m.set(keys::IO_REPAIRS, report.io.recovery.repairs as f64);
-    m.set(
-        keys::IO_QUARANTINED,
-        report.io.recovery.quarantined_pages as f64,
-    );
-    m.set(
-        keys::IO_DROPPED_ROWS,
-        report.io.recovery.dropped_rows as f64,
-    );
-    m.set(keys::IO_CACHE_HITS, report.io.cache.hits as f64);
-    m.set(keys::IO_CACHE_MISSES, report.io.cache.misses as f64);
-    m.set(keys::IO_CACHE_EVICTIONS, report.io.cache.evictions as f64);
-    m.set(keys::IO_CACHE_PREFETCHED, report.io.cache.prefetched as f64);
+    KEYS.io.write(&report.io, |k, v| m.set(k, v));
     m.set(keys::ELAPSED_S, report.elapsed_s);
 }
 
@@ -337,59 +219,42 @@ pub fn apply_report(trace: &mut QueryTrace, report: &RunReport) {
 /// direct children, whose keys are still raw at this point) becomes
 /// synthesized [`SpanKind::Phase`] children.
 fn annotate(node: &mut SpanNode, ctx: &ExecContext) {
-    let scale = ctx.row_scale;
     let params = *ctx.meter.borrow().params();
-    let c = counters_from(|f| node.metrics.get(&format!("cnt.{f}")));
+    let modelled =
+        |c: &CpuCounters| CpuBreakdown::from_counters(c, &ctx.hw, &params).scaled(ctx.row_scale);
+    let c = KEYS.cnt.read(|k| node.metrics.get(k));
     if c != CpuCounters::default() {
-        let b = CpuBreakdown::from_counters(&c, &ctx.hw, &params).scaled(scale);
-        node.metrics.set(keys::CPU_TOTAL_S, b.total());
-        node.metrics.set(keys::CPU_SYS_S, b.sys);
-        node.metrics.set(keys::CPU_USR_UOP_S, b.usr_uop);
-        node.metrics.set(keys::CPU_USR_L2_S, b.usr_l2);
-        node.metrics.set(keys::CPU_USR_L1_S, b.usr_l1);
-        node.metrics.set(keys::CPU_USR_REST_S, b.usr_rest);
+        write_cpu(&modelled(&c), |k, v| node.metrics.set(k, v));
     }
 
-    // Self phase share: inclusive deltas minus the direct children's
-    // (their phase keys are still raw — they have not recursed yet).
-    let mut own: Vec<(String, f64)> = node.metrics.remove_prefix("phase.");
-    for child in &node.children {
-        for (key, child_v) in child.metrics.iter() {
-            if !key.starts_with("phase.") {
-                continue;
-            }
-            if let Some((_, v)) = own.iter_mut().find(|(k, _)| k == key) {
-                *v -= child_v;
-            }
+    let mut phases = Vec::new();
+    for (phase, pk) in CpuPhase::ALL.iter().zip(&KEYS.phase) {
+        // Self share: the inclusive deltas minus the direct children's
+        // (their phase keys are still raw — they have not recursed yet).
+        let mut own = pk.read(|k| node.metrics.get(k));
+        for child in &node.children {
+            own = own.delta(&pk.read(|k| child.metrics.get(k)));
         }
-    }
-    for phase in CpuPhase::ALL {
-        let prefix = format!("phase.{}.", phase.name());
-        let get = |f: &str| {
-            own.iter()
-                .find(|(k, _)| k.starts_with(&prefix) && k[prefix.len()..] == *f)
-                .map(|(_, v)| *v)
-                .unwrap_or(0.0)
-        };
-        let c = counters_from(|f| get(f).max(0.0));
-        if c == CpuCounters::default() {
+        let own = own.map(&mut |v| v.max(0.0));
+        if own == CpuCounters::default() {
             continue;
         }
-        let b = CpuBreakdown::from_counters(&c, &ctx.hw, &params).scaled(scale);
-        let mut metrics = rodb_trace::Metrics::default();
-        metrics.set(keys::CPU_TOTAL_S, b.total());
-        metrics.set(keys::CPU_USR_UOP_S, b.usr_uop);
-        metrics.set(keys::CPU_USR_L2_S, b.usr_l2);
-        for f in CNT_FIELDS {
-            metrics.add(&format!("cnt.{f}"), get(f).max(0.0));
-        }
-        node.children.push(SpanNode {
+        let mut metrics = Metrics::default();
+        write_cpu(&modelled(&own), |k, v| {
+            if PHASE_CPU.contains(&k) {
+                metrics.set(k, v);
+            }
+        });
+        KEYS.cnt.write(&own, |k, v| metrics.add(k, v));
+        phases.push(SpanNode {
             label: format!("phase:{}", phase.name()),
             kind: SpanKind::Phase,
             metrics,
             children: Vec::new(),
         });
     }
+    node.metrics.remove_prefix("phase.");
+    node.children.append(&mut phases);
 
     for child in &mut node.children {
         if child.kind != SpanKind::Phase {

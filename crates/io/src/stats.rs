@@ -1,130 +1,100 @@
-//! I/O accounting.
+//! I/O accounting. Each struct is declared once through
+//! [`rodb_trace::fields!`]; `merge`, `delta`, `to_json` and the `io.*` span
+//! keys all derive from that declaration.
 
-use rodb_trace::Json;
+use rodb_trace::fields;
 
-/// Fault-recovery counters for one query execution, carried inside
-/// [`IoStats`] so they merge across parallel morsels exactly like the rest
-/// of the I/O accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Replica reads attempted after a CRC-failing primary read.
-    pub retries: u64,
-    /// Pages recovered from a clean replica (and written back).
-    pub repairs: u64,
-    /// Pages newly quarantined because every replica was bad.
-    pub quarantined_pages: u64,
-    /// Rows dropped by degraded (`on_corrupt = Skip`) scans.
-    pub dropped_rows: u64,
-    /// WAL records replayed by an ingest-store recovery.
-    pub wal_replayed: u64,
-    /// WAL records (or residual torn blobs) discarded past the valid prefix.
-    pub wal_discarded: u64,
-}
-
-impl RecoveryStats {
-    /// Element-wise accumulate.
-    pub fn merge(&mut self, other: &RecoveryStats) {
-        self.retries += other.retries;
-        self.repairs += other.repairs;
-        self.quarantined_pages += other.quarantined_pages;
-        self.dropped_rows += other.dropped_rows;
-        self.wal_replayed += other.wal_replayed;
-        self.wal_discarded += other.wal_discarded;
-    }
-
-    /// Std-only JSON emission shared by fuzz `--json`, the bench bins and
-    /// the tracer.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .set("retries", self.retries)
-            .set("repairs", self.repairs)
-            .set("quarantined_pages", self.quarantined_pages)
-            .set("dropped_rows", self.dropped_rows)
-            .set("wal_replayed", self.wal_replayed)
-            .set("wal_discarded", self.wal_discarded)
+fields! {
+    /// Fault-recovery counters for one query execution, carried inside
+    /// [`IoStats`] so they merge across parallel morsels exactly like the rest
+    /// of the I/O accounting.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RecoveryStats {
+        /// Replica reads attempted after a CRC-failing primary read.
+        pub retries: u64,
+        /// Pages recovered from a clean replica (and written back).
+        pub repairs: u64,
+        /// Pages newly quarantined because every replica was bad.
+        pub quarantined_pages: u64,
+        /// Rows dropped by degraded (`on_corrupt = Skip`) scans.
+        pub dropped_rows: u64,
+        /// WAL records replayed by an ingest-store recovery.
+        pub wal_replayed: u64,
+        /// WAL records (or residual torn blobs) discarded past the valid prefix.
+        pub wal_discarded: u64,
     }
 }
 
-/// Page-cache counters for one query execution, carried inside [`IoStats`]
-/// so they merge across parallel morsels exactly like the rest of the I/O
-/// accounting. All zero when [`SystemConfig::cache`] is off.
-///
-/// The reconciliation invariant (locked by `crates/core/tests`): with the
-/// cache enabled, `hits + misses` equals the number of page reads the
-/// scanners requested, and — because a hit charges neither transfer nor
-/// seek — [`IoStats::total_s`] is the disk time of the misses alone.
-///
-/// [`SystemConfig::cache`]: rodb_types::SystemConfig
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Page requests served from a resident frame (no transfer charged).
-    pub hits: u64,
-    /// Page requests that went to the disk array.
-    pub misses: u64,
-    /// Frames evicted to make room (LRU-K victims).
-    pub evictions: u64,
-    /// Frames inserted by prefetch-burst coverage rather than demand reads.
-    pub prefetched: u64,
+fields! {
+    /// Page-cache counters for one query execution, carried inside [`IoStats`]
+    /// so they merge across parallel morsels exactly like the rest of the I/O
+    /// accounting. All zero when [`SystemConfig::cache`] is off.
+    ///
+    /// The reconciliation invariant (locked by `crates/core/tests`): with the
+    /// cache enabled, `hits + misses` equals the number of page reads the
+    /// scanners requested, and — because a hit charges neither transfer nor
+    /// seek — [`IoStats::total_s`] is the disk time of the misses alone.
+    ///
+    /// [`SystemConfig::cache`]: rodb_types::SystemConfig
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats {
+        /// Page requests served from a resident frame (no transfer charged).
+        pub hits: u64,
+        /// Page requests that went to the disk array.
+        pub misses: u64,
+        /// Frames evicted to make room (LRU-K victims).
+        pub evictions: u64,
+        /// Frames inserted by prefetch-burst coverage rather than demand reads.
+        pub prefetched: u64,
+    }
 }
 
 impl CacheStats {
-    /// Element-wise accumulate.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.prefetched += other.prefetched;
+    /// Cache-mediated page requests: every one is a hit or a miss.
+    pub fn requests(&self) -> u64 {
+        self.hits + self.misses
     }
 
     /// Hit fraction of all cache-mediated page requests (0 when none).
     pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
+        match self.requests() {
+            0 => 0.0,
+            total => self.hits as f64 / total as f64,
         }
-    }
-
-    /// Std-only JSON emission shared by fuzz `--json`, the bench bins and
-    /// the tracer.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .set("hits", self.hits)
-            .set("misses", self.misses)
-            .set("evictions", self.evictions)
-            .set("prefetched", self.prefetched)
     }
 }
 
-/// Counters accumulated by the disk-array simulator for one query execution.
-///
-/// `bytes_read` / `seeks` / `bursts` cover the *foreground* query only;
-/// competitor service shows up in `comp_bursts` and in the clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct IoStats {
-    /// Foreground bytes transferred (virtual bytes — already scale-adjusted).
-    pub bytes_read: f64,
-    /// Foreground seeks performed (head moved between sequential runs).
-    pub seeks: u64,
-    /// Foreground burst requests issued (one per prefetch-depth read).
-    pub bursts: u64,
-    /// Bursts served to competing scans while this query ran.
-    pub comp_bursts: u64,
-    /// Seconds the disks spent transferring foreground data.
-    pub transfer_s: f64,
-    /// Seconds the disks spent seeking for the foreground.
-    pub seek_s: f64,
-    /// Seconds the disks spent serving competitors (their seeks + transfers).
-    pub comp_s: f64,
-    /// Pages skipped without transfer because a zone map proved them
-    /// irrelevant (the fast scan path's page-skipping evidence).
-    pub pages_skipped: u64,
-    /// Fault-recovery counters (mirrored-read retries, repairs, quarantine,
-    /// degraded-scan drops).
-    pub recovery: RecoveryStats,
-    /// Page-cache counters (hits, misses, evictions, prefetch insertions).
-    pub cache: CacheStats,
+fields! {
+    /// Counters accumulated by the disk-array simulator for one query execution.
+    ///
+    /// `bytes_read` / `seeks` / `bursts` cover the *foreground* query only;
+    /// competitor service shows up in `comp_bursts` and in the clock.
+    #[derive(Debug, Clone, Copy, Default, PartialEq)]
+    pub struct IoStats {
+        /// Foreground bytes transferred (virtual bytes — already scale-adjusted).
+        pub bytes_read: f64,
+        /// Foreground seeks performed (head moved between sequential runs).
+        pub seeks: u64,
+        /// Foreground burst requests issued (one per prefetch-depth read).
+        pub bursts: u64,
+        /// Bursts served to competing scans while this query ran.
+        pub comp_bursts: u64,
+        /// Seconds the disks spent transferring foreground data.
+        pub transfer_s: f64,
+        /// Seconds the disks spent seeking for the foreground.
+        pub seek_s: f64,
+        /// Seconds the disks spent serving competitors (their seeks + transfers).
+        pub comp_s: f64,
+        /// Pages skipped without transfer because a zone map proved them
+        /// irrelevant (the fast scan path's page-skipping evidence).
+        pub pages_skipped: u64,
+        /// Fault-recovery counters (mirrored-read retries, repairs, quarantine,
+        /// degraded-scan drops).
+        pub recovery: RecoveryStats,
+        /// Page-cache counters (hits, misses, evictions, prefetch insertions).
+        pub cache: CacheStats,
+    }
+    total "total_s" = total_s;
 }
 
 impl IoStats {
@@ -132,42 +102,12 @@ impl IoStats {
     pub fn total_s(&self) -> f64 {
         self.transfer_s + self.seek_s + self.comp_s
     }
-
-    /// Std-only JSON emission shared by fuzz `--json`, the bench bins and
-    /// the tracer. Field names match the struct fields.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .set("bytes_read", self.bytes_read)
-            .set("seeks", self.seeks)
-            .set("bursts", self.bursts)
-            .set("comp_bursts", self.comp_bursts)
-            .set("transfer_s", self.transfer_s)
-            .set("seek_s", self.seek_s)
-            .set("comp_s", self.comp_s)
-            .set("pages_skipped", self.pages_skipped)
-            .set("total_s", self.total_s())
-            .set("recovery", self.recovery.to_json())
-            .set("cache", self.cache.to_json())
-    }
-
-    /// Element-wise accumulate (merging per-worker stats of a parallel scan).
-    pub fn merge(&mut self, other: &IoStats) {
-        self.bytes_read += other.bytes_read;
-        self.seeks += other.seeks;
-        self.bursts += other.bursts;
-        self.comp_bursts += other.comp_bursts;
-        self.transfer_s += other.transfer_s;
-        self.seek_s += other.seek_s;
-        self.comp_s += other.comp_s;
-        self.pages_skipped += other.pages_skipped;
-        self.recovery.merge(&other.recovery);
-        self.cache.merge(&other.cache);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rodb_trace::Json;
 
     #[test]
     fn totals_add_up() {

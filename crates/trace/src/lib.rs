@@ -10,6 +10,8 @@
 //!   trace's root totals reconcile *exactly* with the query report.
 //!   Finished traces render as an `EXPLAIN ANALYZE` tree or export as
 //!   Chrome trace-event JSON under `results/traces/`.
+//! - [`mod@fields`]: the field table — [`fields!`] declares an accounted
+//!   struct once and derives merge, delta, JSON and its span keys.
 //! - [`metrics`]: named counters, gauges, and log2-bucket [`Histogram`]s —
 //!   instantiable [`Registry`] handles for drivers that own their metrics,
 //!   plus the process-wide [`MetricsRegistry`] static facade.
@@ -31,6 +33,7 @@
 //! the measured paper paths pay one predictable branch per block at most.
 
 pub mod expo;
+pub mod fields;
 #[cfg(feature = "monitor")]
 pub mod http;
 pub mod json;
@@ -43,6 +46,7 @@ pub mod timeline;
 pub use expo::{
     check_exposition, monitor_handle, prometheus, render_top, MonitorHandle, MonitorState,
 };
+pub use fields::{Field, Keys};
 #[cfg(feature = "monitor")]
 pub use http::MonitorServer;
 pub use json::Json;

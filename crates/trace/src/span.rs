@@ -75,40 +75,22 @@ pub mod keys {
     pub const ROWS: &str = "rows";
     pub const BLOCKS: &str = "blocks";
     pub const CALLS: &str = "calls";
-    /// Modelled CPU seconds (scaled, paper clock) by breakdown component.
+    /// Modelled CPU seconds of the whole breakdown (scaled, paper clock).
+    /// The components sit beside it as `cpu.<field>_s`, and the simulated
+    /// disk's counters as `io.<field>`, raw CPU events (unscaled — the PAPI
+    /// stand-ins of §3.2) as `cnt.<field>`: those keys are derived from the
+    /// structs' field tables ([`mod@crate::fields`]), not listed here. The few
+    /// named below are the ones `explain()` renders.
     pub const CPU_TOTAL_S: &str = "cpu.total_s";
-    pub const CPU_SYS_S: &str = "cpu.sys_s";
     pub const CPU_USR_UOP_S: &str = "cpu.usr_uop_s";
     pub const CPU_USR_L2_S: &str = "cpu.usr_l2_s";
-    pub const CPU_USR_L1_S: &str = "cpu.usr_l1_s";
-    pub const CPU_USR_REST_S: &str = "cpu.usr_rest_s";
-    /// Simulated disk seconds and raw I/O counters.
+    /// Simulated disk seconds.
     pub const IO_S: &str = "io.elapsed_s";
     pub const IO_BYTES: &str = "io.bytes_read";
-    pub const IO_SEEKS: &str = "io.seeks";
-    pub const IO_BURSTS: &str = "io.bursts";
-    pub const IO_TRANSFER_S: &str = "io.transfer_s";
-    pub const IO_SEEK_S: &str = "io.seek_s";
-    pub const IO_COMP_S: &str = "io.comp_s";
-    pub const IO_COMP_BURSTS: &str = "io.comp_bursts";
     pub const IO_PAGES_SKIPPED: &str = "io.pages_skipped";
     pub const IO_RETRIES: &str = "io.recovery.retries";
     pub const IO_REPAIRS: &str = "io.recovery.repairs";
-    pub const IO_QUARANTINED: &str = "io.recovery.quarantined_pages";
     pub const IO_DROPPED_ROWS: &str = "io.recovery.dropped_rows";
-    pub const IO_CACHE_HITS: &str = "io.cache.hits";
-    pub const IO_CACHE_MISSES: &str = "io.cache.misses";
-    pub const IO_CACHE_EVICTIONS: &str = "io.cache.evictions";
-    pub const IO_CACHE_PREFETCHED: &str = "io.cache.prefetched";
-    /// Raw CPU event counters (unscaled — the PAPI stand-ins of §3.2).
-    pub const CNT_UOPS: &str = "cnt.uops";
-    pub const CNT_SEQ_BYTES: &str = "cnt.seq_bytes";
-    pub const CNT_RAND_MISSES: &str = "cnt.rand_misses";
-    pub const CNT_L1_LINES: &str = "cnt.l1_lines";
-    pub const CNT_MISPREDICTS: &str = "cnt.branch_mispredicts";
-    pub const CNT_IO_REQUESTS: &str = "cnt.io_requests";
-    pub const CNT_IO_BYTES: &str = "cnt.io_bytes";
-    pub const CNT_IO_SWITCHES: &str = "cnt.io_switches";
     /// Decode-kernel dispatch tier ordinal active while the span ran
     /// (0 scalar, 1 SSE2, 2 AVX2, 3 NEON).
     pub const KERNEL_TIER: &str = "kernel.tier";
@@ -126,8 +108,15 @@ pub struct Metrics(BTreeMap<String, f64>);
 
 impl Metrics {
     pub fn add(&mut self, key: &str, delta: f64) {
-        if delta != 0.0 {
-            *self.0.entry(key.to_string()).or_insert(0.0) += delta;
+        if delta == 0.0 {
+            return;
+        }
+        // Look up before inserting: only a key's first hit pays a `String`.
+        match self.0.get_mut(key) {
+            Some(v) => *v += delta,
+            None => {
+                self.0.insert(key.to_string(), delta);
+            }
         }
     }
 
@@ -271,6 +260,11 @@ impl Tracer {
     /// Accumulate `delta` on a span metric.
     pub fn add(&self, span: SpanId, key: &str, delta: f64) {
         self.state.borrow_mut()[span.0].metrics.add(key, delta);
+    }
+
+    /// Every write of one record under a single borrow of the span's map.
+    pub fn with<R>(&self, span: SpanId, f: impl FnOnce(&mut Metrics) -> R) -> R {
+        f(&mut self.state.borrow_mut()[span.0].metrics)
     }
 
     /// Overwrite a span metric with an exact value.
@@ -631,7 +625,7 @@ mod tests {
         let t = Tracer::new();
         let scan = t.span(ROOT, "scan", SpanKind::Scan);
         let decode = t.span(scan, "decode", SpanKind::Phase);
-        t.add(decode, keys::CNT_UOPS, 5.0);
+        t.add(decode, "cnt.uops", 5.0);
         let agg = t.op_span("aggregate[hash]", SpanKind::Agg);
         t.add(agg, keys::ROWS, 10.0);
         let trace = t.finish();
