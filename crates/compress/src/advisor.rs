@@ -1,13 +1,15 @@
-//! Compression advisor — the Figure-1 component that "chooses compression
-//! schemes ... depending on the workload characteristics".
+//! Compression candidates — the format half of the Figure-1 component that
+//! "chooses compression schemes ... depending on the workload
+//! characteristics".
 //!
-//! Given (a sample of) a column's values, [`choose_codec`] picks the
-//! lightweight scheme with the smallest fixed code width, breaking ties in
-//! favour of the computationally cheaper scheme (§4.4 shows FOR can beat
-//! FOR-delta on CPU even when it needs more bits). An optional
-//! `disk_constrained` flag flips the tie-break toward the narrowest encoding,
-//! mirroring the paper's observation that "if our system was disk-constrained
-//! ... the I/O benefits would offset the CPU cost".
+//! Which lightweight schemes can hold a column's values, and at what code
+//! width, is knowledge of the formats and lives here ([`candidates`], plus
+//! building the dictionary a scheme needs, [`compression_for`]). Which of
+//! them to *use* is a price on a machine — §4.4: FOR can beat FOR-delta on
+//! CPU even when it needs more bits, while "if our system was
+//! disk-constrained ... the I/O benefits would offset the CPU cost" — and is
+//! decided by `rodb_core::design`, from the one decode-cost table the CPU
+//! meter charges.
 
 use std::sync::Arc;
 
@@ -17,48 +19,19 @@ use crate::bits::bits_for;
 use crate::codec::{Codec, ColumnCompression};
 use crate::dict::Dictionary;
 
-/// What the advisor optimizes for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdvisorGoal {
-    /// Minimize CPU: prefer cheap-to-decode schemes when widths are close.
-    CpuConstrained,
-    /// Minimize bytes: always take the narrowest encoding.
-    DiskConstrained,
-}
-
-/// Summary of one candidate scheme considered by the advisor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Candidate {
-    pub codec: Codec,
-    pub bits: usize,
-    /// Relative decode cost rank (lower = cheaper), used for tie-breaking.
-    pub cpu_rank: u8,
-}
-
-/// Decode-cost rank per scheme: raw < bitpack ≈ FOR < dict < FOR-delta.
-/// PFOR sits with FOR (one extra patch pass over rare exceptions), Dict→FOR
-/// with Dict, and the RLE family with FOR-delta (sequential-only decode).
-fn cpu_rank(codec: &Codec) -> u8 {
-    match codec {
-        Codec::None => 0,
-        Codec::TextPack { .. } => 1,
-        Codec::BitPack { .. } => 1,
-        Codec::For { .. } | Codec::Pfor { .. } => 2,
-        Codec::Dict { .. } | Codec::DictFor { .. } => 3,
-        Codec::ForDelta { .. } | Codec::Rle { .. } | Codec::RleDict { .. } => 4,
-    }
-}
-
-/// Enumerate every applicable scheme for the sampled values.
-pub fn candidates(dtype: DataType, sample: &[Value]) -> Result<Vec<Candidate>> {
-    let mut out = vec![Candidate {
-        codec: Codec::None,
-        bits: dtype.width() * 8,
-        cpu_rank: 0,
-    }];
+/// Every scheme that can hold the sampled values, each with the bits per
+/// value it needs (amortized, for the variable-rate schemes). Raw storage
+/// always fits and comes first.
+pub fn candidates(dtype: DataType, sample: &[Value]) -> Result<Vec<(Codec, usize)>> {
+    let mut out = vec![(Codec::None, dtype.width() * 8)];
     if sample.is_empty() {
         return Ok(out);
     }
+    let distinct = sample
+        .iter()
+        .collect::<std::collections::HashSet<_>>()
+        .len();
+    let dict_bits = bits_for(distinct.saturating_sub(1) as u64);
     match dtype {
         DataType::Long => {} // aggregate-output type; raw storage only
         DataType::Int => {
@@ -66,245 +39,161 @@ pub fn candidates(dtype: DataType, sample: &[Value]) -> Result<Vec<Candidate>> {
                 .iter()
                 .map(|v| v.as_int().map(|i| i as i64))
                 .collect::<Result<_>>()?;
-            let min = *ints.iter().min().unwrap();
-            let max = *ints.iter().max().unwrap();
+            let min = *ints.iter().min().expect("sample is non-empty");
+            let max = *ints.iter().max().expect("sample is non-empty");
             if min >= 0 {
                 let bits = bits_for(max as u64);
-                out.push(Candidate {
-                    codec: Codec::BitPack { bits },
-                    bits: bits as usize,
-                    cpu_rank: cpu_rank(&Codec::BitPack { bits }),
-                });
+                out.push((Codec::BitPack { bits }, bits as usize));
             }
-            let bits = bits_for((max - min) as u64);
-            out.push(Candidate {
-                codec: Codec::For { bits },
-                bits: bits as usize,
-                cpu_rank: cpu_rank(&Codec::For { bits }),
-            });
+            let full_bits = bits_for((max - min) as u64);
+            out.push((Codec::For { bits: full_bits }, full_bits as usize));
             if ints.windows(2).all(|w| w[1] >= w[0]) {
-                let max_delta = ints
-                    .windows(2)
-                    .map(|w| (w[1] - w[0]) as u64)
-                    .max()
-                    .unwrap_or(0);
-                let bits = bits_for(max_delta);
-                out.push(Candidate {
-                    codec: Codec::ForDelta { bits },
-                    bits: bits as usize,
-                    cpu_rank: cpu_rank(&Codec::ForDelta { bits }),
-                });
+                let deltas = ints.windows(2).map(|w| (w[1] - w[0]) as u64);
+                let bits = bits_for(deltas.max().unwrap_or(0));
+                out.push((Codec::ForDelta { bits }, bits as usize));
             }
-            let distinct = distinct_count(sample);
             // A dictionary only pays off for genuinely low-cardinality data.
             if distinct <= 4096 && distinct < sample.len() {
-                let bits = bits_for(distinct.saturating_sub(1) as u64);
-                out.push(Candidate {
-                    codec: Codec::Dict { bits },
-                    bits: bits as usize,
-                    cpu_rank: cpu_rank(&Codec::Dict { bits }),
-                });
+                out.push((Codec::Dict { bits: dict_bits }, dict_bits as usize));
             }
             // PFOR: when a few outliers inflate the FOR width, pack at the
             // ~95th-percentile width and patch the rest as exceptions. Each
             // exception costs 96 bits (u32 position + u64 code), so the
             // effective width is p95-bits + amortized exception overhead.
-            let full_bits = bits_for((max - min) as u64);
             let mut codes: Vec<u64> = ints.iter().map(|&v| (v - min) as u64).collect();
             codes.sort_unstable();
             let p95 = codes[(codes.len() * 95 / 100).min(codes.len() - 1)];
-            let pfor_bits = bits_for(p95).max(1);
-            if pfor_bits < full_bits {
-                let limit = 1u64 << pfor_bits;
-                let nexc = codes.iter().filter(|&&c| c >= limit).count();
-                let eff = pfor_bits as usize + (nexc * 96).div_ceil(codes.len());
+            let bits = bits_for(p95).max(1);
+            if bits < full_bits {
+                let nexc = codes.iter().filter(|&&c| c >= 1u64 << bits).count();
+                let eff = bits as usize + (nexc * 96).div_ceil(codes.len());
                 if eff < full_bits as usize {
-                    out.push(Candidate {
-                        codec: Codec::Pfor { bits: pfor_bits },
-                        bits: eff,
-                        cpu_rank: cpu_rank(&Codec::Pfor { bits: pfor_bits }),
-                    });
+                    out.push((Codec::Pfor { bits }, eff));
                 }
             }
             // RLE: pays off once values repeat in runs — each run costs
             // value_bits + len_bits, amortized over its length.
-            let mut nruns = 1usize;
-            let mut max_run = 1u64;
-            let mut cur_run = 1u64;
-            for w in ints.windows(2) {
-                if w[1] == w[0] {
-                    cur_run += 1;
-                    max_run = max_run.max(cur_run);
-                } else {
-                    cur_run = 1;
-                    nruns += 1;
-                }
-            }
+            let runs = ints.chunk_by(|a, b| a == b).map(|run| run.len() as u64);
+            let (nruns, max_run) = (runs.clone().count(), runs.max().unwrap_or(1));
             if nruns * 2 <= ints.len() {
-                let value_bits = bits_for((max - min) as u64).max(1);
+                let value_bits = full_bits.max(1);
                 let len_bits = bits_for(max_run - 1).max(1);
-                let eff = (nruns * (value_bits + len_bits) as usize)
-                    .div_ceil(ints.len())
-                    .max(1);
-                out.push(Candidate {
-                    codec: Codec::Rle {
-                        value_bits,
-                        len_bits,
-                    },
-                    bits: eff,
-                    cpu_rank: cpu_rank(&Codec::Rle {
-                        value_bits,
-                        len_bits,
-                    }),
-                });
+                let run_bits = nruns * (value_bits + len_bits) as usize;
+                let codec = Codec::Rle {
+                    value_bits,
+                    len_bits,
+                };
+                out.push((codec, run_bits.div_ceil(ints.len()).max(1)));
             }
         }
         DataType::Text(n) => {
-            let distinct = distinct_count(sample);
             if distinct <= 4096 {
-                let bits = bits_for(distinct.saturating_sub(1) as u64);
-                out.push(Candidate {
-                    codec: Codec::Dict { bits },
-                    bits: bits as usize,
-                    cpu_rank: cpu_rank(&Codec::Dict { bits }),
-                });
+                out.push((Codec::Dict { bits: dict_bits }, dict_bits as usize));
             }
             // Effective content width: longest non-zero-padded prefix seen.
-            let content = sample
-                .iter()
-                .map(|v| {
-                    v.as_text()
-                        .map(|b| b.iter().rposition(|&c| c != 0).map_or(0, |p| p + 1))
-                })
-                .collect::<Result<Vec<_>>>()?
-                .into_iter()
-                .max()
-                .unwrap_or(0);
+            let mut content = 0;
+            for v in sample {
+                let used = v.as_text()?.iter().rposition(|&c| c != 0);
+                content = content.max(used.map_or(0, |p| p + 1));
+            }
             if content > 0 && content < n {
-                out.push(Candidate {
-                    codec: Codec::TextPack {
-                        bytes: content as u16,
-                    },
-                    bits: content * 8,
-                    cpu_rank: 1,
-                });
+                let bytes = content as u16;
+                out.push((Codec::TextPack { bytes }, content * 8));
             }
         }
     }
     Ok(out)
 }
 
-fn distinct_count(sample: &[Value]) -> usize {
-    let mut set = std::collections::HashSet::new();
-    for v in sample {
-        set.insert(v);
-    }
-    set.len()
-}
-
-/// Pick the best scheme for a column given a sample of its values, and build
-/// the supporting dictionary if needed.
-pub fn choose_codec(
+/// `codec` as a usable [`ColumnCompression`]: builds the dictionary over
+/// `sample` when the scheme needs one.
+pub fn compression_for(
     dtype: DataType,
+    codec: Codec,
     sample: &[Value],
-    goal: AdvisorGoal,
 ) -> Result<ColumnCompression> {
-    let mut cands = candidates(dtype, sample)?;
-    cands.sort_by(|a, b| match goal {
-        AdvisorGoal::DiskConstrained => a.bits.cmp(&b.bits).then(a.cpu_rank.cmp(&b.cpu_rank)),
-        AdvisorGoal::CpuConstrained => {
-            // Narrower still wins, but each step up in decode cost inflates a
-            // candidate's effective width; FOR-delta must be ~2.75× narrower
-            // than raw to be picked (the paper's FOR vs FOR-delta
-            // observation: a 2× width advantage did not pay for the pricier
-            // decoder in the CPU-bound configuration of §4.4).
-            const Q: [usize; 5] = [4, 5, 6, 8, 11];
-            let a_key = a.bits * Q[a.cpu_rank as usize];
-            let b_key = b.bits * Q[b.cpu_rank as usize];
-            a_key.cmp(&b_key).then(a.bits.cmp(&b.bits))
-        }
-    });
-    let best = cands
-        .first()
-        .expect("None candidate always present")
-        .clone();
-    let dict = match &best.codec {
+    let dict = match &codec {
         Codec::Dict { .. } | Codec::DictFor { .. } | Codec::RleDict { .. } => {
             Some(Arc::new(Dictionary::build(dtype, sample.iter())?))
         }
         _ => None,
     };
-    ColumnCompression::new(best.codec, dict)
+    ColumnCompression::new(codec, dict)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ints(vals: &[i32]) -> Vec<Value> {
-        vals.iter().map(|&v| Value::Int(v)).collect()
+    /// The narrowest scheme that fits (what a disk-bound machine picks; the
+    /// priced pick is tested with the chooser, root `tests/chooser.rs`).
+    fn narrowest(dtype: DataType, sample: &[Value]) -> (Codec, usize) {
+        let fits = candidates(dtype, sample).unwrap();
+        fits.into_iter().min_by_key(|(_, bits)| *bits).unwrap()
+    }
+
+    fn roundtrips(codec: Codec, sample: &[Value]) {
+        let comp = compression_for(DataType::Int, codec, sample).unwrap();
+        let enc = comp.encode_page(DataType::Int, sample).unwrap();
+        let pv = comp.open_page(DataType::Int, &enc.data, enc.count, enc.base);
+        let mut c = pv.cursor();
+        for v in sample {
+            assert_eq!(Value::Int(c.next_int().unwrap()), *v);
+        }
     }
 
     #[test]
-    fn sorted_key_prefers_delta_when_disk_bound() {
+    fn sorted_key_fits_one_bit_delta() {
         let sample: Vec<Value> = (0..1000).map(|i| Value::Int(100_000 + i)).collect();
-        let comp = choose_codec(DataType::Int, &sample, AdvisorGoal::DiskConstrained).unwrap();
-        assert!(matches!(comp.codec, Codec::ForDelta { bits: 1 }));
+        assert_eq!(
+            narrowest(DataType::Int, &sample),
+            (Codec::ForDelta { bits: 1 }, 1)
+        );
     }
 
     #[test]
-    fn low_cardinality_text_gets_dictionary() {
+    fn low_cardinality_text_fits_a_dictionary() {
         let sample: Vec<Value> = (0..100)
             .map(|i| Value::text(["AIR", "SHIP", "TRUCK"][i % 3]))
             .collect();
-        let comp = choose_codec(DataType::Text(10), &sample, AdvisorGoal::DiskConstrained).unwrap();
-        assert!(matches!(comp.codec, Codec::Dict { bits: 2 }));
+        let (codec, bits) = narrowest(DataType::Text(10), &sample);
+        assert_eq!((&codec, bits), (&Codec::Dict { bits: 2 }, 2));
+        let comp = compression_for(DataType::Text(10), codec, &sample).unwrap();
         assert_eq!(comp.dict.as_ref().unwrap().len(), 3);
     }
 
     #[test]
-    fn high_cardinality_random_ints_stay_bitpacked_or_raw() {
+    fn high_cardinality_random_ints_fit_neither_dictionary_nor_delta() {
         let sample: Vec<Value> = (0..5000)
             .map(|i| Value::Int(i * 7919 % 1_000_003))
             .collect();
-        let comp = choose_codec(DataType::Int, &sample, AdvisorGoal::DiskConstrained).unwrap();
-        // Not a dictionary (too many distinct), not delta (not sorted).
-        assert!(matches!(
-            comp.codec,
-            Codec::BitPack { .. } | Codec::For { .. }
-        ));
+        for (codec, _) in candidates(DataType::Int, &sample).unwrap() {
+            // Too many distinct values for a dictionary, not sorted for delta.
+            assert!(
+                matches!(
+                    codec,
+                    Codec::None | Codec::BitPack { .. } | Codec::For { .. }
+                ),
+                "got {codec:?}"
+            );
+        }
     }
 
     #[test]
-    fn padded_text_gets_textpack() {
+    fn padded_text_fits_textpack() {
         // Content only ever uses 6 bytes of a 30-byte field, and cardinality
         // is too high for a dictionary.
         let sample: Vec<Value> = (0..5000)
             .map(|i| Value::text(&format!("c{:05}", i)))
             .collect();
-        let comp = choose_codec(DataType::Text(30), &sample, AdvisorGoal::DiskConstrained).unwrap();
-        assert!(matches!(comp.codec, Codec::TextPack { bytes: 6 }));
+        assert_eq!(
+            narrowest(DataType::Text(30), &sample),
+            (Codec::TextPack { bytes: 6 }, 48)
+        );
     }
 
     #[test]
-    fn cpu_goal_prefers_cheaper_decoder_on_near_tie() {
-        // Sorted with max delta 200 (8 bits) and range 16 bits: FOR-delta is
-        // narrower but pricier; CPU goal should keep FOR (§4.4).
-        let mut v = Vec::new();
-        let mut cur = 0i32;
-        for i in 0..500 {
-            cur += if i % 3 == 0 { 200 } else { 1 };
-            v.push(cur);
-        }
-        let sample = ints(&v);
-        let disk = choose_codec(DataType::Int, &sample, AdvisorGoal::DiskConstrained).unwrap();
-        let cpu = choose_codec(DataType::Int, &sample, AdvisorGoal::CpuConstrained).unwrap();
-        assert!(matches!(disk.codec, Codec::ForDelta { .. }));
-        assert!(!matches!(cpu.codec, Codec::ForDelta { .. }));
-    }
-
-    #[test]
-    fn outlier_heavy_column_gets_pfor() {
+    fn outlier_heavy_column_fits_pfor() {
         // 99% of values fit in 4 bits; 1% are huge outliers that would force
         // plain FOR to 30 bits. PFOR packs narrow and patches the outliers.
         let sample: Vec<Value> = (0..2000)
@@ -316,57 +205,33 @@ mod tests {
                 }
             })
             .collect();
-        let comp = choose_codec(DataType::Int, &sample, AdvisorGoal::DiskConstrained).unwrap();
-        assert!(
-            matches!(comp.codec, Codec::Pfor { .. }),
-            "got {:?}",
-            comp.codec
-        );
-        // Round-trip through the chosen codec to prove it is usable as-is.
-        let enc = comp.encode_page(DataType::Int, &sample).unwrap();
-        let pv = comp.open_page(DataType::Int, &enc.data, enc.count, enc.base);
-        let mut c = pv.cursor();
-        for v in &sample {
-            assert_eq!(Value::Int(c.next_int().unwrap()), *v);
-        }
+        let (codec, _) = narrowest(DataType::Int, &sample);
+        assert!(matches!(codec, Codec::Pfor { .. }), "got {codec:?}");
+        // Round-trip through the codec to prove it is usable as-is.
+        roundtrips(codec, &sample);
     }
 
     #[test]
-    fn long_runs_get_rle() {
+    fn long_runs_fit_rle() {
         // 20 unsorted runs of 100 identical values: RLE amortizes to
         // ~1 bit/value while FOR/bitpack need 5 bits and Dict 5-bit codes.
         let sample: Vec<Value> = (0..2000).map(|i| Value::Int(i / 100 * 7 % 20)).collect();
-        let comp = choose_codec(DataType::Int, &sample, AdvisorGoal::DiskConstrained).unwrap();
-        assert!(
-            matches!(comp.codec, Codec::Rle { .. }),
-            "got {:?}",
-            comp.codec
-        );
-        let enc = comp.encode_page(DataType::Int, &sample).unwrap();
-        let pv = comp.open_page(DataType::Int, &enc.data, enc.count, enc.base);
-        let mut c = pv.cursor();
-        for v in &sample {
-            assert_eq!(Value::Int(c.next_int().unwrap()), *v);
-        }
+        let (codec, _) = narrowest(DataType::Int, &sample);
+        assert!(matches!(codec, Codec::Rle { .. }), "got {codec:?}");
+        roundtrips(codec, &sample);
     }
 
     #[test]
-    fn empty_sample_yields_none() {
-        let comp = choose_codec(DataType::Int, &[], AdvisorGoal::DiskConstrained).unwrap();
-        assert_eq!(comp.codec, Codec::None);
+    fn empty_sample_fits_raw_only() {
+        let fits = candidates(DataType::Int, &[]).unwrap();
+        assert_eq!(fits, vec![(Codec::None, 32)]);
     }
 
     #[test]
-    fn chosen_codec_roundtrips_sample() {
+    fn every_candidate_roundtrips_sample() {
         let sample: Vec<Value> = (0..300).map(|i| Value::Int(i % 50)).collect();
-        for goal in [AdvisorGoal::DiskConstrained, AdvisorGoal::CpuConstrained] {
-            let comp = choose_codec(DataType::Int, &sample, goal).unwrap();
-            let enc = comp.encode_page(DataType::Int, &sample).unwrap();
-            let pv = comp.open_page(DataType::Int, &enc.data, enc.count, enc.base);
-            let mut c = pv.cursor();
-            for v in &sample {
-                assert_eq!(Value::Int(c.next_int().unwrap()), *v);
-            }
+        for (codec, _) in candidates(DataType::Int, &sample).unwrap() {
+            roundtrips(codec, &sample);
         }
     }
 }

@@ -7,8 +7,9 @@
 //! width, so values are addressable by position; only FOR-delta sacrifices
 //! random access (a tradeoff Figure 9 of the paper measures).
 //!
-//! The [`advisor`] module implements the "compression advisor" box of the
-//! paper's Figure 1: given a sample of column values it picks a scheme.
+//! The [`advisor`] module is the format half of the "compression advisor" box
+//! of the paper's Figure 1: given a sample of column values it lists the
+//! schemes that fit and their widths (`rodb_core::design` prices them).
 
 pub mod advisor;
 pub mod bits;
@@ -16,7 +17,7 @@ pub mod codec;
 pub mod dict;
 pub mod simd;
 
-pub use advisor::{choose_codec, AdvisorGoal};
+pub use advisor::{candidates, compression_for};
 pub use bits::{bits_for, BitReader, BitWriter, BLOCK};
 pub use codec::{Codec, CodecKind, ColumnCompression, EncodedValues, PageValues, SeqValues};
 pub use dict::Dictionary;

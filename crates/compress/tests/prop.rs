@@ -179,19 +179,19 @@ fn dict_roundtrip() {
     }
 }
 
-/// The advisor's pick always re-encodes its own sample losslessly and
-/// never widens the column.
+/// Every candidate the advisor lists re-encodes its own sample losslessly
+/// and never widens the column.
 #[test]
 fn advisor_pick_is_sound() {
-    use rodb_compress::{choose_codec, AdvisorGoal};
+    use rodb_compress::{candidates, compression_for};
     for case in 0..CASES {
         let mut rng = SplitMix64::new(0xAD + case);
         let n = rng.range_usize(1, 200);
         let vals: Vec<i32> = (0..n).map(|_| rng.range_i32(0, 10_000)).collect();
         let values: Vec<Value> = vals.iter().map(|&v| Value::Int(v)).collect();
-        for goal in [AdvisorGoal::DiskConstrained, AdvisorGoal::CpuConstrained] {
-            let comp = choose_codec(DataType::Int, &values, goal).unwrap();
-            assert!(comp.bits_per_value(DataType::Int) <= 32);
+        for (codec, bits) in candidates(DataType::Int, &values).unwrap() {
+            assert!(bits <= 32, "{codec:?} at {bits} bits");
+            let comp = compression_for(DataType::Int, codec, &values).unwrap();
             let enc = comp.encode_page(DataType::Int, &values).unwrap();
             let pv = comp.open_page(DataType::Int, &enc.data, enc.count, enc.base);
             let mut cur = pv.cursor();

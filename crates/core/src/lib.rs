@@ -5,29 +5,31 @@
 //!   tables, stage inserts in a WOS, merge.
 //! * [`QueryBuilder`] — precompiled-plan queries: projection, SARGable
 //!   predicates, aggregation, layout choice, paper-scale reporting.
-//! * [`compare`] — measured row-vs-column comparison, the model-driven
-//!   layout advisor, and the compression advisor.
+//! * [`design`] — the physical-design chooser: one `price` and one `choose`
+//!   behind the layout, compression and vertical-partition advisors.
+//! * [`compare`] — measured row-vs-column comparison.
 //! * [`experiment`] — the §4 projectivity-sweep harness the figure
 //!   binaries are built on.
 
 pub mod compare;
 pub mod db;
+pub mod design;
 pub mod experiment;
 pub mod ingest;
-pub mod mv;
 pub mod query;
 pub mod service;
 
-pub use compare::{
-    compare_layouts, predicted_speedup, recommend_compression, recommend_layout, LayoutComparison,
-};
+pub use compare::{compare_layouts, LayoutComparison};
 pub use db::Database;
+pub use design::{
+    choose, materialize, predicted_speedup, price, recommend_compression, recommend_layout,
+    recommend_vertical_partitions, Candidate, Choice, Machine, Query, DEFAULT_SELECTIVITY,
+};
 pub use experiment::{
     crossover_fraction, format_breakdowns, format_sweep, projectivity_sweep, scan_report,
     ExperimentConfig, SweepPoint,
 };
 pub use ingest::{IngestSnapshot, IngestStats, IngestStore};
-pub use mv::{materialize, recommend_vertical_partitions, MvRecommendation, QueryPattern};
 pub use query::{ParallelInfo, QueryBuilder, QueryResult};
 pub use service::{
     Observed, QueryOutcome, QueryService, ServiceReport, ServiceRequest, SloReport, TenantSlo,

@@ -33,6 +33,8 @@ use rodb_storage::{Layout, Table};
 use rodb_trace::{Keys, MetricsRegistry, QueryTrace};
 use rodb_types::{Error, HardwareConfig, Result, SystemConfig, Value};
 
+use crate::design::{recommend_layout, Machine, Query, DEFAULT_SELECTIVITY};
+
 /// The registry counters a cache-mediated run bumps: `query.cache.<field>`,
 /// one per [`CacheStats`] field.
 static CACHE_KEYS: LazyLock<Keys<CacheStats>> = LazyLock::new(|| Keys::new("query.cache.", ""));
@@ -118,30 +120,17 @@ impl QueryBuilder {
         self
     }
 
-    /// Route to whichever layout the Section-5 model predicts faster for
-    /// this query — the "fractured mirrors" idea (reference 19 in the
-    /// paper's related work): keep both representations, send each query to the
-    /// better one. Call after `select`/`filter`. The model is priced at the
-    /// paper's default 10% selectivity (cardinality estimation is out of
-    /// scope — the paper has no optimizer, §2.2.3); pass an explicit
-    /// [`QueryBuilder::layout`] when the workload's selectivity is known to
-    /// be extreme.
+    /// Route to whichever stored layout the chooser ([`crate::design`])
+    /// prices cheaper for this scan on this builder's machine — the
+    /// "fractured mirrors" idea (reference 19 in the paper's related work):
+    /// keep both representations, send each query to the better one. Call
+    /// after `select`/`filter`. Priced at [`DEFAULT_SELECTIVITY`]; pass an
+    /// explicit [`QueryBuilder::layout`] when the workload's selectivity is
+    /// known to be extreme.
     pub fn layout_auto(mut self) -> Result<Self> {
-        let has = |l| self.table.has_layout(l);
-        let layout = if !has(Layout::Row) {
-            Layout::Column
-        } else if !has(Layout::Column) {
-            Layout::Row
-        } else {
-            let mut needed: Vec<usize> = self.projection.clone();
-            for p in &self.predicates {
-                if !needed.contains(&p.col) {
-                    needed.push(p.col);
-                }
-            }
-            crate::compare::recommend_layout(&self.table, &needed, 0.10, self.hw.cpdb())?
-        };
-        self.layout = match layout {
+        let q = Query::of_scan(&self.scan_spec(), DEFAULT_SELECTIVITY);
+        let machine = Machine::new(&self.hw, &self.sys);
+        self.layout = match recommend_layout(&self.table, &q.columns, q.selectivity, &machine)? {
             Layout::Row => ScanLayout::Row,
             Layout::Column => ScanLayout::Column,
         };
@@ -281,6 +270,11 @@ impl QueryBuilder {
         Ok(ctx)
     }
 
+    fn scan_spec(&self) -> ScanSpec {
+        ScanSpec::new(self.table.clone(), self.layout, self.projection.clone())
+            .with_predicates(self.predicates.clone())
+    }
+
     /// Validate this query and translate it into the engine's
     /// [`QueryPlan`] — what the serial executor, the morsel scheduler and
     /// the concurrent query service all run.
@@ -312,10 +306,8 @@ impl QueryBuilder {
                 strategy: self.agg_strategy,
             })
         };
-        let scan = ScanSpec::new(self.table.clone(), self.layout, self.projection.clone())
-            .with_predicates(self.predicates.clone());
         Ok(QueryPlan {
-            scan,
+            scan: self.scan_spec(),
             tail: self.wos_tail.clone(),
             agg,
         })

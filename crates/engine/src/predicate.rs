@@ -178,7 +178,7 @@ pub(crate) fn scan_schema(
 /// Column order of a column scan: predicate columns first (deepest, so
 /// nodes that yield few qualifying tuples run early), in predicate order,
 /// then the remaining projected columns in projection order.
-pub(crate) fn scan_columns(projection: &[usize], predicates: &[Predicate]) -> Vec<usize> {
+pub fn scan_columns(projection: &[usize], predicates: &[Predicate]) -> Vec<usize> {
     let mut cols: Vec<usize> = Vec::new();
     for c in predicates
         .iter()

@@ -13,7 +13,6 @@
 //! ```
 
 use rodb::prelude::*;
-use rodb_core::{materialize, recommend_vertical_partitions, QueryPattern};
 use std::sync::Arc;
 
 fn main() -> Result<()> {
@@ -92,9 +91,11 @@ fn main() -> Result<()> {
     );
 
     // ---- 4. Compression advisor redesigns the physical layout ------------
+    // One chooser prices every design question on this database's machine.
+    let machine = Machine::new(db.hardware(), db.system());
     let table = db.table("sales")?;
     let sample = table.read_all(Layout::Row)?;
-    let comps = recommend_compression(&table, &sample[..20_000], AdvisorGoal::DiskConstrained)?;
+    let comps = recommend_compression(&table, &sample[..20_000], &machine)?;
     println!("\ncompression advisor picked:");
     for (col, comp) in schema.columns().iter().zip(&comps) {
         println!(
@@ -126,28 +127,28 @@ fn main() -> Result<()> {
 
     // ---- 5. MV advisor proposes vertical partitions for the row store ----
     let workload = vec![
-        QueryPattern::new(vec![0, 3, 4], 0.15, 10.0), // daily revenue
-        QueryPattern::new(vec![1, 4], 0.05, 3.0),     // per-shop probe
-        QueryPattern::new(vec![0, 5], 0.30, 1.0),     // channel mix
+        Query::new(vec![0, 3, 4], 0.15, 10.0), // daily revenue
+        Query::new(vec![1, 4], 0.05, 3.0),     // per-shop probe
+        Query::new(vec![0, 5], 0.30, 1.0),     // channel mix
     ];
     let base = db.table("sales")?;
-    let recs = recommend_vertical_partitions(&base, &workload, db.cpdb(), 2)?;
+    let recs = recommend_vertical_partitions(&base, &workload, &machine, 2)?;
     println!("\nMV advisor (row-store physical design):");
     for r in &recs {
-        let names: Vec<&str> = r
-            .columns
+        let columns = r.candidate.columns();
+        let names: Vec<&str> = columns
             .iter()
             .map(|&c| schema.columns()[c].name.as_str())
             .collect();
         println!(
-            "  partition({}) — serves {} queries, benefit {:.3}",
+            "  partition({}) — serves {} queries, saves {:.1} ns/tuple",
             names.join(", "),
             r.serves.len(),
-            r.benefit
+            r.benefit * 1e9
         );
     }
     if let Some(best) = recs.first() {
-        let mv = materialize(&base, best, "sales_mv1")?;
+        let mv = materialize(&base, &best.candidate, "sales_mv1")?;
         println!(
             "materialized 'sales_mv1': {} rows × {} B tuples (base: {} B)",
             mv.row_count,

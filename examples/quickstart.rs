@@ -85,10 +85,11 @@ fn main() -> Result<()> {
         println!("  store {:>2}: {:>6} sales, {:>12} cents", r[0], r[1], r[2]);
     }
 
-    // 7. Ask the Section-5 analytical model which layout to use *without*
-    //    running anything.
+    // 7. Ask the chooser (the Section-5 model, priced on this database's
+    //    machine) which layout to use *without* running anything.
     let t = db.table("sales")?;
-    let layout = recommend_layout(&t, &[0, 2], 0.11, db.cpdb())?;
+    let machine = Machine::new(db.hardware(), db.system());
+    let layout = recommend_layout(&t, &[0, 2], 0.11, &machine)?;
     println!("\nmodel-recommended layout for this query: {layout}");
     Ok(())
 }

@@ -26,13 +26,13 @@ pub use rodb_types as types;
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use rodb_compress::{choose_codec, AdvisorGoal, Codec, ColumnCompression, Dictionary};
+    pub use rodb_compress::{Codec, ColumnCompression, Dictionary};
     pub use rodb_core::{
-        compare_layouts, materialize, predicted_speedup, projectivity_sweep, recommend_compression,
-        recommend_layout, recommend_vertical_partitions, Database, ExperimentConfig,
-        IngestSnapshot, IngestStats, IngestStore, LayoutComparison, MvRecommendation, ParallelInfo,
-        QueryBuilder, QueryOutcome, QueryPattern, QueryResult, QueryService, ServiceReport,
-        ServiceRequest,
+        choose, compare_layouts, materialize, predicted_speedup, price, projectivity_sweep,
+        recommend_compression, recommend_layout, recommend_vertical_partitions, Candidate, Choice,
+        Database, ExperimentConfig, IngestSnapshot, IngestStats, IngestStore, LayoutComparison,
+        Machine, ParallelInfo, Query, QueryBuilder, QueryOutcome, QueryResult, QueryService,
+        ServiceReport, ServiceRequest, DEFAULT_SELECTIVITY,
     };
     pub use rodb_engine::{
         AggFunc, AggPlan, AggSpec, AggStrategy, Aggregate, CmpOp, ColumnScanMode, ColumnScanner,
