@@ -88,11 +88,22 @@ impl BitWriter {
     }
 
     /// Append raw bytes, byte-aligned (pads the current byte with zeros
-    /// first). Used for uncompressed and byte-packed (text) values.
+    /// first). Used for blob headers and trailing sections.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.align();
         self.buf.extend_from_slice(bytes);
         self.bit_pos = self.buf.len() * 8;
+    }
+
+    /// Append each byte as an 8-bit code at the current bit position, with
+    /// no alignment first: a raw or text-packed value, which sits at any bit
+    /// offset inside a packed tuple.
+    pub(crate) fn pack_bytes(&mut self, bytes: &[u8]) -> Result<()> {
+        if self.bit_pos.is_multiple_of(8) {
+            self.write_bytes(bytes);
+            return Ok(());
+        }
+        bytes.iter().try_for_each(|&b| self.write(b as u64, 8))
     }
 
     /// Pad to the next byte boundary with zero bits.
@@ -127,30 +138,19 @@ impl<'a> BitReader<'a> {
 
     /// Read `bits` bits starting at absolute bit offset `bit_off`.
     pub fn read_at(&self, bit_off: usize, bits: u8) -> Result<u64> {
-        let bits_us = bits as usize;
         if bits == 0 || bits > 64 {
             return Err(Error::InvalidConfig(format!("bit width {bits}")));
         }
-        if bit_off + bits_us > self.data.len() * 8 {
+        let end = bit_off + bits as usize;
+        if end > self.data.len() * 8 {
             return Err(Error::corrupt(format!(
-                "bit read [{bit_off}, {}) past end ({} bits)",
-                bit_off + bits_us,
+                "bit read [{bit_off}, {end}) past end ({} bits)",
                 self.data.len() * 8
             )));
         }
-        let mut out: u64 = 0;
-        let mut got = 0usize;
-        let mut pos = bit_off;
-        while got < bits_us {
-            let byte = self.data[pos / 8] as u64;
-            let off = pos % 8;
-            let take = (bits_us - got).min(8 - off);
-            let mask = (1u64 << take) - 1;
-            out |= ((byte >> off) & mask) << got;
-            got += take;
-            pos += take;
-        }
-        Ok(out)
+        let mut out = [0u64];
+        unpack_generic(self.data, bit_off, bits, &mut out);
+        Ok(out[0])
     }
 
     /// Read the `idx`-th code of a fixed-width run that starts at bit 0.
@@ -159,13 +159,26 @@ impl<'a> BitReader<'a> {
         self.read_at(idx * bits as usize, bits)
     }
 
-    /// Sequential cursor over fixed-width codes starting at bit 0.
-    pub fn cursor(&self, bits: u8) -> BitCursor<'a> {
-        BitCursor {
-            reader: *self,
-            bits,
-            pos: 0,
+    /// Append the `n` bytes that start at bit `bit_off` — one slice copy
+    /// where the offset is byte-aligned (every column page), byte by byte
+    /// where it is not (a field inside a packed tuple).
+    pub(crate) fn read_bytes(&self, bit_off: usize, n: usize, out: &mut Vec<u8>) -> Result<()> {
+        if !bit_off.is_multiple_of(8) {
+            for k in 0..n {
+                out.push(self.read_at(bit_off + 8 * k, 8)? as u8);
+            }
+            return Ok(());
         }
+        let start = bit_off / 8;
+        let bytes = self.data.get(start..start + n).ok_or_else(|| {
+            Error::corrupt(format!(
+                "byte read [{start}, {}) past end ({} bytes)",
+                start + n,
+                self.data.len()
+            ))
+        })?;
+        out.extend_from_slice(bytes);
+        Ok(())
     }
 
     /// Unpack `out.len()` fixed-width codes starting at code index `first`
@@ -291,28 +304,6 @@ pub(crate) fn unpack_generic(data: &[u8], start_bit: usize, bits: u8, out: &mut 
     }
 }
 
-/// A sequential fixed-width code cursor.
-#[derive(Debug, Clone)]
-pub struct BitCursor<'a> {
-    reader: BitReader<'a>,
-    bits: u8,
-    pos: usize,
-}
-
-impl BitCursor<'_> {
-    /// Read the next code.
-    pub fn next_code(&mut self) -> Result<u64> {
-        let v = self.reader.read_at(self.pos, self.bits)?;
-        self.pos += self.bits as usize;
-        Ok(v)
-    }
-
-    /// Skip `n` codes without decoding.
-    pub fn skip(&mut self, n: usize) {
-        self.pos += n * self.bits as usize;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,17 +384,21 @@ mod tests {
     }
 
     #[test]
-    fn cursor_sequential_and_skip() {
+    fn bytes_at_any_bit_offset() {
+        // A 3-bit code, then bytes packed unaligned, then aligned ones.
         let mut w = BitWriter::new();
-        for v in 0..100u64 {
-            w.write(v, 7).unwrap();
-        }
+        w.write(5, 3).unwrap();
+        w.pack_bytes(b"ab").unwrap();
+        w.align();
+        w.pack_bytes(b"cd").unwrap();
         let bytes = w.into_bytes();
-        let mut c = BitReader::new(&bytes).cursor(7);
-        assert_eq!(c.next_code().unwrap(), 0);
-        assert_eq!(c.next_code().unwrap(), 1);
-        c.skip(10);
-        assert_eq!(c.next_code().unwrap(), 12);
+        let r = BitReader::new(&bytes);
+        let mut out = Vec::new();
+        r.read_bytes(3, 2, &mut out).unwrap();
+        r.read_bytes(24, 2, &mut out).unwrap();
+        assert_eq!(out, b"abcd");
+        assert!(r.read_bytes(24, 3, &mut out).is_err());
+        assert!(r.read_bytes(35, 1, &mut out).is_err());
     }
 
     #[test]

@@ -149,6 +149,39 @@ impl Codec {
         )
     }
 
+    /// Does a page carry a base value for this codec? FOR, PFOR and RLE
+    /// take the page minimum, FOR-delta the page's first value.
+    pub fn has_base(&self) -> bool {
+        matches!(
+            self,
+            Codec::For { .. } | Codec::ForDelta { .. } | Codec::Pfor { .. } | Codec::Rle { .. }
+        )
+    }
+
+    /// Can a packed row page hold this codec: fixed-width codes at a
+    /// computable bit offset and no per-page blob header? (What
+    /// [`ColumnCompression::packed_equivalent`] demotes to.)
+    pub fn packable(&self) -> bool {
+        !self.variable_rate() && self.blob_header_bytes() == 0
+    }
+
+    /// Bits of one stored code: the packed width of an int or dictionary
+    /// code (an RLE run's value code), 32 for a raw int, and 0 where the
+    /// code is the value's bytes (raw text and longs, TextPack).
+    fn code_width(&self, dtype: DataType) -> u8 {
+        match self {
+            Codec::None if dtype.is_int() => 32,
+            Codec::None | Codec::TextPack { .. } => 0,
+            Codec::BitPack { bits }
+            | Codec::Dict { bits }
+            | Codec::For { bits }
+            | Codec::ForDelta { bits }
+            | Codec::Pfor { bits }
+            | Codec::DictFor { bits } => *bits,
+            Codec::Rle { value_bits, .. } | Codec::RleDict { value_bits, .. } => *value_bits,
+        }
+    }
+
     /// Check codec/type compatibility.
     pub fn validate_for(&self, dtype: DataType) -> Result<()> {
         let ok = match self {
@@ -263,94 +296,61 @@ impl ColumnCompression {
         self.codec.bits_per_value(dtype)
     }
 
+    fn dict(&self) -> Result<&Dictionary> {
+        self.dict
+            .as_deref()
+            .ok_or_else(|| Error::InvalidConfig("Dict codec without dictionary".into()))
+    }
+
+    /// The read half of this codec on one page whose base is `base` and
+    /// whose Dict→FOR code base is `code_base` (0 where the codec has none).
+    pub fn field(&self, dtype: DataType, base: i64, code_base: u32) -> Field<'_> {
+        let (ints, values) = match self.dict.as_deref() {
+            Some(d) => (d.ints(), d.values()),
+            None => (&[][..], &[][..]),
+        };
+        let dict = |offset| ValueMap::Dict {
+            ints,
+            values,
+            offset,
+        };
+        let map = match &self.codec {
+            Codec::None if dtype.is_int() => ValueMap::Base(0),
+            Codec::None => ValueMap::Bytes(dtype.width()),
+            Codec::TextPack { bytes } => ValueMap::Bytes(*bytes as usize),
+            Codec::BitPack { .. } => ValueMap::Base(0),
+            Codec::For { .. } | Codec::ForDelta { .. } | Codec::Pfor { .. } | Codec::Rle { .. } => {
+                ValueMap::Base(base)
+            }
+            Codec::Dict { .. } | Codec::RleDict { .. } => dict(0),
+            Codec::DictFor { .. } => dict(code_base),
+        };
+        Field {
+            dtype,
+            bits: self.codec.code_width(dtype),
+            map,
+            delta: matches!(self.codec, Codec::ForDelta { .. }),
+        }
+    }
+
     /// Encode one page worth of values. Returns the packed bytes and the
     /// page's base value (meaningful only for FOR/FOR-delta; 0 otherwise).
     pub fn encode_page(&self, dtype: DataType, values: &[Value]) -> Result<EncodedValues> {
-        self.codec.validate_for(dtype)?;
+        let mut enc = Encoder::new(self, dtype, values)?;
         let mut w = BitWriter::new();
-        let mut base = 0i64;
-        match &self.codec {
-            Codec::None => {
-                for v in values {
-                    let mut buf = Vec::with_capacity(dtype.width());
-                    v.encode_into(dtype, &mut buf)?;
-                    w.write_bytes(&buf);
-                }
-            }
-            Codec::BitPack { bits } => {
-                for v in values {
-                    let iv = v.as_int()?;
-                    if iv < 0 {
-                        return Err(Error::ValueOutOfDomain(format!(
-                            "negative value {iv} under BitPack"
-                        )));
-                    }
-                    w.write(iv as u64, *bits)?;
-                }
-            }
-            Codec::Dict { bits } => {
-                let dict = self
-                    .dict
-                    .as_ref()
-                    .ok_or_else(|| Error::InvalidConfig("Dict codec without dictionary".into()))?;
-                for v in values {
-                    let code = dict.code_of(dtype, v)?;
-                    w.write(code as u64, *bits)?;
-                }
-            }
-            Codec::For { bits } => {
-                base = values
-                    .iter()
-                    .map(|v| v.as_int().map(|i| i as i64))
-                    .collect::<Result<Vec<_>>>()?
-                    .into_iter()
-                    .min()
-                    .unwrap_or(0);
-                for v in values {
-                    let code = (v.as_int()? as i64 - base) as u64;
-                    w.write(code, *bits).map_err(|_| {
-                        Error::ValueOutOfDomain(format!("FOR range {code} exceeds {bits} bits"))
-                    })?;
-                }
-            }
-            Codec::ForDelta { bits } => {
-                let mut prev: Option<i64> = None;
-                for v in values {
-                    let iv = v.as_int()? as i64;
-                    let code = match prev {
-                        None => {
-                            base = iv;
-                            0u64
-                        }
-                        Some(p) => {
-                            let d = iv - p;
-                            if d < 0 {
-                                return Err(Error::ValueOutOfDomain(format!(
-                                    "negative delta {d} under FOR-delta"
-                                )));
-                            }
-                            d as u64
-                        }
-                    };
-                    prev = Some(iv);
-                    w.write(code, *bits).map_err(|_| {
-                        Error::ValueOutOfDomain(format!("delta {code} exceeds {bits} bits"))
-                    })?;
-                }
-            }
+        match self.codec {
             Codec::Rle {
                 value_bits,
                 len_bits,
+            }
+            | Codec::RleDict {
+                value_bits,
+                len_bits,
             } => {
-                let ivs = values
-                    .iter()
-                    .map(|v| v.as_int().map(|i| i as i64))
-                    .collect::<Result<Vec<_>>>()?;
-                base = ivs.iter().copied().min().unwrap_or(0);
-                let max_len = 1u64 << (*len_bits).min(63);
+                let max_len = 1u64 << len_bits.min(63);
                 let mut runs: Vec<(u64, u64)> = Vec::new();
-                for &iv in &ivs {
-                    let code = (iv - base) as u64;
+                for v in values {
+                    let code = enc.code(v)?;
                     match runs.last_mut() {
                         Some((c, n)) if *c == code && *n + 1 < max_len => *n += 1,
                         _ => runs.push((code, 0)),
@@ -358,29 +358,20 @@ impl ColumnCompression {
                 }
                 w.write_bytes(&(runs.len() as u32).to_le_bytes());
                 for (code, len_minus_1) in runs {
-                    w.write(code, *value_bits).map_err(|_| {
-                        Error::ValueOutOfDomain(format!(
-                            "RLE range {code} exceeds {value_bits} bits"
-                        ))
-                    })?;
-                    w.write(len_minus_1, *len_bits)?;
+                    w.write(code, value_bits)?;
+                    w.write(len_minus_1, len_bits)?;
                 }
             }
             Codec::Pfor { bits } => {
-                let ivs = values
-                    .iter()
-                    .map(|v| v.as_int().map(|i| i as i64))
-                    .collect::<Result<Vec<_>>>()?;
-                base = ivs.iter().copied().min().unwrap_or(0);
-                let limit = if *bits >= 64 { u64::MAX } else { 1u64 << *bits };
+                let limit = 1u64.checked_shl(bits as u32).unwrap_or(u64::MAX);
                 let mut exceptions: Vec<(u32, u64)> = Vec::new();
-                for (i, &iv) in ivs.iter().enumerate() {
-                    let code = (iv - base) as u64;
+                for (i, v) in values.iter().enumerate() {
+                    let code = enc.code(v)?;
                     if code < limit {
-                        w.write(code, *bits)?;
+                        w.write(code, bits)?;
                     } else {
                         // Placeholder slot; the real code rides the patch list.
-                        w.write(0, *bits)?;
+                        w.write(0, bits)?;
                         exceptions.push((i as u32, code));
                     }
                 }
@@ -391,74 +382,18 @@ impl ColumnCompression {
                     w.write_bytes(&code.to_le_bytes());
                 }
             }
-            Codec::DictFor { bits } => {
-                let dict = self
-                    .dict
-                    .as_ref()
-                    .ok_or_else(|| Error::InvalidConfig("Dict codec without dictionary".into()))?;
-                let codes = values
-                    .iter()
-                    .map(|v| dict.code_of(dtype, v))
-                    .collect::<Result<Vec<_>>>()?;
-                let code_base = codes.iter().copied().min().unwrap_or(0);
-                w.write_bytes(&code_base.to_le_bytes());
-                for c in codes {
-                    w.write((c - code_base) as u64, *bits).map_err(|_| {
-                        Error::ValueOutOfDomain(format!(
-                            "Dict→FOR page code range exceeds {bits} bits"
-                        ))
-                    })?;
+            _ => {
+                if let Codec::DictFor { .. } = self.codec {
+                    w.write_bytes(&enc.code_base.to_le_bytes());
                 }
-            }
-            Codec::RleDict {
-                value_bits,
-                len_bits,
-            } => {
-                let dict = self
-                    .dict
-                    .as_ref()
-                    .ok_or_else(|| Error::InvalidConfig("Dict codec without dictionary".into()))?;
-                let max_len = 1u64 << (*len_bits).min(63);
-                let mut runs: Vec<(u64, u64)> = Vec::new();
                 for v in values {
-                    let code = dict.code_of(dtype, v)? as u64;
-                    match runs.last_mut() {
-                        Some((c, n)) if *c == code && *n + 1 < max_len => *n += 1,
-                        _ => runs.push((code, 0)),
-                    }
-                }
-                w.write_bytes(&(runs.len() as u32).to_le_bytes());
-                for (code, len_minus_1) in runs {
-                    w.write(code, *value_bits)?;
-                    w.write(len_minus_1, *len_bits)?;
-                }
-            }
-            Codec::TextPack { bytes } => {
-                let nb = *bytes as usize;
-                for v in values {
-                    let t = v.as_text()?;
-                    let full_width = match dtype {
-                        DataType::Text(n) => n,
-                        _ => unreachable!("validated above"),
-                    };
-                    if t.len() > full_width {
-                        return Err(Error::ValueOutOfDomain("text wider than column".into()));
-                    }
-                    if t.len() > nb && t[nb..].iter().any(|&b| b != 0) {
-                        return Err(Error::ValueOutOfDomain(format!(
-                            "text content exceeds TextPack width {nb}"
-                        )));
-                    }
-                    let mut packed = vec![0u8; nb];
-                    let n = t.len().min(nb);
-                    packed[..n].copy_from_slice(&t[..n]);
-                    w.write_bytes(&packed);
+                    enc.write(v, &mut w)?;
                 }
             }
         }
         Ok(EncodedValues {
             data: w.into_bytes(),
-            base,
+            base: enc.base,
             count: values.len(),
         })
     }
@@ -485,9 +420,13 @@ impl ColumnCompression {
         } else {
             (data, 0)
         };
+        let code_base = match self.codec {
+            Codec::DictFor { .. } => aux,
+            _ => 0,
+        };
         PageValues {
             comp: self,
-            dtype,
+            field: self.field(dtype, base, code_base),
             data: BitReader::new(codes),
             raw: data,
             count,
@@ -503,6 +442,271 @@ pub struct EncodedValues {
     pub data: Vec<u8>,
     pub base: i64,
     pub count: usize,
+}
+
+/// How a stored code becomes a value — the three shapes every codec's read
+/// side reduces to.
+#[derive(Debug, Clone, Copy)]
+enum ValueMap<'a> {
+    /// `base + code`: identity (BitPack, raw ints) is base 0; FOR, PFOR and
+    /// RLE add the page minimum, FOR-delta its first value (to the running
+    /// sum of its deltas).
+    Base(i64),
+    /// Entry `offset + code` of the dictionary, its values decoded once
+    /// (Dict and RLE-dict: offset 0; Dict→FOR: the page's code base).
+    Dict {
+        ints: &'a [i32],
+        values: &'a [Value],
+        offset: u32,
+    },
+    /// The code is the value's first `n` stored bytes, zero-padded to the
+    /// declared width (raw text and longs, TextPack).
+    Bytes(usize),
+}
+
+/// One column's stored codes on one page and the map that turns a code into
+/// its value: the read half of a codec, built once per page view (or per
+/// packed-row cursor) from the codec, the page base, the Dict→FOR code base
+/// and the dictionary. A column page's block decode and random access, node
+/// 0's code-space survivors and a packed tuple's fields all read through it.
+#[derive(Debug, Clone, Copy)]
+pub struct Field<'a> {
+    dtype: DataType,
+    /// Bits of one stored code (0: the code is the value's bytes).
+    bits: u8,
+    map: ValueMap<'a>,
+    /// FOR-delta: a code is the delta from the previous value, and the map
+    /// applies to their running sum.
+    delta: bool,
+}
+
+/// Entry `offset + code` of a dictionary table.
+fn entry<T>(table: &[T], code: u64, offset: u32) -> Result<&T> {
+    usize::try_from(code)
+        .ok()
+        .and_then(|c| c.checked_add(offset as usize))
+        .and_then(|i| table.get(i))
+        .ok_or_else(|| Error::corrupt(format!("dictionary code {code} out of range")))
+}
+
+impl Field<'_> {
+    /// Whether a code is a delta from the previous value's (FOR-delta): the
+    /// map then applies to the running sum of the codes, not to one.
+    pub fn is_delta(&self) -> bool {
+        self.delta
+    }
+
+    fn want_int(&self) -> Result<()> {
+        if self.dtype.is_int() {
+            return Ok(());
+        }
+        Err(Error::TypeMismatch {
+            expected: "Int",
+            got: self.dtype.name(),
+        })
+    }
+
+    /// The stored code at bit `off` of `r`, undecoded.
+    pub fn code(&self, r: &BitReader, off: usize) -> Result<u64> {
+        if self.bits == 0 {
+            return Err(Error::InvalidConfig(format!(
+                "{} stored as bytes has no code",
+                self.dtype
+            )));
+        }
+        r.read_at(off, self.bits)
+    }
+
+    /// The int a code stands for.
+    pub fn int_of(&self, code: u64) -> Result<i32> {
+        self.want_int()?;
+        match self.map {
+            ValueMap::Base(base) => Ok(base.wrapping_add(code as i64) as i32),
+            ValueMap::Dict { ints, offset, .. } => entry(ints, code, offset).copied(),
+            // Only text and longs are stored as bytes.
+            ValueMap::Bytes(_) => Err(Error::corrupt("int column stored as bytes")),
+        }
+    }
+
+    /// The value a code stands for, appended at full declared width.
+    pub fn raw_of(&self, code: u64, out: &mut Vec<u8>) -> Result<()> {
+        if let ValueMap::Dict { values, offset, .. } = self.map {
+            return entry(values, code, offset)?.encode_into(self.dtype, out);
+        }
+        out.extend_from_slice(&self.int_of(code)?.to_le_bytes());
+        Ok(())
+    }
+
+    /// The int stored at bit `off` of `r`.
+    pub fn int(&self, r: &BitReader, off: usize) -> Result<i32> {
+        self.want_int()?;
+        self.int_of(self.code(r, off)?)
+    }
+
+    /// The value stored at bit `off` of `r`, appended at full declared width.
+    pub fn raw(&self, r: &BitReader, off: usize, out: &mut Vec<u8>) -> Result<()> {
+        if let ValueMap::Bytes(n) = self.map {
+            r.read_bytes(off, n, out)?;
+            out.resize(out.len() + self.dtype.width() - n, 0);
+            return Ok(());
+        }
+        self.raw_of(self.code(r, off)?, out)
+    }
+
+    /// Append the ints a block of codes stands for: the block loop's map.
+    fn extend_ints(&self, codes: &[u64], out: &mut Vec<i32>) -> Result<()> {
+        let ValueMap::Base(base) = self.map else {
+            for &c in codes {
+                out.push(self.int_of(c)?);
+            }
+            return Ok(());
+        };
+        let start = out.len();
+        out.resize(start + codes.len(), 0);
+        let vals = &mut out[start..];
+        if !crate::simd::base_add(codes, base, vals) {
+            for (v, &c) in vals.iter_mut().zip(codes) {
+                *v = base.wrapping_add(c as i64) as i32;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The write half of a codec on one page: the page base fixed once from the
+/// page's values — FOR, PFOR and RLE take the page minimum, FOR-delta its
+/// first value, Dict→FOR its least dictionary code — then one code per
+/// value, each value checked against the column's declared type and width
+/// first. Column pages and packed rows encode through it.
+#[derive(Debug)]
+pub struct Encoder<'a> {
+    comp: &'a ColumnCompression,
+    dtype: DataType,
+    base: i64,
+    code_base: u32,
+    /// FOR-delta: the page's previous value.
+    prev: Option<i64>,
+    /// One raw or text-packed value's bytes.
+    bytes: Vec<u8>,
+}
+
+/// The least `key` over a page's values (0 for an empty page), each value
+/// checked first.
+fn page_min<'v>(
+    dtype: DataType,
+    values: impl IntoIterator<Item = &'v Value>,
+    key: impl Fn(&Value) -> Result<i64>,
+) -> Result<i64> {
+    let mut least: Option<i64> = None;
+    for v in values {
+        v.check_fits(dtype)?;
+        let k = key(v)?;
+        least = Some(least.map_or(k, |l| l.min(k)));
+    }
+    Ok(least.unwrap_or(0))
+}
+
+impl<'a> Encoder<'a> {
+    /// An encoder for the page holding `values` (the column's values on it,
+    /// in order — only the base rule reads them here).
+    pub fn new<'v>(
+        comp: &'a ColumnCompression,
+        dtype: DataType,
+        values: impl IntoIterator<Item = &'v Value>,
+    ) -> Result<Encoder<'a>> {
+        comp.codec.validate_for(dtype)?;
+        let int = |v: &Value| v.as_int().map(i64::from);
+        let (mut base, mut code_base) = (0, 0);
+        match &comp.codec {
+            Codec::For { .. } | Codec::Pfor { .. } | Codec::Rle { .. } => {
+                base = page_min(dtype, values, int)?;
+            }
+            Codec::ForDelta { .. } => base = page_min(dtype, values.into_iter().take(1), int)?,
+            Codec::DictFor { .. } => {
+                let dict = comp.dict()?;
+                let code = |v: &Value| dict.code_of(dtype, v).map(i64::from);
+                code_base = page_min(dtype, values, code)? as u32;
+            }
+            _ => {}
+        }
+        Ok(Encoder {
+            comp,
+            dtype,
+            base,
+            code_base,
+            prev: None,
+            bytes: Vec::new(),
+        })
+    }
+
+    /// The page base (FOR, PFOR, RLE, FOR-delta; 0 for every other codec).
+    pub fn base(&self) -> i64 {
+        self.base
+    }
+
+    /// The next value's code before it is packed: its offset from the page
+    /// base, its delta from the previous value (FOR-delta), or its
+    /// dictionary code less the page's code base.
+    fn code(&mut self, v: &Value) -> Result<u64> {
+        v.check_fits(self.dtype)?;
+        let code = match &self.comp.codec {
+            Codec::Dict { .. } | Codec::DictFor { .. } | Codec::RleDict { .. } => {
+                (self.comp.dict()?.code_of(self.dtype, v)? - self.code_base) as i64
+            }
+            Codec::BitPack { .. } => {
+                let iv = v.as_int()?;
+                if iv < 0 {
+                    return Err(Error::ValueOutOfDomain(format!(
+                        "negative value {iv} under BitPack"
+                    )));
+                }
+                iv as i64
+            }
+            Codec::ForDelta { .. } => {
+                let iv = v.as_int()? as i64;
+                let d = self.prev.replace(iv).map_or(0, |p| iv - p);
+                if d < 0 {
+                    return Err(Error::ValueOutOfDomain(format!(
+                        "negative delta {d} under FOR-delta"
+                    )));
+                }
+                d
+            }
+            Codec::For { .. } | Codec::Pfor { .. } | Codec::Rle { .. } => {
+                v.as_int()? as i64 - self.base
+            }
+            // A raw int's code is its 32 bits.
+            Codec::None => v.as_int()? as u32 as i64,
+            Codec::TextPack { .. } => {
+                return Err(Error::InvalidConfig(
+                    "TextPack stores bytes, not codes".into(),
+                ))
+            }
+        };
+        Ok(code as u64)
+    }
+
+    /// Append the next value at its fixed width: its code, or — raw and
+    /// text-packed columns — its bytes.
+    pub fn write(&mut self, v: &Value, w: &mut BitWriter) -> Result<()> {
+        let bits = self.comp.codec.code_width(self.dtype);
+        if bits > 0 {
+            let code = self.code(v)?;
+            return w.write(code, bits);
+        }
+        self.bytes.clear();
+        v.encode_into(self.dtype, &mut self.bytes)?;
+        if let Codec::TextPack { bytes } = self.comp.codec {
+            let nb = bytes as usize;
+            if self.bytes[nb..].iter().any(|&b| b != 0) {
+                return Err(Error::ValueOutOfDomain(format!(
+                    "text content exceeds TextPack width {nb}"
+                )));
+            }
+            self.bytes.truncate(nb);
+        }
+        w.pack_bytes(&self.bytes)
+    }
 }
 
 /// Parsed view of a PFOR page's exception list.
@@ -526,7 +730,8 @@ impl PforExceptions<'_> {
 #[derive(Debug, Clone, Copy)]
 pub struct PageValues<'a> {
     comp: &'a ColumnCompression,
-    dtype: DataType,
+    /// The page's codes and value map.
+    field: Field<'a>,
     /// Packed codes, positioned after any blob header.
     data: BitReader<'a>,
     /// The whole blob (header + codes + trailing sections like the PFOR
@@ -544,18 +749,9 @@ impl<'a> PageValues<'a> {
         self.count
     }
 
-    pub fn dtype(&self) -> DataType {
-        self.dtype
-    }
-
     /// The page's base value (FOR/FOR-delta; 0 otherwise).
     pub fn base(&self) -> i64 {
         self.base
-    }
-
-    /// The codec/dictionary this page was encoded under.
-    pub fn compression(&self) -> &'a ColumnCompression {
-        self.comp
     }
 
     /// Fixed code width in bits when the page stores sub-byte packed codes
@@ -648,206 +844,74 @@ impl<'a> PageValues<'a> {
     }
 
     /// Block-decode **all** of the page's integers into `out` (cleared
-    /// first). Uses the word-aligned [`BitReader::unpack`] kernels in
-    /// [`BLOCK`]-value runs — one bounds check per block — and applies the
-    /// codec's value mapping per block: identity (BitPack), `base + code`
-    /// (FOR/PFOR, exceptions patched after the main loop), a dense
-    /// dictionary table (Dict/Dict→FOR), a running prefix sum (FOR-delta),
-    /// or run expansion (the RLE family). The value mappings dispatch
-    /// through the fused [`crate::simd`] kernels when the active tier has
-    /// one; output is bit-identical either way.
+    /// first) — the one whole-page decoder. Codes are unpacked by the
+    /// word-aligned [`BitReader::unpack`] kernels in [`BLOCK`]-value runs
+    /// (one bounds check per block) and each block goes through the page's
+    /// value map; FOR-delta's running sum, PFOR's exception patch and the
+    /// RLE family's run walk are written here and nowhere else.
     pub fn decode_ints_into(&self, out: &mut Vec<i32>) -> Result<()> {
         out.clear();
         if self.count == 0 {
             return Ok(());
         }
+        self.field.want_int()?;
         out.reserve(self.count);
+        if let Codec::Rle {
+            value_bits,
+            len_bits,
+        }
+        | Codec::RleDict {
+            value_bits,
+            len_bits,
+        } = self.comp.codec
+        {
+            let mut emitted = 0usize;
+            for r in 0..self.aux as usize {
+                if emitted == self.count {
+                    break;
+                }
+                let (code, len) = self.run_at(r, value_bits, len_bits)?;
+                let take = (len as usize).min(self.count - emitted);
+                out.extend(std::iter::repeat_n(self.field.int_of(code)?, take));
+                emitted += take;
+            }
+            if emitted != self.count {
+                return Err(Error::corrupt(format!(
+                    "RLE runs cover {emitted} of {} values",
+                    self.count
+                )));
+            }
+            return Ok(());
+        }
         let mut block = [0u64; BLOCK];
-        let mut vals = [0i32; BLOCK];
-        match &self.comp.codec {
-            Codec::None => {
-                if self.dtype.width() == 4 {
-                    // Raw LE i32s are exactly fixed-width 32-bit codes.
-                    for first in (0..self.count).step_by(BLOCK) {
-                        let n = BLOCK.min(self.count - first);
-                        self.data.unpack(first, 32, &mut block[..n])?;
-                        if crate::simd::base_add(&block[..n], 32, 0, &mut vals[..n]) {
-                            out.extend_from_slice(&vals[..n]);
-                        } else {
-                            out.extend(block[..n].iter().map(|&c| c as u32 as i32));
-                        }
-                    }
-                } else {
-                    for i in 0..self.count {
-                        out.push(self.int_at(i)?);
-                    }
+        let mut sum = 0u64;
+        for first in (0..self.count).step_by(BLOCK) {
+            let codes = &mut block[..BLOCK.min(self.count - first)];
+            self.data.unpack(first, self.field.bits, codes)?;
+            if self.field.delta {
+                // Code 0 carries the base: it counts as a zero delta.
+                if first == 0 {
+                    codes[0] = 0;
+                }
+                for c in codes.iter_mut() {
+                    sum = sum.wrapping_add(*c);
+                    *c = sum;
                 }
             }
-            Codec::BitPack { bits } => {
-                for first in (0..self.count).step_by(BLOCK) {
-                    let n = BLOCK.min(self.count - first);
-                    self.data.unpack(first, *bits, &mut block[..n])?;
-                    if crate::simd::base_add(&block[..n], *bits, 0, &mut vals[..n]) {
-                        out.extend_from_slice(&vals[..n]);
-                    } else {
-                        out.extend(block[..n].iter().map(|&c| c as i32));
-                    }
-                }
-            }
-            Codec::Dict { bits } => {
-                let table = self.dict_int_table()?;
-                for first in (0..self.count).step_by(BLOCK) {
-                    let n = BLOCK.min(self.count - first);
-                    self.data.unpack(first, *bits, &mut block[..n])?;
-                    if crate::simd::dict_gather(&block[..n], *bits, &table, &mut vals[..n]) {
-                        out.extend_from_slice(&vals[..n]);
-                    } else {
-                        for &c in &block[..n] {
-                            let v = *table.get(c as usize).ok_or_else(|| {
-                                Error::corrupt(format!("dictionary code {c} out of range"))
-                            })?;
-                            out.push(v);
-                        }
-                    }
-                }
-            }
-            Codec::For { bits } => {
-                for first in (0..self.count).step_by(BLOCK) {
-                    let n = BLOCK.min(self.count - first);
-                    self.data.unpack(first, *bits, &mut block[..n])?;
-                    if crate::simd::base_add(&block[..n], *bits, self.base, &mut vals[..n]) {
-                        out.extend_from_slice(&vals[..n]);
-                    } else {
-                        out.extend(block[..n].iter().map(|&c| (self.base + c as i64) as i32));
-                    }
-                }
-            }
-            Codec::Pfor { bits } => {
-                // Vectorized main loop over every slot (exception slots hold
-                // 0), then patch the rare exceptions in place.
-                for first in (0..self.count).step_by(BLOCK) {
-                    let n = BLOCK.min(self.count - first);
-                    self.data.unpack(first, *bits, &mut block[..n])?;
-                    if crate::simd::base_add(&block[..n], *bits, self.base, &mut vals[..n]) {
-                        out.extend_from_slice(&vals[..n]);
-                    } else {
-                        out.extend(block[..n].iter().map(|&c| (self.base + c as i64) as i32));
-                    }
-                }
-                let exc = self.pfor_exceptions(*bits)?;
-                for i in 0..exc.n {
-                    let (pos, code) = exc.get(i);
-                    let slot = out.get_mut(pos as usize).ok_or_else(|| {
-                        Error::corrupt(format!("PFOR exception position {pos} out of page"))
-                    })?;
-                    *slot = (self.base + code as i64) as i32;
-                }
-            }
-            Codec::DictFor { bits } => {
-                let table = self.dict_int_table()?;
-                let sub = table.get(self.aux as usize..).ok_or_else(|| {
-                    Error::corrupt(format!("Dict→FOR code base {} out of range", self.aux))
+            self.field.extend_ints(codes, out)?;
+        }
+        if let Codec::Pfor { bits } = self.comp.codec {
+            // Exception slots decoded as 0 above; patch in their real codes.
+            let exc = self.pfor_exceptions(bits)?;
+            for i in 0..exc.n {
+                let (pos, code) = exc.get(i);
+                let slot = out.get_mut(pos as usize).ok_or_else(|| {
+                    Error::corrupt(format!("PFOR exception position {pos} out of page"))
                 })?;
-                for first in (0..self.count).step_by(BLOCK) {
-                    let n = BLOCK.min(self.count - first);
-                    self.data.unpack(first, *bits, &mut block[..n])?;
-                    if crate::simd::dict_gather(&block[..n], *bits, sub, &mut vals[..n]) {
-                        out.extend_from_slice(&vals[..n]);
-                    } else {
-                        for &c in &block[..n] {
-                            let v = *sub.get(c as usize).ok_or_else(|| {
-                                Error::corrupt(format!("dictionary code {c} out of range"))
-                            })?;
-                            out.push(v);
-                        }
-                    }
-                }
-            }
-            Codec::ForDelta { bits } => {
-                let mut running = self.base;
-                for first in (0..self.count).step_by(BLOCK) {
-                    let n = BLOCK.min(self.count - first);
-                    self.data.unpack(first, *bits, &mut block[..n])?;
-                    if first == 0 {
-                        // Code 0 carries the base: treat it as a zero delta so
-                        // the whole block is one uniform prefix sum.
-                        block[0] = 0;
-                    }
-                    if crate::simd::prefix_sum(&block[..n], *bits, &mut running, &mut vals[..n]) {
-                        out.extend_from_slice(&vals[..n]);
-                    } else {
-                        for &c in &block[..n] {
-                            running = running.wrapping_add(c as i64);
-                            out.push(running as i32);
-                        }
-                    }
-                }
-            }
-            Codec::Rle {
-                value_bits,
-                len_bits,
-            } => {
-                let nruns = self.aux as usize;
-                let mut emitted = 0usize;
-                for r in 0..nruns {
-                    let (code, len) = self.run_at(r, *value_bits, *len_bits)?;
-                    let v = (self.base + code as i64) as i32;
-                    let take = (len as usize).min(self.count - emitted);
-                    out.extend(std::iter::repeat_n(v, take));
-                    emitted += take;
-                    if emitted == self.count {
-                        break;
-                    }
-                }
-                if emitted != self.count {
-                    return Err(Error::corrupt(format!(
-                        "RLE runs cover {emitted} of {} values",
-                        self.count
-                    )));
-                }
-            }
-            Codec::RleDict {
-                value_bits,
-                len_bits,
-            } => {
-                let table = self.dict_int_table()?;
-                let nruns = self.aux as usize;
-                let mut emitted = 0usize;
-                for r in 0..nruns {
-                    let (code, len) = self.run_at(r, *value_bits, *len_bits)?;
-                    let v = *table.get(code as usize).ok_or_else(|| {
-                        Error::corrupt(format!("dictionary code {code} out of range"))
-                    })?;
-                    let take = (len as usize).min(self.count - emitted);
-                    out.extend(std::iter::repeat_n(v, take));
-                    emitted += take;
-                    if emitted == self.count {
-                        break;
-                    }
-                }
-                if emitted != self.count {
-                    return Err(Error::corrupt(format!(
-                        "RLE runs cover {emitted} of {} values",
-                        self.count
-                    )));
-                }
-            }
-            Codec::TextPack { .. } => {
-                return Err(Error::TypeMismatch {
-                    expected: "Int",
-                    got: "Text",
-                })
+                *slot = self.field.int_of(code)?;
             }
         }
         Ok(())
-    }
-
-    /// Dense code → int decode table for a Dict-over-ints page.
-    pub fn dict_int_table(&self) -> Result<Vec<i32>> {
-        let dict = self.dict()?;
-        (0..dict.len() as u32)
-            .map(|c| dict.value_of(c)?.as_int())
-            .collect()
     }
 
     fn check(&self, idx: usize) -> Result<()> {
@@ -860,90 +924,43 @@ impl<'a> PageValues<'a> {
         Ok(())
     }
 
-    /// Random-access decode of an integer value. For FOR-delta this costs
-    /// O(idx) — prefer [`PageValues::cursor`] for scans.
-    pub fn int_at(&self, idx: usize) -> Result<i32> {
-        self.check(idx)?;
-        match &self.comp.codec {
-            Codec::None => {
-                let w = self.dtype.width();
-                let off = idx * w * 8;
-                let raw = self.data.read_at(off, 32)?;
-                Ok(raw as u32 as i32)
-            }
-            Codec::BitPack { bits } => Ok(self.data.get(idx, *bits)? as i32),
-            Codec::Dict { bits } => {
-                let code = self.data.get(idx, *bits)? as u32;
-                self.dict()?.value_of(code)?.as_int()
-            }
-            Codec::For { bits } => Ok((self.base + self.data.get(idx, *bits)? as i64) as i32),
-            Codec::Pfor { bits } => {
-                let mut code = self.data.get(idx, *bits)?;
-                let exc = self.pfor_exceptions(*bits)?;
-                for i in 0..exc.n {
-                    let (pos, c) = exc.get(i);
-                    if pos as usize == idx {
-                        code = c;
-                        break;
-                    }
-                }
-                Ok((self.base + code as i64) as i32)
-            }
-            Codec::DictFor { bits } => {
-                let code = self.data.get(idx, *bits)? as u32 + self.aux;
-                self.dict()?.value_of(code)?.as_int()
-            }
-            Codec::ForDelta { bits } => {
-                let mut v = 0i64;
-                for i in 0..=idx {
-                    v += self.data.get(i, *bits)? as i64;
-                }
-                Ok((self.base + v) as i32)
-            }
-            Codec::Rle {
-                value_bits,
-                len_bits,
-            } => {
-                let (code, _) = self.run_covering(idx, *value_bits, *len_bits)?;
-                Ok((self.base + code as i64) as i32)
-            }
-            Codec::RleDict {
-                value_bits,
-                len_bits,
-            } => {
-                let (code, _) = self.run_covering(idx, *value_bits, *len_bits)?;
-                self.dict()?.value_of(code as u32)?.as_int()
-            }
-            Codec::TextPack { .. } => Err(Error::TypeMismatch {
-                expected: "Int",
-                got: "Text",
-            }),
-        }
+    /// The stored code of value `idx`, PFOR exceptions patched.
+    fn code_at(&self, idx: usize) -> Result<u64> {
+        let code = self.data.get(idx, self.field.bits)?;
+        let Codec::Pfor { bits } = self.comp.codec else {
+            return Ok(code);
+        };
+        let exc = self.pfor_exceptions(bits)?;
+        let patched = (0..exc.n)
+            .map(|i| exc.get(i))
+            .find(|&(p, _)| p as usize == idx);
+        Ok(patched.map_or(code, |(_, c)| c))
     }
 
-    /// Linear-scan the run list for the run covering value `idx` (the
-    /// RLE family's O(runs) "random access" — prefer the cursor for scans).
-    fn run_covering(&self, idx: usize, value_bits: u8, len_bits: u8) -> Result<(u64, u64)> {
-        let nruns = self.aux as usize;
-        let mut covered = 0u64;
-        for r in 0..nruns {
-            let (code, len) = self.run_at(r, value_bits, len_bits)?;
-            covered += len;
-            if (idx as u64) < covered {
-                return Ok((code, len));
-            }
+    /// The page's value map applied to one stored code — how node 0 turns a
+    /// code-space survivor of [`PageValues::codes_block`] into its int.
+    pub fn int_of(&self, code: u64) -> Result<i32> {
+        self.field.int_of(code)
+    }
+
+    /// Random-access decode of an integer value. FOR-delta and the RLE
+    /// family have no random access: this decodes the whole page.
+    pub fn int_at(&self, idx: usize) -> Result<i32> {
+        self.check(idx)?;
+        self.field.want_int()?;
+        if !self.comp.codec.random_access() {
+            let mut all = Vec::new();
+            self.decode_ints_into(&mut all)?;
+            return Ok(all[idx]);
         }
-        Err(Error::corrupt(format!(
-            "RLE runs cover {covered} values, index {idx} requested"
-        )))
+        self.field.int_of(self.code_at(idx)?)
     }
 
     /// Random-access decode of any value.
     pub fn value_at(&self, idx: usize) -> Result<Value> {
-        match self.dtype {
+        match self.field.dtype {
             DataType::Int => self.int_at(idx).map(Value::Int),
             dt @ (DataType::Long | DataType::Text(_)) => {
-                self.check(idx)?;
                 let mut out = Vec::with_capacity(dt.width());
                 self.write_raw(idx, &mut out)?;
                 Value::decode(dt, &out)
@@ -955,219 +972,66 @@ impl<'a> PageValues<'a> {
     /// to `out` — how scanners materialize tuples into blocks.
     pub fn write_raw(&self, idx: usize, out: &mut Vec<u8>) -> Result<()> {
         self.check(idx)?;
-        match (&self.comp.codec, self.dtype) {
-            (Codec::None, dt) => {
-                let w = dt.width();
-                for b in 0..w {
-                    let byte = self.data.read_at((idx * w + b) * 8, 8)? as u8;
-                    out.push(byte);
-                }
+        match self.field.map {
+            ValueMap::Bytes(n) => self.field.raw(&self.data, idx * n * 8, out),
+            _ if !self.comp.codec.random_access() => {
+                out.extend_from_slice(&self.int_at(idx)?.to_le_bytes());
                 Ok(())
             }
-            (Codec::TextPack { bytes }, DataType::Text(n)) => {
-                let nb = *bytes as usize;
-                for b in 0..nb {
-                    let byte = self.data.read_at((idx * nb + b) * 8, 8)? as u8;
-                    out.push(byte);
-                }
-                out.extend(std::iter::repeat_n(0u8, n - nb));
-                Ok(())
-            }
-            (Codec::Dict { bits }, dt) => {
-                let code = self.data.get(idx, *bits)? as u32;
-                let v = self.dict()?.value_of(code)?;
-                v.encode_into(dt, out)
-            }
-            (Codec::DictFor { bits }, dt) => {
-                let code = self.data.get(idx, *bits)? as u32 + self.aux;
-                let v = self.dict()?.value_of(code)?;
-                v.encode_into(dt, out)
-            }
-            (_, DataType::Int) => {
-                let v = self.int_at(idx)?;
-                out.extend_from_slice(&v.to_le_bytes());
-                Ok(())
-            }
-            (c, dt) => Err(Error::InvalidConfig(format!(
-                "codec {:?} cannot decode {dt}",
-                c.kind()
-            ))),
+            _ => self.field.raw_of(self.code_at(idx)?, out),
         }
     }
 
-    fn dict(&self) -> Result<&Dictionary> {
-        self.comp
-            .dict
-            .as_deref()
-            .ok_or_else(|| Error::InvalidConfig("Dict codec without dictionary".into()))
-    }
-
-    /// Sequential cursor — the efficient way to scan, and the only efficient
-    /// way to decode FOR-delta and the RLE family.
+    /// Sequential view over the page's values.
     pub fn cursor(&self) -> SeqValues<'a> {
         SeqValues {
             pv: *self,
             idx: 0,
-            running: self.base,
-            codes_decoded: 0,
-            run_idx: 0,
-            run_left: 0,
-            run_code: 0,
+            ints: Vec::new(),
         }
     }
 }
 
-/// Sequential decoder over one page's values.
-///
-/// Tracks `codes_decoded`: how many stored codes were actually touched,
-/// which the engine feeds to the CPU cost model (for FOR-delta, skipping to
-/// position *p* still decodes every code before *p* — Figure 9's effect).
+/// Sequential view of one page's values — the page's two decoders in value
+/// order: random access where the codec has it, one whole-page block decode
+/// where it does not (FOR-delta, the RLE family).
 #[derive(Debug, Clone)]
 pub struct SeqValues<'a> {
     pv: PageValues<'a>,
     idx: usize,
-    running: i64,
-    codes_decoded: u64,
-    /// RLE family: next run to read, values left in the current run, and the
-    /// current run's stored code.
-    run_idx: usize,
-    run_left: u64,
-    run_code: u64,
+    /// The whole page, decoded on first use, for a codec without random
+    /// access.
+    ints: Vec<i32>,
 }
 
 impl SeqValues<'_> {
-    /// Current position (next value to be returned).
-    pub fn position(&self) -> usize {
-        self.idx
-    }
-
-    /// Stored codes decoded so far (including ones skipped over in FOR-delta;
-    /// one per *run* for the RLE family).
-    pub fn codes_decoded(&self) -> u64 {
-        self.codes_decoded
-    }
-
-    /// Load the next run of an RLE-family page into the cursor state.
-    fn load_run(&mut self, value_bits: u8, len_bits: u8) -> Result<()> {
-        if self.run_idx >= self.pv.aux as usize {
-            return Err(Error::corrupt(format!(
-                "RLE runs exhausted at value {} of {}",
-                self.idx, self.pv.count
-            )));
-        }
-        let (code, len) = self.pv.run_at(self.run_idx, value_bits, len_bits)?;
-        self.run_idx += 1;
-        self.run_code = code;
-        self.run_left = len;
-        self.codes_decoded += 1;
-        Ok(())
-    }
-
-    /// Advance to value index `target` (≥ current position). For FOR-delta
-    /// this decodes every intermediate code, for the RLE family every
-    /// intermediate *run*; for all other codecs it is free.
-    pub fn seek(&mut self, target: usize) -> Result<()> {
-        if target < self.idx {
-            return Err(Error::InvalidPlan(format!(
-                "sequential cursor cannot seek backwards ({} -> {target})",
-                self.idx
-            )));
-        }
-        match self.pv.comp.codec {
-            Codec::ForDelta { bits } => {
-                while self.idx < target {
-                    let d = self.pv.data.get(self.idx, bits)? as i64;
-                    // Code 0 carries the base; codes 1.. are deltas from previous.
-                    if self.idx > 0 {
-                        self.running += d;
-                    }
-                    self.idx += 1;
-                    self.codes_decoded += 1;
-                }
-            }
-            Codec::Rle {
-                value_bits,
-                len_bits,
-            }
-            | Codec::RleDict {
-                value_bits,
-                len_bits,
-            } => {
-                while self.idx < target {
-                    if self.run_left == 0 {
-                        self.load_run(value_bits, len_bits)?;
-                    }
-                    let take = self.run_left.min((target - self.idx) as u64);
-                    self.idx += take as usize;
-                    self.run_left -= take;
-                }
-            }
-            _ => self.idx = target,
-        }
-        Ok(())
-    }
-
     /// Decode the integer at the current position and advance.
     pub fn next_int(&mut self) -> Result<i32> {
         let idx = self.idx;
-        match self.pv.comp.codec {
-            Codec::ForDelta { bits } => {
-                self.pv.check(idx)?;
-                let d = self.pv.data.get(idx, bits)? as i64;
-                if idx > 0 {
-                    self.running += d;
-                }
-                self.idx += 1;
-                self.codes_decoded += 1;
-                Ok(self.running as i32)
+        let v = if self.pv.comp.codec.random_access() {
+            self.pv.int_at(idx)?
+        } else {
+            self.pv.check(idx)?;
+            if self.ints.is_empty() {
+                self.pv.decode_ints_into(&mut self.ints)?;
             }
-            Codec::Rle {
-                value_bits,
-                len_bits,
-            } => {
-                self.pv.check(idx)?;
-                if self.run_left == 0 {
-                    self.load_run(value_bits, len_bits)?;
-                }
-                self.run_left -= 1;
-                self.idx += 1;
-                Ok((self.pv.base + self.run_code as i64) as i32)
-            }
-            Codec::RleDict {
-                value_bits,
-                len_bits,
-            } => {
-                self.pv.check(idx)?;
-                if self.run_left == 0 {
-                    self.load_run(value_bits, len_bits)?;
-                }
-                self.run_left -= 1;
-                self.idx += 1;
-                self.pv.dict()?.value_of(self.run_code as u32)?.as_int()
-            }
-            _ => {
-                let v = self.pv.int_at(idx)?;
-                self.idx += 1;
-                self.codes_decoded += 1;
-                Ok(v)
-            }
-        }
+            self.ints[idx]
+        };
+        self.idx += 1;
+        Ok(v)
     }
 
     /// Decode the value at the current position into raw full-width bytes and
     /// advance.
     pub fn next_raw(&mut self, out: &mut Vec<u8>) -> Result<()> {
-        if self.pv.dtype.is_int() {
+        if self.pv.field.dtype.is_int() {
             let v = self.next_int()?;
             out.extend_from_slice(&v.to_le_bytes());
-            Ok(())
-        } else {
-            let idx = self.idx;
-            self.pv.write_raw(idx, out)?;
-            self.idx += 1;
-            self.codes_decoded += 1;
-            Ok(())
+            return Ok(());
         }
+        self.pv.write_raw(self.idx, out)?;
+        self.idx += 1;
+        Ok(())
     }
 }
 
@@ -1262,20 +1126,21 @@ mod tests {
     }
 
     #[test]
-    fn fordelta_counts_skipped_codes() {
+    fn fordelta_reads_through_the_page_decode() {
         let vals = ints(&[10, 11, 13, 16, 20, 25]);
         let comp = ColumnCompression::new(Codec::ForDelta { bits: 4 }, None).unwrap();
         let enc = comp.encode_page(DataType::Int, &vals).unwrap();
         let pv = comp.open_page(DataType::Int, &enc.data, enc.count, enc.base);
-        let mut c = pv.cursor();
-        c.seek(4).unwrap();
-        assert_eq!(c.codes_decoded(), 4); // had to decode everything before idx 4
-        assert_eq!(c.next_int().unwrap(), 20);
-        assert!(c.seek(2).is_err()); // no backwards seeks
-
-        // Random access works but is O(idx).
-        assert_eq!(pv.int_at(5).unwrap(), 25);
         assert!(!comp.codec.random_access());
+        // Random access decodes the whole page, and is exact at every index.
+        for (i, v) in vals.iter().enumerate() {
+            assert_eq!(Value::Int(pv.int_at(i).unwrap()), *v);
+        }
+        let mut c = pv.cursor();
+        for v in &vals {
+            assert_eq!(Value::Int(c.next_int().unwrap()), *v);
+        }
+        assert!(c.next_int().is_err(), "past the page");
     }
 
     #[test]
@@ -1592,9 +1457,12 @@ mod tests {
             let pv = comp.open_page(DataType::Int, &enc.data, enc.count, enc.base);
             let mut fast = Vec::new();
             pv.decode_ints_into(&mut fast).unwrap();
-            let mut cur = pv.cursor();
-            let slow: Vec<i32> = (0..n).map(|_| cur.next_int().unwrap()).collect();
+            let slow: Vec<i32> = (0..n).map(|i| pv.int_at(i).unwrap()).collect();
             assert_eq!(fast, slow, "codec {:?}", comp.codec.kind());
+            assert_eq!(
+                fast,
+                vals.iter().map(|v| v.as_int().unwrap()).collect::<Vec<_>>()
+            );
             // Raw codes agree with scalar `get` where codes exist.
             if let Some(bits) = pv.code_bits() {
                 let mut codes = vec![0u64; n];

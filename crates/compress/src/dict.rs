@@ -15,6 +15,9 @@ use crate::bits::bits_for;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dictionary {
     values: Vec<Value>,
+    /// The values decoded once as ints (an int dictionary; empty otherwise):
+    /// what a page's dictionary lookup indexes.
+    ints: Vec<i32>,
     index: HashMap<Value, u32>,
 }
 
@@ -28,6 +31,7 @@ impl Dictionary {
     ) -> Result<Dictionary> {
         let mut dict = Dictionary {
             values: Vec::new(),
+            ints: Vec::new(),
             index: HashMap::new(),
         };
         for v in values {
@@ -38,18 +42,16 @@ impl Dictionary {
 
     /// Insert (if new) and return the code for `v`.
     pub fn intern(&mut self, dtype: DataType, v: &Value) -> Result<u32> {
-        if !v.fits(dtype) {
-            return Err(Error::TypeMismatch {
-                expected: dtype.name(),
-                got: v.dtype().name(),
-            });
-        }
+        v.check_fits(dtype)?;
         let normalized = normalize(dtype, v)?;
         if let Some(&code) = self.index.get(&normalized) {
             return Ok(code);
         }
         let code = u32::try_from(self.values.len())
             .map_err(|_| Error::ValueOutOfDomain("dictionary exceeds u32 codes".into()))?;
+        if let Value::Int(i) = normalized {
+            self.ints.push(i);
+        }
         self.values.push(normalized.clone());
         self.index.insert(normalized, code);
         Ok(code)
@@ -69,6 +71,17 @@ impl Dictionary {
         self.values
             .get(code as usize)
             .ok_or_else(|| Error::corrupt(format!("dictionary code {code} out of range")))
+    }
+
+    /// The value of every code, in code order.
+    pub(crate) fn values(&self) -> &[Value] {
+        &self.values
+    }
+
+    /// [`Dictionary::values`] as ints, for an int dictionary (empty
+    /// otherwise).
+    pub(crate) fn ints(&self) -> &[i32] {
+        &self.ints
     }
 
     /// Number of distinct values.

@@ -19,6 +19,8 @@ pub mod simd;
 
 pub use advisor::{candidates, compression_for};
 pub use bits::{bits_for, BitReader, BitWriter, BLOCK};
-pub use codec::{Codec, CodecKind, ColumnCompression, EncodedValues, PageValues, SeqValues};
+pub use codec::{
+    Codec, CodecKind, ColumnCompression, EncodedValues, Encoder, Field, PageValues, SeqValues,
+};
 pub use dict::Dictionary;
-pub use simd::{active_tier, force_tier, fused_auto_tier, FusedKernel, KernelTier};
+pub use simd::{active_tier, KernelTier};

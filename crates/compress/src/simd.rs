@@ -1,15 +1,13 @@
 //! Runtime-dispatched SIMD decode kernels.
 //!
 //! The scalar kernels in [`crate::bits`] are the portable, always-correct
-//! reference; this module adds `std::arch` implementations of the hot decode
-//! loops — bit-unpack, FOR base-add, FOR-delta prefix-sum and dictionary
-//! gather — selected once per process by a runtime dispatch table.
+//! reference; this module adds `std::arch` implementations of the two hot
+//! decode loops auto-dispatch runs — bit-unpack and the base-add of a page's
+//! value map — on the tier detected once per process.
 //!
 //! Dispatch contract:
 //!
-//! * [`active_tier`] is detected once (honouring `RODB_FORCE_SCALAR=1`) and
-//!   can be pinned programmatically with [`force_tier`] (the bench binaries'
-//!   `--arch` flag).
+//! * [`active_tier`] is detected once; `RODB_FORCE_SCALAR=1` pins scalar.
 //! * Every kernel is a *pure drop-in* for its scalar counterpart: identical
 //!   output bits for every input, including word-straddling widths and
 //!   non-multiple-of-8 tails. Tails always run through the single shared
@@ -29,9 +27,8 @@
 //! most `7 + 25 = 32`). Widths 26..=31 stay scalar (rare); width 32 is a
 //! widening copy.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-
-use rodb_types::{Error, Result};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use crate::bits::{unpack_generic, BLOCK};
 
@@ -43,7 +40,7 @@ pub enum KernelTier {
     /// x86_64 SSE2: widening unpacks for byte-aligned widths (8/16/32) only.
     Sse2,
     /// x86_64 AVX2: shuffle-based unpack for widths 1..=25, widening for 32,
-    /// plus fused base-add, prefix-sum and `vpgatherdd` dictionary gather.
+    /// plus the base-add.
     Avx2,
     /// aarch64 NEON: `tbl`-based unpack mirroring the AVX2 scheme.
     Neon,
@@ -58,33 +55,6 @@ impl KernelTier {
             KernelTier::Neon => "neon",
         }
     }
-
-    /// Parse a `--arch` style name (`auto` is not a tier — callers map it to
-    /// "clear the override").
-    pub fn parse(s: &str) -> Option<KernelTier> {
-        match s {
-            "scalar" => Some(KernelTier::Scalar),
-            "sse2" => Some(KernelTier::Sse2),
-            "avx2" => Some(KernelTier::Avx2),
-            "neon" => Some(KernelTier::Neon),
-            _ => None,
-        }
-    }
-
-    /// Is this tier runnable on the current host?
-    pub fn available(&self) -> bool {
-        match self {
-            KernelTier::Scalar => true,
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Sse2 => is_x86_feature_detected!("sse2"),
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "aarch64")]
-            KernelTier::Neon => std::arch::is_aarch64_feature_detected!("neon"),
-            #[allow(unreachable_patterns)]
-            _ => false,
-        }
-    }
 }
 
 impl std::fmt::Display for KernelTier {
@@ -93,37 +63,13 @@ impl std::fmt::Display for KernelTier {
     }
 }
 
-const TIER_UNSET: u8 = u8::MAX;
-
-/// Cached dispatch decision: `TIER_UNSET` until first use, then the tier's
-/// discriminant. [`force_tier`] overwrites it.
-static ACTIVE: AtomicU8 = AtomicU8::new(TIER_UNSET);
-
 /// Blocks decoded by a non-scalar kernel since process start (telemetry for
 /// benches and the metrics registry; not part of the cost model).
 static SIMD_BLOCKS: AtomicU64 = AtomicU64::new(0);
 
-fn tier_from_u8(v: u8) -> KernelTier {
-    match v {
-        1 => KernelTier::Sse2,
-        2 => KernelTier::Avx2,
-        3 => KernelTier::Neon,
-        _ => KernelTier::Scalar,
-    }
-}
-
-fn tier_to_u8(t: KernelTier) -> u8 {
-    match t {
-        KernelTier::Scalar => 0,
-        KernelTier::Sse2 => 1,
-        KernelTier::Avx2 => 2,
-        KernelTier::Neon => 3,
-    }
-}
-
-/// Detect the best tier for this host, honouring `RODB_FORCE_SCALAR=1`
-/// (any non-empty value other than `0` pins scalar).
-pub fn detect_tier() -> KernelTier {
+/// The best tier for this host, honouring `RODB_FORCE_SCALAR=1` (any
+/// non-empty value other than `0` pins scalar).
+fn detect_tier() -> KernelTier {
     if let Ok(v) = std::env::var("RODB_FORCE_SCALAR") {
         if !v.is_empty() && v != "0" {
             return KernelTier::Scalar;
@@ -147,36 +93,11 @@ pub fn detect_tier() -> KernelTier {
     KernelTier::Scalar
 }
 
-/// The tier every auto-dispatched kernel call uses. Detected once; stable
-/// for the life of the process unless [`force_tier`] overrides it.
+/// The tier every kernel call uses: detected once, stable for the life of
+/// the process.
 pub fn active_tier() -> KernelTier {
-    let v = ACTIVE.load(Ordering::Relaxed);
-    if v != TIER_UNSET {
-        return tier_from_u8(v);
-    }
-    let t = detect_tier();
-    // Racing first calls all compute the same answer; last store wins.
-    ACTIVE.store(tier_to_u8(t), Ordering::Relaxed);
-    t
-}
-
-/// Pin the dispatch tier (bench `--arch`); `None` re-runs auto-detection.
-/// Errors if the requested tier is not runnable on this host.
-pub fn force_tier(tier: Option<KernelTier>) -> Result<()> {
-    match tier {
-        Some(t) => {
-            if !t.available() {
-                return Err(Error::InvalidConfig(format!(
-                    "kernel tier {t} not available on this host"
-                )));
-            }
-            ACTIVE.store(tier_to_u8(t), Ordering::Relaxed);
-        }
-        None => {
-            ACTIVE.store(tier_to_u8(detect_tier()), Ordering::Relaxed);
-        }
-    }
-    Ok(())
+    static ACTIVE: OnceLock<KernelTier> = OnceLock::new();
+    *ACTIVE.get_or_init(detect_tier)
 }
 
 /// Blocks decoded through a SIMD kernel so far (process-wide).
@@ -384,63 +305,6 @@ mod x86 {
             out[k] = (base.wrapping_add(codes[k] as i64)) as i32;
         }
     }
-
-    /// Running prefix sum over delta codes: `out[i] = (running + Σ₀..=i
-    /// codes) as i32`. Updates `running` so the next block continues the
-    /// chain (only its low 32 bits are observable downstream).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn prefix_sum_avx2(codes: &[u64], running: &mut i64, out: &mut [i32]) {
-        debug_assert_eq!(codes.len(), out.len());
-        let n8 = codes.len() / 8 * 8;
-        let mut run = *running as i32;
-        let zero = _mm256_setzero_si256();
-        let top3 = _mm256_setr_epi32(3, 3, 3, 3, 3, 3, 3, 3);
-        let mut i = 0;
-        while i < n8 {
-            let mut x = pack_codes8(codes.as_ptr().add(i));
-            // In-lane prefix sums, then carry lane 3 of the low half into the
-            // high half, then add the running total to every lane.
-            x = _mm256_add_epi32(x, _mm256_slli_si256(x, 4));
-            x = _mm256_add_epi32(x, _mm256_slli_si256(x, 8));
-            let carry = _mm256_permutevar8x32_epi32(x, top3);
-            let carry = _mm256_blend_epi32(zero, carry, 0b1111_0000);
-            x = _mm256_add_epi32(x, carry);
-            x = _mm256_add_epi32(x, _mm256_set1_epi32(run));
-            _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, x);
-            run = _mm256_extract_epi32(x, 7);
-            i += 8;
-        }
-        let mut r = run as i64;
-        for k in n8..codes.len() {
-            r = r.wrapping_add(codes[k] as i64);
-            out[k] = r as i32;
-        }
-        *running = r;
-    }
-
-    /// Dictionary gather: `out[i] = table[codes[i]]` via `vpgatherdd`.
-    /// Returns false (no writes) if any code is out of range — the caller's
-    /// scalar path then produces the proper corruption error.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dict_gather_avx2(codes: &[u64], table: &[i32], out: &mut [i32]) -> bool {
-        debug_assert_eq!(codes.len(), out.len());
-        let limit = table.len() as u64;
-        if codes.iter().any(|&c| c >= limit) {
-            return false;
-        }
-        let n8 = codes.len() / 8 * 8;
-        let mut i = 0;
-        while i < n8 {
-            let idx = pack_codes8(codes.as_ptr().add(i));
-            let v = _mm256_i32gather_epi32(table.as_ptr(), idx, 4);
-            _mm256_storeu_si256(out.as_mut_ptr().add(i) as *mut __m256i, v);
-            i += 8;
-        }
-        for k in n8..codes.len() {
-            out[k] = table[codes[k] as usize];
-        }
-        true
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -549,21 +413,14 @@ mod arm {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch wrappers. Each takes an explicit tier (benches and the
-// equivalence tests pin tiers without mutating global state) plus an
-// `active_tier()` convenience used by the hot paths.
+// Dispatch.
 // ---------------------------------------------------------------------------
 
 /// Unpack one full byte-aligned [`BLOCK`] through `tier`'s kernel. Returns
 /// false when the tier has no kernel for `bits` (caller runs scalar).
 /// `src` starts at the block's first byte and holds at least `16 × bits`
 /// bytes (the caller's hoisted bounds check).
-pub fn unpack_block_with_tier(
-    tier: KernelTier,
-    src: &[u8],
-    bits: u8,
-    out: &mut [u64; BLOCK],
-) -> bool {
+fn unpack_block_with_tier(tier: KernelTier, src: &[u8], bits: u8, out: &mut [u64; BLOCK]) -> bool {
     let w = bits as usize;
     let done = match tier {
         KernelTier::Scalar => return false,
@@ -606,49 +463,22 @@ pub fn unpack_block_with_tier(
     true
 }
 
-/// Auto-dispatched block unpack (the [`crate::bits::BitReader::unpack`] hook).
+/// Block unpack on the active tier (the [`crate::bits::BitReader::unpack`]
+/// hook).
 #[inline]
 pub fn unpack_block(src: &[u8], bits: u8, out: &mut [u64; BLOCK]) -> bool {
     unpack_block_with_tier(active_tier(), src, bits, out)
 }
 
-/// The fused value-mapping kernels of
-/// [`crate::codec::PageValues::decode_ints_into`], named so dispatch
-/// decisions can be made (and tested) per kernel and code width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FusedKernel {
-    /// `out[i] = (base + codes[i]) as i32` — None/BitPack/FOR/PFOR pages.
-    BaseAdd,
-    /// Running prefix sum over delta codes — FOR-delta pages.
-    PrefixSum,
-    /// `out[i] = table[codes[i]]` — Dict/Dict→FOR pages.
-    DictGather,
-}
-
-/// The tier the auto-dispatched fused wrappers use for `kernel` on codes
-/// unpacked from `bits`-wide input. Unlike the unpack kernels — where the
-/// SIMD win grows with density — the fused kernels consume already-widened
-/// `u64` lanes, so their profile is width-independent, and on measured
-/// hosts the `vpgatherdd` dictionary gather and the lane-carry prefix sum
-/// lose to LLVM-autovectorized scalar (0.5–0.9×) at every width. The auto
-/// path therefore pins those two to scalar; the fused base-add keeps the
-/// detected tier, where it wins. The `*_with_tier` entry points still reach
-/// every kernel for benchmarking and forced runs.
-pub fn fused_auto_tier(kernel: FusedKernel, bits: u8) -> KernelTier {
-    debug_assert!((1..=64).contains(&bits));
-    match kernel {
-        FusedKernel::BaseAdd => active_tier(),
-        FusedKernel::PrefixSum | FusedKernel::DictGather => KernelTier::Scalar,
-    }
-}
-
-/// Fused FOR base-add under `tier`: `out[i] = (base + codes[i]) as i32`.
-/// Returns false when the tier has no kernel (caller runs scalar).
-pub fn base_add_with_tier(tier: KernelTier, codes: &[u64], base: i64, out: &mut [i32]) -> bool {
+/// `out[i] = (base + codes[i]) as i32` on the active tier — the base-add of
+/// a page's value map. Returns false when the tier has no kernel (caller
+/// runs scalar).
+#[inline]
+pub fn base_add(codes: &[u64], base: i64, out: &mut [i32]) -> bool {
     debug_assert_eq!(codes.len(), out.len());
-    match tier {
+    match active_tier() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: tier selection guarantees AVX2 is present.
+        // SAFETY: the active tier is AVX2 only on a host that has it.
         KernelTier::Avx2 => {
             unsafe { x86::base_add_avx2(codes, base, out) };
             true
@@ -657,89 +487,10 @@ pub fn base_add_with_tier(tier: KernelTier, codes: &[u64], base: i64, out: &mut 
     }
 }
 
-/// Auto-dispatched fused base-add over codes unpacked at `bits` wide.
-#[inline]
-pub fn base_add(codes: &[u64], bits: u8, base: i64, out: &mut [i32]) -> bool {
-    base_add_with_tier(
-        fused_auto_tier(FusedKernel::BaseAdd, bits),
-        codes,
-        base,
-        out,
-    )
-}
-
-/// Fused FOR-delta prefix sum under `tier`; see
-/// [`crate::codec::PageValues::decode_ints_into`] for the running-total
-/// contract. Returns false when the tier has no kernel.
-pub fn prefix_sum_with_tier(
-    tier: KernelTier,
-    codes: &[u64],
-    running: &mut i64,
-    out: &mut [i32],
-) -> bool {
-    debug_assert_eq!(codes.len(), out.len());
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: tier selection guarantees AVX2 is present.
-        KernelTier::Avx2 => {
-            unsafe { x86::prefix_sum_avx2(codes, running, out) };
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Auto-dispatched fused prefix sum over codes unpacked at `bits` wide.
-#[inline]
-pub fn prefix_sum(codes: &[u64], bits: u8, running: &mut i64, out: &mut [i32]) -> bool {
-    prefix_sum_with_tier(
-        fused_auto_tier(FusedKernel::PrefixSum, bits),
-        codes,
-        running,
-        out,
-    )
-}
-
-/// Dictionary gather under `tier`: `out[i] = table[codes[i]]`. Returns false
-/// when the tier has no kernel **or any code is out of range** — the scalar
-/// path owns error reporting.
-pub fn dict_gather_with_tier(
-    tier: KernelTier,
-    codes: &[u64],
-    table: &[i32],
-    out: &mut [i32],
-) -> bool {
-    debug_assert_eq!(codes.len(), out.len());
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: tier selection guarantees AVX2 is present.
-        KernelTier::Avx2 => unsafe { x86::dict_gather_avx2(codes, table, out) },
-        _ => false,
-    }
-}
-
-/// Auto-dispatched dictionary gather over codes unpacked at `bits` wide.
-#[inline]
-pub fn dict_gather(codes: &[u64], bits: u8, table: &[i32], out: &mut [i32]) -> bool {
-    dict_gather_with_tier(
-        fused_auto_tier(FusedKernel::DictGather, bits),
-        codes,
-        table,
-        out,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bits::{BitReader, BitWriter};
-
-    /// Tests that mutate the process-global tier serialize on this lock so
-    /// they can't observe each other's overrides.
-    fn tier_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     /// Deterministic pattern hitting low/high/alternating bits (mirrors the
     /// generator in `bits.rs` tests).
@@ -758,9 +509,18 @@ mod tests {
     /// Tiers with actual unpack kernels on this host (scalar is the baseline
     /// the others are compared against).
     fn simd_tiers() -> Vec<KernelTier> {
+        let available = |t: &KernelTier| match t {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Sse2 => is_x86_feature_detected!("sse2"),
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "aarch64")]
+            KernelTier::Neon => std::arch::is_aarch64_feature_detected!("neon"),
+            _ => false,
+        };
         [KernelTier::Sse2, KernelTier::Avx2, KernelTier::Neon]
             .into_iter()
-            .filter(|t| t.available())
+            .filter(available)
             .collect()
     }
 
@@ -814,178 +574,54 @@ mod tests {
 
     #[test]
     fn simd_unpack_through_bitreader_multi_block() {
-        // Drive through the public BitReader::unpack (the auto dispatch
-        // point): several blocks plus a 1-element tail, word-straddling
-        // widths included.
-        let _guard = tier_lock();
-        for tier in simd_tiers() {
-            force_tier(Some(tier)).unwrap();
-            for bits in [1u8, 3, 5, 7, 11, 13, 16, 17, 23, 25, 26, 31, 32] {
-                let n = BLOCK * 3 + 1;
-                let vals: Vec<u64> = (0..n).map(|i| pattern(i, bits)).collect();
-                let bytes = pack(&vals, bits);
-                let r = BitReader::new(&bytes);
-                let mut out = vec![0u64; n];
-                let mut first = 0;
-                while first < n {
-                    let take = BLOCK.min(n - first);
-                    r.unpack(first, bits, &mut out[first..first + take])
-                        .unwrap();
-                    first += take;
-                }
-                assert_eq!(out, vals, "tier {tier} width {bits}");
+        // Drive through the public BitReader::unpack (the dispatch point, on
+        // the active tier): several blocks plus a 1-element tail,
+        // word-straddling widths included.
+        for bits in [1u8, 3, 5, 7, 11, 13, 16, 17, 23, 25, 26, 31, 32] {
+            let n = BLOCK * 3 + 1;
+            let vals: Vec<u64> = (0..n).map(|i| pattern(i, bits)).collect();
+            let bytes = pack(&vals, bits);
+            let r = BitReader::new(&bytes);
+            let mut out = vec![0u64; n];
+            let mut first = 0;
+            while first < n {
+                let take = BLOCK.min(n - first);
+                r.unpack(first, bits, &mut out[first..first + take])
+                    .unwrap();
+                first += take;
             }
+            assert_eq!(out, vals, "tier {} width {bits}", active_tier());
         }
-        force_tier(None).unwrap();
     }
 
     #[test]
-    fn fused_kernels_match_scalar() {
-        for tier in simd_tiers() {
-            for n in [1usize, 7, 8, 9, 100, BLOCK] {
-                let codes: Vec<u64> = (0..n).map(|i| pattern(i, 20)).collect();
-
-                // base-add, including a base that overflows i32.
-                for base in [0i64, -5, 1 << 33, i64::MAX - 3] {
-                    let mut simd = vec![0i32; n];
-                    if base_add_with_tier(tier, &codes, base, &mut simd) {
-                        let scalar: Vec<i32> = codes
-                            .iter()
-                            .map(|&c| base.wrapping_add(c as i64) as i32)
-                            .collect();
-                        assert_eq!(simd, scalar, "tier {tier} base {base} n {n}");
-                    }
-                }
-
-                // prefix sum with running carry across two calls.
-                let mut running_simd = 42i64;
+    fn base_add_matches_scalar() {
+        for n in [1usize, 7, 8, 9, 100, BLOCK] {
+            let codes: Vec<u64> = (0..n).map(|i| pattern(i, 20)).collect();
+            // Including a base that overflows i32.
+            for base in [0i64, -5, 1 << 33, i64::MAX - 3] {
                 let mut simd = vec![0i32; n];
-                if prefix_sum_with_tier(tier, &codes, &mut running_simd, &mut simd) {
-                    let mut running = 42i64;
+                if base_add(&codes, base, &mut simd) {
                     let scalar: Vec<i32> = codes
                         .iter()
-                        .map(|&c| {
-                            running = running.wrapping_add(c as i64);
-                            running as i32
-                        })
+                        .map(|&c| base.wrapping_add(c as i64) as i32)
                         .collect();
-                    assert_eq!(simd, scalar, "tier {tier} n {n}");
-                    assert_eq!(running_simd as i32, running as i32);
-                    // Second call continues the chain identically.
-                    let mut simd2 = vec![0i32; n];
-                    assert!(prefix_sum_with_tier(
-                        tier,
-                        &codes,
-                        &mut running_simd,
-                        &mut simd2
-                    ));
-                    let scalar2: Vec<i32> = codes
-                        .iter()
-                        .map(|&c| {
-                            running = running.wrapping_add(c as i64);
-                            running as i32
-                        })
-                        .collect();
-                    assert_eq!(simd2, scalar2, "tier {tier} second block");
+                    assert_eq!(simd, scalar, "tier {} base {base} n {n}", active_tier());
                 }
-
-                // dictionary gather + out-of-range refusal.
-                let table: Vec<i32> = (0..1 << 20).map(|i| i * 7 - 3).collect();
-                let mut simd = vec![0i32; n];
-                if dict_gather_with_tier(tier, &codes, &table, &mut simd) {
-                    let scalar: Vec<i32> = codes.iter().map(|&c| table[c as usize]).collect();
-                    assert_eq!(simd, scalar, "tier {tier} n {n}");
-                }
-                let small = vec![1i32; 4];
-                assert!(
-                    !dict_gather_with_tier(tier, &codes, &small, &mut simd)
-                        || codes.iter().all(|&c| c < 4)
-                );
-            }
-        }
-    }
-
-    /// Pin the auto-dispatch decision per kernel and width: base-add runs
-    /// at the detected tier everywhere, while prefix-sum and dict-gather —
-    /// the fused kernels that lose to autovectorized scalar — stay scalar
-    /// at every width. Catches accidental re-enabling (or a regression
-    /// that silently drops base-add to scalar).
-    #[test]
-    fn fused_auto_dispatch_pins_tier_per_width() {
-        let _guard = tier_lock();
-        for bits in 1..=32u8 {
-            assert_eq!(
-                fused_auto_tier(FusedKernel::BaseAdd, bits),
-                active_tier(),
-                "base-add width {bits}"
-            );
-            for kernel in [FusedKernel::PrefixSum, FusedKernel::DictGather] {
-                assert_eq!(
-                    fused_auto_tier(kernel, bits),
-                    KernelTier::Scalar,
-                    "{kernel:?} width {bits}"
-                );
-            }
-        }
-        // The pin holds even when a SIMD tier is forced: forcing affects
-        // unpack and base-add, never resurrects the losing fused kernels.
-        for tier in simd_tiers() {
-            force_tier(Some(tier)).unwrap();
-            assert_eq!(fused_auto_tier(FusedKernel::BaseAdd, 12), tier);
-            assert_eq!(
-                fused_auto_tier(FusedKernel::PrefixSum, 12),
-                KernelTier::Scalar
-            );
-            assert_eq!(
-                fused_auto_tier(FusedKernel::DictGather, 12),
-                KernelTier::Scalar
-            );
-        }
-        force_tier(None).unwrap();
-    }
-
-    /// The auto wrappers behave per the dispatch table: scalar-pinned
-    /// kernels decline (caller runs its scalar loop), and whatever runs
-    /// produces scalar-identical output.
-    #[test]
-    fn fused_auto_wrappers_follow_the_dispatch_table() {
-        let _guard = tier_lock();
-        for bits in [1u8, 7, 16, 20, 32] {
-            let codes: Vec<u64> = (0..BLOCK).map(|i| pattern(i, bits.min(20))).collect();
-            let mut out = vec![0i32; BLOCK];
-            let mut running = 0i64;
-            assert!(
-                !prefix_sum(&codes, bits, &mut running, &mut out),
-                "prefix-sum auto path must decline at width {bits}"
-            );
-            let table = vec![3i32; 1 << 20];
-            assert!(
-                !dict_gather(&codes, bits, &table, &mut out),
-                "dict-gather auto path must decline at width {bits}"
-            );
-            if base_add(&codes, bits, 7, &mut out) {
-                let scalar: Vec<i32> = codes.iter().map(|&c| (7 + c as i64) as i32).collect();
-                assert_eq!(out, scalar, "auto base-add width {bits}");
             }
         }
     }
 
     #[test]
-    fn tier_parse_and_force() {
-        let _guard = tier_lock();
-        assert_eq!(KernelTier::parse("avx2"), Some(KernelTier::Avx2));
-        assert_eq!(KernelTier::parse("bogus"), None);
-        assert!(KernelTier::Scalar.available());
-        force_tier(Some(KernelTier::Scalar)).unwrap();
-        assert_eq!(active_tier(), KernelTier::Scalar);
+    fn the_tier_is_detected_once_and_scalar_has_no_kernel() {
+        assert_eq!(active_tier(), detect_tier());
+        assert_eq!(active_tier(), active_tier());
         let mut out = [0u64; BLOCK];
-        assert!(!unpack_block(&[0u8; 16 * 8], 8, &mut out));
-        force_tier(None).unwrap();
-        // A tier the host lacks is rejected (scalar is never rejected).
-        for t in [KernelTier::Sse2, KernelTier::Avx2, KernelTier::Neon] {
-            if !t.available() {
-                assert!(force_tier(Some(t)).is_err());
-            }
-        }
+        assert!(!unpack_block_with_tier(
+            KernelTier::Scalar,
+            &[0u8; 16 * 8],
+            8,
+            &mut out
+        ));
     }
 }

@@ -123,8 +123,8 @@ fn for_roundtrip() {
     }
 }
 
-/// FOR-delta roundtrips any non-decreasing sequence; sequential cursors
-/// and O(i) random access agree.
+/// FOR-delta roundtrips any non-decreasing sequence; the sequential view
+/// and random access (a whole-page decode) agree.
 #[test]
 fn fordelta_roundtrip() {
     for case in 0..CASES {
@@ -144,8 +144,6 @@ fn fordelta_roundtrip() {
             assert_eq!(cur.next_int().unwrap(), v);
             assert_eq!(pv.int_at(i).unwrap(), v);
         }
-        // Cursor counted one decode per value.
-        assert_eq!(cur.codes_decoded(), vals.len() as u64);
     }
 }
 

@@ -24,9 +24,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use rodb_compress::Codec;
 use rodb_storage::Table;
-use rodb_types::{DataType, Error, Result, Schema};
+use rodb_types::{DataType, Result, Schema};
 
 use crate::block::TupleBlock;
 use crate::codepred::{rewrite_all, zone_rejects};
@@ -176,12 +175,6 @@ impl ColumnScanner {
                 })
             };
             if let Some(cps) = code_preds {
-                let base = pv.base();
-                let code_base = pv.code_base() as usize;
-                let dict_table = match &comp.codec {
-                    Codec::Dict { .. } | Codec::DictFor { .. } => Some(pv.dict_int_table()?),
-                    _ => None,
-                };
                 let mut block = [0u64; 128];
                 let mut slot = 0usize;
                 while slot < count {
@@ -189,36 +182,11 @@ impl ColumnScanner {
                     pv.codes_block(slot, &mut block[..n])?;
                     for (k, &code) in block[..n].iter().enumerate() {
                         let pos = first_row + (slot + k) as u64;
-                        if !window.admits(pos) || !cps.iter().all(|cp| cp.eval(code)) {
-                            continue;
+                        if window.admits(pos) && cps.iter().all(|cp| cp.eval(code)) {
+                            // The page's value map (PFOR codes arrive
+                            // already exception-patched).
+                            gather(pos, pv.int_of(code)?)?;
                         }
-                        let v: i32 = match (&comp.codec, &dict_table) {
-                            // PFOR codes arrive already exception-patched.
-                            (Codec::For { .. } | Codec::Pfor { .. }, _) => {
-                                (base + code as i64) as i32
-                            }
-                            (Codec::Dict { .. }, Some(t)) => {
-                                *t.get(code as usize).ok_or_else(|| {
-                                    Error::corrupt(format!(
-                                        "dict code {code} out of table (col {})",
-                                        node.col
-                                    ))
-                                })?
-                            }
-                            // Dict→FOR: stored codes are rebased by the
-                            // page's minimum dictionary code.
-                            (Codec::DictFor { .. }, Some(t)) => {
-                                *t.get(code as usize + code_base).ok_or_else(|| {
-                                    Error::corrupt(format!(
-                                        "dictfor code {code}+{code_base} out of table (col {})",
-                                        node.col
-                                    ))
-                                })?
-                            }
-                            // BitPack stores non-negative ints verbatim.
-                            _ => code as i32,
-                        };
-                        gather(pos, v)?;
                     }
                     slot += n;
                 }
@@ -239,13 +207,21 @@ impl ColumnScanner {
             return Ok(true);
         }
 
-        let mut cur = pv.cursor();
+        // An int page goes through the one block decoder; text is read per
+        // slot. Decode cost is paid for slots outside the window too.
+        let int = node.dtype == DataType::Int;
+        if int {
+            pv.decode_ints_into(&mut node.ints)?;
+        }
         for slot in 0..count {
             self.scratch.clear();
-            cur.next_raw(&mut self.scratch)?;
+            if int {
+                self.scratch
+                    .extend_from_slice(&node.ints[slot].to_le_bytes());
+            } else {
+                pv.write_raw(slot, &mut self.scratch)?;
+            }
             let pos = first_row + slot as u64;
-            // Decode cost is paid for slots outside the window too — the
-            // cursor walked over them.
             let raw = self.scratch.as_slice();
             if window.admits(pos) && judge(&node.preds, &mut node.pred_tallies, node.dtype, raw)? {
                 node.tally.positions_seen += 1; // {position, value} pair created

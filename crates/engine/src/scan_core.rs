@@ -304,9 +304,10 @@ pub(crate) struct ColumnNode {
     /// `scan_fast_path`).
     pub fast: bool,
     /// Whether the held page was decoded whole — an int column's into
-    /// `ints` (by the block kernels on the fast path, code by code off it),
-    /// a text column's into `raw` at full declared width. Otherwise values
-    /// are read per position through the codec.
+    /// `ints` by the page's one block decoder (metered as block work on the
+    /// fast path, per value off it), a text column's into `raw` at full
+    /// declared width. Otherwise values are read per position through the
+    /// codec.
     decoded: bool,
     /// Also node 0's value-space filter scratch.
     pub ints: Vec<i32>,
@@ -382,22 +383,17 @@ impl ColumnNode {
             }
             let pv = verified.column(self.dtype).values(comp);
             let count = pv.count();
-            if fast_int {
+            if self.dtype == DataType::Int {
                 pv.decode_ints_into(&mut self.ints)?;
+            } else {
+                self.raw.clear();
+                for slot in 0..count {
+                    pv.write_raw(slot, &mut self.raw)?;
+                }
+            }
+            if fast_int {
                 self.tally.blocks_decoded += count as u64;
             } else {
-                let mut cur = pv.cursor();
-                if self.dtype == DataType::Int {
-                    self.ints.clear();
-                    for _ in 0..count {
-                        self.ints.push(cur.next_int()?);
-                    }
-                } else {
-                    self.raw.clear();
-                    for _ in 0..count {
-                        cur.next_raw(&mut self.raw)?;
-                    }
-                }
                 self.tally.values_decoded += count as u64;
             }
             self.decoded = true;

@@ -108,6 +108,12 @@ pub fn col_scanner_cost(
                         + costs.position_pair
                         + costs.project_attr
                         + c.raw_bytes * costs.copy_byte);
+            if c.codec == CodecKind::ForDelta {
+                // ...and runs its value loop over every decoded code, not
+                // just the qualifying positions (the engine charges
+                // `col_iter` for `values_decoded.max(positions_seen)`).
+                uops += (1.0 - sel) * costs.col_iter;
+            }
             // Memory traffic: dense enough access streams the column
             // (the engine's prefetcher rule); sparse access is charged as
             // part of user cycles by the measured engine, so the model keeps
@@ -192,6 +198,22 @@ mod tests {
         let with_pack =
             col_scanner_cost(&c, &p, 3.0, 131072.0, &[ColumnSpec::raw(4.0), packed], 0.01);
         assert!(with_delta.i_user > with_pack.i_user);
+    }
+
+    #[test]
+    fn fordelta_driven_column_runs_its_loop_over_every_code() {
+        // With nothing qualifying, a FOR-delta driven node still decodes
+        // and loops over every code, as the engine charges it.
+        let (c, p) = defaults();
+        let delta = ColumnSpec {
+            bytes: 1.0,
+            raw_bytes: 4.0,
+            codec: CodecKind::ForDelta,
+        };
+        let alone = col_scanner_cost(&c, &p, 3.0, 131072.0, &[ColumnSpec::raw(4.0)], 0.0);
+        let driven = col_scanner_cost(&c, &p, 3.0, 131072.0, &[ColumnSpec::raw(4.0), delta], 0.0);
+        let per_code = uops_to_cycles(c.decode(CodecKind::ForDelta) + c.col_iter, &p, 3.0);
+        assert!((driven.i_user - alone.i_user - per_code).abs() < 1e-9);
     }
 
     #[test]

@@ -227,12 +227,7 @@ impl TableBuilder {
                 if let Some(buf) = &mut self.var_bufs[ci] {
                     // Variable-rate column: page boundaries are only known
                     // once the data is, so buffer now and page out in finish.
-                    if !v.fits(self.schema.dtype(ci)) {
-                        return Err(Error::TypeMismatch {
-                            expected: self.schema.dtype(ci).name(),
-                            got: v.dtype().name(),
-                        });
-                    }
+                    v.check_fits(self.schema.dtype(ci))?;
                     buf.push(v.clone());
                     continue;
                 }

@@ -335,12 +335,7 @@ impl ColumnPageBuilder {
         if self.is_full() {
             return Err(Error::corrupt("push into full column page"));
         }
-        if !v.fits(self.dtype) {
-            return Err(Error::TypeMismatch {
-                expected: self.dtype.name(),
-                got: v.dtype().name(),
-            });
-        }
+        v.check_fits(self.dtype)?;
         self.values.push(v);
         Ok(())
     }
@@ -377,13 +372,7 @@ impl ColumnPageBuilder {
         match zone {
             Some((lo, z)) => {
                 debug_assert!(
-                    !matches!(
-                        comp.codec,
-                        rodb_compress::Codec::For { .. }
-                            | rodb_compress::Codec::ForDelta { .. }
-                            | rodb_compress::Codec::Pfor { .. }
-                            | rodb_compress::Codec::Rle { .. }
-                    ) || enc.base == lo,
+                    !comp.codec.has_base() || enc.base == lo,
                     "FOR-family base must equal the page min"
                 );
                 write_trailer_zone(&mut page, page_id, lo, z);

@@ -14,8 +14,8 @@
 //! which makes packed row pages strictly sequential-decode for those
 //! attributes — exactly like their column counterparts.
 
-use rodb_compress::{BitReader, BitWriter, Codec, ColumnCompression};
-use rodb_types::{DataType, Error, PageId, Result, Schema, Value};
+use rodb_compress::{BitReader, BitWriter, ColumnCompression, Encoder, Field};
+use rodb_types::{Error, PageId, Result, Schema, Value};
 
 use crate::page::{write_trailer, PageView, VerifiedPage, PAGE_HEADER, PAGE_TRAILER};
 
@@ -34,7 +34,7 @@ pub fn base_columns(comps: &[ColumnCompression]) -> Vec<usize> {
     comps
         .iter()
         .enumerate()
-        .filter(|(_, c)| matches!(c.codec, Codec::For { .. } | Codec::ForDelta { .. }))
+        .filter(|(_, c)| c.codec.has_base())
         .map(|(i, _)| i)
         .collect()
 }
@@ -48,6 +48,20 @@ pub fn packed_tuples_per_page(
     let base_bytes = base_columns(comps).len() * 8;
     let body_bits = (page_size - PAGE_HEADER - PAGE_TRAILER - base_bytes) * 8;
     body_bits / packed_tuple_bits(schema, comps)
+}
+
+/// Packed tuples need every field at a computable bit offset: the
+/// variable-rate and page-relative codecs are demoted to their
+/// [`ColumnCompression::packed_equivalent`] by the loader first, so meeting
+/// one here is a planner bug.
+fn check_packable(comps: &[ColumnCompression]) -> Result<()> {
+    match comps.iter().find(|c| !c.codec.packable()) {
+        Some(c) => Err(Error::InvalidConfig(format!(
+            "codec {:?} is not supported in packed row pages",
+            c.codec.kind()
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// Builds packed row pages by buffering whole rows.
@@ -70,6 +84,7 @@ impl PackedRowPageBuilder {
                 schema.len()
             )));
         }
+        check_packable(comps)?;
         let capacity = packed_tuples_per_page(page_size, schema, comps);
         if capacity == 0 {
             return Err(Error::InvalidConfig(
@@ -110,109 +125,29 @@ impl PackedRowPageBuilder {
         comps: &[ColumnCompression],
         page_id: PageId,
     ) -> Result<Vec<u8>> {
-        let base_cols = base_columns(comps);
-        // Compute per-column bases over the page.
-        let mut bases = Vec::with_capacity(base_cols.len());
-        for &c in &base_cols {
-            let vals: Result<Vec<i64>> = self
-                .rows
-                .iter()
-                .map(|r| r[c].as_int().map(|v| v as i64))
-                .collect();
-            let vals = vals?;
-            let base = match comps[c].codec {
-                Codec::For { .. } => vals.iter().copied().min().unwrap_or(0),
-                Codec::ForDelta { .. } => vals.first().copied().unwrap_or(0),
-                _ => unreachable!("base_columns filters"),
-            };
-            bases.push(base);
+        if self.rows.iter().any(|r| r.len() != schema.len()) {
+            return Err(Error::corrupt("row arity mismatch"));
         }
-
+        // One encoder per column, its page base fixed over the page's rows.
+        let mut encoders = comps
+            .iter()
+            .enumerate()
+            .map(|(ci, comp)| {
+                Encoder::new(comp, schema.dtype(ci), self.rows.iter().map(|r| &r[ci]))
+            })
+            .collect::<Result<Vec<_>>>()?;
         let mut w = BitWriter::new();
-        let mut prev: Vec<i64> = vec![0; schema.len()];
-        for (ti, row) in self.rows.iter().enumerate() {
-            if row.len() != schema.len() {
-                return Err(Error::corrupt("row arity mismatch"));
-            }
-            for (ci, (v, comp)) in row.iter().zip(comps).enumerate() {
-                let dtype = schema.dtype(ci);
-                match &comp.codec {
-                    Codec::None => {
-                        let mut buf = Vec::with_capacity(dtype.width());
-                        v.encode_into(dtype, &mut buf)?;
-                        for b in buf {
-                            w.write(b as u64, 8)?;
-                        }
-                    }
-                    Codec::BitPack { bits } => {
-                        let iv = v.as_int()?;
-                        if iv < 0 {
-                            return Err(Error::ValueOutOfDomain(
-                                "negative value under BitPack".into(),
-                            ));
-                        }
-                        w.write(iv as u64, *bits)?;
-                    }
-                    Codec::Dict { bits } => {
-                        let dict = comp.dict.as_ref().ok_or_else(|| {
-                            Error::InvalidConfig("Dict codec without dictionary".into())
-                        })?;
-                        w.write(dict.code_of(dtype, v)? as u64, *bits)?;
-                    }
-                    Codec::For { bits } => {
-                        let base = bases[base_cols.iter().position(|&b| b == ci).unwrap()];
-                        let code = (v.as_int()? as i64 - base) as u64;
-                        w.write(code, *bits)?;
-                    }
-                    Codec::ForDelta { bits } => {
-                        let iv = v.as_int()? as i64;
-                        let code = if ti == 0 { 0 } else { iv - prev[ci] };
-                        if code < 0 {
-                            return Err(Error::ValueOutOfDomain(
-                                "negative delta under FOR-delta".into(),
-                            ));
-                        }
-                        w.write(code as u64, *bits)?;
-                        prev[ci] = iv;
-                    }
-                    Codec::Rle { .. }
-                    | Codec::Pfor { .. }
-                    | Codec::DictFor { .. }
-                    | Codec::RleDict { .. } => {
-                        // Variable-rate / page-relative codecs are demoted to
-                        // their packed_equivalent() by the loader before a row
-                        // format is built; reaching here is a planner bug.
-                        return Err(Error::InvalidConfig(format!(
-                            "codec {:?} is not supported in packed row pages",
-                            comp.codec.kind()
-                        )));
-                    }
-                    Codec::TextPack { bytes } => {
-                        let t = v.as_text()?;
-                        let nb = *bytes as usize;
-                        if t.len() > nb && t[nb..].iter().any(|&b| b != 0) {
-                            return Err(Error::ValueOutOfDomain(
-                                "text content exceeds TextPack width".into(),
-                            ));
-                        }
-                        for k in 0..nb {
-                            w.write(*t.get(k).unwrap_or(&0) as u64, 8)?;
-                        }
-                    }
-                }
-                if matches!(comp.codec, Codec::ForDelta { .. }) {
-                    // prev already updated above
-                } else if let Ok(iv) = v.as_int() {
-                    prev[ci] = iv as i64;
-                }
+        for row in &self.rows {
+            for (v, enc) in row.iter().zip(&mut encoders) {
+                enc.write(v, &mut w)?;
             }
         }
 
         let mut page = vec![0u8; self.page_size];
         page[0..4].copy_from_slice(&(self.rows.len() as u32).to_le_bytes());
         let mut off = PAGE_HEADER;
-        for b in &bases {
-            page[off..off + 8].copy_from_slice(&b.to_le_bytes());
+        for k in base_columns(comps) {
+            page[off..off + 8].copy_from_slice(&encoders[k].base().to_le_bytes());
             off += 8;
         }
         let data = w.into_bytes();
@@ -247,6 +182,7 @@ impl<'a> PackedRowPage<'a> {
 
     /// The structural checks behind a passed checksum.
     fn from_view(view: PageView<'a>, comps: &[ColumnCompression]) -> Result<PackedRowPage<'a>> {
+        check_packable(comps)?;
         let bytes = view.bytes();
         let count = view.count();
         let n_bases = base_columns(comps).len();
@@ -288,65 +224,71 @@ impl<'a> PackedRowPage<'a> {
         schema: &'a Schema,
         comps: &'a [ColumnCompression],
     ) -> PackedRowCursor<'a> {
-        let base_cols = base_columns(comps);
-        let data_start = PAGE_HEADER + base_cols.len() * 8;
-        let mut field_bit_off = Vec::with_capacity(schema.len());
-        let mut acc = 0usize;
-        for (c, comp) in schema.columns().iter().zip(comps) {
-            field_bit_off.push(acc);
-            acc += comp.bits_per_value(c.dtype);
-        }
-        let mut running = vec![0i64; schema.len()];
-        for (k, &c) in base_cols.iter().enumerate() {
-            running[c] = self.bases[k];
-        }
+        let data_start = PAGE_HEADER + self.bases.len() * 8;
+        let mut bases = self.bases.iter();
+        let mut tuple_bits = 0;
+        let fields = schema
+            .columns()
+            .iter()
+            .zip(comps)
+            .map(|(c, comp)| {
+                let base = comp.codec.has_base().then(|| bases.next()).flatten();
+                let field = PackedField {
+                    field: comp.field(c.dtype, base.copied().unwrap_or(0), 0),
+                    off: tuple_bits,
+                    sum: 0,
+                };
+                tuple_bits += comp.bits_per_value(c.dtype);
+                field
+            })
+            .collect();
         PackedRowCursor {
             reader: BitReader::new(&self.bytes[data_start..self.bytes.len() - PAGE_TRAILER]),
-            schema,
-            comps,
             count: self.count,
-            tuple_bits: acc,
-            field_bit_off,
+            tuple_bits,
+            fields,
             tuple: 0,
-            running,
             started: false,
-            codes_decoded: 0,
         }
     }
+}
+
+/// One column of a packed tuple: its codec's read half on this page and
+/// where in a tuple it sits.
+struct PackedField<'a> {
+    field: Field<'a>,
+    /// Bit offset within a tuple.
+    off: usize,
+    /// FOR-delta: the running sum of the page's deltas up to the current
+    /// tuple.
+    sum: u64,
 }
 
 /// Sequential tuple cursor. Call [`PackedRowCursor::advance`] before reading
 /// each tuple's fields; FOR-delta fields are maintained incrementally.
 pub struct PackedRowCursor<'a> {
     reader: BitReader<'a>,
-    schema: &'a Schema,
-    comps: &'a [ColumnCompression],
     count: usize,
     tuple_bits: usize,
-    field_bit_off: Vec<usize>,
+    fields: Vec<PackedField<'a>>,
     /// 1-based position: 0 = before first tuple.
     tuple: usize,
-    running: Vec<i64>,
     started: bool,
-    codes_decoded: u64,
 }
 
 impl PackedRowCursor<'_> {
-    /// Move to the next tuple; false at end of page. Decodes the delta
-    /// fields of the new tuple (mandatory work, like the paper says).
+    /// Move to the next tuple; false at end of page. Steps the delta fields
+    /// to the new tuple (mandatory work, like the paper says).
     pub fn advance(&mut self) -> Result<bool> {
         let next = if self.started { self.tuple + 1 } else { 0 };
         if next >= self.count {
             return Ok(false);
         }
-        for (ci, comp) in self.comps.iter().enumerate() {
-            if let Codec::ForDelta { bits } = comp.codec {
-                let off = next * self.tuple_bits + self.field_bit_off[ci];
-                let d = self.reader.read_at(off, bits)? as i64;
-                if next > 0 {
-                    self.running[ci] += d;
-                }
-                self.codes_decoded += 1;
+        for f in self.fields.iter_mut().filter(|f| f.field.is_delta()) {
+            let d = f.field.code(&self.reader, next * self.tuple_bits + f.off)?;
+            // The first tuple's code is 0: the page base carries its value.
+            if next > 0 {
+                f.sum = f.sum.wrapping_add(d);
             }
         }
         self.tuple = next;
@@ -354,121 +296,49 @@ impl PackedRowCursor<'_> {
         Ok(true)
     }
 
-    /// Codes decoded so far (delta maintenance + field reads).
-    pub fn codes_decoded(&self) -> u64 {
-        self.codes_decoded
+    /// Column `col` of the current tuple, and its bit offset in the page.
+    fn at(&self, col: usize) -> (&PackedField<'_>, usize) {
+        let f = &self.fields[col];
+        (f, self.tuple * self.tuple_bits + f.off)
     }
 
     /// Read the raw stored code of a field without decoding it — the entry
-    /// point for code-space predicate evaluation. Only packed-code codecs
-    /// (BitPack / Dict / FOR) have position-independent codes.
+    /// point for code-space predicate evaluation. A FOR-delta field's code
+    /// is a delta, not a position-independent code.
     pub fn field_code(&mut self, col: usize) -> Result<u64> {
-        let off = self.tuple * self.tuple_bits + self.field_bit_off[col];
-        match &self.comps[col].codec {
-            Codec::BitPack { bits } | Codec::Dict { bits } | Codec::For { bits } => {
-                self.reader.read_at(off, *bits)
-            }
-            c => Err(Error::InvalidConfig(format!(
-                "codec {:?} has no position-independent code",
-                c.kind()
-            ))),
+        let (f, off) = self.at(col);
+        if f.field.is_delta() {
+            return Err(Error::InvalidConfig(
+                "a FOR-delta field has no position-independent code".into(),
+            ));
         }
+        f.field.code(&self.reader, off)
     }
 
     /// Decode an integer field of the current tuple.
     pub fn field_int(&mut self, col: usize) -> Result<i32> {
-        let comp = &self.comps[col];
-        let off = self.tuple * self.tuple_bits + self.field_bit_off[col];
-        self.codes_decoded += 1;
-        Ok(match &comp.codec {
-            Codec::ForDelta { .. } => self.running[col] as i32,
-            Codec::BitPack { bits } => self.reader.read_at(off, *bits)? as i32,
-            Codec::For { bits } => {
-                (self.running[col] + self.reader.read_at(off, *bits)? as i64) as i32
-            }
-            Codec::Dict { bits } => {
-                let code = self.reader.read_at(off, *bits)? as u32;
-                comp.dict
-                    .as_ref()
-                    .ok_or_else(|| Error::InvalidConfig("Dict without dictionary".into()))?
-                    .value_of(code)?
-                    .as_int()?
-            }
-            Codec::None => {
-                let mut v = 0u32;
-                for b in 0..4 {
-                    v |= (self.reader.read_at(off + b * 8, 8)? as u32) << (b * 8);
-                }
-                v as i32
-            }
-            Codec::TextPack { .. } => {
-                return Err(Error::TypeMismatch {
-                    expected: "Int",
-                    got: "Text",
-                })
-            }
-            c @ (Codec::Rle { .. }
-            | Codec::Pfor { .. }
-            | Codec::DictFor { .. }
-            | Codec::RleDict { .. }) => {
-                return Err(Error::InvalidConfig(format!(
-                    "codec {:?} is not supported in packed row pages",
-                    c.kind()
-                )))
-            }
-        })
+        let (f, off) = self.at(col);
+        if f.field.is_delta() {
+            return f.field.int_of(f.sum);
+        }
+        f.field.int(&self.reader, off)
     }
 
     /// Decode any field of the current tuple to full-width raw bytes.
     pub fn field_raw(&mut self, col: usize, out: &mut Vec<u8>) -> Result<()> {
-        let dtype = self.schema.dtype(col);
-        match (&self.comps[col].codec, dtype) {
-            (Codec::None, dt) => {
-                let off = self.tuple * self.tuple_bits + self.field_bit_off[col];
-                for b in 0..dt.width() {
-                    out.push(self.reader.read_at(off + b * 8, 8)? as u8);
-                }
-                self.codes_decoded += 1;
-                Ok(())
-            }
-            (Codec::TextPack { bytes }, DataType::Text(n)) => {
-                let off = self.tuple * self.tuple_bits + self.field_bit_off[col];
-                let nb = *bytes as usize;
-                for b in 0..nb {
-                    out.push(self.reader.read_at(off + b * 8, 8)? as u8);
-                }
-                out.extend(std::iter::repeat_n(0u8, n - nb));
-                self.codes_decoded += 1;
-                Ok(())
-            }
-            (Codec::Dict { bits }, dt) => {
-                let off = self.tuple * self.tuple_bits + self.field_bit_off[col];
-                let code = self.reader.read_at(off, *bits)? as u32;
-                self.codes_decoded += 1;
-                self.comps[col]
-                    .dict
-                    .as_ref()
-                    .ok_or_else(|| Error::InvalidConfig("Dict without dictionary".into()))?
-                    .value_of(code)?
-                    .encode_into(dt, out)
-            }
-            (_, DataType::Int) => {
-                let v = self.field_int(col)?;
-                out.extend_from_slice(&v.to_le_bytes());
-                Ok(())
-            }
-            (c, dt) => Err(Error::InvalidConfig(format!(
-                "packed codec {:?} cannot decode {dt}",
-                c.kind()
-            ))),
+        let (f, off) = self.at(col);
+        if f.field.is_delta() {
+            return f.field.raw_of(f.sum, out);
         }
+        f.field.raw(&self.reader, off, out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rodb_types::Column;
+    use rodb_compress::Codec;
+    use rodb_types::{Column, DataType};
     use std::sync::Arc;
 
     fn schema() -> Schema {
@@ -550,7 +420,6 @@ mod tests {
             assert_eq!(txt.to_string(), ["ab", "cdef"][i as usize % 2]);
         }
         assert!(!cur.advance().unwrap());
-        assert!(cur.codes_decoded() > 0);
     }
 
     #[test]

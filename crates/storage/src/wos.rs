@@ -42,15 +42,10 @@ impl WriteOptimizedStore {
                 self.schema.len()
             )));
         }
-        for (v, c) in values.iter().zip(self.schema.columns()) {
-            if !v.fits(c.dtype) {
-                return Err(Error::TypeMismatch {
-                    expected: c.dtype.name(),
-                    got: v.dtype().name(),
-                });
-            }
-        }
-        Ok(())
+        values
+            .iter()
+            .zip(self.schema.columns())
+            .try_for_each(|(v, c)| v.check_fits(c.dtype))
     }
 
     /// Buffer one inserted row.

@@ -73,42 +73,40 @@ impl Value {
     /// (text payloads may be shorter than the declared width; they are
     /// zero-padded when encoded).
     pub fn fits(&self, dt: DataType) -> bool {
+        self.check_fits(dt).is_ok()
+    }
+
+    /// [`Value::fits`] as the one typed error every write path reports:
+    /// `TypeMismatch` for a value of the wrong kind, `ValueOutOfDomain`
+    /// naming the width for text wider than its column.
+    pub fn check_fits(&self, dt: DataType) -> Result<()> {
         match (self, dt) {
-            (Value::Int(_), DataType::Int) => true,
-            (Value::Long(_), DataType::Long) => true,
-            (Value::Text(b), DataType::Text(n)) => b.len() <= n,
-            _ => false,
+            (Value::Int(_), DataType::Int) | (Value::Long(_), DataType::Long) => Ok(()),
+            (Value::Text(b), DataType::Text(n)) if b.len() <= n => Ok(()),
+            (Value::Text(b), DataType::Text(n)) => Err(Error::ValueOutOfDomain(format!(
+                "text of {} bytes in text({n}) column",
+                b.len()
+            ))),
+            (v, dt) => Err(Error::TypeMismatch {
+                expected: dt.name(),
+                got: v.dtype().name(),
+            }),
         }
     }
 
     /// Encode this value into `out` using exactly `dt.width()` bytes.
     /// Integers are little-endian; text is zero-padded to the declared width.
     pub fn encode_into(&self, dt: DataType, out: &mut Vec<u8>) -> Result<()> {
-        match (self, dt) {
-            (Value::Int(v), DataType::Int) => {
-                out.extend_from_slice(&v.to_le_bytes());
-                Ok(())
-            }
-            (Value::Long(v), DataType::Long) => {
-                out.extend_from_slice(&v.to_le_bytes());
-                Ok(())
-            }
-            (Value::Text(b), DataType::Text(n)) => {
-                if b.len() > n {
-                    return Err(Error::ValueOutOfDomain(format!(
-                        "text of {} bytes in text({n}) column",
-                        b.len()
-                    )));
-                }
+        self.check_fits(dt)?;
+        match self {
+            Value::Int(v) => out.extend_from_slice(&v.to_le_bytes()),
+            Value::Long(v) => out.extend_from_slice(&v.to_le_bytes()),
+            Value::Text(b) => {
                 out.extend_from_slice(b);
-                out.extend(std::iter::repeat_n(0u8, n - b.len()));
-                Ok(())
+                out.extend(std::iter::repeat_n(0u8, dt.width() - b.len()));
             }
-            (v, dt) => Err(Error::TypeMismatch {
-                expected: dt.name(),
-                got: v.dtype().name(),
-            }),
         }
+        Ok(())
     }
 
     /// Decode a value of type `dt` from a raw byte slice of exactly

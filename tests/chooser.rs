@@ -8,7 +8,7 @@ use rodb_core::scan_report;
 use rodb_storage::RowFormat;
 use std::sync::{Arc, LazyLock};
 
-/// Small enough for the debug profile; eight cells disagree here as at
+/// Small enough for the debug profile; three cells disagree here as at
 /// 20 k and 200 k rows (near-ties trade places below 20 k).
 const ROWS: u64 = 2_000;
 
@@ -48,9 +48,9 @@ fn machine_at(cpdb: f64) -> Machine {
 
 /// (i) Over {LINEITEM, LINEITEM-Z, ORDERS, ORDERS-Z} × six selectivities ×
 /// every projection width (276 cells, default platform), the chooser's
-/// layout is the one the simulator runs faster, but for a handful of cells
-/// near the crossover line and one known model gap (ORDERS-Z's FOR-delta
-/// column, whose value loop the engine runs over every code).
+/// layout is the one the simulator runs faster, but for three near-ties at
+/// the crossover line (priced 1.01–1.03× for columns, simulated 0.98–0.99×
+/// at 20 k and 200 k rows; at 2 k one ORDERS-Z cell is off by 15 %).
 #[test]
 fn the_layout_pick_is_the_simulators_winner_on_the_crossover_grid() {
     let (cfg, m) = (ExperimentConfig::default(), paper_machine());
@@ -91,8 +91,8 @@ fn the_layout_pick_is_the_simulators_winner_on_the_crossover_grid() {
         }
     }
     assert_eq!(cells, 276);
-    assert!(wrong <= 12, "{wrong} wrong picks");
-    assert!(outside <= 6, "{outside} wrong picks outside 0.9..1.1");
+    assert!(wrong <= 3, "{wrong} wrong picks");
+    assert!(outside <= 1, "{outside} wrong picks outside 0.9..1.1");
 }
 
 /// One-column table over `sample`, and the codec the chooser gives it.

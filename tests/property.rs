@@ -30,29 +30,58 @@ fn random_dtype(rng: &mut SplitMix64) -> DataType {
     }
 }
 
-/// A codec compatible with the column's type and the generated value domain.
+/// Every codec that can hold the column's values, each at a data-valid
+/// width. Generated ints (and the keys `wos_merge_preserves_contents`
+/// appends) stay under `2 × domain`; the dictionary codecs get a dictionary
+/// over all of that (over the four generated letters for text), PFOR half
+/// its width so exceptions occur, FOR-delta only a sorted column.
 fn codec_for(dtype: DataType, domain: i32, sorted: bool) -> Vec<ColumnCompression> {
+    let comp = |codec, dict: Option<&Arc<Dictionary>>| {
+        ColumnCompression::new(codec, dict.cloned()).unwrap()
+    };
     let mut out = vec![ColumnCompression::none()];
     match dtype {
         DataType::Int => {
-            let bits = rodb_compress::bits_for(domain.max(1) as u64);
-            out.push(ColumnCompression::new(Codec::BitPack { bits }, None).unwrap());
-            out.push(ColumnCompression::new(Codec::For { bits }, None).unwrap());
+            let span = 2 * domain.max(1);
+            let bits = rodb_compress::bits_for(span as u64);
+            let values: Vec<Value> = (0..=span).map(Value::Int).collect();
+            let dict = Arc::new(Dictionary::build(dtype, values.iter()).unwrap());
+            let code_bits = dict.code_bits();
+            let (value_bits, len_bits) = (bits, 3);
+            out.extend([
+                comp(Codec::BitPack { bits }, None),
+                comp(Codec::For { bits }, None),
+                comp(Codec::Pfor { bits: bits / 2 }, None),
+                comp(
+                    Codec::Rle {
+                        value_bits,
+                        len_bits,
+                    },
+                    None,
+                ),
+                comp(Codec::Dict { bits: code_bits }, Some(&dict)),
+                comp(Codec::DictFor { bits: code_bits }, Some(&dict)),
+                comp(
+                    Codec::RleDict {
+                        value_bits: code_bits,
+                        len_bits,
+                    },
+                    Some(&dict),
+                ),
+            ]);
             if sorted {
-                out.push(ColumnCompression::new(Codec::ForDelta { bits }, None).unwrap());
+                out.push(comp(Codec::ForDelta { bits }, None));
             }
         }
         DataType::Text(n) => {
+            let letters: Vec<Value> = (b'a'..=b'd').map(|c| Value::Text([c].into())).collect();
+            let dict = Arc::new(Dictionary::build(dtype, letters.iter()).unwrap());
+            let bits = dict.code_bits();
+            out.push(comp(Codec::Dict { bits }, Some(&dict)));
+            out.push(comp(Codec::DictFor { bits }, Some(&dict)));
             if n >= 2 {
-                out.push(
-                    ColumnCompression::new(
-                        Codec::TextPack {
-                            bytes: (n as u16).min(2),
-                        },
-                        None,
-                    )
-                    .unwrap(),
-                );
+                let bytes = (n as u16).min(2);
+                out.push(comp(Codec::TextPack { bytes }, None));
             }
         }
         DataType::Long => {}
@@ -68,10 +97,9 @@ fn random_table(rng: &mut SplitMix64) -> RandTable {
     for i in 0..ncols {
         let dt = random_dtype(rng);
         schema_cols.push(Column::new(format!("c{i}"), dt));
-        // domain 200 keeps dict/bitpack/FOR in range; sorted col is c0.
+        // Unsorted ints stay under 200, the sorted c0 under 2 × nrows.
         let options = codec_for(dt, 200 + nrows as i32, i == 0);
-        let codec_idx = rng.range_usize(0, 4);
-        comps.push(options[codec_idx % options.len()].clone());
+        comps.push(options[rng.range_usize(0, options.len())].clone());
     }
     let schema = Arc::new(Schema::new(schema_cols).unwrap());
     let mut rows = Vec::with_capacity(nrows);
@@ -147,7 +175,9 @@ fn storage_roundtrip_lossless() {
     }
 }
 
-/// Every scanner produces identical results for random predicates.
+/// Every scanner, on the scalar and the fast path, produces the oracle's
+/// rows for random predicates — over every codec, so block decode, random
+/// access, packed-row fields and node 0's code space all meet the oracle.
 #[test]
 fn scanners_agree_on_random_queries() {
     for case in 0..CASES {
@@ -169,24 +199,33 @@ fn scanners_agree_on_random_queries() {
         } else {
             vec![Predicate::eq(pred_col, "a")]
         };
-        let run = |layout| {
-            QueryBuilder::new(
-                table.clone(),
-                HardwareConfig::default(),
-                SystemConfig::default(),
-            )
-            .layout(layout)
-            .select_indices(&projection)
-            .filter_pred(preds[0].clone())
-            .unwrap()
-            .run_collect()
-            .unwrap()
-            .rows
+        let run = |layout, fast| {
+            let sys = SystemConfig::default().with_scan_fast_path(fast);
+            QueryBuilder::new(table.clone(), HardwareConfig::default(), sys)
+                .layout(layout)
+                .select_indices(&projection)
+                .filter_pred(preds[0].clone())
+                .unwrap()
+                .run_collect()
+                .unwrap()
+                .rows
         };
-        let baseline = run(ScanLayout::Row);
-        assert_eq!(run(ScanLayout::Column), baseline.clone());
-        assert_eq!(run(ScanLayout::ColumnSlow), baseline.clone());
-        assert_eq!(run(ScanLayout::ColumnSingleIterator), baseline.clone());
+        let baseline = run(ScanLayout::Row, false);
+        for fast in [false, true] {
+            for layout in [
+                ScanLayout::Row,
+                ScanLayout::Column,
+                ScanLayout::ColumnSlow,
+                ScanLayout::ColumnSingleIterator,
+            ] {
+                let comps = &t.comps;
+                assert_eq!(
+                    run(layout, fast),
+                    baseline,
+                    "{layout:?} fast={fast} {comps:?}"
+                );
+            }
+        }
 
         // Oracle: filter + project the original rows.
         let mut expect = Vec::new();
