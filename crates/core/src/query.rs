@@ -25,8 +25,8 @@ use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 use rodb_engine::{
-    drain_rows, finish_query_trace, settle_report, AggPlan, AggSpec, AggStrategy, CmpOp,
-    ExecContext, Predicate, QueryJob, QueryPlan, RunReport, ScanLayout, ScanSpec, TaskScheduler,
+    run_morsels, AggPlan, AggSpec, AggStrategy, CmpOp, ExecContext, Predicate, QueryPlan,
+    RunReport, ScanLayout, ScanSpec,
 };
 use rodb_io::{CacheStats, SharedPageCache};
 use rodb_storage::{Layout, Table};
@@ -256,18 +256,22 @@ impl QueryBuilder {
         self
     }
 
-    fn context(&self) -> Result<ExecContext> {
-        let mut ctx = ExecContext::new(self.hw, self.sys, self.row_scale())?;
-        if self.trace {
-            ctx = ctx.with_tracing();
+    /// The factory of this query's execution contexts: row scale,
+    /// competing scans and tracing. The `Rc` page cache stays out, so one
+    /// factory serves every worker of a morsel pool.
+    fn context(&self) -> impl Fn() -> Result<ExecContext> + Sync {
+        let (hw, sys, scale) = (self.hw, self.sys, self.row_scale());
+        let (trace, competing_scans) = (self.trace, self.competing_scans);
+        move || {
+            let mut ctx = ExecContext::new(hw, sys, scale)?;
+            if trace {
+                ctx = ctx.with_tracing();
+            }
+            for _ in 0..competing_scans {
+                ctx.add_competing_scan();
+            }
+            Ok(ctx)
         }
-        if let Some(cache) = &self.shared_cache {
-            ctx.disk.borrow_mut().set_page_cache(cache.clone());
-        }
-        for _ in 0..self.competing_scans {
-            ctx.add_competing_scan();
-        }
-        Ok(ctx)
     }
 
     fn scan_spec(&self) -> ScanSpec {
@@ -344,50 +348,33 @@ impl QueryBuilder {
         }
     }
 
-    /// Morsel-driven execution: one job on a `threads`-wide scheduler pool.
-    fn run_parallel(&self, plan: QueryPlan, collect: bool) -> Result<QueryResult> {
-        let start = Instant::now();
-        let job = QueryJob {
-            row_scale: self.row_scale(),
-            competing_scans: self.competing_scans,
-            collect,
-            trace: self.trace,
-            ..QueryJob::new(plan, self.hw, self.sys)
-        };
-        let out = TaskScheduler::new(self.sys.threads)
-            .run_jobs(&[job])?
-            .pop()
-            .expect("one job in, one outcome out");
-        self.register_run(&out.report, true);
-        Ok(QueryResult {
-            report: out.report,
-            rows: out.rows,
-            parallel: Some(ParallelInfo {
-                wall_s: start.elapsed().as_secs_f64(),
-                cpu_crit_s: out.cpu_crit_s,
-                threads: self.sys.threads,
-                morsels: out.tasks,
-            }),
-            trace: out.trace,
-        })
-    }
-
+    /// Run the plan: serially, or morsel-parallel on `threads` workers when
+    /// there are several and the plan can be cut into row ranges.
     fn execute(&self, collect: bool) -> Result<QueryResult> {
         let plan = self.plan()?;
-        if self.sys.threads > 1 && plan.partitionable().is_ok() {
-            return self.run_parallel(plan, collect);
-        }
-        let ctx = self.context()?;
-        let mut op = plan.build(&ctx)?;
-        let (rows, nrows, blocks) = drain_rows(op.as_mut(), collect)?;
-        let report = settle_report(&ctx, nrows, blocks);
-        self.register_run(&report, false);
-        let trace = finish_query_trace(&ctx, &report);
+        let (run, parallel) = if self.sys.threads > 1 && plan.partitionable().is_ok() {
+            let start = Instant::now();
+            let (run, cpu_crit_s, morsels) = run_morsels(&plan, collect, self.context())?;
+            let info = ParallelInfo {
+                wall_s: start.elapsed().as_secs_f64(),
+                cpu_crit_s,
+                threads: self.sys.threads,
+                morsels,
+            };
+            (run, Some(info))
+        } else {
+            let ctx = self.context()()?;
+            if let Some(cache) = &self.shared_cache {
+                ctx.disk.borrow_mut().set_page_cache(cache.clone());
+            }
+            (plan.run_on(&ctx, None, collect)?, None)
+        };
+        self.register_run(&run.report, parallel.is_some());
         Ok(QueryResult {
-            report,
-            rows,
-            parallel: None,
-            trace,
+            report: run.report,
+            rows: run.rows,
+            parallel,
+            trace: run.trace,
         })
     }
 

@@ -54,6 +54,12 @@ impl RunReport {
 /// "imperfect overlap of CPU and I/O time"). 0 = perfect overlap.
 pub const DEFAULT_OVERLAP_LOSS: f64 = 0.05;
 
+/// Elapsed seconds of `io_s` disk time overlapped with `cpu_s` CPU time:
+/// the larger of the two, plus [`DEFAULT_OVERLAP_LOSS`] of the overlap.
+pub(crate) fn overlapped(io_s: f64, cpu_s: f64) -> f64 {
+    io_s.max(cpu_s) + DEFAULT_OVERLAP_LOSS * io_s.min(cpu_s)
+}
+
 /// Drain `root`, then settle all accounting into a [`RunReport`].
 pub fn run_to_completion(root: &mut dyn Operator, ctx: &ExecContext) -> Result<RunReport> {
     let (rows, blocks) = drain(root)?;
@@ -69,18 +75,12 @@ pub fn settle_report(ctx: &ExecContext, rows: u64, blocks: u64) -> RunReport {
     // idempotent so repeated executions on one context never double-count.
     ctx.settle_io_kernel_work();
     let cpu = ctx.meter.borrow().breakdown(&ctx.hw).scaled(scale);
-
-    let io_s = io.total_s();
-    let cpu_s = cpu.total();
-    let overlapped = io_s.min(cpu_s);
-    let elapsed_s = io_s.max(cpu_s) + DEFAULT_OVERLAP_LOSS * overlapped;
-
     RunReport {
         rows,
         blocks,
         io,
+        elapsed_s: overlapped(io.total_s(), cpu.total()),
         cpu,
-        elapsed_s,
     }
 }
 

@@ -34,12 +34,12 @@ pub use join::MergeJoin;
 pub use memscan::{Chain, MemScan};
 pub use op::{drain_rows, ExecContext, Operator};
 pub use page_cursor::PageCursor;
-pub use plan::{AggPlan, QueryPlan, ScanLayout, ScanSpec};
+pub use plan::{AggPlan, PlanRun, QueryPlan, ScanLayout, ScanSpec};
 pub use predicate::{CmpOp, Predicate};
-pub use scan_col::{column_page_pass, ColumnScanMode, ColumnScanner};
+pub use scan_col::{page_pass, ColumnScanMode, ColumnScanner};
 pub use scan_col_single::SingleIteratorColumnScanner;
-pub use scan_row::{row_page_pass, RowScanner};
-pub use sched::{JobOutcome, QueryJob, TaskScheduler};
+pub use scan_row::RowScanner;
+pub use sched::run_morsels;
 pub use shared_cursor::{CursorQuery, QueryDone, SegmentStep, SharedCursor, SharedCursorConfig};
 pub use sort::Sort;
 pub use traced::{apply_report, finish_query_trace, record_block, TracedOp};

@@ -5,27 +5,29 @@
 //! table scan and picks its scanner; a [`QueryPlan`] is the whole query —
 //! scan, optional WOS tail spliced behind it, optional aggregation on top —
 //! and is the only code that assembles scan → [`Chain`]`(`[`MemScan`]`)` →
-//! [`Aggregate`] (with their [`TracedOp`] wraps). The serial executor, the
-//! morsel scheduler ([`crate::sched`]) and the shared cursor
-//! ([`crate::shared_cursor`]) all carry a `QueryPlan` and build through it,
-//! so every execution path sees the same tree.
+//! [`Aggregate`] (with their [`TracedOp`] wraps). It is also the one place a
+//! plan is run: every executor — the serial engine, the morsel pool
+//! ([`crate::sched`]) and the shared cursor's riders
+//! ([`crate::shared_cursor`]) — calls [`QueryPlan::run_on`], and the two
+//! that cut a plan into row ranges fold the pieces with
+//! `QueryPlan::finish`.
 
 use std::sync::Arc;
 
 use rodb_cpu::CpuBreakdown;
 use rodb_storage::Table;
+use rodb_trace::{QueryTrace, SpanKind};
 use rodb_types::{Error, HardwareConfig, Result, SystemConfig, Value};
 
-use crate::agg::{AggPartial, AggSpec, AggStrategy, Aggregate};
+use crate::agg::{merge_partials, AggPartial, AggSpec, AggStrategy, Aggregate};
+use crate::exec::{settle_report, RunReport};
 use crate::memscan::{Chain, MemScan};
 use crate::op::{drain_rows, Drained, ExecContext, Operator};
 use crate::predicate::Predicate;
 use crate::scan_col::{ColumnScanMode, ColumnScanner};
 use crate::scan_col_single::SingleIteratorColumnScanner;
 use crate::scan_row::RowScanner;
-use crate::traced::record_block;
-use crate::traced::TracedOp;
-use rodb_trace::SpanKind;
+use crate::traced::{finish_query_trace, record_block, TracedOp};
 
 /// Which physical access path a scan uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,6 +169,20 @@ pub struct QueryPlan {
     pub agg: Option<AggPlan>,
 }
 
+/// What one [`QueryPlan::run_on`] produced and cost on its context.
+#[derive(Debug)]
+pub struct PlanRun {
+    /// Result rows; empty unless collected, and for a ranged aggregating
+    /// run (whose answer is `partial`).
+    pub rows: Vec<Vec<Value>>,
+    /// The context's settled accounting.
+    pub report: RunReport,
+    /// The unemitted partial of a ranged aggregating run.
+    pub partial: Option<AggPartial>,
+    /// The span tree, when the context traces.
+    pub trace: Option<QueryTrace>,
+}
+
 impl QueryPlan {
     pub fn new(scan: ScanSpec) -> QueryPlan {
         QueryPlan {
@@ -248,28 +264,71 @@ impl QueryPlan {
         Ok(TracedOp::wrap(agg, SpanKind::Agg, ctx))
     }
 
-    /// The worker half of a partial aggregation: run this (range-restricted)
-    /// plan to completion and hand back the grouped accumulators unemitted.
-    pub fn run_partial(&self, ctx: &ExecContext) -> Result<AggPartial> {
-        let op = self.aggregate(ctx)?;
-        let label = op.label();
-        record_block(ctx, &label, SpanKind::Agg, move || op.into_partial())
+    /// Run the plan on `ctx` and settle its accounting into a report and,
+    /// when `ctx` traces, a span tree — the one plan-run call behind every
+    /// executor. `range: None` runs the whole plan with the WOS tail and the
+    /// aggregation emitted in-tree (the serial engine). `Some(range)` runs
+    /// only those ROS row ordinals (a morsel, or a shared-cursor segment);
+    /// an aggregating plan then hands its partial back unemitted, for
+    /// `QueryPlan::finish`.
+    pub fn run_on(
+        &self,
+        ctx: &ExecContext,
+        range: Option<(u64, u64)>,
+        collect: bool,
+    ) -> Result<PlanRun> {
+        let ranged;
+        let plan = match range {
+            Some((start, end)) => {
+                self.partitionable()?;
+                ranged = self.with_row_range(start, end);
+                &ranged
+            }
+            None => self,
+        };
+        let ((rows, nrows, blocks), partial) = if range.is_some() && plan.agg.is_some() {
+            let op = plan.aggregate(ctx)?;
+            let label = op.label();
+            let partial = record_block(ctx, &label, SpanKind::Agg, move || op.into_partial())?;
+            ((Vec::new(), 0, 0), Some(partial))
+        } else {
+            (drain_rows(plan.build(ctx)?.as_mut(), collect)?, None)
+        };
+        let report = settle_report(ctx, nrows, blocks);
+        let trace = finish_query_trace(ctx, &report);
+        Ok(PlanRun {
+            rows,
+            report,
+            partial,
+            trace,
+        })
     }
 
-    /// The serial tail of a partitioned aggregation: install the merged
-    /// partial over an empty scan and emit the final rows on a fresh
-    /// single-core context. Returns the rows and the tail's CPU.
-    pub fn emit(
+    /// Fold the ranged runs of this plan, in range order, into its answer:
+    /// rows concatenate, or the partial aggregates merge and are emitted
+    /// over an empty scan on a fresh single-core context. Returns the rows
+    /// and that serial tail's CPU (zero when the plan does not aggregate).
+    pub(crate) fn finish(
         &self,
+        pieces: Vec<PlanRun>,
         hw: &HardwareConfig,
         sys: &SystemConfig,
         row_scale: f64,
-        partial: AggPartial,
         collect: bool,
     ) -> Result<(Drained, CpuBreakdown)> {
+        if self.agg.is_none() {
+            let (mut rows, mut nrows, mut blocks) = (Vec::new(), 0, 0);
+            for mut piece in pieces {
+                nrows += piece.report.rows;
+                blocks += piece.report.blocks;
+                rows.append(&mut piece.rows);
+            }
+            return Ok(((rows, nrows, blocks), CpuBreakdown::default()));
+        }
+        let merged = merge_partials(pieces.into_iter().filter_map(|p| p.partial).collect())?;
         let ctx = ExecContext::new(*hw, *sys, row_scale)?;
         let mut emitter = self.with_row_range(0, 0).aggregate(&ctx)?;
-        emitter.install_partial(partial);
+        emitter.install_partial(merged);
         let drained = drain_rows(&mut emitter, collect)?;
         let tail = ctx.meter.borrow().breakdown(hw).scaled(row_scale);
         Ok((drained, tail))

@@ -307,31 +307,40 @@ impl Operator for ColumnScanner {
     }
 }
 
-/// The pipelined scanner's page schedule with the values taken out — the
-/// shared cursor's driver pass ([`crate::shared_cursor`]). It moves and
-/// checksums (once each) exactly the pages a predicate-free
-/// [`ColumnScanner`] over `cols` and `range` would, in the order that scanner
-/// would request them, and decodes no value, evaluates nothing and assembles
-/// no block.
+/// A scanner's page schedule with the values taken out — the shared
+/// cursor's driver pass ([`crate::shared_cursor`]). It moves and checksums
+/// (once each) exactly the pages a predicate-free scan of `range` would, in
+/// the order that scan would request them, and decodes no value, evaluates
+/// nothing and assembles no block. `cols` names the files: `None` the row
+/// file (a [`crate::RowScanner`]'s one stream), `Some(cols)` those column
+/// files (a [`ColumnScanner`] over `cols`).
 ///
 /// The block-fill rule is [`ColumnScanner::next`]'s: node 0 pulls pages
 /// until a block's worth of window positions is pending, then every later
 /// column is driven through the block's positions, pulling each page on the
-/// way. Positions — not just a block's last ordinal — are carried so that
-/// `on_corrupt = Skip` quarantines and drops what the scanner would: a
-/// damaged page is quarantined only when a position that survived the
-/// earlier columns targets it. `tests/page_pass_lockstep.rs` holds this
-/// function to the scanner's `IoStats`, disk events and cache residency.
-pub fn column_page_pass(
+/// way. With one node that is the row scanner's sequential pull, at its
+/// interleave of 1. Positions — not just a block's last ordinal — are
+/// carried so that `on_corrupt = Skip` quarantines and drops what the
+/// scanner would: a damaged page is quarantined only when a position that
+/// survived the earlier columns targets it. `tests/page_pass_lockstep.rs`
+/// holds this function to the scanners' `IoStats`, disk events and cache
+/// residency.
+pub fn page_pass(
     table: &Table,
-    cols: &[usize],
+    cols: Option<&[usize]>,
     ctx: &ExecContext,
     range: (u64, u64),
 ) -> Result<()> {
-    scan_schema(&table.schema, cols, &[])?;
-    let mut nodes = cols
-        .iter()
-        .map(|&col| PageCursor::open(ctx, table, Some(col), Some(range)))
+    let files: Vec<Option<usize>> = match cols {
+        None => vec![None],
+        Some(cols) => {
+            scan_schema(&table.schema, cols, &[])?;
+            cols.iter().copied().map(Some).collect()
+        }
+    };
+    let mut nodes = files
+        .into_iter()
+        .map(|col| PageCursor::open(ctx, table, col, Some(range)))
         .collect::<Result<Vec<_>>>()?;
     ctx.disk
         .borrow_mut()

@@ -367,20 +367,6 @@ impl Operator for RowScanner {
     }
 }
 
-/// The row scanner's page schedule with the tuples taken out — the shared
-/// cursor's driver pass over the row file (see
-/// [`crate::scan_col::column_page_pass`]): pull and checksum, once, every
-/// page holding `range`, quarantining under `on_corrupt = Skip` what a
-/// [`RowScanner`] would, and parse no tuple.
-pub fn row_page_pass(table: &Table, ctx: &ExecContext, range: (u64, u64)) -> Result<()> {
-    let mut pages = PageCursor::open(ctx, table, None, Some(range))?;
-    ctx.disk.borrow_mut().set_interleave(1);
-    let mut window = Window::new(pages.range());
-    while pages.next_or_skip(&mut window.dropped)?.is_some() {}
-    window.settle(ctx);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

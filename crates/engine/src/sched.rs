@@ -1,20 +1,17 @@
-//! General morsel task scheduler: one worker pool executing tasks from
-//! *many* in-flight queries.
+//! The worker pool, and the morsel-parallel executor on top of it.
 //!
-//! A parallel query submits one [`QueryJob`]: its table is split into
-//! page-aligned [`rodb_storage::Morsel`]s, workers pull morsels from a
-//! shared queue and run the job's [`QueryPlan`] over each (as a partial
-//! aggregation when the plan has one), and merging is done once,
-//! deterministically, after the pool joins. The concurrent query service
-//! submits a *batch* of jobs — one per query attached to a shared scan
-//! cursor segment — and the same pool interleaves their tasks round-robin,
-//! so every worker owns morsels from multiple queries at once.
+//! `pool` maps a function over a slice on up to `workers` threads and
+//! hands the results back in slice order; the morsel executor and the shared
+//! cursor's riders ([`crate::shared_cursor`]) both run on it.
 //!
-//! The per-job merge, all on the *simulated* clock:
+//! [`run_morsels`] splits a partitionable [`QueryPlan`] into page-aligned
+//! [`rodb_storage::Morsel`]s, runs each through [`QueryPlan::run_on`] on a
+//! context of its own, and merges once, deterministically, after the pool
+//! joins — all on the *simulated* clock:
 //!
 //! * **Rows** concatenate in morsel order, which equals serial scan order.
-//! * **Aggregates** travel as per-morsel [`AggPartial`]s folded by
-//!   [`merge_partials`] — exact for COUNT/SUM/MIN/MAX/AVG; sorted-strategy
+//! * **Aggregates** travel as per-morsel [`crate::AggPartial`]s folded by
+//!   `QueryPlan::finish` — exact for COUNT/SUM/MIN/MAX/AVG; sorted-strategy
 //!   runs spanning a morsel boundary are stitched.
 //! * **I/O** sums element-wise, then — because the workers share the one
 //!   simulated disk array — every burst is charged a head-switch seek
@@ -24,27 +21,26 @@
 //!   morsel)` — the classic makespan lower bound, deterministic under work
 //!   stealing.
 //!
-//! Determinism: each task is tagged with its position in the interleaved
-//! task list and outcomes are merged in morsel order. Which worker ran which
-//! task never affects any merged result, so reports and rows are identical
-//! across worker counts.
+//! Determinism: results come back in morsel order and an error is the
+//! lowest failing morsel's, so which worker ran which morsel never shows in
+//! a report, a row or an error.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rodb_cpu::CpuBreakdown;
 use rodb_io::IoStats;
-use rodb_trace::QueryTrace;
-use rodb_types::{Error, HardwareConfig, Result, SystemConfig, Value};
+use rodb_storage::Table;
+use rodb_trace::{MetricsRegistry, QueryTrace};
+use rodb_types::{Error, Result};
 
-use crate::agg::{merge_partials, AggPartial};
-use crate::exec::{RunReport, DEFAULT_OVERLAP_LOSS};
-use crate::op::{drain_rows, ExecContext};
-use crate::plan::QueryPlan;
-use crate::traced::{apply_report, finish_query_trace};
+use crate::exec::{overlapped, RunReport};
+use crate::op::ExecContext;
+use crate::plan::{PlanRun, QueryPlan};
+use crate::traced::apply_report;
 
 /// Morsels per worker thread: small enough that the queue load-balances,
 /// large enough that per-morsel setup stays negligible.
-pub(crate) const MORSELS_PER_THREAD: usize = 4;
+const MORSELS_PER_THREAD: usize = 4;
 
 /// Lower bound on morsel size. Every morsel pays fixed costs — a fresh
 /// sequential run per column file (a seek plus its kernel switch charge)
@@ -52,310 +48,136 @@ pub(crate) const MORSELS_PER_THREAD: usize = 4;
 /// makes the parallel run *more* expensive than the serial one. Below this
 /// many rows per morsel we create fewer morsels (never fewer than
 /// `threads`, so available cores still all engage).
-pub(crate) const MIN_MORSEL_ROWS: u64 = 32_768;
+const MIN_MORSEL_ROWS: u64 = 32_768;
 
-/// One query's work order for the scheduler. A job with no `row_range` on
-/// its plan's scan is split into page-aligned morsels; a job whose scan
-/// carries a range (a shared-cursor segment) is a single task. The plan must
-/// be [`QueryPlan::partitionable`].
-#[derive(Debug, Clone)]
-pub struct QueryJob {
-    pub plan: QueryPlan,
-    pub hw: HardwareConfig,
-    pub sys: SystemConfig,
-    pub row_scale: f64,
-    pub competing_scans: usize,
-    /// Materialize result rows (vs measurement-only drain).
-    pub collect: bool,
-    /// When aggregating: `true` merges partials and emits final rows (the
-    /// single-query path); `false` returns the merged [`AggPartial`]
-    /// unemitted, for callers that keep folding across job batches (the
-    /// shared-cursor service does, one batch per segment).
-    pub emit: bool,
-    /// Trace every task and merge the span trees.
-    pub trace: bool,
-}
-
-impl QueryJob {
-    pub fn new(plan: QueryPlan, hw: HardwareConfig, sys: SystemConfig) -> QueryJob {
-        QueryJob {
-            plan,
-            hw,
-            sys,
-            row_scale: 1.0,
-            competing_scans: 0,
-            collect: false,
-            emit: true,
-            trace: false,
-        }
+/// Map `f` over `items` on up to `workers` threads; the results come back in
+/// item order. Workers pull the next index from one shared counter, so when
+/// items fail the error returned is the lowest failing item's: every lower
+/// index was pulled, and run to completion, before it. A pool of one is the
+/// calling thread — the shared cursor maps its riders once per segment, and
+/// a spawn and join per segment costs more than one worker's items.
+pub(crate) fn pool<T: Sync, R: Send>(
+    workers: usize,
+    items: &[T],
+    f: impl Fn(&T) -> Result<R> + Sync,
+) -> Result<Vec<R>> {
+    if workers == 0 {
+        return Err(Error::InvalidPlan(
+            "parallel execution with 0 threads".into(),
+        ));
     }
-}
-
-/// The per-job result of a scheduler batch, merged deterministically in
-/// morsel order.
-#[derive(Debug, Clone)]
-pub struct JobOutcome {
-    /// Merged report on the simulated clock. `report.cpu` is the *sum* of
-    /// all task CPU (total work); `report.elapsed_s` uses the parallel
-    /// critical path.
-    pub report: RunReport,
-    pub rows: Vec<Vec<Value>>,
-    /// The merged unemitted partial (aggregating jobs with `emit: false`).
-    pub partial: Option<AggPartial>,
-    /// Modelled CPU critical path in seconds across the worker pool.
-    pub cpu_crit_s: f64,
-    /// Tasks (morsels) this job split into.
-    pub tasks: usize,
-    /// Merged per-task span trace (only when the job asked for tracing).
-    pub trace: Option<QueryTrace>,
-}
-
-/// Everything a task execution sends back across the thread boundary
-/// (plain data — the `Rc`-based context stays inside the worker).
-struct TaskOutcome {
-    rows: Vec<Vec<Value>>,
-    /// The task's own accounting (no cross-task effects yet).
-    report: RunReport,
-    partial: Option<AggPartial>,
-    trace: Option<QueryTrace>,
-}
-
-/// The worker pool. `workers` bounds concurrency *and* is the thread count
-/// the merged accounting models (head-switch seek recharge, CPU critical
-/// path).
-#[derive(Debug, Clone, Copy)]
-pub struct TaskScheduler {
-    pub workers: usize,
-}
-
-impl TaskScheduler {
-    pub fn new(workers: usize) -> TaskScheduler {
-        TaskScheduler { workers }
+    let threads = workers.min(items.len()).max(1);
+    MetricsRegistry::counter_add("sched.batches", 1.0);
+    MetricsRegistry::counter_add("sched.tasks", items.len() as f64);
+    MetricsRegistry::gauge_set("sched.queue_depth", items.len() as f64);
+    MetricsRegistry::gauge_set("sched.workers_engaged", threads as f64);
+    MetricsRegistry::gauge_set("sched.worker_occupancy", threads as f64 / workers as f64);
+    if threads == 1 {
+        return items.iter().map(f).collect();
     }
-
-    /// Execute a batch of jobs on one worker pool and merge each job's
-    /// tasks deterministically. Tasks are interleaved round-robin across
-    /// jobs (task 0 of every job, then task 1, …), so whenever the batch
-    /// holds more than one query, every worker serves several queries over
-    /// the batch's lifetime rather than draining them one at a time.
-    pub fn run_jobs(&self, jobs: &[QueryJob]) -> Result<Vec<JobOutcome>> {
-        if self.workers == 0 {
-            return Err(Error::InvalidPlan(
-                "parallel execution with 0 threads".into(),
-            ));
-        }
-        for job in jobs {
-            job.plan.partitionable()?;
-        }
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Per-job morsel lists, then one interleaved task list.
-        let morsel_lists: Vec<Vec<(u64, u64)>> =
-            jobs.iter().map(|j| job_tasks(j, self.workers)).collect();
-        let mut tasks: Vec<(usize, usize)> = Vec::new(); // (job, morsel)
-        let deepest = morsel_lists.iter().map(Vec::len).max().unwrap_or(0);
-        for wave in 0..deepest {
-            for (j, list) in morsel_lists.iter().enumerate() {
-                if wave < list.len() {
-                    tasks.push((j, wave));
-                }
-            }
-        }
-
-        // Pool: workers pull task-list indices until the queue drains,
-        // tagging every outcome so the merge below restores morsel order
-        // regardless of who ran what.
-        let queue = AtomicUsize::new(0);
-        let mut tagged: Vec<(usize, TaskOutcome)> = Vec::with_capacity(tasks.len());
-        let pool = self.workers.min(tasks.len()).max(1);
-        rodb_trace::MetricsRegistry::counter_add("sched.batches", 1.0);
-        rodb_trace::MetricsRegistry::counter_add("sched.tasks", tasks.len() as f64);
-        rodb_trace::MetricsRegistry::gauge_set("sched.queue_depth", tasks.len() as f64);
-        rodb_trace::MetricsRegistry::gauge_set("sched.workers_engaged", pool as f64);
-        rodb_trace::MetricsRegistry::gauge_set(
-            "sched.worker_occupancy",
-            pool as f64 / self.workers as f64,
-        );
-        if pool == 1 {
-            // A pool of one is the calling thread: the shared cursor runs a
-            // batch per segment visit, and a spawn + join per batch costs
-            // more than its one-worker tasks.
-            for (idx, &(j, m)) in tasks.iter().enumerate() {
-                tagged.push((idx, run_task(&jobs[j], morsel_lists[j][m])?));
-            }
-        } else {
-            std::thread::scope(|scope| -> Result<()> {
-                let mut handles = Vec::with_capacity(pool);
-                for _ in 0..pool {
-                    let queue = &queue;
-                    let tasks = &tasks;
-                    let morsel_lists = &morsel_lists;
-                    handles.push(scope.spawn(move || -> Result<Vec<(usize, TaskOutcome)>> {
-                        let mut mine = Vec::new();
-                        loop {
-                            let idx = queue.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(j, m)) = tasks.get(idx) else { break };
-                            let out = run_task(&jobs[j], morsel_lists[j][m])?;
-                            mine.push((idx, out));
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, Result<R>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        let out = f(item);
+                        let failed = out.is_err();
+                        mine.push((i, out));
+                        if failed {
+                            break;
                         }
-                        Ok(mine)
-                    }));
-                }
-                for h in handles {
-                    let mine = h.join().expect("scheduler worker panicked")?;
-                    tagged.extend(mine);
-                }
-                Ok(())
-            })?;
-        }
-        tagged.sort_by_key(|(idx, _)| *idx);
-
-        // Regroup per job. Tasks of one job appear in morsel order within
-        // the interleaved list, so a stable partition preserves it.
-        let mut per_job: Vec<Vec<TaskOutcome>> = (0..jobs.len()).map(|_| Vec::new()).collect();
-        for ((j, _), (_, out)) in tasks.iter().zip(tagged) {
-            per_job[*j].push(out);
-        }
-        jobs.iter()
-            .zip(per_job)
-            .map(|(job, outs)| self.merge_job(job, outs))
+                    }
+                    mine
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("pool worker panicked"))
             .collect()
-    }
-
-    /// The deterministic per-job merge.
-    fn merge_job(&self, job: &QueryJob, mut outcomes: Vec<TaskOutcome>) -> Result<JobOutcome> {
-        let ntasks = outcomes.len();
-        // Per-task traces, in morsel order (matching the accounting merge).
-        let traces: Vec<QueryTrace> = outcomes.iter_mut().filter_map(|o| o.trace.take()).collect();
-
-        let per_io: Vec<IoStats> = outcomes.iter().map(|o| o.report.io).collect();
-        let merged_io = rodb_io::merge_parallel(&per_io, self.workers, job.hw.seek_s);
-        // Workers share one array: transfer/seek time serializes, plus the
-        // head-switch seeks merge_parallel charged on top — both of which
-        // the merged counters carry, so disk seconds derive from them.
-        let io_s = merged_io.total_s();
-
-        let mut cpu = CpuBreakdown::default();
-        let mut max_task_cpu = 0.0f64;
-        for o in &outcomes {
-            cpu.merge(&o.report.cpu);
-            max_task_cpu = max_task_cpu.max(o.report.cpu.total());
-        }
-        // Makespan lower bound over any task→worker assignment.
-        let mut cpu_crit = (cpu.total() / self.workers as f64).max(max_task_cpu);
-
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        let mut nrows = 0u64;
-        let mut blocks = 0u64;
-        let mut partial = None;
-        if job.plan.agg.is_none() {
-            for mut o in outcomes {
-                nrows += o.report.rows;
-                blocks += o.report.blocks;
-                rows.append(&mut o.rows);
-            }
-        } else {
-            let partials: Vec<AggPartial> =
-                outcomes.into_iter().filter_map(|o| o.partial).collect();
-            let merged = merge_partials(partials)?;
-            if job.emit {
-                // Final merge + emission is a serial tail on one core.
-                let ((r, n, b), tail) =
-                    job.plan
-                        .emit(&job.hw, &job.sys, job.row_scale, merged, job.collect)?;
-                rows = r;
-                nrows = n;
-                blocks += b;
-                cpu_crit += tail.total();
-                cpu.merge(&tail);
-            } else {
-                partial = Some(merged);
-            }
-        }
-
-        let overlapped = io_s.min(cpu_crit);
-        let elapsed_s = io_s.max(cpu_crit) + DEFAULT_OVERLAP_LOSS * overlapped;
-        let report = RunReport {
-            rows: nrows,
-            blocks,
-            io: merged_io,
-            cpu,
-            elapsed_s,
-        };
-        // Merge the span trees the same way the accounting merged, then pin
-        // the merged root to the final report (which additionally carries
-        // the head-switch seek recharge and the serial aggregation tail).
-        let trace = QueryTrace::merge_morsels(&traces).map(|mut t| {
-            apply_report(&mut t, &report);
-            t
-        });
-        Ok(JobOutcome {
-            report,
-            rows,
-            partial,
-            cpu_crit_s: cpu_crit,
-            tasks: ntasks,
-            trace,
-        })
-    }
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
-/// The task list of one job: its explicit segment range, or the standard
-/// page-aligned morsel split of the whole table.
-fn job_tasks(job: &QueryJob, workers: usize) -> Vec<(u64, u64)> {
-    let scan = &job.plan.scan;
-    if let Some((start, end)) = scan.row_range {
-        return if end > start {
-            vec![(start, end)]
-        } else {
-            Vec::new()
-        };
-    }
-    let by_size = (scan.table.row_count / MIN_MORSEL_ROWS).max(1) as usize;
+/// The page-aligned morsel split of `table` for `workers` threads.
+fn morsels(table: &Table, workers: usize) -> Vec<(u64, u64)> {
+    let by_size = (table.row_count / MIN_MORSEL_ROWS).max(1) as usize;
     let want = (workers * MORSELS_PER_THREAD).min(by_size.max(workers));
-    scan.table
+    table
         .morsels(want)
         .iter()
         .map(|m| (m.start, m.end))
         .collect()
 }
 
-/// Run one task (morsel) on its own single-threaded context and detach the
-/// `Send`-safe accounting.
-fn run_task(job: &QueryJob, range: (u64, u64)) -> Result<TaskOutcome> {
-    let mut ctx = ExecContext::new(job.hw, job.sys, job.row_scale)?;
-    if job.trace {
-        ctx = ctx.with_tracing();
+/// Run a partitionable `plan` morsel-parallel and merge it. Each morsel runs
+/// on a fresh context from `context`, which is where row scale, competing
+/// scans and tracing are set; the pool is that context's `sys.threads` wide,
+/// and that count is also what the merge models (head-switch seek recharge,
+/// CPU critical path). Returns the merged run — its report's `cpu` is the
+/// *sum* of all morsel CPU, its `elapsed_s` uses the critical path — the
+/// modelled CPU critical path in seconds, and the morsel count.
+pub fn run_morsels(
+    plan: &QueryPlan,
+    collect: bool,
+    context: impl Fn() -> Result<ExecContext> + Sync,
+) -> Result<(PlanRun, f64, usize)> {
+    plan.partitionable()?;
+    // The configuration every morsel runs under: the pool width, the seek
+    // the merge recharges, and the emission tail's platform and scale.
+    let base = context()?;
+    let workers = base.sys.threads;
+    let ranges = morsels(&plan.scan.table, workers);
+    let mut pieces = pool(workers, &ranges, |&range| {
+        plan.run_on(&context()?, Some(range), collect)
+    })?;
+
+    let traces: Vec<QueryTrace> = pieces.iter_mut().filter_map(|p| p.trace.take()).collect();
+    let per_io: Vec<IoStats> = pieces.iter().map(|p| p.report.io).collect();
+    // Workers share one array: transfer/seek time serializes, plus the
+    // head-switch seeks merge_parallel charges on top — both of which the
+    // merged counters carry, so disk seconds derive from them.
+    let io = rodb_io::merge_parallel(&per_io, workers, base.hw.seek_s);
+    let mut cpu = CpuBreakdown::default();
+    let mut max_piece_cpu = 0.0f64;
+    for p in &pieces {
+        cpu.merge(&p.report.cpu);
+        max_piece_cpu = max_piece_cpu.max(p.report.cpu.total());
     }
-    for _ in 0..job.competing_scans {
-        ctx.add_competing_scan();
-    }
-    let plan = job.plan.with_row_range(range.0, range.1);
-    let (mut rows, mut nrows, mut blocks, mut partial) = (Vec::new(), 0, 0, None);
-    if plan.agg.is_none() {
-        let mut op = plan.build(&ctx)?;
-        (rows, nrows, blocks) = drain_rows(op.as_mut(), job.collect)?;
-    } else {
-        partial = Some(plan.run_partial(&ctx)?);
-    }
-    ctx.settle_io_kernel_work();
-    let io = *ctx.disk.borrow().stats();
-    let cpu = ctx.meter.borrow().breakdown(&job.hw).scaled(job.row_scale);
+    // Makespan lower bound over any morsel→worker assignment; the final
+    // merge and emission is a serial tail on one core.
+    let crit = (cpu.total() / workers as f64).max(max_piece_cpu);
+    let morsels = pieces.len();
+    let ((rows, nrows, blocks), tail) =
+        plan.finish(pieces, &base.hw, &base.sys, base.row_scale, collect)?;
+    cpu.merge(&tail);
+    let cpu_crit_s = crit + tail.total();
     let report = RunReport {
         rows: nrows,
         blocks,
         io,
         cpu,
-        elapsed_s: io.total_s().max(cpu.total()),
+        elapsed_s: overlapped(io.total_s(), cpu_crit_s),
     };
-    let trace = finish_query_trace(&ctx, &report);
-    Ok(TaskOutcome {
+    // Merge the span trees the same way the accounting merged, then pin the
+    // merged root to the final report (which additionally carries the
+    // head-switch seek recharge and the serial aggregation tail).
+    let trace = QueryTrace::merge_morsels(&traces).map(|mut t| {
+        apply_report(&mut t, &report);
+        t
+    });
+    let run = PlanRun {
         rows,
         report,
-        partial,
+        partial: None,
         trace,
-    })
+    };
+    Ok((run, cpu_crit_s, morsels))
 }
 
 #[cfg(test)]
@@ -365,8 +187,8 @@ mod tests {
     use crate::op::collect_rows;
     use crate::plan::{AggPlan, ScanLayout, ScanSpec};
     use crate::predicate::Predicate;
-    use rodb_storage::{BuildLayouts, Table, TableBuilder};
-    use rodb_types::{Column, Schema};
+    use rodb_storage::{BuildLayouts, TableBuilder};
+    use rodb_types::{Column, HardwareConfig, Schema, SystemConfig};
     use std::sync::Arc;
 
     fn table(n: usize) -> Arc<Table> {
@@ -382,107 +204,104 @@ mod tests {
         Arc::new(b.finish().unwrap())
     }
 
-    fn job(t: &Arc<Table>, layout: ScanLayout, pred: Option<Predicate>, collect: bool) -> QueryJob {
-        let mut spec = ScanSpec::new(t.clone(), layout, vec![0, 1]);
-        if let Some(p) = pred {
-            spec = spec.with_predicates(vec![p]);
+    fn plan(t: &Arc<Table>, layout: ScanLayout, pred: Option<Predicate>) -> QueryPlan {
+        let spec = ScanSpec::new(t.clone(), layout, vec![0, 1]);
+        QueryPlan::new(spec.with_predicates(pred.into_iter().collect()))
+    }
+
+    fn contexts(threads: usize) -> impl Fn() -> Result<ExecContext> + Sync {
+        move || {
+            let sys = SystemConfig::default().with_threads(threads);
+            ExecContext::new(HardwareConfig::default(), sys, 1.0)
         }
-        let mut j = QueryJob::new(
-            QueryPlan::new(spec),
-            HardwareConfig::default(),
-            SystemConfig::default(),
-        );
-        j.collect = collect;
-        j
     }
 
     #[test]
-    fn batch_of_jobs_matches_each_solo_run() {
+    fn morsel_runs_match_each_solo_run() {
         let t = table(9_000);
-        let jobs = vec![
-            job(&t, ScanLayout::Row, Some(Predicate::lt(1, 4)), true),
-            job(&t, ScanLayout::Column, None, true),
-            job(&t, ScanLayout::Column, Some(Predicate::eq(0, 7)), true),
-        ];
-        let batch = TaskScheduler::new(3).run_jobs(&jobs).unwrap();
-        assert_eq!(batch.len(), jobs.len());
-        for (j, out) in jobs.iter().zip(&batch) {
+        for p in [
+            plan(&t, ScanLayout::Row, Some(Predicate::lt(1, 4))),
+            plan(&t, ScanLayout::Column, None),
+            plan(&t, ScanLayout::Column, Some(Predicate::eq(0, 7))),
+        ] {
+            let (run, ..) = run_morsels(&p, true, contexts(3)).unwrap();
             let ctx = ExecContext::default_ctx();
-            let mut solo = j.plan.build(&ctx).unwrap();
-            assert_eq!(out.rows, collect_rows(&mut solo).unwrap());
+            let mut solo = p.build(&ctx).unwrap();
+            assert_eq!(run.rows, collect_rows(&mut solo).unwrap());
         }
     }
 
     #[test]
     fn outcomes_are_identical_across_worker_counts() {
         let t = table(7_000);
-        let mut agg_job = job(&t, ScanLayout::Column, Some(Predicate::lt(0, 5_000)), true);
-        agg_job.plan.agg = Some(AggPlan {
+        let mut agg = plan(&t, ScanLayout::Column, Some(Predicate::lt(0, 5_000)));
+        agg.agg = Some(AggPlan {
             group_by: Some(1),
             specs: vec![AggSpec::count(), AggSpec::sum(0)],
             strategy: AggStrategy::Hash,
         });
-        let jobs = vec![
-            job(&t, ScanLayout::Row, Some(Predicate::lt(1, 4)), true),
-            agg_job,
-        ];
-        let one = TaskScheduler::new(1).run_jobs(&jobs).unwrap();
-        let four = TaskScheduler::new(4).run_jobs(&jobs).unwrap();
-        for (a, b) in one.iter().zip(&four) {
+        for p in [plan(&t, ScanLayout::Row, Some(Predicate::lt(1, 4))), agg] {
+            let (one, ..) = run_morsels(&p, true, contexts(1)).unwrap();
+            let (four, crit, _) = run_morsels(&p, true, contexts(4)).unwrap();
             // Results are identical across worker counts; accounting may
-            // differ because the morsel split scales with the pool (same
-            // convention as the single-query parallel executor).
-            assert_eq!(a.rows, b.rows);
-            assert_eq!(a.report.rows, b.report.rows);
-        }
-        // At a fixed worker count the whole outcome is bit-identical run
-        // to run, regardless of how workers interleaved.
-        let again = TaskScheduler::new(4).run_jobs(&jobs).unwrap();
-        for (a, b) in four.iter().zip(&again) {
-            assert_eq!(a.rows, b.rows);
-            assert_eq!(a.report.io, b.report.io);
-            assert_eq!(a.report.elapsed_s, b.report.elapsed_s);
-            assert_eq!(a.cpu_crit_s, b.cpu_crit_s);
+            // differ because the morsel split scales with the pool.
+            assert_eq!(one.rows, four.rows);
+            assert_eq!(one.report.rows, four.report.rows);
+            // At a fixed worker count the whole outcome is bit-identical run
+            // to run, regardless of how workers interleaved.
+            let (again, crit_again, _) = run_morsels(&p, true, contexts(4)).unwrap();
+            assert_eq!(four.rows, again.rows);
+            assert_eq!(four.report.io, again.report.io);
+            assert_eq!(four.report.elapsed_s, again.report.elapsed_s);
+            assert_eq!(crit, crit_again);
         }
     }
 
     #[test]
     fn unemitted_partials_fold_to_the_emitted_answer() {
         let t = table(6_000);
-        let mut plan = QueryPlan::new(ScanSpec::new(t.clone(), ScanLayout::Row, vec![0, 1]));
-        plan.agg = Some(AggPlan {
+        let mut p = plan(&t, ScanLayout::Row, None);
+        p.agg = Some(AggPlan {
             group_by: Some(1),
             specs: vec![AggSpec::count()],
             strategy: AggStrategy::Hash,
         });
-        let hw = HardwareConfig::default();
-        let sys = SystemConfig::default();
-        // Split the table into two explicit segment jobs, emit: false.
-        let mid = 3_000u64;
-        let mk = |s: u64, e: u64| {
-            let mut j = QueryJob::new(plan.with_row_range(s, e), hw, sys);
-            j.emit = false;
-            j
-        };
-        let outs = TaskScheduler::new(2)
-            .run_jobs(&[mk(0, mid), mk(mid, 6_000)])
-            .unwrap();
-        let partials: Vec<AggPartial> = outs.into_iter().map(|o| o.partial.unwrap()).collect();
-        let merged = merge_partials(partials).unwrap();
-        let ((rows, ..), _) = plan.emit(&hw, &sys, 1.0, merged, true).unwrap();
+        let (hw, sys) = (HardwareConfig::default(), SystemConfig::default());
+        // Two explicit ranges, each run on its own pool thread and left
+        // unemitted, then folded.
+        let ranges = [(0, 3_000), (3_000, 6_000)];
+        let pieces = pool(2, &ranges, |&r| {
+            p.run_on(&ExecContext::new(hw, sys, 1.0)?, Some(r), true)
+        })
+        .unwrap();
+        assert!(pieces.iter().all(|piece| piece.partial.is_some()));
+        let ((rows, ..), _) = p.finish(pieces, &hw, &sys, 1.0, true).unwrap();
         // Reference: the ordinary single-query parallel path.
-        let mut whole = QueryJob::new(plan, hw, sys);
-        whole.collect = true;
-        let want = TaskScheduler::new(2).run_jobs(&[whole]).unwrap();
-        assert_eq!(rows, want[0].rows);
+        let (want, ..) = run_morsels(&p, true, contexts(2)).unwrap();
+        assert_eq!(rows, want.rows);
     }
 
     #[test]
-    fn zero_workers_rejected_empty_batch_ok() {
-        let t = table(10);
-        assert!(TaskScheduler::new(0)
-            .run_jobs(&[job(&t, ScanLayout::Row, None, false)])
-            .is_err());
-        assert!(TaskScheduler::new(2).run_jobs(&[]).unwrap().is_empty());
+    fn the_pool_keeps_item_order_and_reports_the_lowest_failure() {
+        let items: Vec<u64> = (0..64).collect();
+        for workers in [1, 3, 8] {
+            let out = pool(workers, &items, |&i| Ok(i * i)).unwrap();
+            assert_eq!(out, items.iter().map(|i| i * i).collect::<Vec<_>>());
+            let err = pool(workers, &items, |&i| match i {
+                17 | 40 => Err(Error::InvalidPlan(format!("item {i}"))),
+                _ => Ok(i),
+            })
+            .unwrap_err();
+            assert!(
+                matches!(&err, Error::InvalidPlan(m) if m == "item 17"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_workers_rejected_empty_slice_ok() {
+        assert!(pool(0, &[1], |&i: &i32| Ok(i)).is_err());
+        assert!(pool(2, &[], |&i: &i32| Ok(i)).unwrap().is_empty());
     }
 }

@@ -10,31 +10,29 @@
 //! its missed prefix after the cursor wraps around. Each segment visit
 //! runs:
 //!
-//! 1. **One driver pass** — the pages of the union of all attached
-//!    queries' columns (projection ∪ predicate inputs) are moved and
-//!    checksummed once each, in the order a predicate-free scan of that
-//!    union would request them ([`row_page_pass`] / [`column_page_pass`]),
-//!    optionally through a shared page cache. The driver decodes nothing:
-//!    it exists to charge the segment's only I/O — one file pass per
-//!    wraparound cycle no matter how many queries ride it — and to fail
-//!    the batch on a page that is bad on every replica.
+//! 1. **One driver pass** — the pages of the row file, or of the union of
+//!    all attached queries' columns (projection ∪ predicate inputs), are
+//!    moved and checksummed once each, in the order a predicate-free scan
+//!    of them would request them ([`page_pass`]), optionally through a
+//!    shared page cache. The driver decodes nothing: it exists to charge
+//!    the segment's only I/O — one file pass per wraparound cycle no matter
+//!    how many queries ride it — and to fail the batch on a page that is bad
+//!    on every replica.
 //! 2. **Per-query work** off the shared stream — riders decode: each
-//!    query's predicates, projection and partial aggregation over the
-//!    segment, executed as single-task jobs on one [`TaskScheduler`] pool.
-//!    Their simulated I/O is discarded (the driver already paid it); their
-//!    CPU is charged in full per query. That is deliberately conservative:
-//!    the paper's shared-scan model amortizes predicate evaluation too, but
-//!    here every query keeps its exact solo kernel costs so results and
-//!    per-query CPU attribution stay bit-identical to solo runs.
+//!    query's plan runs over the segment through [`QueryPlan::run_on`], the
+//!    riders mapped over one `sched::pool`. Their simulated I/O is
+//!    discarded (the driver already paid it); their CPU is charged in full
+//!    per query. That is deliberately conservative: the paper's shared-scan
+//!    model amortizes predicate evaluation too, but here every query keeps
+//!    its exact solo kernel costs so results and per-query CPU attribution
+//!    stay bit-identical to solo runs.
 //!
-//! Per-segment results are stored by *segment index* and reassembled in
-//! segment order `0..S` at completion, so a wrapped query's rows come out
-//! in exactly the order its solo scan would have produced. Aggregation
-//! partials merge in the same order and emit through
-//! [`QueryPlan::emit`], matching the parallel-equals-serial
-//! guarantee of the morsel executor. All merges are indexed, never
-//! arrival- or worker-ordered, so a cursor run is deterministic across
-//! worker counts.
+//! Each rider's runs are stored by *segment index* and folded in segment
+//! order `0..S` at completion by `QueryPlan::finish`, so a wrapped query's
+//! rows come out in exactly the order its solo scan would have produced, and
+//! its aggregation partials merge and emit as the morsel executor's do. All
+//! merges are indexed, never arrival- or worker-ordered, so a cursor run is
+//! deterministic across worker counts.
 
 use std::sync::Arc;
 
@@ -42,13 +40,11 @@ use rodb_io::{IoStats, SharedPageCache};
 use rodb_storage::Table;
 use rodb_types::{Error, HardwareConfig, Result, SystemConfig, Value};
 
-use crate::agg::{merge_partials, AggPartial};
-use crate::exec::DEFAULT_OVERLAP_LOSS;
+use crate::exec::overlapped;
 use crate::op::ExecContext;
-use crate::plan::{QueryPlan, ScanLayout};
-use crate::scan_col::column_page_pass;
-use crate::scan_row::row_page_pass;
-use crate::sched::{QueryJob, TaskScheduler};
+use crate::plan::{PlanRun, QueryPlan, ScanLayout};
+use crate::scan_col::page_pass;
+use crate::sched::pool;
 
 /// Cursor-level knobs (the service derives these from
 /// [`rodb_types::ServiceSpec`]).
@@ -57,7 +53,7 @@ pub struct SharedCursorConfig {
     /// Desired segment count; the actual count is the page-aligned morsel
     /// split the table produces for it (at most one segment per page run).
     pub segments: usize,
-    /// Worker pool width for the per-query segment jobs.
+    /// Worker pool width for the riders' segment runs.
     pub workers: usize,
 }
 
@@ -96,7 +92,7 @@ pub struct SegmentStep {
     /// Segment index that was scanned.
     pub segment: usize,
     /// Modelled elapsed seconds of the visit (driver I/O overlapped with
-    /// the per-query CPU critical path, plus serial emission tails).
+    /// the riders' CPU, plus serial emission tails).
     pub elapsed_s: f64,
     /// The driver pass's I/O — the only I/O charged for the segment.
     pub driver_io: IoStats,
@@ -111,10 +107,9 @@ struct ActiveQuery {
     q: CursorQuery,
     attach_seg: usize,
     visited: usize,
-    rows_by_seg: Vec<Option<Vec<Vec<Value>>>>,
-    partial_by_seg: Vec<Option<AggPartial>>,
-    nrows: u64,
-    blocks: u64,
+    /// This query's run of each segment visited so far, by segment index.
+    pieces: Vec<Option<PlanRun>>,
+    /// CPU charged so far, summed in visiting order.
     cpu_s: f64,
 }
 
@@ -130,10 +125,11 @@ pub struct SharedCursor {
     segments: Vec<(u64, u64)>,
     pos: usize,
     active: Vec<ActiveQuery>,
-    /// Sorted union of the active queries' projection and predicate
-    /// columns — what the driver pass moves. Kept current by
-    /// [`SharedCursor::refresh_union_cols`] whenever `active` changes.
-    union_cols: Vec<usize>,
+    /// The files the driver pass moves: `None` for the row file, else the
+    /// sorted union of the active queries' projection and predicate columns,
+    /// kept current by [`SharedCursor::refresh_union_cols`] whenever
+    /// `active` changes.
+    union_cols: Option<Vec<usize>>,
     io: IoStats,
     cycles: u64,
 }
@@ -179,7 +175,7 @@ impl SharedCursor {
             segments,
             pos: 0,
             active: Vec::new(),
-            union_cols: Vec::new(),
+            union_cols: (layout == ScanLayout::Column).then(Vec::new),
             io: IoStats::default(),
             cycles: 0,
         })
@@ -198,16 +194,12 @@ impl SharedCursor {
                 q.plan.scan.table.name, q.plan.scan.layout, self.table.name, self.layout
             )));
         }
-        let s = self.segments.len();
         let attach_seg = self.pos;
         self.active.push(ActiveQuery {
             q,
             attach_seg,
             visited: 0,
-            rows_by_seg: (0..s).map(|_| None).collect(),
-            partial_by_seg: (0..s).map(|_| None).collect(),
-            nrows: 0,
-            blocks: 0,
+            pieces: (0..self.segments.len()).map(|_| None).collect(),
             cpu_s: 0.0,
         });
         self.refresh_union_cols();
@@ -215,7 +207,10 @@ impl SharedCursor {
     }
 
     fn refresh_union_cols(&mut self) {
-        self.union_cols = self
+        let Some(union) = &mut self.union_cols else {
+            return;
+        };
+        *union = self
             .active
             .iter()
             .flat_map(|a| {
@@ -226,8 +221,8 @@ impl SharedCursor {
                     .chain(scan.predicates.iter().map(|p| p.col))
             })
             .collect();
-        self.union_cols.sort_unstable();
-        self.union_cols.dedup();
+        union.sort_unstable();
+        union.dedup();
     }
 
     pub fn active_count(&self) -> usize {
@@ -264,71 +259,50 @@ impl SharedCursor {
             ));
         }
         let seg_idx = self.pos;
-        let (start, end) = self.segments[seg_idx];
+        let range = self.segments[seg_idx];
+        let (hw, sys, row_scale) = (self.hw, self.sys, self.row_scale);
 
-        // 1. Driver pass: the union columns' pages, moved and verified, I/O
+        // 1. Driver pass: the segment's pages, moved and verified, I/O
         // charged once. It does no scan work (each query pays its own full
         // kernel costs below), so its meter holds only the kernel-side I/O
         // work of the bytes it actually moved.
-        let ctx = ExecContext::new(self.hw, self.sys, self.row_scale)?;
+        let ctx = ExecContext::new(hw, sys, row_scale)?;
         if let Some(cache) = &self.cache {
             ctx.disk.borrow_mut().set_page_cache(cache.clone());
         }
-        match self.layout {
-            // `new` admits only the Row and Column layouts.
-            ScanLayout::Row => row_page_pass(&self.table, &ctx, (start, end))?,
-            _ => column_page_pass(&self.table, &self.union_cols, &ctx, (start, end))?,
-        }
+        page_pass(&self.table, self.union_cols.as_deref(), &ctx, range)?;
         ctx.settle_io_kernel_work();
-        let driver_kernel_s = ctx
-            .meter
-            .borrow()
-            .breakdown(&self.hw)
-            .scaled(self.row_scale)
-            .total();
+        let driver_kernel_s = ctx.meter.borrow().breakdown(&hw).scaled(row_scale).total();
         let driver_io = *ctx.disk.borrow().stats();
         self.io.merge(&driver_io);
 
-        // 2. Per-query segment jobs on the shared pool. Simulated I/O of
-        // these jobs is discarded — the driver pass above already paid it.
-        let jobs: Vec<QueryJob> = self
-            .active
-            .iter()
-            .map(|a| {
-                let mut j = QueryJob::new(a.q.plan.with_row_range(start, end), self.hw, self.sys);
-                j.row_scale = self.row_scale;
-                j.collect = a.q.collect && a.q.plan.agg.is_none();
-                j.emit = false;
-                j
-            })
-            .collect();
-        let outs = TaskScheduler::new(self.workers).run_jobs(&jobs)?;
-
-        let mut cpu_sum = driver_kernel_s;
-        for (a, out) in self.active.iter_mut().zip(outs) {
-            let q_cpu = out.report.cpu.total();
-            cpu_sum += q_cpu;
-            a.cpu_s += q_cpu;
-            if a.q.plan.agg.is_some() {
-                a.partial_by_seg[seg_idx] = out.partial;
-            } else {
-                a.nrows += out.report.rows;
-                a.blocks += out.report.blocks;
-                if a.q.collect {
-                    a.rows_by_seg[seg_idx] = Some(out.rows);
-                }
-            }
-            a.visited += 1;
-        }
+        // 2. The riders' runs of the segment, on the shared pool. Their
+        // simulated I/O is discarded — the driver pass above already paid
+        // it.
+        let riders: Vec<&CursorQuery> = self.active.iter().map(|a| &a.q).collect();
+        let pieces = pool(self.workers, &riders, |q| {
+            q.plan.run_on(
+                &ExecContext::new(hw, sys, row_scale)?,
+                Some(range),
+                q.collect,
+            )
+        })?;
         // The modeled clock charges per-query CPU serially — the paper's
         // testbed is single-core, and a worker-invariant clock keeps the
         // whole service schedule (attach points, wraparounds, admission)
         // bit-identical across pool sizes. `workers` parallelizes the real
-        // wall time of the segment jobs, never the simulated clock.
-        let mut cpu_crit = cpu_sum;
+        // wall time of the riders' runs, never the simulated clock.
+        let mut cpu_s = driver_kernel_s;
+        for (a, piece) in self.active.iter_mut().zip(pieces) {
+            let q_cpu = piece.report.cpu.total();
+            cpu_s += q_cpu;
+            a.cpu_s += q_cpu;
+            a.pieces[seg_idx] = Some(piece);
+            a.visited += 1;
+        }
 
-        // 3. Completions: full circle ridden. Reassemble in segment order
-        // 0..S — table order, independent of attach point.
+        // 3. Completions: full circle ridden. Fold in segment order 0..S —
+        // table order, independent of attach point.
         let nsegs = self.segments.len();
         let mut done = Vec::new();
         let (finished, riding): (Vec<_>, Vec<_>) = std::mem::take(&mut self.active)
@@ -339,25 +313,11 @@ impl SharedCursor {
             self.refresh_union_cols();
         }
         for a in finished {
-            let rows: Vec<Vec<Value>>;
-            let mut nrows = a.nrows;
-            let mut blocks = a.blocks;
-            let mut cpu_s = a.cpu_s;
-            if a.q.plan.agg.is_none() {
-                rows = a.rows_by_seg.into_iter().flatten().flatten().collect();
-            } else {
-                let partials: Vec<AggPartial> = a.partial_by_seg.into_iter().flatten().collect();
-                let merged = merge_partials(partials)?;
-                // Final merge + emission is a serial tail on one core.
-                let ((r, n, b), tail) =
-                    a.q.plan
-                        .emit(&self.hw, &self.sys, self.row_scale, merged, a.q.collect)?;
-                rows = r;
-                nrows = n;
-                blocks += b;
-                cpu_s += tail.total();
-                cpu_crit += tail.total();
-            }
+            let pieces = a.pieces.into_iter().flatten().collect();
+            let ((rows, nrows, blocks), tail) =
+                a.q.plan.finish(pieces, &hw, &sys, row_scale, a.q.collect)?;
+            // The aggregation tail is serial on one core.
+            cpu_s += tail.total();
             done.push(QueryDone {
                 token: a.q.token,
                 rows,
@@ -365,7 +325,7 @@ impl SharedCursor {
                 blocks,
                 attach_seg: a.attach_seg,
                 wrapped: a.attach_seg != 0,
-                cpu_s,
+                cpu_s: a.cpu_s + tail.total(),
             });
         }
 
@@ -376,12 +336,9 @@ impl SharedCursor {
             self.cycles += 1;
         }
 
-        let io_s = driver_io.total_s();
-        let overlapped = io_s.min(cpu_crit);
-        let elapsed_s = io_s.max(cpu_crit) + DEFAULT_OVERLAP_LOSS * overlapped;
         Ok(SegmentStep {
             segment: seg_idx,
-            elapsed_s,
+            elapsed_s: overlapped(driver_io.total_s(), cpu_s),
             driver_io,
             done,
             wrapped,
@@ -547,13 +504,9 @@ mod tests {
         }
         let d = agg_done.unwrap();
         assert!(d.wrapped);
-        let mut job = QueryJob::new(
-            agg_q.plan,
-            HardwareConfig::default(),
-            SystemConfig::default(),
-        );
-        job.collect = true;
-        let want = TaskScheduler::new(2).run_jobs(&[job]).unwrap().remove(0);
+        let sys = SystemConfig::default().with_threads(2);
+        let context = || ExecContext::new(HardwareConfig::default(), sys, 1.0);
+        let (want, ..) = crate::sched::run_morsels(&agg_q.plan, true, context).unwrap();
         assert_eq!(d.rows, want.rows);
     }
 
@@ -576,28 +529,13 @@ mod tests {
             (elapsed, rows, c.io_stats())
         };
         let (e1, r1, io1) = run(1);
-        let (e3, r3, io3) = run(3);
-        // Rows and I/O are bit-identical; elapsed differs only through the
-        // worker count in the critical-path division, so compare at 1
-        // worker vs itself and rows across counts.
+        let (e4, r4, io4) = run(4);
+        // Rows, I/O, every step's elapsed time and every rider's CPU are
+        // bit-identical: rider CPU is summed serially on the modeled clock.
         assert_eq!(r1.len(), 2);
-        assert_eq!(
-            r1.iter()
-                .map(|(t, r, _)| (*t, r.clone()))
-                .collect::<Vec<_>>(),
-            r3.iter()
-                .map(|(t, r, _)| (*t, r.clone()))
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(io1, io3);
-        assert_eq!(e1.len(), e3.len());
-        let (e1b, r1b, io1b) = run(1);
-        assert_eq!(e1, e1b);
-        assert_eq!(io1, io1b);
-        assert_eq!(
-            r1.iter().map(|(t, _, c)| (*t, *c)).collect::<Vec<_>>(),
-            r1b.iter().map(|(t, _, c)| (*t, *c)).collect::<Vec<_>>()
-        );
+        assert_eq!(r1, r4);
+        assert_eq!(io1, io4);
+        assert_eq!(e1, e4);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The shared cursor's driver pass moves pages exactly as the scan it stands
 //! in for.
 //!
-//! [`row_page_pass`] / [`column_page_pass`] replace a full predicate-free
-//! `RowScanner` / `ColumnScanner` run over the riders' union columns: the
+//! [`page_pass`] replaces a full predicate-free `RowScanner` run, or a
+//! `ColumnScanner` run over the riders' union columns: the
 //! pass decodes nothing, but everything the simulated disk and the page
 //! cache can observe — which pages, from which file id, in which order,
 //! with which retries, quarantines and drops — must be what that scanner
@@ -15,7 +15,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use rodb_engine::{column_page_pass, row_page_pass, ExecContext, ScanLayout, ScanSpec};
+use rodb_engine::{page_pass, ExecContext, ScanLayout, ScanSpec};
 use rodb_io::{shared_page_cache, IoStats, SharedPageCache};
 use rodb_storage::page::verified_pages;
 use rodb_storage::{BuildLayouts, QuarantinedPage, Table};
@@ -170,11 +170,7 @@ fn lockstep(
         rodb_engine::op::drain(op.as_mut()).map(|_| ())
     });
     let pass = walk(t, &touched, sys, cache(), segments, |ctx, r| {
-        if layout == ScanLayout::Row {
-            row_page_pass(t, ctx, r)
-        } else {
-            column_page_pass(t, cols, ctx, r)
-        }
+        page_pass(t, (layout == ScanLayout::Column).then_some(cols), ctx, r)
     });
     assert_eq!(pass.visits.len(), scan.visits.len(), "{what}");
     for (i, (p, s)) in pass.visits.iter().zip(&scan.visits).enumerate() {

@@ -36,9 +36,8 @@ pub mod prelude {
     };
     pub use rodb_engine::{
         AggFunc, AggPlan, AggSpec, AggStrategy, Aggregate, CmpOp, ColumnScanMode, ColumnScanner,
-        CursorQuery, ExecContext, MergeJoin, Operator, Predicate, QueryJob, QueryPlan, RowScanner,
-        RunReport, ScanLayout, ScanSpec, SharedCursor, SharedCursorConfig, Sort, TaskScheduler,
-        TupleBlock,
+        CursorQuery, ExecContext, MergeJoin, Operator, Predicate, QueryPlan, RowScanner, RunReport,
+        ScanLayout, ScanSpec, SharedCursor, SharedCursorConfig, Sort, TupleBlock,
     };
     pub use rodb_model::{speedup_at, surface, Figure2Config, Platform, Workload};
     pub use rodb_storage::{

@@ -275,6 +275,41 @@ fn zero_threads_is_rejected() {
     );
 }
 
+/// Two morsels fail under `OnCorrupt::Fail`: the lower one's last page and
+/// the higher one's first page are damaged. Whichever worker runs which
+/// morsel, and whichever finishes first, the query reports the error of the
+/// lowest failing morsel — every lower morsel was handed out before it.
+#[test]
+fn the_lowest_failing_morsel_names_the_error() {
+    const PAGE: usize = 1024;
+    let mut t = load_orders(3_000, 7, PAGE, BuildLayouts::both(), Variant::Plain).unwrap();
+    let morsels = t.morsels(4);
+    assert_eq!(morsels.len(), 4);
+    let rs = t.row.as_mut().unwrap();
+    let per_page = rs.tuples_per_page as u64;
+    let (low, high) = ((morsels[1].end - 1) / per_page, morsels[3].start / per_page);
+    for page in [low, high] {
+        Arc::make_mut(&mut rs.file)[page as usize * PAGE + 100] ^= 0x10;
+    }
+    let t = Arc::new(t);
+    let sys = SystemConfig {
+        page_size: PAGE,
+        ..SystemConfig::default().with_on_corrupt(rodb::types::OnCorrupt::Fail)
+    };
+    for run in 0..20 {
+        let err = QueryBuilder::new(t.clone(), HardwareConfig::default(), sys)
+            .layout(ScanLayout::Row)
+            .select_indices(&[0, 1])
+            .threads(4)
+            .run()
+            .unwrap_err();
+        match err {
+            Error::Corrupt(c) => assert_eq!(c.page_id, Some(low), "run {run}: {c:?}"),
+            other => panic!("run {run}: expected Corrupt, got {other}"),
+        }
+    }
+}
+
 // ---- accounting-merge units -------------------------------------------
 
 #[test]
