@@ -14,7 +14,7 @@
 //! catalog would.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use rodb_types::Result;
 
@@ -37,19 +37,26 @@ pub struct Quarantine {
 }
 
 impl Quarantine {
+    /// The set, even after a thread panicked holding it: every update is
+    /// one `HashSet` call on `Copy` page ids, so a poisoned guard's data is
+    /// still whole.
+    fn set(&self) -> MutexGuard<'_, HashSet<QuarantinedPage>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Record a page; returns `true` when it was not already quarantined
     /// (callers count `quarantined_pages` only on fresh inserts so parallel
     /// workers never double-count).
     pub fn insert(&self, page: QuarantinedPage) -> bool {
-        self.inner.lock().expect("quarantine lock").insert(page)
+        self.set().insert(page)
     }
 
     pub fn contains(&self, page: QuarantinedPage) -> bool {
-        self.inner.lock().expect("quarantine lock").contains(&page)
+        self.set().contains(&page)
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("quarantine lock").len()
+        self.set().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -58,20 +65,14 @@ impl Quarantine {
 
     /// Sorted copy of the set (deterministic for tests and reports).
     pub fn snapshot(&self) -> Vec<QuarantinedPage> {
-        let mut v: Vec<QuarantinedPage> = self
-            .inner
-            .lock()
-            .expect("quarantine lock")
-            .iter()
-            .copied()
-            .collect();
+        let mut v: Vec<QuarantinedPage> = self.set().iter().copied().collect();
         v.sort_unstable();
         v
     }
 
     /// Empty the set (e.g. after the pages were rebuilt from a clean source).
     pub fn clear(&self) {
-        self.inner.lock().expect("quarantine lock").clear();
+        self.set().clear();
     }
 }
 
@@ -212,6 +213,30 @@ mod tests {
         );
         q.clear();
         assert!(q2.is_empty());
+    }
+
+    #[test]
+    fn a_poisoned_lock_keeps_the_set() {
+        let q = Quarantine::default();
+        q.insert(QuarantinedPage::Row { page: 1 });
+        let held = q.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = held.inner.lock().unwrap();
+            panic!("a worker dies holding the quarantine");
+        })
+        .join();
+        assert!(panicked.is_err() && q.inner.is_poisoned());
+        assert!(q.insert(QuarantinedPage::Col { col: 0, page: 2 }));
+        assert!(q.contains(QuarantinedPage::Row { page: 1 }));
+        assert_eq!(
+            q.snapshot(),
+            vec![
+                QuarantinedPage::Row { page: 1 },
+                QuarantinedPage::Col { col: 0, page: 2 },
+            ]
+        );
+        q.clear();
+        assert!(q.is_empty());
     }
 
     #[test]

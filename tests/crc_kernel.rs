@@ -46,9 +46,11 @@ fn kernel_matches_a_bit_at_a_time_reference() {
             (x >> 24) as u8
         })
         .collect();
-    // Every tail length several strides deep, and the page-sized inputs:
-    // a 4 KB page less its CRC, less its trailer, and whole.
-    for len in (0..=80).chain([PAGE - 24, PAGE - 4, PAGE]) {
+    // Every tail length several strides deep; every 16-byte residue and
+    // every tail after one and two 64-byte folds (the folding tier starts
+    // at 64 bytes); and the page-sized inputs: a 4 KB page less its CRC,
+    // less its trailer, and whole.
+    for len in (0..=80).chain(112..=272).chain([PAGE - 24, PAGE - 4, PAGE]) {
         for offset in [0, 1, 3, 7] {
             let s = &buf[offset..offset + len];
             assert_eq!(crc32(s), crc32_bitwise(s), "len {len} offset {offset}");
