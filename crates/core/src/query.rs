@@ -212,10 +212,8 @@ impl QueryBuilder {
 
     /// Execute with `n` worker threads (morsel-driven parallel scan, with
     /// partial aggregation when the query aggregates). `1` — the default —
-    /// is the paper's serial engine. Parallel execution supports the
-    /// [`ScanLayout::Row`] and [`ScanLayout::Column`] paths; the research
-    /// variants ([`ScanLayout::ColumnSlow`], [`ScanLayout::ColumnSingleIterator`])
-    /// always run serially.
+    /// is the paper's serial engine. Every layout runs in parallel; only a
+    /// plan with a WOS tail ([`QueryBuilder::wos_tail`]) stays serial.
     pub fn threads(mut self, n: usize) -> Self {
         self.sys.threads = n;
         self

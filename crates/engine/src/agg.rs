@@ -495,7 +495,7 @@ mod tests {
             .unwrap();
         }
         let t = Arc::new(b.finish().unwrap());
-        Box::new(RowScanner::new(t, vec![0, 1, 2], vec![], ctx).unwrap())
+        Box::new(RowScanner::new(t, vec![0, 1, 2], vec![], ctx, None).unwrap())
     }
 
     #[test]
@@ -646,6 +646,7 @@ mod tests {
             vec![0],
             vec![crate::predicate::Predicate::lt(0, 0)],
             &ctx,
+            None,
         )
         .unwrap();
         let mut agg = Aggregate::new(

@@ -88,7 +88,7 @@ pub fn settle_report(ctx: &ExecContext, rows: u64, blocks: u64) -> RunReport {
 mod tests {
     use super::*;
     use crate::predicate::Predicate;
-    use crate::scan_col::{ColumnScanMode, ColumnScanner};
+    use crate::scan_col::ColumnScanner;
     use crate::scan_row::RowScanner;
     use rodb_storage::{BuildLayouts, Table, TableBuilder};
     use rodb_types::{Column, Schema, SystemConfig, Value};
@@ -119,8 +119,14 @@ mod tests {
     fn report_fields_are_consistent() {
         let t = table(10_000);
         let ctx = ExecContext::default_ctx();
-        let mut s =
-            RowScanner::new(t.clone(), vec![0, 1], vec![Predicate::lt(0, 100)], &ctx).unwrap();
+        let mut s = RowScanner::new(
+            t.clone(),
+            vec![0, 1],
+            vec![Predicate::lt(0, 100)],
+            &ctx,
+            None,
+        )
+        .unwrap();
         let r = run_to_completion(&mut s, &ctx).unwrap();
         assert_eq!(r.rows, 1000);
         assert!(r.blocks >= r.rows / 100);
@@ -138,7 +144,8 @@ mod tests {
         // exactly the quantities it accounts.
         let t = table(20_000);
         let ctx = ExecContext::default_ctx();
-        let mut s = RowScanner::new(t, vec![0, 1], vec![Predicate::lt(0, 500)], &ctx).unwrap();
+        let mut s =
+            RowScanner::new(t, vec![0, 1], vec![Predicate::lt(0, 500)], &ctx, None).unwrap();
         let r = run_to_completion(&mut s, &ctx).unwrap();
         assert_eq!(r.io_s(), r.io.total_s());
         let clock = ctx.disk.borrow().elapsed();
@@ -155,14 +162,8 @@ mod tests {
         let t = table(10_000);
         let run = |scale: f64| {
             let ctx = ExecContext::new(Default::default(), SystemConfig::default(), scale).unwrap();
-            let mut s = ColumnScanner::new(
-                t.clone(),
-                vec![0, 1],
-                vec![],
-                ColumnScanMode::Pipelined,
-                &ctx,
-            )
-            .unwrap();
+            let mut s =
+                ColumnScanner::new(t.clone(), vec![0, 1], vec![], false, &ctx, None).unwrap();
             run_to_completion(&mut s, &ctx).unwrap()
         };
         let r1 = run(1.0);
@@ -185,7 +186,7 @@ mod tests {
         // (the paper's Figure 6 configuration).
         let t = table(50_000);
         let ctx = ExecContext::default_ctx();
-        let mut s = RowScanner::new(t, vec![0], vec![], &ctx).unwrap();
+        let mut s = RowScanner::new(t, vec![0], vec![], &ctx, None).unwrap();
         let r = run_to_completion(&mut s, &ctx).unwrap();
         assert!(r.io_bound(), "io={} cpu={}", r.io_s(), r.cpu.total());
     }

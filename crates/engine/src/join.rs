@@ -294,7 +294,7 @@ mod tests {
     }
 
     fn scan(t: &Arc<rodb_storage::Table>, ctx: &ExecContext) -> Box<dyn Operator> {
-        Box::new(RowScanner::new(t.clone(), vec![0, 1], vec![], ctx).unwrap())
+        Box::new(RowScanner::new(t.clone(), vec![0, 1], vec![], ctx, None).unwrap())
     }
 
     fn join_rows(l: &[(i32, i32)], r: &[(i32, i32)]) -> Vec<Vec<Value>> {
@@ -401,8 +401,8 @@ mod tests {
         let t1 = Arc::new(b1.finish().unwrap());
         let t2 = Arc::new(b2.finish().unwrap());
         let ctx = ExecContext::default_ctx();
-        let l = Box::new(RowScanner::new(t1, vec![0], vec![], &ctx).unwrap());
-        let r = Box::new(RowScanner::new(t2, vec![0], vec![], &ctx).unwrap());
+        let l = Box::new(RowScanner::new(t1, vec![0], vec![], &ctx, None).unwrap());
+        let r = Box::new(RowScanner::new(t2, vec![0], vec![], &ctx, None).unwrap());
         assert!(MergeJoin::new(l, 0, r, 0, &ctx).is_err());
     }
 }

@@ -16,10 +16,10 @@ pub mod op;
 pub mod page_cursor;
 pub mod plan;
 pub mod predicate;
-pub mod scan_col;
-pub mod scan_col_single;
+mod scan_col;
+mod scan_col_single;
 mod scan_core;
-pub mod scan_row;
+mod scan_row;
 pub mod sched;
 pub mod shared_cursor;
 pub mod sort;
@@ -36,9 +36,7 @@ pub use op::{drain_rows, ExecContext, Operator};
 pub use page_cursor::PageCursor;
 pub use plan::{AggPlan, PlanRun, QueryPlan, ScanLayout, ScanSpec};
 pub use predicate::{CmpOp, Predicate};
-pub use scan_col::{page_pass, ColumnScanMode, ColumnScanner};
-pub use scan_col_single::SingleIteratorColumnScanner;
-pub use scan_row::RowScanner;
+pub use scan_col::page_pass;
 pub use sched::run_morsels;
 pub use shared_cursor::{CursorQuery, QueryDone, SegmentStep, SharedCursor, SharedCursorConfig};
 pub use sort::Sort;

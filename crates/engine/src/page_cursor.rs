@@ -15,6 +15,14 @@
 //! readers use [`PageCursor::seek`], which holds the page containing the
 //! requested position; a damaged page keeps its geometric span and every
 //! position inside it re-fails with the identical typed error.
+//!
+//! Under `on_corrupt = Skip` every page of the window is verified once,
+//! however it is reached — pulled, targeted by a seek, streamed past on the
+//! way to a later position, or drained at the end — and a page bad on every
+//! replica is quarantined wherever it is met. Which pages a scan quarantines
+//! is therefore a function of its window alone, never of its schedule: not
+//! of block boundaries, of which positions a predicate kept, or of where a
+//! morsel began.
 
 use rodb_io::{FileId, FileStream, SharedDisk};
 use rodb_storage::{Quarantine, QuarantinedPage, Table, VerifiedPage};
@@ -112,9 +120,19 @@ impl PageCursor {
         self.stream.skip_pages_zoned(1);
     }
 
-    /// Read past every remaining page: I/O cost only, nothing is verified.
-    pub fn drain(&mut self) {
-        while self.stream.next_page().is_some() {}
+    /// Read past every remaining page. Under `Skip` each is verified and a
+    /// page bad on every replica is quarantined, its ordinals added to
+    /// `dropped`; otherwise this is I/O cost only, nothing is verified.
+    pub fn drain(&mut self, dropped: &mut DropSet) {
+        if self.policy != OnCorrupt::Skip {
+            while self.stream.next_page().is_some() {}
+            return;
+        }
+        while let Some((page_index, verified)) = self.pull() {
+            if verified.is_err_and(|e| self.skips(&e)) {
+                self.quarantine(page_index, dropped);
+            }
+        }
     }
 
     /// Attach this file's `(file, page)` context to a decode-side error.
@@ -200,12 +218,13 @@ impl PageCursor {
     /// is_target)` runs once for every clean page pulled on the way (eager
     /// decoders hook in here). A page that fails — its checksum, or
     /// `on_page` — is held as that error over its geometric span, so every
-    /// later position inside it re-fails identically; damage the reader only
-    /// streams past is tolerated under `Skip` (the rows demanding that page
-    /// were already dropped through another column).
+    /// later position inside it re-fails identically. A bad page the reader
+    /// only streams past is quarantined under `Skip`, its ordinals added to
+    /// `dropped`, and fails the seek otherwise.
     pub fn seek(
         &mut self,
         pos: u64,
+        dropped: &mut DropSet,
         mut on_page: impl FnMut(&VerifiedPage, bool) -> Result<()>,
     ) -> Result<()> {
         loop {
@@ -240,6 +259,7 @@ impl PageCursor {
                     if pos < self.held_first_row + self.upp || !self.skips(&e) {
                         return Err(e);
                     }
+                    self.quarantine(page_index, dropped);
                 }
             }
         }

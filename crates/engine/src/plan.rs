@@ -24,7 +24,7 @@ use crate::exec::{settle_report, RunReport};
 use crate::memscan::{Chain, MemScan};
 use crate::op::{drain_rows, Drained, ExecContext, Operator};
 use crate::predicate::Predicate;
-use crate::scan_col::{ColumnScanMode, ColumnScanner};
+use crate::scan_col::ColumnScanner;
 use crate::scan_col_single::SingleIteratorColumnScanner;
 use crate::scan_row::RowScanner;
 use crate::traced::{finish_query_trace, record_block, TracedOp};
@@ -41,14 +41,6 @@ pub enum ScanLayout {
     ColumnSlow,
     /// Single-iterator column scanner (the §4.2 extension).
     ColumnSingleIterator,
-}
-
-impl ScanLayout {
-    /// Whether this access path can scan a row-ordinal sub-range (the
-    /// research variants always scan whole tables).
-    pub fn supports_ranges(self) -> bool {
-        matches!(self, ScanLayout::Row | ScanLayout::Column)
-    }
 }
 
 impl std::fmt::Display for ScanLayout {
@@ -91,57 +83,24 @@ impl ScanSpec {
         self
     }
 
-    /// Restrict the scan to the row-ordinal window `[start, end)`. Only the
-    /// [`ScanLayout::Row`] and [`ScanLayout::Column`] paths support ranges.
+    /// Restrict the scan to the row-ordinal window `[start, end)`.
     pub fn with_row_range(mut self, start: u64, end: u64) -> ScanSpec {
         self.row_range = Some((start, end));
         self
     }
 
-    /// `Ok` when this spec's layout can scan a row range.
-    fn ranged(&self) -> Result<()> {
-        if self.layout.supports_ranges() {
-            return Ok(());
-        }
-        Err(Error::InvalidPlan(format!(
-            "row ranges are not supported by the {} layout",
-            self.layout
-        )))
-    }
-
-    /// Build the scan operator.
+    /// Build the scan operator — the one way a scanner is opened.
     pub fn build(self, ctx: &ExecContext) -> Result<Box<dyn Operator>> {
-        if self.row_range.is_some() {
-            self.ranged()?;
-        }
+        let (table, proj, preds, range) =
+            (self.table, self.projection, self.predicates, self.row_range);
         let scan: Box<dyn Operator> = match self.layout {
-            ScanLayout::Row => Box::new(RowScanner::new_range(
-                self.table,
-                self.projection,
-                self.predicates,
-                ctx,
-                self.row_range,
-            )?),
-            ScanLayout::Column => Box::new(ColumnScanner::new_range(
-                self.table,
-                self.projection,
-                self.predicates,
-                ColumnScanMode::Pipelined,
-                ctx,
-                self.row_range,
-            )?),
-            ScanLayout::ColumnSlow => Box::new(ColumnScanner::new(
-                self.table,
-                self.projection,
-                self.predicates,
-                ColumnScanMode::Slow,
-                ctx,
-            )?),
+            ScanLayout::Row => Box::new(RowScanner::new(table, proj, preds, ctx, range)?),
+            ScanLayout::Column | ScanLayout::ColumnSlow => {
+                let slow = self.layout == ScanLayout::ColumnSlow;
+                Box::new(ColumnScanner::new(table, proj, preds, slow, ctx, range)?)
+            }
             ScanLayout::ColumnSingleIterator => Box::new(SingleIteratorColumnScanner::new(
-                self.table,
-                self.projection,
-                self.predicates,
-                ctx,
+                table, proj, preds, ctx, range,
             )?),
         };
         Ok(TracedOp::wrap(scan, SpanKind::Scan, ctx))
@@ -206,18 +165,18 @@ impl QueryPlan {
     }
 
     /// Whether the plan can be cut into ROS row ranges and its pieces run
-    /// independently (morsels, shared-cursor segments). A WOS tail is one
-    /// in-memory stream behind the whole scan, and the single-iterator /
-    /// slow research scanners take no ranges: such plans run serially.
+    /// independently (morsels, shared-cursor segments). Every layout scans
+    /// a range; a WOS tail is one in-memory stream behind the whole scan, so
+    /// a plan carrying one runs serially.
     pub fn partitionable(&self) -> Result<()> {
-        if let Some(tail) = self.live_tail() {
-            return Err(Error::InvalidPlan(format!(
+        match self.live_tail() {
+            Some(tail) => Err(Error::InvalidPlan(format!(
                 "plan carries a WOS tail of {} staged rows, which cannot be split into \
                  row-range morsels or shared-cursor segments; run it serially",
                 tail.len()
-            )));
+            ))),
+            None => Ok(()),
         }
-        self.scan.ranged()
     }
 
     /// What the aggregation (or the caller) consumes: the scan, then the

@@ -17,9 +17,9 @@
 //! per position from the held page. What this file keeps is the schedule —
 //! node 0 pulls pages and filters them (on the fast path in code space,
 //! which only node 0 can), later nodes are driven off the position list —
-//! and [`ColumnScanMode::Slow`], which serializes disk requests per column:
-//! the reference variant of Figure 11 that loses the "one step ahead"
-//! controller advantage.
+//! and the *slow* variant (`ScanLayout::ColumnSlow`), which serializes disk
+//! requests per column: the reference variant of Figure 11 that loses the
+//! "one step ahead" controller advantage.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -34,27 +34,15 @@ use crate::page_cursor::PageCursor;
 use crate::predicate::{scan_schema, Predicate};
 use crate::scan_core::{judge, ColumnNode, DecodePolicy, Pending, Sink, Window};
 
-/// Disk-request submission behaviour (§4.5 / Figure 11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ColumnScanMode {
-    /// Normal pipelined scanner: submits the next column's request while the
-    /// previous one is still being served ("one step ahead").
-    #[default]
-    Pipelined,
-    /// Waits for each column's request to complete before submitting the
-    /// next (the "slow" curve of Figure 11).
-    Slow,
-}
-
-impl ColumnScanMode {
-    /// Submission aggressiveness (§4.5): the pipelined scanner keeps the
-    /// next column's request in flight; the slow variant (and single-file
-    /// row scans) submit strictly one at a time.
-    pub(crate) fn interleave(self, nodes: usize) -> u64 {
-        match self {
-            ColumnScanMode::Pipelined if nodes > 1 => 2,
-            _ => 1,
-        }
+/// Disk-request submission aggressiveness over `nodes` column files (§4.5 /
+/// Figure 11): the pipelined scanner submits the next column's request while
+/// the previous one is still being served ("one step ahead"); the slow
+/// variant — and any single-file scan — submits strictly one at a time.
+pub(crate) fn interleave(slow: bool, nodes: usize) -> u64 {
+    if !slow && nodes > 1 {
+        2
+    } else {
+        1
     }
 }
 
@@ -70,32 +58,23 @@ pub struct ColumnScanner {
     /// Row-ordinal window this scanner is responsible for, shared by every
     /// scan node of the projection.
     window: Window,
-    mode: ColumnScanMode,
+    /// Figure 11's slow variant: one disk request in flight at a time.
+    slow: bool,
     scratch: Vec<u8>,
     /// Block indices a driven node keeps.
     keep: Vec<usize>,
 }
 
 impl ColumnScanner {
-    pub fn new(
+    /// Build a column scanner over the row-ordinal range `[start, end)` —
+    /// one morsel of a parallel scan — or the whole table when `None`.
+    /// Every scan node's stream is clamped to the pages of its column
+    /// holding the range, so a worker pays I/O only for its window.
+    pub(crate) fn new(
         table: Arc<Table>,
         projection: Vec<usize>,
         predicates: Vec<Predicate>,
-        mode: ColumnScanMode,
-        ctx: &ExecContext,
-    ) -> Result<ColumnScanner> {
-        ColumnScanner::new_range(table, projection, predicates, mode, ctx, None)
-    }
-
-    /// Build a column scanner restricted to the row-ordinal range
-    /// `[start, end)` — one morsel of a parallel scan. Every scan node's
-    /// stream is clamped to the pages of its column holding the range, so a
-    /// worker pays I/O only for its window. `None` scans the whole table.
-    pub fn new_range(
-        table: Arc<Table>,
-        projection: Vec<usize>,
-        predicates: Vec<Predicate>,
-        mode: ColumnScanMode,
+        slow: bool,
         ctx: &ExecContext,
         range: Option<(u64, u64)>,
     ) -> Result<ColumnScanner> {
@@ -104,7 +83,7 @@ impl ColumnScanner {
         let nodes = ColumnNode::open_all(&table, &projection, &predicates, ctx, range, policy)?;
         ctx.disk
             .borrow_mut()
-            .set_interleave(mode.interleave(nodes.len()));
+            .set_interleave(interleave(slow, nodes.len()));
         let pending = Pending::Column {
             width: nodes[0].dtype.width(),
             out: nodes[0].out_col,
@@ -115,15 +94,10 @@ impl ColumnScanner {
             sink: Sink::new(out_schema, pending),
             window: Window::new(nodes[0].pages.range()),
             nodes,
-            mode,
+            slow,
             scratch: Vec::new(),
             keep: Vec::new(),
         })
-    }
-
-    /// The submission mode this scanner was built with.
-    pub fn mode(&self) -> ColumnScanMode {
-        self.mode
     }
 
     /// Node 0: process one more page of the deepest column, appending
@@ -242,11 +216,8 @@ impl Operator for ColumnScanner {
     }
 
     fn label(&self) -> String {
-        let mode = match self.mode {
-            ColumnScanMode::Pipelined => "column",
-            ColumnScanMode::Slow => "column-slow",
-        };
-        format!("scan[{mode}] {}", self.table.name)
+        let layout = if self.slow { "column-slow" } else { "column" };
+        format!("scan[{layout}] {}", self.table.name)
     }
 
     fn next(&mut self) -> Result<Option<TupleBlock>> {
@@ -275,7 +246,8 @@ impl Operator for ColumnScanner {
                     }
                     node.tally.positions_seen += 1;
                     let scratch = &mut self.scratch;
-                    match node.seek(pos).and_then(|()| node.passes(pos, scratch)) {
+                    let sought = node.seek(pos, &mut self.window.dropped);
+                    match sought.and_then(|()| node.passes(pos, scratch)) {
                         Ok(false) => {}
                         Ok(true) => {
                             if let Some(oc) = node.out_col {
@@ -312,17 +284,17 @@ impl Operator for ColumnScanner {
 /// (once each) exactly the pages a predicate-free scan of `range` would, in
 /// the order that scan would request them, and decodes no value, evaluates
 /// nothing and assembles no block. `cols` names the files: `None` the row
-/// file (a [`crate::RowScanner`]'s one stream), `Some(cols)` those column
-/// files (a [`ColumnScanner`] over `cols`).
+/// file (a row scan's one stream), `Some(cols)` those column files (a
+/// pipelined column scan over `cols`).
 ///
-/// The block-fill rule is [`ColumnScanner::next`]'s: node 0 pulls pages
+/// The block-fill rule is the pipelined column scanner's: node 0 pulls pages
 /// until a block's worth of window positions is pending, then every later
 /// column is driven through the block's positions, pulling each page on the
 /// way. With one node that is the row scanner's sequential pull, at its
 /// interleave of 1. Positions — not just a block's last ordinal — are
-/// carried so that `on_corrupt = Skip` quarantines and drops what the
-/// scanner would: a damaged page is quarantined only when a position that
-/// survived the earlier columns targets it. `tests/page_pass_lockstep.rs`
+/// carried so that under `on_corrupt = Skip` each driven page is pulled when
+/// the scanner would pull it: a position dropped by a quarantined page pulls
+/// nothing. `tests/page_pass_lockstep.rs`
 /// holds this function to the scanners' `IoStats`, disk events and cache
 /// residency.
 pub fn page_pass(
@@ -344,7 +316,7 @@ pub fn page_pass(
         .collect::<Result<Vec<_>>>()?;
     ctx.disk
         .borrow_mut()
-        .set_interleave(ColumnScanMode::Pipelined.interleave(nodes.len()));
+        .set_interleave(interleave(false, nodes.len()));
     let (node0, driven) = nodes
         .split_first_mut()
         .expect("scan_schema rejects an empty projection");
@@ -376,7 +348,7 @@ pub fn page_pass(
                     continue;
                 }
                 if !node.holds(pos) {
-                    if let Err(e) = node.seek(pos, |_, _| Ok(())) {
+                    if let Err(e) = node.seek(pos, &mut window.dropped, |_, _| Ok(())) {
                         node.absorb(e, pos, &mut window.dropped)?;
                         continue;
                     }
@@ -387,10 +359,10 @@ pub fn page_pass(
             block.truncate(kept);
         }
     }
-    window.settle(ctx);
     for node in &mut nodes {
-        node.drain();
+        node.drain(&mut window.dropped);
     }
+    window.settle(ctx);
     Ok(())
 }
 
@@ -455,18 +427,13 @@ mod tests {
         ] {
             for proj in [vec![0], vec![0, 1, 2, 3], vec![2, 0], vec![1, 3]] {
                 let ctx = ExecContext::default_ctx();
-                let mut cs = ColumnScanner::new(
-                    t.clone(),
-                    proj.clone(),
-                    preds.clone(),
-                    ColumnScanMode::Pipelined,
-                    &ctx,
-                )
-                .unwrap();
+                let mut cs =
+                    ColumnScanner::new(t.clone(), proj.clone(), preds.clone(), false, &ctx, None)
+                        .unwrap();
                 let col_rows = collect_rows(&mut cs).unwrap();
                 let ctx2 = ExecContext::default_ctx();
                 let mut rs =
-                    RowScanner::new(t.clone(), proj.clone(), preds.clone(), &ctx2).unwrap();
+                    RowScanner::new(t.clone(), proj.clone(), preds.clone(), &ctx2, None).unwrap();
                 let row_rows = collect_rows(&mut rs).unwrap();
                 assert_eq!(col_rows, row_rows, "proj {proj:?} preds {preds:?}");
             }
@@ -477,14 +444,8 @@ mod tests {
     fn predicate_on_unprojected_column() {
         let t = table(1000);
         let ctx = ExecContext::default_ctx();
-        let mut cs = ColumnScanner::new(
-            t,
-            vec![0],
-            vec![Predicate::lt(1, 10)],
-            ColumnScanMode::Pipelined,
-            &ctx,
-        )
-        .unwrap();
+        let mut cs =
+            ColumnScanner::new(t, vec![0], vec![Predicate::lt(1, 10)], false, &ctx, None).unwrap();
         let rows = collect_rows(&mut cs).unwrap();
         assert_eq!(rows.len(), 100);
         for r in &rows {
@@ -496,14 +457,9 @@ mod tests {
     fn compressed_delta_column_scans_correctly() {
         let t = compressed_table(5000);
         let ctx = ExecContext::default_ctx();
-        let mut cs = ColumnScanner::new(
-            t,
-            vec![0, 1],
-            vec![Predicate::lt(1, 5)],
-            ColumnScanMode::Pipelined,
-            &ctx,
-        )
-        .unwrap();
+        let mut cs =
+            ColumnScanner::new(t, vec![0, 1], vec![Predicate::lt(1, 5)], false, &ctx, None)
+                .unwrap();
         let rows = collect_rows(&mut cs).unwrap();
         assert_eq!(rows.len(), 250);
         for r in &rows {
@@ -525,8 +481,9 @@ mod tests {
                 t.clone(),
                 vec![0],
                 vec![Predicate::lt(1, sel_lt)],
-                ColumnScanMode::Pipelined,
+                false,
                 &ctx,
+                None,
             )
             .unwrap();
             let rows = collect_rows(&mut cs).unwrap();
@@ -545,23 +502,15 @@ mod tests {
         let cs_store = t.col_storage().unwrap();
         let one_col = cs_store.columns[0].byte_len() as f64;
         let ctx = ExecContext::default_ctx();
-        let mut cs =
-            ColumnScanner::new(t.clone(), vec![0], vec![], ColumnScanMode::Pipelined, &ctx)
-                .unwrap();
+        let mut cs = ColumnScanner::new(t.clone(), vec![0], vec![], false, &ctx, None).unwrap();
         while cs.next().unwrap().is_some() {}
         let read = ctx.disk.borrow().stats().bytes_read;
         assert!((read - one_col).abs() < 1.0, "read {read} vs {one_col}");
 
         // Selecting more columns reads more bytes.
         let ctx2 = ExecContext::default_ctx();
-        let mut cs2 = ColumnScanner::new(
-            t.clone(),
-            vec![0, 2],
-            vec![],
-            ColumnScanMode::Pipelined,
-            &ctx2,
-        )
-        .unwrap();
+        let mut cs2 =
+            ColumnScanner::new(t.clone(), vec![0, 2], vec![], false, &ctx2, None).unwrap();
         while cs2.next().unwrap().is_some() {}
         assert!(ctx2.disk.borrow().stats().bytes_read > read);
     }
@@ -572,14 +521,8 @@ mod tests {
         let t = table(5000);
         let read_with = |preds: Vec<Predicate>| {
             let ctx = ExecContext::default_ctx();
-            let mut cs = ColumnScanner::new(
-                t.clone(),
-                vec![0, 2],
-                preds,
-                ColumnScanMode::Pipelined,
-                &ctx,
-            )
-            .unwrap();
+            let mut cs =
+                ColumnScanner::new(t.clone(), vec![0, 2], preds, false, &ctx, None).unwrap();
             while cs.next().unwrap().is_some() {}
             let read = ctx.disk.borrow().stats().bytes_read;
             read
@@ -598,9 +541,7 @@ mod tests {
         let t = table(20000);
         let seeks = |proj: Vec<usize>| {
             let ctx = ExecContext::default_ctx();
-            let mut cs =
-                ColumnScanner::new(t.clone(), proj, vec![], ColumnScanMode::Pipelined, &ctx)
-                    .unwrap();
+            let mut cs = ColumnScanner::new(t.clone(), proj, vec![], false, &ctx, None).unwrap();
             while cs.next().unwrap().is_some() {}
             let seeks = ctx.disk.borrow().stats().seeks;
             seeks
@@ -612,34 +553,29 @@ mod tests {
     fn slow_mode_sets_strict_interleave() {
         let t = table(100);
         let ctx = ExecContext::default_ctx();
-        let cs =
-            ColumnScanner::new(t.clone(), vec![0, 1], vec![], ColumnScanMode::Slow, &ctx).unwrap();
-        assert_eq!(cs.mode(), ColumnScanMode::Slow);
+        let cs = ColumnScanner::new(t.clone(), vec![0, 1], vec![], true, &ctx, None).unwrap();
+        assert_eq!(cs.label(), "scan[column-slow] t");
+        assert_eq!((interleave(true, 2), interleave(false, 2)), (1, 2));
         // Behavioural check: under competition, slow mode is slower.
-        let elapsed = |mode: ColumnScanMode| {
+        let elapsed = |slow: bool| {
             let ctx = ExecContext::default_ctx();
             ctx.add_competing_scan();
             let mut cs =
-                ColumnScanner::new(table(20000), vec![0, 1, 2, 3], vec![], mode, &ctx).unwrap();
+                ColumnScanner::new(table(20000), vec![0, 1, 2, 3], vec![], slow, &ctx, None)
+                    .unwrap();
             while cs.next().unwrap().is_some() {}
             let e = ctx.disk.borrow().elapsed();
             e
         };
-        assert!(elapsed(ColumnScanMode::Slow) >= elapsed(ColumnScanMode::Pipelined));
+        assert!(elapsed(true) >= elapsed(false));
     }
 
     #[test]
     fn empty_result_is_clean() {
         let t = table(1000);
         let ctx = ExecContext::default_ctx();
-        let mut cs = ColumnScanner::new(
-            t,
-            vec![0],
-            vec![Predicate::lt(1, -1)],
-            ColumnScanMode::Pipelined,
-            &ctx,
-        )
-        .unwrap();
+        let mut cs =
+            ColumnScanner::new(t, vec![0], vec![Predicate::lt(1, -1)], false, &ctx, None).unwrap();
         assert!(cs.next().unwrap().is_none());
         assert!(cs.next().unwrap().is_none());
     }
@@ -711,20 +647,16 @@ mod tests {
                     t.clone(),
                     proj.clone(),
                     preds.clone(),
-                    ColumnScanMode::Pipelined,
+                    false,
                     &slow_ctx,
+                    None,
                 )
                 .unwrap();
                 let slow_rows = collect_rows(&mut slow).unwrap();
                 let fctx = fast_ctx();
-                let mut fast = ColumnScanner::new(
-                    t.clone(),
-                    proj.clone(),
-                    preds.clone(),
-                    ColumnScanMode::Pipelined,
-                    &fctx,
-                )
-                .unwrap();
+                let mut fast =
+                    ColumnScanner::new(t.clone(), proj.clone(), preds.clone(), false, &fctx, None)
+                        .unwrap();
                 let fast_rows = collect_rows(&mut fast).unwrap();
                 assert_eq!(fast_rows, slow_rows, "preds {preds:?}");
             }
@@ -790,8 +722,9 @@ mod tests {
                     t.clone(),
                     vec![col, 3],
                     vec![Predicate::lt(col, lit)],
-                    ColumnScanMode::Pipelined,
+                    false,
                     &ctx,
+                    None,
                 )
                 .unwrap();
                 let rows = collect_rows(&mut cs).unwrap();
@@ -824,8 +757,9 @@ mod tests {
             t.clone(),
             vec![0],
             vec![Predicate::ge(0, 20600)],
-            ColumnScanMode::Pipelined,
+            false,
             &ctx,
+            None,
         )
         .unwrap();
         let rows = collect_rows(&mut cs).unwrap();
@@ -848,8 +782,9 @@ mod tests {
             t.clone(),
             vec![0],
             vec![Predicate::ge(0, 20600)],
-            ColumnScanMode::Pipelined,
+            false,
             &ctx2,
+            None,
         )
         .unwrap();
         assert_eq!(collect_rows(&mut cs2).unwrap().len(), 400);
@@ -878,8 +813,9 @@ mod tests {
             t.clone(),
             vec![1],
             vec![Predicate::eq(0, 42)],
-            ColumnScanMode::Pipelined,
+            false,
             &ctx,
+            None,
         )
         .unwrap();
         assert_eq!(collect_rows(&mut cs).unwrap().len(), 5000);
@@ -890,8 +826,9 @@ mod tests {
             t,
             vec![1],
             vec![Predicate::new(0, CmpOp::Ne, Value::Int(42))],
-            ColumnScanMode::Pipelined,
+            false,
             &ctx2,
+            None,
         )
         .unwrap();
         assert!(collect_rows(&mut cs2).unwrap().is_empty());
@@ -909,11 +846,11 @@ mod tests {
                 } else {
                     ExecContext::default_ctx()
                 };
-                let mut cs = ColumnScanner::new_range(
+                let mut cs = ColumnScanner::new(
                     t.clone(),
                     vec![0, 1, 2],
                     preds.clone(),
-                    ColumnScanMode::Pipelined,
+                    false,
                     &ctx,
                     Some(range),
                 )
@@ -928,10 +865,8 @@ mod tests {
     fn rejects_bad_plans() {
         let t = table(10);
         let ctx = ExecContext::default_ctx();
-        assert!(
-            ColumnScanner::new(t.clone(), vec![], vec![], ColumnScanMode::Pipelined, &ctx).is_err()
-        );
-        assert!(ColumnScanner::new(t, vec![9], vec![], ColumnScanMode::Pipelined, &ctx).is_err());
+        assert!(ColumnScanner::new(t.clone(), vec![], vec![], false, &ctx, None).is_err());
+        assert!(ColumnScanner::new(t, vec![9], vec![], false, &ctx, None).is_err());
     }
     /// The scan core's column node, under both decode policies and both
     /// paths, hands back for every position the bytes the codec's own
@@ -975,7 +910,7 @@ mod tests {
                         let mut raw = Vec::new();
                         for pos in (0..t.row_count).step_by(step) {
                             raw.clear();
-                            node.seek(pos).unwrap();
+                            node.seek(pos, &mut Default::default()).unwrap();
                             node.read(pos, &mut raw).unwrap();
                             assert_eq!(
                                 raw, expect[pos as usize],

@@ -14,6 +14,7 @@
 //! core's column node, `scan_core.rs`) opened under the *every-page* decode
 //! policy, and its row loop reads them side by side.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use rodb_storage::Table;
@@ -22,7 +23,7 @@ use rodb_types::{Result, Schema};
 use crate::block::TupleBlock;
 use crate::op::{ExecContext, Operator};
 use crate::predicate::{scan_schema, Predicate};
-use crate::scan_col::ColumnScanMode;
+use crate::scan_col::interleave;
 use crate::scan_core::{ColumnNode, DecodePolicy, Pending, Sink, Window};
 
 /// PAX/MonetDB-style column scanner: row-at-a-time over eagerly decoded
@@ -34,23 +35,28 @@ pub struct SingleIteratorColumnScanner {
     nodes: Vec<ColumnNode>,
     /// Index into `nodes` of each projected column, in output order.
     projected: Vec<usize>,
-    next_row: u64,
-    /// The whole table, less the ordinals degraded skips dropped.
+    /// The row ordinals not yet visited.
+    rows: Range<u64>,
+    /// The scanned range, less the ordinals degraded skips dropped.
     window: Window,
     sink: Sink,
     scratch: Vec<u8>,
 }
 
 impl SingleIteratorColumnScanner {
-    pub fn new(
+    /// Build a single-iterator scanner over the row-ordinal range
+    /// `[start, end)`, or the whole table when `None`; every cursor is
+    /// clamped to the pages of its column holding the range.
+    pub(crate) fn new(
         table: Arc<Table>,
         projection: Vec<usize>,
         predicates: Vec<Predicate>,
         ctx: &ExecContext,
+        range: Option<(u64, u64)>,
     ) -> Result<SingleIteratorColumnScanner> {
         let out_schema = scan_schema(&table.schema, &projection, &predicates)?;
         let policy = DecodePolicy::EveryPage;
-        let nodes = ColumnNode::open_all(&table, &projection, &predicates, ctx, None, policy)?;
+        let nodes = ColumnNode::open_all(&table, &projection, &predicates, ctx, range, policy)?;
         let node_of = |col: &usize| nodes.iter().position(|n| n.col == *col);
         let projected = projection
             .iter()
@@ -58,15 +64,17 @@ impl SingleIteratorColumnScanner {
             .collect();
         // Fetch-all-then-iterate keeps multiple requests outstanding, like
         // the pipelined scanner.
-        let interleave = ColumnScanMode::Pipelined.interleave(nodes.len());
-        ctx.disk.borrow_mut().set_interleave(interleave);
+        ctx.disk
+            .borrow_mut()
+            .set_interleave(interleave(false, nodes.len()));
+        let (start, end) = nodes[0].pages.range();
         Ok(SingleIteratorColumnScanner {
             ctx: ctx.clone(),
             nodes,
             projected,
-            window: Window::new((0, table.row_count)),
+            rows: start..end,
+            window: Window::new((start, end)),
             table,
-            next_row: 0,
             sink: Sink::new(out_schema, Pending::Tuples),
             scratch: Vec::new(),
         })
@@ -84,9 +92,8 @@ impl Operator for SingleIteratorColumnScanner {
 
     fn next(&mut self) -> Result<Option<TupleBlock>> {
         let cap = self.ctx.sys.block_tuples;
-        'rows: while self.sink.remaining() < cap && self.next_row < self.table.row_count {
-            let pos = self.next_row;
-            self.next_row += 1;
+        'rows: while self.sink.remaining() < cap {
+            let Some(pos) = self.rows.next() else { break };
             if !self.window.admits(pos) {
                 continue;
             }
@@ -94,7 +101,7 @@ impl Operator for SingleIteratorColumnScanner {
             // page; a failed predicate stops evaluation, not the seeks).
             let mut pass = true;
             for node in &mut self.nodes {
-                if let Err(e) = node.seek(pos) {
+                if let Err(e) = node.seek(pos, &mut self.window.dropped) {
                     // Degraded skip: quarantine the bad page and drop the
                     // ordinals it holds by geometry. Later cursors are not
                     // advanced for this row; they catch up lazily.
@@ -127,7 +134,7 @@ impl Operator for SingleIteratorColumnScanner {
 mod tests {
     use super::*;
     use crate::op::collect_rows;
-    use crate::scan_col::{ColumnScanMode, ColumnScanner};
+    use crate::scan_col::ColumnScanner;
     use rodb_compress::{Codec, ColumnCompression};
     use rodb_storage::{BuildLayouts, TableBuilder};
     use rodb_types::{Column, Value};
@@ -169,19 +176,19 @@ mod tests {
             vec![Predicate::eq(2, "bb")],
         ] {
             let ctx = ExecContext::default_ctx();
-            let mut single =
-                SingleIteratorColumnScanner::new(t.clone(), vec![0, 1, 2], preds.clone(), &ctx)
-                    .unwrap();
-            let a = collect_rows(&mut single).unwrap();
-            let ctx2 = ExecContext::default_ctx();
-            let mut pipe = ColumnScanner::new(
+            let mut single = SingleIteratorColumnScanner::new(
                 t.clone(),
                 vec![0, 1, 2],
                 preds.clone(),
-                ColumnScanMode::Pipelined,
-                &ctx2,
+                &ctx,
+                None,
             )
             .unwrap();
+            let a = collect_rows(&mut single).unwrap();
+            let ctx2 = ExecContext::default_ctx();
+            let mut pipe =
+                ColumnScanner::new(t.clone(), vec![0, 1, 2], preds.clone(), false, &ctx2, None)
+                    .unwrap();
             let b = collect_rows(&mut pipe).unwrap();
             assert_eq!(a, b, "{preds:?}");
         }
@@ -198,6 +205,7 @@ mod tests {
             vec![0, 1, 2],
             vec![Predicate::lt(1, 1)],
             &ctx_s,
+            None,
         )
         .unwrap();
         while single.next().unwrap().is_some() {}
@@ -206,8 +214,9 @@ mod tests {
             t.clone(),
             vec![0, 1, 2],
             vec![Predicate::lt(1, 1)],
-            ColumnScanMode::Pipelined,
+            false,
             &ctx_p,
+            None,
         )
         .unwrap();
         while pipe.next().unwrap().is_some() {}
@@ -224,17 +233,12 @@ mod tests {
         let t = table(5000);
         let ctx_s = ExecContext::default_ctx();
         let mut single =
-            SingleIteratorColumnScanner::new(t.clone(), vec![0, 1, 2], vec![], &ctx_s).unwrap();
+            SingleIteratorColumnScanner::new(t.clone(), vec![0, 1, 2], vec![], &ctx_s, None)
+                .unwrap();
         while single.next().unwrap().is_some() {}
         let ctx_p = ExecContext::default_ctx();
-        let mut pipe = ColumnScanner::new(
-            t.clone(),
-            vec![0, 1, 2],
-            vec![],
-            ColumnScanMode::Pipelined,
-            &ctx_p,
-        )
-        .unwrap();
+        let mut pipe =
+            ColumnScanner::new(t.clone(), vec![0, 1, 2], vec![], false, &ctx_p, None).unwrap();
         while pipe.next().unwrap().is_some() {}
         let u_single = ctx_s.meter.borrow().counters().uops;
         let u_pipe = ctx_p.meter.borrow().counters().uops;
@@ -253,9 +257,14 @@ mod tests {
             vec![Predicate::lt(1, 60), Predicate::eq(2, "cc")],
         ] {
             let ctx = ExecContext::default_ctx();
-            let mut slow =
-                SingleIteratorColumnScanner::new(t.clone(), vec![0, 1, 2], preds.clone(), &ctx)
-                    .unwrap();
+            let mut slow = SingleIteratorColumnScanner::new(
+                t.clone(),
+                vec![0, 1, 2],
+                preds.clone(),
+                &ctx,
+                None,
+            )
+            .unwrap();
             let slow_rows = collect_rows(&mut slow).unwrap();
             let fctx = ExecContext::new(
                 rodb_types::HardwareConfig::default(),
@@ -263,9 +272,14 @@ mod tests {
                 1.0,
             )
             .unwrap();
-            let mut fast =
-                SingleIteratorColumnScanner::new(t.clone(), vec![0, 1, 2], preds.clone(), &fctx)
-                    .unwrap();
+            let mut fast = SingleIteratorColumnScanner::new(
+                t.clone(),
+                vec![0, 1, 2],
+                preds.clone(),
+                &fctx,
+                None,
+            )
+            .unwrap();
             let fast_rows = collect_rows(&mut fast).unwrap();
             assert_eq!(fast_rows, slow_rows, "{preds:?}");
             let u_slow = ctx.meter.borrow().counters().uops;
@@ -278,12 +292,33 @@ mod tests {
     }
 
     #[test]
+    fn ranged_scans_concatenate_to_the_whole_scan() {
+        let t = table(3000);
+        let scan = |range| {
+            let ctx = ExecContext::default_ctx();
+            let preds = vec![Predicate::lt(1, 40)];
+            let mut s =
+                SingleIteratorColumnScanner::new(t.clone(), vec![0, 1, 2], preds, &ctx, range)
+                    .unwrap();
+            collect_rows(&mut s).unwrap()
+        };
+        // Boundaries mid-page in every column file.
+        let pieces: Vec<_> = [(0, 777), (777, 1_501), (1_501, 3_000)]
+            .into_iter()
+            .flat_map(|r| scan(Some(r)))
+            .collect();
+        assert_eq!(pieces, scan(None));
+        assert_eq!(pieces.len(), 1_200);
+    }
+
+    #[test]
     fn io_equals_selected_columns() {
         let t = table(5000);
         let cs = t.col_storage().unwrap();
         let expect = (cs.columns[0].byte_len() + cs.columns[1].byte_len()) as f64;
         let ctx = ExecContext::default_ctx();
-        let mut s = SingleIteratorColumnScanner::new(t.clone(), vec![0, 1], vec![], &ctx).unwrap();
+        let mut s =
+            SingleIteratorColumnScanner::new(t.clone(), vec![0, 1], vec![], &ctx, None).unwrap();
         while s.next().unwrap().is_some() {}
         assert!((ctx.disk.borrow().stats().bytes_read - expect).abs() < 1.0);
     }

@@ -294,10 +294,9 @@ pub(crate) struct ColumnNode {
     /// Catalog-resident metadata: the codec, and the zone-map trailers.
     pub storage: ColumnStorage,
     /// This column's file, clamped to the pages holding the row range. Under
-    /// `Skip`, damaged pages a driven node only streams past are tolerated
-    /// (quarantine is lazy — it happens when a requested position actually
-    /// targets the bad page, so serial and parallel scans quarantine
-    /// identical sets).
+    /// `Skip` every page of it is verified, and a bad one quarantined,
+    /// whether a position targets it or the node streams past or drains it,
+    /// so serial and parallel scans quarantine identical sets.
     pub pages: PageCursor,
     policy: DecodePolicy,
     /// Vectorized fast path enabled ([`rodb_types::SystemConfig`]
@@ -361,52 +360,56 @@ impl ColumnNode {
     }
 
     /// Make `pos` addressable: hold the page containing it, decoding on the
-    /// way what the policy says.
+    /// way what the policy says. A bad page streamed past under `Skip` drops
+    /// its ordinals into `dropped`.
     #[inline]
-    pub fn seek(&mut self, pos: u64) -> Result<()> {
+    pub fn seek(&mut self, pos: u64, dropped: &mut DropSet) -> Result<()> {
         if self.pages.holds(pos) {
             return Ok(());
         }
         let comp = &self.storage.comp;
         let fast_int = self.fast && self.dtype == DataType::Int;
-        self.pages.seek(pos, |verified: &VerifiedPage, is_target| {
-            self.decoded = false;
-            let whole = match self.policy {
-                // Pages only streamed past are not decoded — unless the
-                // codec needs every prior code anyway (FOR-delta and the
-                // RLE family, all int-only).
-                DecodePolicy::Pipelined => !comp.codec.random_access() || (fast_int && is_target),
-                DecodePolicy::EveryPage => true,
-            };
-            if !whole {
-                return Ok(());
-            }
-            let pv = verified.column(self.dtype).values(comp);
-            let count = pv.count();
-            if self.dtype == DataType::Int {
-                pv.decode_ints_into(&mut self.ints)?;
-            } else {
-                self.raw.clear();
-                for slot in 0..count {
-                    pv.write_raw(slot, &mut self.raw)?;
+        self.pages
+            .seek(pos, dropped, |verified: &VerifiedPage, is_target| {
+                self.decoded = false;
+                let whole = match self.policy {
+                    // Pages only streamed past are not decoded — unless the
+                    // codec needs every prior code anyway (FOR-delta and the
+                    // RLE family, all int-only).
+                    DecodePolicy::Pipelined => {
+                        !comp.codec.random_access() || (fast_int && is_target)
+                    }
+                    DecodePolicy::EveryPage => true,
+                };
+                if !whole {
+                    return Ok(());
                 }
-            }
-            if fast_int {
-                self.tally.blocks_decoded += count as u64;
-            } else {
-                self.tally.values_decoded += count as u64;
-            }
-            self.decoded = true;
-            if fast_int && self.policy == DecodePolicy::EveryPage && !self.preds.is_empty() {
-                // The row loop's int predicates are judged here, in one
-                // vectorized pass.
-                let verdict = |&v| self.preds.iter().all(|p| p.eval_int(v));
-                self.verdicts.clear();
-                self.verdicts.extend(self.ints.iter().map(verdict));
-                self.tally.vec_pred_evals += (count * self.preds.len()) as u64;
-            }
-            Ok(())
-        })
+                let pv = verified.column(self.dtype).values(comp);
+                let count = pv.count();
+                if self.dtype == DataType::Int {
+                    pv.decode_ints_into(&mut self.ints)?;
+                } else {
+                    self.raw.clear();
+                    for slot in 0..count {
+                        pv.write_raw(slot, &mut self.raw)?;
+                    }
+                }
+                if fast_int {
+                    self.tally.blocks_decoded += count as u64;
+                } else {
+                    self.tally.values_decoded += count as u64;
+                }
+                self.decoded = true;
+                if fast_int && self.policy == DecodePolicy::EveryPage && !self.preds.is_empty() {
+                    // The row loop's int predicates are judged here, in one
+                    // vectorized pass.
+                    let verdict = |&v| self.preds.iter().all(|p| p.eval_int(v));
+                    self.verdicts.clear();
+                    self.verdicts.extend(self.ints.iter().map(verdict));
+                    self.tally.vec_pred_evals += (count * self.preds.len()) as u64;
+                }
+                Ok(())
+            })
     }
 
     /// Append the value at `pos` of the held page (after a successful
@@ -448,10 +451,13 @@ impl ColumnNode {
         judge(&self.preds, &mut self.pred_tallies, self.dtype, scratch)
     }
 
-    /// End of a column scan (once, however often it is called): settle the
-    /// window, then — node by node, deepest first — drain the file's
-    /// remaining I/O and flush the tally into the meter.
+    /// End of a column scan (once, however often it is called): drain each
+    /// file's remaining pages, deepest first (under `Skip` that may still
+    /// drop rows), settle the window, then flush every tally into the meter.
     pub fn finish(nodes: &mut [ColumnNode], window: &mut Window, ctx: &ExecContext) {
+        for node in nodes.iter_mut() {
+            node.pages.drain(&mut window.dropped);
+        }
         if !window.settle(ctx) {
             return;
         }
@@ -461,8 +467,7 @@ impl ColumnNode {
         }
     }
 
-    fn charge(&mut self, meter: &mut CpuMeter, hw: &HardwareConfig) {
-        self.pages.drain();
+    fn charge(&self, meter: &mut CpuMeter, hw: &HardwareConfig) {
         let t = &self.tally;
         let kind = self.storage.comp.codec.kind();
         let width = self.dtype.width() as f64;

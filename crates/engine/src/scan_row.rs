@@ -62,19 +62,10 @@ struct TupleLoop {
 
 impl RowScanner {
     /// Build a row scanner. `projection` lists base-table column indices in
-    /// output order; `predicates` reference base-table columns.
-    pub fn new(
-        table: Arc<Table>,
-        projection: Vec<usize>,
-        predicates: Vec<Predicate>,
-        ctx: &ExecContext,
-    ) -> Result<RowScanner> {
-        RowScanner::new_range(table, projection, predicates, ctx, None)
-    }
-
-    /// Build a row scanner restricted to the row-ordinal range `[start, end)`
-    /// — one morsel of a parallel scan. `None` scans the whole table.
-    pub fn new_range(
+    /// output order; `predicates` reference base-table columns; `range`
+    /// restricts the scan to row ordinals `[start, end)` — one morsel of a
+    /// parallel scan — and `None` scans the whole table.
+    pub(crate) fn new(
         table: Arc<Table>,
         projection: Vec<usize>,
         predicates: Vec<Predicate>,
@@ -434,7 +425,7 @@ mod tests {
     fn full_scan_projects_everything() {
         let t = table(1000);
         let ctx = ExecContext::default_ctx();
-        let mut s = RowScanner::new(t, vec![0, 1, 2], vec![], &ctx).unwrap();
+        let mut s = RowScanner::new(t, vec![0, 1, 2], vec![], &ctx, None).unwrap();
         let rows = collect_rows(&mut s).unwrap();
         assert_eq!(rows.len(), 1000);
         assert_eq!(rows[999][0], Value::Int(999));
@@ -445,7 +436,7 @@ mod tests {
     fn predicate_filters_and_positions_track_source() {
         let t = table(1000);
         let ctx = ExecContext::default_ctx();
-        let mut s = RowScanner::new(t, vec![1], vec![Predicate::lt(1, 10)], &ctx).unwrap();
+        let mut s = RowScanner::new(t, vec![1], vec![Predicate::lt(1, 10)], &ctx, None).unwrap();
         let mut total = 0;
         while let Some(b) = s.next().unwrap() {
             for i in 0..b.count() {
@@ -469,11 +460,12 @@ mod tests {
         ] {
             for proj in [vec![0, 1, 2], vec![2, 0], vec![1]] {
                 let ctx = ExecContext::default_ctx();
-                let mut a =
-                    RowScanner::new(plain.clone(), proj.clone(), preds.clone(), &ctx).unwrap();
+                let mut a = RowScanner::new(plain.clone(), proj.clone(), preds.clone(), &ctx, None)
+                    .unwrap();
                 let ctx2 = ExecContext::default_ctx();
                 let mut b =
-                    RowScanner::new(packed.clone(), proj.clone(), preds.clone(), &ctx2).unwrap();
+                    RowScanner::new(packed.clone(), proj.clone(), preds.clone(), &ctx2, None)
+                        .unwrap();
                 assert_eq!(
                     collect_rows(&mut a).unwrap(),
                     collect_rows(&mut b).unwrap(),
@@ -489,8 +481,14 @@ mod tests {
         let packed = packed_table(20_000);
         let run = |t: &Arc<Table>| {
             let ctx = ExecContext::default_ctx();
-            let mut s = RowScanner::new(t.clone(), vec![0, 1, 2], vec![Predicate::lt(1, 10)], &ctx)
-                .unwrap();
+            let mut s = RowScanner::new(
+                t.clone(),
+                vec![0, 1, 2],
+                vec![Predicate::lt(1, 10)],
+                &ctx,
+                None,
+            )
+            .unwrap();
             while s.next().unwrap().is_some() {}
             let bytes = ctx.disk.borrow().stats().bytes_read;
             let uops = ctx.meter.borrow().counters().uops;
@@ -521,11 +519,11 @@ mod tests {
         ] {
             let ctx = ExecContext::default_ctx();
             let mut slow =
-                RowScanner::new(packed.clone(), vec![0, 1, 2], preds.clone(), &ctx).unwrap();
+                RowScanner::new(packed.clone(), vec![0, 1, 2], preds.clone(), &ctx, None).unwrap();
             let slow_rows = collect_rows(&mut slow).unwrap();
             let fctx = fast_ctx();
             let mut fast =
-                RowScanner::new(packed.clone(), vec![0, 1, 2], preds.clone(), &fctx).unwrap();
+                RowScanner::new(packed.clone(), vec![0, 1, 2], preds.clone(), &fctx, None).unwrap();
             let fast_rows = collect_rows(&mut fast).unwrap();
             assert_eq!(fast_rows, slow_rows, "{preds:?}");
         }
@@ -537,8 +535,14 @@ mod tests {
             } else {
                 ExecContext::default_ctx()
             };
-            let mut s =
-                RowScanner::new(packed.clone(), vec![1], vec![Predicate::lt(1, 1)], &ctx).unwrap();
+            let mut s = RowScanner::new(
+                packed.clone(),
+                vec![1],
+                vec![Predicate::lt(1, 1)],
+                &ctx,
+                None,
+            )
+            .unwrap();
             while s.next().unwrap().is_some() {}
             let uops = ctx.meter.borrow().counters().uops;
             uops
@@ -550,7 +554,7 @@ mod tests {
     fn projection_reorders_columns() {
         let t = table(10);
         let ctx = ExecContext::default_ctx();
-        let mut s = RowScanner::new(t, vec![2, 0], vec![], &ctx).unwrap();
+        let mut s = RowScanner::new(t, vec![2, 0], vec![], &ctx, None).unwrap();
         assert_eq!(s.schema().columns()[0].name, "tag");
         assert_eq!(s.schema().columns()[1].name, "id");
         let rows = collect_rows(&mut s).unwrap();
@@ -562,7 +566,7 @@ mod tests {
         let t = table(1000);
         let ctx = ExecContext::default_ctx();
         let preds = vec![Predicate::lt(1, 50), Predicate::eq(2, "aa")];
-        let mut s = RowScanner::new(t, vec![0], preds, &ctx).unwrap();
+        let mut s = RowScanner::new(t, vec![0], preds, &ctx, None).unwrap();
         let rows = collect_rows(&mut s).unwrap();
         for r in &rows {
             let id = r[0].as_int().unwrap() as usize;
@@ -578,7 +582,7 @@ mod tests {
         let file_bytes = t.row_storage().unwrap().byte_len() as f64;
         for pred in [vec![], vec![Predicate::lt(1, 1)]] {
             let ctx = ExecContext::default_ctx();
-            let mut s = RowScanner::new(t.clone(), vec![0], pred, &ctx).unwrap();
+            let mut s = RowScanner::new(t.clone(), vec![0], pred, &ctx, None).unwrap();
             while s.next().unwrap().is_some() {}
             let stats = *ctx.disk.borrow().stats();
             assert!((stats.bytes_read - file_bytes).abs() < 1.0);
@@ -589,8 +593,14 @@ mod tests {
     fn cpu_meter_sees_scan_work() {
         let t = table(2000);
         let ctx = ExecContext::default_ctx();
-        let mut s =
-            RowScanner::new(t.clone(), vec![0, 1], vec![Predicate::lt(1, 10)], &ctx).unwrap();
+        let mut s = RowScanner::new(
+            t.clone(),
+            vec![0, 1],
+            vec![Predicate::lt(1, 10)],
+            &ctx,
+            None,
+        )
+        .unwrap();
         while s.next().unwrap().is_some() {}
         let c = *ctx.meter.borrow().counters();
         assert!(c.uops > 0.0);
@@ -603,9 +613,9 @@ mod tests {
     fn rejects_bad_plans() {
         let t = table(10);
         let ctx = ExecContext::default_ctx();
-        assert!(RowScanner::new(t.clone(), vec![], vec![], &ctx).is_err());
-        assert!(RowScanner::new(t.clone(), vec![9], vec![], &ctx).is_err());
-        assert!(RowScanner::new(t, vec![0], vec![Predicate::lt(9, 1)], &ctx).is_err());
+        assert!(RowScanner::new(t.clone(), vec![], vec![], &ctx, None).is_err());
+        assert!(RowScanner::new(t.clone(), vec![9], vec![], &ctx, None).is_err());
+        assert!(RowScanner::new(t, vec![0], vec![Predicate::lt(9, 1)], &ctx, None).is_err());
     }
 
     #[test]
@@ -615,6 +625,6 @@ mod tests {
         b.push_row(&[Value::Int(1)]).unwrap();
         let t = Arc::new(b.finish().unwrap());
         let ctx = ExecContext::default_ctx();
-        assert!(RowScanner::new(t, vec![0], vec![], &ctx).is_err());
+        assert!(RowScanner::new(t, vec![0], vec![], &ctx, None).is_err());
     }
 }

@@ -1,8 +1,8 @@
 //! Shared circular scan cursors: many concurrent queries over one table
 //! ride a single physical scan (§2.1.1's scan sharing: "employ a single
 //! scanner and deliver data to multiple queries off a single reading
-//! stream") — over the Row and Column layouts in any stored format, with
-//! per-query aggregation, the fast path and the page cache.
+//! stream") — over every layout in any stored format, with per-query
+//! aggregation, the fast path and the page cache.
 //!
 //! The cursor walks the table's page-aligned segments in a circle. Queries
 //! *attach* at whatever segment the cursor is currently on — a late
@@ -10,22 +10,23 @@
 //! its missed prefix after the cursor wraps around. Each segment visit
 //! runs:
 //!
-//! 1. **One driver pass** — the pages of the row file, or of the union of
-//!    all attached queries' columns (projection ∪ predicate inputs), are
-//!    moved and checksummed once each, in the order a predicate-free scan
-//!    of them would request them ([`page_pass`]), optionally through a
-//!    shared page cache. The driver decodes nothing: it exists to charge
-//!    the segment's only I/O — one file pass per wraparound cycle no matter
-//!    how many queries ride it — and to fail the batch on a page that is bad
-//!    on every replica.
+//! 1. **One driver pass** — the pages of the row file, or (for every column
+//!    layout) of the union of all attached queries' columns (projection ∪
+//!    predicate inputs), are moved and checksummed once each, in the order
+//!    a predicate-free pipelined scan of them would request them
+//!    ([`page_pass`]), optionally through a shared page cache. The driver
+//!    decodes nothing: it exists to charge the segment's only I/O — one
+//!    file pass per wraparound cycle no matter how many queries ride it —
+//!    and to fail the batch on a page that is bad on every replica.
 //! 2. **Per-query work** off the shared stream — riders decode: each
 //!    query's plan runs over the segment through [`QueryPlan::run_on`], the
-//!    riders mapped over one `sched::pool`. Their simulated I/O is
-//!    discarded (the driver already paid it); their CPU is charged in full
-//!    per query. That is deliberately conservative: the paper's shared-scan
-//!    model amortizes predicate evaluation too, but here every query keeps
-//!    its exact solo kernel costs so results and per-query CPU attribution
-//!    stay bit-identical to solo runs.
+//!    riders mapped over one `sched::pool`, each with its own scanner. Their
+//!    simulated I/O is discarded (the driver already paid it), so they read
+//!    through no page cache; their CPU is charged in full per query. That
+//!    is deliberately conservative: the paper's shared-scan model amortizes
+//!    predicate evaluation too, but here every query keeps its exact solo
+//!    kernel costs so results and per-query CPU attribution stay
+//!    bit-identical to solo runs.
 //!
 //! Each rider's runs are stored by *segment index* and folded in segment
 //! order `0..S` at completion by `QueryPlan::finish`, so a wrapped query's
@@ -135,10 +136,7 @@ pub struct SharedCursor {
 }
 
 impl SharedCursor {
-    /// Build a cursor. Only the [`ScanLayout::Row`] and
-    /// [`ScanLayout::Column`] layouts support range-restricted segment
-    /// scans; the single-iterator teaching variants are rejected up front
-    /// with the same message the service surfaces.
+    /// Build a cursor over `table` for riders scanning it through `layout`.
     pub fn new(
         table: Arc<Table>,
         layout: ScanLayout,
@@ -148,11 +146,6 @@ impl SharedCursor {
         row_scale: f64,
         cache: Option<SharedPageCache>,
     ) -> Result<SharedCursor> {
-        if !layout.supports_ranges() {
-            return Err(Error::InvalidPlan(format!(
-                "shared cursor supports the Row and Column layouts, not {layout:?}"
-            )));
-        }
         if cfg.workers == 0 {
             return Err(Error::InvalidPlan("shared cursor with 0 workers".into()));
         }
@@ -175,7 +168,7 @@ impl SharedCursor {
             segments,
             pos: 0,
             active: Vec::new(),
-            union_cols: (layout == ScanLayout::Column).then(Vec::new),
+            union_cols: (layout != ScanLayout::Row).then(Vec::new),
             io: IoStats::default(),
             cycles: 0,
         })
@@ -278,11 +271,13 @@ impl SharedCursor {
 
         // 2. The riders' runs of the segment, on the shared pool. Their
         // simulated I/O is discarded — the driver pass above already paid
-        // it.
+        // it — so they read through no page cache: one pass pulls each page
+        // once, and a cache of their own could never hit.
         let riders: Vec<&CursorQuery> = self.active.iter().map(|a| &a.q).collect();
+        let rider_sys = SystemConfig { cache: None, ..sys };
         let pieces = pool(self.workers, &riders, |q| {
             q.plan.run_on(
-                &ExecContext::new(hw, sys, row_scale)?,
+                &ExecContext::new(hw, rider_sys, row_scale)?,
                 Some(range),
                 q.collect,
             )
@@ -354,7 +349,7 @@ mod tests {
     use crate::plan::{AggPlan, ScanSpec};
     use crate::predicate::Predicate;
     use rodb_storage::{BuildLayouts, TableBuilder};
-    use rodb_types::{Column, Schema};
+    use rodb_types::{CacheSpec, Column, Schema};
 
     fn table(n: usize) -> Arc<Table> {
         let s = Arc::new(Schema::new(vec![Column::int("a"), Column::int("b")]).unwrap());
@@ -370,15 +365,25 @@ mod tests {
     }
 
     fn cursor(t: &Arc<Table>, layout: ScanLayout, workers: usize) -> SharedCursor {
+        cursor_on(t, layout, workers, SystemConfig::default())
+    }
+
+    fn cursor_on(
+        t: &Arc<Table>,
+        layout: ScanLayout,
+        workers: usize,
+        sys: SystemConfig,
+    ) -> SharedCursor {
+        let cfg = SharedCursorConfig {
+            segments: 4,
+            workers,
+        };
         SharedCursor::new(
             t.clone(),
             layout,
-            SharedCursorConfig {
-                segments: 4,
-                workers,
-            },
+            cfg,
             HardwareConfig::default(),
-            SystemConfig::default(),
+            sys,
             1.0,
             None,
         )
@@ -440,9 +445,14 @@ mod tests {
             Some(Predicate::eq(0, 7_777)),
             None,
         ];
+        let pages = t.row_storage().unwrap().pages;
+        let cached = SystemConfig::default().with_cache(CacheSpec::lru_k(pages / 2));
         let mut solo_cpu = None;
-        for k in [1usize, 3] {
-            let mut c = cursor(&t, ScanLayout::Row, 1);
+        for (k, sys) in [1usize, 3]
+            .into_iter()
+            .flat_map(|k| [(k, SystemConfig::default()), (k, cached)])
+        {
+            let mut c = cursor_on(&t, ScanLayout::Row, 1, sys);
             for (i, pred) in preds.iter().take(k).enumerate() {
                 c.attach(q(&c, i, pred.clone())).unwrap();
             }
@@ -453,11 +463,14 @@ mod tests {
             // I/O: the driver's single pass over the file, however many
             // queries ride it.
             assert_eq!(c.io_stats().bytes_read, file_bytes, "k={k}");
+            assert_eq!(c.io_stats().cache.misses > 0, sys.cache.is_some(), "k={k}");
             // CPU: a rider is charged the same whoever else rides along (the
-            // cursor amortizes the disk, never the tuple loop).
+            // cursor amortizes the disk, never the tuple loop), and whether
+            // or not the driver reads through a page cache.
             assert_eq!(done.len(), k);
             let rider0 = done.iter().find(|d| d.token == 0).unwrap().cpu_s;
-            assert_eq!(*solo_cpu.get_or_insert(rider0), rider0, "k={k}");
+            let what = format!("k={k} cache={:?}", sys.cache);
+            assert_eq!(*solo_cpu.get_or_insert(rider0), rider0, "{what}");
         }
     }
 
@@ -539,24 +552,30 @@ mod tests {
     }
 
     #[test]
-    fn rejects_unsupported_layouts_and_empty_steps() {
-        let t = table(100);
-        let err = SharedCursor::new(
-            t.clone(),
-            ScanLayout::ColumnSlow,
-            SharedCursorConfig {
-                segments: 2,
-                workers: 1,
-            },
-            HardwareConfig::default(),
-            SystemConfig::default(),
-            1.0,
-            None,
-        )
-        .err()
-        .unwrap();
-        assert!(format!("{err}").contains("Row and Column"));
-        let mut c = cursor(&t, ScanLayout::Row, 1);
+    fn research_layout_riders_return_their_solo_rows() {
+        let t = table(12_000);
+        for layout in [ScanLayout::ColumnSlow, ScanLayout::ColumnSingleIterator] {
+            let mut c = cursor(&t, layout, 2);
+            let q0 = q(&c, 0, Some(Predicate::lt(1, 4)));
+            let q1 = q(&c, 1, Some(Predicate::ge(0, 5_000)));
+            c.attach(q0.clone()).unwrap();
+            c.step().unwrap();
+            // q1 attaches late and completes after the wraparound.
+            assert_eq!(c.attach(q1.clone()).unwrap(), 1);
+            let mut done = Vec::new();
+            for _ in 0..c.segment_count() {
+                done.extend(c.step().unwrap().done);
+            }
+            assert_eq!(done.len(), 2, "{layout}");
+            assert!(done[1].wrapped, "{layout}");
+            assert_eq!(done[0].rows, solo_rows(&q0), "{layout}");
+            assert_eq!(done[1].rows, solo_rows(&q1), "{layout}");
+        }
+    }
+
+    #[test]
+    fn rejects_empty_steps() {
+        let mut c = cursor(&table(100), ScanLayout::Row, 1);
         assert!(c.step().is_err());
     }
 }

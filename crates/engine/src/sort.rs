@@ -140,7 +140,7 @@ mod tests {
             .unwrap();
         }
         let t = Arc::new(b.finish().unwrap());
-        Box::new(RowScanner::new(t, vec![0, 1], vec![], ctx).unwrap())
+        Box::new(RowScanner::new(t, vec![0, 1], vec![], ctx, None).unwrap())
     }
 
     #[test]
@@ -178,7 +178,7 @@ mod tests {
         let mut b = TableBuilder::new("e", s, 4096, BuildLayouts::row_only()).unwrap();
         b.push_row(&[Value::Int(1)]).unwrap();
         let t = Arc::new(b.finish().unwrap());
-        let scan = RowScanner::new(t, vec![0], vec![Predicate::lt(0, 0)], &ctx).unwrap();
+        let scan = RowScanner::new(t, vec![0], vec![Predicate::lt(0, 0)], &ctx, None).unwrap();
         let mut sort = Sort::new(Box::new(scan), vec![0], &ctx).unwrap();
         assert!(sort.next().unwrap().is_none());
     }

@@ -23,7 +23,6 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use rodb_core::{Observed, QueryBuilder, QueryResult, QueryService, ServiceReport, ServiceRequest};
-use rodb_engine::ScanLayout;
 use rodb_io::{CacheStats, IoStats};
 use rodb_storage::page::verified_pages;
 use rodb_storage::{BuildLayouts, QuarantinedPage, Table, TableBuilder};
@@ -322,11 +321,9 @@ impl Case {
 
     /// The one translation of a rider into a `QueryBuilder`. A `shared`
     /// query is one the service runs (or the solo baseline it is compared
-    /// with): the cursor generalizes scan sharing to the Row and Column
-    /// layouts, so the slow column variants fold onto Column, and every
-    /// rider scales to the same virtual row count — the service requires
-    /// one clock scale, and a multi-second modeled pass is what makes late
-    /// arrivals attach mid-scan instead of finding an idle cursor.
+    /// with): every rider scales to the same virtual row count — the service
+    /// requires one clock scale, and a multi-second modeled pass is what
+    /// makes late arrivals attach mid-scan instead of finding an idle cursor.
     fn query(
         &self,
         (table, tail): (&Arc<Table>, &Option<Arc<Rows>>),
@@ -334,13 +331,8 @@ impl Case {
         sys: SystemConfig,
         shared: bool,
     ) -> rodb_types::Result<QueryBuilder> {
-        let layout = match self.plan.layout {
-            ScanLayout::Row => ScanLayout::Row,
-            _ if shared => ScanLayout::Column,
-            l => l,
-        };
         let mut q = QueryBuilder::new(table.clone(), HardwareConfig::default(), sys)
-            .layout(layout)
+            .layout(self.plan.layout)
             .select_indices(&r.projection);
         if shared {
             q = q.scale_to_rows(10_000_000);

@@ -14,7 +14,8 @@
 //!   struct once and derives merge, delta, JSON and its span keys.
 //! - [`metrics`]: named counters, gauges, and log2-bucket [`Histogram`]s —
 //!   instantiable [`Registry`] handles for drivers that own their metrics,
-//!   plus the process-wide [`MetricsRegistry`] static facade.
+//!   plus the process-wide [`MetricsRegistry`] static facade; one
+//!   [`MetricSet`] type holds a registry's metrics or one window's.
 //! - [`timeline`]: [`Timeline`] buckets those metrics by simulated-clock
 //!   windows, turning a service run into curves over time.
 //! - [`recorder`]: [`FlightRecorder`] — bounded tail-based retention of the
@@ -50,8 +51,8 @@ pub use fields::{Field, Keys};
 #[cfg(feature = "monitor")]
 pub use http::MonitorServer;
 pub use json::Json;
-pub use metrics::{Histogram, MetricsHandle, MetricsRegistry, Registry};
+pub use metrics::{Histogram, MetricSet, MetricsHandle, MetricsRegistry, Registry};
 pub use recorder::{FlightEntry, FlightRecorder};
 pub use sink::{EventBuf, EventKind, TraceEvent, TraceSink};
 pub use span::{keys, Metrics, QueryTrace, SpanId, SpanKind, SpanNode, Tracer, ROOT};
-pub use timeline::{Timeline, Window};
+pub use timeline::Timeline;

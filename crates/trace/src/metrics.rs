@@ -12,6 +12,8 @@
 //! ride along for free. [`Histogram`] is the one shared quantile path: log2
 //! buckets plus an exact sample buffer for small populations, used by the
 //! service's SLO accounting, the windowed timelines, and the bench gates.
+//! [`MetricSet`] is the one container of named metrics: a registry holds one,
+//! a timeline one per window.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -214,20 +216,77 @@ fn bucket_of(v: f64) -> i32 {
     }
 }
 
-#[derive(Debug, Default)]
-struct RegState {
+/// Named counters, last-value gauges and [`Histogram`]s, each kind kept in
+/// name order — what a [`Registry`] holds and what one
+/// [`Timeline`](crate::Timeline) window holds.
+#[derive(Debug, Default, Clone)]
+pub struct MetricSet {
     counters: BTreeMap<String, f64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
-/// An owned metrics instance: named counters, last-value gauges, and
-/// [`Histogram`]s behind one mutex. Cheap to create; share via
-/// [`MetricsHandle`]. The process-wide default instance backing the static
-/// [`MetricsRegistry`] facade is [`Registry::global`].
+impl MetricSet {
+    /// Add `delta` to a named counter (created at zero on first use).
+    pub fn counter_add(&mut self, name: &str, delta: f64) {
+        *self.counters.entry(name.to_string()).or_insert(0.0) += delta;
+    }
+
+    /// Overwrite a named last-value gauge.
+    pub fn gauge_set(&mut self, name: &str, value: f64) {
+        self.gauges.insert(name.to_string(), value);
+    }
+
+    /// Record one observation in a named histogram.
+    pub fn observe(&mut self, name: &str, value: f64) {
+        self.histograms
+            .entry(name.to_string())
+            .or_default()
+            .observe(value);
+    }
+
+    /// Counter total (0 if never bumped).
+    pub fn counter(&self, name: &str) -> f64 {
+        self.counters.get(name).copied().unwrap_or(0.0)
+    }
+
+    /// Last gauge value set, if any.
+    pub fn gauge(&self, name: &str) -> Option<f64> {
+        self.gauges.get(name).copied()
+    }
+
+    /// A named histogram, if any observation landed in it.
+    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
+        self.histograms.get(name)
+    }
+
+    /// `{"counters", "gauges", "histograms"}`, each object in name order.
+    pub fn to_json(&self) -> Json {
+        let mut counters = Json::obj();
+        for (k, v) in &self.counters {
+            counters = counters.set(k, *v);
+        }
+        let mut gauges = Json::obj();
+        for (k, v) in &self.gauges {
+            gauges = gauges.set(k, *v);
+        }
+        let mut histograms = Json::obj();
+        for (k, h) in &self.histograms {
+            histograms = histograms.set(k, h.to_json());
+        }
+        Json::obj()
+            .set("counters", counters)
+            .set("gauges", gauges)
+            .set("histograms", histograms)
+    }
+}
+
+/// An owned metrics instance: one [`MetricSet`] behind a mutex. Cheap to
+/// create; share via [`MetricsHandle`]. The process-wide default instance
+/// backing the static [`MetricsRegistry`] facade is [`Registry::global`].
 #[derive(Debug, Default)]
 pub struct Registry {
-    state: Mutex<RegState>,
+    state: Mutex<MetricSet>,
 }
 
 /// Shared handle to a [`Registry`] (the service, bench, and fuzz drivers
@@ -250,44 +309,38 @@ impl Registry {
         GLOBAL.get_or_init(Registry::handle)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, RegState> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, MetricSet> {
         self.state.lock().unwrap()
     }
 
     /// Add `delta` to a named counter (created at zero on first use).
     pub fn counter_add(&self, name: &str, delta: f64) {
-        let mut reg = self.lock();
-        *reg.counters.entry(name.to_string()).or_insert(0.0) += delta;
+        self.lock().counter_add(name, delta);
     }
 
     /// Overwrite a named last-value gauge.
     pub fn gauge_set(&self, name: &str, value: f64) {
-        let mut reg = self.lock();
-        reg.gauges.insert(name.to_string(), value);
+        self.lock().gauge_set(name, value);
     }
 
     /// Record one observation in a named histogram.
     pub fn observe(&self, name: &str, value: f64) {
-        let mut reg = self.lock();
-        reg.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+        self.lock().observe(name, value);
     }
 
     /// Current counter value (0 if never bumped).
     pub fn counter(&self, name: &str) -> f64 {
-        self.lock().counters.get(name).copied().unwrap_or(0.0)
+        self.lock().counter(name)
     }
 
     /// Current gauge value (0 if never set).
     pub fn gauge(&self, name: &str) -> f64 {
-        self.lock().gauges.get(name).copied().unwrap_or(0.0)
+        self.lock().gauge(name).unwrap_or(0.0)
     }
 
     /// Clone of a named histogram, if any observation landed in it.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.lock().histograms.get(name).cloned()
+        self.lock().histogram(name).cloned()
     }
 
     /// All current gauges (name, value) — what timeline samplers poll.
@@ -301,33 +354,12 @@ impl Registry {
 
     /// Snapshot the registry as JSON without resetting it.
     pub fn snapshot(&self) -> Json {
-        let reg = self.lock();
-        let mut counters = Json::obj();
-        for (k, v) in &reg.counters {
-            counters = counters.set(k, *v);
-        }
-        let mut gauges = Json::obj();
-        for (k, v) in &reg.gauges {
-            gauges = gauges.set(k, *v);
-        }
-        let mut histograms = Json::obj();
-        for (k, h) in &reg.histograms {
-            histograms = histograms.set(k, h.to_json());
-        }
-        Json::obj()
-            .set("counters", counters)
-            .set("gauges", gauges)
-            .set("histograms", histograms)
+        self.lock().to_json()
     }
 
     /// Snapshot and reset — what sweep drivers call when writing output.
     pub fn drain(&self) -> Json {
-        let snap = self.snapshot();
-        let mut reg = self.lock();
-        reg.counters.clear();
-        reg.gauges.clear();
-        reg.histograms.clear();
-        snap
+        std::mem::take(&mut *self.lock()).to_json()
     }
 }
 

@@ -21,6 +21,7 @@ use std::collections::BTreeMap;
 use rodb_types::SplitMix64;
 
 use crate::json::Json;
+use crate::timeline::Windows;
 
 /// Hard per-window cap on unconditionally-retained anomalies. Far above
 /// anything the simulated service produces per window; exists only so a
@@ -101,11 +102,12 @@ impl FlightWindow {
 }
 
 /// Bounded tail-based retention of query flight records, windowed by the
-/// modeled clock (same bucketing rule as `Timeline`: completion — or
-/// rejection — time `t` lands in window `floor(t / window_s)`).
+/// modeled clock (the [`Timeline`](crate::Timeline)'s bucketing rule:
+/// completion — or rejection — time `t` lands in window `floor(t /
+/// window_s)`).
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    window_s: f64,
+    rule: Windows,
     k: usize,
     reservoir_size: usize,
     windows: BTreeMap<u64, FlightWindow>,
@@ -116,13 +118,8 @@ impl FlightRecorder {
     /// `k` slowest kept per window; `reservoir_size` ordinary queries
     /// sampled per window on top of that.
     pub fn new(window_s: f64, k: usize, reservoir_size: usize) -> FlightRecorder {
-        let window_s = if window_s.is_finite() && window_s > 0.0 {
-            window_s
-        } else {
-            1.0
-        };
         FlightRecorder {
-            window_s,
+            rule: Windows::new(window_s),
             k,
             reservoir_size,
             windows: BTreeMap::new(),
@@ -132,10 +129,7 @@ impl FlightRecorder {
 
     /// The window index an event at modeled time `t` lands in.
     pub fn window_of(&self, t: f64) -> u64 {
-        if t <= 0.0 {
-            return 0;
-        }
-        (t / self.window_s).floor() as u64
+        self.rule.of(t)
     }
 
     /// Total entries offered (retained or not).
@@ -229,10 +223,8 @@ impl FlightRecorder {
             .windows
             .iter()
             .map(|(idx, w)| {
-                Json::obj()
-                    .set("window", *idx)
-                    .set("t0_s", *idx as f64 * self.window_s)
-                    .set("t1_s", (*idx + 1) as f64 * self.window_s)
+                self.rule
+                    .stamp(*idx, Json::obj())
                     .set(
                         "anomalies",
                         w.anomalies
@@ -259,7 +251,7 @@ impl FlightRecorder {
             })
             .collect();
         Json::obj()
-            .set("window_s", self.window_s)
+            .set("window_s", self.rule.width_s())
             .set("k", self.k as u64)
             .set("reservoir", self.reservoir_size as u64)
             .set("recorded", self.recorded)

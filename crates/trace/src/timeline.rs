@@ -1,131 +1,109 @@
 //! Windowed metric timelines over the simulated clock.
 //!
-//! A [`Timeline`] buckets counters, gauges, and [`Histogram`]s by
-//! fixed-width windows of *modeled* time, so a [`QueryService`] run yields
+//! A [`Timeline`] keeps one [`MetricSet`] — counters, gauges, and
+//! [`Histogram`]s — per fixed-width window of *modeled* time, so a [`QueryService`] run yields
 //! throughput / latency / cache-hit / WAL-lag **curves over time** instead
 //! of one end-of-run blob. Every recording call takes the modeled timestamp
 //! explicitly — the timeline never consults a wall clock, never advances the
 //! simulation, and costs the caller nothing when it is simply not created
 //! (observability defaults off via `SystemConfig::observe: None`).
 //!
-//! Bucketing rule: an event at modeled time `t` lands in window
-//! `floor(t / window_s)`; window `i` therefore covers
-//! `[i·window_s, (i+1)·window_s)`. Windows are materialized lazily, so a
-//! quiet stretch of simulated time produces no entries (renderers treat
-//! missing windows as zero).
+//! Bucketing rule (`Windows`, which the flight recorder shares): an event
+//! at modeled time `t` lands in window `floor(t / window_s)`; window `i`
+//! therefore covers `[i·window_s, (i+1)·window_s)`. Windows are materialized
+//! lazily, so a quiet stretch of simulated time produces no entries
+//! (renderers treat missing windows as zero).
 //!
 //! [`QueryService`]: ../../rodb_core/struct.QueryService.html
 
 use std::collections::BTreeMap;
 
 use crate::json::Json;
-use crate::metrics::Histogram;
+use crate::metrics::{Histogram, MetricSet};
 
-/// One window's worth of metrics.
-#[derive(Debug, Default, Clone)]
-pub struct Window {
-    counters: BTreeMap<String, f64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+/// The one modeled-time window rule: width `window_s`, and the window an
+/// instant lands in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Windows {
+    width_s: f64,
 }
 
-impl Window {
-    /// Counter total within this window (0 if never bumped).
-    pub fn counter(&self, name: &str) -> f64 {
-        self.counters.get(name).copied().unwrap_or(0.0)
+impl Windows {
+    /// Non-finite or non-positive widths are rejected upstream by
+    /// `SystemConfig::validate`; this clamps defensively to one second.
+    pub(crate) fn new(window_s: f64) -> Windows {
+        let ok = window_s.is_finite() && window_s > 0.0;
+        Windows {
+            width_s: if ok { window_s } else { 1.0 },
+        }
     }
 
-    /// Last gauge value sampled within this window, if any.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
+    pub(crate) fn width_s(self) -> f64 {
+        self.width_s
     }
 
-    /// Histogram of observations within this window, if any landed.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+    /// The window index an event at modeled time `t` lands in (times at or
+    /// before zero land in window 0).
+    pub(crate) fn of(self, t: f64) -> u64 {
+        if t <= 0.0 {
+            return 0;
+        }
+        (t / self.width_s).floor() as u64
     }
 
-    fn to_json(&self) -> Json {
-        let mut counters = Json::obj();
-        for (k, v) in &self.counters {
-            counters = counters.set(k, *v);
-        }
-        let mut gauges = Json::obj();
-        for (k, v) in &self.gauges {
-            gauges = gauges.set(k, *v);
-        }
-        let mut histograms = Json::obj();
-        for (k, h) in &self.histograms {
-            histograms = histograms.set(k, h.to_json());
-        }
-        Json::obj()
-            .set("counters", counters)
-            .set("gauges", gauges)
-            .set("histograms", histograms)
+    /// `json` with window `idx`'s index and bounds appended.
+    pub(crate) fn stamp(self, idx: u64, json: Json) -> Json {
+        json.set("window", idx)
+            .set("t0_s", idx as f64 * self.width_s)
+            .set("t1_s", (idx + 1) as f64 * self.width_s)
     }
 }
 
 /// Metrics bucketed by fixed-width windows of modeled time.
 #[derive(Debug, Clone)]
 pub struct Timeline {
-    window_s: f64,
-    windows: BTreeMap<u64, Window>,
+    rule: Windows,
+    windows: BTreeMap<u64, MetricSet>,
 }
 
 impl Timeline {
     /// A timeline with the given window width in modeled seconds.
-    /// Non-finite or non-positive widths are rejected upstream by
-    /// `SystemConfig::validate`; this clamps defensively.
     pub fn new(window_s: f64) -> Timeline {
-        let window_s = if window_s.is_finite() && window_s > 0.0 {
-            window_s
-        } else {
-            1.0
-        };
         Timeline {
-            window_s,
+            rule: Windows::new(window_s),
             windows: BTreeMap::new(),
         }
     }
 
     /// The configured window width in modeled seconds.
     pub fn window_s(&self) -> f64 {
-        self.window_s
+        self.rule.width_s()
     }
 
     /// The window index an event at modeled time `t` lands in.
     pub fn window_of(&self, t: f64) -> u64 {
-        if t <= 0.0 {
-            return 0;
-        }
-        (t / self.window_s).floor() as u64
+        self.rule.of(t)
     }
 
-    fn window_mut(&mut self, t: f64) -> &mut Window {
+    fn window_mut(&mut self, t: f64) -> &mut MetricSet {
         let idx = self.window_of(t);
         self.windows.entry(idx).or_default()
     }
 
     /// Add `delta` to a named counter in the window covering modeled time `t`.
     pub fn counter_add(&mut self, t: f64, name: &str, delta: f64) {
-        let w = self.window_mut(t);
-        *w.counters.entry(name.to_string()).or_insert(0.0) += delta;
+        self.window_mut(t).counter_add(name, delta);
     }
 
     /// Record a gauge sample in the window covering modeled time `t`
     /// (last sample per window wins).
     pub fn gauge_set(&mut self, t: f64, name: &str, value: f64) {
-        let w = self.window_mut(t);
-        w.gauges.insert(name.to_string(), value);
+        self.window_mut(t).gauge_set(name, value);
     }
 
     /// Record a histogram observation in the window covering modeled time `t`.
     pub fn observe(&mut self, t: f64, name: &str, value: f64) {
-        let w = self.window_mut(t);
-        w.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+        self.window_mut(t).observe(name, value);
     }
 
     /// Number of materialized (non-empty) windows.
@@ -143,7 +121,7 @@ impl Timeline {
     }
 
     /// A materialized window by index.
-    pub fn window(&self, idx: u64) -> Option<&Window> {
+    pub fn window(&self, idx: u64) -> Option<&MetricSet> {
         self.windows.get(&idx)
     }
 
@@ -179,15 +157,10 @@ impl Timeline {
         let windows: Vec<Json> = self
             .windows
             .iter()
-            .map(|(idx, w)| {
-                w.to_json()
-                    .set("window", *idx)
-                    .set("t0_s", *idx as f64 * self.window_s)
-                    .set("t1_s", (*idx + 1) as f64 * self.window_s)
-            })
+            .map(|(idx, w)| self.rule.stamp(*idx, w.to_json()))
             .collect();
         Json::obj()
-            .set("window_s", self.window_s)
+            .set("window_s", self.window_s())
             .set("windows", windows)
     }
 }

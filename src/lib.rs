@@ -35,9 +35,9 @@ pub mod prelude {
         ServiceReport, ServiceRequest, DEFAULT_SELECTIVITY,
     };
     pub use rodb_engine::{
-        AggFunc, AggPlan, AggSpec, AggStrategy, Aggregate, CmpOp, ColumnScanMode, ColumnScanner,
-        CursorQuery, ExecContext, MergeJoin, Operator, Predicate, QueryPlan, RowScanner, RunReport,
-        ScanLayout, ScanSpec, SharedCursor, SharedCursorConfig, Sort, TupleBlock,
+        AggFunc, AggPlan, AggSpec, AggStrategy, Aggregate, CmpOp, CursorQuery, ExecContext,
+        MergeJoin, Operator, Predicate, QueryPlan, RunReport, ScanLayout, ScanSpec, SharedCursor,
+        SharedCursorConfig, Sort, TupleBlock,
     };
     pub use rodb_model::{speedup_at, surface, Figure2Config, Platform, Workload};
     pub use rodb_storage::{

@@ -167,11 +167,12 @@ fn cells() -> &'static [(String, u64)] {
 fn run_matrix() -> Vec<(String, u64)> {
     let mut out = Vec::new();
     for s in subjects() {
-        let windows: &[Option<(u64, u64)>] = if s.layout.supports_ranges() {
-            &[None, Some(WINDOW)]
-        } else {
-            &[None]
-        };
+        let windows: &[Option<(u64, u64)>] =
+            if matches!(s.layout, ScanLayout::Row | ScanLayout::Column) {
+                &[None, Some(WINDOW)]
+            } else {
+                &[None]
+            };
         for fast in [false, true] {
             for (pi, preds) in s.predicates.iter().enumerate() {
                 for &window in windows {

@@ -10,6 +10,14 @@ use std::sync::Arc;
 
 const THREADS: [usize; 4] = [1, 2, 4, 7];
 
+/// Every access path; each one scans a row range, so each runs in parallel.
+const LAYOUTS: [ScanLayout; 4] = [
+    ScanLayout::Row,
+    ScanLayout::Column,
+    ScanLayout::ColumnSlow,
+    ScanLayout::ColumnSingleIterator,
+];
+
 fn db(n: usize) -> Database {
     let schema = Arc::new(
         Schema::new(vec![
@@ -68,23 +76,23 @@ fn parallel_row_scan_equals_serial() {
 #[test]
 fn parallel_column_scan_equals_serial() {
     let db = db(20_000);
-    let serial = scan_query(&db, ScanLayout::Column).run_collect().unwrap();
-    for t in THREADS {
-        let par = scan_query(&db, ScanLayout::Column)
-            .threads(t)
-            .run_collect()
-            .unwrap();
-        assert_eq!(par.rows, serial.rows, "column scan, {t} threads");
+    for layout in &LAYOUTS[1..] {
+        let serial = scan_query(&db, *layout).run_collect().unwrap();
+        for t in THREADS {
+            let par = scan_query(&db, *layout).threads(t).run_collect().unwrap();
+            assert_eq!(par.rows, serial.rows, "{layout} scan, {t} threads");
+            assert_eq!(par.parallel.is_some(), t > 1, "{layout}, {t} threads");
+        }
     }
 }
 
 #[test]
 fn parallel_hash_aggregation_equals_serial() {
     let db = db(30_000);
-    let q = |threads: usize| {
+    let q = |layout: ScanLayout, threads: usize| {
         db.query("t")
             .unwrap()
-            .layout(ScanLayout::Column)
+            .layout(layout)
             .select(&["grp", "val"])
             .unwrap()
             .group_by("grp")
@@ -98,11 +106,13 @@ fn parallel_hash_aggregation_equals_serial() {
             .run_collect()
             .unwrap()
     };
-    let serial = q(1);
-    assert!(!serial.rows.is_empty());
-    for t in THREADS {
-        let par = q(t);
-        assert_eq!(par.rows, serial.rows, "hash agg, {t} threads");
+    for layout in LAYOUTS {
+        let serial = q(layout, 1);
+        assert!(!serial.rows.is_empty());
+        for t in THREADS {
+            let par = q(layout, t);
+            assert_eq!(par.rows, serial.rows, "hash agg, {layout}, {t} threads");
+        }
     }
 }
 
@@ -127,24 +137,13 @@ fn parallel_sorted_aggregation_equals_serial() {
             .run_collect()
             .unwrap()
     };
-    for layout in [ScanLayout::Row, ScanLayout::Column] {
+    for layout in LAYOUTS {
         let serial = q(layout, 1);
         assert_eq!(serial.rows.len(), 30_000 / 512 + 1);
         for t in THREADS {
             let par = q(layout, t);
             assert_eq!(par.rows, serial.rows, "sorted agg, {layout}, {t} threads");
         }
-    }
-}
-
-#[test]
-fn research_layouts_fall_back_to_serial() {
-    let db = db(5_000);
-    for layout in [ScanLayout::ColumnSlow, ScanLayout::ColumnSingleIterator] {
-        let serial = scan_query(&db, layout).run_collect().unwrap();
-        let par = scan_query(&db, layout).threads(4).run_collect().unwrap();
-        assert_eq!(par.rows, serial.rows);
-        assert!(par.parallel.is_none(), "{layout} must not parallelize");
     }
 }
 
@@ -212,7 +211,7 @@ fn four_threads_at_least_halve_a_decode_bound_modeled_scan() {
 #[test]
 fn parallel_scan_of_empty_table() {
     let db = db(0);
-    for layout in [ScanLayout::Row, ScanLayout::Column] {
+    for layout in LAYOUTS {
         for t in THREADS {
             let res = scan_query(&db, layout).threads(t).run_collect().unwrap();
             assert!(res.rows.is_empty(), "{layout}, {t} threads");
@@ -237,7 +236,7 @@ fn parallel_scan_of_empty_table() {
 #[test]
 fn parallel_scan_of_single_row_table() {
     let db = db(1);
-    for layout in [ScanLayout::Row, ScanLayout::Column] {
+    for layout in LAYOUTS {
         let serial = scan_query(&db, layout).run_collect().unwrap();
         assert_eq!(serial.rows.len(), 1);
         for t in THREADS {
@@ -252,7 +251,7 @@ fn more_threads_than_morsels_is_harmless() {
     // 100 rows fit in a handful of pages, so 16 workers outnumber the
     // morsels; the spare workers must idle, not misbehave.
     let db = db(100);
-    for layout in [ScanLayout::Row, ScanLayout::Column] {
+    for layout in LAYOUTS {
         let serial = scan_query(&db, layout).run_collect().unwrap();
         let par = scan_query(&db, layout).threads(16).run_collect().unwrap();
         assert_eq!(par.rows, serial.rows, "{layout}, 16 threads");
@@ -444,7 +443,9 @@ fn settle_io_kernel_work_is_idempotent() {
     let db = db(10_000);
     let t = db.table("t").unwrap();
     let ctx = ExecContext::default_ctx();
-    let mut scan = RowScanner::new(t, vec![0, 1], vec![], &ctx).unwrap();
+    let mut scan = ScanSpec::new(t, ScanLayout::Row, vec![0, 1])
+        .build(&ctx)
+        .unwrap();
     while scan.next().unwrap().is_some() {}
     ctx.settle_io_kernel_work();
     let after_first = *ctx.meter.borrow().counters();

@@ -3,7 +3,8 @@
 //! costs exactly what the same tree assembled by hand from the public parts
 //! costs — that hand assembly is what `benchmark/src/stairs.rs` times, so
 //! its staircase keeps telescoping to the wall of `QueryBuilder::run` — and
-//! (b) the serial, morsel-parallel and service paths return the same rows.
+//! (b) the serial, morsel-parallel and service paths return the same rows,
+//! on every layout.
 
 use rodb::engine::{run_to_completion, Chain, MemScan};
 use rodb::prelude::*;
@@ -48,6 +49,13 @@ enum Shape {
 
 const PROJECTION: [usize; 2] = [0, 1];
 
+const LAYOUTS: [ScanLayout; 4] = [
+    ScanLayout::Row,
+    ScanLayout::Column,
+    ScanLayout::ColumnSlow,
+    ScanLayout::ColumnSingleIterator,
+];
+
 fn predicate() -> Predicate {
     Predicate::lt(2, 5)
 }
@@ -88,13 +96,11 @@ fn builder(t: &Arc<Table>, layout: ScanLayout, shape: Shape, with_tail: bool) ->
 }
 
 fn cases() -> impl Iterator<Item = (ScanLayout, Shape, bool)> {
-    [ScanLayout::Row, ScanLayout::Column]
-        .into_iter()
-        .flat_map(|layout| {
-            [Shape::Scan, Shape::HashAgg, Shape::SortedAgg]
-                .into_iter()
-                .flat_map(move |shape| [false, true].map(|with_tail| (layout, shape, with_tail)))
-        })
+    LAYOUTS.into_iter().flat_map(|layout| {
+        [Shape::Scan, Shape::HashAgg, Shape::SortedAgg]
+            .into_iter()
+            .flat_map(move |shape| [false, true].map(|with_tail| (layout, shape, with_tail)))
+    })
 }
 
 #[test]
@@ -185,6 +191,50 @@ fn serial_parallel_and_service_paths_return_the_same_rows() {
                 assert!(with_tail && msg.contains("WOS tail"), "{what}: {msg}");
             }
             Err(e) => panic!("{what}: {e}"),
+        }
+    }
+}
+
+/// The acceptance sweep on the compressed TPC-H tables: for every layout,
+/// morsel-parallel runs at 2 and 4 threads and two riders of one shared
+/// cursor — the second arriving mid-scan, so it attaches late and wraps —
+/// return exactly the serial rows.
+#[test]
+fn every_executor_returns_the_serial_rows_on_every_layout() {
+    const N: u64 = 6_000;
+    let z = BuildLayouts::both();
+    let orders = Arc::new(load_orders(N, 7, 4096, z, Variant::Compressed).unwrap());
+    let lineitem = Arc::new(load_lineitem(N, 7, 4096, z, Variant::Compressed).unwrap());
+    let hw = HardwareConfig::default();
+    let sys = SystemConfig::default().with_service(ServiceSpec::new(4).with_slice(0.2));
+    for (t, pred) in [
+        (&orders, Predicate::lt(0, orderdate_threshold(0.3))),
+        (&lineitem, Predicate::lt(0, partkey_threshold(0.3))),
+    ] {
+        for layout in LAYOUTS {
+            let what = format!("{} {layout}", t.name);
+            let q = QueryBuilder::new(t.clone(), hw, sys)
+                .layout(layout)
+                .select_first(4)
+                .filter_pred(pred.clone())
+                .unwrap()
+                .scale_to_rows(20_000_000);
+            let serial = q.run_collect().unwrap();
+            assert!(!serial.rows.is_empty(), "{what}");
+            for threads in [2, 4] {
+                let par = q.clone().threads(threads).run_collect().unwrap();
+                assert!(par.parallel.is_some(), "{what}: {threads} threads");
+                assert_eq!(par.rows, serial.rows, "{what}: {threads} threads");
+            }
+            let mut svc = QueryService::new(hw, sys).unwrap();
+            svc.submit(ServiceRequest::new(q.clone()));
+            svc.submit(ServiceRequest::new(q.clone()).at(serial.report.elapsed_s * 0.4));
+            let report = svc.run().unwrap();
+            for o in &report.outcomes {
+                assert_eq!(o.rows, serial.rows, "{what}: service");
+            }
+            let late = &report.outcomes[1];
+            assert!(late.attach_seg > 0 && late.wrapped, "{what}: {late:?}");
         }
     }
 }

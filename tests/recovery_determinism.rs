@@ -5,7 +5,7 @@
 //! the identical degraded result. Mirrored reads must repair those same
 //! sites back to the clean answer.
 
-use rodb::prelude::{CmpOp, Database, QueryResult, ScanLayout};
+use rodb::prelude::{CmpOp, Database, ExecContext, QueryResult, ScanLayout, ScanSpec};
 use rodb::storage::{BuildLayouts, QuarantinedPage, Table, TableBuilder};
 use rodb::types::{Column, FaultSpec, HardwareConfig, OnCorrupt, Schema, SystemConfig, Value};
 use std::sync::Arc;
@@ -13,6 +13,13 @@ use std::sync::Arc;
 const ROWS: usize = 4000;
 const PAGE: usize = 1024;
 const FAULT_SEED: u64 = 7;
+/// Every access path: each scans row ranges, so each meets every strategy.
+const LAYOUTS: [ScanLayout; 4] = [
+    ScanLayout::Row,
+    ScanLayout::Column,
+    ScanLayout::ColumnSlow,
+    ScanLayout::ColumnSingleIterator,
+];
 
 /// Three int columns, many 1 KiB pages in both representations. Values are
 /// chosen so the `id >= 0` predicate matches every row: zone maps can never
@@ -79,7 +86,7 @@ fn run(
 
 #[test]
 fn degraded_scan_is_identical_across_all_strategies() {
-    for layout in [ScanLayout::Row, ScanLayout::Column] {
+    for layout in LAYOUTS {
         let (base, base_q) = run(layout, 1, false, 1, OnCorrupt::Skip, 250_000);
         assert!(
             !base_q.is_empty(),
@@ -120,27 +127,75 @@ fn degraded_scan_is_identical_across_all_strategies() {
     }
 }
 
+/// Which pages a degraded scan quarantines is a function of its window, not
+/// of its schedule. `tag` (24 values a 1 KiB page) is scanned before `id`
+/// (249 a page); `id`'s damaged page 2 holds rows 498..747 and `tag`'s
+/// damaged page 22 rows 528..552, inside it. A whole-table scan meets the
+/// `id` page first and drops its rows before `tag` is asked for them, while
+/// a range starting at row 540 asks `tag` first: both must quarantine both
+/// pages and return the same rows.
 #[test]
-fn degraded_single_iterator_layouts_replay_identically() {
-    // ColumnSlow and ColumnSingleIterator execute serially; determinism here
-    // is run-to-run replay of the same configuration.
-    for layout in [ScanLayout::ColumnSlow, ScanLayout::ColumnSingleIterator] {
-        let (a, a_q) = run(layout, 1, false, 1, OnCorrupt::Skip, 250_000);
-        let (b, b_q) = run(layout, 1, false, 1, OnCorrupt::Skip, 250_000);
-        assert!(!a_q.is_empty(), "{layout:?}: nothing quarantined");
-        assert_eq!(a.rows, b.rows, "{layout:?}: replay rows diverged");
-        assert_eq!(a_q, b_q, "{layout:?}: replay quarantine diverged");
-        assert_eq!(a.report.io.recovery, b.report.io.recovery);
+fn the_quarantine_does_not_depend_on_where_a_range_begins() {
+    let build = || {
+        let schema = Schema::new(vec![
+            Column::int("val"),
+            Column::text("tag", 40),
+            Column::int("id"),
+        ]);
+        let mut b = TableBuilder::new(
+            "t",
+            Arc::new(schema.unwrap()),
+            PAGE,
+            BuildLayouts::column_only(),
+        )
+        .unwrap();
+        for i in 0..1_000 {
+            let tag = Value::text(&format!("t{i}"));
+            b.push_row(&[Value::Int(i), tag, Value::Int(-i)]).unwrap();
+        }
+        let mut t = b.finish().unwrap();
+        let cols = &mut t.col.as_mut().unwrap().columns;
         assert_eq!(
-            a.rows.len() as u64 + a.report.io.recovery.dropped_rows,
-            ROWS as u64
+            (cols[1].values_per_page, cols[2].values_per_page),
+            (24, 249)
         );
+        for (col, page) in [(1, 22), (2, 2)] {
+            Arc::make_mut(&mut cols[col].file)[page * PAGE + 100] ^= 0x10;
+        }
+        Arc::new(t)
+    };
+    let sys = SystemConfig {
+        page_size: PAGE,
+        on_corrupt: OnCorrupt::Skip,
+        ..SystemConfig::default()
+    };
+    let scan = |layout, ranges: &[Option<(u64, u64)>]| {
+        let t = build();
+        let (mut rows, mut dropped) = (Vec::new(), 0);
+        for &range in ranges {
+            let ctx = ExecContext::new(HardwareConfig::default(), sys, 1.0).unwrap();
+            let mut spec = ScanSpec::new(t.clone(), layout, vec![0, 1, 2]);
+            spec.row_range = range;
+            let mut op = spec.build(&ctx).unwrap();
+            while let Some(b) = op.next().unwrap() {
+                rows.extend(b.rows().unwrap());
+            }
+            dropped += ctx.disk.borrow().stats().recovery.dropped_rows;
+        }
+        (rows, dropped, t.quarantine.snapshot())
+    };
+    for layout in &LAYOUTS[1..] {
+        let whole = scan(*layout, &[None]);
+        let pieces = scan(*layout, &[Some((0, 540)), Some((540, 1_000))]);
+        assert_eq!(whole.2.len(), 2, "{layout}: {:?}", whole.2);
+        assert_eq!((whole.1, whole.0.len()), (249, 751), "{layout}");
+        assert_eq!(pieces, whole, "{layout}");
     }
 }
 
 #[test]
 fn mirrored_reads_repair_the_same_sites_to_the_clean_answer() {
-    for layout in [ScanLayout::Row, ScanLayout::Column] {
+    for layout in LAYOUTS {
         // Clean baseline: no faults at all.
         let (clean, _) = run(layout, 1, false, 1, OnCorrupt::Fail, 0);
         assert_eq!(clean.rows.len(), ROWS);
