@@ -34,7 +34,7 @@ use std::sync::Arc;
 use rodb_compress::ColumnCompression;
 use rodb_io::SharedDisk;
 use rodb_storage::{Table, Wal, WalRecord, WalReplay, WriteOptimizedStore};
-use rodb_trace::{MetricsRegistry, SpanKind, Tracer, ROOT};
+use rodb_trace::MetricsRegistry;
 use rodb_types::{Error, IngestSpec, Result, Value};
 
 /// A read snapshot pinned at one ingest epoch: the read-optimized table plus
@@ -98,7 +98,6 @@ pub struct IngestStore {
     epoch: u64,
     pending: Option<PendingMerge>,
     stats: IngestStats,
-    tracer: Option<Tracer>,
 }
 
 impl IngestStore {
@@ -127,7 +126,6 @@ impl IngestStore {
             epoch: 0,
             pending: None,
             stats: IngestStats::default(),
-            tracer: None,
         })
     }
 
@@ -198,8 +196,8 @@ impl IngestStore {
         Ok((store, replay))
     }
 
-    /// Refresh the registry gauges the observability timeline samples:
-    /// WOS staging depth (the WAL lag — rows durable but not yet merged
+    /// Refresh the process-wide registry's ingest gauges (what `/metrics`
+    /// exports): WOS staging depth (the WAL lag — rows durable but not yet merged
     /// into read-optimized pages), WAL image size, and the live epoch.
     fn publish_gauges(&self) {
         MetricsRegistry::gauge_set("ingest.wos_rows", self.wos.len() as f64);
@@ -209,11 +207,6 @@ impl IngestStore {
             "ingest.merge_pending",
             if self.pending.is_some() { 1.0 } else { 0.0 },
         );
-    }
-
-    /// Record ingest spans (insert / wal / merge) into `tracer`.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
     }
 
     /// Acknowledge a batch of rows: validated, framed into the WAL, then
@@ -234,16 +227,6 @@ impl IngestStore {
         self.stats.inserted_rows += batch;
         self.stats.wal_appends += 1;
         self.stats.wal_bytes += frame;
-        if let Some(t) = &self.tracer {
-            let s = t.span(
-                ROOT,
-                &format!("ingest.insert {}", self.name),
-                SpanKind::Ingest,
-            );
-            t.add(s, "rows", batch as f64);
-            let w = t.span(s, "wal.append", SpanKind::Wal);
-            t.add(w, "bytes", frame as f64);
-        }
         MetricsRegistry::counter_add("query.ingest.inserted_rows", batch as f64);
         MetricsRegistry::counter_add("query.ingest.wal_bytes", frame as f64);
         self.publish_gauges();
@@ -295,15 +278,6 @@ impl IngestStore {
         self.epoch = pending.epoch;
         self.stats.merges += 1;
         self.stats.merged_rows += pending.rows as u64;
-        if let Some(t) = &self.tracer {
-            let s = t.span(
-                ROOT,
-                &format!("ingest.merge {}", self.name),
-                SpanKind::Ingest,
-            );
-            t.add(s, "rows", pending.rows as f64);
-            t.add(s, "epoch", pending.epoch as f64);
-        }
         MetricsRegistry::counter_add("query.ingest.merges", 1.0);
         MetricsRegistry::counter_add("query.ingest.merged_rows", pending.rows as f64);
         self.publish_gauges();
@@ -370,10 +344,6 @@ impl IngestStore {
         let frame = (self.wal.len() - before) as u64;
         self.stats.wal_appends += 1;
         self.stats.wal_bytes += frame;
-        if let Some(t) = &self.tracer {
-            let w = t.span(ROOT, "wal.append", SpanKind::Wal);
-            t.add(w, "bytes", frame as f64);
-        }
         MetricsRegistry::counter_add("query.ingest.wal_bytes", frame as f64);
         Ok(())
     }

@@ -24,9 +24,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use rodb_engine::{
-    CursorQuery, QueryDone, ScanLayout, SegmentStep, SharedCursor, SharedCursorConfig,
+    CursorQuery, QueryDone, ScanLayout, ScanSpec, SegmentStep, SharedCursor, SharedCursorConfig,
 };
 use rodb_io::{shared_page_cache, IoStats, SharedPageCache};
+use rodb_storage::Layout;
 use rodb_trace::{
     keys, FlightEntry, FlightRecorder, Histogram, Json, MetricsHandle, MonitorHandle, QueryTrace,
     Registry, SpanKind, Timeline, Tracer, ROOT,
@@ -254,7 +255,7 @@ impl SloReport {
 /// Everything the observability plane captured in one service run.
 #[derive(Debug, Clone)]
 pub struct Observed {
-    /// Windowed throughput / latency / cache / WAL-lag curves.
+    /// Windowed throughput / latency / I/O / cache curves.
     pub timeline: Timeline,
     /// Tail-based retention: K slowest + all anomalous queries per window.
     pub flight: FlightRecorder,
@@ -291,12 +292,6 @@ fn jain_fairness(xs: &[f64]) -> f64 {
 struct Plane {
     timeline: Timeline,
     flight: FlightRecorder,
-    /// Per-tenant facts so far; `service_s` / `share` are filled in by
-    /// [`Plane::slo_report`] from the run's charged service time.
-    tenants: BTreeMap<String, TenantSlo>,
-    /// Per-cursor I/O totals at the previous segment boundary, for
-    /// windowed deltas (bytes, cache hits) per segment.
-    last_io: Vec<IoStats>,
     /// Cursor quarantine totals at each query's attach, to tag flight
     /// records that rode a cursor while it quarantined pages.
     quarantined_at_attach: HashMap<usize, u64>,
@@ -307,41 +302,7 @@ impl Plane {
         Plane {
             timeline: Timeline::new(spec.window_s),
             flight: FlightRecorder::new(spec.window_s, spec.flight_k, spec.flight_reservoir),
-            tenants: BTreeMap::new(),
-            last_io: Vec::new(),
             quarantined_at_attach: HashMap::new(),
-        }
-    }
-
-    fn tenant_mut(&mut self, tenant: &str) -> &mut TenantSlo {
-        self.tenants
-            .entry(tenant.to_string())
-            .or_insert_with(|| TenantSlo {
-                tenant: tenant.to_string(),
-                ..TenantSlo::default()
-            })
-    }
-
-    /// The SLO table from the accumulated per-tenant facts plus the run's
-    /// charged service-time shares.
-    fn slo_report(&self, tenant_service: &BTreeMap<String, f64>) -> SloReport {
-        let total: f64 = tenant_service.values().sum();
-        let tenants: Vec<TenantSlo> = self
-            .tenants
-            .values()
-            .map(|t| {
-                let service_s = tenant_service.get(&t.tenant).copied().unwrap_or(0.0);
-                TenantSlo {
-                    service_s,
-                    share: if total > 0.0 { service_s / total } else { 0.0 },
-                    ..t.clone()
-                }
-            })
-            .collect();
-        let xs: Vec<f64> = tenants.iter().map(|t| t.service_s).collect();
-        SloReport {
-            fairness: jain_fairness(&xs),
-            tenants,
         }
     }
 }
@@ -400,12 +361,13 @@ fn status_doc<'a>(
 }
 
 /// The books of one `run()`, and the only writer of a request's fate. A
-/// request is *submitted*, then *rejected* or *admitted*; cursors run
-/// *segments*; an admitted request is *completed*. Each of those five facts
-/// passes through the one method named after it, which alone knows what the
-/// fact is called in the registry, the timeline, the tenant table, the
+/// request is *submitted*, maybe *admitted*, and finally *settled*:
+/// completed, or rejected at admission. Cursors run *segments*. Each of
+/// those four facts passes through the one method named after it, which
+/// alone knows what the fact is called in the registry, the timeline, the
 /// flight recorder and the sched trace. The event loop decides; the ledger
-/// records, and every count the service reports is read back off it.
+/// records, and every count the service reports, the SLO table included, is
+/// read back off its outcome slots.
 struct Ledger<'a> {
     requests: &'a [ServiceRequest],
     reg: &'a Registry,
@@ -413,9 +375,14 @@ struct Ledger<'a> {
     /// The modeled clock. The event loop advances it; every fact is stamped
     /// with its reading.
     clock: f64,
+    /// Requests submitted so far: a prefix of `requests`.
+    submitted: usize,
     admitted_at: Vec<f64>,
     /// One slot per request, filled when its fate is settled.
     outcomes: Vec<Option<QueryOutcome>>,
+    /// The filled slots in settle order, so the SLO histograms observe
+    /// latencies in the order the run settled them.
+    settled: Vec<usize>,
     /// Charged modeled service seconds per tenant — the admission
     /// fair-share key. Ordered, so `slo_report` sums it in tenant-name
     /// order: a hash map's iteration order moves `share` in the last ulp
@@ -433,27 +400,12 @@ struct Ledger<'a> {
 
 impl Ledger<'_> {
     fn submitted(&mut self, seq: usize) {
+        self.submitted = seq + 1;
         self.reg.counter_add("query.sched.submitted", 1.0);
-        if let Some(p) = &mut self.plane {
+        if self.plane.is_some() {
             let tenant = &self.requests[seq].tenant;
-            p.tenant_mut(tenant).submitted += 1;
             self.reg.counter_add(&tenant_key(tenant, "submitted"), 1.0);
         }
-    }
-
-    /// Refused at admission: the deadline expired while `seq` was queued.
-    fn rejected(&mut self, seq: usize) {
-        let wait = self.clock - self.requests[seq].arrival_s;
-        let o = QueryOutcome::new(&self.requests[seq], wait, wait, true);
-        self.reg.counter_add("query.sched.rejected_deadline", 1.0);
-        if let Some(p) = &mut self.plane {
-            p.tenant_mut(&o.tenant).rejected += 1;
-            p.timeline.counter_add(self.clock, "service.rejected", 1.0);
-            p.flight.record(self.clock, flight_entry(seq, &o, false));
-            self.reg
-                .counter_add(&tenant_key(&o.tenant, "rejected"), 1.0);
-        }
-        self.outcomes[seq] = Some(o);
     }
 
     /// Attached to a cursor whose I/O totals read `cursor_io`; `mid_scan`
@@ -474,15 +426,13 @@ impl Ledger<'_> {
         }
     }
 
-    /// Cursor `cidx` ran `step` for `riders` and now totals `io`. Charges
-    /// each rider's tenant its even share of the slice, then records the
-    /// windowed I/O deltas and the depth gauges.
+    /// A cursor ran `step` for `riders`. Charges each rider's tenant its
+    /// even share of the slice, then records the step's driver I/O and the
+    /// depth gauges.
     fn segment(
         &mut self,
-        cidx: usize,
         step: &SegmentStep,
         riders: &[usize],
-        io: IoStats,
         depth: (usize, usize),
         cache: Option<&SharedPageCache>,
     ) {
@@ -506,10 +456,7 @@ impl Ledger<'_> {
         if step.wrapped {
             t.counter_add(clock, "service.wraparounds", 1.0);
         }
-        if p.last_io.len() <= cidx {
-            p.last_io.resize(cidx + 1, IoStats::default());
-        }
-        let d = io.delta(&std::mem::replace(&mut p.last_io[cidx], io));
+        let d = &step.driver_io;
         t.counter_add(clock, "service.io.bytes_read", d.bytes_read);
         t.counter_add(clock, "service.io.seeks", d.seeks as f64);
         t.counter_add(clock, "service.cache.hits", d.cache.hits as f64);
@@ -522,65 +469,110 @@ impl Ledger<'_> {
             t.gauge_set(clock, "service.cache.resident_pages", c.len() as f64);
             t.gauge_set(clock, "service.cache.occupancy", c.occupancy());
         }
-        // Sample engine/ingest gauges (WAL lag, WOS size, scheduler depth)
-        // into the timeline so their curves line up with the service's.
-        for (name, v) in self.reg.gauges() {
-            if name.starts_with("ingest.") || name.starts_with("sched.") {
-                t.gauge_set(clock, &name, v);
-            }
-        }
     }
 
-    /// `done` finished on a cursor whose I/O totals now read `cursor_io`.
-    fn completed(&mut self, done: QueryDone, cursor_io: &IoStats) {
-        let (seq, clock) = (done.token, self.clock);
-        let req = &self.requests[seq];
-        let wait = self.admitted_at[seq] - req.arrival_s;
-        let mut o = QueryOutcome::new(req, wait, clock - req.arrival_s, false);
-        o.rows = done.rows;
-        o.nrows = done.nrows;
-        o.attach_seg = done.attach_seg;
-        o.wrapped = done.wrapped;
-        o.deadline_missed = self.deadline_s.is_some_and(|dl| o.latency_s > dl);
-        self.reg.counter_add("query.sched.completed", 1.0);
-        self.reg.observe("query.sched.latency_s", o.latency_s);
-        if o.deadline_missed {
-            self.reg.counter_add("query.sched.deadline_missed", 1.0);
+    /// `seq`'s fate: `done` on a cursor whose I/O totals now read the given
+    /// stats, or (`None`) refused at admission because its deadline expired
+    /// while it was queued.
+    fn settle(&mut self, seq: usize, done: Option<(QueryDone, &IoStats)>) {
+        let (req, clock, reg) = (&self.requests[seq], self.clock, self.reg);
+        let latency = clock - req.arrival_s;
+        let (done, cursor_io) = done.unzip();
+        let mut o = QueryOutcome::new(req, latency, latency, done.is_none());
+        if let Some(done) = done {
+            o.queue_wait_s = self.admitted_at[seq] - req.arrival_s;
+            o.rows = done.rows;
+            o.nrows = done.nrows;
+            o.attach_seg = done.attach_seg;
+            o.wrapped = done.wrapped;
+            o.deadline_missed = self.deadline_s.is_some_and(|dl| latency > dl);
+        }
+        let (tenant, missed) = (o.tenant.as_str(), o.deadline_missed && !o.rejected);
+        if o.rejected {
+            reg.counter_add("query.sched.rejected_deadline", 1.0);
+        } else {
+            reg.counter_add("query.sched.completed", 1.0);
+            reg.observe("query.sched.latency_s", latency);
+        }
+        if missed {
+            reg.counter_add("query.sched.deadline_missed", 1.0);
         }
         if let Some(p) = &mut self.plane {
-            let acc = p.tenant_mut(&o.tenant);
-            acc.completed += 1;
-            acc.latency.observe(o.latency_s);
-            acc.queue_wait.observe(o.queue_wait_s);
-            acc.deadline_missed += u64::from(o.deadline_missed);
             let t = &mut p.timeline;
-            t.counter_add(clock, "service.completed", 1.0);
-            t.observe(clock, "service.latency_s", o.latency_s);
-            t.counter_add(clock, "service.rows", o.nrows as f64);
-            if o.deadline_missed {
+            if o.rejected {
+                t.counter_add(clock, "service.rejected", 1.0);
+                reg.counter_add(&tenant_key(tenant, "rejected"), 1.0);
+            } else {
+                t.counter_add(clock, "service.completed", 1.0);
+                t.observe(clock, "service.latency_s", latency);
+                t.counter_add(clock, "service.rows", o.nrows as f64);
+                reg.counter_add(&tenant_key(tenant, "completed"), 1.0);
+                reg.observe(&tenant_key(tenant, "latency_s"), latency);
+            }
+            if missed {
                 t.counter_add(clock, "service.deadline_missed", 1.0);
+                reg.counter_add(&tenant_key(tenant, "deadline_missed"), 1.0);
             }
-            let touched = p
-                .quarantined_at_attach
-                .remove(&seq)
-                .is_some_and(|at| cursor_io.recovery.quarantined_pages > at);
+            let at = p.quarantined_at_attach.remove(&seq);
+            let touched = at
+                .zip(cursor_io)
+                .is_some_and(|(at, io)| io.recovery.quarantined_pages > at);
             p.flight.record(clock, flight_entry(seq, &o, touched));
-            let reg = self.reg;
-            reg.counter_add(&tenant_key(&o.tenant, "completed"), 1.0);
-            reg.observe(&tenant_key(&o.tenant, "latency_s"), o.latency_s);
-            if o.deadline_missed {
-                reg.counter_add(&tenant_key(&o.tenant, "deadline_missed"), 1.0);
-            }
         }
-        if let Some(tr) = &self.tracer {
+        if let Some(tr) = self.tracer.as_ref().filter(|_| !o.rejected) {
             let span = tr.span(ROOT, &format!("query[{seq}]"), SpanKind::Sched);
             tr.set(span, "queue_wait_s", o.queue_wait_s);
             tr.set(span, "attach_seg", o.attach_seg as f64);
             tr.set(span, "wrapped", if o.wrapped { 1.0 } else { 0.0 });
-            tr.set(span, "latency_s", o.latency_s);
+            tr.set(span, "latency_s", latency);
             tr.set(span, keys::ROWS, o.nrows as f64);
         }
         self.outcomes[seq] = Some(o);
+        self.settled.push(seq);
+    }
+
+    /// The SLO table: per tenant, the requests submitted so far and the
+    /// settled outcomes, walked in settle order, plus its share of the
+    /// charged service time.
+    fn slo_report(&self) -> SloReport {
+        let mut tenants: BTreeMap<&str, TenantSlo> = BTreeMap::new();
+        for req in &self.requests[..self.submitted] {
+            tenants.entry(&req.tenant).or_default().submitted += 1;
+        }
+        for &seq in &self.settled {
+            let Some(o) = &self.outcomes[seq] else {
+                continue;
+            };
+            let slo = tenants.entry(&o.tenant).or_default();
+            if o.rejected {
+                slo.rejected += 1;
+                continue;
+            }
+            slo.completed += 1;
+            slo.latency.observe(o.latency_s);
+            slo.queue_wait.observe(o.queue_wait_s);
+            slo.deadline_missed += u64::from(o.deadline_missed);
+        }
+        let total: f64 = self.tenant_service.values().sum();
+        let tenants: Vec<TenantSlo> = tenants
+            .into_iter()
+            .map(|(name, slo)| {
+                let service_s = self.tenant_service.get(name).copied().unwrap_or(0.0);
+                let share = if total > 0.0 { service_s / total } else { 0.0 };
+                let tenant = name.to_string();
+                TenantSlo {
+                    tenant,
+                    service_s,
+                    share,
+                    ..slo
+                }
+            })
+            .collect();
+        let xs: Vec<f64> = tenants.iter().map(|t| t.service_s).collect();
+        SloReport {
+            fairness: jain_fairness(&xs),
+            tenants,
+        }
     }
 
     /// Publish the status-so-far and a registry snapshot for scrapers.
@@ -592,7 +584,7 @@ impl Ledger<'_> {
             return;
         };
         let plane = self.plane.as_ref();
-        let observed = plane.map(|p| (p.slo_report(&self.tenant_service), p));
+        let observed = plane.map(|p| (self.slo_report(), p));
         let mut status = status_doc(
             self.clock,
             self.depth,
@@ -617,6 +609,7 @@ impl Ledger<'_> {
     fn close(mut self, monitor: Option<&MonitorHandle>, io: IoStats, wall_s: f64) -> ServiceReport {
         self.depth = (0, 0);
         self.publish(monitor, None);
+        let slo = self.plane.is_some().then(|| self.slo_report());
         let trace = self.tracer.map(|tr| {
             tr.set(ROOT, keys::ELAPSED_S, self.clock);
             tr.set(ROOT, keys::WALL_S, wall_s);
@@ -624,8 +617,8 @@ impl Ledger<'_> {
             tr.set(ROOT, "wraparounds", self.wraparounds as f64);
             tr.finish()
         });
-        let observed = self.plane.map(|p| Observed {
-            slo: p.slo_report(&self.tenant_service),
+        let observed = self.plane.zip(slo).map(|(p, slo)| Observed {
+            slo,
             timeline: p.timeline,
             flight: p.flight,
         });
@@ -706,11 +699,6 @@ impl ServiceReport {
     }
 }
 
-struct Inflight {
-    seq: usize,
-    cursor: usize,
-}
-
 struct CursorState {
     cursor: SharedCursor,
     /// Accumulated modeled service seconds (fair-share key across cursors).
@@ -783,12 +771,12 @@ impl QueryService {
 
     /// Segment count for one cursor: the estimated full-pass disk time cut
     /// into `slice_s` quanta, clamped to `[1, MAX_SEGMENTS]`.
-    fn segment_count(&self, table: &rodb_storage::Table, layout: ScanLayout, scale: f64) -> usize {
-        let bytes = match layout {
-            ScanLayout::Row => table.row.as_ref().map(|r| r.byte_len()).unwrap_or(0),
-            _ => table.col.as_ref().map(|c| c.byte_len()).unwrap_or(0),
-        } as f64
-            * scale;
+    fn segment_count(&self, spec: &ScanSpec, scale: f64) -> usize {
+        let layout = match spec.layout {
+            ScanLayout::Row => Layout::Row,
+            _ => Layout::Column,
+        };
+        let bytes = spec.table.scan_bytes(layout, None).unwrap_or(0) as f64 * scale;
         let est_pass_s = bytes / self.hw.aggregate_disk_bw();
         ((est_pass_s / self.spec.slice_s).ceil() as usize).clamp(1, MAX_SEGMENTS)
     }
@@ -806,8 +794,10 @@ impl QueryService {
             reg: &self.reg,
             deadline_s: self.spec.deadline_s,
             clock: 0.0,
+            submitted: 0,
             admitted_at: vec![0.0; requests.len()],
             outcomes: requests.iter().map(|_| None).collect(),
+            settled: Vec::new(),
             tenant_service: BTreeMap::new(),
             segments: 0,
             wraparounds: 0,
@@ -865,7 +855,10 @@ impl QueryService {
         let mut cursors: Vec<CursorState> = Vec::new();
         let mut cursor_key: HashMap<(usize, u8), usize> = HashMap::new();
         let mut queue: Vec<usize> = Vec::new();
-        let mut inflight: Vec<Inflight> = Vec::new();
+        // Queries riding a cursor: the service's in-flight count.
+        let inflight = |cursors: &[CursorState]| -> usize {
+            cursors.iter().map(|c| c.cursor.active_count()).sum()
+        };
 
         loop {
             // 1. Ingest arrivals that have happened by now.
@@ -876,7 +869,7 @@ impl QueryService {
             // 2. Admission: fill free slots from the queue, best candidate
             // first. Expired-deadline candidates are rejected (they do not
             // consume a slot).
-            while inflight.len() < self.spec.max_inflight && !queue.is_empty() {
+            while inflight(&cursors) < self.spec.max_inflight && !queue.is_empty() {
                 let key = |&seq: &usize| {
                     let req = &requests[seq];
                     let tsvc = ledger.tenant_service.get(&req.tenant).copied();
@@ -899,7 +892,7 @@ impl QueryService {
                     .deadline_s
                     .is_some_and(|dl| ledger.clock - req.arrival_s > dl)
                 {
-                    ledger.rejected(seq);
+                    ledger.settle(seq, None);
                     continue;
                 }
                 // Attach to (or create) the query's shared cursor.
@@ -912,7 +905,7 @@ impl QueryService {
                 let cidx = match cursor_key.get(&key) {
                     Some(&i) => i,
                     None => {
-                        let segs = self.segment_count(&spec.table, spec.layout, scale);
+                        let segs = self.segment_count(spec, scale);
                         let cursor = SharedCursor::new(
                             spec.table.clone(),
                             spec.layout,
@@ -941,11 +934,15 @@ impl QueryService {
                     collect: req.collect,
                 })?;
                 ledger.admitted(seq, mid_scan, &cursor.io_stats());
-                inflight.push(Inflight { seq, cursor: cidx });
             }
 
-            // 3. Nothing running: jump to the next arrival or finish.
-            if inflight.is_empty() {
+            // 3. Run one segment of the least-served cursor that has work
+            // (the fairness quantum across concurrently hot tables); with
+            // nothing running, jump to the next arrival or finish.
+            let Some(cidx) = (0..cursors.len())
+                .filter(|&i| cursors[i].cursor.active_count() > 0)
+                .min_by(|&a, &b| cursors[a].service_s.total_cmp(&cursors[b].service_s))
+            else {
                 match pending.last() {
                     Some(&seq) => {
                         ledger.clock = ledger.clock.max(requests[seq].arrival_s);
@@ -953,32 +950,20 @@ impl QueryService {
                     }
                     None => break,
                 }
-            }
-
-            // 4. Run one segment of the least-served cursor that has work
-            // (the fairness quantum across concurrently hot tables).
-            let cidx = (0..cursors.len())
-                .filter(|&i| cursors[i].cursor.active_count() > 0)
-                .min_by(|&a, &b| cursors[a].service_s.total_cmp(&cursors[b].service_s))
-                .expect("inflight implies an active cursor");
-            let riders: Vec<usize> = inflight
-                .iter()
-                .filter(|f| f.cursor == cidx)
-                .map(|f| f.seq)
-                .collect();
+            };
+            let riders: Vec<usize> = cursors[cidx].cursor.tokens().collect();
             let mut step = cursors[cidx].cursor.step()?;
             ledger.clock += step.elapsed_s;
             cursors[cidx].service_s += step.elapsed_s;
             let io = cursors[cidx].cursor.io_stats();
 
-            // 5. Completions, then the segment itself (its depth gauges
+            // 4. Completions, then the segment itself (its depth gauges
             // read the queue and the pool after the finished riders left).
             for done in std::mem::take(&mut step.done) {
-                inflight.retain(|f| f.seq != done.token);
-                ledger.completed(done, &io);
+                ledger.settle(done.token, Some((done, &io)));
             }
-            let depth = (queue.len(), inflight.len());
-            ledger.segment(cidx, &step, &riders, io, depth, cache.as_ref());
+            let depth = (queue.len(), inflight(&cursors));
+            ledger.segment(&step, &riders, depth, cache.as_ref());
             ledger.publish(self.monitor.as_ref(), None);
         }
 

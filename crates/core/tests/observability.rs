@@ -390,3 +390,27 @@ fn owned_registry_exposition_validates_and_reconciles() {
     assert_eq!(reg.counter("query.sched.completed"), 0.0);
     assert_eq!(report.outcomes.len(), 8);
 }
+
+/// A run's timeline holds what the run observed, whichever registry its
+/// counters go to. The process-wide default registry also carries gauges
+/// that other code writes (the worker pool's `sched.*`, an ingest store's
+/// `ingest.*`), and none of them belongs in the timeline.
+#[test]
+fn the_timeline_is_the_same_under_the_default_and_an_owned_registry() {
+    let t = table(6_000);
+    let hw = HardwareConfig::default();
+    let mut s = sys(ServiceSpec::new(2).with_slice(0.05));
+    s.observe = Some(ObserveSpec::new(0.5));
+    let timeline = |owned: bool| {
+        let mut svc = QueryService::new(hw, s).unwrap();
+        if owned {
+            svc = svc.metrics(Registry::handle());
+        }
+        for r in workload(&t, hw, s) {
+            svc.submit(r);
+        }
+        let report = svc.run().unwrap();
+        report.observed.unwrap().timeline.to_json().compact()
+    };
+    assert_eq!(timeline(false), timeline(true));
+}

@@ -3,12 +3,15 @@
 //! Output schema is `[group column?] ++ [one Long column per aggregate]`.
 //! Aggregates compute in 64-bit to survive paper-scale inputs (a SUM over
 //! 60 M four-byte ints overflows 32 bits immediately).
+//!
+//! One state and one grouping rule serve both strategies: an
+//! [`Aggregate`] folds its input rows into an [`AggPartial`], and
+//! [`merge_partials`] folds whole partials into another, each through the
+//! rule in `AggPartial::group`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-#[cfg(test)]
-use rodb_types::Value;
 use rodb_types::{Column, DataType, Error, Result, Schema};
 
 use crate::block::TupleBlock;
@@ -84,7 +87,7 @@ pub enum AggStrategy {
     Sorted,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Acc {
     count: i64,
     sum: i64,
@@ -132,112 +135,160 @@ impl Acc {
     }
 }
 
-/// One worker's partial aggregation state: the grouped accumulators it
-/// built over its morsels, detached from the operator so it can cross
-/// threads (plain data — `Send`). Produced by [`Aggregate::into_partial`],
-/// combined by [`merge_partials`], re-attached by
-/// [`Aggregate::install_partial`].
+/// The aggregation state: grouped accumulators, in output order once the
+/// fold is closed. An
+/// [`Aggregate`] folds its input rows into one; [`Aggregate::into_partial`]
+/// hands it out as plain data (`Send`) so it can cross threads, and
+/// [`merge_partials`] folds partials into a fresh one by the same rule.
 #[derive(Debug, Clone)]
 pub struct AggPartial {
     groups: Vec<(Vec<u8>, Vec<Acc>)>,
     strategy: AggStrategy,
+    /// Key → position in `groups` while the state is being folded: the hash
+    /// table under `Hash`, every key that has started a run under `Sorted`.
+    keys: HashMap<Vec<u8>, usize>,
 }
 
 impl AggPartial {
+    fn new(strategy: AggStrategy) -> AggPartial {
+        AggPartial {
+            groups: Vec::new(),
+            strategy,
+            keys: HashMap::new(),
+        }
+    }
+
     /// Number of distinct groups in this partial.
     pub fn group_count(&self) -> usize {
         self.groups.len()
     }
+
+    /// The one grouping rule: the accumulators of the group `key` joins,
+    /// opened with `width` fresh ones when the key starts a group. `Hash`
+    /// looks the key up; `Sorted` continues the last group's run or opens a
+    /// new one, and a key whose run already ended means the input was not
+    /// grouped.
+    fn group(&mut self, key: &[u8], width: usize) -> Result<&mut [Acc]> {
+        let found = match self.strategy {
+            AggStrategy::Hash => self.keys.get(key).copied(),
+            AggStrategy::Sorted => match self.groups.last() {
+                Some((last, _)) if last.as_slice() == key => Some(self.groups.len() - 1),
+                _ => None,
+            },
+        };
+        let idx = match found {
+            Some(idx) => idx,
+            None => {
+                let idx = self.groups.len();
+                // Only a sorted lookup misses a key the index holds: its run
+                // ended before this one.
+                if self.keys.insert(key.to_vec(), idx).is_some() {
+                    return Err(Error::InvalidPlan(
+                        "sorted aggregation over ungrouped input".into(),
+                    ));
+                }
+                self.groups.push((key.to_vec(), vec![Acc::new(); width]));
+                idx
+            }
+        };
+        Ok(&mut self.groups[idx].1)
+    }
+
+    /// Close the fold: hash groups go into key-byte order (the
+    /// deterministic output order); sorted groups keep their run order. The
+    /// key index is dropped, since no key joins a closed state.
+    fn close(&mut self) {
+        if self.strategy == AggStrategy::Hash {
+            self.groups.sort_by(|a, b| a.0.cmp(&b.0));
+        }
+        self.keys = HashMap::new();
+    }
 }
 
-/// Combine per-worker partials into one final state equal to what a serial
-/// aggregation over the concatenated input would hold.
-///
-/// * `Hash`: groups are unioned, same-key accumulators merged, and the
-///   result sorted by key bytes — the serial hash path's output order.
-/// * `Sorted`: partials must arrive in morsel order; runs that span a
-///   morsel boundary (last group of one partial = first group of the next)
-///   are merged, and any other key reappearance is rejected exactly like
-///   the serial path rejects ungrouped input.
+/// Combine per-worker partials, in morsel order, into one final state equal
+/// to what a serial aggregation over the concatenated input would hold:
+/// each partial group joins the merged state by the grouping rule that
+/// placed each row, so a sorted run split by a morsel boundary is stitched
+/// and any other reappearance is the serial path's error.
 pub fn merge_partials(partials: Vec<AggPartial>) -> Result<AggPartial> {
-    let strategy = match partials.first() {
-        Some(p) => p.strategy,
-        None => {
-            return Ok(AggPartial {
-                groups: Vec::new(),
-                strategy: AggStrategy::Hash,
-            })
-        }
-    };
+    let strategy = partials.first().map_or(AggStrategy::Hash, |p| p.strategy);
     if partials.iter().any(|p| p.strategy != strategy) {
         return Err(Error::InvalidPlan(
             "cannot merge partials of mixed aggregation strategies".into(),
         ));
     }
-    let mut out: Vec<(Vec<u8>, Vec<Acc>)> = Vec::new();
-    match strategy {
-        AggStrategy::Hash => {
-            let mut table: HashMap<Vec<u8>, usize> = HashMap::new();
-            for p in partials {
-                for (key, accs) in p.groups {
-                    match table.get(&key) {
-                        Some(&idx) => {
-                            for (a, b) in out[idx].1.iter_mut().zip(&accs) {
-                                a.merge(b);
-                            }
-                        }
-                        None => {
-                            table.insert(key.clone(), out.len());
-                            out.push((key, accs));
-                        }
-                    }
-                }
-            }
-            out.sort_by(|a, b| a.0.cmp(&b.0));
-        }
-        AggStrategy::Sorted => {
-            let mut seen: HashSet<Vec<u8>> = HashSet::new();
-            for p in partials {
-                for (key, accs) in p.groups {
-                    match out.last_mut() {
-                        Some((k, a)) if *k == key => {
-                            for (x, y) in a.iter_mut().zip(&accs) {
-                                x.merge(y);
-                            }
-                        }
-                        _ => {
-                            if !seen.insert(key.clone()) {
-                                return Err(ungrouped_input());
-                            }
-                            out.push((key, accs));
-                        }
-                    }
-                }
+    let mut out = AggPartial::new(strategy);
+    for p in partials {
+        for (key, accs) in p.groups {
+            for (a, b) in out.group(&key, accs.len())?.iter_mut().zip(&accs) {
+                a.merge(b);
             }
         }
     }
-    Ok(AggPartial {
-        groups: out,
-        strategy,
-    })
+    out.close();
+    Ok(out)
 }
 
-/// Sorted aggregation requires grouped input: a key may never start a
-/// second run after its first one ended.
-fn ungrouped_input() -> Error {
-    Error::InvalidPlan("sorted aggregation over ungrouped input".into())
+/// The output schema of an aggregation over `input`, validating the group
+/// key and every aggregate input.
+fn output_schema(input: &Schema, group_by: Option<usize>, specs: &[AggSpec]) -> Result<Schema> {
+    if specs.is_empty() {
+        return Err(Error::InvalidPlan("aggregate with no functions".into()));
+    }
+    let mut cols = Vec::new();
+    if let Some(g) = group_by {
+        if g >= input.len() {
+            return Err(Error::UnknownColumn(format!("group key index {g}")));
+        }
+        cols.push(input.columns()[g].clone());
+    }
+    for s in specs {
+        if s.func != AggFunc::Count {
+            if s.col >= input.len() {
+                return Err(Error::UnknownColumn(format!("aggregate input {}", s.col)));
+            }
+            if !input.dtype(s.col).is_numeric() {
+                return Err(Error::InvalidPlan(format!(
+                    "{} over non-numeric column {}",
+                    s.func.name(),
+                    s.col
+                )));
+            }
+        }
+        let base = if s.func == AggFunc::Count {
+            "count".to_string()
+        } else {
+            format!("{}_{}", s.func.name(), input.columns()[s.col].name)
+        };
+        // De-duplicate output names.
+        let mut name = base.clone();
+        let mut k = 1;
+        while cols.iter().any(|c: &Column| c.name == name) {
+            k += 1;
+            name = format!("{base}{k}");
+        }
+        cols.push(Column::new(name, DataType::Long));
+    }
+    Schema::new(cols)
+}
+
+fn numeric(block: &TupleBlock, i: usize, col: usize) -> Result<i64> {
+    match block.schema().dtype(col) {
+        DataType::Int => Ok(block.int(i, col) as i64),
+        DataType::Long => block.value(i, col)?.as_num(),
+        DataType::Text(_) => Err(Error::InvalidPlan("aggregate over text column".into())),
+    }
 }
 
 /// Grouped (or scalar) aggregation over one child.
 pub struct Aggregate {
-    child: Box<dyn Operator>,
+    /// The input, until it has been folded into `state`.
+    child: Option<Box<dyn Operator>>,
     ctx: ExecContext,
     group_by: Option<usize>,
     specs: Vec<AggSpec>,
-    strategy: AggStrategy,
     out_schema: Arc<Schema>,
-    /// (group key raw bytes, accumulators) in output order.
-    results: Option<Vec<(Vec<u8>, Vec<Acc>)>>,
+    state: AggPartial,
     emit_idx: usize,
 }
 
@@ -249,154 +300,88 @@ impl Aggregate {
         strategy: AggStrategy,
         ctx: &ExecContext,
     ) -> Result<Aggregate> {
-        if specs.is_empty() {
-            return Err(Error::InvalidPlan("aggregate with no functions".into()));
-        }
-        let in_schema = child.schema();
-        if let Some(g) = group_by {
-            if g >= in_schema.len() {
-                return Err(Error::UnknownColumn(format!("group key index {g}")));
-            }
-        }
-        let mut cols = Vec::new();
-        if let Some(g) = group_by {
-            cols.push(in_schema.columns()[g].clone());
-        }
-        for s in &specs {
-            if s.func != AggFunc::Count {
-                if s.col >= in_schema.len() {
-                    return Err(Error::UnknownColumn(format!("aggregate input {}", s.col)));
-                }
-                if !in_schema.dtype(s.col).is_numeric() {
-                    return Err(Error::InvalidPlan(format!(
-                        "{} over non-numeric column {}",
-                        s.func.name(),
-                        s.col
-                    )));
-                }
-            }
-            let base = if s.func == AggFunc::Count {
-                "count".to_string()
-            } else {
-                format!("{}_{}", s.func.name(), in_schema.columns()[s.col].name)
-            };
-            // De-duplicate output names.
-            let mut name = base.clone();
-            let mut k = 1;
-            while cols.iter().any(|c: &Column| c.name == name) {
-                k += 1;
-                name = format!("{base}{k}");
-            }
-            cols.push(Column::new(name, DataType::Long));
-        }
+        let out_schema = Arc::new(output_schema(child.schema(), group_by, &specs)?);
         Ok(Aggregate {
-            child,
+            child: Some(child),
             ctx: ctx.clone(),
             group_by,
             specs,
-            strategy,
-            out_schema: Arc::new(Schema::new(cols)?),
-            results: None,
+            out_schema,
+            state: AggPartial::new(strategy),
             emit_idx: 0,
         })
     }
 
-    fn numeric(&self, block: &TupleBlock, i: usize, col: usize) -> Result<i64> {
-        match block.schema().dtype(col) {
-            DataType::Int => Ok(block.int(i, col) as i64),
-            DataType::Long => block.value(i, col)?.as_num(),
-            DataType::Text(_) => Err(Error::InvalidPlan("aggregate over text column".into())),
+    /// An aggregation over rows of `input` whose groups are already folded
+    /// into `merged`: it emits them and reads no input. Charges the
+    /// final-merge CPU (one key compare and one accumulator fold per group
+    /// per function) to `ctx`.
+    pub(crate) fn emitting(
+        input: &Schema,
+        group_by: Option<usize>,
+        specs: Vec<AggSpec>,
+        merged: AggPartial,
+        ctx: &ExecContext,
+    ) -> Result<Aggregate> {
+        let out_schema = Arc::new(output_schema(input, group_by, &specs)?);
+        let n = merged.groups.len() as f64;
+        {
+            let mut meter = ctx.meter.borrow_mut();
+            meter.key_compare(n);
+            meter.agg_update(n * specs.len() as f64);
         }
+        Ok(Aggregate {
+            child: None,
+            ctx: ctx.clone(),
+            group_by,
+            specs,
+            out_schema,
+            state: merged,
+            emit_idx: 0,
+        })
     }
 
-    fn materialize(&mut self) -> Result<()> {
+    /// Fold every row of `child` into the state, one [`AggPartial::group`]
+    /// call per row, charging the strategy's per-block CPU.
+    fn materialize(&mut self, mut child: Box<dyn Operator>) -> Result<()> {
         let key_width = self
             .group_by
-            .map(|g| self.child.schema().dtype(g).width())
+            .map(|g| child.schema().dtype(g).width())
             .unwrap_or(0);
+        let width = self.specs.len();
         let mut total_rows = 0f64;
-        let mut results: Vec<(Vec<u8>, Vec<Acc>)> = Vec::new();
-        match self.strategy {
-            AggStrategy::Hash => {
-                let mut table: HashMap<Vec<u8>, usize> = HashMap::new();
-                while let Some(block) = self.child.next()? {
-                    total_rows += block.count() as f64;
-                    for i in 0..block.count() {
-                        let key: &[u8] = match self.group_by {
-                            Some(g) => block.field(i, g),
-                            None => &[],
-                        };
-                        let idx = match table.get(key) {
-                            Some(&idx) => idx,
-                            None => {
-                                results.push((key.to_vec(), vec![Acc::new(); self.specs.len()]));
-                                table.insert(key.to_vec(), results.len() - 1);
-                                results.len() - 1
-                            }
-                        };
-                        for (si, s) in self.specs.iter().enumerate() {
-                            let v = if s.func == AggFunc::Count {
-                                0
-                            } else {
-                                self.numeric(&block, i, s.col)?
-                            };
-                            results[idx].1[si].update(v);
-                        }
-                    }
-                    // Charge per block to keep borrow scopes tight.
-                    let mut meter = self.ctx.meter.borrow_mut();
-                    let n = block.count() as f64;
-                    let entry_bytes = (key_width + 32 * self.specs.len()) as f64;
-                    meter.hash_probe(n, results.len() as f64 * entry_bytes, 1.0e6);
-                    meter.agg_update(n * self.specs.len() as f64);
-                }
-                // Deterministic output order.
-                results.sort_by(|a, b| a.0.cmp(&b.0));
-            }
-            AggStrategy::Sorted => {
-                let mut current: Option<(Vec<u8>, Vec<Acc>)> = None;
-                // Every key that has started a run.
-                let mut seen: HashSet<Vec<u8>> = HashSet::new();
-                while let Some(block) = self.child.next()? {
-                    total_rows += block.count() as f64;
-                    for i in 0..block.count() {
-                        let key: &[u8] = match self.group_by {
-                            Some(g) => block.field(i, g),
-                            None => &[],
-                        };
-                        let start_new = match &current {
-                            Some((k, _)) => k.as_slice() != key,
-                            None => true,
-                        };
-                        if start_new {
-                            if !seen.insert(key.to_vec()) {
-                                return Err(ungrouped_input());
-                            }
-                            results.extend(current.take());
-                            current = Some((key.to_vec(), vec![Acc::new(); self.specs.len()]));
-                        }
-                        let accs = &mut current.as_mut().expect("set above").1;
-                        for (si, s) in self.specs.iter().enumerate() {
-                            let v = if s.func == AggFunc::Count {
-                                0
-                            } else {
-                                self.numeric(&block, i, s.col)?
-                            };
-                            accs[si].update(v);
-                        }
-                    }
-                    let mut meter = self.ctx.meter.borrow_mut();
-                    let n = block.count() as f64;
-                    meter.key_compare(n);
-                    meter.agg_update(n * self.specs.len() as f64);
-                }
-                if let Some(done) = current.take() {
-                    results.push(done);
+        while let Some(block) = child.next()? {
+            for i in 0..block.count() {
+                let key: &[u8] = match self.group_by {
+                    Some(g) => block.field(i, g),
+                    None => &[],
+                };
+                let accs = self.state.group(key, width)?;
+                for (acc, s) in accs.iter_mut().zip(&self.specs) {
+                    let v = if s.func == AggFunc::Count {
+                        0
+                    } else {
+                        numeric(&block, i, s.col)?
+                    };
+                    acc.update(v);
                 }
             }
+            // Charge per block to keep borrow scopes tight.
+            let n = block.count() as f64;
+            total_rows += n;
+            let mut meter = self.ctx.meter.borrow_mut();
+            match self.state.strategy {
+                AggStrategy::Hash => {
+                    let entry_bytes = (key_width + 32 * width) as f64;
+                    let table_bytes = self.state.groups.len() as f64 * entry_bytes;
+                    meter.hash_probe(n, table_bytes, 1.0e6);
+                }
+                AggStrategy::Sorted => meter.key_compare(n),
+            }
+            meter.agg_update(n * width as f64);
         }
+        self.state.close();
         self.ctx.meter.borrow_mut().add_uops(total_rows.max(1.0));
-        self.results = Some(results);
         Ok(())
     }
 
@@ -405,28 +390,10 @@ impl Aggregate {
     /// parallel partial aggregation. All scan/aggregation CPU and I/O has
     /// been charged to this operator's context when this returns.
     pub fn into_partial(mut self) -> Result<AggPartial> {
-        if self.results.is_none() {
-            self.materialize()?;
+        if let Some(child) = self.child.take() {
+            self.materialize(child)?;
         }
-        Ok(AggPartial {
-            groups: self.results.take().expect("materialized"),
-            strategy: self.strategy,
-        })
-    }
-
-    /// Install a merged partial as this operator's final state; subsequent
-    /// [`Operator::next`] calls emit it without pulling the child. Charges
-    /// the final-merge CPU (one accumulator fold per group per function) to
-    /// this operator's context.
-    pub fn install_partial(&mut self, p: AggPartial) {
-        let n = p.groups.len() as f64;
-        {
-            let mut meter = self.ctx.meter.borrow_mut();
-            meter.key_compare(n);
-            meter.agg_update(n * self.specs.len() as f64);
-        }
-        self.results = Some(p.groups);
-        self.emit_idx = 0;
+        Ok(self.state)
     }
 }
 
@@ -436,25 +403,25 @@ impl Operator for Aggregate {
     }
 
     fn label(&self) -> String {
-        match self.strategy {
+        match self.state.strategy {
             AggStrategy::Hash => "aggregate[hash]".to_string(),
             AggStrategy::Sorted => "aggregate[sort]".to_string(),
         }
     }
 
     fn next(&mut self) -> Result<Option<TupleBlock>> {
-        if self.results.is_none() {
-            self.materialize()?;
+        if let Some(child) = self.child.take() {
+            self.materialize(child)?;
         }
-        let results = self.results.as_ref().expect("materialized");
-        if self.emit_idx >= results.len() {
+        let groups = &self.state.groups;
+        if self.emit_idx >= groups.len() {
             return Ok(None);
         }
         let cap = self.ctx.sys.block_tuples;
         let mut block = TupleBlock::new(self.out_schema.clone(), cap);
         let mut raw = Vec::new();
-        while self.emit_idx < results.len() && block.count() < cap {
-            let (key, accs) = &results[self.emit_idx];
+        while self.emit_idx < groups.len() && block.count() < cap {
+            let (key, accs) = &groups[self.emit_idx];
             raw.clear();
             raw.extend_from_slice(key);
             for (s, acc) in self.specs.iter().zip(accs) {
@@ -471,10 +438,12 @@ impl Operator for Aggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memscan::MemScan;
     use crate::op::collect_rows;
     use crate::scan_row::RowScanner;
     use crate::sort::Sort;
     use rodb_storage::{BuildLayouts, TableBuilder};
+    use rodb_types::{SplitMix64, Value};
 
     fn scan(n: usize, ctx: &ExecContext) -> Box<dyn Operator> {
         let s = Arc::new(
@@ -582,6 +551,7 @@ mod tests {
                 })
                 .collect(),
             strategy: AggStrategy::Sorted,
+            keys: HashMap::new(),
         };
         // A run spanning a morsel boundary (key 2) is merged, not rejected.
         let merged = merge_partials(vec![partial(&[1, 2]), partial(&[2, 3])]).unwrap();
@@ -590,6 +560,84 @@ mod tests {
         // Any other reappearance means the input was not grouped.
         let err = merge_partials(vec![partial(&[1, 2]), partial(&[3, 1])]).unwrap_err();
         assert!(matches!(err, Error::InvalidPlan(m) if m.contains("ungrouped input")));
+    }
+
+    /// Rows and partials join groups by one rule. Over pseudo-random key
+    /// sequences (runs, keys that reappear, the empty scalar key), one fold
+    /// of every row equals slices cut at random points, some inside runs,
+    /// folded apart and merged: same groups and accumulators, or the same
+    /// error.
+    #[test]
+    fn merged_slices_equal_one_fold_of_random_key_sequences() {
+        let schema = Arc::new(Schema::new(vec![Column::int("k"), Column::int("v")]).unwrap());
+        let specs = vec![
+            AggSpec::count(),
+            AggSpec::sum(1),
+            AggSpec::min(1),
+            AggSpec::max(1),
+            AggSpec::avg(1),
+        ];
+        let mut rng = SplitMix64::new(0xa66);
+        // Sorted cases that folded, that failed, and cuts inside a run.
+        let (mut folded, mut failed, mut stitched) = (0, 0, 0);
+        for case in 0..300 {
+            let n = rng.below(80) as usize;
+            let mut rows: Vec<Vec<Value>> = Vec::new();
+            while rows.len() < n {
+                let (k, run) = (rng.below(6) as i32, 1 + rng.below(6));
+                for _ in 0..run {
+                    rows.push(vec![Value::Int(k), Value::Int(rng.range_i32(-500, 500))]);
+                }
+            }
+            rows.truncate(n);
+            if rng.bool() {
+                rows.sort_by_key(|r| r[0].clone());
+            }
+            let group_by = (case % 4 != 0).then_some(0);
+            let mut cuts: Vec<usize> = (0..rng.below(5))
+                .map(|_| rng.below(n as u64 + 1) as usize)
+                .collect();
+            cuts.extend([0, n]);
+            cuts.sort_unstable();
+            for strategy in [AggStrategy::Hash, AggStrategy::Sorted] {
+                let fold = |rows: &[Vec<Value>]| -> Result<AggPartial> {
+                    let ctx = ExecContext::default_ctx();
+                    let rows = Arc::new(rows.to_vec());
+                    let scan = MemScan::new(&schema, rows, vec![0, 1], vec![], 0, &ctx)?;
+                    let agg =
+                        Aggregate::new(Box::new(scan), group_by, specs.clone(), strategy, &ctx);
+                    agg?.into_partial()
+                };
+                let serial = fold(&rows);
+                let merged = cuts
+                    .windows(2)
+                    .map(|w| fold(&rows[w[0]..w[1]]))
+                    .collect::<Result<Vec<_>>>()
+                    .and_then(merge_partials);
+                let what = format!("case {case} {strategy:?} group_by {group_by:?} cuts {cuts:?}");
+                match (serial, merged) {
+                    (Ok(a), Ok(b)) => {
+                        assert_eq!(a.groups, b.groups, "{what}");
+                        if strategy == AggStrategy::Sorted {
+                            folded += 1;
+                            let inside =
+                                |&&c: &&usize| c > 0 && c < n && rows[c - 1][0] == rows[c][0];
+                            stitched += cuts.iter().filter(inside).count();
+                        }
+                    }
+                    (Err(a), Err(b)) => {
+                        assert_eq!(a.to_string(), b.to_string(), "{what}");
+                        assert!(a.to_string().contains("ungrouped input"), "{what}: {a}");
+                        failed += 1;
+                    }
+                    (a, b) => panic!("{what}: serial {:?}, merged {:?}", a.err(), b.err()),
+                }
+            }
+        }
+        assert!(
+            folded > 0 && failed > 0 && stitched > 0,
+            "{folded} {failed} {stitched}"
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::agg::{merge_partials, AggPartial, AggSpec, AggStrategy, Aggregate};
 use crate::exec::{settle_report, RunReport};
 use crate::memscan::{Chain, MemScan};
 use crate::op::{drain_rows, Drained, ExecContext, Operator};
-use crate::predicate::Predicate;
+use crate::predicate::{scan_schema, Predicate};
 use crate::scan_col::ColumnScanner;
 use crate::scan_col_single::SingleIteratorColumnScanner;
 use crate::scan_row::RowScanner;
@@ -265,8 +265,9 @@ impl QueryPlan {
 
     /// Fold the ranged runs of this plan, in range order, into its answer:
     /// rows concatenate, or the partial aggregates merge and are emitted
-    /// over an empty scan on a fresh single-core context. Returns the rows
-    /// and that serial tail's CPU (zero when the plan does not aggregate).
+    /// on a fresh single-core context, which reads no input. Returns the
+    /// rows and that serial tail's CPU (zero when the plan does not
+    /// aggregate).
     pub(crate) fn finish(
         &self,
         pieces: Vec<PlanRun>,
@@ -275,7 +276,7 @@ impl QueryPlan {
         row_scale: f64,
         collect: bool,
     ) -> Result<(Drained, CpuBreakdown)> {
-        if self.agg.is_none() {
+        let Some(agg) = &self.agg else {
             let (mut rows, mut nrows, mut blocks) = (Vec::new(), 0, 0);
             for mut piece in pieces {
                 nrows += piece.report.rows;
@@ -283,11 +284,13 @@ impl QueryPlan {
                 rows.append(&mut piece.rows);
             }
             return Ok(((rows, nrows, blocks), CpuBreakdown::default()));
-        }
+        };
         let merged = merge_partials(pieces.into_iter().filter_map(|p| p.partial).collect())?;
         let ctx = ExecContext::new(*hw, *sys, row_scale)?;
-        let mut emitter = self.with_row_range(0, 0).aggregate(&ctx)?;
-        emitter.install_partial(merged);
+        let scan = &self.scan;
+        let input = scan_schema(&scan.table.schema, &scan.projection, &scan.predicates)?;
+        let specs = agg.specs.clone();
+        let mut emitter = Aggregate::emitting(&input, agg.group_by, specs, merged, &ctx)?;
         let drained = drain_rows(&mut emitter, collect)?;
         let tail = ctx.meter.borrow().breakdown(hw).scaled(row_scale);
         Ok((drained, tail))

@@ -222,6 +222,11 @@ impl SharedCursor {
         self.active.len()
     }
 
+    /// The attached queries' tokens, in attach order.
+    pub fn tokens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.active.iter().map(|a| a.q.token)
+    }
+
     pub fn segment_count(&self) -> usize {
         self.segments.len()
     }

@@ -30,23 +30,12 @@ pub enum SpanKind {
     Scan,
     /// Aggregation.
     Agg,
-    /// Merge join.
-    Join,
-    /// Sort.
-    Sort,
     /// A synthesized sub-phase of a plan node (decode, predicate, gather…)
     /// attributed from the CPU meter's phase profile.
     Phase,
     /// A concurrent-service scheduling span (per-query queue wait, attach,
     /// wraparound accounting under the shared-cursor service).
     Sched,
-    /// A write-path span: an insert batch or a WOS→ROS merge epoch
-    /// (`ingest`/`merge` labels on the durable ingest store).
-    Ingest,
-    /// A write-ahead-log span: record appends or a recovery replay.
-    Wal,
-    /// Any other operator.
-    Other,
 }
 
 impl SpanKind {
@@ -55,13 +44,8 @@ impl SpanKind {
             SpanKind::Query => "query",
             SpanKind::Scan => "scan",
             SpanKind::Agg => "agg",
-            SpanKind::Join => "join",
-            SpanKind::Sort => "sort",
             SpanKind::Phase => "phase",
             SpanKind::Sched => "sched",
-            SpanKind::Ingest => "ingest",
-            SpanKind::Wal => "wal",
-            SpanKind::Other => "op",
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A [`Timeline`] keeps one [`MetricSet`] — counters, gauges, and
 //! [`Histogram`]s — per fixed-width window of *modeled* time, so a [`QueryService`] run yields
-//! throughput / latency / cache-hit / WAL-lag **curves over time** instead
+//! throughput / latency / I/O / cache-hit **curves over time** instead
 //! of one end-of-run blob. Every recording call takes the modeled timestamp
 //! explicitly — the timeline never consults a wall clock, never advances the
 //! simulation, and costs the caller nothing when it is simply not created

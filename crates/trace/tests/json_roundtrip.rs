@@ -18,11 +18,9 @@ const ALL_EVENT_KINDS: [EventKind; 9] = [
     EventKind::CachePrefetch,
 ];
 
-const SPAN_KINDS: [SpanKind; 6] = [
+const SPAN_KINDS: [SpanKind; 4] = [
     SpanKind::Scan,
     SpanKind::Agg,
-    SpanKind::Join,
-    SpanKind::Sort,
     SpanKind::Phase,
     SpanKind::Sched,
 ];
