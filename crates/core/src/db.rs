@@ -3,12 +3,11 @@
 use std::sync::Arc;
 
 use rodb_compress::ColumnCompression;
-use rodb_storage::{Catalog, Table, WriteOptimizedStore};
-use rodb_types::{HardwareConfig, Result, Schema, SystemConfig};
+use rodb_storage::{Catalog, Table};
+use rodb_types::{HardwareConfig, IngestSpec, Result, Schema, SystemConfig};
 
 use crate::ingest::{IngestSnapshot, IngestStore};
 use crate::query::QueryBuilder;
-use rodb_types::Error;
 
 /// A read-optimized database: loaded tables + the simulated platform they
 /// are measured on.
@@ -71,47 +70,23 @@ impl Database {
         Ok(QueryBuilder::new(self.table(table)?, self.hw, self.sys))
     }
 
-    /// Create a write-optimized staging store for a table (Figure 1's WOS).
-    pub fn wos_for(&self, table: &str) -> Result<WriteOptimizedStore> {
-        Ok(WriteOptimizedStore::new(self.table(table)?.schema.clone()))
-    }
-
-    /// Merge a WOS into its table and re-register the result.
-    pub fn merge_wos(
-        &mut self,
-        table: &str,
-        wos: &mut WriteOptimizedStore,
-        comps: &[ColumnCompression],
-        sort_by: Option<usize>,
-    ) -> Result<Arc<Table>> {
-        let t = self.table(table)?;
-        let merged = wos.merge_into(&t, comps, sort_by)?;
-        Ok(self.register(merged))
-    }
-
     /// The schema of a table (convenience).
     pub fn schema(&self, table: &str) -> Result<Arc<Schema>> {
         Ok(self.table(table)?.schema.clone())
     }
 
-    /// Open the durable write path for a table: a WAL-backed
-    /// [`IngestStore`] whose inserts survive crashes and whose merges are
-    /// epoch-atomic. Requires ingest to be enabled in the system config
-    /// ([`SystemConfig::with_ingest`]); with it off, the write path (and its
-    /// WAL) does not exist and query behavior is bit-identical to a
-    /// database that never heard of ingest.
-    ///
-    /// [`SystemConfig::with_ingest`]: rodb_types::SystemConfig::with_ingest
+    /// Open the durable write path for a table (Figure 1's WOS and its
+    /// merge): a WAL-backed [`IngestStore`] whose inserts survive crashes
+    /// and whose merges are epoch-atomic. `comps` / `sort_by` are the
+    /// rebuild parameters of every merge. The write path exists once
+    /// opened; a database that opens none has no WAL.
     pub fn ingest_for(
         &self,
         table: &str,
-        comps: Vec<rodb_compress::ColumnCompression>,
+        comps: Vec<ColumnCompression>,
         sort_by: Option<usize>,
+        spec: IngestSpec,
     ) -> Result<IngestStore> {
-        let spec = self
-            .sys
-            .ingest
-            .ok_or_else(|| Error::InvalidConfig("ingest not enabled in SystemConfig".into()))?;
         IngestStore::new(self.table(table)?, comps, sort_by, spec)
     }
 
@@ -142,6 +117,7 @@ impl Default for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rodb_engine::CmpOp;
     use rodb_storage::{BuildLayouts, Layout, TableBuilder};
     use rodb_types::{Column, Value};
 
@@ -167,18 +143,52 @@ mod tests {
         assert_eq!(db.schema("t").unwrap().len(), 2);
     }
 
+    /// README's write path, end to end: open it, insert, pin a snapshot,
+    /// merge, and serve the merged table by name.
     #[test]
-    fn wos_merge_roundtrip() {
+    fn ingest_for_serves_snapshots_then_the_merged_table_by_name() {
         let mut db = Database::new();
         db.register(tiny_table());
-        let mut wos = db.wos_for("t").unwrap();
-        wos.insert(vec![Value::Int(-1), Value::Int(-2)]).unwrap();
         let comps = vec![ColumnCompression::none(); 2];
-        let merged = db.merge_wos("t", &mut wos, &comps, Some(0)).unwrap();
-        assert_eq!(merged.row_count, 101);
-        // New version is what the catalog serves.
-        let rows = db.table("t").unwrap().read_all(Layout::Row).unwrap();
-        assert_eq!(rows[0][0], Value::Int(-1));
+        let mut st = db
+            .ingest_for("t", comps, Some(0), IngestSpec::manual())
+            .unwrap();
+        let staged = [(-1, -2), (500, 7), (3, 99)];
+        st.insert(
+            staged
+                .iter()
+                .map(|&(k, v)| vec![Value::Int(k), Value::Int(v)])
+                .collect(),
+        )
+        .unwrap();
+        let snap = st.snapshot();
+        let below_10 = |rows: Vec<Vec<Value>>| -> Vec<Vec<Value>> {
+            rows.into_iter().filter(|r| r[0] < Value::Int(10)).collect()
+        };
+        let run = |q: QueryBuilder| {
+            q.select(&["k", "v"])
+                .unwrap()
+                .filter("k", CmpOp::Lt, 10)
+                .unwrap()
+                .run_collect()
+                .unwrap()
+                .rows
+        };
+
+        // The snapshot reads the ROS, then the tail in arrival order.
+        let mut oracle = snap.ros.read_all(Layout::Row).unwrap();
+        oracle.extend(snap.tail.iter().cloned());
+        let pinned = run(db.query_snapshot(&snap));
+        assert_eq!(pinned, below_10(oracle));
+
+        st.merge().unwrap();
+        db.register_arc(st.ros());
+        let merged = db.table("t").unwrap();
+        assert_eq!(merged.row_count, 103);
+        let rows = merged.read_all(Layout::Row).unwrap();
+        assert_eq!(rows[0], vec![Value::Int(-1), Value::Int(-2)], "sorted on k");
+        assert_eq!(run(db.query("t").unwrap()), below_10(rows));
+        assert_eq!(run(db.query_snapshot(&snap)), pinned, "pinned pre-merge");
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! ordinary single-query engine paths untouched.
 
 use std::collections::{BTreeMap, HashMap};
-use std::time::Instant;
 
 use rodb_engine::{
     CursorQuery, QueryDone, ScanLayout, ScanSpec, SegmentStep, SharedCursor, SharedCursorConfig,
@@ -29,8 +28,7 @@ use rodb_engine::{
 use rodb_io::{shared_page_cache, IoStats, SharedPageCache};
 use rodb_storage::Layout;
 use rodb_trace::{
-    keys, FlightEntry, FlightRecorder, Histogram, Json, MetricsHandle, MonitorHandle, QueryTrace,
-    Registry, SpanKind, Timeline, Tracer, ROOT,
+    FlightEntry, FlightRecorder, Histogram, Json, MetricsHandle, MonitorHandle, Registry, Timeline,
 };
 use rodb_types::{
     Admission, Error, HardwareConfig, ObserveSpec, Result, ServiceSpec, SystemConfig, Value,
@@ -156,8 +154,6 @@ pub struct ServiceReport {
     /// Segment steps executed and cursor wraparounds completed.
     pub segments: u64,
     pub wraparounds: u64,
-    /// Root span with one `sched` child per query (when tracing was on).
-    pub trace: Option<QueryTrace>,
     /// What the observability plane captured (when
     /// [`SystemConfig::observe`](rodb_types::SystemConfig) was set; `None`
     /// — the default — leaves every other field bit-identical to a
@@ -364,10 +360,10 @@ fn status_doc<'a>(
 /// request is *submitted*, maybe *admitted*, and finally *settled*:
 /// completed, or rejected at admission. Cursors run *segments*. Each of
 /// those four facts passes through the one method named after it, which
-/// alone knows what the fact is called in the registry, the timeline, the
-/// flight recorder and the sched trace. The event loop decides; the ledger
-/// records, and every count the service reports, the SLO table included, is
-/// read back off its outcome slots.
+/// alone knows what the fact is called in the registry, the timeline and the
+/// flight recorder. The event loop decides; the ledger records, and every
+/// count the service reports, the SLO table included, is read back off its
+/// outcome slots.
 struct Ledger<'a> {
     requests: &'a [ServiceRequest],
     reg: &'a Registry,
@@ -395,7 +391,6 @@ struct Ledger<'a> {
     /// Exists only when configured; with `observe: None` (the default)
     /// nothing reads or writes it and the run is bit-identical.
     plane: Option<Plane>,
-    tracer: Option<Tracer>,
 }
 
 impl Ledger<'_> {
@@ -519,14 +514,6 @@ impl Ledger<'_> {
                 .is_some_and(|(at, io)| io.recovery.quarantined_pages > at);
             p.flight.record(clock, flight_entry(seq, &o, touched));
         }
-        if let Some(tr) = self.tracer.as_ref().filter(|_| !o.rejected) {
-            let span = tr.span(ROOT, &format!("query[{seq}]"), SpanKind::Sched);
-            tr.set(span, "queue_wait_s", o.queue_wait_s);
-            tr.set(span, "attach_seg", o.attach_seg as f64);
-            tr.set(span, "wrapped", if o.wrapped { 1.0 } else { 0.0 });
-            tr.set(span, "latency_s", latency);
-            tr.set(span, keys::ROWS, o.nrows as f64);
-        }
         self.outcomes[seq] = Some(o);
         self.settled.push(seq);
     }
@@ -605,18 +592,11 @@ impl Ledger<'_> {
         state.status = status;
     }
 
-    /// Close the books on a run that charged `io` in `wall_s` host seconds.
-    fn close(mut self, monitor: Option<&MonitorHandle>, io: IoStats, wall_s: f64) -> ServiceReport {
+    /// Close the books on a run that charged `io`.
+    fn close(mut self, monitor: Option<&MonitorHandle>, io: IoStats) -> ServiceReport {
         self.depth = (0, 0);
         self.publish(monitor, None);
         let slo = self.plane.is_some().then(|| self.slo_report());
-        let trace = self.tracer.map(|tr| {
-            tr.set(ROOT, keys::ELAPSED_S, self.clock);
-            tr.set(ROOT, keys::WALL_S, wall_s);
-            tr.set(ROOT, "segments", self.segments as f64);
-            tr.set(ROOT, "wraparounds", self.wraparounds as f64);
-            tr.finish()
-        });
         let observed = self.plane.zip(slo).map(|(p, slo)| Observed {
             slo,
             timeline: p.timeline,
@@ -632,7 +612,6 @@ impl Ledger<'_> {
             io,
             segments: self.segments,
             wraparounds: self.wraparounds,
-            trace,
             observed,
         }
     }
@@ -711,7 +690,6 @@ pub struct QueryService {
     sys: SystemConfig,
     spec: ServiceSpec,
     requests: Vec<ServiceRequest>,
-    trace: bool,
     reg: MetricsHandle,
     monitor: Option<MonitorHandle>,
 }
@@ -733,16 +711,9 @@ impl QueryService {
             sys,
             spec,
             requests: Vec::new(),
-            trace: false,
             reg: Registry::global().clone(),
             monitor: None,
         })
-    }
-
-    /// Record per-query `sched` spans in a service-wide trace.
-    pub fn trace(mut self, on: bool) -> QueryService {
-        self.trace = on;
-        self
     }
 
     /// Route this service's metric emission through an owned [`Registry`]
@@ -787,7 +758,6 @@ impl QueryService {
     /// driver pass per cursor cycle) and per-query CPU. On `Err`, a
     /// published monitor reads unhealthy and its status carries the error.
     pub fn run(&mut self) -> Result<ServiceReport> {
-        let wall = Instant::now();
         let requests = std::mem::take(&mut self.requests);
         let mut ledger = Ledger {
             requests: &requests,
@@ -803,10 +773,9 @@ impl QueryService {
             wraparounds: 0,
             depth: (0, 0),
             plane: self.sys.observe.map(Plane::new),
-            tracer: self.trace.then(Tracer::new),
         };
         match self.schedule(&mut ledger) {
-            Ok(io) => Ok(ledger.close(self.monitor.as_ref(), io, wall.elapsed().as_secs_f64())),
+            Ok(io) => Ok(ledger.close(self.monitor.as_ref(), io)),
             Err(e) => {
                 ledger.publish(self.monitor.as_ref(), Some(&e));
                 Err(e)
@@ -1009,7 +978,6 @@ impl QueryService {
             io: total_io,
             segments: 0,
             wraparounds: 0,
-            trace: None,
         })
     }
 }

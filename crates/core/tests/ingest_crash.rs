@@ -17,7 +17,7 @@ use rodb_compress::{bits_for, Codec, ColumnCompression};
 use rodb_core::{Database, IngestStore};
 use rodb_engine::{AggSpec, CmpOp, ScanLayout};
 use rodb_storage::{BuildLayouts, Layout, Table, TableBuilder};
-use rodb_types::{Column, IngestSpec, Schema, SystemConfig, Value};
+use rodb_types::{Column, IngestSpec, Schema, Value};
 
 const WAL_HEADER: usize = 4 + 8 + 1;
 const WAL_CRC: usize = 4;
@@ -174,8 +174,7 @@ fn every_crash_offset_recovers_to_the_model_state() {
 #[test]
 fn snapshot_queries_match_the_model_through_the_builder() {
     let (st, _) = scripted_store();
-    let sys = SystemConfig::default().with_ingest(IngestSpec::manual());
-    let mut db = Database::with_config(Default::default(), sys).unwrap();
+    let mut db = Database::new();
     db.adopt_ingest(&st);
     let snap = st.snapshot();
 

@@ -279,39 +279,6 @@ fn shared_page_cache_serves_later_cycles() {
     }
 }
 
-#[test]
-fn sched_trace_spans_carry_attach_and_wait() {
-    let t = table(6_000);
-    let hw = HardwareConfig::default();
-    let s = sys(ServiceSpec::new(4).with_slice(0.2));
-    let mut svc = QueryService::new(hw, s).unwrap().trace(true);
-    for r in workload(&t, hw, s) {
-        svc.submit(r);
-    }
-    let report = svc.run().unwrap();
-    let trace = report.trace.expect("tracing was on");
-    let scheds: Vec<_> = trace
-        .root
-        .children
-        .iter()
-        .filter(|c| c.label.starts_with("query["))
-        .collect();
-    assert_eq!(scheds.len(), report.outcomes.len());
-    assert!(scheds
-        .iter()
-        .any(|sp| sp.metrics.get("attach_seg") > 0.0 || sp.metrics.get("wrapped") > 0.0));
-    for sp in scheds {
-        assert!(sp.metrics.get("latency_s") > 0.0);
-    }
-    // Modeled next to measured at the root: `elapsed_s` is the makespan on
-    // the modeled clock, `wall_s` the host time `run()` took.
-    assert_eq!(
-        trace.metric("elapsed_s").to_bits(),
-        report.makespan_s.to_bits()
-    );
-    assert!(trace.metric("wall_s") > 0.0);
-}
-
 /// A run that fails leaves the monitor unhealthy, with the status so far and
 /// the error — not the last healthy snapshot forever — and counts no phantom
 /// completion; the next successful run on the same handle flips it back.

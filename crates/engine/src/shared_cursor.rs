@@ -77,7 +77,6 @@ pub struct QueryDone {
     pub token: usize,
     pub rows: Vec<Vec<Value>>,
     pub nrows: u64,
-    pub blocks: u64,
     /// Segment index the query attached at.
     pub attach_seg: usize,
     /// Whether completion required riding past the wraparound point.
@@ -90,8 +89,6 @@ pub struct QueryDone {
 /// What one segment visit cost and completed.
 #[derive(Debug, Clone)]
 pub struct SegmentStep {
-    /// Segment index that was scanned.
-    pub segment: usize,
     /// Modelled elapsed seconds of the visit (driver I/O overlapped with
     /// the riders' CPU, plus serial emission tails).
     pub elapsed_s: f64,
@@ -314,7 +311,7 @@ impl SharedCursor {
         }
         for a in finished {
             let pieces = a.pieces.into_iter().flatten().collect();
-            let ((rows, nrows, blocks), tail) =
+            let ((rows, nrows, _), tail) =
                 a.q.plan.finish(pieces, &hw, &sys, row_scale, a.q.collect)?;
             // The aggregation tail is serial on one core.
             cpu_s += tail.total();
@@ -322,7 +319,6 @@ impl SharedCursor {
                 token: a.q.token,
                 rows,
                 nrows,
-                blocks,
                 attach_seg: a.attach_seg,
                 wrapped: a.attach_seg != 0,
                 cpu_s: a.cpu_s + tail.total(),
@@ -337,7 +333,6 @@ impl SharedCursor {
         }
 
         Ok(SegmentStep {
-            segment: seg_idx,
             elapsed_s: overlapped(driver_io.total_s(), cpu_s),
             driver_io,
             done,

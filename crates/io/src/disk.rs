@@ -361,11 +361,6 @@ impl DiskArray {
         self.cache = Some(cache);
     }
 
-    /// Whether a page cache is installed.
-    pub fn cache_enabled(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// Look up `key` in the page cache, recording hit/miss accounting.
     /// `Disabled` when no cache is installed; an `Unverified` outcome counts
     /// as neither hit nor miss until [`DiskArray::cache_resolve_unverified`]

@@ -63,10 +63,6 @@ pub struct RowStorage {
 }
 
 impl RowStorage {
-    pub fn is_packed(&self) -> bool {
-        matches!(self.format, RowFormat::Packed { .. })
-    }
-
     /// Stored bytes per tuple (padded width, or packed bits ÷ 8).
     pub fn bytes_per_tuple(&self) -> f64 {
         match &self.format {

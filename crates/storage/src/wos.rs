@@ -76,28 +76,15 @@ impl WriteOptimizedStore {
         self.rows.drain(..n.min(self.rows.len()));
     }
 
-    /// Merge the staged rows into `table`, producing a new read-optimized
-    /// table with the same layouts and codecs. If `sort_by` names a column,
-    /// the merged data is re-sorted on it (stable). Clears the WOS only
-    /// once the rebuild has fully succeeded — a failing merge (codec
-    /// domain, bad sort key…) leaves every staged row in place.
-    pub fn merge_into(
-        &mut self,
-        table: &Table,
-        comps: &[ColumnCompression],
-        sort_by: Option<usize>,
-    ) -> Result<Table> {
-        let merged = self.merge_prefix_into(self.rows.len(), table, comps, sort_by)?;
-        self.rows.clear();
-        Ok(merged)
-    }
-
-    /// Merge only the first `prefix` staged rows into `table`, without
-    /// consuming them. This is the pure rebuild step of the epoch-based
-    /// ingest protocol: the caller freezes a prefix, rebuilds, and only
-    /// drops the prefix ([`WriteOptimizedStore::drain_prefix`]) once the
-    /// merge-commit record is durable — so a crash mid-merge re-derives
-    /// exactly the same table from the log.
+    /// Merge the first `prefix` staged rows into `table`, without consuming
+    /// them, producing a new read-optimized table with the same layouts and
+    /// codecs. If `sort_by` names a column, the merged data is re-sorted on
+    /// it (stable). This is the one rebuild step of the epoch-based ingest
+    /// protocol: the caller freezes a prefix, rebuilds, and only drops the
+    /// prefix ([`WriteOptimizedStore::drain_prefix`]) once the merge-commit
+    /// record is durable — so a crash mid-merge re-derives exactly the same
+    /// table from the log, and a failing rebuild (codec domain, bad sort
+    /// key…) leaves every staged row in place.
     pub fn merge_prefix_into(
         &self,
         prefix: usize,
@@ -204,8 +191,10 @@ mod tests {
         assert_eq!(wos.len(), 2);
 
         // Sorting on the key keeps the FOR-delta column monotone.
-        let merged = wos.merge_into(&t, &comps, Some(0)).unwrap();
-        assert!(wos.is_empty());
+        let merged = wos
+            .merge_prefix_into(wos.len(), &t, &comps, Some(0))
+            .unwrap();
+        assert_eq!(wos.len(), 2, "the rebuild consumes nothing");
         assert_eq!(merged.row_count, 102);
         let rows = merged.read_all(Layout::Column).unwrap();
         assert!(rows.windows(2).all(|w| w[0][0] <= w[1][0]));
@@ -221,7 +210,7 @@ mod tests {
         let t = base_table(&s, &comps);
         let mut wos = WriteOptimizedStore::new(s.clone());
         wos.insert(vec![Value::Int(-7), Value::Int(9)]).unwrap();
-        let merged = wos.merge_into(&t, &comps, None).unwrap();
+        let merged = wos.merge_prefix_into(wos.len(), &t, &comps, None).unwrap();
         assert_eq!(merged.row_count, 101);
         // Appended at the end, order preserved.
         let rows = merged.read_all(Layout::Row).unwrap();
@@ -262,10 +251,14 @@ mod tests {
         let mut wos = WriteOptimizedStore::new(s);
         wos.insert(vec![Value::Int(2), Value::Int(50)]).unwrap();
         wos.insert(vec![Value::Int(1000), Value::Int(51)]).unwrap();
-        assert!(wos.merge_into(&t, &comps, Some(0)).is_err());
+        assert!(wos
+            .merge_prefix_into(wos.len(), &t, &comps, Some(0))
+            .is_err());
         assert_eq!(wos.len(), 2, "a failing merge must not drop staged rows");
         // A bad sort key fails even earlier; still nothing is lost.
-        assert!(wos.merge_into(&t, &comps, Some(9)).is_err());
+        assert!(wos
+            .merge_prefix_into(wos.len(), &t, &comps, Some(9))
+            .is_err());
         assert_eq!(wos.len(), 2);
     }
 
@@ -276,6 +269,8 @@ mod tests {
         let t = base_table(&s, &comps);
         let mut wos = WriteOptimizedStore::new(s);
         wos.insert(vec![Value::Int(1), Value::Int(2)]).unwrap();
-        assert!(wos.merge_into(&t, &comps, Some(9)).is_err());
+        assert!(wos
+            .merge_prefix_into(wos.len(), &t, &comps, Some(9))
+            .is_err());
     }
 }

@@ -163,7 +163,9 @@ fn wos_merge_any_sizes() {
         for i in 0..extra_n {
             wos.insert(vec![Value::Int(i as i32 * 2 + 1)]).unwrap();
         }
-        let merged = wos.merge_into(&t, &comps, Some(0)).unwrap();
+        let merged = wos
+            .merge_prefix_into(wos.len(), &t, &comps, Some(0))
+            .unwrap();
         assert_eq!(merged.row_count as usize, base_n + extra_n);
         let rows = merged.read_all(Layout::Row).unwrap();
         assert_eq!(&rows, &merged.read_all(Layout::Column).unwrap());

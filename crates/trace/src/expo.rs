@@ -265,7 +265,7 @@ fn fmt_cell(v: Option<&Json>) -> String {
 
 /// Render a `/status` document as the offline `rodb-top` text dashboard:
 /// a service summary, the per-tenant SLO table, and the tail of the
-/// per-window timeline (throughput / p95 / cache hits / WAL lag).
+/// per-window timeline (throughput / p95 / cache hits).
 pub fn render_top(status: &Json) -> String {
     let mut out = String::new();
     out.push_str("rodb-top — service snapshot\n");
@@ -304,12 +304,11 @@ pub fn render_top(status: &Json) -> String {
         .and_then(|t| t.get("windows"))
         .and_then(Json::as_arr)
     {
-        out.push_str("\nWINDOW     t0_s   done  p95_lat_s  cache_hit  wal_rows\n");
+        out.push_str("\nWINDOW     t0_s   done  p95_lat_s  cache_hit\n");
         let tail = windows.len().saturating_sub(12);
         for w in &windows[tail..] {
             let counters = w.get("counters");
             let hists = w.get("histograms");
-            let gauges = w.get("gauges");
             let hits = counters
                 .and_then(|c| c.get("service.cache.hits"))
                 .and_then(Json::as_f64)
@@ -324,7 +323,7 @@ pub fn render_top(status: &Json) -> String {
                 format!("{:>9}", "-")
             };
             out.push_str(&format!(
-                "{:>6} {:>8} {:>6}  {:>9}  {hit_rate}  {:>8}\n",
+                "{:>6} {:>8} {:>6}  {:>9}  {hit_rate}\n",
                 fmt_cell(w.get("window")),
                 fmt_cell(w.get("t0_s")),
                 fmt_cell(counters.and_then(|c| c.get("service.completed"))),
@@ -333,7 +332,6 @@ pub fn render_top(status: &Json) -> String {
                         .and_then(|h| h.get("service.latency_s"))
                         .and_then(|h| h.get("p95"))
                 ),
-                fmt_cell(gauges.and_then(|g| g.get("ingest.wos_rows"))),
             ));
         }
     }
@@ -440,7 +438,6 @@ mod tests {
                                 .set("service.cache.hits", 30u64)
                                 .set("service.cache.misses", 10u64),
                         )
-                        .set("gauges", Json::obj().set("ingest.wos_rows", 128u64))
                         .set(
                             "histograms",
                             Json::obj().set("service.latency_s", Json::obj().set("p95", 1.5)),
@@ -453,6 +450,5 @@ mod tests {
         assert!(text.contains("fairness (Jain) 0.9876"));
         assert!(text.contains("0.25"), "tenant p50 rendered:\n{text}");
         assert!(text.contains("0.750"), "cache hit rate rendered:\n{text}");
-        assert!(text.contains("128"), "wal gauge rendered:\n{text}");
     }
 }

@@ -189,23 +189,6 @@ impl Histogram {
             .set("exact", self.is_exact())
             .set("buckets", buckets)
     }
-
-    /// The raw log2 buckets, for renderers that need cumulative counts
-    /// (Prometheus exposition): `(bucket upper bound, count)` ascending,
-    /// with the underflow sentinel mapped to upper bound `0`.
-    pub fn bucket_bounds(&self) -> Vec<(f64, u64)> {
-        self.buckets
-            .iter()
-            .map(|(idx, n)| {
-                let upper = if *idx == UNDERFLOW {
-                    0.0
-                } else {
-                    2.0f64.powi(idx + 1)
-                };
-                (upper, *n)
-            })
-            .collect()
-    }
 }
 
 fn bucket_of(v: f64) -> i32 {

@@ -33,9 +33,6 @@ pub enum SpanKind {
     /// A synthesized sub-phase of a plan node (decode, predicate, gather…)
     /// attributed from the CPU meter's phase profile.
     Phase,
-    /// A concurrent-service scheduling span (per-query queue wait, attach,
-    /// wraparound accounting under the shared-cursor service).
-    Sched,
 }
 
 impl SpanKind {
@@ -45,7 +42,6 @@ impl SpanKind {
             SpanKind::Scan => "scan",
             SpanKind::Agg => "agg",
             SpanKind::Phase => "phase",
-            SpanKind::Sched => "sched",
         }
     }
 }

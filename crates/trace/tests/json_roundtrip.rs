@@ -18,12 +18,7 @@ const ALL_EVENT_KINDS: [EventKind; 9] = [
     EventKind::CachePrefetch,
 ];
 
-const SPAN_KINDS: [SpanKind; 4] = [
-    SpanKind::Scan,
-    SpanKind::Agg,
-    SpanKind::Phase,
-    SpanKind::Sched,
-];
+const SPAN_KINDS: [SpanKind; 3] = [SpanKind::Scan, SpanKind::Agg, SpanKind::Phase];
 
 /// Build a pseudo-random but deterministic trace: a handful of operator
 /// spans with float and integral metrics, plus a spread of simulator

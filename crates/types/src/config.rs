@@ -207,24 +207,23 @@ impl ObserveSpec {
     }
 }
 
-/// Knobs of the durable write path (WAL-backed WOS→ROS ingest). `None` on
-/// [`SystemConfig::ingest`] — the default — means the write path is absent
-/// and the system behaves exactly like the read-only engine: no WAL, no
-/// ingest API, bit-identical results and accounting.
+/// Knobs of one table's durable write path (WAL-backed WOS→ROS ingest),
+/// passed to the store when the path is opened. A database that opens no
+/// ingest store has no WAL and behaves exactly like the read-only engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestSpec {
     /// Auto-merge threshold: once the WOS holds at least this many
     /// acknowledged rows, the next insert triggers a WOS→ROS merge.
     /// `0` means merges are manual only.
     pub auto_merge_rows: usize,
-    /// WAL device page granularity for fault injection: the log image is
-    /// chunked into pieces of this size and each piece rolls the
-    /// [`FaultSpec`] dice independently, exactly like a table page.
+    /// Read by nothing: WAL damage is chunked by the size
+    /// `wal::damage_image` is given. The field stays only because the
+    /// fuzzer's replay digest hashes the drawn spec's `Debug` text.
     pub wal_page: usize,
 }
 
 impl IngestSpec {
-    /// Manual merges, 4 KB WAL fault granularity.
+    /// Manual merges (`wal_page` 4096).
     pub fn manual() -> IngestSpec {
         IngestSpec {
             auto_merge_rows: 0,
@@ -307,11 +306,6 @@ pub struct SystemConfig {
     /// admission control). Defaults to **off** (`None`): queries execute
     /// one at a time through the unchanged single-query engine.
     pub service: Option<ServiceSpec>,
-    /// Optional durable write path (WAL-backed WOS→ROS ingest with
-    /// epoch-based snapshot reads). Defaults to **off** (`None`): the
-    /// system is the read-only engine of the paper, bit-identical to
-    /// configurations that predate the write path.
-    pub ingest: Option<IngestSpec>,
     /// Optional live observability plane (windowed metric timelines, flight
     /// recorder, per-tenant SLO accounting). Defaults to **off** (`None`):
     /// nothing is recorded and every execution path is bit-identical to a
@@ -334,7 +328,6 @@ impl Default for SystemConfig {
             on_corrupt: OnCorrupt::Retry,
             cache: None,
             service: None,
-            ingest: None,
             observe: None,
         }
     }
@@ -388,11 +381,6 @@ impl SystemConfig {
                         "service deadline_s must be finite and > 0".into(),
                     ));
                 }
-            }
-        }
-        if let Some(i) = &self.ingest {
-            if i.wal_page < 64 {
-                return Err(Error::InvalidConfig("ingest wal_page < 64".into()));
             }
         }
         if let Some(o) = &self.observe {
@@ -452,12 +440,6 @@ impl SystemConfig {
     /// Convenience: the same config with the concurrent query service on.
     pub fn with_service(mut self, service: ServiceSpec) -> Self {
         self.service = Some(service);
-        self
-    }
-
-    /// Convenience: the same config with the durable write path enabled.
-    pub fn with_ingest(mut self, ingest: IngestSpec) -> Self {
-        self.ingest = Some(ingest);
         self
     }
 
@@ -684,18 +666,11 @@ mod tests {
     }
 
     #[test]
-    fn ingest_defaults_off_and_validates() {
-        assert!(SystemConfig::default().ingest.is_none());
+    fn ingest_spec_defaults_to_manual_merges() {
         let spec = IngestSpec::manual();
         assert_eq!((spec.auto_merge_rows, spec.wal_page), (0, 4096));
         let spec = spec.with_auto_merge(500);
         assert_eq!(spec.auto_merge_rows, 500);
-        assert!(SystemConfig::default().with_ingest(spec).validate().is_ok());
-        let bad = SystemConfig::default().with_ingest(IngestSpec {
-            auto_merge_rows: 0,
-            wal_page: 16,
-        });
-        assert!(bad.validate().is_err());
     }
 
     #[test]

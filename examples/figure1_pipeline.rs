@@ -62,23 +62,27 @@ fn main() -> Result<()> {
     );
 
     // ---- 3. New facts arrive: stage in the WOS, then merge ---------------
-    let mut wos = db.wos_for("sales")?;
-    for i in 0..500i32 {
-        wos.insert(vec![
-            Value::Int(1_200 + i / 100), // new days
-            Value::Int(i % 40),
-            Value::Int((i * 13) % 9_000),
-            Value::Int(1 + i % 7),
-            Value::Int(99 + (i % 900) * 10),
-            Value::text(channels[(i % 3) as usize]),
-        ])?;
-    }
+    let comps = vec![ColumnCompression::none(); schema.len()];
+    let mut ingest = db.ingest_for("sales", comps, Some(0), IngestSpec::manual())?;
+    ingest.insert(
+        (0..500i32)
+            .map(|i| {
+                vec![
+                    Value::Int(1_200 + i / 100), // new days
+                    Value::Int(i % 40),
+                    Value::Int((i * 13) % 9_000),
+                    Value::Int(1 + i % 7),
+                    Value::Int(99 + (i % 900) * 10),
+                    Value::text(channels[(i % 3) as usize]),
+                ]
+            })
+            .collect(),
+    )?;
     println!(
         "\nstaged {} inserts in the write-optimized store",
-        wos.len()
+        ingest.wos_len()
     );
-    let comps = vec![ColumnCompression::none(); schema.len()];
-    let merged = db.merge_wos("sales", &mut wos, &comps, Some(0))?;
+    let merged = db.register_arc(ingest.merge()?);
     println!(
         "merged → read store now {} rows (sorted by day)",
         merged.row_count

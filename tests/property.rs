@@ -321,7 +321,9 @@ fn wos_merge_preserves_contents() {
             wos.insert(row.clone()).unwrap();
             inserted.push(row);
         }
-        let merged = wos.merge_into(&table, &t.comps, Some(0)).unwrap();
+        let merged = wos
+            .merge_prefix_into(wos.len(), &table, &t.comps, Some(0))
+            .unwrap();
         assert_eq!(merged.row_count as usize, before.len() + extra);
         let after_row = merged.read_all(Layout::Row).unwrap();
         let after_col = merged.read_all(Layout::Column).unwrap();
