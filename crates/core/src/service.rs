@@ -9,9 +9,9 @@
 //! [`ServiceSpec::slice_s`](rodb_types::ServiceSpec) modeled seconds of
 //! disk time, and the event loop repeatedly (1) ingests arrivals that have
 //! happened by the current clock, (2) admits queued queries up to
-//! `max_inflight` under the configured [`rodb_types::Admission`]
-//! discipline with tenant fairness, (3) runs one segment of the
-//! least-served cursor and advances the clock by its modeled cost.
+//! `max_inflight`, the least-served tenant first, then in submission order,
+//! (3) runs one segment of the least-served cursor and advances the clock
+//! by its modeled cost.
 //! Late-arriving queries attach to a cursor mid-scan and complete their
 //! missed prefix after the cursor wraps around; results are reassembled in
 //! table order, so every query's rows are bit-identical to its solo run.
@@ -30,9 +30,7 @@ use rodb_storage::Layout;
 use rodb_trace::{
     FlightEntry, FlightRecorder, Histogram, Json, MetricsHandle, MonitorHandle, Registry, Timeline,
 };
-use rodb_types::{
-    Admission, Error, HardwareConfig, ObserveSpec, Result, ServiceSpec, SystemConfig, Value,
-};
+use rodb_types::{Error, HardwareConfig, ObserveSpec, Result, ServiceSpec, SystemConfig, Value};
 
 use crate::query::QueryBuilder;
 
@@ -50,9 +48,6 @@ pub struct ServiceRequest {
     /// Tenant label for fair scheduling (accumulated service time is
     /// balanced across tenants at admission).
     pub tenant: String,
-    /// Priority class, lower = more urgent (only consulted under
-    /// [`Admission::Priority`]).
-    pub priority: u8,
     /// Materialize result rows in the outcome (on by default).
     pub collect: bool,
 }
@@ -63,7 +58,6 @@ impl ServiceRequest {
             query,
             arrival_s: 0.0,
             tenant: "default".to_string(),
-            priority: 0,
             collect: true,
         }
     }
@@ -79,11 +73,6 @@ impl ServiceRequest {
         self
     }
 
-    pub fn priority(mut self, p: u8) -> ServiceRequest {
-        self.priority = p;
-        self
-    }
-
     /// Measurement only: outcome carries counts but no rows.
     pub fn measure_only(mut self) -> ServiceRequest {
         self.collect = false;
@@ -95,7 +84,6 @@ impl ServiceRequest {
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     pub tenant: String,
-    pub priority: u8,
     pub arrival_s: f64,
     /// Seconds spent in the admission queue (0 for rejected queries —
     /// their whole life was queue wait; see `rejected`).
@@ -127,7 +115,6 @@ impl QueryOutcome {
     ) -> QueryOutcome {
         QueryOutcome {
             tenant: req.tenant.clone(),
-            priority: req.priority,
             arrival_s: req.arrival_s,
             queue_wait_s,
             latency_s,
@@ -194,7 +181,7 @@ impl TenantSlo {
         }
     }
 
-    /// Admission rejections per submitted query.
+    /// Rejections at admission per submitted query.
     pub fn rejection_rate(&self) -> f64 {
         if self.submitted > 0 {
             self.rejected as f64 / self.submitted as f64
@@ -253,7 +240,7 @@ impl SloReport {
 pub struct Observed {
     /// Windowed throughput / latency / I/O / cache curves.
     pub timeline: Timeline,
-    /// Tail-based retention: K slowest + all anomalous queries per window.
+    /// Tail-based retention: 4 slowest + all anomalous queries per window.
     pub flight: FlightRecorder,
     /// Per-tenant SLO accounting and the fairness index.
     pub slo: SloReport,
@@ -297,7 +284,7 @@ impl Plane {
     fn new(spec: ObserveSpec) -> Plane {
         Plane {
             timeline: Timeline::new(spec.window_s),
-            flight: FlightRecorder::new(spec.window_s, spec.flight_k, spec.flight_reservoir),
+            flight: FlightRecorder::new(spec.window_s),
             quarantined_at_attach: HashMap::new(),
         }
     }
@@ -835,25 +822,20 @@ impl QueryService {
                 queue.push(seq);
             }
 
-            // 2. Admission: fill free slots from the queue, best candidate
-            // first. Expired-deadline candidates are rejected (they do not
-            // consume a slot).
-            while inflight(&cursors) < self.spec.max_inflight && !queue.is_empty() {
+            // 2. Admit: fill free slots from the queue, the least-served
+            // tenant first, then submission order. Expired-deadline
+            // candidates are rejected (they do not consume a slot).
+            while inflight(&cursors) < self.spec.max_inflight {
                 let key = |&seq: &usize| {
-                    let req = &requests[seq];
-                    let tsvc = ledger.tenant_service.get(&req.tenant).copied();
-                    let prio = match self.spec.admission {
-                        Admission::Fifo => 0u8,
-                        Admission::Priority => req.priority,
-                    };
-                    (prio, tsvc.unwrap_or(0.0), seq)
+                    let tsvc = ledger.tenant_service.get(&requests[seq].tenant);
+                    (tsvc.copied().unwrap_or(0.0), seq)
                 };
-                let best = (0..queue.len())
-                    .min_by(|&a, &b| {
-                        let ((pa, ta, sa), (pb, tb, sb)) = (key(&queue[a]), key(&queue[b]));
-                        pa.cmp(&pb).then(ta.total_cmp(&tb)).then(sa.cmp(&sb))
-                    })
-                    .expect("queue is non-empty");
+                let Some(best) = (0..queue.len()).min_by(|&a, &b| {
+                    let ((ta, sa), (tb, sb)) = (key(&queue[a]), key(&queue[b]));
+                    ta.total_cmp(&tb).then(sa.cmp(&sb))
+                }) else {
+                    break;
+                };
                 let seq = queue.remove(best);
                 let req = &requests[seq];
                 if self
@@ -945,8 +927,9 @@ impl QueryService {
 
     /// The naive comparator: the same requests executed query-at-a-time in
     /// arrival order on the single-query engine — each query pays its own
-    /// full scan. Admission, deadlines and fairness are not modeled; this
-    /// is the baseline `bench_service` compares shared cursors against.
+    /// full scan. The admission queue, deadlines and fairness are not
+    /// modeled; this is the baseline `bench_service` compares shared cursors
+    /// against.
     pub fn run_query_at_a_time(&mut self) -> Result<ServiceReport> {
         let requests = std::mem::take(&mut self.requests);
         if requests.is_empty() {

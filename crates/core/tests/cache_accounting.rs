@@ -62,21 +62,16 @@ fn cache_requests(res: &QueryResult) -> u64 {
 
 /// `hits + misses` counts page reads requested, so it is a property of the
 /// plan alone: the same query issues the same page requests whatever the
-/// cache geometry — tiny, huge, prefetching, or shared across runs.
+/// cache geometry — empty, tiny, huge, or shared across runs.
 #[test]
 fn hits_plus_misses_is_invariant_across_cache_geometry() {
     let t = table();
     for layout in [ScanLayout::Row, ScanLayout::Column] {
         let specs = [
-            CacheSpec {
-                frames: 0,
-                k: 2,
-                prefetch: false,
-            },
+            CacheSpec::lru_k(0),
             CacheSpec::lru_k(1),
             CacheSpec::lru_k(4),
             CacheSpec::lru_k(1 << 16),
-            CacheSpec::lru_k(1 << 16).with_prefetch(true),
         ];
         let runs: Vec<QueryResult> = specs
             .iter()
@@ -163,7 +158,6 @@ fn cache_off_and_cold_runs_report_identical_disk_time() {
         let off = builder(&t, layout, None).run().expect("cache off");
         assert_eq!(cache_requests(&off), 0, "{what}: off means no counters");
         assert_eq!(off.report.io.cache.evictions, 0, "{what}");
-        assert_eq!(off.report.io.cache.prefetched, 0, "{what}");
         let cold = builder(&t, layout, Some(CacheSpec::lru_k(4)))
             .run()
             .expect("cache on, cold");

@@ -1,7 +1,7 @@
 //! Integration locks for the live observability plane: observation off is
 //! bit-identical (and absent from the report), timelines reconcile exactly
 //! with the final [`ServiceReport`], the flight recorder provably retains
-//! the K slowest plus every deadline-missed query per window, tenant SLO
+//! the 4 slowest plus every deadline-missed query per window, tenant SLO
 //! quantiles match a sorted-Vec oracle, the SLO report is a pure function of
 //! the schedule, and the Prometheus exposition of a service-owned registry
 //! validates and agrees with the outcome counts.
@@ -54,10 +54,7 @@ fn workload(t: &Arc<Table>, hw: HardwareConfig, s: SystemConfig) -> Vec<ServiceR
             if i % 2 == 0 {
                 b = b.filter("v", CmpOp::Lt, 2_000 + 500 * i as i32).unwrap();
             }
-            ServiceRequest::new(b)
-                .at(0.4 * i as f64)
-                .tenant(tenants[i])
-                .priority((i % 3) as u8)
+            ServiceRequest::new(b).at(0.4 * i as f64).tenant(tenants[i])
         })
         .collect()
 }
@@ -182,14 +179,13 @@ fn timeline_reconciles_with_final_report() {
 #[test]
 fn flight_recorder_keeps_slowest_and_every_miss() {
     let t = table(6_000);
-    // Deadline tight enough that later arrivals (queued behind the pool)
-    // miss it; flight_k=2 so per-window "slowest" is a real subset.
-    let spec = ServiceSpec::new(2).with_slice(0.05).with_deadline(1.0);
-    let report = run(
-        &t,
-        spec,
-        Some(ObserveSpec::new(0.5).with_flight_k(2).with_reservoir(4)),
-    );
+    // All eight ride one cursor, finishing 26–31 modeled seconds after
+    // arrival: the deadline falls among those latencies, so three miss it
+    // and five do not, and one window holds every completion — more
+    // ordinary ones than the 4 the recorder keeps, so "slowest" is a real
+    // subset.
+    let spec = ServiceSpec::new(8).with_slice(0.05).with_deadline(30.5);
+    let report = run(&t, spec, Some(ObserveSpec::new(40.0)));
     let obs = report.observed.as_ref().unwrap();
     let flight = &obs.flight;
 
@@ -220,15 +216,11 @@ fn flight_recorder_keeps_slowest_and_every_miss() {
         );
     }
 
-    // Per window, the retained "slowest" list is exactly the top-K of the
+    // Per window, the retained "slowest" list is exactly the top 4 of the
     // non-anomalous completions that landed there.
+    let mut crowded = false;
     for w in flight.window_indices() {
         let slow = flight.slowest(w);
-        assert!(slow.len() <= 2, "flight_k=2 bound violated");
-        // Descending latency within the list.
-        for pair in slow.windows(2) {
-            assert!(pair[0].latency_s >= pair[1].latency_s);
-        }
         let mut normal: Vec<f64> = report
             .outcomes
             .iter()
@@ -236,14 +228,13 @@ fn flight_recorder_keeps_slowest_and_every_miss() {
             .filter(|o| flight.window_of(o.arrival_s + o.latency_s) == w)
             .map(|o| o.latency_s)
             .collect();
+        crowded |= normal.len() > 4;
         normal.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        let expect: Vec<u64> = normal.iter().take(2).map(|l| l.to_bits()).collect();
+        let expect: Vec<u64> = normal.iter().take(4).map(|l| l.to_bits()).collect();
         let got: Vec<u64> = slow.iter().map(|e| e.latency_s.to_bits()).collect();
         assert_eq!(got, expect, "window {w} slowest set mismatch");
-        // Reservoir never exceeds its bound and never holds anomalies.
-        assert!(flight.sampled(w).len() <= 4);
-        assert!(flight.sampled(w).iter().all(|e| !e.anomalous()));
     }
+    assert!(crowded, "no window held more than 4 ordinary completions");
 
     // `recorded` counts every terminal query; `retained` is deduplicated.
     assert_eq!(flight.recorded(), report.outcomes.len() as u64);

@@ -10,8 +10,8 @@ use rodb_storage::page::verified_pages;
 use rodb_storage::{BuildLayouts, Table, TableBuilder};
 use rodb_trace::{monitor_handle, MetricsHandle, Registry};
 use rodb_types::{
-    Admission, CacheSpec, Column, CorruptKind, Error, FaultSpec, HardwareConfig, IngestSpec,
-    OnCorrupt, Schema, ServiceSpec, SystemConfig, Value,
+    CacheSpec, Column, CorruptKind, Error, FaultSpec, HardwareConfig, IngestSpec, OnCorrupt,
+    Schema, ServiceSpec, SystemConfig, Value,
 };
 
 // A wide lineitem-style hot table: row-store scans of it are strongly
@@ -173,29 +173,6 @@ fn admission_bounds_inflight_and_deadline_rejects() {
     // The first query was admitted immediately and ran.
     assert!(!report.outcomes[0].rejected);
     assert_eq!(report.outcomes[0].queue_wait_s, 0.0);
-}
-
-#[test]
-fn priority_admission_reorders_the_queue() {
-    let t = table(6_000);
-    let hw = HardwareConfig::default();
-    let s = sys(ServiceSpec::new(1).with_admission(Admission::Priority));
-    let q = QueryBuilder::new(t.clone(), hw, s)
-        .layout(ScanLayout::Column)
-        .select_indices(&[0])
-        .scale_to_rows(20_000_000);
-    let mut svc = QueryService::new(hw, s).unwrap();
-    // All arrive while query 0 runs; priority 0 beats earlier-queued 9.
-    svc.submit(ServiceRequest::new(q.clone()).at(0.0).priority(5));
-    svc.submit(ServiceRequest::new(q.clone()).at(0.001).priority(9));
-    svc.submit(ServiceRequest::new(q.clone()).at(0.002).priority(0));
-    let report = svc.run().unwrap();
-    assert!(
-        report.outcomes[2].latency_s < report.outcomes[1].latency_s,
-        "urgent (priority 0) finishes before priority 9: {} vs {}",
-        report.outcomes[2].latency_s,
-        report.outcomes[1].latency_s
-    );
 }
 
 #[test]

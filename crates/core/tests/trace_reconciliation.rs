@@ -59,7 +59,7 @@ fn assert_root_matches(res: &QueryResult, what: &str) {
         .as_ref()
         .unwrap_or_else(|| panic!("{what}: no trace"));
     let r = &res.report;
-    let cases: [(&str, f64); 23] = [
+    let cases: [(&str, f64); 22] = [
         ("rows", r.rows as f64),
         ("blocks", r.blocks as f64),
         ("elapsed_s", r.elapsed_s),
@@ -82,7 +82,6 @@ fn assert_root_matches(res: &QueryResult, what: &str) {
         ("io.cache.hits", r.io.cache.hits as f64),
         ("io.cache.misses", r.io.cache.misses as f64),
         ("io.cache.evictions", r.io.cache.evictions as f64),
-        ("io.cache.prefetched", r.io.cache.prefetched as f64),
     ];
     for (key, want) in cases {
         let got = t.metric(key);
@@ -176,14 +175,11 @@ fn grouped_aggregation_reconciles_in_parallel() {
 /// With the page-cache tier enabled the root span still carries exactly
 /// the report's totals — including the new `io.cache.*` counters, which
 /// must be non-trivial here (a small cache over a multi-page scan both
-/// misses and evicts; prefetch populates frames ahead of the stream).
+/// misses and evicts).
 #[test]
 fn root_span_reconciles_with_caching_on() {
     let t = table();
-    for spec in [
-        CacheSpec::lru_k(4),
-        CacheSpec::lru_k(1024).with_prefetch(true),
-    ] {
+    for spec in [CacheSpec::lru_k(4), CacheSpec::lru_k(1024)] {
         for (layout, name) in LAYOUTS {
             for threads in [1, 4] {
                 let what = format!("cache {spec:?} {name} threads={threads}");

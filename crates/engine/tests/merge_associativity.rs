@@ -48,7 +48,6 @@ fn sample_io(r: &mut Rng) -> IoStats {
             hits: r.next_u64(),
             misses: r.next_u64(),
             evictions: r.next_u64(),
-            prefetched: r.next_u64(),
         },
     }
 }
@@ -132,7 +131,6 @@ fn cache_stats_merge_is_exact_in_any_order() {
             hits: r.next_u64(),
             misses: r.next_u64(),
             evictions: r.next_u64(),
-            prefetched: r.next_u64(),
         })
         .collect();
     let [serial, tree, reversed] = fold_three_ways(&parts, |a, b| a.merge(b));

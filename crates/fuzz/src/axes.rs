@@ -11,8 +11,7 @@
 use rodb_compress::{Codec, ColumnCompression};
 use rodb_engine::{AggSpec, CmpOp, Predicate};
 use rodb_types::{
-    Admission, DataType, FaultSpec, IngestSpec, ObserveSpec, OnCorrupt, ServiceSpec, SplitMix64,
-    Value,
+    DataType, FaultSpec, IngestSpec, ObserveSpec, OnCorrupt, ServiceSpec, SplitMix64, Value,
 };
 
 use crate::gen::CasePlan;
@@ -241,7 +240,6 @@ pub struct ServiceDraw {
     pub riders: Vec<Rider>,
     pub arrivals: Vec<f64>,
     pub tenants: Vec<&'static str>,
-    pub priorities: Vec<u8>,
     pub spec: ServiceSpec,
 }
 
@@ -256,15 +254,19 @@ impl ServiceDraw {
         let arrivals = (0..k).map(arrival).collect();
         let tenant = |_| ["a", "b", "c"][rng.below(3) as usize];
         let tenants = (0..k).map(tenant).collect();
-        let priorities = (0..k).map(|_| rng.below(10) as u8).collect();
+        // A priority per rider used to be drawn here, and an admission
+        // discipline after the slice; the draws stay so every later draw of
+        // an old seed replays.
+        for _ in 0..k {
+            rng.below(10);
+        }
         let spec = ServiceSpec::new(1 + rng.below(k as u64) as usize)
-            .with_slice([0.1, 0.25, 0.5][rng.below(3) as usize])
-            .with_admission([Admission::Fifo, Admission::Priority][rng.bool() as usize]);
+            .with_slice([0.1, 0.25, 0.5][rng.below(3) as usize]);
+        rng.bool();
         ServiceDraw {
             riders,
             arrivals,
             tenants,
-            priorities,
             spec,
         }
     }
@@ -279,9 +281,12 @@ impl ServiceDraw {
 }
 
 fn draw_observe(rng: &mut SplitMix64) -> ObserveSpec {
-    ObserveSpec::new([0.25, 0.5, 1.0][rng.below(3) as usize])
-        .with_flight_k(1 + rng.below(4) as usize)
-        .with_reservoir(rng.below(5) as usize)
+    let spec = ObserveSpec::new([0.25, 0.5, 1.0][rng.below(3) as usize]);
+    // The two flight-recorder sizes used to be drawn here; the draws stay
+    // so every later draw of an old seed replays.
+    rng.below(4);
+    rng.below(5);
+    spec
 }
 
 #[derive(Debug, Clone)]

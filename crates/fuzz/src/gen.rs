@@ -64,7 +64,7 @@ impl CasePlan {
             .collect();
         format!(
             "{} cols {:?} x {} rows, page {}, {:?}, codecs [{}], layout {:?}, proj {:?}, \
-             {} preds, group {:?}, {} aggs{}, {} threads{}, cache {}f/k{}{}",
+             {} preds, group {:?}, {} aggs{}, {} threads{}, cache {}f/k{}",
             self.schema.len(),
             self.dist_tags,
             self.rows.len(),
@@ -85,7 +85,6 @@ impl CasePlan {
             },
             self.cache.frames,
             self.cache.k,
-            if self.cache.prefetch { "+pf" } else { "" },
         )
     }
 }
@@ -335,7 +334,6 @@ pub fn generate(seed: u64) -> CasePlan {
     let cache = CacheSpec {
         frames: [0usize, 1, 2, 4, 8, 64, 1 << 16][rng.below(7) as usize],
         k: 1 + rng.below(4) as usize,
-        prefetch: rng.bool(),
     };
 
     // Transpose to row-major for the loader and the oracle.

@@ -14,6 +14,7 @@
 //! `cargo run -p rodb-fuzz -- --mode <mode> --seed <n>`.
 
 pub mod axes;
+mod digest;
 pub mod gen;
 mod ingest;
 mod join;
@@ -30,6 +31,7 @@ use rodb_trace::{MetricsRegistry, Registry};
 use rodb_types::{Error, HardwareConfig, ObserveSpec, SystemConfig, Value};
 
 pub use axes::{Axes, Damage, Mode, Rider, Runner, ServiceDraw, Source};
+pub use digest::Digest;
 use gen::{CasePlan, StorageKind};
 use ingest::IngestRun;
 
@@ -504,8 +506,7 @@ impl Case {
                     QueryService::new(HardwareConfig::default(), sys)?.metrics(Registry::handle());
                 for (i, r) in draw.riders.iter().enumerate() {
                     let req = ServiceRequest::new(self.query(source, r, sys, true)?);
-                    let req = req.at(draw.arrivals[i]).tenant(draw.tenants[i]);
-                    svc.submit(req.priority(draw.priorities[i]));
+                    svc.submit(req.at(draw.arrivals[i]).tenant(draw.tenants[i]));
                 }
                 svc.run()
             };
@@ -845,35 +846,72 @@ pub fn save_case_trace(seed: u64, mode: Mode, dir: &str) -> Result<std::path::Pa
         .map_err(|e| format!("seed {seed}: could not save trace: {e}"))
 }
 
-/// FNV-1a over the `Debug` text of everything `mode` draws for `seed`: the
-/// plan, the riders and their schedule, the observe and ingest knobs, the
-/// ingest op list and crash points. Pins that old seeds replay unchanged.
+/// A [`Digest`] of everything `mode` draws for `seed` that the case
+/// executes: the table and its design, the query and its exec knobs, the
+/// riders and their schedule, the observe window, the ingest knobs, op list
+/// and crash points. Pins that old seeds replay unchanged.
 pub fn replay_digest(mode: Mode, seed: u64) -> u64 {
-    let case = Case::new(mode, seed);
+    case_digest(&Case::new(mode, seed))
+}
+
+fn case_digest(case: &Case) -> u64 {
     let (p, a) = (&case.plan, &case.axes);
-    let query = (
-        &p.projection,
-        &p.predicates,
-        p.group_by,
-        &p.aggs,
-        p.sorted_agg,
-    );
-    let exec = (p.threads, p.scan_fast_path, p.cache);
-    let mut text = format!("{}\n{query:?}\n{exec:?}\n{:?}\n", p.describe(), p.rows);
-    if !p.rows.is_empty() {
-        if let Runner::Service(d) = &a.runner {
-            text += &format!("{d:?}\n{:?}\n", a.observe.map(|o| (o, &a.cache)));
+    let mut h = Digest::default();
+    h.usize(p.schema.len());
+    for (c, tag) in p.dist_tags.iter().enumerate() {
+        h.dtype(p.schema.dtype(c)).str(tag);
+    }
+    h.rows(&p.rows).usize(p.page_size).u64(p.storage as u64);
+    h.u64s(p.comps.iter().map(|c| c.codec.kind() as u64));
+    h.u64(p.layout as u64);
+    rider_digest(&mut h, &Rider::of(p));
+    h.usize(p.threads).bool(p.scan_fast_path);
+    h.usize(p.cache.frames).usize(p.cache.k);
+    if p.rows.is_empty() {
+        return h.finish();
+    }
+    if let Runner::Service(d) = &a.runner {
+        h.usize(d.riders.len());
+        for ((r, &arrival), tenant) in d.riders.iter().zip(&d.arrivals).zip(&d.tenants) {
+            rider_digest(&mut h, r);
+            h.f64(arrival).str(tenant);
         }
-        if let Source::Ingest(d) = &a.source {
-            let base = Arc::new(build_table(p).expect("generated table builds"));
-            let run = ingest::drive(&case, base, d).expect("drawn schedule is valid");
-            let knobs = (d.sort_by, d.spec, &run.sampled, &run.flips);
-            text += &format!("{knobs:?}\n{:?}\n", run.ops);
+        let s = &d.spec;
+        h.usize(s.max_inflight).f64(s.slice_s);
+        h.opt(s.deadline_s.map(f64::to_bits));
+        if let Some(o) = a.observe {
+            h.f64(o.window_s).u64s(a.cache.iter().map(|&c| c as u64));
         }
     }
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    if let Source::Ingest(d) = &a.source {
+        let base = Arc::new(build_table(p).expect("generated table builds"));
+        let run = ingest::drive(case, base, d).expect("drawn schedule is valid");
+        h.opt(d.sort_by.map(|k| k as u64))
+            .usize(d.spec.auto_merge_rows);
+        h.u64s(run.sampled.iter().map(|&at| at as u64));
+        h.u64s(
+            run.flips
+                .iter()
+                .map(|&(at, bit)| (at as u64) << 8 | bit as u64),
+        );
+        h.usize(run.ops.len());
+        for op in &run.ops {
+            match op {
+                ingest::IngestOp::Insert(rows) => h.u64(0).rows(rows),
+                ingest::IngestOp::MergeBegin => h.u64(1),
+                ingest::IngestOp::MergeCommit(n) => h.u64(2).usize(*n),
+            };
+        }
+    }
+    h.finish()
+}
+
+fn rider_digest(h: &mut Digest, r: &Rider) {
+    h.u64s(r.projection.iter().map(|&c| c as u64));
+    h.predicates(&r.predicates)
+        .opt(r.group_by.map(|g| g as u64));
+    h.u64s(r.aggs.iter().map(|g| (g.func as u64) << 32 | g.col as u64));
+    h.bool(r.sorted_agg);
 }
 
 #[cfg(test)]
@@ -926,6 +964,77 @@ mod tests {
         assert!(multi_epoch, "no schedule committed two merges");
         assert!(uncommitted_tail, "no schedule left staged rows behind");
         assert!(sorted_key && unsorted, "sort-key draw never varied");
+    }
+
+    /// The replay digest moves when any one fact a case executes moves —
+    /// down to one bit of one arrival time.
+    #[test]
+    fn the_replay_digest_moves_with_every_executed_fact() {
+        fn service(c: &mut Case) -> Option<&mut ServiceDraw> {
+            match &mut c.axes.runner {
+                Runner::Service(d) => Some(d),
+                Runner::Solo => None,
+            }
+        }
+        /// What is edited, in which mode's cases; `false` when a case has
+        /// no such fact.
+        type Edit = (&'static str, Mode, fn(&mut Case) -> bool);
+        let edits: [Edit; 6] = [
+            ("a predicate literal", Mode::Plain, |c| {
+                let lit = c.plan.predicates.first_mut().map(|p| &mut p.literal);
+                let Some(Value::Int(i)) = lit else {
+                    return false;
+                };
+                *i ^= 1;
+                true
+            }),
+            ("the cache frame count", Mode::Cache, |c| {
+                c.plan.cache.frames += 1;
+                true
+            }),
+            ("one arrival's bits", Mode::Concurrent, |c| {
+                service(c).is_some_and(|d| {
+                    d.arrivals[1] = f64::from_bits(d.arrivals[1].to_bits() ^ 1);
+                    true
+                })
+            }),
+            ("the slice", Mode::Concurrent, |c| {
+                service(c).is_some_and(|d| {
+                    d.spec.slice_s *= 2.0;
+                    true
+                })
+            }),
+            ("the deadline", Mode::Observe, |c| {
+                service(c).is_some_and(|d| {
+                    d.spec.deadline_s = Some(d.spec.deadline_s.map_or(1.0, |s| s * 2.0));
+                    true
+                })
+            }),
+            ("the ingest sort key", Mode::Ingest, |c| {
+                match &mut c.axes.source {
+                    Source::Ingest(d) if d.sort_by.is_none() => {
+                        d.sort_by = Some(0);
+                        true
+                    }
+                    _ => false,
+                }
+            }),
+        ];
+        for (what, mode, edit) in edits {
+            let mut edited = 0;
+            for seed in 0..16 {
+                let mut case = Case::new(mode, seed);
+                if case.plan.rows.is_empty() {
+                    continue;
+                }
+                let before = case_digest(&case);
+                if edit(&mut case) {
+                    edited += 1;
+                    assert_ne!(case_digest(&case), before, "{what}, {mode:?} seed {seed}");
+                }
+            }
+            assert!(edited > 0, "no {mode:?} case has {what}");
+        }
     }
 
     #[test]

@@ -28,9 +28,8 @@
 //! **Frames carry no data.** The simulator's file bytes already live in
 //! memory (`FileStream::data`); the cache tracks *residency* (what a real
 //! buffer pool would hold) and the accounting consequences: skipped
-//! transfers, evictions, prefetch insertions. The one data-path effect is
-//! fault injection: a damaged page is never cached, and an unverified
-//! (prefetch-inserted) frame defers its fault roll to first access.
+//! transfers and evictions. The one data-path effect is fault injection: a
+//! damaged page is never cached.
 //!
 //! [`FileStream`]: crate::stream::FileStream
 //! [`DiskArray`]: crate::disk::DiskArray
@@ -46,36 +45,24 @@ pub type PageKey = (u64, u64);
 
 #[derive(Debug)]
 struct Frame {
-    /// Last `k` reference timestamps, oldest first.
-    hist: VecDeque<u64>,
-    /// False for prefetch-inserted frames whose CRC/fault roll is deferred
-    /// to first demand access.
-    verified: bool,
+    /// Timestamp of the newest reference.
+    last: u64,
+    /// Up to `k - 1` earlier reference timestamps, oldest first.
+    older: VecDeque<u64>,
 }
 
-/// Victim-order key for one frame: class 0 (fewer than `k` references,
-/// infinite backward-K distance) sorts — and therefore evicts — before
-/// class 1; within a class the frame with the oldest relevant timestamp
-/// (last reference for class 0, K-th-most-recent for class 1) goes first.
-fn order_key(k: usize, key: PageKey, hist: &VecDeque<u64>) -> (u8, u64, PageKey) {
-    if hist.len() < k {
-        (
-            0,
-            *hist.back().expect("frame has at least one reference"),
-            key,
-        )
-    } else {
-        (1, *hist.front().expect("k >= 1"), key)
+impl Frame {
+    /// Victim-order key: class 0 (fewer than `k` references, infinite
+    /// backward-K distance) sorts — and therefore evicts — before class 1;
+    /// within a class the frame with the oldest relevant timestamp (last
+    /// reference for class 0, K-th-most-recent for class 1) goes first.
+    fn order_key(&self, k: usize, key: PageKey) -> (u8, u64, PageKey) {
+        if self.older.len() + 1 < k {
+            (0, self.last, key)
+        } else {
+            (1, *self.older.front().unwrap_or(&self.last), key)
+        }
     }
-}
-
-/// Outcome of a [`PageCache::lookup`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheHit {
-    /// Resident and verified: serve from memory, charge nothing.
-    Verified,
-    /// Resident but inserted by prefetch: the fault roll is still owed.
-    Unverified,
 }
 
 /// A sized page cache with deterministic LRU-K eviction. One per
@@ -103,11 +90,6 @@ impl PageCache {
         }
     }
 
-    /// Capacity in page frames.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Resident frame count.
     pub fn len(&self) -> usize {
         self.frames.len()
@@ -127,75 +109,46 @@ impl PageCache {
         }
     }
 
-    /// Look `key` up, recording a reference on hit. `None` is a miss (the
+    /// Look `key` up, recording a reference on hit. `false` is a miss (the
     /// caller reads from disk and then [`PageCache::insert`]s).
-    pub fn lookup(&mut self, key: PageKey) -> Option<CacheHit> {
-        let frame = self.frames.get_mut(&key)?;
-        self.order.remove(&order_key(self.k, key, &frame.hist));
+    pub fn lookup(&mut self, key: PageKey) -> bool {
+        let Some(frame) = self.frames.get_mut(&key) else {
+            return false;
+        };
+        self.order.remove(&frame.order_key(self.k, key));
         self.clock += 1;
-        if frame.hist.len() == self.k {
-            frame.hist.pop_front();
+        frame.older.push_back(frame.last);
+        if frame.older.len() >= self.k {
+            frame.older.pop_front();
         }
-        frame.hist.push_back(self.clock);
-        self.order.insert(order_key(self.k, key, &frame.hist));
-        Some(if frame.verified {
-            CacheHit::Verified
-        } else {
-            CacheHit::Unverified
-        })
+        frame.last = self.clock;
+        self.order.insert(frame.order_key(self.k, key));
+        true
     }
 
     /// Insert `key` with one reference recorded, evicting the LRU-K victim
     /// if the cache is full. Returns the evicted key, if any. With zero
-    /// capacity nothing is inserted; re-inserting a resident key only
-    /// upgrades its verified flag (never downgrades — the page was read
-    /// clean at least once).
-    pub fn insert(&mut self, key: PageKey, verified: bool) -> Option<PageKey> {
-        if self.capacity == 0 {
-            return None;
-        }
-        if let Some(frame) = self.frames.get_mut(&key) {
-            frame.verified |= verified;
+    /// capacity, or when `key` is already resident, nothing changes.
+    pub fn insert(&mut self, key: PageKey) -> Option<PageKey> {
+        if self.capacity == 0 || self.frames.contains_key(&key) {
             return None;
         }
         let evicted = if self.frames.len() >= self.capacity {
-            let victim = self.order.first().copied().expect("full cache is nonempty");
-            self.order.remove(&victim);
-            self.frames.remove(&victim.2);
-            Some(victim.2)
+            self.order.pop_first().map(|(_, _, victim)| {
+                self.frames.remove(&victim);
+                victim
+            })
         } else {
             None
         };
         self.clock += 1;
-        let hist = VecDeque::from([self.clock]);
-        self.order.insert(order_key(self.k, key, &hist));
-        self.frames.insert(key, Frame { hist, verified });
+        let frame = Frame {
+            last: self.clock,
+            older: VecDeque::new(),
+        };
+        self.order.insert(frame.order_key(self.k, key));
+        self.frames.insert(key, frame);
         evicted
-    }
-
-    /// Mark a resident frame as verified (its deferred fault roll came back
-    /// clean).
-    pub fn mark_verified(&mut self, key: PageKey) {
-        if let Some(frame) = self.frames.get_mut(&key) {
-            frame.verified = true;
-        }
-    }
-
-    /// Drop `key` if resident (repair/quarantine invalidation). Returns
-    /// whether a frame was removed.
-    pub fn invalidate(&mut self, key: PageKey) -> bool {
-        match self.frames.remove(&key) {
-            Some(frame) => {
-                self.order.remove(&order_key(self.k, key, &frame.hist));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether `key` is resident (no reference is recorded).
-    pub fn contains(&self, key: PageKey) -> bool {
-        self.frames.contains_key(&key)
     }
 }
 
@@ -204,41 +157,37 @@ mod tests {
     use super::*;
 
     fn cache(frames: usize, k: usize) -> PageCache {
-        PageCache::new(&CacheSpec {
-            frames,
-            k,
-            prefetch: false,
-        })
+        PageCache::new(&CacheSpec { frames, k })
     }
 
     #[test]
     fn hits_after_insert_and_capacity_bound() {
         let mut c = cache(2, 2);
-        assert!(c.lookup((1, 0)).is_none());
-        assert_eq!(c.insert((1, 0), true), None);
-        assert_eq!(c.lookup((1, 0)), Some(CacheHit::Verified));
-        assert_eq!(c.insert((1, 1), true), None);
+        assert!(!c.lookup((1, 0)));
+        assert_eq!(c.insert((1, 0)), None);
+        assert!(c.lookup((1, 0)));
+        assert_eq!(c.insert((1, 1)), None);
         assert_eq!(c.len(), 2);
         // Third insert evicts; capacity never exceeded.
-        assert!(c.insert((1, 2), true).is_some());
+        assert!(c.insert((1, 2)).is_some());
         assert_eq!(c.len(), 2);
     }
 
     #[test]
     fn zero_capacity_never_caches() {
         let mut c = cache(0, 2);
-        assert_eq!(c.insert((1, 0), true), None);
-        assert!(c.lookup((1, 0)).is_none());
+        assert_eq!(c.insert((1, 0)), None);
+        assert!(!c.lookup((1, 0)));
         assert!(c.is_empty());
     }
 
     #[test]
     fn single_frame_cache_churns() {
         let mut c = cache(1, 2);
-        assert_eq!(c.insert((1, 0), true), None);
-        assert_eq!(c.insert((1, 1), true), Some((1, 0)));
-        assert!(c.lookup((1, 0)).is_none());
-        assert_eq!(c.lookup((1, 1)), Some(CacheHit::Verified));
+        assert_eq!(c.insert((1, 0)), None);
+        assert_eq!(c.insert((1, 1)), Some((1, 0)));
+        assert!(!c.lookup((1, 0)));
+        assert!(c.lookup((1, 1)));
     }
 
     #[test]
@@ -246,55 +195,27 @@ mod tests {
         let mut c = cache(4, 2);
         // Hot pages referenced twice → class 1.
         for p in 0..2u64 {
-            c.insert((1, p), true);
+            c.insert((1, p));
             c.lookup((1, p));
         }
         // A long one-pass scan: each page seen exactly once.
         for p in 100..200u64 {
-            assert!(c.lookup((2, p)).is_none());
-            let evicted = c.insert((2, p), true);
+            assert!(!c.lookup((2, p)));
+            let evicted = c.insert((2, p));
             if let Some((file, _)) = evicted {
                 assert_eq!(file, 2, "scan evicted a hot frame");
             }
         }
-        assert_eq!(c.lookup((1, 0)), Some(CacheHit::Verified));
-        assert_eq!(c.lookup((1, 1)), Some(CacheHit::Verified));
-    }
-
-    #[test]
-    fn unverified_frames_verify_once() {
-        let mut c = cache(2, 2);
-        c.insert((1, 0), false);
-        assert_eq!(c.lookup((1, 0)), Some(CacheHit::Unverified));
-        c.mark_verified((1, 0));
-        assert_eq!(c.lookup((1, 0)), Some(CacheHit::Verified));
-        // Re-insert never downgrades.
-        c.insert((1, 0), false);
-        assert_eq!(c.lookup((1, 0)), Some(CacheHit::Verified));
-    }
-
-    #[test]
-    fn invalidate_removes_frames() {
-        let mut c = cache(2, 2);
-        c.insert((1, 0), true);
-        assert!(c.contains((1, 0)));
-        assert!(c.invalidate((1, 0)));
-        assert!(!c.invalidate((1, 0)));
-        assert!(c.lookup((1, 0)).is_none());
-        assert_eq!(c.len(), 0);
-        // The order index stayed consistent: filling up works again.
-        c.insert((1, 1), true);
-        c.insert((1, 2), true);
-        assert_eq!(c.len(), 2);
-        assert!(c.insert((1, 3), true).is_some());
+        assert!(c.lookup((1, 0)));
+        assert!(c.lookup((1, 1)));
     }
 
     #[test]
     fn k1_degenerates_to_lru() {
         let mut c = cache(2, 1);
-        c.insert((1, 0), true);
-        c.insert((1, 1), true);
+        c.insert((1, 0));
+        c.insert((1, 1));
         c.lookup((1, 0)); // 0 now more recent than 1
-        assert_eq!(c.insert((1, 2), true), Some((1, 1)));
+        assert_eq!(c.insert((1, 2)), Some((1, 1)));
     }
 }

@@ -33,7 +33,7 @@ use std::rc::Rc;
 use rodb_trace::{EventKind, TraceEvent, TraceSink};
 use rodb_types::{Error, FaultSpec, HardwareConfig, OnCorrupt, Result, SplitMix64, SystemConfig};
 
-use crate::cache::{CacheHit, PageCache, PageKey};
+use crate::cache::{PageCache, PageKey};
 use crate::stats::IoStats;
 
 /// Shared handle to a [`PageCache`]. Each [`DiskArray`] gets its own (cold)
@@ -62,12 +62,8 @@ pub struct FileId(pub u64);
 pub enum CacheLookup {
     /// No cache installed — the caller runs the plain cold-scan path.
     Disabled,
-    /// Resident and verified: transfer and fault roll are both skipped.
+    /// Resident: transfer and fault roll are both skipped.
     Hit,
-    /// Resident via prefetch insertion: transfer is skipped, but the fault
-    /// roll is still owed; the caller must call
-    /// [`DiskArray::cache_resolve_unverified`] with the roll's outcome.
-    Unverified,
     /// Not resident: the caller reads from disk and fills on a clean read.
     Miss,
 }
@@ -236,8 +232,6 @@ pub struct DiskArray {
     /// Page-cache tier ([`SystemConfig::cache`]); `None` = the paper's
     /// bufferless cold-scan engine.
     cache: Option<SharedPageCache>,
-    /// Whether prefetch-covered pages are inserted into the cache.
-    cache_prefetch: bool,
 }
 
 impl DiskArray {
@@ -269,10 +263,7 @@ impl DiskArray {
             mirror: sys.mirror,
             on_corrupt: sys.on_corrupt,
             sink: None,
-            cache: sys
-                .cache
-                .map(|spec| Rc::new(RefCell::new(PageCache::new(&spec)))),
-            cache_prefetch: sys.cache.map(|spec| spec.prefetch).unwrap_or(false),
+            cache: sys.cache.as_ref().map(shared_page_cache),
         })
     }
 
@@ -307,12 +298,22 @@ impl DiskArray {
     /// page. With `mirror == 1` or `on_corrupt == Fail` no retries happen and
     /// the behavior is exactly the fail-fast path.
     pub fn read_page(&mut self, file: FileId, page_index: u64, page: &[u8]) -> Option<Vec<u8>> {
-        self.faults.as_ref()?;
-        let mut last = self
-            .faults
-            .as_mut()
-            .unwrap()
-            .corrupt(file.0, page_index, 0, page)?;
+        let mut faults = self.faults.take()?;
+        let damaged = self.roll_replicas(&mut faults, file, page_index, page);
+        self.faults = Some(faults);
+        damaged
+    }
+
+    /// [`DiskArray::read_page`]'s roll with the injector lent out, so the
+    /// retries can charge the clock and the stats while it is borrowed.
+    fn roll_replicas(
+        &mut self,
+        faults: &mut FaultInjector,
+        file: FileId,
+        page_index: u64,
+        page: &[u8],
+    ) -> Option<Vec<u8>> {
+        let mut last = faults.corrupt(file.0, page_index, 0, page)?;
         if self.mirror < 2 || self.on_corrupt == OnCorrupt::Fail {
             return Some(last);
         }
@@ -328,19 +329,11 @@ impl DiskArray {
             self.emit(EventKind::Retry, file.0, page_index, replica as u64);
             // The head moved away from the sequential run.
             self.bytes_since_seek = page.len() as f64;
-            match self
-                .faults
-                .as_mut()
-                .unwrap()
-                .corrupt(file.0, page_index, replica, page)
-            {
+            match faults.corrupt(file.0, page_index, replica, page) {
                 None => {
                     // Clean copy found: rewrite the primary (write-back
                     // repair) so later reads of this site are clean.
-                    self.faults
-                        .as_mut()
-                        .unwrap()
-                        .mark_repaired(file.0, page_index);
+                    faults.mark_repaired(file.0, page_index);
                     self.stats.recovery.repairs += 1;
                     self.emit(EventKind::Repair, file.0, page_index, 1);
                     return None;
@@ -354,86 +347,31 @@ impl DiskArray {
     /// Install an externally owned page cache, replacing the per-execution
     /// one built from [`SystemConfig::cache`]. This is how residency
     /// persists across queries (serial executions only — the handle is an
-    /// `Rc`). The prefetch-insertion knob still comes from the config the
-    /// array was built with, so callers enable it via
-    /// [`CacheSpec::prefetch`](rodb_types::CacheSpec) as usual.
+    /// `Rc`).
     pub fn set_page_cache(&mut self, cache: SharedPageCache) {
         self.cache = Some(cache);
     }
 
     /// Look up `key` in the page cache, recording hit/miss accounting.
-    /// `Disabled` when no cache is installed; an `Unverified` outcome counts
-    /// as neither hit nor miss until [`DiskArray::cache_resolve_unverified`]
-    /// settles which one it was.
+    /// `Disabled` when no cache is installed.
     pub fn cache_lookup(&mut self, key: PageKey, file: FileId, page: u64) -> CacheLookup {
         let Some(cache) = &self.cache else {
             return CacheLookup::Disabled;
         };
-        match cache.borrow_mut().lookup(key) {
-            Some(CacheHit::Verified) => {
-                self.stats.cache.hits += 1;
-                self.emit(EventKind::CacheHit, file.0, page, 1);
-                CacheLookup::Hit
-            }
-            Some(CacheHit::Unverified) => CacheLookup::Unverified,
-            None => {
-                self.stats.cache.misses += 1;
-                CacheLookup::Miss
-            }
-        }
-    }
-
-    /// Settle an `Unverified` lookup after its deferred fault roll. When the
-    /// roll stayed off the disk (`served_from_disk == false`) the prefetched
-    /// frame verifies and the request was a hit. When the roll touched the
-    /// disk — the page came back damaged, or a replica retry repaired it —
-    /// the frame is invalidated and the request counts as a miss: a repaired
-    /// page is always re-read, never served stale from cache.
-    pub fn cache_resolve_unverified(
-        &mut self,
-        key: PageKey,
-        file: FileId,
-        page: u64,
-        served_from_disk: bool,
-    ) {
-        let Some(cache) = &self.cache else { return };
-        if served_from_disk {
-            cache.borrow_mut().invalidate(key);
-            self.stats.cache.misses += 1;
-        } else {
-            cache.borrow_mut().mark_verified(key);
+        if cache.borrow_mut().lookup(key) {
             self.stats.cache.hits += 1;
             self.emit(EventKind::CacheHit, file.0, page, 1);
+            CacheLookup::Hit
+        } else {
+            self.stats.cache.misses += 1;
+            CacheLookup::Miss
         }
     }
 
     /// Insert a page read clean from disk, evicting an LRU-K victim if full.
     pub fn cache_fill(&mut self, key: PageKey, file: FileId, page: u64) {
         let Some(cache) = &self.cache else { return };
-        if cache.borrow_mut().insert(key, true).is_some() {
-            self.stats.cache.evictions += 1;
-            self.emit(EventKind::CacheEvict, file.0, page, 1);
-        }
-    }
-
-    /// Insert a page whose transfer a prefetch burst already covered. Only
-    /// active when [`CacheSpec::prefetch`](rodb_types::CacheSpec) is on; the
-    /// frame enters unverified (its CRC/fault roll is owed at first access).
-    pub fn cache_fill_prefetched(&mut self, key: PageKey, file: FileId, page: u64) {
-        if !self.cache_prefetch {
-            return;
-        }
-        let Some(cache) = &self.cache else { return };
-        {
-            let c = cache.borrow();
-            if c.capacity() == 0 || c.contains(key) {
-                return;
-            }
-        }
-        let evicted = cache.borrow_mut().insert(key, false).is_some();
-        self.stats.cache.prefetched += 1;
-        self.emit(EventKind::CachePrefetch, file.0, page, 1);
-        if evicted {
+        if cache.borrow_mut().insert(key).is_some() {
             self.stats.cache.evictions += 1;
             self.emit(EventKind::CacheEvict, file.0, page, 1);
         }

@@ -13,7 +13,7 @@ pub mod disk;
 pub mod stats;
 pub mod stream;
 
-pub use cache::{CacheHit, PageCache, PageKey};
+pub use cache::{PageCache, PageKey};
 pub use disk::{
     merge_parallel, shared_page_cache, CacheLookup, DiskArray, FaultInjector, FileId,
     SharedPageCache,

@@ -44,8 +44,6 @@ fields! {
         pub misses: u64,
         /// Frames evicted to make room (LRU-K victims).
         pub evictions: u64,
-        /// Frames inserted by prefetch-burst coverage rather than demand reads.
-        pub prefetched: u64,
     }
 }
 
@@ -91,7 +89,7 @@ fields! {
         /// Fault-recovery counters (mirrored-read retries, repairs, quarantine,
         /// degraded-scan drops).
         pub recovery: RecoveryStats,
-        /// Page-cache counters (hits, misses, evictions, prefetch insertions).
+        /// Page-cache counters (hits, misses, evictions).
         pub cache: CacheStats,
     }
     total "total_s" = total_s;
@@ -139,7 +137,6 @@ mod tests {
                 hits: 9,
                 misses: 4,
                 evictions: 2,
-                prefetched: 1,
             },
             ..Default::default()
         };
@@ -150,7 +147,7 @@ mod tests {
         assert_eq!(rec.get("retries").unwrap().as_f64(), Some(2.0));
         let cache = j.get("cache").unwrap();
         assert_eq!(cache.get("hits").unwrap().as_f64(), Some(9.0));
-        assert_eq!(cache.get("prefetched").unwrap().as_f64(), Some(1.0));
+        assert_eq!(cache.get("evictions").unwrap().as_f64(), Some(2.0));
         // Round-trips through the shared parser.
         assert!(Json::parse(&j.pretty()).is_ok());
     }
@@ -166,12 +163,10 @@ mod tests {
             hits: 1,
             misses: 3,
             evictions: 5,
-            prefetched: 2,
         };
         other.merge(&c);
         assert_eq!(other.hits, 4);
         assert_eq!(other.misses, 4);
         assert_eq!(other.evictions, 5);
-        assert_eq!(other.prefetched, 2);
     }
 }

@@ -47,9 +47,6 @@ pub struct FileStream {
     next_page: usize,
     /// Bytes already covered by issued bursts.
     fetched: f64,
-    /// Pages below this index have already been offered to the cache as
-    /// prefetch insertions (each page is offered at most once per stream).
-    prefetch_offered: usize,
 }
 
 impl FileStream {
@@ -75,7 +72,6 @@ impl FileStream {
             pages,
             next_page: 0,
             fetched: 0.0,
-            prefetch_offered: 0,
         })
     }
 
@@ -103,9 +99,8 @@ impl FileStream {
     /// With a page cache installed on the array, a resident page skips
     /// transfer entirely (the next miss fetches from its own offset) and a
     /// missing page pays the usual bursts and is inserted after a clean
-    /// read — damaged pages are never cached, and a frame inserted by
-    /// prefetch coverage owes its fault roll at first access. Without a
-    /// cache the code path below is byte-for-byte the paper's cold scan.
+    /// read — damaged pages are never cached. Without a cache the code path
+    /// below is byte-for-byte the paper's cold scan.
     pub fn next_page(&mut self) -> Option<PageRef> {
         if self.next_page >= self.pages {
             return None;
@@ -118,55 +113,16 @@ impl FileStream {
             .disk
             .borrow_mut()
             .cache_lookup(key, self.file_id, idx as u64);
-        match lookup {
-            CacheLookup::Hit => {
-                // Served from the resident frame: no burst, no fault roll.
-                self.next_page += 1;
-                self.fetched = self.fetched.max(page_end);
-                return Some(PageRef {
-                    data: self.data.clone(),
-                    offset: start,
-                    len: self.page_size,
-                    page_index: idx,
-                });
-            }
-            CacheLookup::Unverified => {
-                // Transfer was covered by a prefetch burst, but the CRC /
-                // fault roll was deferred to now. A roll that touches the
-                // disk (damage, or a replica retry that repaired the page)
-                // invalidates the frame and counts this request as a miss.
-                self.next_page += 1;
-                self.fetched = self.fetched.max(page_end);
-                let damaged = {
-                    let mut disk = self.disk.borrow_mut();
-                    let retries_before = disk.stats().recovery.retries;
-                    let damaged = disk.read_page(
-                        self.file_id,
-                        idx as u64,
-                        &self.data[start..start + self.page_size],
-                    );
-                    let served_from_disk =
-                        damaged.is_some() || disk.stats().recovery.retries > retries_before;
-                    disk.cache_resolve_unverified(key, self.file_id, idx as u64, served_from_disk);
-                    damaged
-                };
-                if let Some(damaged) = damaged {
-                    let len = damaged.len();
-                    return Some(PageRef {
-                        data: Arc::new(damaged),
-                        offset: 0,
-                        len,
-                        page_index: idx,
-                    });
-                }
-                return Some(PageRef {
-                    data: self.data.clone(),
-                    offset: start,
-                    len: self.page_size,
-                    page_index: idx,
-                });
-            }
-            CacheLookup::Disabled | CacheLookup::Miss => {}
+        if lookup == CacheLookup::Hit {
+            // Served from the resident frame: no burst, no fault roll.
+            self.next_page += 1;
+            self.fetched = self.fetched.max(page_end);
+            return Some(PageRef {
+                data: self.data.clone(),
+                offset: start,
+                len: self.page_size,
+                page_index: idx,
+            });
         }
         // Never fetch past the stream's window (== file end when unwindowed).
         let limit = (self.pages * self.page_size) as f64;
@@ -197,17 +153,9 @@ impl FileStream {
             });
         }
         if lookup == CacheLookup::Miss {
-            let mut disk = self.disk.borrow_mut();
-            disk.cache_fill(key, self.file_id, idx as u64);
-            // Offer the pages the issued bursts already covered (each at
-            // most once per stream); they enter unverified when the
-            // prefetch knob is on.
-            let covered = ((self.fetched / self.page_size as f64) as usize).min(self.pages);
-            let from = (idx + 1).max(self.prefetch_offered);
-            for p in from..covered {
-                disk.cache_fill_prefetched(self.cache_key(p), self.file_id, p as u64);
-            }
-            self.prefetch_offered = self.prefetch_offered.max(covered);
+            self.disk
+                .borrow_mut()
+                .cache_fill(key, self.file_id, idx as u64);
         }
         Some(PageRef {
             data: self.data.clone(),
@@ -425,23 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_inserts_burst_covered_pages() {
-        // Burst (6 MB at depth 48) covers the whole 10-page file: the first
-        // demand read pays the transfer, and prefetch insertion makes every
-        // later page an (unverified → verified) hit.
-        let sys = SystemConfig::default().with_cache(CacheSpec::lru_k(64).with_prefetch(true));
-        let d = disk_with(&sys);
-        let f = file(10, 4096);
-        let mut s = FileStream::new(d.clone(), FileId(1), f, 4096).unwrap();
-        while s.next_page().is_some() {}
-        let st = *d.borrow().stats();
-        assert_eq!(st.cache.misses, 1);
-        assert_eq!(st.cache.hits, 9);
-        assert_eq!(st.cache.prefetched, 9);
-        assert_eq!(st.bursts, 1);
-    }
-
-    #[test]
     fn zoned_skips_bypass_the_cache() {
         // A zone-rejected page is neither fetched nor cached: skipping must
         // record no hit, no miss, and leave no resident frame behind.
@@ -458,47 +389,29 @@ mod tests {
     }
 
     #[test]
-    fn repaired_pages_are_reread_never_served_stale() {
-        // Every primary read is damaged; mirror=2 repairs each page. With
-        // prefetch insertion on, pages after the first enter the cache
-        // unverified — their deferred fault roll hits the damaged primary,
-        // retries, repairs, and must invalidate the frame (counted as a
-        // miss), never serve it as a clean hit.
-        let sys = SystemConfig::default()
-            .with_faults(FaultSpec::always(11))
-            .with_mirror(2)
-            .with_cache(CacheSpec::lru_k(64).with_prefetch(true));
-        let d = disk_with(&sys);
-        let f = file(10, 4096);
-        let mut s = FileStream::new(d.clone(), FileId(1), f.clone(), 4096).unwrap();
-        for i in 0..10 {
-            let p = s.next_page().unwrap();
-            assert!(
-                p.bytes().iter().all(|&b| b == i as u8),
-                "replica repair returns clean data"
-            );
+    fn damaged_pages_stay_out_and_repaired_pages_enter_clean() {
+        // Every primary read is damaged. With one replica the damage comes
+        // back and is never cached, so a re-scan misses again; with two the
+        // replica repairs the page, which is then cached and hit.
+        for (mirror, rescan_hits) in [(1, 0), (2, 10)] {
+            let sys = SystemConfig::default()
+                .with_faults(FaultSpec::always(11))
+                .with_mirror(mirror)
+                .with_cache(CacheSpec::lru_k(64));
+            let d = disk_with(&sys);
+            let f = file(10, 4096);
+            for _ in 0..2 {
+                let mut s = FileStream::new(d.clone(), FileId(1), f.clone(), 4096).unwrap();
+                for i in 0..10 {
+                    let p = s.next_page().unwrap();
+                    let clean = p.bytes() == &f[i * 4096..(i + 1) * 4096];
+                    assert_eq!(clean, mirror == 2, "mirror {mirror} page {i}");
+                }
+            }
+            let st = *d.borrow().stats();
+            assert_eq!(st.cache.hits, rescan_hits, "mirror {mirror}");
+            assert_eq!(st.cache.misses, 20 - rescan_hits, "mirror {mirror}");
         }
-        let first = *d.borrow().stats();
-        assert_eq!(first.recovery.retries, 10, "every page re-read from disk");
-        assert_eq!(first.recovery.repairs, 10);
-        assert_eq!(first.cache.hits, 0, "no repaired page served from cache");
-        assert_eq!(first.cache.misses, 10);
-        // Second pass over the same file id (a re-run assigns ids
-        // deterministically, so the repaired fault sites carry over): page 0
-        // hits, page 1 misses and refills, and the re-prefetched tail
-        // resolves clean — no new retries anywhere.
-        let mut s2 = FileStream::new(d.clone(), FileId(1), f.clone(), 4096).unwrap();
-        while s2.next_page().is_some() {}
-        let second = *d.borrow().stats();
-        assert_eq!(second.recovery.retries, 10, "no stale frames to repair");
-        assert_eq!(second.cache.hits, 9);
-        assert_eq!(second.cache.misses, 11);
-        // Third pass: everything is resident and verified now.
-        let mut s3 = FileStream::new(d.clone(), FileId(1), f, 4096).unwrap();
-        while s3.next_page().is_some() {}
-        let third = *d.borrow().stats();
-        assert_eq!(third.cache.hits, 19);
-        assert_eq!(third.cache.misses, 11);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! scan-resistance invariant gets its own direct test: a one-pass scan of
 //! N ≫ capacity pages never evicts a frame referenced K or more times.
 
-use rodb_io::cache::{CacheHit, PageCache, PageKey};
+use rodb_io::cache::{PageCache, PageKey};
 use rodb_types::{CacheSpec, SplitMix64};
 
 /// The reference model: frames as a flat `Vec`, victim chosen by a linear
@@ -17,7 +17,7 @@ use rodb_types::{CacheSpec, SplitMix64};
 /// oldest K-th-most-recent reference. Timestamps are unique, so the order
 /// is total and no tie-break is needed.
 struct ModelCache {
-    frames: Vec<(PageKey, Vec<u64>, bool)>,
+    frames: Vec<(PageKey, Vec<u64>)>,
     capacity: usize,
     k: usize,
     clock: u64,
@@ -33,24 +33,22 @@ impl ModelCache {
         }
     }
 
-    fn lookup(&mut self, key: PageKey) -> Option<bool> {
+    fn lookup(&mut self, key: PageKey) -> bool {
         self.clock += 1;
         let k = self.k;
         let clock = self.clock;
-        let frame = self.frames.iter_mut().find(|(f, _, _)| *f == key)?;
+        let Some(frame) = self.frames.iter_mut().find(|(f, _)| *f == key) else {
+            return false;
+        };
         frame.1.push(clock);
         if frame.1.len() > k {
             frame.1.remove(0);
         }
-        Some(frame.2)
+        true
     }
 
-    fn insert(&mut self, key: PageKey, verified: bool) -> Option<PageKey> {
-        if self.capacity == 0 {
-            return None;
-        }
-        if let Some(frame) = self.frames.iter_mut().find(|(f, _, _)| *f == key) {
-            frame.2 |= verified;
+    fn insert(&mut self, key: PageKey) -> Option<PageKey> {
+        if self.capacity == 0 || self.frames.iter().any(|(f, _)| *f == key) {
             return None;
         }
         let evicted = if self.frames.len() >= self.capacity {
@@ -58,7 +56,7 @@ impl ModelCache {
                 .frames
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, (_, hist, _))| {
+                .min_by_key(|(_, (_, hist))| {
                     if hist.len() < self.k {
                         (0u8, *hist.last().unwrap())
                     } else {
@@ -72,61 +70,38 @@ impl ModelCache {
             None
         };
         self.clock += 1;
-        self.frames.push((key, vec![self.clock], verified));
+        self.frames.push((key, vec![self.clock]));
         evicted
-    }
-
-    fn invalidate(&mut self, key: PageKey) -> bool {
-        match self.frames.iter().position(|(f, _, _)| *f == key) {
-            Some(i) => {
-                self.frames.remove(i);
-                true
-            }
-            None => false,
-        }
     }
 }
 
 /// Drive both implementations through the same randomized trace of
-/// lookup/insert/invalidate operations and require identical observable
-/// behavior at every step.
+/// lookup/insert operations and require identical observable behavior at
+/// every step.
 fn diff_trace(seed: u64, capacity: usize, k: usize, steps: usize, keyspace: u64) {
     let mut rng = SplitMix64::new(seed);
     let mut real = PageCache::new(&CacheSpec {
         frames: capacity,
         k,
-        prefetch: false,
     });
     let mut model = ModelCache::new(capacity, k);
     for step in 0..steps {
         let key: PageKey = (1 + rng.below(3), rng.below(keyspace));
         let ctx = format!("seed {seed} cap {capacity} k {k} step {step} key {key:?}");
-        match rng.below(10) {
+        if rng.below(10) < 9 {
             // Mostly: the stream protocol — look up, insert on miss.
-            0..=7 => {
-                let got = real.lookup(key);
-                let want = model.lookup(key);
-                let got_flag = got.map(|h| h == CacheHit::Verified);
-                assert_eq!(got_flag, want, "hit/miss or verified diverged: {ctx}");
-                if got.is_none() {
-                    let verified = rng.bool();
-                    let evicted = real.insert(key, verified);
-                    assert_eq!(evicted, model.insert(key, verified), "eviction: {ctx}");
-                }
+            let hit = real.lookup(key);
+            assert_eq!(hit, model.lookup(key), "hit/miss diverged: {ctx}");
+            if !hit {
+                assert_eq!(real.insert(key), model.insert(key), "eviction: {ctx}");
             }
-            // Prefetch-style blind insert (may already be resident).
-            8 => {
-                let verified = rng.bool();
-                assert_eq!(
-                    real.insert(key, verified),
-                    model.insert(key, verified),
-                    "blind insert eviction: {ctx}"
-                );
-            }
-            // Repair-style invalidation.
-            _ => {
-                assert_eq!(real.invalidate(key), model.invalidate(key), "{ctx}");
-            }
+        } else {
+            // A blind insert (may already be resident).
+            assert_eq!(
+                real.insert(key),
+                model.insert(key),
+                "blind insert eviction: {ctx}"
+            );
         }
         assert_eq!(real.len(), model.frames.len(), "resident count: {ctx}");
         assert!(real.len() <= capacity, "capacity exceeded: {ctx}");
@@ -158,28 +133,27 @@ fn one_pass_scan_evicts_no_rereferenced_frame() {
         let mut cache = PageCache::new(&CacheSpec {
             frames: capacity,
             k,
-            prefetch: false,
         });
         // Hot set: 8 pages referenced k times each (resident history only,
         // so the reuse distance of each is < K by construction).
         let hot: Vec<PageKey> = (0..8).map(|p| (1, p)).collect();
         for &key in &hot {
-            cache.insert(key, true);
+            cache.insert(key);
             for _ in 1..k {
-                assert!(cache.lookup(key).is_some());
+                assert!(cache.lookup(key));
             }
         }
         // One-pass scan of N >> capacity pages: every page seen exactly once.
         for p in 0..2048u64 {
             let key = (2, p);
-            assert!(cache.lookup(key).is_none(), "scan pages are cold");
-            if let Some(evicted) = cache.insert(key, true) {
+            assert!(!cache.lookup(key), "scan pages are cold");
+            if let Some(evicted) = cache.insert(key) {
                 assert_eq!(evicted.0, 2, "scan evicted hot frame {evicted:?} (k = {k})");
             }
         }
         // The whole hot set survived and still hits.
         for &key in &hot {
-            assert_eq!(cache.lookup(key), Some(CacheHit::Verified), "k = {k}");
+            assert!(cache.lookup(key), "k = {k}");
         }
     }
 }

@@ -19,7 +19,7 @@
 //! - [`timeline`]: [`Timeline`] buckets those metrics by simulated-clock
 //!   windows, turning a service run into curves over time.
 //! - [`recorder`]: [`FlightRecorder`] — bounded tail-based retention of the
-//!   K slowest / all anomalous query flight records per window.
+//!   4 slowest / all anomalous query flight records per window.
 //! - [`expo`]: Prometheus text exposition + validator, the `rodb-top`
 //!   text renderer, and the [`MonitorHandle`] publishers update.
 //! - `http` (feature `monitor`, off by default): a std-only blocking

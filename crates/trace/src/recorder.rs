@@ -5,20 +5,16 @@
 //! 1. **every anomalous query** — deadline-missed, admission-rejected, or
 //!    quarantine-touching — unconditionally (up to a generous per-window
 //!    cap, with an overflow count so drops are never silent);
-//! 2. **the K slowest** non-anomalous queries by latency (ties keep the
-//!    earlier completion);
-//! 3. a deterministic **reservoir sample** of everything else, so normal
-//!    behavior is represented without unbounded memory.
+//! 2. **the 4 slowest** non-anomalous queries by latency (ties keep the
+//!    earlier completion).
 //!
 //! Retention is tail-based on *completed* facts (latency, outcome), not a
 //! head-based coin flip at admission — the interesting queries are by
-//! definition the ones you only recognize at the end. The reservoir PRNG is
-//! seeded from the window index alone, so a run's retained set is a pure
-//! function of the workload: re-running a seed reproduces the same dump.
+//! definition the ones you only recognize at the end. The retained set is a
+//! pure function of the workload: re-running a seed reproduces the same
+//! dump.
 
 use std::collections::BTreeMap;
-
-use rodb_types::SplitMix64;
 
 use crate::json::Json;
 use crate::timeline::Windows;
@@ -27,6 +23,9 @@ use crate::timeline::Windows;
 /// anything the simulated service produces per window; exists only so a
 /// pathological workload cannot grow memory without bound.
 const ANOMALY_CAP: usize = 4096;
+
+/// Non-anomalous queries kept per window, slowest first.
+const SLOWEST: usize = 4;
 
 /// One completed (or rejected) query's flight record.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,7 +51,7 @@ pub struct FlightEntry {
 }
 
 impl FlightEntry {
-    /// Anomalous entries are always retained (never sampled away).
+    /// Anomalous entries are always retained.
     pub fn anomalous(&self) -> bool {
         self.deadline_missed || self.rejected || self.quarantine_touched
     }
@@ -71,34 +70,14 @@ impl FlightEntry {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct FlightWindow {
     /// Deadline-missed / rejected / quarantine-touching queries, in
     /// completion order, capped at [`ANOMALY_CAP`].
     anomalies: Vec<FlightEntry>,
     anomalies_dropped: u64,
-    /// K slowest non-anomalous queries, descending latency.
+    /// [`SLOWEST`] slowest non-anomalous queries, descending latency.
     slowest: Vec<FlightEntry>,
-    /// Deterministic reservoir over the remaining (ordinary) queries.
-    reservoir: Vec<FlightEntry>,
-    /// Ordinary queries offered to the reservoir so far.
-    offered: u64,
-    rng: SplitMix64,
-}
-
-impl FlightWindow {
-    fn new(window: u64) -> FlightWindow {
-        FlightWindow {
-            anomalies: Vec::new(),
-            anomalies_dropped: 0,
-            slowest: Vec::new(),
-            reservoir: Vec::new(),
-            offered: 0,
-            // Seeded from the window index alone: retention is a pure
-            // function of the workload, independent of wall time.
-            rng: SplitMix64::new(0xf119_47ec_u64 ^ window),
-        }
-    }
 }
 
 /// Bounded tail-based retention of query flight records, windowed by the
@@ -108,20 +87,14 @@ impl FlightWindow {
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     rule: Windows,
-    k: usize,
-    reservoir_size: usize,
     windows: BTreeMap<u64, FlightWindow>,
     recorded: u64,
 }
 
 impl FlightRecorder {
-    /// `k` slowest kept per window; `reservoir_size` ordinary queries
-    /// sampled per window on top of that.
-    pub fn new(window_s: f64, k: usize, reservoir_size: usize) -> FlightRecorder {
+    pub fn new(window_s: f64) -> FlightRecorder {
         FlightRecorder {
             rule: Windows::new(window_s),
-            k,
-            reservoir_size,
             windows: BTreeMap::new(),
             recorded: 0,
         }
@@ -141,36 +114,13 @@ impl FlightRecorder {
     /// completion or rejection instant).
     pub fn record(&mut self, t: f64, entry: FlightEntry) {
         self.recorded += 1;
-        let idx = self.window_of(t);
-        let (k, size) = (self.k, self.reservoir_size);
-        let w = self
-            .windows
-            .entry(idx)
-            .or_insert_with(|| FlightWindow::new(idx));
-        if entry.anomalous() {
-            if w.anomalies.len() < ANOMALY_CAP {
-                w.anomalies.push(entry);
-            } else {
-                w.anomalies_dropped += 1;
-            }
-            return;
-        }
-        // Keep the K slowest; a displaced (or never-admitted) entry falls
-        // through to the reservoir so it still has a chance of retention.
-        let displaced = insert_slowest(&mut w.slowest, entry, k);
-        if let Some(e) = displaced {
-            w.offered += 1;
-            if size == 0 {
-                return;
-            }
-            if w.reservoir.len() < size {
-                w.reservoir.push(e);
-            } else {
-                let j = w.rng.below(w.offered) as usize;
-                if j < size {
-                    w.reservoir[j] = e;
-                }
-            }
+        let w = self.windows.entry(self.rule.of(t)).or_default();
+        if !entry.anomalous() {
+            insert_slowest(&mut w.slowest, entry);
+        } else if w.anomalies.len() < ANOMALY_CAP {
+            w.anomalies.push(entry);
+        } else {
+            w.anomalies_dropped += 1;
         }
     }
 
@@ -187,7 +137,7 @@ impl FlightRecorder {
             .unwrap_or(&[])
     }
 
-    /// A window's K slowest non-anomalous queries, descending latency.
+    /// A window's 4 slowest non-anomalous queries, descending latency.
     pub fn slowest(&self, window: u64) -> &[FlightEntry] {
         self.windows
             .get(&window)
@@ -195,29 +145,16 @@ impl FlightRecorder {
             .unwrap_or(&[])
     }
 
-    /// A window's reservoir of ordinary queries (unordered).
-    pub fn sampled(&self, window: u64) -> &[FlightEntry] {
-        self.windows
-            .get(&window)
-            .map(|w| w.reservoir.as_slice())
-            .unwrap_or(&[])
-    }
-
     /// Every retained entry across all windows.
     pub fn retained(&self) -> Vec<&FlightEntry> {
         self.windows
             .values()
-            .flat_map(|w| {
-                w.anomalies
-                    .iter()
-                    .chain(w.slowest.iter())
-                    .chain(w.reservoir.iter())
-            })
+            .flat_map(|w| w.anomalies.iter().chain(w.slowest.iter()))
             .collect()
     }
 
-    /// The dumpable form: per window, anomalies + slowest + sample, with
-    /// offered/dropped counts so truncation is visible.
+    /// The dumpable form: per window, anomalies + slowest, with the dropped
+    /// count so truncation is visible.
     pub fn to_json(&self) -> Json {
         let windows: Vec<Json> = self
             .windows
@@ -240,50 +177,26 @@ impl FlightRecorder {
                             .map(FlightEntry::to_json)
                             .collect::<Vec<_>>(),
                     )
-                    .set(
-                        "sampled",
-                        w.reservoir
-                            .iter()
-                            .map(FlightEntry::to_json)
-                            .collect::<Vec<_>>(),
-                    )
-                    .set("ordinary_offered", w.offered)
             })
             .collect();
         Json::obj()
             .set("window_s", self.rule.width_s())
-            .set("k", self.k as u64)
-            .set("reservoir", self.reservoir_size as u64)
+            .set("k", SLOWEST as u64)
             .set("recorded", self.recorded)
             .set("windows", windows)
     }
 }
 
-/// Insert into a descending-latency top-K list; returns the entry that did
-/// NOT make the cut (the displaced minimum, or `entry` itself). Ties keep
-/// the earlier completion (stable insert after equal latencies).
-fn insert_slowest(
-    slowest: &mut Vec<FlightEntry>,
-    entry: FlightEntry,
-    k: usize,
-) -> Option<FlightEntry> {
-    if k == 0 {
-        return Some(entry);
-    }
-    let full = slowest.len() >= k;
-    if full && entry.latency_s <= slowest[slowest.len() - 1].latency_s {
-        return Some(entry);
-    }
+/// Insert into a descending-latency top-[`SLOWEST`] list, dropping whatever
+/// falls off its end. Ties keep the earlier completion (stable insert after
+/// equal latencies).
+fn insert_slowest(slowest: &mut Vec<FlightEntry>, entry: FlightEntry) {
     let pos = slowest
         .iter()
         .position(|e| e.latency_s < entry.latency_s)
         .unwrap_or(slowest.len());
     slowest.insert(pos, entry);
-    if slowest.len() > k {
-        slowest.pop()
-    } else {
-        None
-    }
+    slowest.truncate(SLOWEST);
 }
 
 #[cfg(test)]
@@ -305,8 +218,8 @@ mod tests {
     }
 
     #[test]
-    fn keeps_exactly_the_k_slowest_per_window() {
-        let mut fr = FlightRecorder::new(10.0, 3, 2);
+    fn keeps_exactly_the_4_slowest_per_window() {
+        let mut fr = FlightRecorder::new(10.0);
         // All in window 0; latencies 1..=8 in scrambled order.
         for (seq, lat) in [
             (0, 4.0),
@@ -321,28 +234,24 @@ mod tests {
             fr.record(5.0, entry(seq, lat));
         }
         let slow: Vec<f64> = fr.slowest(0).iter().map(|e| e.latency_s).collect();
-        assert_eq!(slow, vec![8.0, 7.0, 6.0]);
-        // Reservoir holds only non-top-K entries, bounded by its size.
-        assert_eq!(fr.sampled(0).len(), 2);
-        for e in fr.sampled(0) {
-            assert!(e.latency_s < 6.0);
-        }
+        assert_eq!(slow, vec![8.0, 7.0, 6.0, 5.0]);
+        assert_eq!(fr.retained().len(), 4);
         assert_eq!(fr.recorded(), 8);
     }
 
     #[test]
     fn latency_ties_keep_the_earlier_completion() {
-        let mut fr = FlightRecorder::new(10.0, 2, 0);
-        fr.record(0.0, entry(0, 5.0));
-        fr.record(0.0, entry(1, 5.0));
-        fr.record(0.0, entry(2, 5.0));
+        let mut fr = FlightRecorder::new(10.0);
+        for seq in 0..6 {
+            fr.record(0.0, entry(seq, 5.0));
+        }
         let seqs: Vec<u64> = fr.slowest(0).iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1]);
+        assert_eq!(seqs, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn anomalies_are_always_retained() {
-        let mut fr = FlightRecorder::new(10.0, 1, 1);
+        let mut fr = FlightRecorder::new(10.0);
         // Flood with fast ordinary queries, then one slow-path anomaly each.
         for seq in 0..100 {
             fr.record(1.0, entry(seq, 0.001));
@@ -358,42 +267,37 @@ mod tests {
         fr.record(1.0, rejected);
         let seqs: Vec<u64> = fr.anomalies(0).iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![100, 101, 102]);
-        // They never displace or occupy the slowest/reservoir slots.
-        assert_eq!(fr.slowest(0).len(), 1);
-        assert_eq!(fr.sampled(0).len(), 1);
+        // They never displace or occupy the slowest slots.
+        let slow: Vec<u64> = fr.slowest(0).iter().map(|e| e.seq).collect();
+        assert_eq!(slow, vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn windows_are_independent_and_retention_is_deterministic() {
-        let run = || {
-            let mut fr = FlightRecorder::new(2.0, 1, 2);
-            for seq in 0..50 {
-                let t = seq as f64 * 0.1; // spans windows 0..=2
-                fr.record(t, entry(seq, (seq % 7) as f64 * 0.01));
+    fn windows_are_independent() {
+        let mut fr = FlightRecorder::new(2.0);
+        for seq in 0..50 {
+            let t = seq as f64 * 0.1; // spans windows 0..=2
+            fr.record(t, entry(seq, (seq % 7) as f64 * 0.01));
+        }
+        assert_eq!(fr.window_indices(), vec![0, 1, 2]);
+        for w in fr.window_indices() {
+            for e in fr.slowest(w) {
+                assert_eq!(fr.window_of(e.seq as f64 * 0.1), w);
             }
-            fr
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.window_indices(), vec![0, 1, 2]);
-        for w in a.window_indices() {
-            assert_eq!(a.slowest(w), b.slowest(w));
-            assert_eq!(a.sampled(w), b.sampled(w));
-            assert!(a.sampled(w).len() <= 2);
         }
     }
 
     #[test]
-    fn json_dump_counts_everything_offered() {
-        let mut fr = FlightRecorder::new(1.0, 1, 1);
+    fn json_dump_counts_everything_recorded() {
+        let mut fr = FlightRecorder::new(1.0);
         for seq in 0..10 {
             fr.record(0.5, entry(seq, seq as f64));
         }
         let j = fr.to_json();
         assert_eq!(j.get("recorded").unwrap().as_f64(), Some(10.0));
+        assert_eq!(j.get("k").unwrap().as_f64(), Some(4.0));
         let w = &j.get("windows").unwrap().as_arr().unwrap()[0];
-        assert_eq!(w.get("ordinary_offered").unwrap().as_f64(), Some(9.0));
-        assert_eq!(w.get("slowest").unwrap().as_arr().unwrap().len(), 1);
+        assert_eq!(w.get("slowest").unwrap().as_arr().unwrap().len(), 4);
         assert_eq!(w.get("anomalies_dropped").unwrap().as_f64(), Some(0.0));
     }
 }

@@ -29,8 +29,6 @@ pub enum EventKind {
     CacheHit,
     /// A cache frame evicted to make room (LRU-K victim).
     CacheEvict,
-    /// A page inserted into the cache by prefetch-burst coverage.
-    CachePrefetch,
 }
 
 impl EventKind {
@@ -44,7 +42,6 @@ impl EventKind {
             EventKind::DropRows => "drop_rows",
             EventKind::CacheHit => "cache_hit",
             EventKind::CacheEvict => "cache_evict",
-            EventKind::CachePrefetch => "cache_prefetch",
         }
     }
 }

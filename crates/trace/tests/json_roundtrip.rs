@@ -6,7 +6,7 @@
 use rodb_trace::{EventKind, Json, SpanKind, TraceEvent, Tracer};
 use rodb_types::SplitMix64;
 
-const ALL_EVENT_KINDS: [EventKind; 9] = [
+const ALL_EVENT_KINDS: [EventKind; 8] = [
     EventKind::Burst,
     EventKind::ZoneSkip,
     EventKind::Retry,
@@ -15,7 +15,6 @@ const ALL_EVENT_KINDS: [EventKind; 9] = [
     EventKind::DropRows,
     EventKind::CacheHit,
     EventKind::CacheEvict,
-    EventKind::CachePrefetch,
 ];
 
 const SPAN_KINDS: [SpanKind; 3] = [SpanKind::Scan, SpanKind::Agg, SpanKind::Phase];

@@ -44,8 +44,8 @@ impl FaultSpec {
     }
 }
 
-/// Sizing of the optional buffer-pool page-cache tier between the
-/// [`FileStream`] prefetcher and the simulated disk array.
+/// Sizing of the optional buffer-pool page-cache tier between the stream
+/// prefetcher and the simulated disk array.
 ///
 /// The paper's I/O model is a single cold scan with zero reuse, so the cache
 /// defaults to **off** ([`SystemConfig::cache`] is `None`) and every paper
@@ -53,8 +53,6 @@ impl FaultSpec {
 /// by `(file, page)` and evicted LRU-K style: one large table scan (every
 /// frame touched once) can never flush pages that have been referenced `k`
 /// or more times.
-///
-/// [`FileStream`]: SystemConfig#structfield.page_size
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheSpec {
     /// Cache capacity in page frames. `0` is legal and means "enabled but
@@ -64,47 +62,12 @@ pub struct CacheSpec {
     /// evicted (LRU among themselves) before any frame with `k` references.
     /// Must be in `1..=8`; `k == 1` degenerates to plain LRU.
     pub k: usize,
-    /// Also insert pages whose transfer was already covered by a prefetch
-    /// burst, so a later demand read of them is a hit (they enter unverified:
-    /// the CRC/fault roll is deferred to first access).
-    pub prefetch: bool,
 }
 
 impl CacheSpec {
-    /// A scan-resistant LRU-2 cache of `frames` page frames, no prefetch
-    /// insertion.
+    /// A scan-resistant LRU-2 cache of `frames` page frames.
     pub fn lru_k(frames: usize) -> CacheSpec {
-        CacheSpec {
-            frames,
-            k: 2,
-            prefetch: false,
-        }
-    }
-
-    /// The same spec with prefetch insertion toggled.
-    pub fn with_prefetch(mut self, on: bool) -> CacheSpec {
-        self.prefetch = on;
-        self
-    }
-}
-
-/// Admission-queue discipline of the concurrent query service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Admission {
-    /// Admit strictly in arrival order (within tenant-fair rotation).
-    #[default]
-    Fifo,
-    /// Admit by priority class first (lower value = more urgent), then
-    /// tenant-fair, then arrival order.
-    Priority,
-}
-
-impl std::fmt::Display for Admission {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Admission::Fifo => write!(f, "fifo"),
-            Admission::Priority => write!(f, "priority"),
-        }
+        CacheSpec { frames, k: 2 }
     }
 }
 
@@ -126,19 +89,16 @@ pub struct ServiceSpec {
     /// whose queue wait alone exceeds it is rejected at admission; one that
     /// finishes past it completes but is flagged `deadline_missed`.
     pub deadline_s: Option<f64>,
-    /// Admission-queue discipline.
-    pub admission: Admission,
 }
 
 impl ServiceSpec {
-    /// A FIFO service with the given in-flight bound, a 0.5 s slice, and no
+    /// A service with the given in-flight bound, a 0.5 s slice, and no
     /// deadline.
     pub fn new(max_inflight: usize) -> ServiceSpec {
         ServiceSpec {
             max_inflight,
             slice_s: 0.5,
             deadline_s: None,
-            admission: Admission::Fifo,
         }
     }
 
@@ -153,12 +113,6 @@ impl ServiceSpec {
         self.deadline_s = Some(deadline_s);
         self
     }
-
-    /// The same spec with a different admission discipline.
-    pub fn with_admission(mut self, admission: Admission) -> ServiceSpec {
-        self.admission = admission;
-        self
-    }
 }
 
 /// Knobs of the live observability plane (windowed metric timelines, the
@@ -171,39 +125,16 @@ impl ServiceSpec {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObserveSpec {
     /// Timeline bucket width in *modeled* seconds: counters and histograms
-    /// recorded at clock `t` land in window `floor(t / window_s)`.
+    /// recorded at clock `t` land in window `floor(t / window_s)`; the
+    /// flight recorder keeps its per-window records on the same rule.
     pub window_s: f64,
-    /// Flight recorder: the K slowest completed queries of each window are
-    /// always retained (deadline-missed, rejected, and quarantine-touching
-    /// queries are retained unconditionally on top).
-    pub flight_k: usize,
-    /// Flight recorder: deterministic reservoir size per window for queries
-    /// that are neither anomalous nor among the K slowest. `0` disables the
-    /// reservoir.
-    pub flight_reservoir: usize,
 }
 
 impl ObserveSpec {
-    /// Timelines bucketed every `window_s` modeled seconds, keeping the 4
-    /// slowest queries per window plus an 8-entry reservoir.
+    /// Timelines and flight records bucketed every `window_s` modeled
+    /// seconds.
     pub fn new(window_s: f64) -> ObserveSpec {
-        ObserveSpec {
-            window_s,
-            flight_k: 4,
-            flight_reservoir: 8,
-        }
-    }
-
-    /// The same spec with a different always-keep count.
-    pub fn with_flight_k(mut self, k: usize) -> ObserveSpec {
-        self.flight_k = k;
-        self
-    }
-
-    /// The same spec with a different reservoir size.
-    pub fn with_reservoir(mut self, size: usize) -> ObserveSpec {
-        self.flight_reservoir = size;
-        self
+        ObserveSpec { window_s }
     }
 }
 
@@ -216,19 +147,12 @@ pub struct IngestSpec {
     /// acknowledged rows, the next insert triggers a WOS→ROS merge.
     /// `0` means merges are manual only.
     pub auto_merge_rows: usize,
-    /// Read by nothing: WAL damage is chunked by the size
-    /// `wal::damage_image` is given. The field stays only because the
-    /// fuzzer's replay digest hashes the drawn spec's `Debug` text.
-    pub wal_page: usize,
 }
 
 impl IngestSpec {
-    /// Manual merges (`wal_page` 4096).
+    /// Manual merges.
     pub fn manual() -> IngestSpec {
-        IngestSpec {
-            auto_merge_rows: 0,
-            wal_page: 4096,
-        }
+        IngestSpec { auto_merge_rows: 0 }
     }
 
     /// The same spec with an auto-merge threshold.
@@ -618,24 +542,15 @@ mod tests {
     fn cache_defaults_off_and_k_is_bounded() {
         assert!(SystemConfig::default().cache.is_none());
         let spec = CacheSpec::lru_k(64);
-        assert_eq!((spec.frames, spec.k, spec.prefetch), (64, 2, false));
-        assert!(spec.with_prefetch(true).prefetch);
+        assert_eq!((spec.frames, spec.k), (64, 2));
         let sc = SystemConfig::default().with_cache(CacheSpec::lru_k(0));
         assert!(
             sc.validate().is_ok(),
             "0 frames is a legal (miss-only) cache"
         );
-        let sc = SystemConfig::default().with_cache(CacheSpec {
-            frames: 4,
-            k: 0,
-            prefetch: false,
-        });
+        let sc = SystemConfig::default().with_cache(CacheSpec { frames: 4, k: 0 });
         assert!(sc.validate().is_err());
-        let sc = SystemConfig::default().with_cache(CacheSpec {
-            frames: 4,
-            k: 9,
-            prefetch: false,
-        });
+        let sc = SystemConfig::default().with_cache(CacheSpec { frames: 4, k: 9 });
         assert!(sc.validate().is_err());
     }
 
@@ -646,11 +561,7 @@ mod tests {
         assert_eq!(s.max_inflight, 8);
         assert!(s.slice_s > 0.0);
         assert_eq!(s.deadline_s, None);
-        assert_eq!(s.admission, Admission::Fifo);
-        let s = s
-            .with_slice(0.25)
-            .with_deadline(30.0)
-            .with_admission(Admission::Priority);
+        let s = s.with_slice(0.25).with_deadline(30.0);
         assert_eq!((s.slice_s, s.deadline_s), (0.25, Some(30.0)));
         assert!(SystemConfig::default().with_service(s).validate().is_ok());
         let bad = SystemConfig::default().with_service(ServiceSpec::new(0));
@@ -659,17 +570,12 @@ mod tests {
         assert!(bad.validate().is_err());
         let bad = SystemConfig::default().with_service(ServiceSpec::new(1).with_deadline(-1.0));
         assert!(bad.validate().is_err());
-        assert_eq!(
-            format!("{}/{}", Admission::Fifo, Admission::Priority),
-            "fifo/priority"
-        );
     }
 
     #[test]
     fn ingest_spec_defaults_to_manual_merges() {
-        let spec = IngestSpec::manual();
-        assert_eq!((spec.auto_merge_rows, spec.wal_page), (0, 4096));
-        let spec = spec.with_auto_merge(500);
+        assert_eq!(IngestSpec::manual().auto_merge_rows, 0);
+        let spec = IngestSpec::manual().with_auto_merge(500);
         assert_eq!(spec.auto_merge_rows, 500);
     }
 
@@ -677,12 +583,7 @@ mod tests {
     fn observe_defaults_off_and_validates() {
         assert!(SystemConfig::default().observe.is_none());
         let spec = ObserveSpec::new(0.5);
-        assert_eq!(
-            (spec.window_s, spec.flight_k, spec.flight_reservoir),
-            (0.5, 4, 8)
-        );
-        let spec = spec.with_flight_k(2).with_reservoir(0);
-        assert_eq!((spec.flight_k, spec.flight_reservoir), (2, 0));
+        assert_eq!(spec.window_s, 0.5);
         assert!(SystemConfig::default()
             .with_observe(spec)
             .validate()

@@ -25,8 +25,8 @@ pub mod tuple;
 pub mod value;
 
 pub use config::{
-    Admission, CacheSpec, FaultSpec, HardwareConfig, IngestSpec, ObserveSpec, OnCorrupt,
-    ServiceSpec, SystemConfig,
+    CacheSpec, FaultSpec, HardwareConfig, IngestSpec, ObserveSpec, OnCorrupt, ServiceSpec,
+    SystemConfig,
 };
 pub use datatype::DataType;
 pub use error::{CorruptError, CorruptKind, Error, Result};

@@ -48,7 +48,7 @@ pub mod prelude {
     };
     pub use rodb_trace::{Json, MetricsRegistry, QueryTrace};
     pub use rodb_types::{
-        Admission, Column, DataType, Error, HardwareConfig, IngestSpec, Result, Schema,
-        ServiceSpec, SystemConfig, Value,
+        Column, DataType, Error, HardwareConfig, IngestSpec, Result, Schema, ServiceSpec,
+        SystemConfig, Value,
     };
 }

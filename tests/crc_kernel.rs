@@ -1,12 +1,12 @@
-//! The checksum kernel, held to account in tier-1.
+//! The checksum kernel, held to account from outside its crate.
 //!
 //! `rodb::storage::page::crc32` seals and verifies every page and WAL frame,
-//! and its own equivalence suite (`crates/storage/src/crc.rs`) runs only
-//! under `cargo test --workspace`. Here the kernel is compared with a
-//! reference that shares no code with the crate — CRC-32 one *bit* at a
-//! time, no table — and then a faster kernel is shown to still *fail* what
-//! it must: one flipped bit anywhere in a sealed page of any of the four
-//! page formats, or in a WAL frame, is a typed checksum error.
+//! and its own equivalence suite lives in `crates/storage/src/crc.rs`. Here
+//! the kernel is compared with a reference that shares no code with the
+//! crate — CRC-32 one *bit* at a time, no table — and then a faster kernel
+//! is shown to still *fail* what it must: one flipped bit anywhere in a
+//! sealed page of any of the four page formats, or in a WAL frame, is a
+//! typed checksum error.
 
 use rodb::prelude::*;
 use rodb::storage::page::crc32;

@@ -6,8 +6,8 @@
 //! aggregates merged and emitted on one core) and the shared-cursor service
 //! (one driver pass per segment, riders charged in full on a
 //! worker-invariant clock). A refactor of either is correct only if every
-//! merged number comes out bit-equal, so each cell is one FNV-1a digest over
-//! `Debug` text:
+//! merged number comes out bit-equal, so each cell is one [`Digest`] over
+//! values (an accounted table's non-zero leaves by name):
 //!
 //! * a morsel cell — `QueryBuilder::run_collect` at 2 or 4 threads — covers
 //!   the [`RunReport`](rodb::engine::RunReport), `ParallelInfo::{cpu_crit_s,
@@ -15,13 +15,16 @@
 //! * a service cell covers `makespan_s`, the merged driver `io`, and each
 //!   outcome's `latency_s`, `attach_seg` and rows.
 //!
-//! `MORSEL_GOLDEN` and `SERVICE_GOLDEN` were computed at the commit before
-//! the serial, morsel and rider executors were folded into one plan-run
-//! call. A digest may change only together with the checked-in figures; the
-//! failure message names the cell.
+//! The numbers were first pinned before the serial, morsel and rider
+//! executors were folded into one plan-run call. `MORSEL_GOLDEN` and
+//! `SERVICE_GOLDEN` were recomputed once when the digest moved from `Debug`
+//! text to values, at the commit before the idle cache-prefetch knob and its
+//! always-zero counter were deleted. A digest may change only together with
+//! the checked-in figures; the failure message names the cell.
 
 use rodb::prelude::*;
 use rodb::types::CacheSpec;
+use rodb_fuzz::Digest;
 use std::sync::{Arc, OnceLock};
 
 const ROWS: u64 = 3_000;
@@ -114,12 +117,6 @@ fn subjects() -> [(&'static str, Arc<Table>, Query); 2] {
     ]
 }
 
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 fn system() -> SystemConfig {
     SystemConfig {
         page_size: PAGE,
@@ -131,11 +128,11 @@ fn system() -> SystemConfig {
 fn morsel_digest(q: QueryBuilder, cell: &str) -> u64 {
     let res = q.run_collect().unwrap_or_else(|e| panic!("{cell}: {e}"));
     let info = res.parallel.expect("a partitionable plan runs in parallel");
-    let text = format!(
-        "{:?}\n{:?} {}\n{:?}\n",
-        res.report, info.cpu_crit_s, info.morsels, res.rows
-    );
-    fnv1a(&text)
+    let mut h = Digest::default();
+    h.report(&res.report)
+        .f64(info.cpu_crit_s)
+        .usize(info.morsels);
+    h.rows(&res.rows).finish()
 }
 
 fn morsel_cells() -> &'static [(String, u64)] {
@@ -203,11 +200,12 @@ fn service_cells() -> Vec<(String, u64)> {
             }
         }
         let report = svc.run().unwrap_or_else(|e| panic!("{cell}: {e}"));
-        let mut text = format!("{:?}\n{:?}\n", report.makespan_s, report.io);
+        let mut h = Digest::default();
+        h.f64(report.makespan_s).fields("io", &report.io);
         for o in &report.outcomes {
-            text += &format!("{:?} {} {:?}\n", o.latency_s, o.attach_seg, o.rows);
+            h.f64(o.latency_s).usize(o.attach_seg).rows(&o.rows);
         }
-        out.push((cell.to_string(), fnv1a(&text)));
+        out.push((cell.to_string(), h.finish()));
     }
     out
 }
@@ -264,21 +262,21 @@ fn the_morsel_axes_are_live() {
 
 #[rustfmt::skip]
 const MORSEL_GOLDEN: [u64; 48] = [
-    0x58c128df38d809ff, 0x077a767d28076a6a, 0x3947e4241bc64471, 0xe48a6a7aae0ec4d0,
-    0x72c08a6b7b13454f, 0xfd9bcd2b3e58dc0b, 0x74564ea188f4e18a, 0xad98c2aee471bd8b,
-    0x714d2441e15243a0, 0x7b11d8f38cdd1ec6, 0x714d2441e15243a0, 0x7b11d8f38cdd1ec6,
-    0xa6675d0ac1f71bc1, 0x099d98346268e18e, 0xf88a7b8d39bace93, 0x9263b478f6218b1c,
-    0x6dcb6273163912f9, 0x910ed2aeaaacd591, 0x782361378e299672, 0xeb53a5e24447c40d,
-    0xb03350ce501ed641, 0x059eab68a9218d9d, 0xa6cee4e42f2cec5c, 0x50cf32a1b6dc507b,
-    0x824eb25b959a81d5, 0xcb3d380c85d1da40, 0x824eb25b959a81d5, 0xcb3d380c85d1da40,
-    0xe46c13a79b98e3f8, 0x6126375399a3def6, 0xe46c13a79b98e3f8, 0x6126375399a3def6,
-    0x5e282a9560b43226, 0xa519dfd0c5d3f101, 0x7a309037073fac7b, 0x11174e551139ed52,
-    0xa0b51541187405c4, 0x76b8741e7c7788d1, 0x71368264099b18a8, 0x0fa21ff5e8f3e0fb,
-    0x8513232bbddf1110, 0x36d1b0fa0163fcdd, 0x32e95a4daa96d3ff, 0xd45021115501cb18,
-    0x77e0e21fc89f68dc, 0x69d31dcab6e124e6, 0x88ef7e81646c1882, 0x97ab70adac50e20e,
+    0xc58bd85960b44238, 0xcc71f361744d388b, 0xf02ffe7fc8d29e4c, 0xca46eef78b413131,
+    0x6b8063f7473e6c86, 0xf4f61abb97299eb3, 0x58f918dfe0f9d80c, 0xc842a9cc2393bf65,
+    0x1c9c23df8b366aaa, 0xdf4cabef47b99e08, 0x1c9c23df8b366aaa, 0xdf4cabef47b99e08,
+    0x05f7720cd2297b13, 0xc50008fb6db6a918, 0x15e0e6f5dc0e6139, 0xbbf07561df5883ff,
+    0x1a182f02ba535c08, 0x22d602230acfb3b6, 0x1667b80b131c21f7, 0x89d28c0691cd41df,
+    0xff45cfd36625084e, 0xd1e125830581a05a, 0xe8187ad4d4494d7c, 0x0a500446ac5c2c1d,
+    0xd3818064b7c4a26c, 0xcea0e4cbd2f00dca, 0xd3818064b7c4a26c, 0xcea0e4cbd2f00dca,
+    0x38877a89e5a66d19, 0xa340e977e1f70453, 0x38877a89e5a66d19, 0xa340e977e1f70453,
+    0x1559c4e13d3ac5bf, 0xeadac6e7d6400d71, 0x69019ef50c61ffaa, 0x19ef6700b44d12ae,
+    0x79c4cc0dcc37ad12, 0x52c12738770e6c9f, 0xeaa9a778ab5654ab, 0x6793adc93925c1da,
+    0x2da98c48db01742c, 0xc08cca895ac4cfa3, 0xd3224725741a5443, 0xf1c52b493c2ccf86,
+    0x5ceec089500ec45d, 0x8af78c8f01a5294e, 0x97a62263ab3bb9f1, 0xedb3b7caab8061dd,
 ];
 
 #[rustfmt::skip]
 const SERVICE_GOLDEN: [u64; 3] = [
-    0xb7b8fb153257f4ba, 0x12a8dd23079559d3, 0x06021a4725ba8b26,
+    0x4042831bb75da1e2, 0x8db5b74252444c9b, 0xff91699e89a0f56c,
 ];

@@ -3,21 +3,24 @@
 //! Every scanner charges the modeled clock by hand-counted events, so a
 //! refactor of the scan path is correct only if every count comes out
 //! bit-equal. `results/*.txt` shows that at figure scale; this test shows it
-//! in tier-1, for a fixed matrix on small TPC-H tables: one FNV-1a digest
-//! per cell over the `Debug` text of the [`RunReport`] **and** of the raw
+//! in tier-1, for a fixed matrix on small TPC-H tables: one [`Digest`] per
+//! cell over the values of the [`RunReport`] **and** of the raw
 //! [`CpuCounters`](rodb::cpu::CpuCounters) (two counters swapped at equal
-//! cost change the second but not the first), plus the rows and positions of
-//! the first and the last block.
+//! cost change the second but not the first), each non-zero leaf by name,
+//! plus the rows and positions of the first and the last block.
 //!
-//! `GOLDEN` was computed at the parent of the scan-core refactor (PR 20).
-//! A digest may change only together with the checked-in figures; the
-//! failure message names the cell, so a changed number is a one-cell
-//! bisect, not a diff of thirteen result files.
+//! The numbers were first pinned before the scan-core refactor. `GOLDEN`
+//! was recomputed once when the digest moved from `Debug` text to values,
+//! at the commit before the idle cache-prefetch knob and its always-zero
+//! counter were deleted. A digest may change only together with the
+//! checked-in figures; the failure message names the cell, so a changed
+//! number is a one-cell bisect, not a diff of thirteen result files.
 
 use rodb::engine::settle_report;
 use rodb::prelude::*;
 use rodb::storage::Quarantine;
 use rodb::types::OnCorrupt;
+use rodb_fuzz::Digest;
 use std::sync::{Arc, OnceLock};
 
 const ROWS: u64 = 3_000;
@@ -152,12 +155,6 @@ fn instance(s: &Subject, damaged: bool) -> Arc<Table> {
     Arc::new(t)
 }
 
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// Every cell of the matrix, in `GOLDEN` order: `(name, digest)`.
 fn cells() -> &'static [(String, u64)] {
     static CELLS: OnceLock<Vec<(String, u64)>> = OnceLock::new();
@@ -225,8 +222,12 @@ fn run_matrix() -> Vec<(String, u64)> {
                             }
                             let report = settle_report(&ctx, rows, blocks);
                             let counters = *ctx.meter.borrow().counters();
-                            let text = format!("{report:?}\n{counters:?}\n{first:?}\n{last:?}\n");
-                            out.push((name, fnv1a(&text)));
+                            let mut h = Digest::default();
+                            h.report(&report).fields("counters", &counters);
+                            for (rows, positions) in [first, last].iter().flatten() {
+                                h.rows(rows).u64s(positions.iter().copied());
+                            }
+                            out.push((name, h.finish()));
                         }
                     }
                 }
@@ -281,132 +282,132 @@ fn the_axes_are_live() {
 
 #[rustfmt::skip]
 const GOLDEN: [u64; 512] = [
-    0xa93f10106c7523ff, 0x29a9352bc1469477, 0xa38e27c2a6f67af6, 0x4587884c0136b894,
-    0x31d0b98fdc3c428a, 0xb59badcce0fd7418, 0x13e5a98a6654bcf7, 0x7e6ad98ac31635b7,
-    0xcd8e494a851c1e94, 0x4c2b38622287692d, 0x08bf83a49b0848d3, 0x5b7bcdb1a9205962,
-    0xf86c0a113b5988c1, 0xa9c1b45f032e19fb, 0xd20155e839338a13, 0xda447400b4c9a94f,
-    0x1464f64611b9d843, 0xb6c14abb8f74205c, 0x1a47e6d67229879f, 0xd5cc175e152b0c70,
-    0x622cf9b5557f7e31, 0x5704cf0f48e2f714, 0x7b9f569f8cb4df47, 0xa02c2c96610084f9,
-    0x18cf846616868118, 0x793cb7d430937458, 0xd72d00223f4ae5fb, 0x449d738ae1361cc3,
-    0xb3df8bc68b75f389, 0xa2becf480613f15f, 0x6838b3992b7b0502, 0xb55c3dce679d1309,
-    0xa93f10106c7523ff, 0x29a9352bc1469477, 0xa38e27c2a6f67af6, 0x4587884c0136b894,
-    0x31d0b98fdc3c428a, 0xb59badcce0fd7418, 0x13e5a98a6654bcf7, 0x7e6ad98ac31635b7,
-    0xcd8e494a851c1e94, 0x4c2b38622287692d, 0x08bf83a49b0848d3, 0x5b7bcdb1a9205962,
-    0xf86c0a113b5988c1, 0xa9c1b45f032e19fb, 0xd20155e839338a13, 0xda447400b4c9a94f,
-    0x1464f64611b9d843, 0xb6c14abb8f74205c, 0x1a47e6d67229879f, 0xd5cc175e152b0c70,
-    0x622cf9b5557f7e31, 0x5704cf0f48e2f714, 0x7b9f569f8cb4df47, 0xa02c2c96610084f9,
-    0x18cf846616868118, 0x793cb7d430937458, 0xd72d00223f4ae5fb, 0x449d738ae1361cc3,
-    0xb3df8bc68b75f389, 0xa2becf480613f15f, 0x6838b3992b7b0502, 0xb55c3dce679d1309,
-    0x9aa24073b6951faa, 0x9e9247e6fc1ca2aa, 0x1b35bb7874140442, 0x02139cb9fdbda5ed,
-    0x12d79f1bc29ff9db, 0x49fbd69f7ad9a137, 0x67d6f3a0c04a5c78, 0xa04264f5070dd94b,
-    0x4ce183f7bf5152d7, 0xf8c0d119267860ed, 0x025b425b21cf2c19, 0xf20308847367cfbb,
-    0x30883bda8856d38d, 0x8b0f63c89aa64e12, 0xf12c014379614a42, 0x5d7de6a00000bf52,
-    0x5f85ba57d15fc89d, 0x86aa6411337d8ced, 0x3ee2dc6a737e34f9, 0x6d01c59535a48a12,
-    0x3627395c492e3457, 0x6f86f168deafe6bd, 0x0e7d947d78c1a752, 0x11f5c60f825b60aa,
-    0xcc8eefc28839807f, 0x606d3dcf58be6d3b, 0xe5a07c1325e18350, 0x6d3950e3dc9c6a49,
-    0x5b3dc67f3324241d, 0x897f73d5f073394c, 0xc1449eb41d1b21ca, 0x3693c7d07f5a22a2,
-    0x9aa24073b6951faa, 0x9e9247e6fc1ca2aa, 0x1b35bb7874140442, 0x02139cb9fdbda5ed,
-    0x12d79f1bc29ff9db, 0x49fbd69f7ad9a137, 0x67d6f3a0c04a5c78, 0xa04264f5070dd94b,
-    0x4ce183f7bf5152d7, 0xf8c0d119267860ed, 0x025b425b21cf2c19, 0xf20308847367cfbb,
-    0x30883bda8856d38d, 0x8b0f63c89aa64e12, 0xf12c014379614a42, 0x5d7de6a00000bf52,
-    0x5f85ba57d15fc89d, 0x86aa6411337d8ced, 0x3ee2dc6a737e34f9, 0x6d01c59535a48a12,
-    0x3627395c492e3457, 0x6f86f168deafe6bd, 0x0e7d947d78c1a752, 0x11f5c60f825b60aa,
-    0xcc8eefc28839807f, 0x606d3dcf58be6d3b, 0xe5a07c1325e18350, 0x6d3950e3dc9c6a49,
-    0x5b3dc67f3324241d, 0x897f73d5f073394c, 0xc1449eb41d1b21ca, 0x3693c7d07f5a22a2,
-    0x06ba36521e9c8758, 0xad43a70f56969b6a, 0xc8c20c6a3faf6ce1, 0xcfe509a276039d38,
-    0x574f5e10fb88648a, 0x20ced8ccbe64cbca, 0x79dc26abde326591, 0x45acf61ad4f73088,
-    0x64c9f51a6ee1af79, 0x2ec1887914bbbb89, 0xc836226effb744ef, 0x57e42afe40dcb508,
-    0x5cfb61787574348d, 0xc30e43b5c2725d93, 0xcf7dddedbcf4bef9, 0x03be1743e178b571,
-    0x71245355c15f54b6, 0x948e0370abd537d3, 0xb76d7471245401b2, 0xba2b594fbbe7d185,
-    0x1fcb11ea2cd3b97d, 0x618b3f06b2316ab4, 0x08d7941727bf0000, 0xf40be16ad8514ac2,
-    0x1b84d952dbada46a, 0xcc377933376d908a, 0xc3610182bc0af513, 0xf615c9e1adb89667,
-    0x8dd99a703ead0f23, 0xa61f3bb7e0489641, 0x10d12fd045f8513c, 0x506b8cf2c8344f1f,
-    0x06ba36521e9c8758, 0xad43a70f56969b6a, 0xc8c20c6a3faf6ce1, 0xcfe509a276039d38,
-    0x574f5e10fb88648a, 0x20ced8ccbe64cbca, 0x79dc26abde326591, 0x45acf61ad4f73088,
-    0x7a46c371a8399a98, 0xbffd3de5a366a7b7, 0x7718d989dbc70124, 0x09043dcbe37c1155,
-    0xf87d9f1d5cf4dca6, 0x1f247a595cf55338, 0x0905b12de2a64221, 0x87caec736622ac71,
-    0x71245355c15f54b6, 0x948e0370abd537d3, 0xb76d7471245401b2, 0xba2b594fbbe7d185,
-    0x1fcb11ea2cd3b97d, 0x618b3f06b2316ab4, 0x08d7941727bf0000, 0xf40be16ad8514ac2,
-    0x206d39d560ce6ed6, 0xdd8c3ef7660c79e9, 0x17a475bc1010a8a4, 0xf1b503276189c80d,
-    0xdb61faa3b423caa4, 0x2d695e1ea12b2486, 0xe7dafde15c9ed9a0, 0xa71425fc09f00168,
-    0xcfc93b0f52bba721, 0x8b3e867dbfcdf122, 0xb6fa908f6f010d50, 0x12c866dbd80a14f1,
-    0xd9c2ada9128a714b, 0xf0784423aa2bd4fb, 0x94648933c9c2c746, 0xad96b7c09b86c384,
-    0x28d6ecf7d11a07e2, 0x583cc08177f436a2, 0xc471d2c73b5615a3, 0x879756ca686ac51f,
-    0xda8549a3709e7c7e, 0xef6290e864196320, 0x0c026c8ccd3b0895, 0x17d94907cd25bc35,
-    0xb9db138ca47d6611, 0x0134f9fa8fb8e538, 0xa68af1e1a124831a, 0x9fd546d01832be3b,
-    0x878b4c61c70e933c, 0xc6b6407aa40ecd17, 0x158182fe36bdcea0, 0x24f218de037fc009,
-    0xbc7ad08757d59ae0, 0x4cd93a30aec95006, 0xbd0123a42f0f2810, 0x5c7e2bf968042ed8,
-    0xf097e57c04b9502c, 0xc32b01bb799f494a, 0x86bf6cd3c7830e57, 0x6b714d36fa36c285,
-    0xcfc93b0f52bba721, 0x8b3e867dbfcdf122, 0xb6fa908f6f010d50, 0x12c866dbd80a14f1,
-    0xd9c2ada9128a714b, 0xf0784423aa2bd4fb, 0x94648933c9c2c746, 0xad96b7c09b86c384,
-    0x28d6ecf7d11a07e2, 0x583cc08177f436a2, 0xc471d2c73b5615a3, 0x879756ca686ac51f,
-    0xda8549a3709e7c7e, 0xef6290e864196320, 0x0c026c8ccd3b0895, 0x17d94907cd25bc35,
-    0x50990a66cf24578b, 0x85e19e1f9c7221af, 0xb1341cc14830bc90, 0xac86b68ab8e2cc28,
-    0xba4cbfa37a6ccf46, 0xc7ed41117d89c477, 0x1f43d934ce693d51, 0xdc0795390b3dd164,
-    0xd406a9724f40d9f1, 0x05d601c3efbf79df, 0x4dfaa5befa11d613, 0x7a2599fe5c30aa20,
-    0xedf63c6ca0baf638, 0xd29692e4d16d45b8, 0x6a30069ac03a6e00, 0x684d8e22957e2dce,
-    0xd5099c13902b948d, 0xa68610d17758f409, 0x3d474c266e63b18d, 0xf17f376eb25175d8,
-    0xdf7ec673159ab0e9, 0xd84169446baea4c3, 0x167edbed3beb611a, 0xe4813383154791d9,
-    0x0b135d1f8ebe37ea, 0xcc60561114409fc9, 0xaa798f5f23acd34b, 0xe3a7ba6651d2715b,
-    0xd2ce83e82c13cc0c, 0x4ece8d45df399d5a, 0xf4de237acc40e935, 0x464b144d64e021b6,
-    0xc1de41ca29407fe5, 0x7f7080fd6d6bd7de, 0xa35bb6f5bfa34792, 0x590fb3edeee93726,
-    0x42927590e9c27209, 0x83c3855348250835, 0xb669b51cf0390480, 0x63a84effb69eecdf,
-    0x55249d87f23fd34d, 0x78390d9c6da0cf23, 0xc433d28cb8e5a45f, 0xf3b041e57ff55de4,
-    0xea7b5876e3fd3394, 0xcc3676442f3e216f, 0x6311d953346f7d2b, 0x285f3f300c6560dc,
-    0x1ba7aebf26e79ad6, 0x630f35c532027fa8, 0x74aaef33fe173eab, 0xf9868c5b3b4a6a64,
-    0x625c6c1314ed3eaf, 0xf487134fc3c5e4b4, 0xa8c328fe7e7963c4, 0x687c55f686d2d191,
-    0xb510c923080372f6, 0x9d3405807dfdfd4c, 0xd22daf6facea13dc, 0x642d6b1f566e9a8b,
-    0xd325cb1ce75b1dbd, 0x08fd02d01edb5075, 0xcda71142f1c7353b, 0x92cbf19a0c4a34fe,
-    0xdf7aae61567d6757, 0xbc1bd792d9769672, 0x34379a0036b0ab64, 0xa4d351821e50afe4,
-    0x9c9dd05ec9a46702, 0x4e4cd5bb6122a037, 0xf2d593376efa9a0d, 0xcad14670def13674,
-    0xcacee2c8a5840b33, 0x63e79f6ada0474ab, 0xa7c13be4030b259d, 0x93ab8a10465d2d0c,
-    0xd00e7c657080f775, 0x699964ab87871fbf, 0x80dfba6681d9e6b5, 0xa045d1054a18b56c,
-    0x3975da2cb052751c, 0xc14669dc78c59f0d, 0x8f101e80281d60a4, 0xb06e688b973af6c9,
-    0xbb7a48ea52a6dee6, 0x10ea90d7fa8b65d1, 0xd8e23d1a00e6dd78, 0x232d03a107e1b8b3,
-    0x4b6cf941b15a9300, 0x0814fd0bfe9db2b2, 0x410807997029ae6d, 0x871d1d634bb4c2a9,
-    0xb9a72fef028577cf, 0x618a17c28b3dd225, 0x635b9c9b490c0b45, 0x44fac0bbe7a5c768,
-    0x7f0b639650f36255, 0x191b5a6768fc0fb6, 0xaaee2c785e0ac09a, 0x02b91dec7d112cff,
-    0xd5a5c9be6190d914, 0x2c759bea45d42ff7, 0x34671392500af4cc, 0xd350af7273ac6f4d,
-    0x92a1135652e8a067, 0x04869f97f01c9498, 0x125a50e0259fab23, 0xaae37b71d22c0db3,
-    0xc11f8d966b73c21a, 0x31c39b18d950127d, 0x66827912685b106d, 0x5dce7c991fde0c91,
-    0x14a92b80cbaad782, 0x957a7831e68b7511, 0xd39b43542a943205, 0x16636c2b1ebbc928,
-    0x912cb8df4e076e02, 0xe7682217aa1ee542, 0xc2cc80cafbe63d5a, 0x2fb3a32a3bcefdce,
-    0x9abd38b5d4e61dd1, 0xcde00915e6d30619, 0xa69e799c15b70072, 0x2f79513e1d02f05b,
-    0x9748199f51e6e9b3, 0x4fb4c083e2f67969, 0x2135336b90bf706c, 0x7127884f0e8d86e7,
-    0xc5a0c53b35b18f84, 0xacd5a35791fb85dc, 0xea1bf3e64b8cf322, 0xfa4c9be64ec2c4d0,
-    0xc01998201a5b3ce3, 0xa00d8cdfc1e4a3a2, 0x18e01874b681de97, 0xd9101592dfcfd03d,
-    0x1db627a6a8065b6e, 0x662004978041aa11, 0x4d563e9e0f7f6fa6, 0x1c54639a9d8e9db6,
-    0x6be926ae52b29a82, 0x927c88de6ceb0cb2, 0x1473de610d5e7e71, 0x706950b120bfc709,
-    0xc3bced054a206ddf, 0x763b7e2a87dc7759, 0x0240b372b3f160f3, 0x1833b2e73c0abce4,
-    0x4db0a19e455eab98, 0x8e118a2cd5a2247a, 0xf40dea9326d7b307, 0x10a980355e8811aa,
-    0xcd9515a462705f43, 0x914af3f6ffb47597, 0x87f1cecc3ead5004, 0xe4eedd5894a6eea4,
-    0xd0a7b0f6be235870, 0x1290f675691f17f1, 0x77d6886c0226f1bd, 0x5fff58a614c5f015,
-    0xda0d3445a1b0c067, 0x1f25d1a38ac6ee9f, 0xa54faf89db2511a1, 0xa3d8ce54bd15b6df,
-    0x58b4c200225acd7c, 0x395a7360cdff9401, 0x6afbe46d48b40a5c, 0x199c9dfc79c0f85e,
-    0x0e07ef96b764f436, 0x047f7d7f027a296e, 0x1d4dd61a5291b971, 0x97eecd63ce640c3d,
-    0xc4f397c16f5631ea, 0x2feb12455b4efd34, 0x75bce2a0283558db, 0x372cc33185adbeec,
-    0x223f5e1673ce1715, 0x707519c53b44d8ab, 0x958302a3dee352e7, 0x7cbc4d4200a48c9a,
-    0x701821a8f263b5da, 0x384e1d1e9225cb0a, 0x1701bc773724129a, 0xf8dd14036f66b035,
-    0x4921f31adc306fc3, 0xb2e8547ac4fab017, 0xce54eaedb18d4b70, 0x1cf1fe3e99de3e31,
-    0x27165b328ae938dd, 0x81598a61aa18472e, 0xe3edc7c7df794894, 0x0ae2d01971ce6aca,
-    0xa3b18d48f87fc0d1, 0x7504cecdb787668d, 0x691b04b2618979f0, 0xde116f686890fb4b,
-    0x315f753d5bef348a, 0x0ce7fa2af668be6f, 0x81db9764dc2103bc, 0xf5076688d06b48e1,
-    0x2ba2008ec40aa14c, 0xc28ff6a982ce6476, 0x83460d3dccee4f9f, 0xa45c37e835b8a53d,
-    0x7303f68b2390497e, 0xa255d8b59877f8e1, 0x76d3f5a6a5e5dcf8, 0x2683f776ad1afe2a,
-    0x5fe7433ba0c0501d, 0x65c313362bb0939c, 0x1d1cae0b2ff04318, 0x6ae17b223822b97c,
-    0x0f29afe37c2e7a13, 0xae3f9995407a9ecc, 0x29a48f71539ea2bc, 0x0212006d9fe84a3b,
-    0x7631c77f45a522b3, 0x81075b578176bbba, 0x651aae1c5107b95f, 0x3b975d2811eb71f7,
-    0xd93b7f49df8d72ff, 0x4b3f27aee46a10ae, 0x7869d12b727aff1b, 0x1ab5d3ee34b3d46d,
-    0x24af1c3ff8ecdc5e, 0xbc7605ef4002a27e, 0x459a95f146f7598b, 0x2a9afde3c253be2f,
-    0x3160586cabcf4b6f, 0xad42d133007bc1f0, 0x9f2458af835af804, 0x542850bc1eb67d7f,
-    0x02b0f596d35f97b1, 0x8aa7f2c5b852a0c0, 0xf3fe586943b06a0d, 0x15f396bd6c87d424,
-    0x00c06be071000736, 0x44373ad87f3718d8, 0x6680dede40c7abce, 0x80a3a70fde04adec,
-    0x47440f36f0a4f4c8, 0x7acc82739c37db28, 0x404d550d898002a5, 0xbe8afa492ec6c96c,
-    0xb59305aa7b5cdaff, 0xb68844df4167e6c0, 0xe463102d8005630f, 0x544b34b8e61fa78c,
-    0x157a92855d0e1e16, 0x6e06d74d823efda9, 0x3d3cbe9a29a46f23, 0xe09bf1d6810311de,
-    0xad386d9fa86c3c07, 0x47b95ca3db218305, 0xfadbb8f3edfb624a, 0xf6426e1a2ea7150f,
-    0xa3cf95d7e81d7853, 0x08ab5b236a8fc517, 0x1b401e15b8bbe1fe, 0x512b7c81a1d513c9,
-    0xc617b1fc9ea9b011, 0x7f4165760908d960, 0x71dca2f774d0755a, 0x2305a28a9de53a20,
-    0xe9cb176dab54f3cc, 0x2ac251fe340d9241, 0x782c2aeafea63280, 0x3f3552113b3993e0,
-    0x379cfaaeed84eab2, 0x26259691613d24f7, 0xc5f603ecbeb5739d, 0xfc1aff55177b7d56,
+    0x8899df02e59d5ee4, 0xc722bc4e2dff5c8d, 0xf680c0bed515fbf0, 0x46cda26ad96a62b2,
+    0x8c77cd1e3fb34d99, 0x16395d462df202c7, 0x61a49a523df3b393, 0x251d5b0ac7b02106,
+    0x4b8f1dea2357b469, 0x45125f3b081033c6, 0x9066c62386dd938e, 0xdcd530ad993f24bf,
+    0x8afd05f95b74e3fd, 0x9dd9438e48778a09, 0xec7e4bf3be8a6285, 0x91e10e7d34006ce9,
+    0x73b52ff48e81ed5f, 0x37a788da2cf31fc3, 0xa77f7fdee0a9b366, 0xeb3521628bbe68b4,
+    0x89634f7f6361924c, 0xbacd43c438ef61a8, 0xd4de0942a13d4680, 0x58693a1adedd23cb,
+    0x11a7994da3b7ad9d, 0xf82952fae266ee5c, 0xcd0889ad6d90436c, 0xf9b303b2994897eb,
+    0x0e02088738362b55, 0x3aaa44b6d1057257, 0x83abc3099f698df3, 0x2266b7166356ad2e,
+    0x8899df02e59d5ee4, 0xc722bc4e2dff5c8d, 0xf680c0bed515fbf0, 0x46cda26ad96a62b2,
+    0x8c77cd1e3fb34d99, 0x16395d462df202c7, 0x61a49a523df3b393, 0x251d5b0ac7b02106,
+    0x4b8f1dea2357b469, 0x45125f3b081033c6, 0x9066c62386dd938e, 0xdcd530ad993f24bf,
+    0x8afd05f95b74e3fd, 0x9dd9438e48778a09, 0xec7e4bf3be8a6285, 0x91e10e7d34006ce9,
+    0x73b52ff48e81ed5f, 0x37a788da2cf31fc3, 0xa77f7fdee0a9b366, 0xeb3521628bbe68b4,
+    0x89634f7f6361924c, 0xbacd43c438ef61a8, 0xd4de0942a13d4680, 0x58693a1adedd23cb,
+    0x11a7994da3b7ad9d, 0xf82952fae266ee5c, 0xcd0889ad6d90436c, 0xf9b303b2994897eb,
+    0x0e02088738362b55, 0x3aaa44b6d1057257, 0x83abc3099f698df3, 0x2266b7166356ad2e,
+    0x1224a4a54fb6c0f2, 0x5a77d4d47698a566, 0xcd9db7a6cfa26a2d, 0x984a04b1a0d44602,
+    0xc33a7ec6cb5ed076, 0x04f7708c758fb8b6, 0x1a1128d9289ca5f6, 0xa872f3f2758be50e,
+    0x12e4ab93ad652577, 0x075a73e83545e09a, 0x6ee74180b29f72fc, 0x349ec1241e94d573,
+    0xfc4855f01ec21d5d, 0x0f69fad31b1ff721, 0x553dd9bc7f60a327, 0xb06ebc7b7134f7f1,
+    0x58e23e54c78fb32e, 0x2252f99f9f050513, 0x363e25139e88de65, 0xb21ba9be217ab7de,
+    0x675b4388315fde9d, 0x783c52848d11e8a3, 0x0a749d8568fd2bc6, 0x670ad21a57ad4de8,
+    0xfb1fb729cc323d80, 0xfd2f81aff2f87cc3, 0xc852c1dff4e65a00, 0xa2e91f0a8afa2036,
+    0x95bb5c6f3d8bb791, 0x0e4e24a205e7500d, 0x8d0059888efd8d4d, 0x9b93f1c7217c4852,
+    0x1224a4a54fb6c0f2, 0x5a77d4d47698a566, 0xcd9db7a6cfa26a2d, 0x984a04b1a0d44602,
+    0xc33a7ec6cb5ed076, 0x04f7708c758fb8b6, 0x1a1128d9289ca5f6, 0xa872f3f2758be50e,
+    0x12e4ab93ad652577, 0x075a73e83545e09a, 0x6ee74180b29f72fc, 0x349ec1241e94d573,
+    0xfc4855f01ec21d5d, 0x0f69fad31b1ff721, 0x553dd9bc7f60a327, 0xb06ebc7b7134f7f1,
+    0x58e23e54c78fb32e, 0x2252f99f9f050513, 0x363e25139e88de65, 0xb21ba9be217ab7de,
+    0x675b4388315fde9d, 0x783c52848d11e8a3, 0x0a749d8568fd2bc6, 0x670ad21a57ad4de8,
+    0xfb1fb729cc323d80, 0xfd2f81aff2f87cc3, 0xc852c1dff4e65a00, 0xa2e91f0a8afa2036,
+    0x95bb5c6f3d8bb791, 0x0e4e24a205e7500d, 0x8d0059888efd8d4d, 0x9b93f1c7217c4852,
+    0xefa6db776992c28a, 0x9599d988aa5dadd0, 0xdfc035b1c111c0d8, 0x182b79eaf8788f40,
+    0x8276069e4ecf8dc5, 0xab2b0109f4d16d78, 0xa659bddbf7480350, 0x61ef0d2018ece142,
+    0xfd0da2426e53d33b, 0x15454ab54acfde9b, 0x2d55d9b545cecaaf, 0x8c56648ee2e51266,
+    0xc550be18428d83c7, 0x607d4523ca327aa9, 0xabbb8c3f31f4fa67, 0xdccaf44bdb1ab1f6,
+    0x8e45bffc55f10121, 0xbeec6a3e564f394b, 0xf101522c3ed8ebb3, 0xd3cdc3af1cd2be9d,
+    0x714e2cd35e0f7d26, 0x3e43c7d280388d23, 0x2687cbcb95434092, 0xc208827179232e64,
+    0xd2cfc3f85e7b89aa, 0x900f5bd1bd420b3a, 0x2fdc47e4f3e36684, 0x2c6e57875e78384c,
+    0x10e4610d79caa217, 0x8f44c50fd0b1dbc5, 0xa62e81c952de9eba, 0x4c2862dee3a22675,
+    0xefa6db776992c28a, 0x9599d988aa5dadd0, 0xdfc035b1c111c0d8, 0x182b79eaf8788f40,
+    0x8276069e4ecf8dc5, 0xab2b0109f4d16d78, 0xa659bddbf7480350, 0x61ef0d2018ece142,
+    0x1828efac57133fb2, 0x29ced54481c97730, 0xfac7cbcdaca8af68, 0x079ba95dc1cea7a9,
+    0x0dbce9c604c1e721, 0xee9b6afa05f10a22, 0x74517665835040b9, 0xd31bf61b619e64e9,
+    0x8e45bffc55f10121, 0xbeec6a3e564f394b, 0xf101522c3ed8ebb3, 0xd3cdc3af1cd2be9d,
+    0x714e2cd35e0f7d26, 0x3e43c7d280388d23, 0x2687cbcb95434092, 0xc208827179232e64,
+    0xf35d3d47014d2701, 0xec5dbecc74afc8d7, 0xe0d95dd814c699a5, 0x7adf1abcc40e08a3,
+    0xc5b1506187dc5e4e, 0xaa84c098a6e36eed, 0xda6ffb2bd7c51559, 0xf7ffef7e9e1656fd,
+    0x9fdb6b48ec12f72f, 0xd18ee963baeb6241, 0x6a8bdd26ea68e609, 0x3be93d3288dea2bd,
+    0x71de27ad5f2d49e2, 0x888548abc4fbb922, 0xdf72fdba57180593, 0x14327cf7ab4aaa1b,
+    0x4c47d9b3b69151c3, 0x6f246a709844fb1a, 0x02a83cb788307cfa, 0x788c99997e7d6256,
+    0x3654d9c10dbbc731, 0xe98f2be6fd075b18, 0x1a663424fc56c2a0, 0x4da68f8732717bd5,
+    0xcf7dfb571e04157f, 0x2155601962a8d996, 0x2b9c72e0dba2bde4, 0xb125465ca71df4ea,
+    0x94141d1be977c34e, 0x7399bdf86b717806, 0x0cca6012182adef6, 0xde3ef77995fcae8b,
+    0xd27f22ad479199b5, 0x2392fde6ab7d44fe, 0x40a87b58b4a02cc5, 0xa8e62b6db8539e19,
+    0x95493a02a44ffdeb, 0xdf62776e3631ba02, 0xbb7705953ebee79d, 0x9c0bf176e7c96929,
+    0x9fdb6b48ec12f72f, 0xd18ee963baeb6241, 0x6a8bdd26ea68e609, 0x3be93d3288dea2bd,
+    0x71de27ad5f2d49e2, 0x888548abc4fbb922, 0xdf72fdba57180593, 0x14327cf7ab4aaa1b,
+    0x4c47d9b3b69151c3, 0x6f246a709844fb1a, 0x02a83cb788307cfa, 0x788c99997e7d6256,
+    0x3654d9c10dbbc731, 0xe98f2be6fd075b18, 0x1a663424fc56c2a0, 0x4da68f8732717bd5,
+    0x03ea1ca1d99bb46d, 0x75347f866f53d0af, 0x5d5092b4b9fa28ea, 0xad4ed19dfcfcbbf6,
+    0x8f7f61cd81f276fd, 0xf4e22adc83eee5bf, 0x15dfcef72af07a88, 0x36d919ab83fd44f9,
+    0x944d31b3d9be8917, 0x54e80f0329451ed0, 0x9c72347df22a69ca, 0xb60266068750a74c,
+    0x81926552f9815bd3, 0x6232a45a89e3e96e, 0x41130c6712e0ac17, 0x6ff5dfb36a844d2b,
+    0x09ebf1921d73e30c, 0x653aa249ca1e2b62, 0x6886dcac8c6641c7, 0x7258c43ff6c991ee,
+    0x95d20aba454de9aa, 0xd6c709defe559232, 0xe2f2bed61c77ae5a, 0xbd4a7eebfb20c8c3,
+    0x1bdf14a963e0baad, 0x5a5bd0a55eac5538, 0x9f7ba8dd7421c682, 0x07dab6b551cd5569,
+    0xe1472063afad51c6, 0x19830765891c8c4f, 0x6226426d405e77a3, 0x3eda56d2b16932f9,
+    0xbbb9c12551288c28, 0x74d53306635eafc7, 0x6e81fc6d4a00657e, 0x847bee2f51b3a26b,
+    0x0ddfb998a632636e, 0x5cf3cd58092242b2, 0x527cdc715d87265e, 0x3c10fe49a0e2b879,
+    0xee836e4face128f6, 0x57403d88361a74b7, 0x8c39b89e924b27fa, 0xd446c943e42e6d0f,
+    0x6ba40f7c315676ef, 0x478b262841a1aef6, 0xb440e4ca0380354f, 0xf4e723b9670db2c8,
+    0x971ce01d6947d43a, 0x2848c1f2f20dc406, 0x2b6fd772be787562, 0x6f7021f46d6ede85,
+    0xa7e79bee7b7d405a, 0x4fe2cc71b5a3f0d9, 0x427341911a49ed16, 0xa17c096b2d785356,
+    0x3eb0e22aac92601e, 0xcd8837ed9d6d16b9, 0x5c971768f4a66f6e, 0x806d8fda04f6a480,
+    0x0e5eeb26ebc8620d, 0xa813ffb489b9f9d2, 0x7d83c59387239adb, 0x097ebf294bacba1a,
+    0x594de0593a9e4ea1, 0x598d6730ce80b491, 0x099a88dd5563261c, 0xb5aea8edb1b4e02a,
+    0x22f96e5cb023bb5d, 0x07ceebba4bb1ab46, 0x43f4f1430f7d3fa3, 0xf8838cfaa57a8a20,
+    0x47a364cf0de17f76, 0xa1ed7bec2df17ac3, 0x36eae633a8daa3ab, 0x2ca4f39df662f26f,
+    0x43e6bb4619be7f12, 0xbf2bb98b073d5a59, 0x5c529d837b25a770, 0x3858af9c971d6ec0,
+    0xe3f3f56e29a8a209, 0x3900db4723aada45, 0x08c2638887da6653, 0x3c01313420474339,
+    0x150e260c1024d00e, 0x7ba80a149d1f5abc, 0xaa7ed98a7656c7f7, 0x51abd4b2c4a35943,
+    0x4d63fff8f0e306b4, 0xdf2e0e187efca844, 0xe9b1e67b0ad18429, 0x8166206100e865cd,
+    0x2c479cf528542db4, 0xf6987fbe863a9068, 0xeacd8472694adbbb, 0xf5847f47532f5569,
+    0xaf7f3ce3542b8f27, 0xb1e01dcd15651549, 0x8560b5473d0954d7, 0xcc2a736927687fe2,
+    0x3f010af61362f0fb, 0x7c86e7745b80faeb, 0x0076ebcec58b6203, 0x4752647d09d24e4f,
+    0x011a85232b9bee0d, 0x23a21c328e3cac14, 0xd9ad1dfa74ac97c6, 0xde0e6c163beb5d6f,
+    0xdfdb8af67d842023, 0x6bb6b1cd343d3c29, 0x9f8134fe24179538, 0x41f9c6cb3e2564a3,
+    0xb69ed19bbc5b3eba, 0xd1086d638ec73f6c, 0x582812a3d2544722, 0x8e15ec572f79d6f5,
+    0xeafaac03d4acc84c, 0x826f038b681e0a4b, 0xb47b4749f0cf5f7e, 0x7b2596302a2ef84a,
+    0x9696e22d9e7309ec, 0x6a1f4222a1509a91, 0x6edf70eb3fd89a03, 0x9734206490f2e95c,
+    0x897ebbbe5b60ac6d, 0xab3417b72af061e4, 0x3e64907ee0a56391, 0x34307871dfa16fba,
+    0xa28ee96e24648fd1, 0x617b09e2d4c102cb, 0x279df2b7faa49966, 0x6300a83a080de267,
+    0xd6ec94addf281b71, 0x6d8b10223ed20991, 0x7ff4c8114b5ac3b8, 0xb992605a44f6c76b,
+    0x542b77da76bb9d3a, 0x1f42d318550ce007, 0x0fd7787c0284ab8f, 0x5185f0b0f3f4b3b0,
+    0x2a02b4c6dc40106c, 0x64eb236cfa758110, 0x2132e758075fa2a9, 0xceb84f964ce04b2e,
+    0xee72fe969146545b, 0x1a832fc333122a8c, 0x57af198669f01682, 0xe18ad3185585a501,
+    0x010fe9ee96ed473c, 0xbee7e398790f8cf0, 0xb4f595056b0d8ae7, 0xeaae5918584667d1,
+    0xa8f008465f7f7409, 0xd084193cce39082c, 0xebf4a41d2a76eb9e, 0x681bdc0a3b90fc2f,
+    0xd99dd8c96c68bce2, 0x046db4b314d19258, 0x18bafecae15a58f9, 0x5c057a172e5f50e1,
+    0x95217b5ec469a49c, 0x0a07ab03516f06c7, 0xc583b7a0dcaed1ab, 0x097e103ad6a0cc38,
+    0xe4dcca9b47cc6d5c, 0x1723dfc69cb58e9f, 0x3ce6ebfa78736230, 0x7a98ff117f946737,
+    0xa2e741b1ba6154ab, 0x953751768d56d0f5, 0x65d17a5eb17e0c00, 0x6071ca5f50998949,
+    0xf009d57e4be8b151, 0x386185dac8a60e06, 0x3ad8f6e5810016a9, 0x4923d0d4301a22c8,
+    0x68436e80ba2a7105, 0xa90a8c2dffac2be7, 0x9570469531cf2197, 0xbe1fccb1f40b9088,
+    0xb4b3cabd04040c10, 0x5a1c8f26fe64670c, 0xead16db22d214994, 0xd8d1cdcf210fe3c1,
+    0x2a77888ced070a52, 0xb1006da9e57ea2d2, 0x2c316bbaa1597276, 0x15ee0a99e3b70773,
+    0x0e7c50097fcc1410, 0x76fcdc0998df0281, 0x518c7ecf16f3720c, 0xc9474bda40d793f8,
+    0xd65eb0819fd54630, 0x834f46104cce147f, 0x560747a640a2c69c, 0xa8ecbb211b9b98a1,
+    0x12f2fe19fcdb714b, 0x436b26567d9616ae, 0xf8001589ebaf324d, 0x1f1c190c4b2b64d2,
+    0x4b41564c5399f433, 0xd20e1684174654ee, 0xa371e4b3d993db67, 0x53c0ea3c0867a308,
+    0x9052b5d431004e1e, 0x9c4237d79b2f494e, 0x5c79962c5f87893f, 0x79ee702ebf496375,
+    0x405f1865240993e5, 0xed7dab058f9dbcd3, 0x6c90fe5d56729804, 0xacef04735f92684b,
+    0xb0ae10401e0ce86b, 0x9a60ae21f9b123a7, 0x473860d7444595f0, 0xfea9ccde8f0723b9,
+    0x7009b94abb45a3ae, 0x50c7c01aaa0c8179, 0xe2fedf52d0c1904d, 0x4f152d6d5f9ff689,
+    0x9351f3c46965994f, 0x16735b3fcda94a33, 0x82213c2f45a82d8a, 0xeeadfb44accef992,
+    0xb636417bf6cd807d, 0x1c0f8c11e6d7a3c9, 0x71a0b954743201af, 0x1e01d5cb8c09225c,
+    0xf92689ff53d50a5d, 0x7657403d0688457f, 0x8040e9ed1c0a74fa, 0xafc9a6bb29e9c30f,
+    0xd9d414f17dbeaeb2, 0x9f08ee9f69ea1d03, 0x4d3ea4502309f558, 0x8d0ccf65f4960c50,
+    0xa4dafc04e12418ab, 0xa439f9b30169a8ee, 0xff49697b697867a4, 0x9e4dc23ac414adcf,
+    0x9fdfe79ce38eb8e4, 0xec143a8209a62917, 0xfa9394814e36904f, 0x870c44b54f06a1a5,
+    0x3fa2dc647b3c9cc7, 0xbf40b37fe2c1cbe6, 0x7d1aa82e6303b5bc, 0xb6f10067a0639b57,
+    0x044c9a8b8010a803, 0xad908e40a2afc185, 0xd0d3ebe9d32d5f18, 0x77d7d378ba2043a9,
+    0xf2fd3afd2846f1cb, 0x828ab2f89e6ce509, 0x3a812a9ac9316261, 0x2f4dda4c5dfff61c,
+    0xb9ca2a8e92c7b660, 0x0520bf9e1acb8799, 0x650ed38e013d28bc, 0xebba62295bcecc8c,
+    0x06bf0099c99fd344, 0x68ae352220fb627e, 0x5539f0adfab35004, 0xa17021f4fa31bdfb,
+    0xafd3155ad97fc0ef, 0x5938c04f4be1294a, 0x867d364269478ffc, 0x8f3be18a06558534,
+    0xbc8a4a813bc7c5b4, 0x523dabfac3cf9160, 0x4e5f7d8715644064, 0xec4bcb15ee908e5e,
 ];

@@ -365,7 +365,6 @@ fn io_stats_merge_sums_every_field() {
             hits: 8,
             misses: 2,
             evictions: 1,
-            prefetched: 4,
         },
     };
     let b = IoStats {
@@ -389,7 +388,6 @@ fn io_stats_merge_sums_every_field() {
             hits: 1,
             misses: 9,
             evictions: 2,
-            prefetched: 0,
         },
     };
     let mut m = a;
@@ -408,7 +406,6 @@ fn io_stats_merge_sums_every_field() {
     assert_eq!(m.cache.hits, 9);
     assert_eq!(m.cache.misses, 11);
     assert_eq!(m.cache.evictions, 3);
-    assert_eq!(m.cache.prefetched, 4);
     assert!((m.transfer_s - 1.5).abs() < 1e-12);
     assert!((m.seek_s - 0.035).abs() < 1e-12);
     assert!((m.comp_s - 0.3).abs() < 1e-12);
