@@ -2,7 +2,7 @@
 //! document, plus a demo mode that serves a live monitoring endpoint.
 //!
 //! Modes:
-//! - `rodb_top` (default) / `rodb_top --snapshot`: run a small observed
+//! - `rodb_top` (default) / `rodb_top --snapshot`: run a small
 //!   service workload and print the text dashboard for its final status.
 //! - `rodb_top --check FILE`: parse a saved `/status` JSON document and
 //!   render it (exit 1 on malformed input) — lets CI and humans inspect
@@ -18,7 +18,7 @@ use rodb_core::{QueryBuilder, QueryService, ServiceRequest};
 use rodb_engine::ScanLayout;
 use rodb_storage::{BuildLayouts, Table, TableBuilder};
 use rodb_trace::{monitor_handle, render_top, Json, MonitorServer, Registry};
-use rodb_types::{Column, HardwareConfig, ObserveSpec, Schema, ServiceSpec, SystemConfig, Value};
+use rodb_types::{Column, HardwareConfig, Schema, ServiceSpec, SystemConfig, Value};
 
 fn demo_table() -> Arc<Table> {
     let schema = Arc::new(
@@ -37,14 +37,13 @@ fn demo_table() -> Arc<Table> {
     Arc::new(b.finish().expect("table"))
 }
 
-/// Run the demo workload (observed, multi-tenant) and return its final
+/// Run the demo workload (multi-tenant) and return its final
 /// status document; publishes live state when a monitor handle is given.
 fn demo_status(monitor: Option<rodb_trace::MonitorHandle>) -> Json {
     let table = demo_table();
     let hw = HardwareConfig::default();
     let sys = SystemConfig {
         service: Some(ServiceSpec::new(4).with_slice(0.05)),
-        observe: Some(ObserveSpec::new(0.5)),
         ..SystemConfig::default()
     };
     let mut svc = QueryService::new(hw, sys)

@@ -28,7 +28,7 @@ use rodb_engine::{
     run_morsels, AggPlan, AggSpec, AggStrategy, CmpOp, ExecContext, Predicate, QueryPlan,
     RunReport, ScanLayout, ScanSpec,
 };
-use rodb_io::{CacheStats, SharedPageCache};
+use rodb_io::CacheStats;
 use rodb_storage::{Layout, Table};
 use rodb_trace::{Keys, MetricsRegistry, QueryTrace};
 use rodb_types::{Error, HardwareConfig, Result, SystemConfig, Value};
@@ -88,7 +88,6 @@ pub struct QueryBuilder {
     virtual_rows: Option<u64>,
     competing_scans: usize,
     trace: bool,
-    shared_cache: Option<SharedPageCache>,
     wos_tail: Option<Arc<Vec<Vec<Value>>>>,
 }
 
@@ -109,7 +108,6 @@ impl QueryBuilder {
             virtual_rows: None,
             competing_scans: 0,
             trace: false,
-            shared_cache: None,
             wos_tail: None,
         }
     }
@@ -219,19 +217,6 @@ impl QueryBuilder {
         self
     }
 
-    /// Install a persistent page cache shared across executions, so a
-    /// second run of the same (or an overlapping) query hits frames the
-    /// first one left resident. Serial executions only: the handle is
-    /// single-threaded (`Rc`), so parallel morsel runs ignore it and fall
-    /// back to per-worker caches built from [`SystemConfig::cache`]. The
-    /// cache keys frames by table buffer identity, so one handle is safe to
-    /// reuse across different tables — but drop it before dropping the
-    /// tables it has seen.
-    pub fn shared_page_cache(mut self, handle: &SharedPageCache) -> Self {
-        self.shared_cache = Some(handle.clone());
-        self
-    }
-
     /// Splice an in-memory WOS tail behind the read-optimized scan, so the
     /// query sees the union of the table and the staged rows — the snapshot
     /// read of the durable ingest path ([`crate::IngestSnapshot`]). Tail
@@ -255,8 +240,8 @@ impl QueryBuilder {
     }
 
     /// The factory of this query's execution contexts: row scale,
-    /// competing scans and tracing. The `Rc` page cache stays out, so one
-    /// factory serves every worker of a morsel pool.
+    /// competing scans and tracing. One factory serves every worker of a
+    /// morsel pool.
     fn context(&self) -> impl Fn() -> Result<ExecContext> + Sync {
         let (hw, sys, scale) = (self.hw, self.sys, self.row_scale());
         let (trace, competing_scans) = (self.trace, self.competing_scans);
@@ -361,11 +346,7 @@ impl QueryBuilder {
             };
             (run, Some(info))
         } else {
-            let ctx = self.context()()?;
-            if let Some(cache) = &self.shared_cache {
-                ctx.disk.borrow_mut().set_page_cache(cache.clone());
-            }
-            (plan.run_on(&ctx, None, collect)?, None)
+            (plan.run_on(&self.context()()?, None, collect)?, None)
         };
         self.register_run(&run.report, parallel.is_some());
         Ok(QueryResult {

@@ -21,6 +21,7 @@
 //! ordinary single-query engine paths untouched.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::PoisonError;
 
 use rodb_engine::{
     CursorQuery, QueryDone, ScanLayout, ScanSpec, SegmentStep, SharedCursor, SharedCursorConfig,
@@ -30,7 +31,7 @@ use rodb_storage::Layout;
 use rodb_trace::{
     FlightEntry, FlightRecorder, Histogram, Json, MetricsHandle, MonitorHandle, Registry, Timeline,
 };
-use rodb_types::{Error, HardwareConfig, ObserveSpec, Result, ServiceSpec, SystemConfig, Value};
+use rodb_types::{Error, HardwareConfig, Result, ServiceSpec, SystemConfig, Value};
 
 use crate::query::QueryBuilder;
 
@@ -141,11 +142,8 @@ pub struct ServiceReport {
     /// Segment steps executed and cursor wraparounds completed.
     pub segments: u64,
     pub wraparounds: u64,
-    /// What the observability plane captured (when
-    /// [`SystemConfig::observe`](rodb_types::SystemConfig) was set; `None`
-    /// — the default — leaves every other field bit-identical to a
-    /// plane-less run).
-    pub observed: Option<Observed>,
+    /// The run's books: timeline, flight recorder and SLO table.
+    pub observed: Observed,
 }
 
 /// Per-tenant SLO accounting for one service run: windowed-latency
@@ -235,7 +233,8 @@ impl SloReport {
     }
 }
 
-/// Everything the observability plane captured in one service run.
+/// The books one service run keeps beside its outcomes, windowed by
+/// [`ServiceSpec::window_s`].
 #[derive(Debug, Clone)]
 pub struct Observed {
     /// Windowed throughput / latency / I/O / cache curves.
@@ -247,11 +246,18 @@ pub struct Observed {
 }
 
 impl Observed {
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .set("timeline", self.timeline.to_json())
-            .set("flight", self.flight.to_json())
-            .set("slo", self.slo.to_json())
+    /// The books of a run that keeps none: no window, flight record or
+    /// tenant. [`QueryService::run_query_at_a_time`] returns these, since
+    /// it models no admission and no segments.
+    fn empty(window_s: f64) -> Observed {
+        Observed {
+            timeline: Timeline::new(window_s),
+            flight: FlightRecorder::new(window_s),
+            slo: SloReport {
+                tenants: Vec::new(),
+                fairness: jain_fairness(&[]),
+            },
+        }
     }
 }
 
@@ -268,28 +274,6 @@ fn jain_fairness(xs: &[f64]) -> f64 {
     }
 }
 
-/// The live observability plane of one `run()`: created only when
-/// `SystemConfig::observe` is set, and fed purely from values the event
-/// loop already computes — it reads the modeled clock but never charges
-/// it, so the simulation is bit-identical with the plane on or off.
-struct Plane {
-    timeline: Timeline,
-    flight: FlightRecorder,
-    /// Cursor quarantine totals at each query's attach, to tag flight
-    /// records that rode a cursor while it quarantined pages.
-    quarantined_at_attach: HashMap<usize, u64>,
-}
-
-impl Plane {
-    fn new(spec: ObserveSpec) -> Plane {
-        Plane {
-            timeline: Timeline::new(spec.window_s),
-            flight: FlightRecorder::new(spec.window_s),
-            quarantined_at_attach: HashMap::new(),
-        }
-    }
-}
-
 /// `done` per modeled second of `clock` (0 before the clock moves).
 fn per_second(done: u64, clock: f64) -> f64 {
     if clock > 0.0 {
@@ -300,15 +284,15 @@ fn per_second(done: u64, clock: f64) -> f64 {
 }
 
 /// The `/status` document: a service summary counted off the settled
-/// outcomes plus — when the run is observed — the SLO table, timeline and
-/// flight-recorder dump. The one builder behind the live publisher and
+/// outcomes, the SLO table, the timeline and the flight-recorder dump. The
+/// one builder behind the live publisher and
 /// [`ServiceReport::to_status_json`].
 fn status_doc<'a>(
     clock: f64,
     (queued, inflight): (usize, usize),
     (segments, wraparounds): (u64, u64),
     outcomes: impl Iterator<Item = &'a QueryOutcome>,
-    observed: Option<(&SloReport, &Timeline, &FlightRecorder)>,
+    (slo, timeline, flight): (&SloReport, &Timeline, &FlightRecorder),
 ) -> Json {
     let (mut completed, mut rejected, mut missed) = (0u64, 0u64, 0u64);
     for o in outcomes {
@@ -319,28 +303,25 @@ fn status_doc<'a>(
             missed += u64::from(o.deadline_missed);
         }
     }
-    let mut doc = Json::obj().set(
-        "service",
-        Json::obj()
-            .set("clock_s", clock)
-            .set("completed", completed)
-            .set("inflight", inflight as u64)
-            .set("queued", queued as u64)
-            .set("rejected", rejected)
-            .set("deadline_missed", missed)
-            .set("segments", segments)
-            .set("wraparounds", wraparounds)
-            .set("throughput_per_s", per_second(completed, clock)),
-    );
-    if let Some((slo, timeline, flight)) = observed {
-        let tenants: Vec<Json> = slo.tenants.iter().map(TenantSlo::to_json).collect();
-        doc = doc
-            .set("fairness", slo.fairness)
-            .set("tenants", tenants)
-            .set("timeline", timeline.to_json())
-            .set("flight", flight.to_json());
-    }
-    doc
+    let tenants: Vec<Json> = slo.tenants.iter().map(TenantSlo::to_json).collect();
+    Json::obj()
+        .set(
+            "service",
+            Json::obj()
+                .set("clock_s", clock)
+                .set("completed", completed)
+                .set("inflight", inflight as u64)
+                .set("queued", queued as u64)
+                .set("rejected", rejected)
+                .set("deadline_missed", missed)
+                .set("segments", segments)
+                .set("wraparounds", wraparounds)
+                .set("throughput_per_s", per_second(completed, clock)),
+        )
+        .set("fairness", slo.fairness)
+        .set("tenants", tenants)
+        .set("timeline", timeline.to_json())
+        .set("flight", flight.to_json())
 }
 
 /// The books of one `run()`, and the only writer of a request's fate. A
@@ -375,19 +356,38 @@ struct Ledger<'a> {
     wraparounds: u64,
     /// Queue and in-flight depth at the last segment boundary.
     depth: (usize, usize),
-    /// Exists only when configured; with `observe: None` (the default)
-    /// nothing reads or writes it and the run is bit-identical.
-    plane: Option<Plane>,
+    timeline: Timeline,
+    flight: FlightRecorder,
+    /// Cursor quarantine totals at each query's attach, to tag flight
+    /// records that rode a cursor while it quarantined pages.
+    quarantined_at_attach: HashMap<usize, u64>,
 }
 
-impl Ledger<'_> {
+impl<'a> Ledger<'a> {
+    /// Empty books for `requests`, every fact counted into `reg`.
+    fn new(requests: &'a [ServiceRequest], reg: &'a Registry, spec: &ServiceSpec) -> Ledger<'a> {
+        Ledger {
+            requests,
+            reg,
+            deadline_s: spec.deadline_s,
+            clock: 0.0,
+            submitted: 0,
+            admitted_at: vec![0.0; requests.len()],
+            outcomes: requests.iter().map(|_| None).collect(),
+            settled: Vec::new(),
+            tenant_service: BTreeMap::new(),
+            segments: 0,
+            wraparounds: 0,
+            depth: (0, 0),
+            timeline: Timeline::new(spec.window_s),
+            flight: FlightRecorder::new(spec.window_s),
+            quarantined_at_attach: HashMap::new(),
+        }
+    }
+
     fn submitted(&mut self, seq: usize) {
         self.submitted = seq + 1;
         self.reg.counter_add("query.sched.submitted", 1.0);
-        if self.plane.is_some() {
-            let tenant = &self.requests[seq].tenant;
-            self.reg.counter_add(&tenant_key(tenant, "submitted"), 1.0);
-        }
     }
 
     /// Attached to a cursor whose I/O totals read `cursor_io`; `mid_scan`
@@ -400,12 +400,12 @@ impl Ledger<'_> {
         if mid_scan {
             self.reg.counter_add("query.sched.attach_mid_scan", 1.0);
         }
-        if let Some(p) = &mut self.plane {
-            p.timeline.counter_add(self.clock, "service.admitted", 1.0);
-            p.timeline.observe(self.clock, "service.queue_wait_s", wait);
-            p.quarantined_at_attach
-                .insert(seq, cursor_io.recovery.quarantined_pages);
-        }
+        self.timeline
+            .counter_add(self.clock, "service.admitted", 1.0);
+        self.timeline
+            .observe(self.clock, "service.queue_wait_s", wait);
+        self.quarantined_at_attach
+            .insert(seq, cursor_io.recovery.quarantined_pages);
     }
 
     /// A cursor ran `step` for `riders`. Charges each rider's tenant its
@@ -430,10 +430,7 @@ impl Ledger<'_> {
             *self.tenant_service.entry(tenant.clone()).or_insert(0.0) += share;
         }
         self.depth = depth;
-        let Some(p) = &mut self.plane else {
-            return;
-        };
-        let (t, clock) = (&mut p.timeline, self.clock);
+        let (t, clock) = (&mut self.timeline, self.clock);
         t.counter_add(clock, "service.segments", 1.0);
         if step.wrapped {
             t.counter_add(clock, "service.wraparounds", 1.0);
@@ -469,38 +466,26 @@ impl Ledger<'_> {
             o.wrapped = done.wrapped;
             o.deadline_missed = self.deadline_s.is_some_and(|dl| latency > dl);
         }
-        let (tenant, missed) = (o.tenant.as_str(), o.deadline_missed && !o.rejected);
+        let t = &mut self.timeline;
         if o.rejected {
             reg.counter_add("query.sched.rejected_deadline", 1.0);
+            t.counter_add(clock, "service.rejected", 1.0);
         } else {
             reg.counter_add("query.sched.completed", 1.0);
             reg.observe("query.sched.latency_s", latency);
+            t.counter_add(clock, "service.completed", 1.0);
+            t.observe(clock, "service.latency_s", latency);
+            t.counter_add(clock, "service.rows", o.nrows as f64);
         }
-        if missed {
+        if o.deadline_missed && !o.rejected {
             reg.counter_add("query.sched.deadline_missed", 1.0);
+            t.counter_add(clock, "service.deadline_missed", 1.0);
         }
-        if let Some(p) = &mut self.plane {
-            let t = &mut p.timeline;
-            if o.rejected {
-                t.counter_add(clock, "service.rejected", 1.0);
-                reg.counter_add(&tenant_key(tenant, "rejected"), 1.0);
-            } else {
-                t.counter_add(clock, "service.completed", 1.0);
-                t.observe(clock, "service.latency_s", latency);
-                t.counter_add(clock, "service.rows", o.nrows as f64);
-                reg.counter_add(&tenant_key(tenant, "completed"), 1.0);
-                reg.observe(&tenant_key(tenant, "latency_s"), latency);
-            }
-            if missed {
-                t.counter_add(clock, "service.deadline_missed", 1.0);
-                reg.counter_add(&tenant_key(tenant, "deadline_missed"), 1.0);
-            }
-            let at = p.quarantined_at_attach.remove(&seq);
-            let touched = at
-                .zip(cursor_io)
-                .is_some_and(|(at, io)| io.recovery.quarantined_pages > at);
-            p.flight.record(clock, flight_entry(seq, &o, touched));
-        }
+        let at = self.quarantined_at_attach.remove(&seq);
+        let touched = at
+            .zip(cursor_io)
+            .is_some_and(|(at, io)| io.recovery.quarantined_pages > at);
+        self.flight.record(clock, flight_entry(seq, &o, touched));
         self.outcomes[seq] = Some(o);
         self.settled.push(seq);
     }
@@ -557,56 +542,49 @@ impl Ledger<'_> {
         let Some(monitor) = monitor else {
             return;
         };
-        let plane = self.plane.as_ref();
-        let observed = plane.map(|p| (self.slo_report(), p));
         let mut status = status_doc(
             self.clock,
             self.depth,
             (self.segments, self.wraparounds),
             self.outcomes.iter().flatten(),
-            observed
-                .as_ref()
-                .map(|(slo, p)| (slo, &p.timeline, &p.flight)),
+            (&self.slo_report(), &self.timeline, &self.flight),
         );
         if let Some(e) = error {
             status = status.set("error", e.to_string());
         }
-        let mut state = monitor
-            .lock()
-            .expect("no monitor reader panics holding the lock");
+        // Every write below replaces a whole field, so a guard poisoned by
+        // a panicking reader still holds a consistent state.
+        let mut state = monitor.lock().unwrap_or_else(PoisonError::into_inner);
         state.healthy = error.is_none();
         state.metrics = self.reg.snapshot();
         state.status = status;
     }
 
-    /// Close the books on a run that charged `io`.
-    fn close(mut self, monitor: Option<&MonitorHandle>, io: IoStats) -> ServiceReport {
+    /// Close the books on a run that charged `io`. The event loop stops
+    /// only once no request is pending, queued or riding a cursor, so every
+    /// slot is filled; one that is not fails the run.
+    fn close(mut self, monitor: Option<&MonitorHandle>, io: IoStats) -> Result<ServiceReport> {
+        if let Some(seq) = self.outcomes.iter().position(Option::is_none) {
+            let e = Error::InvalidPlan(format!("service run ended with request {seq} unsettled"));
+            self.publish(monitor, Some(&e));
+            return Err(e);
+        }
         self.depth = (0, 0);
         self.publish(monitor, None);
-        let slo = self.plane.is_some().then(|| self.slo_report());
-        let observed = self.plane.zip(slo).map(|(p, slo)| Observed {
-            slo,
-            timeline: p.timeline,
-            flight: p.flight,
-        });
-        ServiceReport {
+        let slo = self.slo_report();
+        Ok(ServiceReport {
             makespan_s: self.clock,
-            outcomes: self
-                .outcomes
-                .into_iter()
-                .map(|o| o.expect("every request resolves to an outcome"))
-                .collect(),
+            outcomes: self.outcomes.into_iter().flatten().collect(),
             io,
             segments: self.segments,
             wraparounds: self.wraparounds,
-            observed,
-        }
+            observed: Observed {
+                timeline: self.timeline,
+                flight: self.flight,
+                slo,
+            },
+        })
     }
-}
-
-/// Registry name of a per-tenant fact (kept only while the run is observed).
-fn tenant_key(tenant: &str, fact: &str) -> String {
-    format!("query.tenant.{tenant}.{fact}")
 }
 
 /// The flight record of a settled outcome. A rejection is its own anomaly
@@ -649,18 +627,16 @@ impl ServiceReport {
     }
 
     /// The final `/status`-shaped document for this report — what
-    /// `rodb-top` renders offline and the bench bins write alongside their
-    /// summaries. Includes the SLO table / timeline / flight dump when the
-    /// run was observed.
+    /// `rodb-top` renders offline — with the SLO table, timeline and flight
+    /// dump.
     pub fn to_status_json(&self) -> Json {
+        let o = &self.observed;
         status_doc(
             self.makespan_s,
             (0, 0),
             (self.segments, self.wraparounds),
             self.outcomes.iter(),
-            self.observed
-                .as_ref()
-                .map(|o| (&o.slo, &o.timeline, &o.flight)),
+            (&o.slo, &o.timeline, &o.flight),
         )
     }
 }
@@ -682,10 +658,11 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// Build a service on a system configuration that carries a
+    /// Build a service on a valid system configuration that carries a
     /// [`ServiceSpec`] (errors otherwise — an unset spec means the caller
     /// wants the bypassed single-query engine).
     pub fn new(hw: HardwareConfig, sys: SystemConfig) -> Result<QueryService> {
+        sys.validate()?;
         let spec = sys.service.ok_or_else(|| {
             Error::InvalidConfig(
                 "QueryService requires SystemConfig::service (ServiceSpec); without it, \
@@ -746,23 +723,9 @@ impl QueryService {
     /// published monitor reads unhealthy and its status carries the error.
     pub fn run(&mut self) -> Result<ServiceReport> {
         let requests = std::mem::take(&mut self.requests);
-        let mut ledger = Ledger {
-            requests: &requests,
-            reg: &self.reg,
-            deadline_s: self.spec.deadline_s,
-            clock: 0.0,
-            submitted: 0,
-            admitted_at: vec![0.0; requests.len()],
-            outcomes: requests.iter().map(|_| None).collect(),
-            settled: Vec::new(),
-            tenant_service: BTreeMap::new(),
-            segments: 0,
-            wraparounds: 0,
-            depth: (0, 0),
-            plane: self.sys.observe.map(Plane::new),
-        };
+        let mut ledger = Ledger::new(&requests, &self.reg, &self.spec);
         match self.schedule(&mut ledger) {
-            Ok(io) => Ok(ledger.close(self.monitor.as_ref(), io)),
+            Ok(io) => ledger.close(self.monitor.as_ref(), io),
             Err(e) => {
                 ledger.publish(self.monitor.as_ref(), Some(&e));
                 Err(e)
@@ -928,8 +891,8 @@ impl QueryService {
     /// The naive comparator: the same requests executed query-at-a-time in
     /// arrival order on the single-query engine — each query pays its own
     /// full scan. The admission queue, deadlines and fairness are not
-    /// modeled; this is the baseline `bench_service` compares shared cursors
-    /// against.
+    /// modeled, so it keeps no books ([`Observed`] is empty); this is the
+    /// baseline `bench_service` compares shared cursors against.
     pub fn run_query_at_a_time(&mut self) -> Result<ServiceReport> {
         let requests = std::mem::take(&mut self.requests);
         if requests.is_empty() {
@@ -939,7 +902,9 @@ impl QueryService {
         order.sort_by(|a, b| a.1.arrival_s.total_cmp(&b.1.arrival_s).then(a.0.cmp(&b.0)));
         let mut clock = 0.0f64;
         let mut total_io = IoStats::default();
-        let mut outcomes: Vec<Option<QueryOutcome>> = requests.iter().map(|_| None).collect();
+        let mut outcomes: Vec<QueryOutcome> = (requests.iter())
+            .map(|req| QueryOutcome::new(req, 0.0, 0.0, false))
+            .collect();
         for (seq, req) in order {
             clock = clock.max(req.arrival_s);
             let res = if req.collect {
@@ -949,15 +914,15 @@ impl QueryService {
             };
             clock += res.report.elapsed_s;
             total_io.merge(&res.report.io);
-            let mut o = QueryOutcome::new(req, 0.0, clock - req.arrival_s, false);
+            let o = &mut outcomes[seq];
+            o.latency_s = clock - req.arrival_s;
             o.rows = res.rows;
             o.nrows = res.report.rows;
-            outcomes[seq] = Some(o);
         }
         Ok(ServiceReport {
             makespan_s: clock,
-            outcomes: outcomes.into_iter().map(|o| o.unwrap()).collect(),
-            observed: None,
+            outcomes,
+            observed: Observed::empty(self.spec.window_s),
             io: total_io,
             segments: 0,
             wraparounds: 0,

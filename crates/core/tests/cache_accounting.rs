@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use rodb_core::{QueryBuilder, QueryResult};
-use rodb_engine::{CmpOp, ScanLayout};
+use rodb_engine::{CmpOp, ExecContext, RunReport, ScanLayout};
 use rodb_io::{PageCache, SharedPageCache};
 use rodb_storage::{BuildLayouts, TableBuilder};
 use rodb_types::{CacheSpec, Column, HardwareConfig, Schema, SystemConfig, Value};
@@ -60,6 +60,23 @@ fn cache_requests(res: &QueryResult) -> u64 {
     res.report.io.cache.hits + res.report.io.cache.misses
 }
 
+/// Run `q`'s plan serially on a context whose disk reads through `cache`,
+/// a page cache that outlives the run — how a shared cursor installs its
+/// cache on every rider.
+fn run_through(q: &QueryBuilder, spec: CacheSpec, cache: &SharedPageCache) -> RunReport {
+    let sys = SystemConfig {
+        cache: Some(spec),
+        ..SystemConfig::default()
+    };
+    let ctx = ExecContext::new(HardwareConfig::default(), sys, 1.0).expect("context");
+    ctx.disk.borrow_mut().set_page_cache(cache.clone());
+    q.plan()
+        .expect("plan")
+        .run_on(&ctx, None, false)
+        .expect("run")
+        .report
+}
+
 /// `hits + misses` counts page reads requested, so it is a property of the
 /// plan alone: the same query issues the same page requests whatever the
 /// cache geometry — empty, tiny, huge, or shared across runs.
@@ -102,26 +119,26 @@ fn warm_rescan_charges_no_disk_time() {
         let spec = CacheSpec::lru_k(1 << 16);
         let handle: SharedPageCache =
             std::rc::Rc::new(std::cell::RefCell::new(PageCache::new(&spec)));
-        let q = builder(&t, layout, Some(spec)).shared_page_cache(&handle);
-        let cold = q.clone().run().expect("cold run");
-        let warm = q.run().expect("warm run");
+        let q = builder(&t, layout, Some(spec));
+        let cold = run_through(&q, spec, &handle);
+        let warm = run_through(&q, spec, &handle);
         let what = format!("{layout:?}");
-        assert_eq!(cold.report.io.cache.hits, 0, "{what}: cold scan");
-        assert!(cold.report.io.total_s() > 0.0, "{what}: cold pays the disk");
-        assert_eq!(warm.report.io.cache.misses, 0, "{what}: warm scan");
+        assert_eq!(cold.io.cache.hits, 0, "{what}: cold scan");
+        assert!(cold.io.total_s() > 0.0, "{what}: cold pays the disk");
+        assert_eq!(warm.io.cache.misses, 0, "{what}: warm scan");
         assert_eq!(
-            warm.report.io.cache.hits, cold.report.io.cache.misses,
+            warm.io.cache.hits, cold.io.cache.misses,
             "{what}: every cold miss is a warm hit"
         );
-        assert_eq!(warm.report.io.cache.hit_ratio(), 1.0, "{what}");
+        assert_eq!(warm.io.cache.hit_ratio(), 1.0, "{what}");
         assert_eq!(
-            warm.report.io.total_s(),
+            warm.io.total_s(),
             0.0,
             "{what}: all hits, so zero modeled disk time"
         );
-        assert!(warm.report.elapsed_s < cold.report.elapsed_s, "{what}");
+        assert!(warm.elapsed_s < cold.elapsed_s, "{what}");
         // Same rows either way.
-        assert_eq!(warm.report.rows, cold.report.rows, "{what}");
+        assert_eq!(warm.rows, cold.rows, "{what}");
     }
 }
 
@@ -135,15 +152,15 @@ fn partially_warm_rescan_charges_misses_only() {
     // misses most pages, but every page it does hit costs nothing.
     let spec = CacheSpec::lru_k(8);
     let handle: SharedPageCache = std::rc::Rc::new(std::cell::RefCell::new(PageCache::new(&spec)));
-    let q = builder(&t, ScanLayout::Column, Some(spec)).shared_page_cache(&handle);
-    let cold = q.clone().run().expect("cold");
-    let rescan = q.run().expect("rescan");
-    assert_eq!(cache_requests(&rescan), cache_requests(&cold));
-    assert!(cold.report.io.cache.evictions > 0, "cache churns");
+    let q = builder(&t, ScanLayout::Column, Some(spec));
+    let cold = run_through(&q, spec, &handle);
+    let rescan = run_through(&q, spec, &handle);
+    assert_eq!(rescan.io.cache.requests(), cold.io.cache.requests());
+    assert!(cold.io.cache.evictions > 0, "cache churns");
     // The sequential one-pass re-scan cannot beat the frame count in hits
     // (LRU-K keeps at most `frames` pages resident at its tail).
-    assert!(rescan.report.io.cache.hits <= 8);
-    assert!(rescan.report.io.total_s() <= cold.report.io.total_s());
+    assert!(rescan.io.cache.hits <= 8);
+    assert!(rescan.io.total_s() <= cold.io.total_s());
 }
 
 /// Caching off (the default) leaves the report byte-identical to the

@@ -1,10 +1,9 @@
-//! Integration locks for the live observability plane: observation off is
-//! bit-identical (and absent from the report), timelines reconcile exactly
-//! with the final [`ServiceReport`], the flight recorder provably retains
-//! the 4 slowest plus every deadline-missed query per window, tenant SLO
-//! quantiles match a sorted-Vec oracle, the SLO report is a pure function of
-//! the schedule, and the Prometheus exposition of a service-owned registry
-//! validates and agrees with the outcome counts.
+//! Integration locks for the service's books: every run keeps them,
+//! timelines reconcile exactly with the final [`ServiceReport`], the flight
+//! recorder provably retains the 4 slowest plus every deadline-missed query
+//! per window, tenant SLO quantiles match a sorted-Vec oracle, the SLO
+//! report is a pure function of the schedule, and the Prometheus exposition
+//! of a service-owned registry validates and agrees with the outcome counts.
 
 use std::sync::Arc;
 
@@ -12,7 +11,7 @@ use rodb_core::{QueryBuilder, QueryService, ServiceRequest};
 use rodb_engine::{CmpOp, ScanLayout};
 use rodb_storage::{BuildLayouts, Table, TableBuilder};
 use rodb_trace::{check_exposition, prometheus, render_top, Registry};
-use rodb_types::{Column, HardwareConfig, ObserveSpec, Schema, ServiceSpec, SystemConfig, Value};
+use rodb_types::{Column, HardwareConfig, Schema, ServiceSpec, SystemConfig, Value};
 
 fn table(n: usize) -> Arc<Table> {
     let s = Arc::new(
@@ -66,14 +65,9 @@ fn sys(spec: ServiceSpec) -> SystemConfig {
     }
 }
 
-fn run(
-    t: &Arc<Table>,
-    spec: ServiceSpec,
-    observe: Option<ObserveSpec>,
-) -> rodb_core::ServiceReport {
+fn run(t: &Arc<Table>, spec: ServiceSpec) -> rodb_core::ServiceReport {
     let hw = HardwareConfig::default();
-    let mut s = sys(spec);
-    s.observe = observe;
+    let s = sys(spec);
     let mut svc = QueryService::new(hw, s)
         .unwrap()
         .metrics(Registry::handle());
@@ -92,40 +86,33 @@ fn oracle_q(values: &[f64], q: f64) -> f64 {
     v[idx]
 }
 
+/// A service spec that never mentions a window still keeps the books: the
+/// SLO table counts its outcomes, and `/status` carries the tenants, the
+/// timeline and the flight recorder.
 #[test]
-fn observation_off_is_absent_and_bit_identical() {
+fn every_run_keeps_its_books() {
     let t = table(6_000);
-    let spec = ServiceSpec::new(3).with_slice(0.05);
-    let off = run(&t, spec, None);
-    let on = run(&t, spec, Some(ObserveSpec::new(0.5)));
+    let report = run(&t, ServiceSpec::new(3).with_slice(0.05));
+    let slo = &report.observed.slo;
+    let submitted: u64 = slo.tenants.iter().map(|ts| ts.submitted).sum();
+    let completed: u64 = slo.tenants.iter().map(|ts| ts.completed).sum();
+    let rejected: u64 = slo.tenants.iter().map(|ts| ts.rejected).sum();
+    let done = report.outcomes.iter().filter(|o| !o.rejected).count() as u64;
+    assert_eq!(submitted, report.outcomes.len() as u64);
+    assert_eq!((completed, rejected), (done, submitted - done));
+    assert!(report.observed.timeline.len() > 1, "one window per 0.5 s");
 
-    assert!(off.observed.is_none());
-    assert!(on.observed.is_some());
-    assert_eq!(off.makespan_s.to_bits(), on.makespan_s.to_bits());
-    assert_eq!(off.segments, on.segments);
-    assert_eq!(off.wraparounds, on.wraparounds);
-    assert_eq!(off.io, on.io);
-    assert_eq!(off.outcomes.len(), on.outcomes.len());
-    for (a, b) in off.outcomes.iter().zip(&on.outcomes) {
-        assert_eq!(a.latency_s.to_bits(), b.latency_s.to_bits());
-        assert_eq!(a.queue_wait_s.to_bits(), b.queue_wait_s.to_bits());
-        assert_eq!(a.nrows, b.nrows);
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(a.attach_seg, b.attach_seg);
-        assert_eq!(a.deadline_missed, b.deadline_missed);
-        assert_eq!(a.rejected, b.rejected);
+    let status = report.to_status_json();
+    for key in ["tenants", "timeline", "flight"] {
+        assert!(status.get(key).is_some(), "/status lacks {key}");
     }
 }
 
 #[test]
 fn timeline_reconciles_with_final_report() {
     let t = table(6_000);
-    let report = run(
-        &t,
-        ServiceSpec::new(2).with_slice(0.05),
-        Some(ObserveSpec::new(0.5)),
-    );
-    let obs = report.observed.as_ref().unwrap();
+    let report = run(&t, ServiceSpec::new(2).with_slice(0.05));
+    let obs = &report.observed;
 
     let completed = report.outcomes.iter().filter(|o| !o.rejected).count();
     let rejected = report.outcomes.len() - completed;
@@ -184,9 +171,12 @@ fn flight_recorder_keeps_slowest_and_every_miss() {
     // and five do not, and one window holds every completion — more
     // ordinary ones than the 4 the recorder keeps, so "slowest" is a real
     // subset.
-    let spec = ServiceSpec::new(8).with_slice(0.05).with_deadline(30.5);
-    let report = run(&t, spec, Some(ObserveSpec::new(40.0)));
-    let obs = report.observed.as_ref().unwrap();
+    let spec = ServiceSpec::new(8)
+        .with_slice(0.05)
+        .with_deadline(30.5)
+        .with_window(40.0);
+    let report = run(&t, spec);
+    let obs = &report.observed;
     let flight = &obs.flight;
 
     let missed: Vec<_> = report
@@ -244,12 +234,8 @@ fn flight_recorder_keeps_slowest_and_every_miss() {
 #[test]
 fn tenant_slo_counts_and_quantiles_match_oracle() {
     let t = table(6_000);
-    let report = run(
-        &t,
-        ServiceSpec::new(2).with_slice(0.05),
-        Some(ObserveSpec::new(0.5)),
-    );
-    let obs = report.observed.as_ref().unwrap();
+    let report = run(&t, ServiceSpec::new(2).with_slice(0.05));
+    let obs = &report.observed;
     let slo = &obs.slo;
 
     let mut tenants: Vec<&str> = report.outcomes.iter().map(|o| o.tenant.as_str()).collect();
@@ -328,8 +314,7 @@ fn tenant_slo_counts_and_quantiles_match_oracle() {
 fn slo_report_is_byte_identical_across_runs() {
     let t = table(6_000);
     let hw = HardwareConfig::default();
-    let mut s = sys(ServiceSpec::new(2).with_slice(0.05));
-    s.observe = Some(ObserveSpec::new(0.5));
+    let s = sys(ServiceSpec::new(2).with_slice(0.05));
     let slo_bytes = || {
         let mut svc = QueryService::new(hw, s)
             .unwrap()
@@ -338,7 +323,7 @@ fn slo_report_is_byte_identical_across_runs() {
             svc.submit(r.tenant(format!("t{i}")));
         }
         let report = svc.run().unwrap();
-        report.observed.unwrap().slo.to_json().compact()
+        report.observed.slo.to_json().compact()
     };
     let first = slo_bytes();
     assert_eq!(first.matches("\"share\"").count(), 8);
@@ -350,8 +335,7 @@ fn slo_report_is_byte_identical_across_runs() {
 fn owned_registry_exposition_validates_and_reconciles() {
     let t = table(6_000);
     let hw = HardwareConfig::default();
-    let mut s = sys(ServiceSpec::new(2).with_slice(0.05));
-    s.observe = Some(ObserveSpec::new(0.5));
+    let s = sys(ServiceSpec::new(2).with_slice(0.05));
     let reg = Registry::handle();
     let mut svc = QueryService::new(hw, s).unwrap().metrics(reg.clone());
     for r in workload(&t, hw, s) {
@@ -364,16 +348,16 @@ fn owned_registry_exposition_validates_and_reconciles() {
     check_exposition(&text).unwrap_or_else(|e| panic!("bad exposition: {e}\n{text}"));
 
     // The scheduler-completions counter in the registry agrees with the
-    // final report, and the per-tenant counters sum to the same total.
+    // final report, and the SLO table's per-tenant counts sum to the same
+    // total.
     let completed = report.outcomes.iter().filter(|o| !o.rejected).count() as f64;
     assert_eq!(reg.counter("query.sched.completed"), completed);
-    let tenant_sum: f64 = ["a", "b", "c"]
-        .iter()
-        .map(|t| reg.counter(&format!("query.tenant.{t}.completed")))
-        .sum();
-    assert_eq!(tenant_sum, completed);
+    let tenants = &report.observed.slo.tenants;
+    let names: Vec<&str> = tenants.iter().map(|ts| ts.tenant.as_str()).collect();
+    assert_eq!(names, ["a", "b", "c"]);
+    let tenant_sum: u64 = tenants.iter().map(|ts| ts.completed).sum();
+    assert_eq!(tenant_sum as f64, completed);
     assert!(text.contains("rodb_query_sched_completed"));
-    assert!(text.contains("rodb_query_tenant_a_completed"));
 
     // Draining zeroes the registry without disturbing the report.
     let drained = reg.drain();
@@ -390,8 +374,7 @@ fn owned_registry_exposition_validates_and_reconciles() {
 fn the_timeline_is_the_same_under_the_default_and_an_owned_registry() {
     let t = table(6_000);
     let hw = HardwareConfig::default();
-    let mut s = sys(ServiceSpec::new(2).with_slice(0.05));
-    s.observe = Some(ObserveSpec::new(0.5));
+    let s = sys(ServiceSpec::new(2).with_slice(0.05));
     let timeline = |owned: bool| {
         let mut svc = QueryService::new(hw, s).unwrap();
         if owned {
@@ -401,7 +384,7 @@ fn the_timeline_is_the_same_under_the_default_and_an_owned_registry() {
             svc.submit(r);
         }
         let report = svc.run().unwrap();
-        report.observed.unwrap().timeline.to_json().compact()
+        report.observed.timeline.to_json().compact()
     };
     assert_eq!(timeline(false), timeline(true));
 }

@@ -217,6 +217,11 @@ fn service_requires_spec_and_uniform_scale() {
     let t = table(100);
     let hw = HardwareConfig::default();
     assert!(QueryService::new(hw, SystemConfig::default()).is_err());
+    // A spec that could admit nothing, or window nothing, is refused before
+    // any request is submitted.
+    for bad in [ServiceSpec::new(0), ServiceSpec::new(2).with_window(0.0)] {
+        assert!(QueryService::new(hw, sys(bad)).is_err(), "{bad:?}");
+    }
     let s = sys(ServiceSpec::new(2));
     let mut svc = QueryService::new(hw, s).unwrap();
     svc.submit(ServiceRequest::new(

@@ -1,7 +1,7 @@
 //! The test space: a case is a [`CasePlan`] plus an [`Axes`] value — six
 //! orthogonal axes saying *how* the plan is run (DESIGN.md, "Model oracle",
 //! has the table). The harness visits every cell of `threads × fast ×
-//! cache × damage` under the case's source, runner and observe setting.
+//! cache × damage` under the case's source, runner and window.
 //!
 //! The seven historical modes are fixed projections ([`Axes::for_mode`])
 //! that draw from the same SplitMix64 streams they always did, so every
@@ -10,9 +10,7 @@
 
 use rodb_compress::{Codec, ColumnCompression};
 use rodb_engine::{AggSpec, CmpOp, Predicate};
-use rodb_types::{
-    DataType, FaultSpec, IngestSpec, ObserveSpec, OnCorrupt, ServiceSpec, SplitMix64, Value,
-};
+use rodb_types::{DataType, FaultSpec, IngestSpec, OnCorrupt, ServiceSpec, SplitMix64, Value};
 
 use crate::gen::CasePlan;
 
@@ -271,7 +269,7 @@ impl ServiceDraw {
         }
     }
 
-    /// Half the observed cases run with a deadline, so the rejection and
+    /// Half the windowed cases run with a deadline, so the rejection and
     /// deadline-miss paths (and their flight-recorder retention) are hit.
     fn draw_deadline(&mut self, rng: &mut SplitMix64) {
         if rng.bool() {
@@ -280,13 +278,14 @@ impl ServiceDraw {
     }
 }
 
-fn draw_observe(rng: &mut SplitMix64) -> ObserveSpec {
-    let spec = ObserveSpec::new([0.25, 0.5, 1.0][rng.below(3) as usize]);
+/// A timeline / flight-recorder window for the riders' `ServiceSpec`.
+fn draw_observe(rng: &mut SplitMix64) -> f64 {
+    let window_s = [0.25, 0.5, 1.0][rng.below(3) as usize];
     // The two flight-recorder sizes used to be drawn here; the draws stay
     // so every later draw of an old seed replays.
     rng.below(4);
     rng.below(5);
-    spec
+    window_s
 }
 
 #[derive(Debug, Clone)]
@@ -296,7 +295,8 @@ pub enum Runner {
 }
 
 /// One point (or small sweep) in the test space. `cache` is off or
-/// `plan.cache`; `observe` runs the service twice, plane off then on.
+/// `plan.cache`; `window` is a drawn [`ServiceSpec::window_s`] for the
+/// service's books (`None`: the default window).
 #[derive(Debug, Clone)]
 pub struct Axes {
     pub threads: Vec<usize>,
@@ -305,12 +305,12 @@ pub struct Axes {
     pub damage: Vec<Damage>,
     pub source: Source,
     pub runner: Runner,
-    pub observe: Option<ObserveSpec>,
+    pub window: Option<f64>,
 }
 
 /// Why a combination is not run, or `None` when it is legal. Every
 /// exclusion is listed here with its reason — nowhere else.
-fn excluded(damage: &[Damage], service: bool, observe: bool) -> Option<&'static str> {
+fn excluded(damage: &[Damage], service: bool, window: bool) -> Option<&'static str> {
     let lossy = |d: &Damage| matches!(d, Damage::Skip(_) | Damage::Fail);
     if service && damage.iter().any(lossy) {
         return Some(
@@ -318,8 +318,8 @@ fn excluded(damage: &[Damage], service: bool, observe: bool) -> Option<&'static 
              segment has no per-rider dropped_rows — rider-error semantics are undefined",
         );
     }
-    if observe && !service {
-        return Some("observe x solo: the observability plane exists only in QueryService");
+    if window && !service {
+        return Some("a window without a service: only QueryService keeps windowed books");
     }
     None
 }
@@ -327,7 +327,7 @@ fn excluded(damage: &[Damage], service: bool, observe: bool) -> Option<&'static 
 impl Axes {
     /// `Err(reason)` when this combination is excluded from the test space.
     pub fn legal(&self) -> Result<(), &'static str> {
-        excluded(&self.damage, self.is_service(), self.observe.is_some()).map_or(Ok(()), Err)
+        excluded(&self.damage, self.is_service(), self.window.is_some()).map_or(Ok(()), Err)
     }
 
     pub fn is_service(&self) -> bool {
@@ -360,7 +360,7 @@ impl Axes {
             damage: vec![Damage::None],
             source: Source::Built,
             runner: Runner::Solo,
-            observe: None,
+            window: None,
         };
         match mode {
             Mode::Plain => base,
@@ -395,7 +395,7 @@ impl Axes {
                     fast: drawn_fast,
                     cache: vec![rng.bool()],
                     runner: Runner::Service(draw),
-                    observe: Some(draw_observe(&mut rng)),
+                    window: Some(draw_observe(&mut rng)),
                     ..base
                 }
             }
@@ -418,7 +418,7 @@ impl Axes {
                         Source::Ingest(IngestDraw::draw(schedule, plan, s == 3))
                     }
                 };
-                let (damage, service, observe) = loop {
+                let (damage, service, window) = loop {
                     let none_or_retry = [Damage::None, Damage::Retry][rng.bool() as usize];
                     let damages = [
                         none_or_retry,
@@ -435,7 +435,7 @@ impl Axes {
                 let mut runner = Runner::Solo;
                 if service {
                     let mut draw = ServiceDraw::draw(&mut rng, plan);
-                    if observe {
+                    if window {
                         draw.draw_deadline(&mut rng);
                     }
                     runner = Runner::Service(draw);
@@ -447,7 +447,7 @@ impl Axes {
                     damage: vec![damage],
                     source,
                     runner,
-                    observe: observe.then(|| draw_observe(&mut rng)),
+                    window: window.then(|| draw_observe(&mut rng)),
                 }
             }
         }

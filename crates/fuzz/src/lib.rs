@@ -23,12 +23,12 @@ pub mod oracle;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use rodb_core::{Observed, QueryBuilder, QueryResult, QueryService, ServiceReport, ServiceRequest};
+use rodb_core::{QueryBuilder, QueryResult, QueryService, ServiceReport, ServiceRequest};
 use rodb_io::{CacheStats, IoStats};
 use rodb_storage::page::verified_pages;
 use rodb_storage::{BuildLayouts, QuarantinedPage, Table, TableBuilder};
 use rodb_trace::{MetricsRegistry, Registry};
-use rodb_types::{Error, HardwareConfig, ObserveSpec, SystemConfig, Value};
+use rodb_types::{Error, HardwareConfig, SystemConfig, Value};
 
 pub use axes::{Axes, Damage, Mode, Rider, Runner, ServiceDraw, Source};
 pub use digest::Digest;
@@ -100,15 +100,13 @@ struct SoloRun {
     serial: Option<Rc<SoloRun>>,
 }
 
-/// A `QueryService` run of one cell: plane off, then (when the case
-/// observes and the off run succeeded) plane on.
+/// A `QueryService` run of one cell.
 struct ServiceRun {
     table: Arc<Table>,
     /// Each rider's solo rows.
     want: Rc<Vec<Rows>>,
     has_tail: bool,
-    off: rodb_types::Result<ServiceReport>,
-    on: Option<ServiceReport>,
+    report: rodb_types::Result<ServiceReport>,
 }
 
 enum Evidence<'a> {
@@ -126,10 +124,10 @@ enum Check {
     Ingest(fn(&Case, &axes::IngestDraw, &IngestRun) -> Verdict),
     Solo(fn(&Cell, &SoloRun) -> Verdict),
     Service(fn(&ServiceDraw, &ServiceRun) -> Verdict),
-    /// The I/O accounting of a successful solo or plane-off service run.
+    /// The I/O accounting of a successful solo or service run.
     Io(fn(&Case, &IoStats, &Table) -> Verdict),
-    /// The plane-on report, the plane-off report, and the plane.
-    Observed(fn(&ServiceReport, &ServiceReport, &Observed) -> Verdict),
+    /// The report of a successful service run, books included.
+    Observed(fn(&ServiceReport) -> Verdict),
 }
 
 /// A named check and the axis precondition under which it applies.
@@ -147,8 +145,8 @@ fn ingested(a: &Axes, _: &Cell) -> bool {
     matches!(a.source, Source::Ingest(_))
 }
 
-fn observed(a: &Axes, _: &Cell) -> bool {
-    a.observe.is_some()
+fn service(a: &Axes, _: &Cell) -> bool {
+    a.is_service()
 }
 
 /// Every behaviour the harness checks. A row applies to a run when its
@@ -183,16 +181,15 @@ pub const INVARIANTS: &[Invariant] = &[
         |_, c| c.cache && c.damage == Damage::Retry,
         Check::Io(c4),
     ),
-    inv("Q1", |a, _| a.is_service(), Check::Service(q1)),
+    inv("Q1", service, Check::Service(q1)),
     inv(
         "Q2",
-        |a, c| a.is_service() && ingested(a, c),
+        |a, c| service(a, c) && ingested(a, c),
         Check::Service(q2),
     ),
-    inv("O1", observed, Check::Observed(o1)),
-    inv("O2", observed, Check::Observed(o2)),
-    inv("O3", observed, Check::Observed(o3)),
-    inv("O4", observed, Check::Observed(o4)),
+    inv("O2", service, Check::Observed(o2)),
+    inv("O3", service, Check::Observed(o3)),
+    inv("O4", service, Check::Observed(o4)),
 ];
 
 /// Build the case's table through the real loader.
@@ -273,7 +270,7 @@ impl Case {
     fn apply(&self, cell: &Cell, ev: Evidence) -> Verdict {
         let io = match &ev {
             Evidence::Solo(r) => r.got.as_ref().ok().map(|q| (&q.report.io, &r.table)),
-            Evidence::Service(r) => r.off.as_ref().ok().map(|q| (&q.io, &r.table)),
+            Evidence::Service(r) => r.report.as_ref().ok().map(|q| (&q.io, &r.table)),
             _ => None,
         };
         let what = || match ev {
@@ -291,12 +288,9 @@ impl Case {
                     Some((io, table)) => f(self, io, table),
                     None => continue,
                 },
-                (Check::Observed(f), Evidence::Service(run), _) => match (&run.on, &run.off) {
-                    (Some(on), Ok(off)) => match &on.observed {
-                        Some(plane) => f(on, off, plane),
-                        None => Err("observe-on run has no plane".into()),
-                    },
-                    _ => continue,
+                (Check::Observed(f), Evidence::Service(run), _) => match &run.report {
+                    Ok(report) => f(report),
+                    Err(_) => continue,
                 },
                 _ => continue,
             };
@@ -491,15 +485,18 @@ impl Case {
             want.push(self.engine(&format!("solo rider {i}"), q)?.rows);
         }
         let want = Rc::new(want);
-        // One service run; the inner `Err` is the service's own verdict on
-        // the batch (legal for a tailed plan, see `Q2`).
-        let report = |cell: &Cell, observe: Option<ObserveSpec>| {
+        let spec = self
+            .axes
+            .window
+            .map_or(draw.spec, |w| draw.spec.with_window(w));
+        for cell in self.groups().into_iter().flatten() {
             let sys = SystemConfig {
-                service: Some(draw.spec),
-                observe,
-                ..self.sys(cell)
+                service: Some(spec),
+                ..self.sys(&cell)
             };
-            let run = || {
+            // The inner `Err` is the service's own verdict on the batch
+            // (legal for a tailed plan, see `Q2`).
+            let report = self.engine(&format!("service, {cell:?}"), || {
                 // Each run owns its registry: sweeps never pollute the
                 // process-wide one.
                 let mut svc =
@@ -508,27 +505,14 @@ impl Case {
                     let req = ServiceRequest::new(self.query(source, r, sys, true)?);
                     svc.submit(req.at(draw.arrivals[i]).tenant(draw.tenants[i]));
                 }
-                svc.run()
-            };
-            let what = format!("service, observe={}, {cell:?}", observe.is_some());
-            self.engine(&what, || Ok(run()))
-        };
-        for cell in self.groups().into_iter().flatten() {
-            let off = report(&cell, None)?;
-            let on = match (self.axes.observe, &off) {
-                (Some(_), Ok(_)) => {
-                    let on = report(&cell, self.axes.observe)?;
-                    Some(self.engine("observed service run", || on)?)
-                }
-                _ => None,
-            };
+                Ok(svc.run())
+            })?;
             let (table, want) = (view.table.clone(), want.clone());
             let run = ServiceRun {
                 table,
                 want,
                 has_tail,
-                off,
-                on,
+                report,
             };
             self.apply(&cell, Evidence::Service(&run))?;
         }
@@ -697,7 +681,7 @@ fn c4(_: &Case, io: &IoStats, _: &Table) -> Verdict {
 /// Q1: one outcome per request, no rejection without a deadline, each
 /// rider's rows == its solo rows.
 fn q1(draw: &ServiceDraw, run: &ServiceRun) -> Verdict {
-    let report = match &run.off {
+    let report = match &run.report {
         Ok(report) => report,
         Err(_) if run.has_tail => return Ok(()), // Q2's case
         Err(e) => return Err(format!("service run failed: {e:?}")),
@@ -725,8 +709,8 @@ fn q1(draw: &ServiceDraw, run: &ServiceRun) -> Verdict {
 /// Q2: non-empty tail ⇔ typed `InvalidPlan`. Riders see ROS row ranges
 /// only, so a tail would be silently dropped; the service must refuse.
 fn q2(_: &ServiceDraw, run: &ServiceRun) -> Verdict {
-    let refused = matches!(&run.off, Err(Error::InvalidPlan(_)));
-    let got = run.off.as_ref().map(|r| r.outcomes.len());
+    let refused = matches!(&run.report, Err(Error::InvalidPlan(_)));
+    let got = run.report.as_ref().map(|r| r.outcomes.len());
     ensure!(
         refused == run.has_tail && (refused || got.is_ok()),
         "staged tail: {}, but the service returned {got:?}",
@@ -735,30 +719,11 @@ fn q2(_: &ServiceDraw, run: &ServiceRun) -> Verdict {
     Ok(())
 }
 
-/// O1: the modeled system is bit-identical with the plane on and off —
-/// every field of the report but the plane itself: makespan, I/O, segments,
-/// wraparounds, each outcome's clocks, rows and flags. `f64`'s `Debug` text
-/// round-trips, so equal text is equal bits.
-fn o1(on: &ServiceReport, off: &ServiceReport, _: &Observed) -> Verdict {
-    ensure!(off.observed.is_none(), "observe-off run carries a plane");
-    let bare = ServiceReport {
-        observed: None,
-        ..on.clone()
-    };
-    let (on, off) = (format!("{bare:#?}"), format!("{off:#?}"));
-    let diverged = on.lines().zip(off.lines()).find(|(a, b)| a != b);
-    ensure!(
-        on == off,
-        "observation PERTURBED the report; first divergence (on, off): {diverged:?}"
-    );
-    Ok(())
-}
-
 /// O2: timeline totals == outcome counts.
-fn o2(on: &ServiceReport, _: &ServiceReport, plane: &Observed) -> Verdict {
-    let rejected = on.outcomes.iter().filter(|o| o.rejected).count();
-    let want = ((on.outcomes.len() - rejected) as f64, rejected as f64);
-    let total = |name| plane.timeline.counter_total(name);
+fn o2(report: &ServiceReport) -> Verdict {
+    let rejected = report.outcomes.iter().filter(|o| o.rejected).count();
+    let want = ((report.outcomes.len() - rejected) as f64, rejected as f64);
+    let total = |name| report.observed.timeline.counter_total(name);
     let got = (total("service.completed"), total("service.rejected"));
     ensure!(
         got == want,
@@ -769,11 +734,17 @@ fn o2(on: &ServiceReport, _: &ServiceReport, plane: &Observed) -> Verdict {
 
 /// O3: every deadline-missed completion is retained by the flight
 /// recorder in its completion window.
-fn o3(on: &ServiceReport, _: &ServiceReport, plane: &Observed) -> Verdict {
+fn o3(report: &ServiceReport) -> Verdict {
+    let flight = &report.observed.flight;
     let missed = |o: &&rodb_core::QueryOutcome| o.deadline_missed && !o.rejected;
-    for (i, o) in on.outcomes.iter().enumerate().filter(|(_, o)| missed(o)) {
-        let w = plane.flight.window_of(o.arrival_s + o.latency_s);
-        let kept = plane.flight.anomalies(w);
+    for (i, o) in report
+        .outcomes
+        .iter()
+        .enumerate()
+        .filter(|(_, o)| missed(o))
+    {
+        let w = flight.window_of(o.arrival_s + o.latency_s);
+        let kept = flight.anomalies(w);
         ensure!(
             kept.iter().any(|e| e.seq == i as u64 && e.deadline_missed),
             "deadline-missed query {i} not retained by the flight recorder in window {w}"
@@ -784,9 +755,9 @@ fn o3(on: &ServiceReport, _: &ServiceReport, plane: &Observed) -> Verdict {
 
 /// O4: per-tenant SLO counts and p50/p95/p99 == a sorted-Vec oracle
 /// (populations here are far below the histogram's exact-sample cap).
-fn o4(on: &ServiceReport, _: &ServiceReport, plane: &Observed) -> Verdict {
-    for slo in &plane.slo.tenants {
-        let outs = on.outcomes.iter().filter(|o| o.tenant == slo.tenant);
+fn o4(report: &ServiceReport) -> Verdict {
+    for slo in &report.observed.slo.tenants {
+        let outs = report.outcomes.iter().filter(|o| o.tenant == slo.tenant);
         let done = outs.clone().filter(|o| !o.rejected);
         let mut lats: Vec<f64> = done.map(|o| o.latency_s).collect();
         lats.sort_by(f64::total_cmp);
@@ -848,7 +819,7 @@ pub fn save_case_trace(seed: u64, mode: Mode, dir: &str) -> Result<std::path::Pa
 
 /// A [`Digest`] of everything `mode` draws for `seed` that the case
 /// executes: the table and its design, the query and its exec knobs, the
-/// riders and their schedule, the observe window, the ingest knobs, op list
+/// riders and their schedule, the drawn window, the ingest knobs, op list
 /// and crash points. Pins that old seeds replay unchanged.
 pub fn replay_digest(mode: Mode, seed: u64) -> u64 {
     case_digest(&Case::new(mode, seed))
@@ -879,8 +850,8 @@ fn case_digest(case: &Case) -> u64 {
         let s = &d.spec;
         h.usize(s.max_inflight).f64(s.slice_s);
         h.opt(s.deadline_s.map(f64::to_bits));
-        if let Some(o) = a.observe {
-            h.f64(o.window_s).u64s(a.cache.iter().map(|&c| c as u64));
+        if let Some(window_s) = a.window {
+            h.f64(window_s).u64s(a.cache.iter().map(|&c| c as u64));
         }
     }
     if let Source::Ingest(d) = &a.source {
@@ -1105,15 +1076,15 @@ mod tests {
                 |a| matches!(&a.source, Source::Ingest(d) if d.recovered),
             ),
             (5, "service", |a| a.is_service()),
-            (6, "observe", |a| a.observe.is_some()),
+            (6, "window", |a| a.window.is_some()),
         ];
         let drawn: Vec<Axes> = (0..400)
             .map(|s| Case::new(Mode::Composed, s).axes)
             .collect();
         // What `Axes::legal` excludes: lossy damage under the service, which
-        // an observed case needs. Narrowing `legal` must show up here.
+        // a windowed case needs. Narrowing `legal` must show up here.
         let excluded =
-            |a: &str, b: &str| matches!(a, "skip" | "fail") && matches!(b, "service" | "observe");
+            |a: &str, b: &str| matches!(a, "skip" | "fail") && matches!(b, "service" | "window");
         for a in &tags {
             for b in tags.iter().filter(|b| a.0 < b.0 && !excluded(a.1, b.1)) {
                 let both = drawn.iter().any(|x| a.2(x) && b.2(x));

@@ -31,7 +31,7 @@ fn usage() -> ! {
          \x20 recovery    mirrored Retry == oracle; Skip (100%, 15%) == oracle over survivors\n\
          \x20 cache       drawn cache geometry on/off, healthy and mirrored: same rows\n\
          \x20 concurrent  plan + drawn riders through the service: rows == solo runs\n\
-         \x20 observe     service with the observability plane off vs on: bit-identical\n\
+         \x20 observe     service with a drawn window and deadline: books == outcomes\n\
          \x20 ingest      drawn insert/merge/crash schedule: recovery and reads == model\n\
          \x20 composed    every axis drawn independently (DESIGN.md, \"Model oracle\")\n\
          --json PATH     write a JSON summary of the sweep to PATH\n\

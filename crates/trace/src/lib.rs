@@ -28,10 +28,10 @@
 //!   used by every JSON writer in the workspace (traces, fuzz `--json`,
 //!   bench outputs).
 //!
-//! Tracing and observability default off everywhere: the engine holds
-//! `Option<Tracer>`, the disk sim `Option<TraceSink>`, and the service
-//! only builds timelines/recorders when `SystemConfig::observe` is set —
-//! the measured paper paths pay one predictable branch per block at most.
+//! Tracing defaults off: the engine holds `Option<Tracer>` and the disk sim
+//! `Option<TraceSink>`, so the measured paper paths pay one predictable
+//! branch per block at most. The service always keeps its timeline and
+//! flight recorder, once per segment and per settled query.
 
 pub mod expo;
 pub mod fields;

@@ -4,9 +4,8 @@
 //! [`Histogram`]s — per fixed-width window of *modeled* time, so a [`QueryService`] run yields
 //! throughput / latency / I/O / cache-hit **curves over time** instead
 //! of one end-of-run blob. Every recording call takes the modeled timestamp
-//! explicitly — the timeline never consults a wall clock, never advances the
-//! simulation, and costs the caller nothing when it is simply not created
-//! (observability defaults off via `SystemConfig::observe: None`).
+//! explicitly — the timeline never consults a wall clock and never advances
+//! the simulation.
 //!
 //! Bucketing rule (`Windows`, which the flight recorder shares): an event
 //! at modeled time `t` lands in window `floor(t / window_s)`; window `i`
@@ -30,7 +29,8 @@ pub(crate) struct Windows {
 
 impl Windows {
     /// Non-finite or non-positive widths are rejected upstream by
-    /// `SystemConfig::validate`; this clamps defensively to one second.
+    /// `SystemConfig::validate` (`ServiceSpec::window_s`); this clamps
+    /// defensively to one second.
     pub(crate) fn new(window_s: f64) -> Windows {
         let ok = window_s.is_finite() && window_s > 0.0;
         Windows {

@@ -89,16 +89,23 @@ pub struct ServiceSpec {
     /// whose queue wait alone exceeds it is rejected at admission; one that
     /// finishes past it completes but is flagged `deadline_missed`.
     pub deadline_s: Option<f64>,
+    /// Width in *modeled* seconds of the windows the service's books use:
+    /// counters and histograms recorded at clock `t` land in timeline
+    /// window `floor(t / window_s)`, and the flight recorder keeps its
+    /// per-window records on the same rule. Reading the clock never
+    /// charges it, so no modeled number depends on this.
+    pub window_s: f64,
 }
 
 impl ServiceSpec {
-    /// A service with the given in-flight bound, a 0.5 s slice, and no
-    /// deadline.
+    /// A service with the given in-flight bound, a 0.5 s slice, no
+    /// deadline, and 0.5 s windows.
     pub fn new(max_inflight: usize) -> ServiceSpec {
         ServiceSpec {
             max_inflight,
             slice_s: 0.5,
             deadline_s: None,
+            window_s: 0.5,
         }
     }
 
@@ -113,28 +120,11 @@ impl ServiceSpec {
         self.deadline_s = Some(deadline_s);
         self
     }
-}
 
-/// Knobs of the live observability plane (windowed metric timelines, the
-/// flight recorder, per-tenant SLO accounting). `None` on
-/// [`SystemConfig::observe`] — the default — means the plane is absent: no
-/// timeline is kept, no trace is sampled, and every query/service/ingest
-/// path is bit-identical (rows, simulated clock, reports) to a build that
-/// predates the plane. Observation never charges the modeled clock; it only
-/// *reads* it, so turning it on cannot perturb the modeled system.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObserveSpec {
-    /// Timeline bucket width in *modeled* seconds: counters and histograms
-    /// recorded at clock `t` land in window `floor(t / window_s)`; the
-    /// flight recorder keeps its per-window records on the same rule.
-    pub window_s: f64,
-}
-
-impl ObserveSpec {
-    /// Timelines and flight records bucketed every `window_s` modeled
-    /// seconds.
-    pub fn new(window_s: f64) -> ObserveSpec {
-        ObserveSpec { window_s }
+    /// The same spec with a different timeline / flight-recorder window.
+    pub fn with_window(mut self, window_s: f64) -> ServiceSpec {
+        self.window_s = window_s;
+        self
     }
 }
 
@@ -230,12 +220,6 @@ pub struct SystemConfig {
     /// admission control). Defaults to **off** (`None`): queries execute
     /// one at a time through the unchanged single-query engine.
     pub service: Option<ServiceSpec>,
-    /// Optional live observability plane (windowed metric timelines, flight
-    /// recorder, per-tenant SLO accounting). Defaults to **off** (`None`):
-    /// nothing is recorded and every execution path is bit-identical to a
-    /// plane-less build. Observation reads the modeled clock but never
-    /// charges it.
-    pub observe: Option<ObserveSpec>,
 }
 
 impl Default for SystemConfig {
@@ -252,7 +236,6 @@ impl Default for SystemConfig {
             on_corrupt: OnCorrupt::Retry,
             cache: None,
             service: None,
-            observe: None,
         }
     }
 }
@@ -294,10 +277,12 @@ impl SystemConfig {
             if s.max_inflight == 0 {
                 return Err(Error::InvalidConfig("service max_inflight == 0".into()));
             }
-            if !(s.slice_s > 0.0 && s.slice_s.is_finite()) {
-                return Err(Error::InvalidConfig(
-                    "service slice_s must be finite and > 0".into(),
-                ));
+            for (name, v) in [("slice_s", s.slice_s), ("window_s", s.window_s)] {
+                if !(v > 0.0 && v.is_finite()) {
+                    return Err(Error::InvalidConfig(format!(
+                        "service {name} must be finite and > 0"
+                    )));
+                }
             }
             if let Some(d) = s.deadline_s {
                 if !(d > 0.0 && d.is_finite()) {
@@ -305,13 +290,6 @@ impl SystemConfig {
                         "service deadline_s must be finite and > 0".into(),
                     ));
                 }
-            }
-        }
-        if let Some(o) = &self.observe {
-            if !(o.window_s > 0.0 && o.window_s.is_finite()) {
-                return Err(Error::InvalidConfig(
-                    "observe window_s must be finite and > 0".into(),
-                ));
             }
         }
         Ok(())
@@ -364,12 +342,6 @@ impl SystemConfig {
     /// Convenience: the same config with the concurrent query service on.
     pub fn with_service(mut self, service: ServiceSpec) -> Self {
         self.service = Some(service);
-        self
-    }
-
-    /// Convenience: the same config with the observability plane enabled.
-    pub fn with_observe(mut self, observe: ObserveSpec) -> Self {
-        self.observe = Some(observe);
         self
     }
 }
@@ -580,18 +552,15 @@ mod tests {
     }
 
     #[test]
-    fn observe_defaults_off_and_validates() {
-        assert!(SystemConfig::default().observe.is_none());
-        let spec = ObserveSpec::new(0.5);
-        assert_eq!(spec.window_s, 0.5);
-        assert!(SystemConfig::default()
-            .with_observe(spec)
-            .validate()
-            .is_ok());
-        let bad = SystemConfig::default().with_observe(ObserveSpec::new(0.0));
-        assert!(bad.validate().is_err());
-        let bad = SystemConfig::default().with_observe(ObserveSpec::new(f64::NAN));
-        assert!(bad.validate().is_err());
+    fn service_window_defaults_to_half_a_second_and_validates() {
+        let s = ServiceSpec::new(2);
+        assert_eq!(s.window_s, 0.5);
+        assert_eq!(s.with_window(40.0).window_s, 40.0);
+        assert!(SystemConfig::default().with_service(s).validate().is_ok());
+        for w in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let bad = SystemConfig::default().with_service(s.with_window(w));
+            assert!(bad.validate().is_err(), "window {w}");
+        }
     }
 
     #[test]

@@ -25,8 +25,7 @@ pub mod tuple;
 pub mod value;
 
 pub use config::{
-    CacheSpec, FaultSpec, HardwareConfig, IngestSpec, ObserveSpec, OnCorrupt, ServiceSpec,
-    SystemConfig,
+    CacheSpec, FaultSpec, HardwareConfig, IngestSpec, OnCorrupt, ServiceSpec, SystemConfig,
 };
 pub use datatype::DataType;
 pub use error::{CorruptError, CorruptKind, Error, Result};

@@ -20,7 +20,7 @@ use rodb::cpu::{CpuBreakdown, CpuCounters};
 use rodb::io::{CacheStats, IoStats, RecoveryStats};
 use rodb::prelude::*;
 use rodb::trace::{monitor_handle, Field, Keys, Registry};
-use rodb::types::{CacheSpec, ObserveSpec};
+use rodb::types::CacheSpec;
 
 /// A sample with a distinct integer in every leaf, starting after `base`.
 fn sample<T: Field>(base: u32) -> T {
@@ -152,8 +152,7 @@ fn status_registry_and_timeline_are_read_off_the_outcomes() {
     // Two slots, eight staggered riders and a deadline tight enough that the
     // late ones miss it or are refused at admission.
     let sys = SystemConfig::default()
-        .with_service(ServiceSpec::new(2).with_slice(0.05).with_deadline(12.0))
-        .with_observe(ObserveSpec::new(0.5));
+        .with_service(ServiceSpec::new(2).with_slice(0.05).with_deadline(12.0));
     let reg = Registry::handle();
     let monitor = monitor_handle();
     let mut svc = QueryService::new(hw, sys)
@@ -211,7 +210,7 @@ fn status_registry_and_timeline_are_read_off_the_outcomes() {
         assert_eq!(h.count() as f64, completed, "registry {name}");
     }
 
-    let timeline = &report.observed.as_ref().expect("run was observed").timeline;
+    let timeline = &report.observed.timeline;
     let totals = [
         ("service.admitted", completed),
         ("service.completed", completed),
