@@ -230,10 +230,9 @@ impl QueryBuilder {
         self
     }
 
-    /// Record an operator span tree, per-phase CPU attribution and disk
-    /// events for this query. Off by default: untraced queries pay nothing
-    /// (operators are not even wrapped). The trace lands in
-    /// [`QueryResult::trace`]; see [`QueryResult::explain`].
+    /// Record an operator span tree, with per-phase CPU and disk events, for
+    /// this query. Off by default: untraced operators are not wrapped. The
+    /// trace lands in [`QueryResult::trace`]; see [`QueryResult::explain`].
     pub fn trace(mut self, on: bool) -> Self {
         self.trace = on;
         self

@@ -15,15 +15,14 @@ use crate::costs::{CostParams, OpCosts};
 use crate::counters::CpuCounters;
 use crate::phase::{CpuPhase, PhaseProfile};
 
-/// Accumulates one execution's CPU work.
+/// Accumulates one execution's CPU work. Its one record is the per-phase
+/// table: every event lands in the phase it names, and the query-wide
+/// counters are the sum over phases.
 #[derive(Debug, Clone)]
 pub struct CpuMeter {
-    counters: CpuCounters,
+    phases: PhaseProfile,
     costs: OpCosts,
     params: CostParams,
-    /// Per-phase attribution; `None` (the default) keeps the hot path at
-    /// one branch per event.
-    profile: Option<Box<PhaseProfile>>,
 }
 
 impl Default for CpuMeter {
@@ -35,47 +34,27 @@ impl Default for CpuMeter {
 impl CpuMeter {
     pub fn new(costs: OpCosts, params: CostParams) -> CpuMeter {
         CpuMeter {
-            counters: CpuCounters::default(),
+            phases: PhaseProfile::default(),
             costs,
             params,
-            profile: None,
         }
     }
 
-    pub fn counters(&self) -> &CpuCounters {
-        &self.counters
+    /// The query-wide totals. Exact: a field charged by several phases is
+    /// only ever charged integer counts, so the sum is order-free.
+    pub fn counters(&self) -> CpuCounters {
+        self.phases.total()
     }
 
-    /// Turn on per-phase attribution (tracing). Existing totals stay; only
-    /// events from here on are attributed.
-    pub fn enable_profiling(&mut self) {
-        if self.profile.is_none() {
-            self.profile = Some(Box::default());
-        }
-    }
-
-    /// The per-phase profile, when profiling is on.
-    pub fn profile(&self) -> Option<&PhaseProfile> {
-        self.profile.as_deref()
-    }
-
-    /// Copy of the current profile (empty when profiling is off) — what
-    /// the tracer snapshots around operator calls.
-    pub fn profile_snapshot(&self) -> PhaseProfile {
-        self.profile.as_deref().cloned().unwrap_or_default()
-    }
-
-    #[inline]
-    fn phase(&mut self, phase: CpuPhase) -> Option<&mut CpuCounters> {
-        self.profile.as_deref_mut().map(|p| p.get_mut(phase))
+    /// The per-phase table, which the tracer snapshots around operator
+    /// calls.
+    pub fn phases(&self) -> &PhaseProfile {
+        &self.phases
     }
 
     #[inline]
     fn charge_uops(&mut self, phase: CpuPhase, uops: f64) {
-        self.counters.uops += uops;
-        if let Some(c) = self.phase(phase) {
-            c.uops += uops;
-        }
+        self.phases.get_mut(phase).uops += uops;
     }
 
     pub fn costs(&self) -> &OpCosts {
@@ -88,18 +67,15 @@ impl CpuMeter {
 
     /// Final conversion to the paper's stacked breakdown.
     pub fn breakdown(&self, hw: &HardwareConfig) -> CpuBreakdown {
-        CpuBreakdown::from_counters(&self.counters, hw, &self.params)
+        CpuBreakdown::from_counters(&self.counters(), hw, &self.params)
     }
 
-    /// Fold another meter's counters into this one (merging the per-worker
-    /// meters of a parallel execution into one query-wide meter). Cost
-    /// tables are taken from `self`; workers of one query share them.
+    /// Fold another meter's phase table into this one (merging the
+    /// per-worker meters of a parallel execution into one query-wide
+    /// meter). Cost tables are taken from `self`; workers of one query
+    /// share them.
     pub fn merge(&mut self, other: &CpuMeter) {
-        self.counters.merge(&other.counters);
-        if let (Some(mine), Some(theirs)) = (self.profile.as_deref_mut(), other.profile.as_deref())
-        {
-            mine.merge(theirs);
-        }
+        self.phases.merge(&other.phases);
     }
 
     // ----- raw events ------------------------------------------------------
@@ -115,18 +91,11 @@ impl CpuMeter {
     }
 
     fn branches_in(&mut self, phase: CpuPhase, taken: f64, not_taken: f64) {
-        let mispredicts = taken.min(not_taken);
-        self.counters.branch_mispredicts += mispredicts;
-        if let Some(c) = self.phase(phase) {
-            c.branch_mispredicts += mispredicts;
-        }
+        self.phases.get_mut(phase).branch_mispredicts += taken.min(not_taken);
     }
 
     pub fn random_miss(&mut self, n: f64) {
-        self.counters.rand_misses += n;
-        if let Some(c) = self.phase(CpuPhase::Other) {
-            c.rand_misses += n;
-        }
+        self.phases.get_mut(CpuPhase::Other).rand_misses += n;
     }
 
     // ----- I/O-side kernel work (driven from IoStats) -----------------------
@@ -136,15 +105,10 @@ impl CpuMeter {
     /// `switches` the number of file switches (seeks). When counters will be
     /// scaled to virtual row counts afterwards, pass pre-divided values.
     pub fn io_kernel_work(&mut self, bytes: f64, io_unit: usize, switches: f64) {
-        let requests = bytes / io_unit as f64;
-        self.counters.io_bytes += bytes;
-        self.counters.io_requests += requests;
-        self.counters.io_switches += switches;
-        if let Some(c) = self.phase(CpuPhase::IoKernel) {
-            c.io_bytes += bytes;
-            c.io_requests += requests;
-            c.io_switches += switches;
-        }
+        let c = self.phases.get_mut(CpuPhase::IoKernel);
+        c.io_bytes += bytes;
+        c.io_requests += bytes / io_unit as f64;
+        c.io_switches += switches;
     }
 
     // ----- scan-side events -------------------------------------------------
@@ -217,10 +181,7 @@ impl CpuMeter {
     pub fn hash_probe(&mut self, n: f64, table_bytes: f64, l2_bytes: f64) {
         self.charge_uops(CpuPhase::Agg, n * self.costs.hash_probe);
         if table_bytes > l2_bytes {
-            self.counters.rand_misses += n;
-            if let Some(c) = self.phase(CpuPhase::Agg) {
-                c.rand_misses += n;
-            }
+            self.phases.get_mut(CpuPhase::Agg).rand_misses += n;
         }
     }
 
@@ -264,35 +225,25 @@ impl CpuMeter {
         let l1_lines_per_value = (value_width / l1_line).ceil().max(1.0);
         let region_l1_lines = (region_bytes / l1_line).ceil();
         let l1_lines = (touched_values * l1_lines_per_value).min(region_l1_lines);
-        self.counters.seq_bytes += seq_bytes;
-        self.counters.rand_misses += rand_misses;
-        self.counters.l1_lines += l1_lines;
-        if let Some(c) = self.phase(CpuPhase::Memory) {
-            c.seq_bytes += seq_bytes;
-            c.rand_misses += rand_misses;
-            c.l1_lines += l1_lines;
-        }
+        let c = self.phases.get_mut(CpuPhase::Memory);
+        c.seq_bytes += seq_bytes;
+        c.rand_misses += rand_misses;
+        c.l1_lines += l1_lines;
     }
 
     /// Charge purely sequential streaming of `bytes` (e.g. writing output
     /// blocks).
     pub fn stream_bytes(&mut self, bytes: f64) {
         let l1_lines = bytes / self.params.l1_line_bytes;
-        self.counters.seq_bytes += bytes;
-        self.counters.l1_lines += l1_lines;
-        if let Some(c) = self.phase(CpuPhase::Memory) {
-            c.seq_bytes += bytes;
-            c.l1_lines += l1_lines;
-        }
+        let c = self.phases.get_mut(CpuPhase::Memory);
+        c.seq_bytes += bytes;
+        c.l1_lines += l1_lines;
     }
 
     /// Charge the memory→L2 side only: a region streamed sequentially by the
     /// hardware prefetcher (a scanner passing over a whole file).
     pub fn seq_region(&mut self, bytes: f64) {
-        self.counters.seq_bytes += bytes;
-        if let Some(c) = self.phase(CpuPhase::Memory) {
-            c.seq_bytes += bytes;
-        }
+        self.phases.get_mut(CpuPhase::Memory).seq_bytes += bytes;
     }
 
     /// Charge the L2→L1 side only: `n` values of `width` bytes actually
@@ -300,21 +251,13 @@ impl CpuMeter {
     /// every tuple's field sits on a different line).
     pub fn touch_l1(&mut self, n: f64, width: f64) {
         let lines_per_value = (width / self.params.l1_line_bytes).ceil().max(1.0);
-        let l1_lines = n * lines_per_value;
-        self.counters.l1_lines += l1_lines;
-        if let Some(c) = self.phase(CpuPhase::Memory) {
-            c.l1_lines += l1_lines;
-        }
+        self.phases.get_mut(CpuPhase::Memory).l1_lines += n * lines_per_value;
     }
 
     /// Charge the L2→L1 side for *densely packed* access: `bytes` contiguous
     /// bytes share lines (column minipages — the PAX cache benefit).
     pub fn touch_l1_dense(&mut self, bytes: f64) {
-        let l1_lines = bytes / self.params.l1_line_bytes;
-        self.counters.l1_lines += l1_lines;
-        if let Some(c) = self.phase(CpuPhase::Memory) {
-            c.l1_lines += l1_lines;
-        }
+        self.phases.get_mut(CpuPhase::Memory).l1_lines += bytes / self.params.l1_line_bytes;
     }
 }
 
@@ -409,57 +352,96 @@ mod tests {
         let mut m = CpuMeter::default();
         m.memory_access(&hw(), 0.0, 0.0, 4.0);
         m.memory_access(&hw(), 100.0, 0.0, 4.0);
-        assert_eq!(*m.counters(), CpuCounters::default());
+        assert_eq!(m.counters(), CpuCounters::default());
+    }
+
+    /// One of every event, with integer-valued amounts as the engine
+    /// charges them.
+    fn every_event() -> Vec<fn(&mut CpuMeter)> {
+        vec![
+            |m| m.row_iter(1000.0),
+            |m| m.predicate(1000.0, 100.0),
+            |m| m.decode(CodecKind::For, 500.0),
+            |m| m.decode_block(CodecKind::Dict, 500.0),
+            |m| m.vec_predicate(500.0),
+            |m| m.selvec_gather(50.0),
+            |m| m.project(100.0, 2.0, 800.0),
+            |m| m.agg_update(100.0),
+            |m| m.hash_probe(100.0, 2.0e6, 1.0e6),
+            |m| m.key_compare(64.0),
+            |m| m.io_kernel_work(1.0e6, 131072, 3.0),
+            |m| m.memory_access(&hw(), 4.0e6, 1.0e6, 4.0),
+            |m| m.memory_access(&hw(), 4.0e6, 1000.0, 4.0),
+            |m| m.stream_bytes(2048.0),
+            |m| m.seq_region(4096.0),
+            |m| m.touch_l1(10.0, 4.0),
+            |m| m.touch_l1_dense(256.0),
+            |m| m.add_uops(7.0),
+            |m| m.branches(3.0, 9.0),
+            |m| m.random_miss(2.0),
+        ]
+    }
+
+    fn run(events: &[fn(&mut CpuMeter)]) -> CpuMeter {
+        let mut m = CpuMeter::default();
+        for event in events {
+            event(&mut m);
+        }
+        m
     }
 
     #[test]
     fn phase_profile_partitions_the_totals() {
         use crate::phase::CpuPhase;
-        let run = |profiled: bool| {
-            let mut m = CpuMeter::default();
-            if profiled {
-                m.enable_profiling();
+        let m = run(&every_event());
+        let phases = m.phases();
+        assert_eq!(phases.total(), m.counters());
+        assert!(phases.get(CpuPhase::Iter).uops > 0.0);
+        assert!(phases.get(CpuPhase::Decode).uops > 0.0);
+        assert!(phases.get(CpuPhase::Gather).uops > 0.0);
+        assert!(phases.get(CpuPhase::Project).uops > 0.0);
+        assert!(phases.get(CpuPhase::Sort).uops > 0.0);
+        assert!(phases.get(CpuPhase::Predicate).branch_mispredicts > 0.0);
+        assert!(phases.get(CpuPhase::Agg).rand_misses > 0.0);
+        assert!(phases.get(CpuPhase::Memory).seq_bytes > 0.0);
+        assert!(phases.get(CpuPhase::IoKernel).io_bytes > 0.0);
+        assert_eq!(phases.get(CpuPhase::Other).rand_misses, 2.0);
+        // Kernel and memory events write no other phase.
+        for (phase, c) in phases.iter() {
+            if phase != CpuPhase::IoKernel {
+                assert_eq!(c.io_bytes + c.io_requests + c.io_switches, 0.0);
             }
-            m.row_iter(1000.0);
-            m.predicate(1000.0, 100.0);
-            m.decode(CodecKind::For, 500.0);
-            m.decode_block(CodecKind::Dict, 500.0);
-            m.vec_predicate(500.0);
-            m.selvec_gather(50.0);
-            m.project(100.0, 2.0, 800.0);
-            m.agg_update(100.0);
-            m.hash_probe(100.0, 2.0e6, 1.0e6);
-            m.key_compare(64.0);
-            m.io_kernel_work(1.0e6, 131072, 3.0);
-            m.memory_access(&hw(), 4.0e6, 1.0e6, 4.0);
-            m.memory_access(&hw(), 4.0e6, 1000.0, 4.0);
-            m.stream_bytes(2048.0);
-            m.seq_region(4096.0);
-            m.touch_l1(10.0, 4.0);
-            m.touch_l1_dense(256.0);
-            m.add_uops(7.0);
-            m.branches(3.0, 9.0);
-            m.random_miss(2.0);
-            m
-        };
-        // Profiling must not change the query-wide totals at all.
-        let plain = run(false);
-        let profiled = run(true);
-        assert_eq!(plain.counters(), profiled.counters());
-        assert!(plain.profile().is_none());
-        // The per-phase counters partition the totals exactly.
-        let profile = profiled.profile().unwrap();
-        assert_eq!(profile.total(), *profiled.counters());
-        assert!(profile.get(CpuPhase::Decode).uops > 0.0);
-        assert!(profile.get(CpuPhase::Predicate).branch_mispredicts > 0.0);
-        assert!(profile.get(CpuPhase::Memory).seq_bytes > 0.0);
-        assert!(profile.get(CpuPhase::IoKernel).io_bytes > 0.0);
-        // Merging meters merges profiles too.
-        let mut a = run(true);
-        a.merge(&run(true));
+            if phase != CpuPhase::Memory {
+                assert_eq!(c.seq_bytes + c.l1_lines, 0.0);
+            }
+        }
+        // Merging meters merges their tables.
+        let mut a = run(&every_event());
+        a.merge(&m);
         assert_eq!(
-            a.profile().unwrap().get(CpuPhase::Decode).uops,
-            2.0 * profile.get(CpuPhase::Decode).uops
+            a.phases().get(CpuPhase::Decode).uops,
+            2.0 * phases.get(CpuPhase::Decode).uops
         );
+        assert_eq!(a.phases().total(), a.counters());
+    }
+
+    #[test]
+    fn integer_charges_sum_to_the_same_bits_in_any_order() {
+        use rodb_trace::Field;
+        let bits = |m: &CpuMeter| {
+            let mut out = Vec::new();
+            m.counters().values(|v| out.push(v.to_bits()));
+            out
+        };
+        let events = every_event();
+        let forward = run(&events);
+        let reversed: Vec<_> = events.iter().rev().copied().collect();
+        // A third order: the back half interleaved with the front half.
+        let (front, back) = events.split_at(events.len() / 2);
+        let woven: Vec<_> = back.iter().zip(front).flat_map(|(b, f)| [*b, *f]).collect();
+        assert_eq!(woven.len(), events.len());
+        for other in [run(&reversed), run(&woven)] {
+            assert_eq!(bits(&forward), bits(&other));
+        }
     }
 }

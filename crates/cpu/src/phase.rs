@@ -1,13 +1,11 @@
-//! Optional per-phase attribution of the meter's counters.
+//! The meter's per-phase table of counters.
 //!
 //! Every semantic event the engine reports belongs to one fixed *phase* of
 //! query work (iterate, predicate, decode, gather, project, aggregate,
-//! sort, kernel I/O, memory traffic). When profiling is enabled the meter
-//! keeps a second set of [`CpuCounters`] per phase next to the query-wide
-//! totals; the tracer snapshots deltas of this profile around each
-//! operator `next()` call and synthesizes phase child spans from them.
-//! Profiling is off by default and costs the meter nothing when off (one
-//! `Option` check per event).
+//! sort, kernel I/O, memory traffic). The meter keeps one [`CpuCounters`]
+//! per phase and nothing else; the query-wide totals are their sum. The
+//! tracer snapshots this table around each operator `next()` call and
+//! synthesizes phase child spans from the deltas.
 
 use crate::counters::CpuCounters;
 
@@ -93,8 +91,7 @@ impl PhaseProfile {
         CpuPhase::ALL.iter().map(move |&p| (p, self.get(p)))
     }
 
-    /// The invariant the meter maintains: phase counters partition the
-    /// query-wide totals. Returns the sum over all phases.
+    /// The query-wide totals: the sum over all phases.
     pub fn total(&self) -> CpuCounters {
         let mut sum = CpuCounters::default();
         for c in &self.per {

@@ -80,7 +80,7 @@ impl AggSpec {
 }
 
 /// Grouping algorithm. `Sorted` requires input already grouped on the key
-/// (e.g. below a [`crate::sort::Sort`], or a scan of a key-ordered table).
+/// (e.g. a scan of a key-ordered table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggStrategy {
     Hash,
@@ -441,11 +441,16 @@ mod tests {
     use crate::memscan::MemScan;
     use crate::op::collect_rows;
     use crate::scan_row::RowScanner;
-    use crate::sort::Sort;
     use rodb_storage::{BuildLayouts, TableBuilder};
     use rodb_types::{SplitMix64, Value};
 
     fn scan(n: usize, ctx: &ExecContext) -> Box<dyn Operator> {
+        scan_in(0..n, ctx)
+    }
+
+    /// Row `i` is `(i % 5, i, "x")`; `order` says which rows, in which
+    /// order, the table is loaded with.
+    fn scan_in(order: impl Iterator<Item = usize>, ctx: &ExecContext) -> Box<dyn Operator> {
         let s = Arc::new(
             Schema::new(vec![
                 Column::int("grp"),
@@ -455,7 +460,7 @@ mod tests {
             .unwrap(),
         );
         let mut b = TableBuilder::new("t", s, 4096, BuildLayouts::row_only()).unwrap();
-        for i in 0..n {
+        for i in order {
             b.push_row(&[
                 Value::Int((i % 5) as i32),
                 Value::Int(i as i32),
@@ -507,9 +512,10 @@ mod tests {
         let hash_rows = collect_rows(&mut hash).unwrap();
 
         let ctx2 = ExecContext::default_ctx();
-        let sorted_in = Sort::new(scan(1000, &ctx2), vec![0], &ctx2).unwrap();
+        // The same rows, loaded in key order.
+        let key_ordered = scan_in((0..5).flat_map(|g| (g..1000).step_by(5)), &ctx2);
         let mut sorted = Aggregate::new(
-            Box::new(sorted_in),
+            key_ordered,
             Some(0),
             vec![AggSpec::count(), AggSpec::sum(1)],
             AggStrategy::Sorted,

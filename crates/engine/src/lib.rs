@@ -22,7 +22,6 @@ mod scan_core;
 mod scan_row;
 pub mod sched;
 pub mod shared_cursor;
-pub mod sort;
 pub mod traced;
 
 pub use agg::{merge_partials, AggFunc, AggPartial, AggSpec, AggStrategy, Aggregate};
@@ -39,5 +38,4 @@ pub use predicate::{CmpOp, Predicate};
 pub use scan_col::page_pass;
 pub use sched::run_morsels;
 pub use shared_cursor::{CursorQuery, QueryDone, SegmentStep, SharedCursor, SharedCursorConfig};
-pub use sort::Sort;
 pub use traced::{apply_report, finish_query_trace, record_block, TracedOp};

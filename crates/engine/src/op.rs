@@ -53,13 +53,11 @@ impl ExecContext {
     }
 
     /// Turn on span tracing for every operator built on this context:
-    /// installs a [`Tracer`], routes disk-simulator events (bursts, zone
-    /// skips, replica retries…) into its sink, and enables the CPU meter's
-    /// per-phase attribution.
+    /// installs a [`Tracer`] and routes disk-simulator events (bursts, zone
+    /// skips, replica retries…) into its sink.
     pub fn with_tracing(mut self) -> ExecContext {
         let tracer = Tracer::new();
         self.disk.borrow_mut().set_trace_sink(tracer.sink());
-        self.meter.borrow_mut().enable_profiling();
         self.tracer = Some(tracer);
         self
     }

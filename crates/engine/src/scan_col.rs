@@ -467,7 +467,7 @@ mod tests {
             assert!(r[1].as_int().unwrap() < 5);
         }
         // The delta column (driven node) decoded *every* code, not just 5%.
-        let c = *ctx.meter.borrow().counters();
+        let c = ctx.meter.borrow().counters();
         assert!(c.uops > 0.0);
     }
 

@@ -602,7 +602,7 @@ mod tests {
         )
         .unwrap();
         while s.next().unwrap().is_some() {}
-        let c = *ctx.meter.borrow().counters();
+        let c = ctx.meter.borrow().counters();
         assert!(c.uops > 0.0);
         let file_bytes = t.row_storage().unwrap().byte_len() as f64;
         assert!(c.seq_bytes >= file_bytes);

@@ -3,9 +3,9 @@
 //! When an [`ExecContext`] carries a tracer (see
 //! [`ExecContext::with_tracing`]), every plan node built through
 //! [`crate::plan::ScanSpec`] or the query builder is wrapped in a
-//! [`TracedOp`]. The wrapper snapshots the context's accounting — raw
-//! [`CpuCounters`], the meter's per-phase profile, [`IoStats`] and the
-//! simulated disk clock — around each `next()` call and accumulates the
+//! [`TracedOp`]. The wrapper snapshots the context's accounting — the
+//! meter's per-phase [`CpuCounters`], [`IoStats`] and the simulated disk
+//! clock — around each `next()` call and accumulates the
 //! deltas on the node's span. Deltas are *inclusive*: a parent's span
 //! includes the work of the children pulled inside its `next()`, which is
 //! the EXPLAIN ANALYZE convention.
@@ -132,7 +132,6 @@ pub fn record_block<T>(
 /// Accounting state captured before an operator call; [`Snapshot::record`]
 /// charges the difference to a span.
 struct Snapshot {
-    cnt: CpuCounters,
     phases: PhaseProfile,
     io: IoStats,
     io_elapsed: f64,
@@ -145,8 +144,7 @@ impl Snapshot {
         let meter = ctx.meter.borrow();
         let disk = ctx.disk.borrow();
         Snapshot {
-            cnt: *meter.counters(),
-            phases: meter.profile_snapshot(),
+            phases: meter.phases().clone(),
             io: *disk.stats(),
             io_elapsed: disk.elapsed(),
             simd_blocks: rodb_compress::simd::simd_blocks_decoded(),
@@ -165,11 +163,11 @@ impl Snapshot {
             m.add(keys::WALL_S, wall_s);
             m.add(keys::KERNEL_SIMD_BLOCKS, simd as f64);
             KEYS.cnt
-                .write(&meter.counters().delta(&self.cnt), |k, v| m.add(k, v));
-            if let Some(now) = meter.profile() {
-                for ((phase, after), pk) in now.iter().zip(&KEYS.phase) {
-                    pk.write(&after.delta(self.phases.get(phase)), |k, v| m.add(k, v));
-                }
+                .write(&meter.counters().delta(&self.phases.total()), |k, v| {
+                    m.add(k, v)
+                });
+            for ((phase, after), pk) in meter.phases().iter().zip(&KEYS.phase) {
+                pk.write(&after.delta(self.phases.get(phase)), |k, v| m.add(k, v));
             }
             m.add(keys::IO_S, disk.elapsed() - self.io_elapsed);
             KEYS.io

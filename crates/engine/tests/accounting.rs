@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use rodb_cpu::CpuPhase;
 use rodb_engine::{run_to_completion, ExecContext, Predicate, ScanLayout, ScanSpec};
 use rodb_storage::{BuildLayouts, Table, TableBuilder};
 use rodb_types::{Column, HardwareConfig, Schema, SystemConfig, Value};
@@ -227,4 +228,25 @@ fn competitor_time_is_visible_and_separate() {
     assert!(r.io.comp_s > 0.0);
     // Foreground byte accounting excludes the competitor's transfers.
     assert!((r.io.bytes_read - t.row_storage().unwrap().byte_len() as f64 * 600.0).abs() < 1.0);
+}
+
+#[test]
+fn an_untraced_scan_says_where_its_cpu_went() {
+    // The meter's one record is its phase table, so a plain context — no
+    // tracer — attributes every event to its phase.
+    let t = table(20_000);
+    let ctx = ExecContext::default_ctx();
+    assert!(ctx.tracer.is_none());
+    let mut op = ScanSpec::new(t, ScanLayout::Column, vec![0, 2])
+        .with_predicates(vec![Predicate::lt(0, 100)])
+        .build(&ctx)
+        .unwrap();
+    run_to_completion(op.as_mut(), &ctx).unwrap();
+    let meter = ctx.meter.borrow();
+    let phases = meter.phases();
+    assert!(phases.get(CpuPhase::Decode).uops > 0.0);
+    assert!(phases.get(CpuPhase::Predicate).uops > 0.0);
+    assert!(phases.get(CpuPhase::Predicate).branch_mispredicts > 0.0);
+    assert!(phases.get(CpuPhase::Memory).seq_bytes > 0.0);
+    assert_eq!(phases.total(), meter.counters());
 }

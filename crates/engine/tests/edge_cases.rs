@@ -6,12 +6,18 @@ use std::sync::Arc;
 
 use rodb_engine::{
     op::collect_rows, AggSpec, AggStrategy, Aggregate, CmpOp, ExecContext, MergeJoin, Operator,
-    Predicate, ScanLayout, ScanSpec, Sort,
+    Predicate, ScanLayout, ScanSpec,
 };
 use rodb_storage::{BuildLayouts, Table, TableBuilder};
 use rodb_types::{Column, HardwareConfig, Schema, SystemConfig, Value};
 
 fn table(n: usize, page_size: usize) -> Arc<Table> {
+    table_in(0..n, page_size)
+}
+
+/// Row `i` is `(i, ["ab", "cd", ""][i % 3], i² mod 97)`; `order` says which
+/// rows, in which order, the table is loaded with.
+fn table_in(order: impl Iterator<Item = usize>, page_size: usize) -> Arc<Table> {
     let s = Arc::new(
         Schema::new(vec![
             Column::int("k"),
@@ -21,7 +27,7 @@ fn table(n: usize, page_size: usize) -> Arc<Table> {
         .unwrap(),
     );
     let mut b = TableBuilder::new("t", s, page_size, BuildLayouts::both()).unwrap();
-    for i in 0..n {
+    for i in order {
         b.push_row(&[
             Value::Int(i as i32),
             Value::text(["ab", "cd", ""][i % 3]),
@@ -89,12 +95,6 @@ fn empty_table_through_every_operator() {
         ScanLayout::Column,
         ScanLayout::ColumnSingleIterator,
     ] {
-        let scan = ScanSpec::new(t.clone(), layout, vec![0, 1])
-            .build(&ctx)
-            .unwrap();
-        let mut sorted = Sort::new(scan, vec![0], &ctx).unwrap();
-        assert!(sorted.next().unwrap().is_none());
-
         let scan = ScanSpec::new(t.clone(), layout, vec![0, 1])
             .build(&ctx)
             .unwrap();
@@ -185,15 +185,18 @@ fn contradictory_and_redundant_predicates() {
 
 #[test]
 fn sort_then_sorted_aggregation_pipeline() {
-    let t = table(400, 4096);
+    // Group by the text tag over a table loaded in tag order ("", "ab",
+    // "cd") → Sorted aggregation.
+    let t = table_in(
+        [2, 0, 1].into_iter().flat_map(|r| (r..400).step_by(3)),
+        4096,
+    );
     let ctx = ExecContext::default_ctx();
-    // Group by the text tag through an explicit Sort → Sorted aggregation.
     let scan = ScanSpec::new(t.clone(), ScanLayout::Column, vec![1, 2])
         .build(&ctx)
         .unwrap();
-    let sorted = Sort::new(scan, vec![0], &ctx).unwrap();
     let mut agg = Aggregate::new(
-        Box::new(sorted),
+        scan,
         Some(0),
         vec![AggSpec::count(), AggSpec::sum(1)],
         AggStrategy::Sorted,

@@ -138,14 +138,12 @@ fn cache_stats_merge_is_exact_in_any_order() {
     assert_eq!(serial, reversed);
 }
 
-/// Meters carry both raw counters and (when profiling) the per-phase
-/// split; both must survive regrouping.
+/// A meter's totals and its per-phase table must both survive regrouping.
 #[test]
 fn cpu_meter_merge_is_order_insensitive() {
     let mut r = Rng(41);
     let make = |r: &mut Rng| {
         let mut m = CpuMeter::new(OpCosts::default(), CostParams::default());
-        m.enable_profiling();
         m.add_uops(r.next_f64() * 1e5);
         m.branches(r.next_f64() * 1e4, r.next_f64() * 1e4);
         m
@@ -154,7 +152,6 @@ fn cpu_meter_merge_is_order_insensitive() {
     // CpuMeter is not Default/Clone; fold its counters through a fresh meter.
     let fold = |order: Vec<&CpuMeter>| {
         let mut acc = CpuMeter::new(OpCosts::default(), CostParams::default());
-        acc.enable_profiling();
         for m in order {
             acc.merge(m);
         }
@@ -163,13 +160,13 @@ fn cpu_meter_merge_is_order_insensitive() {
     let serial = fold(parts.iter().collect());
     let reversed = fold(parts.iter().rev().collect());
     let totals = |c: &CpuCounters| [c.uops, c.rand_misses, c.l1_lines, c.branch_mispredicts];
-    for (a, b) in totals(serial.counters())
+    for (a, b) in totals(&serial.counters())
         .iter()
-        .zip(totals(reversed.counters()))
+        .zip(totals(&reversed.counters()))
     {
         close(*a, b, "meter counters");
     }
-    let (ps, pr) = (serial.profile_snapshot(), reversed.profile_snapshot());
+    let (ps, pr) = (serial.phases(), reversed.phases());
     for (pa, pb) in ps.iter().zip(pr.iter()) {
         close(pa.1.uops, pb.1.uops, "phase uops");
         close(

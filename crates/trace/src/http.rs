@@ -22,11 +22,11 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::expo::{self, MonitorHandle};
+use crate::expo::{self, MonitorHandle, MonitorState};
 
 /// Cap on request bytes read (method + path + headers); enough for any
 /// scraper, small enough that a garbage client cannot balloon memory.
@@ -96,6 +96,13 @@ impl Drop for MonitorServer {
     }
 }
 
+/// The published state. Publishers replace whole fields, so a guard
+/// poisoned by a panicking holder still holds values worth serving; the
+/// server reads through the poison rather than dying on it.
+fn state(handle: &MonitorHandle) -> MutexGuard<'_, MonitorState> {
+    handle.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn serve_conn(mut stream: TcpStream, handle: &MonitorHandle) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
@@ -124,7 +131,7 @@ fn serve_conn(mut stream: TcpStream, handle: &MonitorHandle) -> std::io::Result<
     } else {
         match path {
             "/healthz" => {
-                let healthy = handle.lock().unwrap().healthy;
+                let healthy = state(handle).healthy;
                 if healthy {
                     ("200 OK", "text/plain", "ok\n".to_string())
                 } else {
@@ -136,11 +143,11 @@ fn serve_conn(mut stream: TcpStream, handle: &MonitorHandle) -> std::io::Result<
                 }
             }
             "/metrics" => {
-                let text = expo::prometheus(&handle.lock().unwrap().metrics);
+                let text = expo::prometheus(&state(handle).metrics);
                 ("200 OK", "text/plain; version=0.0.4", text)
             }
             "/status" => {
-                let text = handle.lock().unwrap().status.pretty();
+                let text = state(handle).status.pretty();
                 ("200 OK", "application/json", text)
             }
             _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
@@ -218,6 +225,43 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 503"), "{head}");
         assert_eq!(body, "unhealthy\n");
 
+        server.stop();
+    }
+
+    #[test]
+    fn a_poisoned_handle_still_serves_every_route() {
+        let handle = monitor_handle();
+        let reg = Registry::new();
+        reg.counter_add("query.runs", 1.0);
+        {
+            let mut state = handle.lock().unwrap();
+            state.healthy = true;
+            state.metrics = reg.snapshot();
+            state.status = Json::obj().set("service", Json::obj());
+        }
+        let poisoner = Arc::clone(&handle);
+        let panicked = std::thread::spawn(move || {
+            let _guard = poisoner.lock().unwrap();
+            panic!("publisher dies holding the monitor lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(handle.is_poisoned());
+
+        let server = MonitorServer::start("127.0.0.1:0", Arc::clone(&handle)).unwrap();
+        let addr = server.local_addr();
+        // Twice over: the first round must not have taken the loop down.
+        for _ in 0..2 {
+            let (head, body) = get(addr, "/healthz");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            assert_eq!(body, "ok\n");
+            let (head, body) = get(addr, "/metrics");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            assert!(body.contains("rodb_query_runs 1\n"), "{body}");
+            let (head, body) = get(addr, "/status");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            assert!(Json::parse(&body).is_ok(), "{body}");
+        }
         server.stop();
     }
 

@@ -221,7 +221,7 @@ fn run_matrix() -> Vec<(String, u64)> {
                                 last = Some(shown);
                             }
                             let report = settle_report(&ctx, rows, blocks);
-                            let counters = *ctx.meter.borrow().counters();
+                            let counters = ctx.meter.borrow().counters();
                             let mut h = Digest::default();
                             h.report(&report).fields("counters", &counters);
                             for (rows, positions) in [first, last].iter().flatten() {

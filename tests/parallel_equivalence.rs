@@ -445,10 +445,10 @@ fn settle_io_kernel_work_is_idempotent() {
         .unwrap();
     while scan.next().unwrap().is_some() {}
     ctx.settle_io_kernel_work();
-    let after_first = *ctx.meter.borrow().counters();
+    let after_first = ctx.meter.borrow().counters();
     assert!(after_first.io_bytes > 0.0);
     // Settling again without new disk traffic must change nothing.
     ctx.settle_io_kernel_work();
     ctx.settle_io_kernel_work();
-    assert_eq!(*ctx.meter.borrow().counters(), after_first);
+    assert_eq!(ctx.meter.borrow().counters(), after_first);
 }
