@@ -12,9 +12,7 @@
 
 use rodb_bench::{lineitem, virtual_rows};
 use rodb_core::ExperimentConfig;
-use rodb_engine::{
-    CursorQuery, Predicate, QueryPlan, ScanLayout, ScanSpec, SharedCursor, SharedCursorConfig,
-};
+use rodb_engine::{CursorQuery, Predicate, QueryPlan, ScanLayout, ScanSpec, SharedCursor};
 use rodb_tpch::{partkey_threshold, Variant};
 use rodb_trace::{Json, MetricsRegistry};
 
@@ -47,19 +45,9 @@ fn main() {
             .collect();
 
         // Shared: one cursor, one driver pass over the whole file.
-        let mut cursor = SharedCursor::new(
-            t.clone(),
-            ScanLayout::Row,
-            SharedCursorConfig {
-                segments: 1,
-                workers: 1,
-            },
-            cfg.hw,
-            cfg.sys,
-            scale,
-            None,
-        )
-        .expect("cursor");
+        let mut cursor =
+            SharedCursor::new(t.clone(), ScanLayout::Row, 1, cfg.hw, cfg.sys, scale, None)
+                .expect("cursor");
         for (token, q) in queries.iter().enumerate() {
             cursor
                 .attach(CursorQuery {

@@ -27,7 +27,6 @@
 //! most `7 + 25 = 32`). Widths 26..=31 stay scalar (rare); width 32 is a
 //! widening copy.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::bits::{unpack_generic, BLOCK};
@@ -63,10 +62,6 @@ impl std::fmt::Display for KernelTier {
     }
 }
 
-/// Blocks decoded by a non-scalar kernel since process start (telemetry for
-/// benches and the metrics registry; not part of the cost model).
-static SIMD_BLOCKS: AtomicU64 = AtomicU64::new(0);
-
 /// The best tier for this host, honouring `RODB_FORCE_SCALAR=1` (any
 /// non-empty value other than `0` pins scalar).
 fn detect_tier() -> KernelTier {
@@ -98,11 +93,6 @@ fn detect_tier() -> KernelTier {
 pub fn active_tier() -> KernelTier {
     static ACTIVE: OnceLock<KernelTier> = OnceLock::new();
     *ACTIVE.get_or_init(detect_tier)
-}
-
-/// Blocks decoded through a SIMD kernel so far (process-wide).
-pub fn simd_blocks_decoded() -> u64 {
-    SIMD_BLOCKS.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------------
@@ -459,7 +449,6 @@ fn unpack_block_with_tier(tier: KernelTier, src: &[u8], bits: u8, out: &mut [u64
         // scalar cannot diverge on the stragglers.
         unpack_generic(src, done * w, bits, &mut out[done..]);
     }
-    SIMD_BLOCKS.fetch_add(1, Ordering::Relaxed);
     true
 }
 

@@ -23,9 +23,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::PoisonError;
 
-use rodb_engine::{
-    CursorQuery, QueryDone, ScanLayout, ScanSpec, SegmentStep, SharedCursor, SharedCursorConfig,
-};
+use rodb_engine::{CursorQuery, QueryDone, ScanLayout, ScanSpec, SegmentStep, SharedCursor};
 use rodb_io::{shared_page_cache, IoStats, SharedPageCache};
 use rodb_storage::Layout;
 use rodb_trace::{
@@ -744,7 +742,6 @@ impl QueryService {
         // One shared page cache for all cursors when the config asks for
         // caching: residency persists across segments and queries.
         let cache: Option<SharedPageCache> = self.sys.cache.as_ref().map(shared_page_cache);
-        let workers = self.sys.threads.max(1);
         // All riders of one clock must agree on the virtual-rows scale, and
         // every plan must be one a shared cursor answers exactly — checked
         // before any segment is scanned (a WOS tail would otherwise be
@@ -823,10 +820,7 @@ impl QueryService {
                         let cursor = SharedCursor::new(
                             spec.table.clone(),
                             spec.layout,
-                            SharedCursorConfig {
-                                segments: segs,
-                                workers,
-                            },
+                            segs,
                             self.hw,
                             self.sys,
                             scale,

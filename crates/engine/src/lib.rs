@@ -37,5 +37,5 @@ pub use plan::{AggPlan, PlanRun, QueryPlan, ScanLayout, ScanSpec};
 pub use predicate::{CmpOp, Predicate};
 pub use scan_col::page_pass;
 pub use sched::run_morsels;
-pub use shared_cursor::{CursorQuery, QueryDone, SegmentStep, SharedCursor, SharedCursorConfig};
+pub use shared_cursor::{CursorQuery, QueryDone, SegmentStep, SharedCursor};
 pub use traced::{apply_report, finish_query_trace, record_block, TracedOp};

@@ -47,17 +47,6 @@ use crate::plan::{PlanRun, QueryPlan, ScanLayout};
 use crate::scan_col::page_pass;
 use crate::sched::pool;
 
-/// Cursor-level knobs (the service derives these from
-/// [`rodb_types::ServiceSpec`]).
-#[derive(Debug, Clone, Copy)]
-pub struct SharedCursorConfig {
-    /// Desired segment count; the actual count is the page-aligned morsel
-    /// split the table produces for it (at most one segment per page run).
-    pub segments: usize,
-    /// Worker pool width for the riders' segment runs.
-    pub workers: usize,
-}
-
 /// One query as the cursor sees it: its plan, evaluated segment by segment
 /// off the shared stream.
 #[derive(Debug, Clone)]
@@ -118,7 +107,6 @@ pub struct SharedCursor {
     hw: HardwareConfig,
     sys: SystemConfig,
     row_scale: f64,
-    workers: usize,
     cache: Option<SharedPageCache>,
     segments: Vec<(u64, u64)>,
     pos: usize,
@@ -133,21 +121,21 @@ pub struct SharedCursor {
 }
 
 impl SharedCursor {
-    /// Build a cursor over `table` for riders scanning it through `layout`.
+    /// Build a cursor over `table` for riders scanning it through `layout`,
+    /// cut into about `segments` segments (the page-aligned morsel split the
+    /// table produces for that count, at most one segment per page run).
+    /// The riders of a segment run on a pool `sys.threads` wide.
     pub fn new(
         table: Arc<Table>,
         layout: ScanLayout,
-        cfg: SharedCursorConfig,
+        segments: usize,
         hw: HardwareConfig,
         sys: SystemConfig,
         row_scale: f64,
         cache: Option<SharedPageCache>,
     ) -> Result<SharedCursor> {
-        if cfg.workers == 0 {
-            return Err(Error::InvalidPlan("shared cursor with 0 workers".into()));
-        }
         let segments: Vec<(u64, u64)> = table
-            .morsels(cfg.segments.max(1))
+            .morsels(segments.max(1))
             .iter()
             .map(|m| (m.start, m.end))
             .collect();
@@ -160,7 +148,6 @@ impl SharedCursor {
             hw,
             sys,
             row_scale,
-            workers: cfg.workers,
             cache,
             segments,
             pos: 0,
@@ -277,7 +264,7 @@ impl SharedCursor {
         // once, and a cache of their own could never hit.
         let riders: Vec<&CursorQuery> = self.active.iter().map(|a| &a.q).collect();
         let rider_sys = SystemConfig { cache: None, ..sys };
-        let pieces = pool(self.workers, &riders, |q| {
+        let pieces = pool(sys.threads, &riders, |q| {
             q.plan.run_on(
                 &ExecContext::new(hw, rider_sys, row_scale)?,
                 Some(range),
@@ -287,7 +274,7 @@ impl SharedCursor {
         // The modeled clock charges per-query CPU serially — the paper's
         // testbed is single-core, and a worker-invariant clock keeps the
         // whole service schedule (attach points, wraparounds, admission)
-        // bit-identical across pool sizes. `workers` parallelizes the real
+        // bit-identical across pool sizes. The pool parallelizes the real
         // wall time of the riders' runs, never the simulated clock.
         let mut cpu_s = driver_kernel_s;
         for (a, piece) in self.active.iter_mut().zip(pieces) {
@@ -364,24 +351,15 @@ mod tests {
         Arc::new(b.finish().unwrap())
     }
 
-    fn cursor(t: &Arc<Table>, layout: ScanLayout, workers: usize) -> SharedCursor {
-        cursor_on(t, layout, workers, SystemConfig::default())
+    fn cursor(t: &Arc<Table>, layout: ScanLayout, threads: usize) -> SharedCursor {
+        cursor_on(t, layout, SystemConfig::default().with_threads(threads))
     }
 
-    fn cursor_on(
-        t: &Arc<Table>,
-        layout: ScanLayout,
-        workers: usize,
-        sys: SystemConfig,
-    ) -> SharedCursor {
-        let cfg = SharedCursorConfig {
-            segments: 4,
-            workers,
-        };
+    fn cursor_on(t: &Arc<Table>, layout: ScanLayout, sys: SystemConfig) -> SharedCursor {
         SharedCursor::new(
             t.clone(),
             layout,
-            cfg,
+            4,
             HardwareConfig::default(),
             sys,
             1.0,
@@ -452,7 +430,7 @@ mod tests {
             .into_iter()
             .flat_map(|k| [(k, SystemConfig::default()), (k, cached)])
         {
-            let mut c = cursor_on(&t, ScanLayout::Row, 1, sys);
+            let mut c = cursor_on(&t, ScanLayout::Row, sys);
             for (i, pred) in preds.iter().take(k).enumerate() {
                 c.attach(q(&c, i, pred.clone())).unwrap();
             }
@@ -526,8 +504,8 @@ mod tests {
     #[test]
     fn steps_are_deterministic_across_worker_counts() {
         let t = table(8_000);
-        let run = |workers: usize| {
-            let mut c = cursor(&t, ScanLayout::Column, workers);
+        let run = |threads: usize| {
+            let mut c = cursor(&t, ScanLayout::Column, threads);
             c.attach(q(&c, 0, Some(Predicate::lt(1, 5)))).unwrap();
             c.attach(q(&c, 1, None)).unwrap();
             let mut elapsed = Vec::new();

@@ -135,7 +135,6 @@ struct Snapshot {
     phases: PhaseProfile,
     io: IoStats,
     io_elapsed: f64,
-    simd_blocks: u64,
     wall: Instant,
 }
 
@@ -147,7 +146,6 @@ impl Snapshot {
             phases: meter.phases().clone(),
             io: *disk.stats(),
             io_elapsed: disk.elapsed(),
-            simd_blocks: rodb_compress::simd::simd_blocks_decoded(),
             wall: Instant::now(),
         }
     }
@@ -156,12 +154,10 @@ impl Snapshot {
     /// a single borrow of the tracer.
     fn record(&self, ctx: &ExecContext, tracer: &Tracer, span: SpanId, block_rows: Option<usize>) {
         let wall_s = self.wall.elapsed().as_secs_f64();
-        let simd = rodb_compress::simd::simd_blocks_decoded() - self.simd_blocks;
         let meter = ctx.meter.borrow();
         let disk = ctx.disk.borrow();
         tracer.with(span, |m| {
             m.add(keys::WALL_S, wall_s);
-            m.add(keys::KERNEL_SIMD_BLOCKS, simd as f64);
             KEYS.cnt
                 .write(&meter.counters().delta(&self.phases.total()), |k, v| {
                     m.add(k, v)

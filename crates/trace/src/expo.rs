@@ -1,11 +1,11 @@
 //! Metric exposition: Prometheus text format, a `rodb-top` text renderer,
 //! and the shared [`MonitorState`] the HTTP endpoint serves from.
 //!
-//! [`prometheus`] maps a [`Registry`] snapshot to Prometheus text
+//! [`prometheus`] maps a [`Registry`]'s [`MetricSet`] to Prometheus text
 //! exposition format 0.0.4: counters and gauges verbatim, log2-bucket
 //! histograms as cumulative `_bucket{le=...}` series (bucket upper bounds
-//! `2^(i+1)`, the `le_0` underflow bucket as `le="0"`) plus `_sum`,
-//! `_count`, and the mandatory `le="+Inf"` bucket. Metric names are
+//! `2^(i+1)`, the underflow bucket as `le="0"`) plus `_sum`, `_count`, and
+//! the mandatory `le="+Inf"` bucket. Metric names are
 //! sanitized (`.` → `_`, invalid chars → `_`) and prefixed `rodb_`.
 //! [`check_exposition`] is the strict validator CI runs against the live
 //! endpoint. [`render_top`] turns a `/status` document into the offline
@@ -16,18 +16,20 @@
 //! snapshot handle; only the TCP listener in `crate::http` is gated.
 //!
 //! [`Registry`]: crate::metrics::Registry
+//! [`MetricSet`]: crate::metrics::MetricSet
 
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
+use crate::metrics::MetricSet;
 
 /// Latest published snapshot for monitoring consumers.
 #[derive(Debug)]
 pub struct MonitorState {
     /// `/healthz`: true once the publisher is live and not wedged.
     pub healthy: bool,
-    /// `/metrics` source: a `Registry::snapshot()` document.
-    pub metrics: Json,
+    /// `/metrics` source: a `Registry::snapshot()`.
+    pub metrics: MetricSet,
     /// `/status`: the service's report-so-far JSON.
     pub status: Json,
 }
@@ -36,7 +38,7 @@ impl Default for MonitorState {
     fn default() -> MonitorState {
         MonitorState {
             healthy: false,
-            metrics: Json::obj(),
+            metrics: MetricSet::default(),
             status: Json::obj(),
         }
     }
@@ -76,61 +78,33 @@ fn fmt_value(v: f64) -> String {
     }
 }
 
-/// Render a `Registry::snapshot()` JSON document in Prometheus text
-/// exposition format 0.0.4.
-pub fn prometheus(snapshot: &Json) -> String {
+/// Render a metric set in Prometheus text exposition format 0.0.4.
+pub fn prometheus(set: &MetricSet) -> String {
     let mut out = String::new();
-    let families = [("counters", "counter"), ("gauges", "gauge")];
-    for (section, kind) in families {
-        if let Some(map) = snapshot.get(section) {
-            for (name, value) in map.flatten() {
-                let pname = sanitize(&name);
-                out.push_str(&format!("# TYPE {pname} {kind}\n"));
-                out.push_str(&format!("{pname} {}\n", fmt_value(value)));
-            }
+    for (values, kind) in [(&set.counters, "counter"), (&set.gauges, "gauge")] {
+        for (name, value) in values {
+            let pname = sanitize(name);
+            out.push_str(&format!("# TYPE {pname} {kind}\n"));
+            out.push_str(&format!("{pname} {}\n", fmt_value(*value)));
         }
     }
-    if let Some(Json::Obj(hists)) = snapshot.get("histograms") {
-        for (name, h) in hists {
-            let pname = sanitize(name);
-            out.push_str(&format!("# TYPE {pname} histogram\n"));
-            let mut cumulative = 0u64;
-            for (upper, n) in bucket_pairs(h) {
-                cumulative += n;
-                out.push_str(&format!(
-                    "{pname}_bucket{{le=\"{}\"}} {cumulative}\n",
-                    fmt_value(upper)
-                ));
-            }
-            let count = h.get("count").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-            let sum = h.get("sum").and_then(Json::as_f64).unwrap_or(0.0);
-            out.push_str(&format!("{pname}_bucket{{le=\"+Inf\"}} {count}\n"));
-            out.push_str(&format!("{pname}_sum {}\n", fmt_value(sum)));
-            out.push_str(&format!("{pname}_count {count}\n"));
+    for (name, h) in &set.histograms {
+        let pname = sanitize(name);
+        out.push_str(&format!("# TYPE {pname} histogram\n"));
+        let mut cumulative = 0u64;
+        for (upper, n) in h.bucket_bounds() {
+            cumulative += n;
+            out.push_str(&format!(
+                "{pname}_bucket{{le=\"{}\"}} {cumulative}\n",
+                fmt_value(upper)
+            ));
         }
+        let count = h.count();
+        out.push_str(&format!("{pname}_bucket{{le=\"+Inf\"}} {count}\n"));
+        out.push_str(&format!("{pname}_sum {}\n", fmt_value(h.sum())));
+        out.push_str(&format!("{pname}_count {count}\n"));
     }
     out
-}
-
-/// Decode a `Histogram::to_json()` bucket map back to ascending
-/// `(upper bound, count)` pairs (`le_0` → 0, `p2_i` → `2^(i+1)`).
-fn bucket_pairs(h: &Json) -> Vec<(f64, u64)> {
-    let mut pairs: Vec<(f64, u64)> = Vec::new();
-    if let Some(Json::Obj(buckets)) = h.get("buckets") {
-        for (label, n) in buckets {
-            let n = n.as_f64().unwrap_or(0.0) as u64;
-            if label == "le_0" {
-                pairs.push((0.0, n));
-            } else if let Some(idx) = label
-                .strip_prefix("p2_")
-                .and_then(|s| s.parse::<i32>().ok())
-            {
-                pairs.push((2.0f64.powi(idx + 1), n));
-            }
-        }
-    }
-    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-    pairs
 }
 
 /// Strictly validate Prometheus text exposition output: every sample line
@@ -369,6 +343,38 @@ mod tests {
         assert!(text.contains("rodb_query_latency_s_bucket{le=\"+Inf\"} 5\n"));
         // Cumulative buckets: le="0" holds the one zero observation.
         assert!(text.contains("rodb_query_latency_s_bucket{le=\"0\"} 1\n"));
+    }
+
+    /// The exposition of two counters, a gauge and a histogram with a zero
+    /// observation, pinned byte for byte: family order, number format and
+    /// the cumulative buckets from `le="0"` up.
+    #[test]
+    fn exposition_matches_the_golden_text() {
+        let reg = Registry::new();
+        reg.counter_add("query.runs", 3.0);
+        reg.counter_add("io.bytes_read", 1.5e6);
+        reg.gauge_set("sched.queue_depth", 7.5);
+        for v in [0.5, 1.5, 3.0, 0.0, 12.0, 0.75] {
+            reg.observe("query.latency_s", v);
+        }
+        let golden = "\
+# TYPE rodb_io_bytes_read counter
+rodb_io_bytes_read 1500000
+# TYPE rodb_query_runs counter
+rodb_query_runs 3
+# TYPE rodb_sched_queue_depth gauge
+rodb_sched_queue_depth 7.5
+# TYPE rodb_query_latency_s histogram
+rodb_query_latency_s_bucket{le=\"0\"} 1
+rodb_query_latency_s_bucket{le=\"1\"} 3
+rodb_query_latency_s_bucket{le=\"2\"} 4
+rodb_query_latency_s_bucket{le=\"4\"} 5
+rodb_query_latency_s_bucket{le=\"16\"} 6
+rodb_query_latency_s_bucket{le=\"+Inf\"} 6
+rodb_query_latency_s_sum 17.75
+rodb_query_latency_s_count 6
+";
+        assert_eq!(prometheus(&reg.snapshot()), golden);
     }
 
     #[test]

@@ -1,29 +1,15 @@
 //! A tiny std-only JSON document model: build, render, parse.
 //!
-//! The workspace builds offline (DESIGN.md §6), so every artifact the
-//! repo emits — fuzz sweep summaries, bench results, query traces — goes
-//! through this one writer instead of per-binary hand-rolled string
-//! formatting, and `rodb_top --check` and the measured-wall benchmark read
-//! them back through the same module.
+//! The workspace builds offline (DESIGN.md §6), so every JSON document the
+//! repo writes — fuzz sweep summaries, bench results, query traces,
+//! `/status` — goes through this one writer, and `rodb_top --check` and the
+//! measured-wall benchmark parse them back with it.
 //!
-//! Object keys keep insertion order so emitted files diff stably across
-//! runs. Numbers are `f64` (every counter in the repo fits exactly below
-//! 2^53); integral values render without a trailing `.0` so `"seeks": 12`
-//! round-trips as written.
+//! Object keys keep insertion order, so emitted files diff stably. Numbers
+//! are `f64` (every counter fits exactly below 2^53); integral values render
+//! without a trailing `.0`.
 
 use std::fmt;
-
-/// Fields that identify an object inside an array for [`Json::flatten`]
-/// alignment — the discriminators the repo's bench points actually carry.
-const IDENT_FIELDS: &[&str] = &[
-    "name",
-    "col",
-    "codec",
-    "layout",
-    "mode",
-    "threads",
-    "selectivity",
-];
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,76 +102,6 @@ impl Json {
                 out.push_str(": ");
                 v.render(out, ind);
             }),
-        }
-    }
-
-    /// Flatten every numeric leaf into `(dotted.path, value)` pairs; array
-    /// elements are keyed by an identifying string field when one exists
-    /// (`col`+`selectivity`, `layout`, `threads`, `name`) and by index
-    /// otherwise, so two documents align on identity, not position. The
-    /// Prometheus exposition names its samples by these paths.
-    pub fn flatten(&self) -> Vec<(String, f64)> {
-        let mut out = Vec::new();
-        self.flatten_into("", &[], &mut out);
-        out
-    }
-
-    fn flatten_into(&self, path: &str, skip: &[&str], out: &mut Vec<(String, f64)>) {
-        match self {
-            Json::Num(n) => out.push((path.to_string(), *n)),
-            Json::Bool(b) => out.push((path.to_string(), *b as u8 as f64)),
-            Json::Obj(fields) => {
-                for (k, v) in fields {
-                    if skip.contains(&k.as_str()) {
-                        continue;
-                    }
-                    let sub = if path.is_empty() {
-                        k.clone()
-                    } else {
-                        format!("{path}.{k}")
-                    };
-                    v.flatten_into(&sub, &[], out);
-                }
-            }
-            Json::Arr(items) => {
-                for (i, item) in items.iter().enumerate() {
-                    // Identity fields become the element key, not leaves.
-                    let (key, skip) = match item.element_key() {
-                        Some(k) => (k, IDENT_FIELDS),
-                        None => (i.to_string(), &[][..]),
-                    };
-                    let sub = if path.is_empty() {
-                        format!("[{key}]")
-                    } else {
-                        format!("{path}[{key}]")
-                    };
-                    item.flatten_into(&sub, skip, out);
-                }
-            }
-            Json::Null | Json::Str(_) => {}
-        }
-    }
-
-    /// A stable identity for an object inside an array, built from the
-    /// discriminating fields the repo's bench points actually carry.
-    fn element_key(&self) -> Option<String> {
-        let Json::Obj(_) = self else { return None };
-        let mut parts = Vec::new();
-        for field in IDENT_FIELDS {
-            match self.get(field) {
-                Some(Json::Str(s)) => parts.push(s.clone()),
-                Some(Json::Num(n)) => {
-                    let mut s = String::new();
-                    render_num(*n, &mut s);
-                    parts.push(s);
-                }
-                _ => {}
-            }
-        }
-        if parts.is_empty() {
-            None
-        } else {
-            Some(parts.join(":"))
         }
     }
 
@@ -537,31 +453,6 @@ mod tests {
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
-    }
-
-    #[test]
-    fn flatten_uses_identifying_fields() {
-        let j = Json::obj().set(
-            "points",
-            vec![
-                Json::obj()
-                    .set("col", "key")
-                    .set("selectivity", 0.01)
-                    .set("x", 1.0),
-                Json::obj()
-                    .set("col", "key")
-                    .set("selectivity", 0.1)
-                    .set("x", 2.0),
-            ],
-        );
-        let flat = j.flatten();
-        assert_eq!(
-            flat,
-            vec![
-                ("points[key:0.01].x".to_string(), 1.0),
-                ("points[key:0.1].x".to_string(), 2.0),
-            ]
-        );
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   text renderer, and the [`MonitorHandle`] publishers update.
 //! - `http` (feature `monitor`, off by default): a std-only blocking
 //!   `TcpListener` endpoint serving `/metrics`, `/healthz`, `/status`.
-//! - [`json`]: the std-only [`Json`] build/render/parse/flatten value
+//! - [`json`]: the std-only [`Json`] build/render/parse value
 //!   used by every JSON writer in the workspace (traces, fuzz `--json`,
 //!   bench outputs).
 //!

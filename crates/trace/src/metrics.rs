@@ -13,7 +13,8 @@
 //! buckets plus an exact sample buffer for small populations, used by the
 //! service's SLO accounting, the windowed timelines, and the bench gates.
 //! [`MetricSet`] is the one container of named metrics: a registry holds one,
-//! a timeline one per window.
+//! a timeline one per window, and `/metrics` renders a registry's copy of
+//! its set ([`crate::expo::prometheus`]).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -153,18 +154,26 @@ impl Histogram {
             return sorted[rank as usize];
         }
         let mut seen = 0u64;
-        for (idx, n) in &self.buckets {
+        for (upper, n) in self.bucket_bounds() {
             seen += n;
             if rank < seen {
-                let upper = if *idx == UNDERFLOW {
-                    0.0
-                } else {
-                    2.0f64.powi(idx + 1)
-                };
                 return upper.clamp(self.min, self.max);
             }
         }
         self.max
+    }
+
+    /// `(upper bound, count)` per non-empty log2 bucket, ascending: the
+    /// underflow bucket's bound is 0, bucket `i`'s is `2^(i+1)`.
+    pub(crate) fn bucket_bounds(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        self.buckets.iter().map(|(idx, n)| {
+            let upper = if *idx == UNDERFLOW {
+                0.0
+            } else {
+                2.0f64.powi(idx + 1)
+            };
+            (upper, *n)
+        })
     }
 
     pub fn to_json(&self) -> Json {
@@ -204,9 +213,9 @@ fn bucket_of(v: f64) -> i32 {
 /// [`Timeline`](crate::Timeline) window holds.
 #[derive(Debug, Default, Clone)]
 pub struct MetricSet {
-    counters: BTreeMap<String, f64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    pub(crate) counters: BTreeMap<String, f64>,
+    pub(crate) gauges: BTreeMap<String, f64>,
+    pub(crate) histograms: BTreeMap<String, Histogram>,
 }
 
 impl MetricSet {
@@ -265,8 +274,10 @@ impl MetricSet {
 }
 
 /// An owned metrics instance: one [`MetricSet`] behind a mutex. Cheap to
-/// create; share via [`MetricsHandle`]. The process-wide default instance
-/// backing the static [`MetricsRegistry`] facade is [`Registry::global`].
+/// create; share via [`MetricsHandle`]. [`Registry::snapshot`] copies the
+/// set out (publishers hand that copy to `/metrics`); [`Registry::drain`]
+/// takes it as JSON. The process-wide default instance backing the static
+/// [`MetricsRegistry`] facade is [`Registry::global`].
 #[derive(Debug, Default)]
 pub struct Registry {
     state: Mutex<MetricSet>,
@@ -326,18 +337,9 @@ impl Registry {
         self.lock().histogram(name).cloned()
     }
 
-    /// All current gauges (name, value) — what timeline samplers poll.
-    pub fn gauges(&self) -> Vec<(String, f64)> {
-        self.lock()
-            .gauges
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
-    }
-
-    /// Snapshot the registry as JSON without resetting it.
-    pub fn snapshot(&self) -> Json {
-        self.lock().to_json()
+    /// A copy of every metric, without resetting the registry.
+    pub fn snapshot(&self) -> MetricSet {
+        self.lock().clone()
     }
 
     /// Snapshot and reset — what sweep drivers call when writing output.
@@ -377,8 +379,8 @@ impl MetricsRegistry {
         Registry::global().gauge(name)
     }
 
-    /// Snapshot the registry as JSON without resetting it.
-    pub fn snapshot() -> Json {
+    /// A copy of every metric, without resetting the registry.
+    pub fn snapshot() -> MetricSet {
         Registry::global().snapshot()
     }
 
@@ -404,7 +406,7 @@ mod tests {
         MetricsRegistry::gauge_set("test.metrics.depth", 4.0);
         assert_eq!(MetricsRegistry::counter("test.metrics.queries"), 3.0);
         assert_eq!(MetricsRegistry::gauge("test.metrics.depth"), 4.0);
-        let snap = MetricsRegistry::snapshot();
+        let snap = MetricsRegistry::snapshot().to_json();
         let h = snap
             .get("histograms")
             .and_then(|h| h.get("test.metrics.io_s"))

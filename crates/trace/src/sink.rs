@@ -56,8 +56,8 @@ pub struct TraceEvent {
     pub file: u64,
     /// First page involved (byte offset for bursts).
     pub page: u64,
-    /// Event magnitude — pages skipped, rows dropped; 1 for burst
-    /// requests, retries, repairs, and quarantines.
+    /// Pages skipped or quarantined, rows dropped, the replica index a
+    /// retry read; 1 for a burst, repair, cache hit or eviction.
     pub count: u64,
 }
 

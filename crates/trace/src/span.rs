@@ -67,15 +67,9 @@ pub mod keys {
     /// Simulated disk seconds.
     pub const IO_S: &str = "io.elapsed_s";
     pub const IO_BYTES: &str = "io.bytes_read";
-    pub const IO_PAGES_SKIPPED: &str = "io.pages_skipped";
-    pub const IO_RETRIES: &str = "io.recovery.retries";
-    pub const IO_REPAIRS: &str = "io.recovery.repairs";
-    pub const IO_DROPPED_ROWS: &str = "io.recovery.dropped_rows";
     /// Decode-kernel dispatch tier ordinal active while the span ran
     /// (0 scalar, 1 SSE2, 2 AVX2, 3 NEON).
     pub const KERNEL_TIER: &str = "kernel.tier";
-    /// Hardware-SIMD 64-value blocks decoded inside this span.
-    pub const KERNEL_SIMD_BLOCKS: &str = "kernel.simd_blocks";
     /// How many per-morsel instances were folded into a merged span.
     pub const MORSELS: &str = "morsels";
     /// End-to-end elapsed seconds with CPU/I/O overlap (root span only).
@@ -373,39 +367,14 @@ impl QueryTrace {
     pub fn explain(&self) -> String {
         let mut out = String::new();
         render_node(&self.root, "", true, true, &mut out);
-        let counts = self.event_counts();
-        if !counts.is_empty() {
-            out.push_str("io events:");
-            for (kind, n) in counts {
-                out.push_str(&format!(" {kind}={n}"));
-            }
-            if self.dropped_events > 0 {
-                out.push_str(&format!(" (+{} dropped)", self.dropped_events));
-            }
-            out.push('\n');
-        }
         out
     }
 
-    /// Count events per kind.
-    pub fn event_counts(&self) -> Vec<(&'static str, u64)> {
-        let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for e in &self.events {
-            *counts.entry(e.kind.name()).or_insert(0) += e.count;
-        }
-        counts.into_iter().collect()
-    }
-
-    /// The repo's own trace schema (span tree + event summary).
+    /// The repo's own trace schema (span tree + event buffer size).
     pub fn to_json(&self) -> Json {
-        let mut events = Json::obj();
-        for (kind, n) in self.event_counts() {
-            events = events.set(kind, n);
-        }
         Json::obj()
             .set("schema", "rodb-trace-v1")
             .set("root", self.root.to_json())
-            .set("event_counts", events)
             .set("events_recorded", self.events.len())
             .set("events_dropped", self.dropped_events)
     }
@@ -491,6 +460,19 @@ fn fmt_metric(v: f64) -> String {
     }
 }
 
+/// The disk counts `explain()` prints beside a span's I/O, each read from
+/// the span's `io.*` key and shown when non-zero.
+const IO_COUNTS: [(&str, &str); 8] = [
+    ("bursts", "io.bursts"),
+    ("zone_skips", "io.pages_skipped"),
+    ("retries", "io.recovery.retries"),
+    ("repairs", "io.recovery.repairs"),
+    ("quarantined", "io.recovery.quarantined_pages"),
+    ("dropped_rows", "io.recovery.dropped_rows"),
+    ("cache_hits", "io.cache.hits"),
+    ("cache_evictions", "io.cache.evictions"),
+];
+
 fn render_node(node: &SpanNode, prefix: &str, last: bool, is_root: bool, out: &mut String) {
     let connector = if is_root {
         String::new()
@@ -523,25 +505,11 @@ fn render_node(node: &SpanNode, prefix: &str, last: bool, is_root: bool, out: &m
             fmt_metric(m.get(keys::IO_BYTES) / 1.0e6)
         ));
     }
-    if m.get(keys::IO_PAGES_SKIPPED) > 0.0 {
-        push(format!(
-            "zone_skips={}",
-            m.get(keys::IO_PAGES_SKIPPED) as u64
-        ));
-    }
-    let retries = m.get(keys::IO_RETRIES);
-    if retries > 0.0 {
-        push(format!(
-            "retries={} repairs={}",
-            retries as u64,
-            m.get(keys::IO_REPAIRS) as u64
-        ));
-    }
-    if m.get(keys::IO_DROPPED_ROWS) > 0.0 {
-        push(format!(
-            "dropped_rows={}",
-            m.get(keys::IO_DROPPED_ROWS) as u64
-        ));
+    for (label, key) in IO_COUNTS {
+        let n = m.get(key);
+        if n > 0.0 {
+            push(format!("{label}={}", n as u64));
+        }
     }
     let wall = m.get(keys::WALL_S);
     if wall > 0.0 {

@@ -37,7 +37,7 @@ pub mod prelude {
     pub use rodb_engine::{
         AggFunc, AggPlan, AggSpec, AggStrategy, Aggregate, CmpOp, CursorQuery, ExecContext,
         MergeJoin, Operator, Predicate, QueryPlan, RunReport, ScanLayout, ScanSpec, SharedCursor,
-        SharedCursorConfig, TupleBlock,
+        TupleBlock,
     };
     pub use rodb_model::{speedup_at, surface, Figure2Config, Platform, Workload};
     pub use rodb_storage::{

@@ -58,10 +58,25 @@ fn table_laws<T: Field + Debug>(what: &str, total: Option<&str>) {
     assert_eq!(a.delta(&a), T::default(), "{what}: a - a");
 
     // to_json carries the table's names, plus the derived total.
-    let json: BTreeSet<String> = a.to_json().flatten().into_iter().map(|(k, _)| k).collect();
+    let mut json = BTreeSet::new();
+    leaf_paths(&a.to_json(), "", &mut json);
     let mut want: BTreeSet<String> = names.iter().map(|n| n.to_string()).collect();
     want.extend(total.map(str::to_string));
     assert_eq!(json, want, "{what}: to_json keys");
+}
+
+/// The dotted path of every leaf under nested objects.
+fn leaf_paths(json: &Json, path: &str, out: &mut BTreeSet<String>) {
+    let Json::Obj(fields) = json else {
+        out.insert(path.to_string());
+        return;
+    };
+    for (k, v) in fields {
+        match path {
+            "" => leaf_paths(v, k, out),
+            _ => leaf_paths(v, &format!("{path}.{k}"), out),
+        }
+    }
 }
 
 #[test]

@@ -25,7 +25,7 @@ const LAYOUTS: [ScanLayout; 4] = [
 /// chosen so the `id >= 0` predicate matches every row: zone maps can never
 /// skip a page, so all strategies demand every position and the quarantine
 /// comparison is exact.
-fn build() -> Table {
+fn build(rows: usize) -> Table {
     let schema = Arc::new(
         Schema::new(vec![
             Column::int("id"),
@@ -35,7 +35,7 @@ fn build() -> Table {
         .unwrap(),
     );
     let mut b = TableBuilder::new("t", schema, PAGE, BuildLayouts::both()).unwrap();
-    for i in 0..ROWS {
+    for i in 0..rows {
         b.push_row(&[
             Value::Int(i as i32),
             Value::Int((i % 997) as i32),
@@ -58,7 +58,7 @@ fn run(
     on_corrupt: OnCorrupt,
     rate_ppm: u32,
 ) -> (QueryResult, Vec<QuarantinedPage>) {
-    let table = build();
+    let table = build(ROWS);
     let quarantine = table.quarantine.clone();
     let sys = SystemConfig {
         page_size: PAGE,
@@ -222,6 +222,65 @@ fn mirrored_reads_repair_the_same_sites_to_the_clean_answer() {
                 );
                 assert_eq!(rec.quarantined_pages, 0);
                 assert_eq!(rec.dropped_rows, 0);
+            }
+        }
+    }
+}
+
+/// `explain()` prints each recovery count once, as the report has it. With
+/// three replicas a retry's trace event carries the replica index it read,
+/// so a count summed off the event buffer overstates the retries.
+#[test]
+fn explain_prints_the_reports_recovery_counts_once() {
+    let sys = SystemConfig {
+        page_size: PAGE,
+        faults: Some(FaultSpec {
+            seed: FAULT_SEED,
+            rate_ppm: 1_000_000,
+            replica_rate_ppm: 500_000,
+        }),
+        mirror: 3,
+        on_corrupt: OnCorrupt::Skip,
+        ..SystemConfig::default()
+    };
+    let mut db = Database::with_config(HardwareConfig::default(), sys).unwrap();
+    db.register(build(20_000));
+    let res = db
+        .query("t")
+        .unwrap()
+        .layout(ScanLayout::Row)
+        .select(&["id", "val", "neg"])
+        .unwrap()
+        .trace(true)
+        .run()
+        .unwrap();
+    let rec = res.report.io.recovery;
+    // Some reads reach the third replica, some pages are lost on all three.
+    assert!(rec.retries > rec.repairs && rec.repairs > 0, "{rec:?}");
+    assert!(rec.dropped_rows > 0, "{rec:?}");
+    let explain = res.explain().unwrap();
+    // Each fact under every name it has gone by: the span count and the
+    // trace-event kind.
+    let facts = [
+        (["retries", "retry"], rec.retries),
+        (["repairs", "repair"], rec.repairs),
+        (["dropped_rows", "drop_rows"], rec.dropped_rows),
+    ];
+    for (names, want) in facts {
+        for (i, line) in explain.lines().enumerate() {
+            let shown: Vec<&str> = line
+                .split_whitespace()
+                .filter_map(|tok| tok.split_once('='))
+                .filter(|(k, _)| names.contains(k))
+                .map(|(_, v)| v)
+                .collect();
+            assert!(
+                shown.len() <= 1 && (i > 0 || shown.len() == 1),
+                "{names:?} shown {} times on line {i}:\n{explain}",
+                shown.len()
+            );
+            for v in shown {
+                assert_eq!(v, want.to_string(), "{names:?} on line {i}:\n{explain}");
             }
         }
     }
