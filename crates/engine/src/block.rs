@@ -66,6 +66,11 @@ impl TupleBlock {
         &self.data[i * w..(i + 1) * w]
     }
 
+    /// Raw bytes of every tuple, in order.
+    pub fn tuples(&self) -> std::slice::ChunksExact<'_, u8> {
+        self.data.chunks_exact(self.width().max(1))
+    }
+
     /// Source-row position of tuple `i` (if lineage was kept).
     pub fn position(&self, i: usize) -> Option<u64> {
         self.positions.get(i).copied()

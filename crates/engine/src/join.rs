@@ -8,34 +8,27 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use rodb_types::{Column, DataType, Error, Result, Schema};
+use rodb_types::{tuple, Column, DataType, Error, Result, Schema};
 
 use crate::block::TupleBlock;
 use crate::op::{ExecContext, Operator};
 
-/// Compare two raw key fields of the same type.
-fn cmp_key(dt: DataType, a: &[u8], b: &[u8]) -> Ordering {
-    match dt {
-        DataType::Int => {
-            let av = i32::from_le_bytes(a[..4].try_into().unwrap());
-            let bv = i32::from_le_bytes(b[..4].try_into().unwrap());
-            av.cmp(&bv)
-        }
-        DataType::Long => {
-            let av = i64::from_le_bytes(a[..8].try_into().unwrap());
-            let bv = i64::from_le_bytes(b[..8].try_into().unwrap());
-            av.cmp(&bv)
-        }
+/// Compare two raw join keys, each a one-column tuple of `key`.
+fn cmp_key(key: &Schema, a: &[u8], b: &[u8]) -> Ordering {
+    match key.dtype(0) {
+        DataType::Int => tuple::read_int(key, a, 0).cmp(&tuple::read_int(key, b, 0)),
+        DataType::Long => tuple::read_long(key, a, 0).cmp(&tuple::read_long(key, b, 0)),
         DataType::Text(_) => a.cmp(b),
     }
 }
 
 /// Pull-side cursor: one row at a time over an operator's blocks, verifying
-/// ascending key order as it goes.
+/// ascending key order as it goes. `block` is the last block pulled (empty
+/// before the first pull); its row `idx` is current while `ensure` holds.
 struct Cursor {
     op: Box<dyn Operator>,
     key: usize,
-    block: Option<TupleBlock>,
+    block: TupleBlock,
     idx: usize,
     last_key: Option<Vec<u8>>,
 }
@@ -43,9 +36,9 @@ struct Cursor {
 impl Cursor {
     fn new(op: Box<dyn Operator>, key: usize) -> Cursor {
         Cursor {
+            block: TupleBlock::new(op.schema().clone(), 0),
             op,
             key,
-            block: None,
             idx: 0,
             last_key: None,
         }
@@ -53,43 +46,30 @@ impl Cursor {
 
     /// Ensure a current row; false at EOF.
     fn ensure(&mut self) -> Result<bool> {
-        loop {
-            if let Some(b) = &self.block {
-                if self.idx < b.count() {
-                    return Ok(true);
-                }
-            }
+        while self.idx >= self.block.count() {
             match self.op.next()? {
                 Some(b) => {
-                    self.block = Some(b);
+                    self.block = b;
                     self.idx = 0;
                 }
-                None => {
-                    self.block = None;
-                    return Ok(false);
-                }
+                None => return Ok(false),
             }
         }
+        Ok(true)
     }
 
     fn current(&self) -> &[u8] {
-        self.block
-            .as_ref()
-            .expect("ensure() checked")
-            .tuple(self.idx)
+        self.block.tuple(self.idx)
     }
 
     fn current_key(&self) -> &[u8] {
-        self.block
-            .as_ref()
-            .expect("ensure() checked")
-            .field(self.idx, self.key)
+        self.block.field(self.idx, self.key)
     }
 
-    fn advance(&mut self, dt: DataType) -> Result<()> {
+    fn advance(&mut self, key: &Schema) -> Result<()> {
         let k = self.current_key().to_vec();
         if let Some(prev) = &self.last_key {
-            if cmp_key(dt, prev, &k) == Ordering::Greater {
+            if cmp_key(key, prev, &k) == Ordering::Greater {
                 return Err(Error::InvalidPlan(
                     "merge join input not sorted on key".into(),
                 ));
@@ -106,7 +86,8 @@ pub struct MergeJoin {
     ctx: ExecContext,
     left: Cursor,
     right: Cursor,
-    key_dt: DataType,
+    /// The join key as a one-column schema.
+    key: Schema,
     out_schema: Arc<Schema>,
     left_width: usize,
     /// Buffered right-side run sharing the current key.
@@ -152,7 +133,7 @@ impl MergeJoin {
             ctx: ctx.clone(),
             left: Cursor::new(left, left_key),
             right: Cursor::new(right, right_key),
-            key_dt,
+            key: Schema::new(vec![Column::new("key", key_dt)])?,
             out_schema: Arc::new(Schema::new(cols)?),
             left_width: ls.logical_width(),
             run: Vec::new(),
@@ -189,7 +170,7 @@ impl Operator for MergeJoin {
                 }
                 let lkey = self.left.current_key();
                 compares += 1.0;
-                if cmp_key(self.key_dt, lkey, &self.run_key) == Ordering::Equal {
+                if cmp_key(&self.key, lkey, &self.run_key) == Ordering::Equal {
                     let l = self.left.current();
                     raw[..self.left_width].copy_from_slice(l);
                     raw[self.left_width..].copy_from_slice(&self.run[self.run_pos]);
@@ -197,9 +178,9 @@ impl Operator for MergeJoin {
                     self.run_pos += 1;
                     if self.run_pos == self.run.len() {
                         // Next left row may share the key → replay the run.
-                        self.left.advance(self.key_dt)?;
+                        self.left.advance(&self.key)?;
                         if self.left.ensure()?
-                            && cmp_key(self.key_dt, self.left.current_key(), &self.run_key)
+                            && cmp_key(&self.key, self.left.current_key(), &self.run_key)
                                 == Ordering::Equal
                         {
                             self.run_pos = 0;
@@ -221,24 +202,20 @@ impl Operator for MergeJoin {
                     break 'outer;
                 }
                 compares += 1.0;
-                match cmp_key(
-                    self.key_dt,
-                    self.left.current_key(),
-                    self.right.current_key(),
-                ) {
-                    Ordering::Less => self.left.advance(self.key_dt)?,
-                    Ordering::Greater => self.right.advance(self.key_dt)?,
+                match cmp_key(&self.key, self.left.current_key(), self.right.current_key()) {
+                    Ordering::Less => self.left.advance(&self.key)?,
+                    Ordering::Greater => self.right.advance(&self.key)?,
                     Ordering::Equal => {
                         // Buffer the right run for this key.
                         self.run_key = self.right.current_key().to_vec();
                         self.run.clear();
                         self.run_pos = 0;
                         while self.right.ensure()?
-                            && cmp_key(self.key_dt, self.right.current_key(), &self.run_key)
+                            && cmp_key(&self.key, self.right.current_key(), &self.run_key)
                                 == Ordering::Equal
                         {
                             self.run.push(self.right.current().to_vec());
-                            self.right.advance(self.key_dt)?;
+                            self.right.advance(&self.key)?;
                         }
                         continue 'outer;
                     }

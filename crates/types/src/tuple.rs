@@ -37,9 +37,11 @@ pub fn decode_tuple(schema: &Schema, raw: &[u8]) -> Result<Vec<Value>> {
             schema.logical_width()
         )));
     }
-    (0..schema.len())
-        .map(|i| decode_field(schema, raw, i))
-        .collect()
+    let mut row = Vec::with_capacity(schema.len());
+    for i in 0..schema.len() {
+        row.push(decode_field(schema, raw, i)?);
+    }
+    Ok(row)
 }
 
 /// Decode a single attribute from a raw tuple.
@@ -66,9 +68,18 @@ pub fn read_int(schema: &Schema, raw: &[u8], col: usize) -> i32 {
     i32::from_le_bytes([raw[off], raw[off + 1], raw[off + 2], raw[off + 3]])
 }
 
+/// Read a `Long` attribute directly from a raw tuple without allocating.
+#[inline]
+pub fn read_long(schema: &Schema, raw: &[u8], col: usize) -> i64 {
+    let off = schema.offset(col);
+    let b = &raw[off..off + 8];
+    i64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datatype::DataType;
     use crate::schema::Column;
 
     fn schema() -> Schema {
@@ -110,8 +121,20 @@ mod tests {
         encode_tuple(&s, &tuple(), &mut buf).unwrap();
         assert_eq!(read_int(&s, &buf, 0), 42);
         assert_eq!(read_int(&s, &buf, 3), -7);
+        let l = Schema::new(vec![Column::int("i"), Column::new("l", DataType::Long)]).unwrap();
+        let mut lbuf = Vec::new();
+        encode_tuple(&l, &[Value::Int(1), Value::Long(i64::MIN + 3)], &mut lbuf).unwrap();
+        assert_eq!(read_long(&l, &lbuf, 1), i64::MIN + 3);
         assert_eq!(field_slice(&s, &buf, 1), b"A");
         assert_eq!(decode_field(&s, &buf, 2).unwrap().to_string(), "TRUCK");
+    }
+
+    #[test]
+    fn decoded_rows_are_allocated_once() {
+        let s = schema();
+        let mut buf = Vec::new();
+        encode_tuple(&s, &tuple(), &mut buf).unwrap();
+        assert_eq!(decode_tuple(&s, &buf).unwrap().capacity(), s.len());
     }
 
     #[test]
