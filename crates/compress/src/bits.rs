@@ -136,7 +136,11 @@ impl<'a> BitReader<'a> {
         BitReader { data }
     }
 
-    /// Read `bits` bits starting at absolute bit offset `bit_off`.
+    /// Read `bits` bits starting at absolute bit offset `bit_off`: one
+    /// unaligned little-endian word load when the code fits in the word at
+    /// its first byte and eight bytes remain there, the byte loop for the
+    /// buffer's last bytes and for a code that straddles nine bytes.
+    #[inline]
     pub fn read_at(&self, bit_off: usize, bits: u8) -> Result<u64> {
         if bits == 0 || bits > 64 {
             return Err(Error::InvalidConfig(format!("bit width {bits}")));
@@ -147,6 +151,13 @@ impl<'a> BitReader<'a> {
                 "bit read [{bit_off}, {end}) past end ({} bits)",
                 self.data.len() * 8
             )));
+        }
+        let shift = bit_off % 8;
+        if shift + bits as usize <= 64 {
+            if let Some(word) = self.data[bit_off / 8..].first_chunk::<8>() {
+                let mask = u64::MAX >> (64 - bits as u32);
+                return Ok((u64::from_le_bytes(*word) >> shift) & mask);
+            }
         }
         let mut out = [0u64];
         unpack_generic(self.data, bit_off, bits, &mut out);
@@ -160,25 +171,34 @@ impl<'a> BitReader<'a> {
     }
 
     /// Append the `n` bytes that start at bit `bit_off` — one slice copy
-    /// where the offset is byte-aligned (every column page), byte by byte
-    /// where it is not (a field inside a packed tuple).
+    /// where the offset is byte-aligned (every column page), a shift-copy
+    /// of the `n + 1` bytes it spans where it is not (a field inside a
+    /// packed tuple); one bounds check either way.
     pub(crate) fn read_bytes(&self, bit_off: usize, n: usize, out: &mut Vec<u8>) -> Result<()> {
-        if !bit_off.is_multiple_of(8) {
-            for k in 0..n {
-                out.push(self.read_at(bit_off + 8 * k, 8)? as u8);
-            }
-            return Ok(());
+        let shift = bit_off % 8;
+        let src = self.bytes(bit_off / 8, n + usize::from(shift > 0 && n > 0))?;
+        if shift == 0 {
+            out.extend_from_slice(src);
+        } else {
+            out.extend(
+                src.windows(2)
+                    .map(|w| (w[0] >> shift) | (w[1] << (8 - shift))),
+            );
         }
-        let start = bit_off / 8;
-        let bytes = self.data.get(start..start + n).ok_or_else(|| {
-            Error::corrupt(format!(
-                "byte read [{start}, {}) past end ({} bytes)",
-                start + n,
-                self.data.len()
-            ))
-        })?;
-        out.extend_from_slice(bytes);
         Ok(())
+    }
+
+    /// The `n` bytes at byte offset `start`, bounds-checked once.
+    pub(crate) fn bytes(&self, start: usize, n: usize) -> Result<&'a [u8]> {
+        start
+            .checked_add(n)
+            .and_then(|end| self.data.get(start..end))
+            .ok_or_else(|| {
+                Error::corrupt(format!(
+                    "byte read of {n} at {start} past end ({} bytes)",
+                    self.data.len()
+                ))
+            })
     }
 
     /// Unpack `out.len()` fixed-width codes starting at code index `first`
@@ -399,6 +419,53 @@ mod tests {
         assert_eq!(out, b"abcd");
         assert!(r.read_bytes(24, 3, &mut out).is_err());
         assert!(r.read_bytes(35, 1, &mut out).is_err());
+    }
+
+    #[test]
+    fn read_at_equals_the_byte_loop_at_every_width_and_offset() {
+        // 24 bytes of pattern: offsets 0..=63 from the start take the word
+        // load, the last 64 offsets of each width reach the byte loop.
+        let data: Vec<u8> = (0..24).map(|i| pattern(i, 8) as u8).collect();
+        let r = BitReader::new(&data);
+        let len = data.len() * 8;
+        for bits in 1..=64u8 {
+            let w = bits as usize;
+            let near_end = len - w - 63..=len - w;
+            for off in (0..=63).chain(near_end) {
+                let mut want = [0u64];
+                unpack_generic(&data, off, bits, &mut want);
+                assert_eq!(
+                    r.read_at(off, bits).unwrap(),
+                    want[0],
+                    "width {bits} at {off}"
+                );
+            }
+            for off in len - w + 1..=len - w + 8 {
+                let err = Error::corrupt(format!(
+                    "bit read [{off}, {}) past end ({len} bits)",
+                    off + w
+                ));
+                assert_eq!(r.read_at(off, bits), Err(err), "width {bits} at {off}");
+            }
+        }
+    }
+
+    #[test]
+    fn read_bytes_equals_one_read_per_byte_at_every_offset() {
+        let data: Vec<u8> = (0..20).map(|i| pattern(i, 8) as u8).collect();
+        let r = BitReader::new(&data);
+        for off in 0..data.len() * 8 {
+            for n in 0..=(data.len() * 8 - off) / 8 {
+                let mut got = Vec::new();
+                r.read_bytes(off, n, &mut got).unwrap();
+                let want: Vec<u8> = (0..n)
+                    .map(|k| r.read_at(off + 8 * k, 8).unwrap() as u8)
+                    .collect();
+                assert_eq!(got, want, "{n} bytes at bit {off}");
+            }
+            let n = (data.len() * 8 - off) / 8 + 1;
+            assert!(r.read_bytes(off, n, &mut Vec::new()).is_err(), "at {off}");
+        }
     }
 
     #[test]

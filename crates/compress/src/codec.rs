@@ -305,13 +305,14 @@ impl ColumnCompression {
     /// The read half of this codec on one page whose base is `base` and
     /// whose Dict→FOR code base is `code_base` (0 where the codec has none).
     pub fn field(&self, dtype: DataType, base: i64, code_base: u32) -> Field<'_> {
-        let (ints, values) = match self.dict.as_deref() {
-            Some(d) => (d.ints(), d.values()),
-            None => (&[][..], &[][..]),
+        let (ints, (entries, width)) = match self.dict.as_deref() {
+            Some(d) => (d.ints(), d.entries()),
+            None => (&[][..], (&[][..], 0)),
         };
         let dict = |offset| ValueMap::Dict {
             ints,
-            values,
+            entries,
+            width,
             offset,
         };
         let map = match &self.codec {
@@ -452,11 +453,13 @@ enum ValueMap<'a> {
     /// RLE add the page minimum, FOR-delta its first value (to the running
     /// sum of its deltas).
     Base(i64),
-    /// Entry `offset + code` of the dictionary, its values decoded once
-    /// (Dict and RLE-dict: offset 0; Dict→FOR: the page's code base).
+    /// Entry `offset + code` of the dictionary, its values decoded once —
+    /// as ints, and as `width`-byte stored values (Dict and RLE-dict:
+    /// offset 0; Dict→FOR: the page's code base).
     Dict {
         ints: &'a [i32],
-        values: &'a [Value],
+        entries: &'a [u8],
+        width: usize,
         offset: u32,
     },
     /// The code is the value's first `n` stored bytes, zero-padded to the
@@ -480,16 +483,17 @@ pub struct Field<'a> {
     delta: bool,
 }
 
-/// Entry `offset + code` of a dictionary table.
-fn entry<T>(table: &[T], code: u64, offset: u32) -> Result<&T> {
+/// Entry `offset + code` of a dictionary table whose entries are `width`
+/// items each (1 for the ints).
+fn entry<T>(table: &[T], width: usize, code: u64, offset: u32) -> Result<&[T]> {
     usize::try_from(code)
         .ok()
         .and_then(|c| c.checked_add(offset as usize))
-        .and_then(|i| table.get(i))
+        .and_then(|i| table.get(i.checked_mul(width)?..i.checked_add(1)?.checked_mul(width)?))
         .ok_or_else(|| Error::corrupt(format!("dictionary code {code} out of range")))
 }
 
-impl Field<'_> {
+impl<'a> Field<'a> {
     /// Whether a code is a delta from the previous value's (FOR-delta): the
     /// map then applies to the running sum of the codes, not to one.
     pub fn is_delta(&self) -> bool {
@@ -522,16 +526,39 @@ impl Field<'_> {
         self.want_int()?;
         match self.map {
             ValueMap::Base(base) => Ok(base.wrapping_add(code as i64) as i32),
-            ValueMap::Dict { ints, offset, .. } => entry(ints, code, offset).copied(),
+            ValueMap::Dict { ints, offset, .. } => Ok(entry(ints, 1, code, offset)?[0]),
             // Only text and longs are stored as bytes.
             ValueMap::Bytes(_) => Err(Error::corrupt("int column stored as bytes")),
         }
     }
 
+    /// The dictionary's stored values and the page's code offset, where the
+    /// value map is a dictionary lookup; its entries must be as wide as the
+    /// column's declared type.
+    fn entries(&self) -> Result<Option<(&'a [u8], u32)>> {
+        let ValueMap::Dict {
+            entries,
+            width,
+            offset,
+            ..
+        } = self.map
+        else {
+            return Ok(None);
+        };
+        if width != self.dtype.width() {
+            return Err(Error::InvalidConfig(format!(
+                "{} column over a dictionary of {width}-byte values",
+                self.dtype
+            )));
+        }
+        Ok(Some((entries, offset)))
+    }
+
     /// The value a code stands for, appended at full declared width.
     pub fn raw_of(&self, code: u64, out: &mut Vec<u8>) -> Result<()> {
-        if let ValueMap::Dict { values, offset, .. } = self.map {
-            return entry(values, code, offset)?.encode_into(self.dtype, out);
+        if let Some((entries, offset)) = self.entries()? {
+            out.extend_from_slice(entry(entries, self.dtype.width(), code, offset)?);
+            return Ok(());
         }
         out.extend_from_slice(&self.int_of(code)?.to_le_bytes());
         Ok(())
@@ -910,6 +937,85 @@ impl<'a> PageValues<'a> {
                 })?;
                 *slot = self.field.int_of(code)?;
             }
+        }
+        Ok(())
+    }
+
+    /// Append the full-declared-width bytes of values `first .. first + n`
+    /// to `out` — the one range decoder of a page whose value map copies
+    /// stored bytes rather than adding a base: raw text and longs and
+    /// TextPack by slice; Dict and Dict→FOR as [`BitReader::unpack`] blocks
+    /// of codes (block-aligned, so full blocks take the word kernels) plus
+    /// one fixed-width copy per value out of the dictionary's byte table;
+    /// RLE-dict by runs. Base-mapped int pages decode through
+    /// [`PageValues::decode_ints_into`]. On an error `out` may hold part of
+    /// the range.
+    pub fn decode_raw_into(&self, first: usize, n: usize, out: &mut Vec<u8>) -> Result<()> {
+        let end = first
+            .checked_add(n)
+            .filter(|&end| end <= self.count)
+            .ok_or_else(|| {
+                Error::corrupt(format!(
+                    "value range of {n} at {first} out of page (count {})",
+                    self.count
+                ))
+            })?;
+        let width = self.field.dtype.width();
+        out.reserve(n * width);
+        if let ValueMap::Bytes(nb) = self.field.map {
+            let src = self.data.bytes(first * nb, n * nb)?;
+            if nb == width {
+                out.extend_from_slice(src);
+            } else {
+                for k in 0..n {
+                    out.extend_from_slice(&src[k * nb..][..nb]);
+                    out.resize(out.len() + width - nb, 0);
+                }
+            }
+            return Ok(());
+        }
+        let Some((entries, offset)) = self.field.entries()? else {
+            return Err(Error::InvalidConfig(format!(
+                "codec {:?} decodes ints, not stored bytes",
+                self.comp.codec.kind()
+            )));
+        };
+        if let Codec::RleDict {
+            value_bits,
+            len_bits,
+        } = self.comp.codec
+        {
+            let mut start = 0usize;
+            for r in 0..self.aux as usize {
+                if start >= end {
+                    break;
+                }
+                let (code, len) = self.run_at(r, value_bits, len_bits)?;
+                let run_end = start.saturating_add(len as usize);
+                let emit = start.max(first)..run_end.min(end);
+                if !emit.is_empty() {
+                    let value = entry(entries, width, code, offset)?;
+                    emit.for_each(|_| out.extend_from_slice(value));
+                }
+                start = run_end;
+            }
+            if start < end {
+                return Err(Error::corrupt(format!(
+                    "RLE runs cover {start} of {} values",
+                    self.count
+                )));
+            }
+            return Ok(());
+        }
+        let mut block = [0u64; BLOCK];
+        let mut slot = first;
+        while slot < end {
+            let codes = &mut block[..(BLOCK - slot % BLOCK).min(end - slot)];
+            self.data.unpack(slot, self.field.bits, codes)?;
+            for &code in codes.iter() {
+                out.extend_from_slice(entry(entries, width, code, offset)?);
+            }
+            slot += codes.len();
         }
         Ok(())
     }
@@ -1472,6 +1578,170 @@ mod tests {
                 }
                 assert!(pv.codes_block(n - 1, &mut [0u64; 2][..]).is_err());
             }
+        }
+    }
+
+    const WORDS: [&str; 7] = ["AIR", "TRUCK", "MAIL", "SHIP", "", "RAIL", "FOB"];
+
+    /// The codecs whose value map copies stored bytes, each with a column
+    /// type it can hold (RLE-dict stores int dictionaries only).
+    fn byte_codecs() -> Vec<(ColumnCompression, DataType)> {
+        let text = DataType::Text(6);
+        // Two entries no page holds, so every Dict→FOR page has code base 2.
+        let words = ["ZZZ", "QQ"].iter().chain(&WORDS).map(|w| Value::text(w));
+        let dict = Arc::new(Dictionary::build(text, words.collect::<Vec<_>>().iter()).unwrap());
+        let int_dict =
+            Arc::new(Dictionary::build(DataType::Int, ints(&[7, -3, 900, 41]).iter()).unwrap());
+        let with = |codec, dict: &Arc<Dictionary>| {
+            ColumnCompression::new(codec, Some(dict.clone())).unwrap()
+        };
+        let rle_dict = Codec::RleDict {
+            value_bits: 2,
+            len_bits: 3,
+        };
+        vec![
+            (ColumnCompression::none(), text),
+            (ColumnCompression::none(), DataType::Long),
+            (
+                ColumnCompression::new(Codec::TextPack { bytes: 5 }, None).unwrap(),
+                text,
+            ),
+            (with(Codec::Dict { bits: 4 }, &dict), text),
+            (with(Codec::DictFor { bits: 3 }, &dict), text),
+            (with(rle_dict, &int_dict), DataType::Int),
+        ]
+    }
+
+    /// `len` values of `dtype` from the domains [`byte_codecs`] encode,
+    /// in runs of up to 11 (RLE splits them at 8).
+    fn byte_values(dtype: DataType, len: usize) -> Vec<Value> {
+        (0..len)
+            .map(|i| match dtype {
+                DataType::Int => Value::Int([7, -3, 900, 41][(i / 11) % 4]),
+                DataType::Long => Value::Long(i as i64 * -7_919_000_000),
+                DataType::Text(_) => Value::text(WORDS[(i * i + i / 3) % 7]),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn range_decode_equals_per_slot_reads_over_every_range() {
+        for (comp, dtype) in byte_codecs() {
+            let width = dtype.width();
+            for len in [40, 333] {
+                let vals = byte_values(dtype, len);
+                let enc = comp.encode_page(dtype, &vals).unwrap();
+                let pv = comp.open_page(dtype, &enc.data, enc.count, enc.base);
+                if let Codec::DictFor { .. } = comp.codec {
+                    assert_eq!(pv.code_base(), 2);
+                }
+                let mut slots = Vec::new();
+                for slot in 0..len {
+                    pv.write_raw(slot, &mut slots).unwrap();
+                }
+                let mut want = Vec::new();
+                for v in &vals {
+                    v.encode_into(dtype, &mut want).unwrap();
+                }
+                assert_eq!(slots, want, "{:?}", comp.codec);
+                // Every range of the short page; on the long one every
+                // start, with lengths across the block edges and to the end.
+                for first in 0..=len {
+                    let rest = len - first;
+                    let ns: Vec<usize> = if len == 40 {
+                        (0..=rest).collect()
+                    } else {
+                        [0, 1, 2, 127, 128, 129, 200, rest]
+                            .map(|n| n.min(rest))
+                            .to_vec()
+                    };
+                    for n in ns {
+                        let mut got = vec![0xAB];
+                        pv.decode_raw_into(first, n, &mut got).unwrap();
+                        assert_eq!(
+                            got[1..],
+                            slots[first * width..(first + n) * width],
+                            "{:?} [{first}, {})",
+                            comp.codec,
+                            first + n
+                        );
+                    }
+                    assert!(pv
+                        .decode_raw_into(first, rest + 1, &mut Vec::new())
+                        .is_err());
+                }
+            }
+        }
+        // A base-mapped int page has no stored bytes to copy.
+        let comp = ColumnCompression::new(Codec::BitPack { bits: 4 }, None).unwrap();
+        let enc = comp.encode_page(DataType::Int, &ints(&[1, 2])).unwrap();
+        let pv = comp.open_page(DataType::Int, &enc.data, 2, 0);
+        assert!(pv.decode_raw_into(0, 2, &mut Vec::new()).is_err());
+    }
+
+    #[test]
+    fn an_out_of_range_dictionary_code_fails_a_range_like_its_slot() {
+        let text = DataType::Text(6);
+        let words = byte_values(text, 20);
+        let dict = Arc::new(Dictionary::build(text, words.iter()).unwrap());
+        assert_eq!(dict.len(), 7);
+        let int_dict = Arc::new(Dictionary::build(DataType::Int, ints(&[5, 6]).iter()).unwrap());
+        // Dict and Dict→FOR (code base 3) hold stored code 7 at slot 2; the
+        // RLE-dict page's second run holds code 3 over a two-entry
+        // dictionary, covering slots 2 and 3.
+        let pack = |header: Option<u32>, codes: &[(u64, u8)]| {
+            let mut w = BitWriter::new();
+            if let Some(h) = header {
+                w.write_bytes(&h.to_le_bytes());
+            }
+            for &(c, bits) in codes {
+                w.write(c, bits).unwrap();
+            }
+            w.into_bytes()
+        };
+        let coded = [(0, 3), (1, 3), (7, 3), (2, 3)];
+        let runs = [(1, 2), (1, 3), (3, 2), (1, 3), (0, 2), (0, 3)];
+        let cases = [
+            (
+                ColumnCompression::new(Codec::Dict { bits: 3 }, Some(dict.clone())).unwrap(),
+                text,
+                pack(None, &coded),
+                7,
+            ),
+            (
+                ColumnCompression::new(Codec::DictFor { bits: 3 }, Some(dict)).unwrap(),
+                text,
+                pack(Some(3), &coded),
+                7,
+            ),
+            (
+                ColumnCompression::new(
+                    Codec::RleDict {
+                        value_bits: 2,
+                        len_bits: 3,
+                    },
+                    Some(int_dict),
+                )
+                .unwrap(),
+                DataType::Int,
+                pack(Some(3), &runs),
+                3,
+            ),
+        ];
+        for (comp, dtype, data, code) in cases {
+            let pv = comp.open_page(dtype, &data, 4, 0);
+            let slot = pv.write_raw(2, &mut Vec::new()).unwrap_err();
+            assert_eq!(
+                slot,
+                Error::corrupt(format!("dictionary code {code} out of range"))
+            );
+            for (first, n) in [(0, 4), (2, 1), (1, 2)] {
+                let range = pv.decode_raw_into(first, n, &mut Vec::new()).unwrap_err();
+                assert_eq!(range, slot, "{:?} [{first}, {})", comp.codec, first + n);
+            }
+            let mut out = Vec::new();
+            pv.decode_raw_into(0, 2, &mut out).unwrap();
+            assert_eq!(out.len(), 2 * dtype.width());
         }
     }
 

@@ -16,8 +16,12 @@ use crate::bits::bits_for;
 pub struct Dictionary {
     values: Vec<Value>,
     /// The values decoded once as ints (an int dictionary; empty otherwise):
-    /// what a page's dictionary lookup indexes.
+    /// what a page's int lookup indexes.
     ints: Vec<i32>,
+    /// Every value at its full declared width, `width` bytes each in code
+    /// order: what a page's byte lookup copies an entry out of.
+    entries: Vec<u8>,
+    width: usize,
     index: HashMap<Value, u32>,
 }
 
@@ -32,6 +36,8 @@ impl Dictionary {
         let mut dict = Dictionary {
             values: Vec::new(),
             ints: Vec::new(),
+            entries: Vec::new(),
+            width: dtype.width(),
             index: HashMap::new(),
         };
         for v in values {
@@ -40,8 +46,9 @@ impl Dictionary {
         Ok(dict)
     }
 
-    /// Insert (if new) and return the code for `v`.
-    pub fn intern(&mut self, dtype: DataType, v: &Value) -> Result<u32> {
+    /// Insert (if new) and return the code for `v`, a value of the type the
+    /// dictionary was built for.
+    fn intern(&mut self, dtype: DataType, v: &Value) -> Result<u32> {
         v.check_fits(dtype)?;
         let normalized = normalize(dtype, v)?;
         if let Some(&code) = self.index.get(&normalized) {
@@ -49,6 +56,7 @@ impl Dictionary {
         }
         let code = u32::try_from(self.values.len())
             .map_err(|_| Error::ValueOutOfDomain("dictionary exceeds u32 codes".into()))?;
+        normalized.encode_into(dtype, &mut self.entries)?;
         if let Value::Int(i) = normalized {
             self.ints.push(i);
         }
@@ -73,15 +81,15 @@ impl Dictionary {
             .ok_or_else(|| Error::corrupt(format!("dictionary code {code} out of range")))
     }
 
-    /// The value of every code, in code order.
-    pub(crate) fn values(&self) -> &[Value] {
-        &self.values
-    }
-
-    /// [`Dictionary::values`] as ints, for an int dictionary (empty
+    /// The value of every code as an int, for an int dictionary (empty
     /// otherwise).
     pub(crate) fn ints(&self) -> &[i32] {
         &self.ints
+    }
+
+    /// The value of every code at full declared width, and that width.
+    pub(crate) fn entries(&self) -> (&[u8], usize) {
+        (&self.entries, self.width)
     }
 
     /// Number of distinct values.

@@ -265,12 +265,13 @@ impl PageCursor {
         }
     }
 
-    /// The page the last successful [`PageCursor::seek`] landed on, and the
-    /// ordinal of its first row.
-    pub fn held(&self) -> (&VerifiedPage, u64) {
+    /// The page the last [`PageCursor::seek`] landed on, and the ordinal of
+    /// its first row: the error that seek failed with, if it failed.
+    pub fn held(&self) -> Result<(&VerifiedPage, u64)> {
         match &self.held {
-            Some(Ok(page)) => (page, self.held_first_row),
-            _ => panic!("PageCursor::held without a successful seek"),
+            Some(Ok(page)) => Ok((page, self.held_first_row)),
+            Some(Err(e)) => Err(e.clone()),
+            None => Err(Error::InvalidPlan("no page held before a seek".into())),
         }
     }
 }

@@ -110,6 +110,15 @@ impl Window {
         self.range.0 <= pos && pos < self.range.1 && !self.dropped.contains(pos)
     }
 
+    /// The slots of a page of `count` rows from `first_row` that lie inside
+    /// the range: every slot the window can admit (a dropped ordinal
+    /// among them still fails [`Window::admits`]).
+    pub fn slots(&self, first_row: u64, count: usize) -> std::ops::Range<usize> {
+        let slot = |pos: u64| pos.saturating_sub(first_row).min(count as u64) as usize;
+        let start = slot(self.range.0);
+        start..slot(self.range.1).max(start)
+    }
+
     /// End of scan: report what was dropped to the recovery counters.
     /// True the first time only — a scanner polled past its end closes its
     /// accounting once.
@@ -303,13 +312,15 @@ pub(crate) struct ColumnNode {
     /// `scan_fast_path`).
     pub fast: bool,
     /// Whether the held page was decoded whole — an int column's into
-    /// `ints` by the page's one block decoder (metered as block work on the
-    /// fast path, per value off it), a text column's into `raw` at full
-    /// declared width. Otherwise values are read per position through the
+    /// `ints` by the page's int block decoder (metered as block work on the
+    /// fast path, per value off it), any other column's into `raw` by its
+    /// range decoder. Otherwise values are read per position through the
     /// codec.
     decoded: bool,
     /// Also node 0's value-space filter scratch.
     pub ints: Vec<i32>,
+    /// The held page's values at full declared width, when decoded whole
+    /// and not ints.
     raw: Vec<u8>,
     /// Per-slot verdict of `preds` on the held page, where decoding judged
     /// them in one vectorized pass (empty otherwise).
@@ -390,9 +401,7 @@ impl ColumnNode {
                     pv.decode_ints_into(&mut self.ints)?;
                 } else {
                     self.raw.clear();
-                    for slot in 0..count {
-                        pv.write_raw(slot, &mut self.raw)?;
-                    }
+                    pv.decode_raw_into(0, count, &mut self.raw)?;
                 }
                 if fast_int {
                     self.tally.blocks_decoded += count as u64;
@@ -413,16 +422,17 @@ impl ColumnNode {
     }
 
     /// Append the value at `pos` of the held page (after a successful
-    /// [`ColumnNode::seek`]) at full declared width.
+    /// [`ColumnNode::seek`]) at full declared width. A page not decoded
+    /// whole is read here one position at a time: the engine's one
+    /// per-slot decode.
     #[inline]
     pub fn read(&mut self, pos: u64, out: &mut Vec<u8>) -> Result<()> {
-        let (page, first_row) = self.pages.held();
+        let (page, first_row) = self.pages.held()?;
         let slot = (pos - first_row) as usize;
         let width = self.dtype.width();
         let comp = &self.storage.comp;
         if !self.decoded {
-            // Scalar reads and the fast path's fallback (text has no block
-            // kernel) alike re-open the held page: no checksum pass here.
+            // Sparse reads re-open the held page: no checksum pass here.
             page.column(self.dtype).values(comp).write_raw(slot, out)?;
             self.tally.values_decoded += 1;
         } else if self.dtype == DataType::Int {
@@ -443,7 +453,7 @@ impl ColumnNode {
     /// into `scratch` (left there for the caller) and judged.
     #[inline]
     pub fn passes(&mut self, pos: u64, scratch: &mut Vec<u8>) -> Result<bool> {
-        if let Some(&verdict) = self.verdicts.get((pos - self.pages.held().1) as usize) {
+        if let Some(&verdict) = self.verdicts.get((pos - self.pages.held()?.1) as usize) {
             return Ok(verdict);
         }
         scratch.clear();
@@ -564,6 +574,11 @@ mod tests {
         w.dropped.add(12, 14);
         let admitted: Vec<u64> = (0..30).filter(|&p| w.admits(p)).collect();
         assert_eq!(admitted, [10, 11, 14, 15, 16, 17, 18, 19]);
+        // A page's slots inside the range: before, across both ends, inside,
+        // after.
+        let slots =
+            [(0, 5), (0, 30), (8, 4), (12, 3), (19, 9), (20, 5)].map(|(f, n)| w.slots(f, n));
+        assert_eq!(slots, [5..5, 10..20, 2..4, 0..3, 0..1, 0..0]);
         let ctx = ExecContext::default_ctx();
         assert!(w.settle(&ctx));
         assert!(!w.settle(&ctx), "a scan closes once");

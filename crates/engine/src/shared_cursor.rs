@@ -20,13 +20,17 @@
 //!    and to fail the batch on a page that is bad on every replica.
 //! 2. **Per-query work** off the shared stream — riders decode: each
 //!    query's plan runs over the segment through [`QueryPlan::run_on`], the
-//!    riders mapped over one `sched::pool`, each with its own scanner. Their
-//!    simulated I/O is discarded (the driver already paid it), so they read
-//!    through no page cache; their CPU is charged in full per query. That
-//!    is deliberately conservative: the paper's shared-scan model amortizes
-//!    predicate evaluation too, but here every query keeps its exact solo
-//!    kernel costs so results and per-query CPU attribution stay
-//!    bit-identical to solo runs.
+//!    riders mapped over one `sched::pool`, each with its own scanner.
+//!    Segments are page-aligned on one file (the row file's, else the first
+//!    column's), so a page of a column that packs more values spans several:
+//!    a rider's node 0 decodes only the slots of its segment, not the page
+//!    once per segment (the tallies still charge it whole, as a solo scan
+//!    does). Their simulated I/O is discarded (the driver already paid
+//!    it), so they read through no page cache; their CPU is charged in full
+//!    per query. That is deliberately conservative: the paper's shared-scan
+//!    model amortizes predicate evaluation too, but here every query keeps
+//!    its exact solo kernel costs so results and per-query CPU attribution
+//!    stay bit-identical to solo runs.
 //!
 //! Each rider's runs are stored by *segment index* and folded in segment
 //! order `0..S` at completion by `QueryPlan::finish`, so a wrapped query's
