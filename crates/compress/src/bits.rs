@@ -57,9 +57,7 @@ impl BitWriter {
     /// Append the low `bits` bits of `code`. `bits` must be 1..=64 and `code`
     /// must fit.
     pub fn write(&mut self, code: u64, bits: u8) -> Result<()> {
-        if bits == 0 || bits > 64 {
-            return Err(Error::InvalidConfig(format!("bit width {bits}")));
-        }
+        check_width(bits)?;
         if bits < 64 && (code >> bits) != 0 {
             return Err(Error::ValueOutOfDomain(format!(
                 "code {code} does not fit in {bits} bits"
@@ -136,15 +134,47 @@ impl<'a> BitReader<'a> {
         BitReader { data }
     }
 
+    /// Bits readable.
+    pub fn bit_len(&self) -> usize {
+        self.data.len() * 8
+    }
+
     /// Read `bits` bits starting at absolute bit offset `bit_off`: one
     /// unaligned little-endian word load when the code fits in the word at
     /// its first byte and eight bytes remain there, the byte loop for the
     /// buffer's last bytes and for a code that straddles nine bytes.
     #[inline]
     pub fn read_at(&self, bit_off: usize, bits: u8) -> Result<u64> {
-        if bits == 0 || bits > 64 {
-            return Err(Error::InvalidConfig(format!("bit width {bits}")));
+        check_width(bits)?;
+        self.check_end(bit_off, bits)?;
+        Ok(self.word_at(bit_off, bits))
+    }
+
+    /// The codes of `n` values stored `stride` bits apart from bit `first`,
+    /// each `bits` wide: one word load each, as [`BitReader::read_at`], with
+    /// the run's bounds checked once, before any is read.
+    #[inline]
+    pub fn strided(
+        &self,
+        first: usize,
+        stride: usize,
+        n: usize,
+        bits: u8,
+    ) -> Result<impl Iterator<Item = u64> + '_> {
+        check_width(bits)?;
+        if let Some(last) = n.checked_sub(1) {
+            let last = last.checked_mul(stride).and_then(|l| l.checked_add(first));
+            self.check_end(
+                last.ok_or_else(|| Error::corrupt("strided read past usize"))?,
+                bits,
+            )?;
         }
+        Ok((0..n).map(move |i| self.word_at(first + i * stride, bits)))
+    }
+
+    /// `Corrupt` unless the `bits` at `bit_off` lie inside the buffer.
+    #[inline]
+    fn check_end(&self, bit_off: usize, bits: u8) -> Result<()> {
         let end = bit_off + bits as usize;
         if end > self.data.len() * 8 {
             return Err(Error::corrupt(format!(
@@ -152,16 +182,28 @@ impl<'a> BitReader<'a> {
                 self.data.len() * 8
             )));
         }
+        Ok(())
+    }
+
+    /// The `bits` (1..=64) at `bit_off`, inside the buffer: one unaligned
+    /// little-endian word load when the code fits in the word at its first
+    /// byte and eight bytes remain there, the byte loop otherwise.
+    #[inline]
+    fn word_at(&self, bit_off: usize, bits: u8) -> u64 {
         let shift = bit_off % 8;
         if shift + bits as usize <= 64 {
-            if let Some(word) = self.data[bit_off / 8..].first_chunk::<8>() {
+            if let Some(word) = self
+                .data
+                .get(bit_off / 8..)
+                .and_then(<[u8]>::first_chunk::<8>)
+            {
                 let mask = u64::MAX >> (64 - bits as u32);
-                return Ok((u64::from_le_bytes(*word) >> shift) & mask);
+                return (u64::from_le_bytes(*word) >> shift) & mask;
             }
         }
         let mut out = [0u64];
         unpack_generic(self.data, bit_off, bits, &mut out);
-        Ok(out[0])
+        out[0]
     }
 
     /// Read the `idx`-th code of a fixed-width run that starts at bit 0.
@@ -175,15 +217,22 @@ impl<'a> BitReader<'a> {
     /// of the `n + 1` bytes it spans where it is not (a field inside a
     /// packed tuple); one bounds check either way.
     pub(crate) fn read_bytes(&self, bit_off: usize, n: usize, out: &mut Vec<u8>) -> Result<()> {
-        let shift = bit_off % 8;
+        let at = out.len();
+        out.resize(at + n, 0);
+        self.read_bytes_into(bit_off, &mut out[at..])
+            .inspect_err(|_| out.truncate(at))
+    }
+
+    /// [`BitReader::read_bytes`] into `dst`, as many bytes as it holds.
+    pub(crate) fn read_bytes_into(&self, bit_off: usize, dst: &mut [u8]) -> Result<()> {
+        let (shift, n) = (bit_off % 8, dst.len());
         let src = self.bytes(bit_off / 8, n + usize::from(shift > 0 && n > 0))?;
         if shift == 0 {
-            out.extend_from_slice(src);
+            dst.copy_from_slice(src);
         } else {
-            out.extend(
-                src.windows(2)
-                    .map(|w| (w[0] >> shift) | (w[1] << (8 - shift))),
-            );
+            for (d, w) in dst.iter_mut().zip(src.windows(2)) {
+                *d = (w[0] >> shift) | (w[1] << (8 - shift));
+            }
         }
         Ok(())
     }
@@ -214,9 +263,7 @@ impl<'a> BitReader<'a> {
         if out.is_empty() {
             return Ok(());
         }
-        if bits == 0 || bits > 64 {
-            return Err(Error::InvalidConfig(format!("bit width {bits}")));
-        }
+        check_width(bits)?;
         let start = first * bits as usize;
         let end = start + out.len() * bits as usize;
         if end > self.data.len() * 8 {
@@ -225,16 +272,18 @@ impl<'a> BitReader<'a> {
                 self.data.len() * 8
             )));
         }
-        if out.len() == BLOCK && bits <= 32 && start.is_multiple_of(8) {
-            let block: &mut [u64; BLOCK] = (&mut out[..]).try_into().expect("len checked");
-            let src = &self.data[start / 8..];
-            // Runtime-dispatched SIMD kernel first; the scalar word-at-a-time
-            // kernel is the always-correct fallback.
-            if !crate::simd::unpack_block(src, bits, block) {
-                unpack_block_aligned(src, bits, block);
+        // A width has a specialized kernel exactly when it is 1..=32.
+        let kernel = KERNELS.get(usize::from(bits) - 1);
+        match (<&mut [u64; BLOCK]>::try_from(&mut *out), kernel) {
+            (Ok(block), Some(kernel)) if start.is_multiple_of(8) => {
+                let src = &self.data[start / 8..];
+                // Runtime-dispatched SIMD kernel first; the scalar
+                // word-at-a-time kernel is the always-correct fallback.
+                if !crate::simd::unpack_block(src, bits, block) {
+                    kernel(src, block);
+                }
             }
-        } else {
-            unpack_generic(self.data, start, bits, out);
+            _ => unpack_generic(self.data, start, bits, out),
         }
         Ok(())
     }
@@ -286,19 +335,27 @@ fn unpack128<const W: usize>(src: &[u8], out: &mut [u64; BLOCK]) {
     }
 }
 
-/// Dispatch the width-specialized kernel. `bits` is 1..=32 (checked by the
-/// caller) and `src` starts at the block's first byte.
-fn unpack_block_aligned(src: &[u8], bits: u8, out: &mut [u64; BLOCK]) {
+/// `InvalidConfig` unless `bits` is a code width, 1..=64.
+#[inline]
+fn check_width(bits: u8) -> Result<()> {
+    if bits == 0 || bits > 64 {
+        return Err(Error::InvalidConfig(format!("bit width {bits}")));
+    }
+    Ok(())
+}
+
+/// A block kernel: one full block of codes from a `src` that starts at the
+/// block's first byte.
+type Kernel = fn(&[u8], &mut [u64; BLOCK]);
+
+/// The width-specialized block kernels: entry `w - 1` decodes `w`-bit
+/// codes. Widths over 32 have none.
+const KERNELS: [Kernel; 32] = {
     macro_rules! widths {
-        ($($w:literal)*) => {
-            match bits as usize {
-                $( $w => unpack128::<$w>(src, out), )*
-                _ => unreachable!("caller restricts bits to 1..=32"),
-            }
-        };
+        ($($w:literal)*) => { [$(unpack128::<$w>),*] };
     }
     widths!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32)
-}
+};
 
 /// The single tail path: decode any run (partial blocks, unaligned starts,
 /// widths up to 64) byte-at-a-time. Bounds were hoisted by the caller, so
@@ -448,6 +505,30 @@ mod tests {
                 assert_eq!(r.read_at(off, bits), Err(err), "width {bits} at {off}");
             }
         }
+    }
+
+    #[test]
+    fn strided_equals_read_at_and_checks_the_run_first() {
+        let data: Vec<u8> = (0..40).map(|i| pattern(i, 8) as u8).collect();
+        let r = BitReader::new(&data);
+        let len = data.len() * 8;
+        for bits in 1..=64u8 {
+            for (first, stride) in [(0, bits as usize), (3, 71), (13, 190), (len - 64, 1)] {
+                let fits = |n: usize| n == 0 || first + (n - 1) * stride + bits as usize <= len;
+                let n = (0..=len).take_while(|&n| fits(n)).last().unwrap();
+                let got: Vec<u64> = r.strided(first, stride, n, bits).unwrap().collect();
+                let want: Vec<u64> = (0..n)
+                    .map(|i| r.read_at(first + i * stride, bits).unwrap())
+                    .collect();
+                assert_eq!(got, want, "width {bits} from {first} every {stride}");
+                // One value more overruns the buffer: refused before any read.
+                assert!(r.strided(first, stride, n + 1, bits).is_err());
+            }
+        }
+        assert!(r.strided(0, 8, 2, 0).is_err());
+        assert!(r.strided(0, 8, 2, 65).is_err());
+        assert!(r.strided(1, usize::MAX, 3, 8).is_err());
+        assert_eq!(r.strided(len, 8, 0, 8).unwrap().count(), 0);
     }
 
     #[test]

@@ -411,15 +411,13 @@ impl ColumnCompression {
         // after it. A truncated blob (corruption that slipped past the page
         // CRC) degrades to an empty code region, so every decode call fails
         // its bounds check rather than reading garbage.
-        let (codes, aux) = if self.codec.blob_header_bytes() == 4 && data.len() >= 4 {
-            (
-                &data[4..],
-                u32::from_le_bytes(data[..4].try_into().expect("4-byte header")),
-            )
-        } else if self.codec.blob_header_bytes() > 0 {
-            (&data[..0], 0)
-        } else {
-            (data, 0)
+        let (codes, aux) = match (
+            self.codec.blob_header_bytes(),
+            data.split_first_chunk::<4>(),
+        ) {
+            (0, _) => (data, 0),
+            (4, Some((header, codes))) => (codes, u32::from_le_bytes(*header)),
+            _ => (&data[..0], 0),
         };
         let code_base = match self.codec {
             Codec::DictFor { .. } => aux,
@@ -555,6 +553,7 @@ impl<'a> Field<'a> {
     }
 
     /// The value a code stands for, appended at full declared width.
+    #[inline]
     pub fn raw_of(&self, code: u64, out: &mut Vec<u8>) -> Result<()> {
         if let Some((entries, offset)) = self.entries()? {
             out.extend_from_slice(entry(entries, self.dtype.width(), code, offset)?);
@@ -571,6 +570,7 @@ impl<'a> Field<'a> {
     }
 
     /// The value stored at bit `off` of `r`, appended at full declared width.
+    #[inline]
     pub fn raw(&self, r: &BitReader, off: usize, out: &mut Vec<u8>) -> Result<()> {
         if let ValueMap::Bytes(n) = self.map {
             r.read_bytes(off, n, out)?;
@@ -578,6 +578,105 @@ impl<'a> Field<'a> {
             return Ok(());
         }
         self.raw_of(self.code(r, off)?, out)
+    }
+
+    /// The codes of `n` values stored `stride` bits apart from bit `first`
+    /// of `r` — one word load each, the run's bounds checked before any is
+    /// read. A FOR-delta field's codes are its deltas.
+    #[inline]
+    pub fn codes_strided<'r>(
+        &self,
+        r: &'r BitReader,
+        first: usize,
+        stride: usize,
+        n: usize,
+    ) -> Result<impl Iterator<Item = u64> + 'r> {
+        if self.bits == 0 {
+            return Err(Error::InvalidConfig(format!(
+                "{} stored as bytes has no code",
+                self.dtype
+            )));
+        }
+        r.strided(first, stride, n, self.bits)
+    }
+
+    /// Append the values of `n` values stored `stride` bits apart from bit
+    /// `first` of `r`, each at full declared width; the run's bounds are
+    /// checked before any value is read, and on an error `out` is as it
+    /// was. A FOR-delta field is decoded as one running sum of its deltas,
+    /// so `first` must be its page's first value (whose code is 0: the page
+    /// base carries it).
+    pub fn raw_strided(
+        &self,
+        r: &BitReader,
+        first: usize,
+        stride: usize,
+        n: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        // The run's bounds, before anything is allocated for it.
+        match (self.map, n.checked_sub(1)) {
+            (ValueMap::Bytes(nb), Some(last)) => {
+                let last = last.checked_mul(stride).and_then(|l| l.checked_add(first));
+                let last = last.ok_or_else(|| Error::corrupt("strided read past usize"))?;
+                r.bytes(last / 8, (last % 8 + nb * 8).div_ceil(8))?;
+            }
+            (ValueMap::Bytes(_), None) => {}
+            _ => drop(self.codes_strided(r, first, stride, n)?),
+        }
+        let (start, width) = (out.len(), self.dtype.width());
+        out.resize(start + n * width, 0);
+        let values = out[start..].chunks_exact_mut(width);
+        let filled = self.fill_strided(r, first, stride, n, values);
+        if filled.is_err() {
+            out.truncate(start);
+        }
+        filled
+    }
+
+    /// [`Field::raw_strided`] into `values`, its run's bounds checked.
+    fn fill_strided<'o>(
+        &self,
+        r: &BitReader,
+        first: usize,
+        stride: usize,
+        n: usize,
+        mut values: impl Iterator<Item = &'o mut [u8]>,
+    ) -> Result<()> {
+        if let ValueMap::Bytes(nb) = self.map {
+            for (i, value) in values.enumerate() {
+                r.read_bytes_into(first + i * stride, &mut value[..nb])?;
+            }
+            return Ok(());
+        }
+        let codes = self.codes_strided(r, first, stride, n)?;
+        if let Some((entries, offset)) = self.entries()? {
+            for (value, code) in values.zip(codes) {
+                value.copy_from_slice(entry(entries, value.len(), code, offset)?);
+            }
+            return Ok(());
+        }
+        self.want_int()?;
+        let ValueMap::Base(base) = self.map else {
+            return Err(Error::corrupt("int column stored as bytes"));
+        };
+        let int = |value: &mut [u8], code: u64| {
+            value.copy_from_slice(&(base.wrapping_add(code as i64) as i32).to_le_bytes());
+        };
+        if !self.delta {
+            values.zip(codes).for_each(|(value, code)| int(value, code));
+            return Ok(());
+        }
+        // The first value's code is 0: the page base carries it.
+        let mut sum = 0u64;
+        if let Some(value) = values.next() {
+            int(value, 0);
+        }
+        for (value, delta) in values.zip(codes.skip(1)) {
+            sum = sum.wrapping_add(delta);
+            int(value, sum);
+        }
+        Ok(())
     }
 
     /// Append the ints a block of codes stands for: the block loop's map.
@@ -736,20 +835,21 @@ impl<'a> Encoder<'a> {
     }
 }
 
-/// Parsed view of a PFOR page's exception list.
+/// Parsed view of a PFOR page's exception list: 12-byte entries, each a
+/// position and its patched code.
 struct PforExceptions<'a> {
-    entries: &'a [u8],
-    n: usize,
+    entries: &'a [[u8; 12]],
 }
 
-impl PforExceptions<'_> {
-    /// Exception `i` as `(position, patched code)`.
-    fn get(&self, i: usize) -> (u32, u64) {
-        let e = &self.entries[i * 12..i * 12 + 12];
-        (
-            u32::from_le_bytes(e[..4].try_into().expect("4 bytes")),
-            u64::from_le_bytes(e[4..].try_into().expect("8 bytes")),
-        )
+impl<'a> PforExceptions<'a> {
+    /// Every exception as `(position, patched code)`, in stored order.
+    fn iter(&self) -> impl Iterator<Item = (u32, u64)> + 'a {
+        self.entries.iter().map(|&[p0, p1, p2, p3, code @ ..]| {
+            (
+                u32::from_le_bytes([p0, p1, p2, p3]),
+                u64::from_le_bytes(code),
+            )
+        })
     }
 }
 
@@ -813,14 +913,14 @@ impl<'a> PageValues<'a> {
         let tail = self.raw.get(exc_off..).ok_or_else(|| {
             Error::corrupt(format!("PFOR exception list at {exc_off} past blob end"))
         })?;
-        if tail.len() < 4 {
-            return Err(Error::corrupt("PFOR exception count truncated".to_string()));
-        }
-        let n = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes")) as usize;
-        let entries = tail.get(4..4 + n * 12).ok_or_else(|| {
+        let (n, tail) = tail
+            .split_first_chunk::<4>()
+            .ok_or_else(|| Error::corrupt("PFOR exception count truncated".to_string()))?;
+        let n = u32::from_le_bytes(*n) as usize;
+        let entries = tail.as_chunks::<12>().0.get(..n).ok_or_else(|| {
             Error::corrupt(format!("PFOR exception list ({n} entries) truncated"))
         })?;
-        Ok(PforExceptions { entries, n })
+        Ok(PforExceptions { entries })
     }
 
     /// Block-unpack the raw stored codes of values `first ..
@@ -842,8 +942,7 @@ impl<'a> PageValues<'a> {
                 self.data.unpack(first, bits, out)?;
                 if let Codec::Pfor { bits } = &self.comp.codec {
                     let exc = self.pfor_exceptions(*bits)?;
-                    for i in 0..exc.n {
-                        let (pos, code) = exc.get(i);
+                    for (pos, code) in exc.iter() {
                         let pos = pos as usize;
                         if pos >= first && pos < first + out.len() {
                             out[pos - first] = code;
@@ -930,8 +1029,7 @@ impl<'a> PageValues<'a> {
         if let Codec::Pfor { bits } = self.comp.codec {
             // Exception slots decoded as 0 above; patch in their real codes.
             let exc = self.pfor_exceptions(bits)?;
-            for i in 0..exc.n {
-                let (pos, code) = exc.get(i);
+            for (pos, code) in exc.iter() {
                 let slot = out.get_mut(pos as usize).ok_or_else(|| {
                     Error::corrupt(format!("PFOR exception position {pos} out of page"))
                 })?;
@@ -1037,9 +1135,7 @@ impl<'a> PageValues<'a> {
             return Ok(code);
         };
         let exc = self.pfor_exceptions(bits)?;
-        let patched = (0..exc.n)
-            .map(|i| exc.get(i))
-            .find(|&(p, _)| p as usize == idx);
+        let patched = exc.iter().find(|&(p, _)| p as usize == idx);
         Ok(patched.map_or(code, |(_, c)| c))
     }
 
@@ -1677,6 +1773,35 @@ mod tests {
         let enc = comp.encode_page(DataType::Int, &ints(&[1, 2])).unwrap();
         let pv = comp.open_page(DataType::Int, &enc.data, 2, 0);
         assert!(pv.decode_raw_into(0, 2, &mut Vec::new()).is_err());
+    }
+
+    #[test]
+    fn a_strided_decode_equals_its_slots_and_fails_whole() {
+        // Codes of one field every 11 bits (a 3-bit field inside a packed
+        // tuple), the last one out of range of the dictionary.
+        let text = DataType::Text(6);
+        let words = byte_values(text, 20);
+        let dict = Arc::new(Dictionary::build(text, words.iter()).unwrap());
+        let comp = ColumnCompression::new(Codec::Dict { bits: 3 }, Some(dict)).unwrap();
+        let field = comp.field(text, 0, 0);
+        let mut w = BitWriter::new();
+        for code in [4, 0, 6, 1, 7] {
+            w.write(code, 3).unwrap();
+            w.write(0, 8).unwrap();
+        }
+        let bytes = w.into_bytes();
+        let r = BitReader::new(&bytes);
+        let mut slots = Vec::new();
+        for i in 0..4 {
+            field.raw(&r, i * 11, &mut slots).unwrap();
+        }
+        let mut got = vec![9];
+        field.raw_strided(&r, 0, 11, 4, &mut got).unwrap();
+        assert_eq!(got[1..], slots[..]);
+        let bad = field.raw_strided(&r, 0, 11, 5, &mut got);
+        assert_eq!(bad, field.raw(&r, 44, &mut Vec::new()));
+        assert!(bad.is_err());
+        assert_eq!(got[1..], slots[..], "a failed decode appends nothing");
     }
 
     #[test]

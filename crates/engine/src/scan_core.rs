@@ -7,7 +7,8 @@
 //! ([`crate::page_cursor`]) each primitive step of a scan has one home:
 //!
 //! * **select** — [`conjunction`]: the short-circuit predicate loop with its
-//!   eval/pass tally, over a field accessor the caller's tuple format supplies;
+//!   eval/pass tally, over a field accessor the caller's tuple format
+//!   supplies; [`narrow`] is the same rule over a page's selection vector;
 //! * **admit** — [`Window`]: the row-ordinal range a scan answers for, less
 //!   the ordinals degraded skips dropped;
 //! * **emit** — [`Sink`]: pending selections → [`TupleBlock`], with the
@@ -64,6 +65,46 @@ pub(crate) fn conjunction(
         tally.passes += 1;
     }
     Ok(true)
+}
+
+/// [`conjunction`] over a page at once: `sel` holds the slots still in the
+/// running, and predicate by predicate `keep(pi, pred, sel)` narrows it to
+/// the slots on which predicate number `pi` holds. Each predicate is judged
+/// on exactly the slots every earlier one passed, so the tallies equal
+/// [`conjunction`]'s summed over the slots.
+#[inline]
+pub(crate) fn narrow(
+    preds: &[Predicate],
+    tallies: &mut [PredTally],
+    sel: &mut Vec<usize>,
+    mut keep: impl FnMut(usize, &Predicate, &mut Vec<usize>) -> Result<()>,
+) -> Result<()> {
+    for (pi, (pred, tally)) in preds.iter().zip(tallies).enumerate() {
+        if sel.is_empty() {
+            break;
+        }
+        tally.evals += sel.len() as u64;
+        keep(pi, pred, sel)?;
+        tally.passes += sel.len() as u64;
+    }
+    Ok(())
+}
+
+/// Keep the slots of `sel` on which `holds` is true, in order, without a
+/// branch on the outcome.
+#[inline]
+pub(crate) fn retain(
+    sel: &mut Vec<usize>,
+    mut holds: impl FnMut(usize) -> Result<bool>,
+) -> Result<()> {
+    let mut n = 0;
+    for k in 0..sel.len() {
+        let slot = sel[k];
+        sel[n] = slot;
+        n += usize::from(holds(slot)?);
+    }
+    sel.truncate(n);
+    Ok(())
 }
 
 /// [`conjunction`] on one stored value at full declared width, which every
@@ -566,6 +607,59 @@ mod tests {
         }
         let tally = |evals, passes| PredTally { evals, passes };
         assert_eq!(tallies, [tally(4, 4), tally(4, 0)]);
+    }
+
+    #[test]
+    fn narrow_tallies_like_conjunction_at_every_short_circuit() {
+        // Each slot stops the conjunction at a different predicate of the
+        // three (or passes all), in every order of the three.
+        let values = [5, 50, 60, 150, 20, 99, 10, 200, 7, 60];
+        let (lt, ge, ne) = (
+            Predicate::lt(0, 100),
+            Predicate::ge(0, 10),
+            Predicate::new(0, crate::predicate::CmpOp::Ne, 50.into()),
+        );
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        let starts: [Vec<usize>; 3] = [(0..values.len()).collect(), vec![1, 3, 4, 9], vec![]];
+        for order in orders {
+            let all = [&lt, &ge, &ne];
+            for n in 0..=3 {
+                let preds: Vec<Predicate> = order[..n].iter().map(|&i| all[i].clone()).collect();
+                for start in &starts {
+                    let mut want = vec![PredTally::default(); n];
+                    let mut kept = Vec::new();
+                    for &slot in start {
+                        let holds = |_, p: &Predicate| Ok(p.eval_int(values[slot]));
+                        if conjunction(&preds, &mut want, holds).unwrap() {
+                            kept.push(slot);
+                        }
+                    }
+                    let mut got = vec![PredTally::default(); n];
+                    let mut sel = start.clone();
+                    narrow(&preds, &mut got, &mut sel, |_, p, sel| {
+                        retain(sel, |slot| Ok(p.eval_int(values[slot])))
+                    })
+                    .unwrap();
+                    assert_eq!((sel, got), (kept, want), "{order:?}[..{n}] from {start:?}");
+                }
+            }
+        }
+        // A failed judgement stops the narrowing with its error.
+        let preds = vec![lt.clone(), ge.clone()];
+        let mut tallies = vec![PredTally::default(); 2];
+        let mut sel = vec![0, 1, 2];
+        let failed = narrow(&preds, &mut tallies, &mut sel, |pi, _, _| match pi {
+            0 => Ok(()),
+            _ => Err(rodb_types::Error::corrupt("judge failed")),
+        });
+        assert!(failed.is_err());
     }
 
     #[test]

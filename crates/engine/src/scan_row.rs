@@ -9,18 +9,26 @@
 //! That is one loop (`TupleLoop::process_page`) over the pieces of the scan
 //! core (`scan_core.rs`: admit, select, emit), monomorphized over a
 //! `TupleReader` per row format: plain padded tuples, PAX minipages, and the
-//! packed (compressed) tuples of the -Z tables, whose FOR-delta attributes
-//! force sequential per-tuple decoding (§4.4: the row store "shows a small
-//! increase in user CPU time ... the cost of decompression"). A reader knows
-//! how its format steps, decides one predicate on the current tuple, appends
-//! one field of it and is charged for decoding; it knows nothing of windows,
-//! tallies or blocks.
+//! packed (compressed) tuples of the -Z tables. The loop runs a page at a
+//! time: the slots the window admits form a selection vector, each
+//! predicate narrows it in turn ([`narrow`]), and only the survivors are
+//! projected. A reader judges one predicate over a selection and appends
+//! the projected fields of one slot, and is charged for decoding; it knows
+//! nothing of windows, tallies or blocks.
+//!
+//! A packed page decodes a predicate's column once, on its codes where the
+//! predicate was rewritten into code space and on its values otherwise. A
+//! FOR-delta attribute (deltas against the previous tuple of the page) is
+//! decoded as one running sum over the page, and only when the query reads
+//! it. It is still charged per visited tuple, as the paper's engine pays it
+//! stepping through the page (§4.4: the row store "shows a small increase in
+//! user CPU time ... the cost of decompression").
 
 use std::sync::Arc;
 
 use rodb_compress::{Codec, CodecKind, ColumnCompression};
 use rodb_cpu::CpuMeter;
-use rodb_storage::page_packed::PackedRowCursor;
+use rodb_storage::page_packed::PackedColumns;
 use rodb_storage::{RowFormat, Table, VerifiedPage};
 use rodb_types::{DataType, Result, Schema};
 
@@ -29,7 +37,7 @@ use crate::codepred::{rewrite, CodePred};
 use crate::op::{ExecContext, Operator};
 use crate::page_cursor::PageCursor;
 use crate::predicate::{scan_schema, Predicate};
-use crate::scan_core::{conjunction, Pending, PredTally, Sink, Window};
+use crate::scan_core::{narrow, retain, Pending, PredTally, Sink, Window};
 
 /// Scans a table's row representation, applying SARGable predicates and a
 /// projection.
@@ -41,7 +49,7 @@ pub struct RowScanner {
     tuples: TupleLoop,
     /// Packed pages: this page's code-space rewrites, and decode space.
     code_preds: Vec<Option<CodePred>>,
-    scratch: Vec<u8>,
+    decoded: Decoded,
 }
 
 /// What the tuple loop reads and writes — everything of a [`RowScanner`]
@@ -56,8 +64,21 @@ struct TupleLoop {
     /// Bytes of the fields the projection copies per qualifying tuple.
     proj_bytes: usize,
     window: Window,
+    /// This page's selection vector: the slots still qualifying.
+    sel: Vec<usize>,
     /// Qualifying projected tuples not yet emitted.
     sink: Sink,
+}
+
+/// A packed page's decode space, reused page to page.
+#[derive(Default)]
+struct Decoded {
+    /// One code-space predicate's column of codes.
+    codes: Vec<u64>,
+    /// The columns decoded whole on this page, back to back.
+    values: Vec<u8>,
+    /// Per column: where in `values` it starts, if decoded.
+    at: Vec<Option<usize>>,
 }
 
 impl RowScanner {
@@ -84,6 +105,7 @@ impl RowScanner {
             tallies: vec![PredTally::default(); predicates.len()],
             predicates,
             window: Window::new(pages.range()),
+            sel: Vec::new(),
             sink: Sink::new(out_schema, Pending::Tuples),
         };
         Ok(RowScanner {
@@ -91,7 +113,7 @@ impl RowScanner {
             pages,
             tuples,
             code_preds: Vec::new(),
-            scratch: Vec::new(),
+            decoded: Decoded::default(),
         })
     }
 
@@ -119,12 +141,9 @@ impl RowScanner {
             RowFormat::Plain { stored_width } => {
                 let page = page.row(*stored_width)?;
                 let reader = Stored::<_, _, false> {
-                    tuples: page.tuples(),
-                    cur: &[][..],
-                    field: |tuple, col| {
-                        let off = schema.offset(col);
-                        &tuple[off..off + schema.dtype(col).width()]
-                    },
+                    count: page.count(),
+                    tuple: |slot| page.tuple(slot),
+                    field: plain_field(schema),
                 };
                 self.tuples.process_page(reader, first_row)
             }
@@ -133,9 +152,9 @@ impl RowScanner {
                 // contiguous in the page.
                 let page = page.pax(schema)?;
                 let reader = Stored::<_, _, true> {
-                    tuples: 0..page.count(),
-                    cur: 0,
-                    field: |i, col| page.field(schema, i, col),
+                    count: page.count(),
+                    tuple: |slot| slot,
+                    field: |slot, col| page.field(schema, slot, col),
                 };
                 self.tuples.process_page(reader, first_row)
             }
@@ -153,11 +172,16 @@ impl RowScanner {
                         // (packed_equivalent demotion), so code_base is 0.
                         fast.then(|| rewrite(p, &comps[p.col], base, 0)).flatten()
                     }));
+                let decoded = &mut self.decoded;
+                decoded.values.clear();
+                decoded.at.clear();
+                decoded.at.resize(comps.len(), None);
                 let reader = PackedTuples {
+                    schema,
                     comps,
-                    cur: page.cursor(schema, comps),
+                    cols: page.columns(schema, comps)?,
                     code_preds: &self.code_preds,
-                    scratch: &mut self.scratch,
+                    decoded,
                 };
                 self.tuples.process_page(reader, first_row)
             }
@@ -165,21 +189,28 @@ impl RowScanner {
     }
 }
 
-/// One row-format page as the tuple loop steps through it.
+/// One row-format page as the tuple loop reads it.
 trait TupleReader {
     /// Fields of one column sit contiguously in the page, so evaluation
     /// touches densely packed cache lines (PAX — §6's locality benefit).
     const DENSE_L1: bool;
 
-    /// Step to the next tuple; false at the end of the page.
-    fn advance(&mut self) -> Result<bool>;
+    /// Tuples on the page.
+    fn count(&self) -> usize;
 
-    /// Whether predicate number `pi` of the scan, on a column of type
-    /// `dtype`, holds on the current tuple.
-    fn holds(&mut self, pi: usize, pred: &Predicate, dtype: DataType) -> Result<bool>;
+    /// Narrow `sel`, slots of the page in order, to those on which
+    /// predicate number `pi` of the scan, on a column of type `dtype`, holds.
+    fn keep(
+        &mut self,
+        pi: usize,
+        pred: &Predicate,
+        dtype: DataType,
+        sel: &mut Vec<usize>,
+    ) -> Result<()>;
 
-    /// Append column `col` of the current tuple at full declared width.
-    fn project(&mut self, col: usize, out: &mut Vec<u8>) -> Result<()>;
+    /// Append columns `cols` of the tuple at `slot`, each at full declared
+    /// width.
+    fn project(&mut self, slot: usize, cols: &[usize], out: &mut Vec<u8>) -> Result<()>;
 
     /// Whether predicate number `pi` is decided on this page's stored codes,
     /// its field never decoded.
@@ -194,30 +225,29 @@ trait TupleReader {
 }
 
 impl TupleLoop {
-    /// The tuple loop: every tuple of one page, in order — admit, select,
-    /// project into the sink — then the page's CPU accounting.
+    /// The page loop: the slots the window admits, narrowed predicate by
+    /// predicate, the survivors projected into the sink in slot order — then
+    /// the page's CPU accounting, charged per tuple as the paper's
+    /// tuple-at-a-time loop pays it.
     fn process_page<R: TupleReader>(&mut self, mut reader: R, first_row: u64) -> Result<()> {
-        let (mut visited, mut passed) = (0u64, 0u64);
         self.tallies.fill(PredTally::default());
-        let mut pos = first_row;
-        while reader.advance()? {
-            // Out-of-window rows on a shared boundary page are stepped over
-            // (a sequential decoder still decodes past them), not visited.
-            if self.window.admits(pos) {
-                visited += 1;
-                let holds =
-                    |pi, pred: &Predicate| reader.holds(pi, pred, self.schema.dtype(pred.col));
-                if conjunction(&self.predicates, &mut self.tallies, holds)? {
-                    passed += 1;
-                    self.sink.push_with(pos, |out| {
-                        for &c in &self.projection {
-                            reader.project(c, out)?;
-                        }
-                        Ok(())
-                    })?;
-                }
-            }
-            pos += 1;
+        // Out-of-window rows on a shared boundary page are stepped over, not
+        // visited. No slot of a page is among the window's dropped ordinals:
+        // those are the rows of this file's quarantined pages, which never
+        // reach the loop.
+        let sel = &mut self.sel;
+        sel.clear();
+        sel.extend(self.window.slots(first_row, reader.count()));
+        let visited = sel.len() as u64;
+        let schema = &self.schema;
+        narrow(&self.predicates, &mut self.tallies, sel, |pi, pred, sel| {
+            reader.keep(pi, pred, schema.dtype(pred.col), sel)
+        })?;
+        let passed = sel.len() as u64;
+        for &slot in sel.iter() {
+            self.sink.push_with(first_row + slot as u64, |out| {
+                reader.project(slot, &self.projection, out)
+            })?;
         }
 
         let mut meter = self.ctx.meter.borrow_mut();
@@ -248,67 +278,124 @@ impl TupleLoop {
     }
 }
 
-/// Plain and PAX pages: tuples stored at full width, `field(tuple, col)`
-/// lending a field of the current one — `cur`, a slice of a plain page or an
-/// index into a PAX page's minipages. `DENSE`: see [`TupleReader::DENSE_L1`].
-struct Stored<'a, I: Iterator, F: Fn(I::Item, usize) -> &'a [u8], const DENSE: bool> {
-    tuples: I,
-    cur: I::Item,
+/// Plain and PAX pages: tuples stored at full width. `tuple(slot)` finds
+/// one — a plain page's slice of it, cut once however many fields are read,
+/// or a PAX page's slot itself — and `field(tuple, col)` lends a field of
+/// it: out of the tuple's slice, or out of the column's minipage. `DENSE`:
+/// see [`TupleReader::DENSE_L1`].
+struct Stored<G, F, const DENSE: bool> {
+    count: usize,
+    tuple: G,
     field: F,
 }
 
-impl<'a, I, F, const DENSE: bool> TupleReader for Stored<'a, I, F, DENSE>
+/// A plain tuple's field `col`: its slice of the tuple's bytes.
+fn plain_field<'a>(schema: &Schema) -> impl Fn(&'a [u8], usize) -> &'a [u8] + '_ {
+    |tuple, col| {
+        let off = schema.offset(col);
+        &tuple[off..off + schema.dtype(col).width()]
+    }
+}
+
+impl<'a, T, G, F, const DENSE: bool> TupleReader for Stored<G, F, DENSE>
 where
-    I: Iterator<Item: Copy>,
-    F: Fn(I::Item, usize) -> &'a [u8],
+    T: Copy,
+    G: Fn(usize) -> T,
+    F: Fn(T, usize) -> &'a [u8],
 {
     const DENSE_L1: bool = DENSE;
 
-    fn advance(&mut self) -> Result<bool> {
-        let next = self.tuples.next();
-        self.cur = next.unwrap_or(self.cur);
-        Ok(next.is_some())
+    fn count(&self) -> usize {
+        self.count
     }
 
-    fn holds(&mut self, _: usize, pred: &Predicate, dtype: DataType) -> Result<bool> {
-        Ok(pred.eval_raw(dtype, (self.field)(self.cur, pred.col)))
+    fn keep(
+        &mut self,
+        _: usize,
+        pred: &Predicate,
+        dtype: DataType,
+        sel: &mut Vec<usize>,
+    ) -> Result<()> {
+        let field = |slot| (self.field)((self.tuple)(slot), pred.col);
+        retain(sel, |slot| Ok(pred.eval_raw(dtype, field(slot))))
     }
 
-    fn project(&mut self, col: usize, out: &mut Vec<u8>) -> Result<()> {
-        out.extend_from_slice((self.field)(self.cur, col));
+    fn project(&mut self, slot: usize, cols: &[usize], out: &mut Vec<u8>) -> Result<()> {
+        let tuple = (self.tuple)(slot);
+        for &col in cols {
+            out.extend_from_slice((self.field)(tuple, col));
+        }
         Ok(())
     }
 }
 
-/// Packed tuples: a sequential cursor (FOR-delta fields are maintained
-/// tuple by tuple); a predicate rewritten into code space reads the stored
-/// code, any other field is decoded on demand.
+/// Packed tuples: a predicate rewritten into code space reads its column's
+/// stored codes, any other decodes its column's values once per page; a
+/// projected field is read at its slot, or out of its column where that was
+/// decoded (a FOR-delta column always is: its values are a running sum).
 struct PackedTuples<'a> {
+    schema: &'a Schema,
     comps: &'a [ColumnCompression],
-    cur: PackedRowCursor<'a>,
+    cols: PackedColumns<'a>,
     code_preds: &'a [Option<CodePred>],
-    scratch: &'a mut Vec<u8>,
+    decoded: &'a mut Decoded,
+}
+
+impl PackedTuples<'_> {
+    /// Column `col`'s values on this page, decoded on first use.
+    fn column(&mut self, col: usize) -> Result<&[u8]> {
+        let d = &mut *self.decoded;
+        let start = match d.at[col] {
+            Some(start) => start,
+            None => {
+                let start = d.values.len();
+                self.cols.column_raw(col, &mut d.values)?;
+                *d.at[col].insert(start)
+            }
+        };
+        let len = self.cols.count() * self.schema.dtype(col).width();
+        Ok(&d.values[start..start + len])
+    }
 }
 
 impl TupleReader for PackedTuples<'_> {
     const DENSE_L1: bool = false;
 
-    fn advance(&mut self) -> Result<bool> {
-        self.cur.advance()
+    fn count(&self) -> usize {
+        self.cols.count()
     }
 
-    #[inline]
-    fn holds(&mut self, pi: usize, pred: &Predicate, dtype: DataType) -> Result<bool> {
+    fn keep(
+        &mut self,
+        pi: usize,
+        pred: &Predicate,
+        dtype: DataType,
+        sel: &mut Vec<usize>,
+    ) -> Result<()> {
         if let Some(cp) = &self.code_preds[pi] {
-            return Ok(cp.eval(self.cur.field_code(pred.col)?));
+            let codes = &mut self.decoded.codes;
+            codes.clear();
+            self.cols.column_codes(pred.col, codes)?;
+            return retain(sel, |slot| Ok(cp.eval(codes[slot])));
         }
-        self.scratch.clear();
-        self.cur.field_raw(pred.col, self.scratch)?;
-        Ok(pred.eval_raw(dtype, self.scratch))
+        let width = dtype.width();
+        let values = self.column(pred.col)?;
+        retain(sel, |slot| {
+            Ok(pred.eval_raw(dtype, &values[slot * width..][..width]))
+        })
     }
 
-    fn project(&mut self, col: usize, out: &mut Vec<u8>) -> Result<()> {
-        self.cur.field_raw(col, out)
+    fn project(&mut self, slot: usize, cols: &[usize], out: &mut Vec<u8>) -> Result<()> {
+        for &col in cols {
+            let is_delta = matches!(self.comps[col].codec, Codec::ForDelta { .. });
+            if self.decoded.at[col].is_none() && !is_delta {
+                self.cols.field_raw_at(slot, col, out)?;
+                continue;
+            }
+            let width = self.schema.dtype(col).width();
+            out.extend_from_slice(&self.column(col)?[slot * width..][..width]);
+        }
+        Ok(())
     }
 
     fn decided_in_code(&self, pi: usize) -> bool {
@@ -616,6 +703,172 @@ mod tests {
         assert!(RowScanner::new(t.clone(), vec![], vec![], &ctx, None).is_err());
         assert!(RowScanner::new(t.clone(), vec![9], vec![], &ctx, None).is_err());
         assert!(RowScanner::new(t, vec![0], vec![Predicate::lt(9, 1)], &ctx, None).is_err());
+    }
+
+    /// The same rows in every row format — plain, PAX and packed — on
+    /// `PAGE`-byte pages. Packed: FOR-delta `id`, BitPack `val`, Dict text
+    /// `tag`, raw `x` and TextPack `note`, so every field but the first sits
+    /// at an odd bit offset.
+    const PAGE: usize = 1024;
+
+    fn every_format(n: usize) -> Vec<Table> {
+        let s = Arc::new(
+            Schema::new(vec![
+                Column::int("id"),
+                Column::int("val"),
+                Column::text("tag", 6),
+                Column::int("x"),
+                Column::text("note", 8),
+            ])
+            .unwrap(),
+        );
+        let tags = ["aa", "bb", "cc"].map(Value::text);
+        let dict = rodb_compress::Dictionary::build(DataType::Text(6), tags.iter()).unwrap();
+        let comps = vec![
+            ColumnCompression::new(Codec::ForDelta { bits: 3 }, None).unwrap(),
+            ColumnCompression::new(Codec::BitPack { bits: 7 }, None).unwrap(),
+            ColumnCompression::new(Codec::Dict { bits: 2 }, Some(Arc::new(dict))).unwrap(),
+            ColumnCompression::none(),
+            ColumnCompression::new(Codec::TextPack { bytes: 4 }, None).unwrap(),
+        ];
+        let layouts = BuildLayouts::row_only();
+        let builders = [
+            TableBuilder::new("plain", s.clone(), PAGE, layouts),
+            TableBuilder::new_pax("pax", s.clone(), PAGE, layouts),
+            TableBuilder::with_compression("packed", s, PAGE, layouts, comps),
+        ];
+        let rows = (0..n).map(|i| {
+            [
+                Value::Int((2 * i + i % 2) as i32),
+                Value::Int((i * 7 % 100) as i32),
+                tags[(i * 5 + i / 7) % 3].clone(),
+                Value::Int(1000 - 3 * i as i32),
+                Value::text(["n1", "note", "", "xy"][i % 4]),
+            ]
+        });
+        let build = |b: Result<TableBuilder>| {
+            let mut b = b.unwrap();
+            rows.clone().for_each(|row| b.push_row(&row).unwrap());
+            b.finish().unwrap()
+        };
+        builders.into_iter().map(build).collect()
+    }
+
+    /// The scan's `(position, row)` pairs, or its error.
+    fn scan_rows(
+        t: &Arc<Table>,
+        sys: rodb_types::SystemConfig,
+        proj: &[usize],
+        preds: &[Predicate],
+        range: Option<(u64, u64)>,
+    ) -> Result<Vec<(u64, Vec<Value>)>> {
+        t.quarantine.clear();
+        let ctx = ExecContext::new(rodb_types::HardwareConfig::default(), sys, 1.0)?;
+        let mut s = RowScanner::new(t.clone(), proj.to_vec(), preds.to_vec(), &ctx, range)?;
+        let mut rows = Vec::new();
+        while let Some(block) = s.next()? {
+            rows.extend(block.positions().iter().copied().zip(block.rows()?));
+        }
+        Ok(rows)
+    }
+
+    #[test]
+    fn every_row_format_returns_the_oracle_rows_of_its_window() {
+        use rodb_storage::Layout;
+        use rodb_types::{OnCorrupt, SystemConfig};
+        const ROWS: u64 = 1_500;
+        let preds = [
+            vec![],
+            vec![Predicate::lt(1, 30)],
+            vec![Predicate::eq(2, "bb")],
+            vec![Predicate::ge(0, 1_200)], // the FOR-delta column
+            vec![Predicate::lt(1, 60), Predicate::eq(2, "cc")],
+        ];
+        let projections = [vec![0, 1, 2, 3, 4], vec![4, 2, 1], vec![3, 0]];
+        let cuts = [0, 1, 250, 701, ROWS - 1, ROWS];
+        let mut windows = vec![None];
+        for (i, &a) in cuts.iter().enumerate() {
+            windows.extend(cuts[i..].iter().map(|&b| Some((a, b))));
+        }
+        for clean in every_format(ROWS as usize) {
+            // The oracle decodes through the sequential cursor.
+            let oracle = clean.read_all(Layout::Row).unwrap();
+            let rs = clean.row_storage().unwrap();
+            let tpp = rs.tuples_per_page as u64;
+            assert!(rs.pages > 4, "{}: {} pages", clean.name, rs.pages);
+            let mut damaged = clean.clone();
+            let file = &mut damaged.row.as_mut().unwrap().file;
+            Arc::make_mut(file)[2 * PAGE + 100] ^= 0x10;
+            let lost = 2 * tpp..3 * tpp;
+            for (t, on_corrupt) in [(clean, OnCorrupt::Fail), (damaged, OnCorrupt::Skip)] {
+                let t = Arc::new(t);
+                for fast in [false, true] {
+                    let sys = SystemConfig {
+                        page_size: PAGE,
+                        ..SystemConfig::default()
+                    }
+                    .with_scan_fast_path(fast)
+                    .with_on_corrupt(on_corrupt);
+                    for (preds, proj) in preds
+                        .iter()
+                        .flat_map(|p| projections.iter().map(move |j| (p, j)))
+                    {
+                        for &range in &windows {
+                            let (a, b) = range.unwrap_or((0, ROWS));
+                            let skip = on_corrupt == OnCorrupt::Skip;
+                            let want: Vec<(u64, Vec<Value>)> = (a..b)
+                                .filter(|pos| !(skip && lost.contains(pos)))
+                                .map(|pos| (pos, &oracle[pos as usize]))
+                                .filter(|(_, row)| preds.iter().all(|p| p.eval_value(&row[p.col])))
+                                .map(|(pos, row)| {
+                                    (pos, proj.iter().map(|&c| row[c].clone()).collect())
+                                })
+                                .collect();
+                            let what = format!(
+                                "{} {range:?} fast={fast} {preds:?} {proj:?} {on_corrupt:?}",
+                                t.name
+                            );
+                            assert_eq!(
+                                scan_rows(&t, sys, proj, preds, range).unwrap(),
+                                want,
+                                "{what}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_packed_page_claiming_too_many_tuples_fails_the_scan_corrupt() {
+        use rodb_types::{Error, SystemConfig};
+        let mut t = every_format(600).remove(2);
+        let rs = t.row.as_mut().unwrap();
+        let cap = rs.tuples_per_page as u32;
+        for count in [cap + 1, u32::MAX] {
+            let mut t = t.clone();
+            let file = Arc::make_mut(&mut t.row.as_mut().unwrap().file);
+            let page = &mut file[PAGE..2 * PAGE];
+            page[..4].copy_from_slice(&count.to_le_bytes());
+            let crc = rodb_storage::page::crc32(&page[..PAGE - 4]);
+            page[PAGE - 4..].copy_from_slice(&crc.to_le_bytes());
+            let t = Arc::new(t);
+            for fast in [false, true] {
+                for preds in [vec![], vec![Predicate::lt(1, 30)]] {
+                    let sys = SystemConfig {
+                        page_size: PAGE,
+                        ..SystemConfig::default()
+                    }
+                    .with_scan_fast_path(fast);
+                    let got = scan_rows(&t, sys, &[0, 1, 2, 3, 4], &preds, None);
+                    assert!(
+                        matches!(got, Err(Error::Corrupt(_))),
+                        "count {count} fast={fast} {preds:?}: {got:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

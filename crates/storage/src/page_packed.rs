@@ -218,12 +218,34 @@ impl<'a> PackedRowPage<'a> {
             .map(|k| self.bases[k])
     }
 
-    /// Sequential decoder over the page's tuples.
-    pub fn cursor(
+    /// The page's columns, each decodable as a block or at a slot: the
+    /// scan's reader. Fails `Corrupt` when the claimed tuples overrun the
+    /// body, before any slot is read.
+    pub fn columns(
         &'a self,
         schema: &'a Schema,
         comps: &'a [ColumnCompression],
-    ) -> PackedRowCursor<'a> {
+    ) -> Result<PackedColumns<'a>> {
+        let cols = self.columns_unchecked(schema, comps);
+        let body_bits = cols.reader.bit_len();
+        if cols
+            .count
+            .checked_mul(cols.tuple_bits)
+            .is_none_or(|bits| bits > body_bits)
+        {
+            return Err(Error::corrupt(format!(
+                "packed row page claims {} tuples of {} bits in a {body_bits}-bit body",
+                cols.count, cols.tuple_bits
+            )));
+        }
+        Ok(cols)
+    }
+
+    fn columns_unchecked(
+        &'a self,
+        schema: &'a Schema,
+        comps: &'a [ColumnCompression],
+    ) -> PackedColumns<'a> {
         let data_start = PAGE_HEADER + self.bases.len() * 8;
         let mut bases = self.bases.iter();
         let mut tuple_bits = 0;
@@ -233,45 +255,114 @@ impl<'a> PackedRowPage<'a> {
             .zip(comps)
             .map(|(c, comp)| {
                 let base = comp.codec.has_base().then(|| bases.next()).flatten();
-                let field = PackedField {
-                    field: comp.field(c.dtype, base.copied().unwrap_or(0), 0),
-                    off: tuple_bits,
-                    sum: 0,
-                };
+                let field = comp.field(c.dtype, base.copied().unwrap_or(0), 0);
+                let off = tuple_bits;
                 tuple_bits += comp.bits_per_value(c.dtype);
-                field
+                (field, off)
             })
             .collect();
-        PackedRowCursor {
+        PackedColumns {
             reader: BitReader::new(&self.bytes[data_start..self.bytes.len() - PAGE_TRAILER]),
             count: self.count,
             tuple_bits,
             fields,
+        }
+    }
+
+    /// Sequential decoder over the page's tuples.
+    pub fn cursor(
+        &'a self,
+        schema: &'a Schema,
+        comps: &'a [ColumnCompression],
+    ) -> PackedRowCursor<'a> {
+        PackedRowCursor {
+            cols: self.columns_unchecked(schema, comps),
+            sums: vec![0; comps.len()],
             tuple: 0,
             started: false,
         }
     }
 }
 
-/// One column of a packed tuple: its codec's read half on this page and
-/// where in a tuple it sits.
-struct PackedField<'a> {
-    field: Field<'a>,
-    /// Bit offset within a tuple.
-    off: usize,
-    /// FOR-delta: the running sum of the page's deltas up to the current
-    /// tuple.
-    sum: u64,
-}
-
-/// Sequential tuple cursor. Call [`PackedRowCursor::advance`] before reading
-/// each tuple's fields; FOR-delta fields are maintained incrementally.
-pub struct PackedRowCursor<'a> {
+/// One packed row page's columns: each column's codec read half on this
+/// page and its bit offset within a tuple. Tuple `slot`'s field of column
+/// `col` sits at bit `slot × tuple_bits + off`, so a column is a strided run
+/// of codes.
+pub struct PackedColumns<'a> {
     reader: BitReader<'a>,
     count: usize,
     tuple_bits: usize,
-    fields: Vec<PackedField<'a>>,
-    /// 1-based position: 0 = before first tuple.
+    /// Per column: its field and its bit offset within a tuple.
+    fields: Vec<(Field<'a>, usize)>,
+}
+
+impl PackedColumns<'_> {
+    /// Tuples on the page.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Append every tuple's value of column `col`, in slot order, at full
+    /// declared width. A FOR-delta column is decoded as one running sum.
+    pub fn column_raw(&self, col: usize, out: &mut Vec<u8>) -> Result<()> {
+        let (field, off) = self.field(col)?;
+        field.raw_strided(&self.reader, off, self.tuple_bits, self.count, out)
+    }
+
+    /// Append every tuple's stored code of column `col`, undecoded — the
+    /// entry point for code-space predicate evaluation. A FOR-delta code is
+    /// a delta, not a position-independent code.
+    pub fn column_codes(&self, col: usize, out: &mut Vec<u64>) -> Result<()> {
+        let (field, off) = self.positional(col)?;
+        out.extend(field.codes_strided(&self.reader, off, self.tuple_bits, self.count)?);
+        Ok(())
+    }
+
+    /// Append column `col` of the tuple at `slot` at full declared width. A
+    /// FOR-delta field has no value of its own at a slot: decode its column.
+    #[inline]
+    pub fn field_raw_at(&self, slot: usize, col: usize, out: &mut Vec<u8>) -> Result<()> {
+        let (field, off) = self.positional(col)?;
+        if slot >= self.count {
+            return Err(Error::InvalidPlan(format!(
+                "slot {slot} of a {}-tuple packed row page",
+                self.count
+            )));
+        }
+        field.raw(&self.reader, slot * self.tuple_bits + off, out)
+    }
+
+    #[inline]
+    fn field(&self, col: usize) -> Result<(&Field<'_>, usize)> {
+        let (field, off) = self
+            .fields
+            .get(col)
+            .ok_or_else(|| Error::InvalidPlan(format!("column {col} of a packed row page")))?;
+        Ok((field, *off))
+    }
+
+    /// [`PackedColumns::field`] where it is not FOR-delta.
+    #[inline]
+    fn positional(&self, col: usize) -> Result<(&Field<'_>, usize)> {
+        let (field, off) = self.field(col)?;
+        if field.is_delta() {
+            return Err(Error::InvalidConfig(
+                "a FOR-delta field has no position-independent code".into(),
+            ));
+        }
+        Ok((field, off))
+    }
+}
+
+/// Sequential tuple cursor. Call [`PackedRowCursor::advance`] before reading
+/// each tuple's fields; FOR-delta fields are maintained incrementally. The
+/// scan reads [`PackedColumns`] instead; this is the table oracle's decoder.
+pub struct PackedRowCursor<'a> {
+    cols: PackedColumns<'a>,
+    /// FOR-delta columns: the running sum of the page's deltas up to the
+    /// current tuple.
+    sums: Vec<u64>,
+    /// 0-based position of the current tuple.
     tuple: usize,
     started: bool,
 }
@@ -281,14 +372,17 @@ impl PackedRowCursor<'_> {
     /// to the new tuple (mandatory work, like the paper says).
     pub fn advance(&mut self) -> Result<bool> {
         let next = if self.started { self.tuple + 1 } else { 0 };
-        if next >= self.count {
+        if next >= self.cols.count {
             return Ok(false);
         }
-        for f in self.fields.iter_mut().filter(|f| f.field.is_delta()) {
-            let d = f.field.code(&self.reader, next * self.tuple_bits + f.off)?;
-            // The first tuple's code is 0: the page base carries its value.
-            if next > 0 {
-                f.sum = f.sum.wrapping_add(d);
+        let cols = &self.cols;
+        for ((field, off), sum) in cols.fields.iter().zip(&mut self.sums) {
+            if field.is_delta() {
+                let d = field.code(&cols.reader, next * cols.tuple_bits + off)?;
+                // The first tuple's code is 0: the page base carries its value.
+                if next > 0 {
+                    *sum = sum.wrapping_add(d);
+                }
             }
         }
         self.tuple = next;
@@ -296,41 +390,13 @@ impl PackedRowCursor<'_> {
         Ok(true)
     }
 
-    /// Column `col` of the current tuple, and its bit offset in the page.
-    fn at(&self, col: usize) -> (&PackedField<'_>, usize) {
-        let f = &self.fields[col];
-        (f, self.tuple * self.tuple_bits + f.off)
-    }
-
-    /// Read the raw stored code of a field without decoding it — the entry
-    /// point for code-space predicate evaluation. A FOR-delta field's code
-    /// is a delta, not a position-independent code.
-    pub fn field_code(&mut self, col: usize) -> Result<u64> {
-        let (f, off) = self.at(col);
-        if f.field.is_delta() {
-            return Err(Error::InvalidConfig(
-                "a FOR-delta field has no position-independent code".into(),
-            ));
-        }
-        f.field.code(&self.reader, off)
-    }
-
-    /// Decode an integer field of the current tuple.
-    pub fn field_int(&mut self, col: usize) -> Result<i32> {
-        let (f, off) = self.at(col);
-        if f.field.is_delta() {
-            return f.field.int_of(f.sum);
-        }
-        f.field.int(&self.reader, off)
-    }
-
     /// Decode any field of the current tuple to full-width raw bytes.
     pub fn field_raw(&mut self, col: usize, out: &mut Vec<u8>) -> Result<()> {
-        let (f, off) = self.at(col);
-        if f.field.is_delta() {
-            return f.field.raw_of(f.sum, out);
+        let (field, _) = self.cols.field(col)?;
+        if field.is_delta() {
+            return field.raw_of(self.sums[col], out);
         }
-        f.field.raw(&self.reader, off, out)
+        self.cols.field_raw_at(self.tuple, col, out)
     }
 }
 
@@ -390,6 +456,13 @@ mod tests {
         assert_eq!(packed_tuples_per_page(4096, &s, &c), 369);
     }
 
+    /// A value's bytes at full declared width.
+    fn encoded(v: &Value, dtype: DataType) -> Vec<u8> {
+        let mut raw = Vec::new();
+        v.encode_into(dtype, &mut raw).unwrap();
+        raw
+    }
+
     #[test]
     fn roundtrip_all_codecs() {
         let s = schema();
@@ -407,19 +480,151 @@ mod tests {
         let mut cur = p.cursor(&s, &c);
         for i in 0..n {
             assert!(cur.advance().unwrap());
-            assert_eq!(cur.field_int(0).unwrap(), i % 2400);
-            assert_eq!(cur.field_int(1).unwrap(), 1000 + i);
-            assert_eq!(cur.field_int(2).unwrap(), -i);
-            let mut raw = Vec::new();
-            cur.field_raw(3, &mut raw).unwrap();
-            assert_eq!(raw, ["F", "O", "P"][i as usize % 3].as_bytes());
-            raw.clear();
-            cur.field_raw(4, &mut raw).unwrap();
-            assert_eq!(raw.len(), 12);
-            let txt = Value::decode(DataType::Text(12), &raw).unwrap();
-            assert_eq!(txt.to_string(), ["ab", "cdef"][i as usize % 2]);
+            for (col, v) in row(i).iter().enumerate() {
+                let mut raw = Vec::new();
+                cur.field_raw(col, &mut raw).unwrap();
+                assert_eq!(raw, encoded(v, s.dtype(col)), "tuple {i} column {col}");
+            }
         }
         assert!(!cur.advance().unwrap());
+    }
+
+    /// Every codec packed rows carry, each field at an odd bit offset: a
+    /// 3-bit int dictionary, then 13, 7, 32, 5, 2, 24, 40 and 64 bits.
+    fn every_codec() -> (Schema, Vec<ColumnCompression>) {
+        let s = Schema::new(vec![
+            Column::int("dict_int"),
+            Column::int("bitpack"),
+            Column::int("for"),
+            Column::int("raw"),
+            Column::int("delta"),
+            Column::text("dict_text", 3),
+            Column::text("textpack", 9),
+            Column::text("raw_text", 5),
+            Column::new("raw_long", DataType::Long),
+        ])
+        .unwrap();
+        let dict = |dtype, words: &[Value]| {
+            let d = rodb_compress::Dictionary::build(dtype, words.iter()).unwrap();
+            Some(Arc::new(d))
+        };
+        let ints = [7, -3, 900, 12, 0].map(Value::Int);
+        let words = ["F", "OO", "PPP"].map(Value::text);
+        let c = vec![
+            ColumnCompression::new(Codec::Dict { bits: 3 }, dict(DataType::Int, &ints)).unwrap(),
+            ColumnCompression::new(Codec::BitPack { bits: 13 }, None).unwrap(),
+            ColumnCompression::new(Codec::For { bits: 7 }, None).unwrap(),
+            ColumnCompression::none(),
+            ColumnCompression::new(Codec::ForDelta { bits: 5 }, None).unwrap(),
+            ColumnCompression::new(Codec::Dict { bits: 2 }, dict(DataType::Text(3), &words))
+                .unwrap(),
+            ColumnCompression::new(Codec::TextPack { bytes: 3 }, None).unwrap(),
+            ColumnCompression::none(),
+            ColumnCompression::none(),
+        ];
+        (s, c)
+    }
+
+    fn every_codec_row(i: usize) -> Vec<Value> {
+        vec![
+            Value::Int([7, -3, 900, 12, 0][i % 5]),
+            Value::Int((i * 37 % 8000) as i32),
+            Value::Int(5000 + (i % 100) as i32),
+            Value::Int(-(i as i32) * 7),
+            Value::Int(1000 + 10 * i as i32 + (i % 3) as i32),
+            Value::text(["F", "OO", "PPP"][i % 3]),
+            Value::text(["ab", "cde", ""][i % 3]),
+            Value::text(["x", "hello"][i % 2]),
+            Value::Long(i as i64 * 10_000_000_000 - 7),
+        ]
+    }
+
+    #[test]
+    fn the_block_decoders_equal_the_cursor_for_every_codec() {
+        let (s, c) = every_codec();
+        let cap = packed_tuples_per_page(4096, &s, &c);
+        assert_eq!(packed_tuple_bits(&s, &c), 190);
+        for n in [cap, 1, 2, 130] {
+            let mut b = PackedRowPageBuilder::new(4096, &s, &c).unwrap();
+            for i in 0..n {
+                b.push(&every_codec_row(i)).unwrap();
+            }
+            let page = b.build(&s, &c, PageId(3)).unwrap();
+            let p = PackedRowPage::new(&page, &c).unwrap();
+            // The oracle: every field of every tuple through the cursor.
+            let mut cur = p.cursor(&s, &c);
+            let mut want: Vec<Vec<Vec<u8>>> = vec![Vec::new(); s.len()];
+            while cur.advance().unwrap() {
+                for (col, want) in want.iter_mut().enumerate() {
+                    let mut raw = Vec::new();
+                    cur.field_raw(col, &mut raw).unwrap();
+                    want.push(raw);
+                }
+            }
+            let cols = p.columns(&s, &c).unwrap();
+            assert_eq!(cols.count(), n);
+            for (col, want) in want.iter().enumerate() {
+                assert_eq!(want.len(), n);
+                let what = format!("column {col} of {n}");
+                let stored = (0..n).map(|i| encoded(&every_codec_row(i)[col], s.dtype(col)));
+                assert_eq!(want, &stored.collect::<Vec<_>>(), "{what}");
+                let mut raw = Vec::new();
+                cols.column_raw(col, &mut raw).unwrap();
+                assert_eq!(raw, want.concat(), "{what}");
+                let delta = matches!(c[col].codec, Codec::ForDelta { .. });
+                for (slot, want) in want.iter().enumerate() {
+                    let mut raw = Vec::new();
+                    let got = cols.field_raw_at(slot, col, &mut raw);
+                    match delta {
+                        true => assert!(matches!(got, Err(Error::InvalidConfig(_))), "{what}"),
+                        false => assert_eq!((got, &raw), (Ok(()), want), "{what} slot {slot}"),
+                    }
+                }
+                let past = cols.field_raw_at(n, col, &mut Vec::new());
+                assert!(past.is_err(), "{what}: slot {n}");
+                // Codes where the field stores codes: the value map of each
+                // is the cursor's value.
+                let mut codes = Vec::new();
+                let got = cols.column_codes(col, &mut codes);
+                let bytes = match &c[col].codec {
+                    Codec::None => !s.dtype(col).is_int(),
+                    codec => codec.kind() == rodb_compress::CodecKind::TextPack,
+                };
+                if delta || bytes {
+                    assert!(got.is_err(), "{what}");
+                    continue;
+                }
+                got.unwrap();
+                assert_eq!(codes.len(), n, "{what}");
+                let field = c[col].field(s.dtype(col), p.base_of(&c, col).unwrap_or(0), 0);
+                for (code, want) in codes.iter().zip(want) {
+                    let mut raw = Vec::new();
+                    field.raw_of(*code, &mut raw).unwrap();
+                    assert_eq!(&raw, want, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_count_past_the_body_fails_before_any_slot_is_read() {
+        let (s, c) = every_codec();
+        let mut b = PackedRowPageBuilder::new(4096, &s, &c).unwrap();
+        for i in 0..20 {
+            b.push(&every_codec_row(i)).unwrap();
+        }
+        let mut page = b.build(&s, &c, PageId(9)).unwrap();
+        let cap = packed_tuples_per_page(4096, &s, &c) as u32;
+        for count in [cap, cap + 1, u32::MAX] {
+            page[..4].copy_from_slice(&count.to_le_bytes());
+            write_trailer(&mut page, PageId(9), 0);
+            let p = PackedRowPage::new(&page, &c).unwrap();
+            let got = p.columns(&s, &c).map(|cols| cols.count());
+            match count {
+                _ if count == cap => assert_eq!(got, Ok(cap as usize)),
+                _ => assert!(matches!(got, Err(Error::Corrupt(_))), "{count}: {got:?}"),
+            }
+        }
     }
 
     #[test]
@@ -458,10 +663,12 @@ mod tests {
         }
         let page = b.build(&s, &c, PageId(0)).unwrap();
         let p = PackedRowPage::new(&page, &c).unwrap();
-        let mut cur = p.cursor(&s, &c);
-        for &v in &vals {
-            cur.advance().unwrap();
-            assert_eq!(cur.field_int(0).unwrap(), v);
-        }
+        let mut raw = Vec::new();
+        p.columns(&s, &c).unwrap().column_raw(0, &mut raw).unwrap();
+        let ints: Vec<i32> = raw
+            .chunks_exact(4)
+            .map(|v| i32::from_le_bytes([v[0], v[1], v[2], v[3]]))
+            .collect();
+        assert_eq!(ints, vals);
     }
 }
