@@ -39,8 +39,9 @@ pub fn candidates(dtype: DataType, sample: &[Value]) -> Result<Vec<(Codec, usize
                 .iter()
                 .map(|v| v.as_int().map(|i| i as i64))
                 .collect::<Result<_>>()?;
-            let min = *ints.iter().min().expect("sample is non-empty");
-            let max = *ints.iter().max().expect("sample is non-empty");
+            let (Some(&min), Some(&max)) = (ints.iter().min(), ints.iter().max()) else {
+                return Ok(out);
+            };
             if min >= 0 {
                 let bits = bits_for(max as u64);
                 out.push((Codec::BitPack { bits }, bits as usize));

@@ -31,12 +31,19 @@ pub fn bits_for(max_code: u64) -> u8 {
     }
 }
 
-/// Appends fixed- or mixed-width unsigned codes to a byte buffer, LSB-first.
+/// Appends fixed- or mixed-width unsigned codes to a byte buffer, LSB-first,
+/// through a 64-bit accumulator: a code is or-ed in at the accumulator's
+/// fill and every full word is stored whole — one or two word stores per
+/// code, the mirror of [`BitReader::read_at`]'s one word load.
 #[derive(Debug, Default)]
 pub struct BitWriter {
+    /// Whole words (and aligned byte runs) written so far.
     buf: Vec<u8>,
-    /// Number of valid bits in the final byte (0 means byte-aligned).
-    bit_pos: usize,
+    /// The bits after `buf`, low bits first; every bit at or above `fill`
+    /// is zero.
+    acc: u64,
+    /// Valid bits in `acc`, 0..64.
+    fill: u32,
 }
 
 impl BitWriter {
@@ -44,14 +51,22 @@ impl BitWriter {
         BitWriter::default()
     }
 
+    /// A writer with room for `bytes` bytes before it reallocates.
+    pub fn with_capacity(bytes: usize) -> BitWriter {
+        BitWriter {
+            buf: Vec::with_capacity(bytes + 8),
+            ..BitWriter::default()
+        }
+    }
+
     /// Total bits written so far.
     pub fn bit_len(&self) -> usize {
-        self.bit_pos
+        self.buf.len() * 8 + self.fill as usize
     }
 
     /// Bytes needed to hold everything written so far.
     pub fn byte_len(&self) -> usize {
-        self.bit_pos.div_ceil(8)
+        self.bit_len().div_ceil(8)
     }
 
     /// Append the low `bits` bits of `code`. `bits` must be 1..=64 and `code`
@@ -63,26 +78,25 @@ impl BitWriter {
                 "code {code} does not fit in {bits} bits"
             )));
         }
-        let mut remaining = bits as usize;
-        let mut code = code;
-        while remaining > 0 {
-            let byte_idx = self.bit_pos / 8;
-            let off = self.bit_pos % 8;
-            if byte_idx == self.buf.len() {
-                self.buf.push(0);
-            }
-            let take = remaining.min(8 - off);
-            let mask = if take == 64 {
-                u64::MAX
-            } else {
-                (1u64 << take) - 1
-            };
-            self.buf[byte_idx] |= ((code & mask) as u8) << off;
-            code >>= take;
-            self.bit_pos += take;
-            remaining -= take;
-        }
+        self.put(code, u32::from(bits));
         Ok(())
+    }
+
+    /// [`BitWriter::write`] of a code already known to fit its 1..=64
+    /// `bits`.
+    #[inline]
+    pub(crate) fn put(&mut self, code: u64, bits: u32) {
+        debug_assert!((1..=64).contains(&bits) && (bits == 64 || code >> bits == 0));
+        self.acc |= code << self.fill;
+        let fill = self.fill + bits;
+        if fill < 64 {
+            self.fill = fill;
+            return;
+        }
+        self.buf.extend_from_slice(&self.acc.to_le_bytes());
+        // The code's bits that did not fit the stored word.
+        self.acc = code.checked_shr(64 - self.fill).unwrap_or(0);
+        self.fill = fill - 64;
     }
 
     /// Append raw bytes, byte-aligned (pads the current byte with zeros
@@ -90,36 +104,37 @@ impl BitWriter {
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.align();
         self.buf.extend_from_slice(bytes);
-        self.bit_pos = self.buf.len() * 8;
     }
 
     /// Append each byte as an 8-bit code at the current bit position, with
     /// no alignment first: a raw or text-packed value, which sits at any bit
-    /// offset inside a packed tuple.
-    pub(crate) fn pack_bytes(&mut self, bytes: &[u8]) -> Result<()> {
-        if self.bit_pos.is_multiple_of(8) {
-            self.write_bytes(bytes);
-            return Ok(());
+    /// offset inside a packed tuple. Whole words go in as 64-bit codes.
+    pub(crate) fn pack_bytes(&mut self, bytes: &[u8]) {
+        if self.fill == 0 {
+            self.buf.extend_from_slice(bytes);
+            return;
         }
-        bytes.iter().try_for_each(|&b| self.write(b as u64, 8))
+        let (words, tail) = bytes.as_chunks::<8>();
+        for word in words {
+            self.put(u64::from_le_bytes(*word), 64);
+        }
+        for &b in tail {
+            self.put(u64::from(b), 8);
+        }
     }
 
     /// Pad to the next byte boundary with zero bits.
     pub fn align(&mut self) {
-        self.bit_pos = self.bit_pos.div_ceil(8) * 8;
-        while self.buf.len() * 8 < self.bit_pos {
-            self.buf.push(0);
-        }
+        let bytes = self.fill.div_ceil(8) as usize;
+        self.buf.extend_from_slice(&self.acc.to_le_bytes()[..bytes]);
+        self.acc = 0;
+        self.fill = 0;
     }
 
     /// Consume the writer, returning the packed bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.align();
         self.buf
-    }
-
-    /// Borrow the packed bytes written so far.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
     }
 }
 
@@ -465,9 +480,9 @@ mod tests {
         // A 3-bit code, then bytes packed unaligned, then aligned ones.
         let mut w = BitWriter::new();
         w.write(5, 3).unwrap();
-        w.pack_bytes(b"ab").unwrap();
+        w.pack_bytes(b"ab");
         w.align();
-        w.pack_bytes(b"cd").unwrap();
+        w.pack_bytes(b"cd");
         let bytes = w.into_bytes();
         let r = BitReader::new(&bytes);
         let mut out = Vec::new();

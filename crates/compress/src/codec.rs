@@ -334,11 +334,27 @@ impl ColumnCompression {
         }
     }
 
-    /// Encode one page worth of values. Returns the packed bytes and the
-    /// page's base value (meaningful only for FOR/FOR-delta; 0 otherwise).
+    /// Encode one page worth of values: each value checked against the
+    /// column's declared type and width and laid out as its stored bytes,
+    /// then [`ColumnCompression::encode_raw`].
     pub fn encode_page(&self, dtype: DataType, values: &[Value]) -> Result<EncodedValues> {
-        let mut enc = Encoder::new(self, dtype, values)?;
-        let mut w = BitWriter::new();
+        self.codec.validate_for(dtype)?;
+        let mut raw = Vec::with_capacity(values.len() * dtype.width());
+        for v in values {
+            v.encode_into(dtype, &mut raw)?;
+        }
+        self.encode_raw(dtype, &raw, values.len())
+    }
+
+    /// Encode one page of `n` values given as their stored bytes at full
+    /// declared width (`raw`, `n × dtype.width()` bytes): the page's codes
+    /// ([`ColumnCompression::page_codes`]) in the codec's page format —
+    /// fixed-width codes after any blob header, PFOR's patch list, RLE's
+    /// runs. Returns the packed bytes and the page's base value (FOR, PFOR,
+    /// RLE, FOR-delta; 0 otherwise).
+    pub fn encode_raw(&self, dtype: DataType, raw: &[u8], n: usize) -> Result<EncodedValues> {
+        let page = self.codes(dtype, raw, n)?;
+        let mut w = BitWriter::with_capacity((n * self.codec.bits_per_value(dtype)).div_ceil(8));
         match self.codec {
             Codec::Rle {
                 value_bits,
@@ -350,8 +366,7 @@ impl ColumnCompression {
             } => {
                 let max_len = 1u64 << len_bits.min(63);
                 let mut runs: Vec<(u64, u64)> = Vec::new();
-                for v in values {
-                    let code = enc.code(v)?;
+                for &code in &page.codes {
                     match runs.last_mut() {
                         Some((c, n)) if *c == code && *n + 1 < max_len => *n += 1,
                         _ => runs.push((code, 0)),
@@ -366,8 +381,7 @@ impl ColumnCompression {
             Codec::Pfor { bits } => {
                 let limit = 1u64.checked_shl(bits as u32).unwrap_or(u64::MAX);
                 let mut exceptions: Vec<(u32, u64)> = Vec::new();
-                for (i, v) in values.iter().enumerate() {
-                    let code = enc.code(v)?;
+                for (i, &code) in page.codes.iter().enumerate() {
                     if code < limit {
                         w.write(code, bits)?;
                     } else {
@@ -385,18 +399,156 @@ impl ColumnCompression {
             }
             _ => {
                 if let Codec::DictFor { .. } = self.codec {
-                    w.write_bytes(&enc.code_base.to_le_bytes());
+                    w.write_bytes(&page.code_base.to_le_bytes());
                 }
-                for v in values {
-                    enc.write(v, &mut w)?;
-                }
+                page.write_all(&mut w);
             }
         }
         Ok(EncodedValues {
             data: w.into_bytes(),
-            base: enc.base,
-            count: values.len(),
+            base: page.base,
+            count: n,
         })
+    }
+
+    /// The codes of one page of `n` values given as their stored bytes (see
+    /// [`ColumnCompression::encode_raw`]), for a codec a packed row page
+    /// can hold ([`Codec::packable`]): what such a page interleaves tuple
+    /// by tuple. The other codecs' pages are more than their codes.
+    pub fn page_codes<'r>(
+        &self,
+        dtype: DataType,
+        raw: &'r [u8],
+        n: usize,
+    ) -> Result<PageCodes<'r>> {
+        if !self.codec.packable() {
+            return Err(Error::InvalidConfig(format!(
+                "codec {:?} has no fixed-width codes alone",
+                self.codec.kind()
+            )));
+        }
+        self.codes(dtype, raw, n)
+    }
+
+    /// The block encoder: the page base fixed once from the page's values
+    /// — FOR, PFOR and RLE take the page minimum, FOR-delta its first
+    /// value, Dict→FOR its least dictionary code — then every value's code
+    /// in one pass, each checked in value order: negative under BitPack,
+    /// a negative FOR-delta delta, not in the dictionary, content past a
+    /// TextPack width, and (fixed-rate codecs) a code too wide. The RLE
+    /// family's codes are checked against the run width when its runs are
+    /// packed, and PFOR's over-wide codes are its exceptions.
+    fn codes<'r>(&self, dtype: DataType, raw: &'r [u8], n: usize) -> Result<PageCodes<'r>> {
+        self.codec.validate_for(dtype)?;
+        let width = dtype.width();
+        if n.checked_mul(width) != Some(raw.len()) {
+            return Err(Error::InvalidConfig(format!(
+                "{} stored bytes for {n} values of {dtype}",
+                raw.len()
+            )));
+        }
+        let bits = self.codec.code_width(dtype);
+        let stores_bytes = matches!(self.codec, Codec::None | Codec::TextPack { .. });
+        if n > 0 && (bits > 64 || (bits == 0 && !stores_bytes)) {
+            return Err(Error::InvalidConfig(format!("bit width {bits}")));
+        }
+        let mut page = PageCodes {
+            base: 0,
+            code_base: 0,
+            bits,
+            codes: Vec::new(),
+            bytes: raw,
+            width,
+            keep: width,
+        };
+        let limit = match (self.codec.variable_rate(), bits) {
+            (false, 1..=64) => u64::MAX >> (64 - bits as u32),
+            _ => u64::MAX,
+        };
+        let fits = |code: u64| {
+            if code > limit {
+                return Err(Error::ValueOutOfDomain(format!(
+                    "code {code} does not fit in {bits} bits"
+                )));
+            }
+            Ok(code)
+        };
+        let ints = || {
+            raw.as_chunks::<4>()
+                .0
+                .iter()
+                .map(|b| i64::from(i32::from_le_bytes(*b)))
+        };
+        let stored = || raw.chunks_exact(width);
+        let dict_code = |dict: &Dictionary, v: &[u8]| {
+            dict.code_of_stored(v).ok_or_else(|| {
+                let v = Value::decode(dtype, v).map_or_else(|e| e.to_string(), |v| v.to_string());
+                Error::ValueOutOfDomain(format!("value {v} not in dictionary"))
+            })
+        };
+        page.codes = match &self.codec {
+            Codec::TextPack { bytes } => {
+                let keep = *bytes as usize;
+                if stored().any(|v| v[keep..].iter().any(|&b| b != 0)) {
+                    return Err(Error::ValueOutOfDomain(format!(
+                        "text content exceeds TextPack width {keep}"
+                    )));
+                }
+                page.keep = keep;
+                return Ok(page);
+            }
+            // Raw text and longs are stored as their bytes; a raw int's
+            // code is its 32 bits.
+            Codec::None if bits == 0 => return Ok(page),
+            Codec::None => ints().map(|v| v as u32 as u64).collect(),
+            Codec::BitPack { .. } => ints()
+                .map(|v| match v {
+                    ..0 => Err(Error::ValueOutOfDomain(format!(
+                        "negative value {v} under BitPack"
+                    ))),
+                    _ => fits(v as u64),
+                })
+                .collect::<Result<_>>()?,
+            Codec::For { .. } | Codec::Pfor { .. } | Codec::Rle { .. } => {
+                page.base = ints().min().unwrap_or(0);
+                ints()
+                    .map(|v| fits((v - page.base) as u64))
+                    .collect::<Result<_>>()?
+            }
+            Codec::ForDelta { .. } => {
+                page.base = ints().next().unwrap_or(0);
+                let mut prev = page.base;
+                ints()
+                    .map(|v| {
+                        let d = v - std::mem::replace(&mut prev, v);
+                        if d < 0 {
+                            return Err(Error::ValueOutOfDomain(format!(
+                                "negative delta {d} under FOR-delta"
+                            )));
+                        }
+                        fits(d as u64)
+                    })
+                    .collect::<Result<_>>()?
+            }
+            Codec::Dict { .. } | Codec::RleDict { .. } => {
+                let dict = self.dict()?;
+                stored()
+                    .map(|v| fits(u64::from(dict_code(dict, v)?)))
+                    .collect::<Result<_>>()?
+            }
+            Codec::DictFor { .. } => {
+                let dict = self.dict()?;
+                let codes = stored()
+                    .map(|v| dict_code(dict, v))
+                    .collect::<Result<Vec<u32>>>()?;
+                page.code_base = codes.iter().copied().min().unwrap_or(0);
+                codes
+                    .iter()
+                    .map(|&c| fits(u64::from(c - page.code_base)))
+                    .collect::<Result<_>>()?
+            }
+        };
+        Ok(page)
     }
 
     /// Open a page's packed bytes for decoding.
@@ -699,139 +851,57 @@ impl<'a> Field<'a> {
     }
 }
 
-/// The write half of a codec on one page: the page base fixed once from the
-/// page's values — FOR, PFOR and RLE take the page minimum, FOR-delta its
-/// first value, Dict→FOR its least dictionary code — then one code per
-/// value, each value checked against the column's declared type and width
-/// first. Column pages and packed rows encode through it.
+/// One page of one column's values as its codec stores them: the page
+/// base, then per value its code or — raw text and longs, TextPack — its
+/// kept stored bytes, every domain check passed
+/// ([`ColumnCompression::page_codes`]). A column page packs them in the
+/// codec's page format; a packed row page interleaves the columns' values
+/// tuple by tuple ([`PageCodes::write`]).
 #[derive(Debug)]
-pub struct Encoder<'a> {
-    comp: &'a ColumnCompression,
-    dtype: DataType,
+pub struct PageCodes<'r> {
+    /// The page base (FOR, PFOR, RLE, FOR-delta; 0 for every other codec).
     base: i64,
+    /// Dict→FOR: the page's least dictionary code (stored codes are
+    /// offsets from it).
     code_base: u32,
-    /// FOR-delta: the page's previous value.
-    prev: Option<i64>,
-    /// One raw or text-packed value's bytes.
-    bytes: Vec<u8>,
+    /// Bits of one code; 0 where a value is stored as bytes.
+    bits: u8,
+    codes: Vec<u64>,
+    /// Where `bits` is 0: the values' stored bytes, `width` each, of which
+    /// the first `keep` are packed.
+    bytes: &'r [u8],
+    width: usize,
+    keep: usize,
 }
 
-/// The least `key` over a page's values (0 for an empty page), each value
-/// checked first.
-fn page_min<'v>(
-    dtype: DataType,
-    values: impl IntoIterator<Item = &'v Value>,
-    key: impl Fn(&Value) -> Result<i64>,
-) -> Result<i64> {
-    let mut least: Option<i64> = None;
-    for v in values {
-        v.check_fits(dtype)?;
-        let k = key(v)?;
-        least = Some(least.map_or(k, |l| l.min(k)));
-    }
-    Ok(least.unwrap_or(0))
-}
-
-impl<'a> Encoder<'a> {
-    /// An encoder for the page holding `values` (the column's values on it,
-    /// in order — only the base rule reads them here).
-    pub fn new<'v>(
-        comp: &'a ColumnCompression,
-        dtype: DataType,
-        values: impl IntoIterator<Item = &'v Value>,
-    ) -> Result<Encoder<'a>> {
-        comp.codec.validate_for(dtype)?;
-        let int = |v: &Value| v.as_int().map(i64::from);
-        let (mut base, mut code_base) = (0, 0);
-        match &comp.codec {
-            Codec::For { .. } | Codec::Pfor { .. } | Codec::Rle { .. } => {
-                base = page_min(dtype, values, int)?;
-            }
-            Codec::ForDelta { .. } => base = page_min(dtype, values.into_iter().take(1), int)?,
-            Codec::DictFor { .. } => {
-                let dict = comp.dict()?;
-                let code = |v: &Value| dict.code_of(dtype, v).map(i64::from);
-                code_base = page_min(dtype, values, code)? as u32;
-            }
-            _ => {}
-        }
-        Ok(Encoder {
-            comp,
-            dtype,
-            base,
-            code_base,
-            prev: None,
-            bytes: Vec::new(),
-        })
-    }
-
+impl PageCodes<'_> {
     /// The page base (FOR, PFOR, RLE, FOR-delta; 0 for every other codec).
     pub fn base(&self) -> i64 {
         self.base
     }
 
-    /// The next value's code before it is packed: its offset from the page
-    /// base, its delta from the previous value (FOR-delta), or its
-    /// dictionary code less the page's code base.
-    fn code(&mut self, v: &Value) -> Result<u64> {
-        v.check_fits(self.dtype)?;
-        let code = match &self.comp.codec {
-            Codec::Dict { .. } | Codec::DictFor { .. } | Codec::RleDict { .. } => {
-                (self.comp.dict()?.code_of(self.dtype, v)? - self.code_base) as i64
-            }
-            Codec::BitPack { .. } => {
-                let iv = v.as_int()?;
-                if iv < 0 {
-                    return Err(Error::ValueOutOfDomain(format!(
-                        "negative value {iv} under BitPack"
-                    )));
-                }
-                iv as i64
-            }
-            Codec::ForDelta { .. } => {
-                let iv = v.as_int()? as i64;
-                let d = self.prev.replace(iv).map_or(0, |p| iv - p);
-                if d < 0 {
-                    return Err(Error::ValueOutOfDomain(format!(
-                        "negative delta {d} under FOR-delta"
-                    )));
-                }
-                d
-            }
-            Codec::For { .. } | Codec::Pfor { .. } | Codec::Rle { .. } => {
-                v.as_int()? as i64 - self.base
-            }
-            // A raw int's code is its 32 bits.
-            Codec::None => v.as_int()? as u32 as i64,
-            Codec::TextPack { .. } => {
-                return Err(Error::InvalidConfig(
-                    "TextPack stores bytes, not codes".into(),
-                ))
-            }
-        };
-        Ok(code as u64)
+    /// Append value `i` at its fixed width: its code, or its kept bytes.
+    #[inline]
+    pub fn write(&self, i: usize, w: &mut BitWriter) {
+        if self.bits > 0 {
+            w.put(self.codes[i], u32::from(self.bits));
+        } else {
+            w.pack_bytes(&self.bytes[i * self.width..][..self.keep]);
+        }
     }
 
-    /// Append the next value at its fixed width: its code, or — raw and
-    /// text-packed columns — its bytes.
-    pub fn write(&mut self, v: &Value, w: &mut BitWriter) -> Result<()> {
-        let bits = self.comp.codec.code_width(self.dtype);
-        if bits > 0 {
-            let code = self.code(v)?;
-            return w.write(code, bits);
+    /// Append every value at its fixed width, in order.
+    fn write_all(&self, w: &mut BitWriter) {
+        if self.bits > 0 {
+            let bits = u32::from(self.bits);
+            self.codes.iter().for_each(|&code| w.put(code, bits));
+        } else if self.keep == self.width {
+            w.pack_bytes(self.bytes);
+        } else {
+            self.bytes
+                .chunks_exact(self.width)
+                .for_each(|v| w.pack_bytes(&v[..self.keep]));
         }
-        self.bytes.clear();
-        v.encode_into(self.dtype, &mut self.bytes)?;
-        if let Codec::TextPack { bytes } = self.comp.codec {
-            let nb = bytes as usize;
-            if self.bytes[nb..].iter().any(|&b| b != 0) {
-                return Err(Error::ValueOutOfDomain(format!(
-                    "text content exceeds TextPack width {nb}"
-                )));
-            }
-            self.bytes.truncate(nb);
-        }
-        w.pack_bytes(&self.bytes)
     }
 }
 
@@ -1888,5 +1958,322 @@ mod tests {
         let pv = comp.open_page(DataType::Int, &enc.data, 2, 0);
         assert!(pv.int_at(2).is_err());
         assert!(pv.value_at(5).is_err());
+    }
+
+    /// `vals` as stored bytes at the declared width.
+    fn stored(dtype: DataType, vals: &[Value]) -> Vec<u8> {
+        let mut raw = Vec::new();
+        vals.iter()
+            .for_each(|v| v.encode_into(dtype, &mut raw).unwrap());
+        raw
+    }
+
+    /// One codec's page decoded back to stored bytes: ints through the
+    /// block decoder, everything else through the range decoder.
+    fn decoded(comp: &ColumnCompression, dtype: DataType, enc: &EncodedValues) -> Vec<u8> {
+        let pv = comp.open_page(dtype, &enc.data, enc.count, enc.base);
+        let mut out = Vec::new();
+        if dtype.is_int() {
+            let mut ints = Vec::new();
+            pv.decode_ints_into(&mut ints).unwrap();
+            ints.iter()
+                .for_each(|v| out.extend_from_slice(&v.to_le_bytes()));
+        } else {
+            pv.decode_raw_into(0, enc.count, &mut out).unwrap();
+        }
+        out
+    }
+
+    /// Every codec with a page of values in its domain at code width
+    /// `bits`: `n` values from `seed`, with the domain's extremes in it.
+    fn codec_pages(bits: u8, n: usize) -> Vec<(ColumnCompression, DataType, Vec<Value>)> {
+        let top = (1i64 << bits) - 1;
+        let pat = |i: usize| (i as i64).wrapping_mul(0x9E37_79B9) & top;
+        let edge = |i: usize| match i % 7 {
+            0 => top,
+            3 => 0,
+            _ => pat(i),
+        };
+        let ints = |f: &dyn Fn(usize) -> i64| (0..n).map(|i| Value::Int(f(i) as i32)).collect();
+        let mut pages: Vec<(ColumnCompression, DataType, Vec<Value>)> = Vec::new();
+        let plain = |c| ColumnCompression::new(c, None).unwrap();
+        if bits < 32 {
+            pages.push((plain(Codec::BitPack { bits }), DataType::Int, ints(&edge)));
+            // One delta at the width's top, the rest small, from a base low
+            // enough to stay inside i32.
+            let mut sum = i64::from(i32::MIN);
+            let rising = (0..n).map(|i| {
+                sum += match i {
+                    0 => 0,
+                    1 => top,
+                    _ => pat(i) % 3,
+                };
+                Value::Int(sum as i32)
+            });
+            let fordelta = plain(Codec::ForDelta { bits });
+            pages.push((fordelta, DataType::Int, rising.collect()));
+        }
+        let shifted = ints(&|i| edge(i) - (1i64 << (bits - 1)));
+        pages.push((plain(Codec::For { bits }), DataType::Int, shifted.clone()));
+        pages.push((plain(Codec::Pfor { bits }), DataType::Int, shifted.clone()));
+        let wide = |i: usize| {
+            Value::Int(if i % 9 == 4 {
+                i32::MAX - i as i32
+            } else {
+                edge(i) as i32
+            })
+        };
+        pages.push((
+            plain(Codec::Pfor { bits }),
+            DataType::Int,
+            (0..n).map(wide).collect(),
+        ));
+        let runs = ints(&|i| edge(i / 6) - (1i64 << (bits - 1)));
+        let rle = Codec::Rle {
+            value_bits: bits,
+            len_bits: 2,
+        };
+        pages.push((plain(rle), DataType::Int, runs));
+        if bits <= 10 {
+            let domain: Vec<Value> = (0..=top).map(|v| Value::Int(v as i32 * 3 - 7)).collect();
+            let dict = Arc::new(Dictionary::build(DataType::Int, domain.iter()).unwrap());
+            let with = |c| ColumnCompression::new(c, Some(dict.clone())).unwrap();
+            let vals: Vec<Value> = (0..n).map(|i| domain[edge(i) as usize].clone()).collect();
+            let rle_dict = Codec::RleDict {
+                value_bits: bits,
+                len_bits: 3,
+            };
+            pages.push((with(Codec::Dict { bits }), DataType::Int, vals.clone()));
+            pages.push((with(Codec::DictFor { bits }), DataType::Int, vals.clone()));
+            pages.push((with(rle_dict), DataType::Int, vals));
+            let text = DataType::Text(5);
+            let words: Vec<Value> = (0..=top).map(|v| Value::text(&format!("w{v}"))).collect();
+            let dict = Arc::new(Dictionary::build(text, words.iter()).unwrap());
+            let with = |c| ColumnCompression::new(c, Some(dict.clone())).unwrap();
+            let vals: Vec<Value> = (0..n).map(|i| words[edge(i) as usize].clone()).collect();
+            pages.push((with(Codec::Dict { bits }), text, vals.clone()));
+            pages.push((with(Codec::DictFor { bits }), text, vals));
+        }
+        pages
+    }
+
+    /// Raw text and longs and TextPack at a few widths.
+    fn byte_pages(n: usize) -> Vec<(ColumnCompression, DataType, Vec<Value>)> {
+        let mut pages = Vec::new();
+        for width in [1usize, 5, 12] {
+            let text = DataType::Text(width);
+            let word = |i: usize| {
+                let len = (i * 7 + 3) % (width + 1);
+                Value::Text((0..len).map(|k| b'a' + ((i + k) % 26) as u8).collect())
+            };
+            let vals: Vec<Value> = (0..n).map(word).collect();
+            pages.push((ColumnCompression::none(), text, vals.clone()));
+            let bytes = width as u16;
+            let pack = ColumnCompression::new(Codec::TextPack { bytes }, None).unwrap();
+            pages.push((pack, DataType::Text(width + 9), vals));
+        }
+        let longs = (0..n)
+            .map(|i| Value::Long((i as i64 - 3) * -7_919_000_000_123))
+            .collect();
+        pages.push((ColumnCompression::none(), DataType::Long, longs));
+        let ints = (0..n).map(|i| Value::Int(i as i32 * -104_729)).collect();
+        pages.push((ColumnCompression::none(), DataType::Int, ints));
+        pages
+    }
+
+    #[test]
+    fn the_block_encoder_round_trips_every_codec_width_and_page_length() {
+        let body_bits = (4096 - 28 - 4) * 8;
+        for bits in [1u8, 2, 3, 5, 7, 8, 9, 10, 13, 16, 17, 24, 31, 32] {
+            // One value, block edges, and a full 4 KiB page at this width.
+            for n in [1, 127, 128, 129, 1000, body_bits / bits as usize] {
+                for (comp, dtype, vals) in codec_pages(bits, n) {
+                    let what = format!("{:?} over {n} values", comp.codec);
+                    let raw = stored(dtype, &vals);
+                    let enc = comp.encode_raw(dtype, &raw, n).expect(&what);
+                    assert_eq!(enc.count, n, "{what}");
+                    assert_eq!(decoded(&comp, dtype, &enc), raw, "{what}");
+                    let page = comp.encode_page(dtype, &vals).expect(&what);
+                    assert_eq!((page.data, page.base), (enc.data, enc.base), "{what}");
+                }
+            }
+        }
+        for n in [0, 1, 9, 128, 1000] {
+            for (comp, dtype, vals) in byte_pages(n) {
+                let what = format!("{:?} {dtype} over {n} values", comp.codec);
+                let raw = stored(dtype, &vals);
+                let enc = comp.encode_raw(dtype, &raw, n).expect(&what);
+                assert_eq!(decoded(&comp, dtype, &enc), raw, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn page_codes_written_at_odd_bit_offsets_read_back_strided() {
+        // Each fixed-rate codec's values packed `stride` bits apart behind
+        // a `lead`-bit field, as in a packed tuple, read back by the
+        // strided decoder of the same page base.
+        for bits in [1u8, 3, 8, 13, 31] {
+            for (comp, dtype, vals) in codec_pages(bits, 300).into_iter().chain(byte_pages(300)) {
+                if !comp.codec.packable() {
+                    assert!(comp.page_codes(dtype, &[], 0).is_err(), "{:?}", comp.codec);
+                    continue;
+                }
+                let raw = stored(dtype, &vals);
+                let codes = comp.page_codes(dtype, &raw, vals.len()).unwrap();
+                let width = comp.bits_per_value(dtype);
+                for (lead, gap) in [(1usize, 0usize), (3, 5), (7, 11)] {
+                    let stride = width + gap;
+                    let mut w = BitWriter::new();
+                    for i in 0..vals.len() {
+                        w.write(if i == 0 { 1 } else { 0 }, lead as u8).unwrap();
+                        codes.write(i, &mut w);
+                        if gap > 0 {
+                            w.write((i % 2) as u64, gap as u8).unwrap();
+                        }
+                    }
+                    let bytes = w.into_bytes();
+                    let r = BitReader::new(&bytes);
+                    let field = comp.field(dtype, codes.base(), 0);
+                    let mut got = Vec::new();
+                    field
+                        .raw_strided(&r, lead, stride + lead, vals.len(), &mut got)
+                        .unwrap();
+                    assert_eq!(got, raw, "{:?} lead {lead} gap {gap}", comp.codec);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_encoder_error_keeps_its_kind() {
+        let plain = |c| ColumnCompression::new(c, None).unwrap();
+        let words = [Value::text("AIR"), Value::text("SHIP")];
+        let text = DataType::Text(4);
+        let dict = Arc::new(Dictionary::build(text, words.iter()).unwrap());
+        let int_dict =
+            Arc::new(Dictionary::build(DataType::Int, ints(&[5, 6, 7, 8, 9]).iter()).unwrap());
+        let with = |c, d: &Arc<Dictionary>| ColumnCompression::new(c, Some(d.clone())).unwrap();
+        // A dictionary wider than its codec's width, as a catalog entry
+        // written by hand could carry.
+        let narrow = ColumnCompression {
+            codec: Codec::Dict { bits: 2 },
+            dict: Some(int_dict.clone()),
+        };
+        let domain = |e: &Error| matches!(e, Error::ValueOutOfDomain(_));
+        let config = |e: &Error| matches!(e, Error::InvalidConfig(_));
+        type Case = (ColumnCompression, DataType, Vec<Value>, fn(&Error) -> bool);
+        let cases: Vec<Case> = vec![
+            (
+                plain(Codec::BitPack { bits: 8 }),
+                DataType::Int,
+                ints(&[3, -1]),
+                domain,
+            ),
+            (
+                plain(Codec::BitPack { bits: 8 }),
+                DataType::Int,
+                ints(&[3, 256]),
+                domain,
+            ),
+            (
+                plain(Codec::For { bits: 4 }),
+                DataType::Int,
+                ints(&[-8, 8]),
+                domain,
+            ),
+            (
+                plain(Codec::ForDelta { bits: 8 }),
+                DataType::Int,
+                ints(&[5, 9, 8]),
+                domain,
+            ),
+            (
+                plain(Codec::ForDelta { bits: 3 }),
+                DataType::Int,
+                ints(&[5, 13]),
+                domain,
+            ),
+            (
+                with(Codec::Dict { bits: 1 }, &dict),
+                text,
+                vec![Value::text("RAIL")],
+                domain,
+            ),
+            (
+                with(Codec::Dict { bits: 3 }, &int_dict),
+                DataType::Int,
+                ints(&[4]),
+                domain,
+            ),
+            (narrow, DataType::Int, ints(&[5, 9]), domain),
+            (
+                with(Codec::DictFor { bits: 1 }, &int_dict),
+                DataType::Int,
+                ints(&[5, 7]),
+                domain,
+            ),
+            (
+                with(
+                    Codec::RleDict {
+                        value_bits: 3,
+                        len_bits: 2,
+                    },
+                    &int_dict,
+                ),
+                DataType::Int,
+                ints(&[5, 10]),
+                domain,
+            ),
+            (
+                plain(Codec::Rle {
+                    value_bits: 3,
+                    len_bits: 2,
+                }),
+                DataType::Int,
+                ints(&[0, 0, 8]),
+                domain,
+            ),
+            (
+                plain(Codec::TextPack { bytes: 2 }),
+                text,
+                vec![Value::text("AIR")],
+                domain,
+            ),
+            (
+                plain(Codec::BitPack { bits: 8 }),
+                text,
+                vec![Value::text("A")],
+                config,
+            ),
+            (
+                plain(Codec::BitPack { bits: 0 }),
+                DataType::Int,
+                ints(&[0]),
+                config,
+            ),
+        ];
+        for (comp, dtype, vals, kind) in cases {
+            let what = format!("{:?} {dtype} {vals:?}", comp.codec);
+            let page = comp.encode_page(dtype, &vals).unwrap_err();
+            assert!(kind(&page), "{what}: {page:?}");
+            if comp.codec.validate_for(dtype).is_err() {
+                continue;
+            }
+            let raw = stored(dtype, &vals);
+            let block = comp.encode_raw(dtype, &raw, vals.len()).unwrap_err();
+            assert_eq!(block, page, "{what}");
+            if comp.codec.packable() {
+                let codes = comp.page_codes(dtype, &raw, vals.len()).unwrap_err();
+                assert_eq!(codes, page, "{what}");
+            }
+        }
+        // A value of the wrong kind, and bytes that are not `n` values.
+        let bitpack = plain(Codec::BitPack { bits: 8 });
+        let err = bitpack.encode_page(DataType::Int, &[Value::text("x")]);
+        assert!(matches!(err, Err(Error::TypeMismatch { .. })), "{err:?}");
+        assert!(config(
+            &bitpack.encode_raw(DataType::Int, &[0; 7], 2).unwrap_err()
+        ));
     }
 }

@@ -22,7 +22,10 @@ pub struct Dictionary {
     /// order: what a page's byte lookup copies an entry out of.
     entries: Vec<u8>,
     width: usize,
-    index: HashMap<Value, u32>,
+    /// Stored bytes → code: the one index every value → code lookup (a
+    /// `Value` through [`Dictionary::code_of`], a page's stored bytes
+    /// through the block encoder) goes through.
+    index: HashMap<Box<[u8]>, u32>,
 }
 
 impl Dictionary {
@@ -49,29 +52,33 @@ impl Dictionary {
     /// Insert (if new) and return the code for `v`, a value of the type the
     /// dictionary was built for.
     fn intern(&mut self, dtype: DataType, v: &Value) -> Result<u32> {
-        v.check_fits(dtype)?;
-        let normalized = normalize(dtype, v)?;
-        if let Some(&code) = self.index.get(&normalized) {
+        let stored = stored(dtype, v)?;
+        if let Some(&code) = self.index.get(&stored[..]) {
             return Ok(code);
         }
         let code = u32::try_from(self.values.len())
             .map_err(|_| Error::ValueOutOfDomain("dictionary exceeds u32 codes".into()))?;
-        normalized.encode_into(dtype, &mut self.entries)?;
-        if let Value::Int(i) = normalized {
+        let value = Value::decode(dtype, &stored)?;
+        if let Value::Int(i) = value {
             self.ints.push(i);
         }
-        self.values.push(normalized.clone());
-        self.index.insert(normalized, code);
+        self.entries.extend_from_slice(&stored);
+        self.values.push(value);
+        self.index.insert(stored.into(), code);
         Ok(code)
     }
 
     /// Look up the code for a value (must already be interned).
     pub fn code_of(&self, dtype: DataType, v: &Value) -> Result<u32> {
-        let normalized = normalize(dtype, v)?;
-        self.index
-            .get(&normalized)
-            .copied()
+        self.code_of_stored(&stored(dtype, v)?)
             .ok_or_else(|| Error::ValueOutOfDomain(format!("value {v} not in dictionary")))
+    }
+
+    /// The code of a value given as its stored bytes at full declared
+    /// width, if the dictionary holds it.
+    #[inline]
+    pub(crate) fn code_of_stored(&self, stored: &[u8]) -> Option<u32> {
+        self.index.get(stored).copied()
     }
 
     /// The value for a code.
@@ -107,16 +114,14 @@ impl Dictionary {
     }
 }
 
-/// Pad text values to the declared width so dictionary equality is on stored
-/// bytes (ints pass through).
-fn normalize(dtype: DataType, v: &Value) -> Result<Value> {
+/// A value's stored bytes at the declared width — text zero-padded, so
+/// dictionary equality is on stored bytes. Int and text dictionaries only.
+fn stored(dtype: DataType, v: &Value) -> Result<Vec<u8>> {
     match (dtype, v) {
-        (DataType::Int, Value::Int(_)) => Ok(v.clone()),
-        (DataType::Text(n), Value::Text(b)) if b.len() == n => Ok(v.clone()),
-        (DataType::Text(_), Value::Text(_)) => {
-            let mut buf = Vec::new();
+        (DataType::Int, Value::Int(_)) | (DataType::Text(_), Value::Text(_)) => {
+            let mut buf = Vec::with_capacity(dtype.width());
             v.encode_into(dtype, &mut buf)?;
-            Ok(Value::Text(buf.into()))
+            Ok(buf)
         }
         _ => Err(Error::TypeMismatch {
             expected: dtype.name(),

@@ -20,7 +20,7 @@ pub mod simd;
 pub use advisor::{candidates, compression_for};
 pub use bits::{bits_for, BitReader, BitWriter, BLOCK};
 pub use codec::{
-    Codec, CodecKind, ColumnCompression, EncodedValues, Encoder, Field, PageValues, SeqValues,
+    Codec, CodecKind, ColumnCompression, EncodedValues, Field, PageCodes, PageValues, SeqValues,
 };
 pub use dict::Dictionary;
 pub use simd::{active_tier, KernelTier};

@@ -387,16 +387,15 @@ pub fn materialize(table: &Table, partition: &Candidate, name: &str) -> Result<T
         None => ColumnCompression::none(),
     };
     let comps = cols.iter().map(comp_of).collect();
-    let (source, page_size) = match &table.row {
-        Some(rs) => (Layout::Row, rs.page_size),
-        None => (Layout::Column, table.col_storage()?.columns[0].page_size),
+    let page_size = match &table.row {
+        Some(rs) => rs.page_size,
+        None => table.col_storage()?.columns[0].page_size,
     };
     let mut b =
         TableBuilder::with_compression(name, schema, page_size, BuildLayouts::both(), comps)?;
-    for row in &table.read_all(source)? {
-        let projected: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
-        b.push_row(&projected)?;
-    }
+    let data = table.read_columns(&cols)?;
+    let data: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+    b.push_columns(&data, table.row_count as usize)?;
     b.finish()
 }
 

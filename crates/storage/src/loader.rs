@@ -7,6 +7,15 @@
 //! are typically chosen during physical design") and each column file fills
 //! its pages independently, since per-page value capacity depends on the
 //! code width.
+//!
+//! A value's stored bytes at its column's declared width are the builder's
+//! one input format: [`TableBuilder::push_row`] lays a row out as them
+//! (every value checked first, so a rejected row stages nothing) and
+//! [`TableBuilder::push_columns`] takes a block of them column by column.
+//! Page builders stage those bytes a page at a time, and a page is encoded
+//! when it is emitted, one column slice at a time through the codec's block
+//! encoder ([`ColumnCompression::encode_raw`] /
+//! [`ColumnCompression::page_codes`]).
 
 use std::sync::Arc;
 
@@ -52,6 +61,38 @@ enum RowBuilderKind {
     Pax(PaxPageBuilder),
 }
 
+impl RowBuilderKind {
+    fn is_full(&self) -> bool {
+        match self {
+            RowBuilderKind::Plain(rb) => rb.is_full(),
+            RowBuilderKind::Packed(rb) => rb.is_full(),
+            RowBuilderKind::Pax(rb) => rb.is_full(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        match self {
+            RowBuilderKind::Plain(rb) => rb.is_empty(),
+            RowBuilderKind::Packed(rb) => rb.is_empty(),
+            RowBuilderKind::Pax(rb) => rb.is_empty(),
+        }
+    }
+
+    /// Emit the staged page.
+    fn build(
+        &mut self,
+        schema: &Schema,
+        comps: &[ColumnCompression],
+        page_id: PageId,
+    ) -> Result<Vec<u8>> {
+        match self {
+            RowBuilderKind::Plain(rb) => Ok(rb.build(page_id)),
+            RowBuilderKind::Packed(rb) => rb.build(schema, comps, page_id),
+            RowBuilderKind::Pax(rb) => Ok(rb.build(schema, page_id)),
+        }
+    }
+}
+
 /// Streaming bulk loader for one table.
 pub struct TableBuilder {
     name: String,
@@ -68,13 +109,17 @@ pub struct TableBuilder {
     row_pages: usize,
     col_builders: Vec<ColumnPageBuilder>,
     /// `Some` for variable-rate columns (RLE / PFOR families): their
-    /// per-page value count depends on the data, so values are buffered and
-    /// paged out in [`TableBuilder::finish`] after a capacity fit-search.
-    var_bufs: Vec<Option<Vec<Value>>>,
+    /// per-page value count depends on the data, so their stored bytes are
+    /// buffered and paged out in [`TableBuilder::finish`] after a capacity
+    /// fit-search.
+    var_bufs: Vec<Option<Vec<u8>>>,
     col_files: Vec<Vec<u8>>,
     col_pages: Vec<usize>,
     row_count: u64,
-    raw_buf: Vec<u8>,
+    /// The row [`TableBuilder::push_row`] lays out before it is pushed.
+    row_buf: Vec<u8>,
+    /// One plain or PAX tuple, gathered from the pushed columns.
+    tuple_buf: Vec<u8>,
 }
 
 impl TableBuilder {
@@ -177,113 +222,139 @@ impl TableBuilder {
             col_files,
             col_pages,
             row_count: 0,
-            raw_buf: Vec::new(),
+            row_buf: Vec::new(),
+            tuple_buf: Vec::new(),
         })
     }
 
-    /// Append one row.
+    /// Append one row: every value is checked against its column and laid
+    /// out as stored bytes first, so a rejected row leaves no column
+    /// holding part of it; then it is staged as a one-row
+    /// [`TableBuilder::push_columns`].
     pub fn push_row(&mut self, values: &[Value]) -> Result<()> {
-        if let Some(rb) = &mut self.row_builder {
-            match rb {
-                RowBuilderKind::Plain(rb) => {
-                    self.raw_buf.clear();
-                    tuple::encode_tuple(&self.schema, values, &mut self.raw_buf)?;
-                    if rb.is_full() {
-                        let page = rb.build(PageId(self.row_pages as u64));
-                        self.row_file.extend_from_slice(&page);
-                        self.row_pages += 1;
-                    }
-                    rb.push(&self.raw_buf)?;
-                }
-                RowBuilderKind::Packed(rb) => {
-                    if rb.is_full() {
-                        let page =
-                            rb.build(&self.schema, &self.row_comps, PageId(self.row_pages as u64))?;
-                        self.row_file.extend_from_slice(&page);
-                        self.row_pages += 1;
-                    }
-                    rb.push(values)?;
-                }
-                RowBuilderKind::Pax(rb) => {
-                    self.raw_buf.clear();
-                    tuple::encode_tuple(&self.schema, values, &mut self.raw_buf)?;
-                    if rb.is_full() {
-                        let page = rb.build(&self.schema, PageId(self.row_pages as u64));
-                        self.row_file.extend_from_slice(&page);
-                        self.row_pages += 1;
-                    }
-                    rb.push(&self.raw_buf)?;
-                }
-            }
-        } else if values.len() != self.schema.len() {
+        let mut row = std::mem::take(&mut self.row_buf);
+        row.clear();
+        let schema = Arc::clone(&self.schema);
+        let pushed = tuple::encode_tuple(&schema, values, &mut row).and_then(|()| {
+            self.push_block(|c| &row[schema.offset(c)..][..schema.dtype(c).width()], 1)
+        });
+        self.row_buf = row;
+        pushed
+    }
+
+    /// Append `n` rows given column by column: `cols[c]` holds column `c`'s
+    /// `n` values as their stored bytes at full declared width (what
+    /// [`Table::read_columns`] returns). Pages fill and emit exactly as
+    /// `n` calls of [`TableBuilder::push_row`] would.
+    pub fn push_columns(&mut self, cols: &[&[u8]], n: usize) -> Result<()> {
+        if cols.len() != self.schema.len() {
             return Err(Error::corrupt(format!(
-                "row with {} values for {}-column schema",
-                values.len(),
+                "{} columns for {}-column schema",
+                cols.len(),
                 self.schema.len()
             )));
         }
+        for (c, col) in cols.iter().enumerate() {
+            let dtype = self.schema.dtype(c);
+            if n.checked_mul(dtype.width()) != Some(col.len()) {
+                return Err(Error::InvalidConfig(format!(
+                    "{} stored bytes for {n} values of {dtype}",
+                    col.len()
+                )));
+            }
+        }
+        self.push_block(|c| cols[c], n)
+    }
+
+    /// Stage `n` rows whose column `c` is `col(c)`, `n` values of stored
+    /// bytes, into every layout: page by page, each page emitted when the
+    /// next row finds it full.
+    fn push_block<'c>(&mut self, col: impl Fn(usize) -> &'c [u8], n: usize) -> Result<()> {
+        let schema = Arc::clone(&self.schema);
+        // Rows `[at, at + k)` of column `c`.
+        let rows = |c: usize, at: usize, k: usize| {
+            let w = schema.dtype(c).width();
+            &col(c)[at * w..(at + k) * w]
+        };
+        if let Some(rb) = &mut self.row_builder {
+            let mut at = 0;
+            while at < n {
+                if rb.is_full() {
+                    let page = rb.build(&schema, &self.row_comps, PageId(self.row_pages as u64))?;
+                    self.row_file.extend_from_slice(&page);
+                    self.row_pages += 1;
+                }
+                let tuple = &mut self.tuple_buf;
+                tuple.clear();
+                at += match rb {
+                    RowBuilderKind::Packed(rb) => {
+                        let k = rb.room().min(n - at);
+                        rb.push_columns(|c| rows(c, at, k), k)?;
+                        k
+                    }
+                    RowBuilderKind::Plain(rb) => {
+                        (0..schema.len()).for_each(|c| tuple.extend_from_slice(rows(c, at, 1)));
+                        rb.push(tuple)?;
+                        1
+                    }
+                    RowBuilderKind::Pax(rb) => {
+                        (0..schema.len()).for_each(|c| tuple.extend_from_slice(rows(c, at, 1)));
+                        rb.push(tuple)?;
+                        1
+                    }
+                };
+            }
+        }
         if self.layouts.column {
-            for (ci, v) in values.iter().enumerate() {
+            for ci in 0..schema.len() {
                 if let Some(buf) = &mut self.var_bufs[ci] {
                     // Variable-rate column: page boundaries are only known
                     // once the data is, so buffer now and page out in finish.
-                    v.check_fits(self.schema.dtype(ci))?;
-                    buf.push(v.clone());
+                    buf.extend_from_slice(col(ci));
                     continue;
                 }
                 let cb = &mut self.col_builders[ci];
-                if cb.is_full() {
-                    let page = cb.build(&self.comps[ci], PageId(self.col_pages[ci] as u64))?;
-                    self.col_files[ci].extend_from_slice(&page);
-                    self.col_pages[ci] += 1;
+                let mut at = 0;
+                while at < n {
+                    if cb.is_full() {
+                        let page = cb.build(&self.comps[ci], PageId(self.col_pages[ci] as u64))?;
+                        self.col_files[ci].extend_from_slice(&page);
+                        self.col_pages[ci] += 1;
+                    }
+                    let k = cb.room().min(n - at);
+                    cb.push_raw(rows(ci, at, k), k)?;
+                    at += k;
                 }
-                cb.push(v.clone())?;
             }
         }
-        self.row_count += 1;
+        self.row_count += n as u64;
         Ok(())
     }
 
     /// Flush partial pages and produce the finished [`Table`].
     pub fn finish(mut self) -> Result<Table> {
         let row = if let Some(rb) = &mut self.row_builder {
+            if !rb.is_empty() {
+                let page =
+                    rb.build(&self.schema, &self.row_comps, PageId(self.row_pages as u64))?;
+                self.row_file.extend_from_slice(&page);
+                self.row_pages += 1;
+            }
             let (capacity, format) = match rb {
-                RowBuilderKind::Plain(rb) => {
-                    if !rb.is_empty() {
-                        let page = rb.build(PageId(self.row_pages as u64));
-                        self.row_file.extend_from_slice(&page);
-                        self.row_pages += 1;
-                    }
-                    (
-                        rb.capacity(),
-                        RowFormat::Plain {
-                            stored_width: self.schema.stored_width(),
-                        },
-                    )
-                }
-                RowBuilderKind::Packed(rb) => {
-                    if !rb.is_empty() {
-                        let page =
-                            rb.build(&self.schema, &self.row_comps, PageId(self.row_pages as u64))?;
-                        self.row_file.extend_from_slice(&page);
-                        self.row_pages += 1;
-                    }
-                    (
-                        rb.capacity(),
-                        RowFormat::Packed {
-                            comps: self.row_comps.clone(),
-                            tuple_bits: packed_tuple_bits(&self.schema, &self.row_comps),
-                        },
-                    )
-                }
-                RowBuilderKind::Pax(rb) => {
-                    if !rb.is_empty() {
-                        let page = rb.build(&self.schema, PageId(self.row_pages as u64));
-                        self.row_file.extend_from_slice(&page);
-                        self.row_pages += 1;
-                    }
-                    (rb.capacity(), RowFormat::Pax)
-                }
+                RowBuilderKind::Plain(rb) => (
+                    rb.capacity(),
+                    RowFormat::Plain {
+                        stored_width: self.schema.stored_width(),
+                    },
+                ),
+                RowBuilderKind::Packed(rb) => (
+                    rb.capacity(),
+                    RowFormat::Packed {
+                        comps: self.row_comps.clone(),
+                        tuple_bits: packed_tuple_bits(&self.schema, &self.row_comps),
+                    },
+                ),
+                RowBuilderKind::Pax(rb) => (rb.capacity(), RowFormat::Pax),
             };
             Some(RowStorage {
                 file: Arc::new(std::mem::take(&mut self.row_file)),
@@ -304,10 +375,8 @@ impl TableBuilder {
                     let dtype = self.schema.dtype(ci);
                     let vpp = fit_values_per_page(self.page_size, dtype, &self.comps[ci], &buf)?;
                     let mut b = ColumnPageBuilder::with_capacity(self.page_size, dtype, vpp);
-                    for chunk in buf.chunks(vpp) {
-                        for v in chunk {
-                            b.push(v.clone())?;
-                        }
+                    for chunk in buf.chunks(vpp * dtype.width()) {
+                        b.push_raw(chunk, chunk.len() / dtype.width())?;
                         let page = b.build(&self.comps[ci], PageId(self.col_pages[ci] as u64))?;
                         self.col_files[ci].extend_from_slice(&page);
                         self.col_pages[ci] += 1;
@@ -366,26 +435,34 @@ fn fit_values_per_page(
     page_size: usize,
     dtype: rodb_types::DataType,
     comp: &ColumnCompression,
-    values: &[Value],
+    raw: &[u8],
 ) -> Result<usize> {
     let body = body_capacity(page_size);
-    if values.is_empty() {
+    let width = dtype.width();
+    let n = raw.len() / width;
+    if n == 0 {
         // Match the fixed-rate worst-case floor so empty files still carry a
         // sane geometry constant.
         return Ok(ColumnPageBuilder::new(page_size, dtype, comp)
             .capacity()
             .max(1));
     }
+    let encoded_len = |chunk: &[u8]| -> Result<usize> {
+        Ok(comp
+            .encode_raw(dtype, chunk, chunk.len() / width)?
+            .data
+            .len())
+    };
     let fits = |vpp: usize| -> Result<bool> {
-        for chunk in values.chunks(vpp) {
-            if comp.encode_page(dtype, chunk)?.data.len() > body {
+        for chunk in raw.chunks(vpp * width) {
+            if encoded_len(chunk)? > body {
                 return Ok(false);
             }
         }
         Ok(true)
     };
-    let total = comp.encode_page(dtype, values)?.data.len().max(1);
-    let mut vpp = (body * values.len() / total).clamp(1, values.len());
+    let total = encoded_len(raw)?.max(1);
+    let mut vpp = (body * n / total).clamp(1, n);
     loop {
         if fits(vpp)? {
             return Ok(vpp);
@@ -675,5 +752,118 @@ mod tests {
         assert_eq!(t.row_count, 0);
         assert_eq!(t.read_all(Layout::Row).unwrap().len(), 0);
         assert_eq!(t.read_all(Layout::Column).unwrap().len(), 0);
+    }
+
+    #[test]
+    fn a_rejected_row_leaves_no_column_holding_part_of_it() {
+        let s = Arc::new(Schema::new(vec![Column::int("k"), Column::text("t", 2)]).unwrap());
+        let packed = vec![
+            ColumnCompression::new(Codec::BitPack { bits: 4 }, None).unwrap(),
+            ColumnCompression::none(),
+        ];
+        let plain = vec![ColumnCompression::none(); 2];
+        for layouts in [BuildLayouts::column_only(), BuildLayouts::both()] {
+            for comps in [&plain, &packed] {
+                let mut b =
+                    TableBuilder::with_compression("t", s.clone(), 256, layouts, comps.clone())
+                        .unwrap();
+                let err = b.push_row(&[Value::Int(7), Value::Int(8)]).unwrap_err();
+                assert!(matches!(err, Error::TypeMismatch { .. }), "{err:?}");
+                let err = b.push_row(&[Value::Int(7)]).unwrap_err();
+                assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
+                b.push_row(&[Value::Int(1), Value::text("ab")]).unwrap();
+                let t = b.finish().unwrap();
+                let want = vec![vec![Value::Int(1), Value::text("ab")]];
+                assert_eq!(t.row_count, 1);
+                assert_eq!(t.read_all(Layout::Column).unwrap(), want, "{layouts:?}");
+                if layouts.row {
+                    assert_eq!(t.read_all(Layout::Row).unwrap(), want, "{layouts:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pushed_columns_build_the_pages_pushed_rows_do() {
+        // Every layout and codec family, pushed as one block, in blocks
+        // that straddle pages, and row by row.
+        let s = schema();
+        let dict = Arc::new(
+            rodb_compress::Dictionary::build(
+                DataType::Text(10),
+                ["AIR", "SHIP", "TRUCK"].map(Value::text).iter(),
+            )
+            .unwrap(),
+        );
+        let comps = [
+            vec![ColumnCompression::none(); 3],
+            vec![
+                ColumnCompression::new(Codec::ForDelta { bits: 2 }, None).unwrap(),
+                ColumnCompression::new(
+                    Codec::Rle {
+                        value_bits: 6,
+                        len_bits: 2,
+                    },
+                    None,
+                )
+                .unwrap(),
+                ColumnCompression::new(Codec::DictFor { bits: 2 }, Some(dict)).unwrap(),
+            ],
+        ];
+        let data = rows(1500);
+        let by_rows = |b: &mut TableBuilder| data.iter().for_each(|r| b.push_row(r).unwrap());
+        for layouts in [
+            BuildLayouts::both(),
+            BuildLayouts::row_only(),
+            BuildLayouts::column_only(),
+        ] {
+            for (pax, comps) in [(false, &comps[0]), (false, &comps[1]), (true, &comps[0])] {
+                let build = |push: &dyn Fn(&mut TableBuilder)| {
+                    let mut b = match pax {
+                        true => TableBuilder::new_pax("t", s.clone(), 1024, layouts),
+                        false => TableBuilder::with_compression(
+                            "t",
+                            s.clone(),
+                            1024,
+                            layouts,
+                            comps.clone(),
+                        ),
+                    }
+                    .unwrap();
+                    push(&mut b);
+                    b.finish().unwrap()
+                };
+                let want = build(&by_rows);
+                let cols = want.read_columns(&[0, 1, 2]).unwrap();
+                for block in [1500, 97, 1] {
+                    let got = build(&|b: &mut TableBuilder| {
+                        for at in (0..1500).step_by(block) {
+                            let k = block.min(1500 - at);
+                            let span = |c: usize, w: usize| &cols[c][at * w..(at + k) * w];
+                            b.push_columns(&[span(0, 4), span(1, 4), span(2, 10)], k)
+                                .unwrap();
+                        }
+                    });
+                    let what = format!("{layouts:?} pax {pax} {:?} by {block}", comps[1].codec);
+                    assert_eq!(got.row_count, want.row_count, "{what}");
+                    let files = |t: &Table| {
+                        let row = t.row.as_ref().map(|r| r.file.clone());
+                        let cols = t.col.as_ref().map(|c| {
+                            let files = c.columns.iter();
+                            files
+                                .map(|c| (c.file.clone(), c.values_per_page))
+                                .collect::<Vec<_>>()
+                        });
+                        (row, cols)
+                    };
+                    assert!(files(&got) == files(&want), "{what}");
+                }
+            }
+        }
+        // Columns that are not `n` values of the schema are refused whole.
+        let mut b = TableBuilder::new("t", schema(), 1024, BuildLayouts::both()).unwrap();
+        assert!(b.push_columns(&[&[0; 4], &[0; 4]], 1).is_err());
+        assert!(b.push_columns(&[&[0; 4], &[0; 4], &[0; 9]], 1).is_err());
+        assert_eq!(b.row_count(), 0);
     }
 }

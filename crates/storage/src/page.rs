@@ -23,7 +23,7 @@ use std::cell::Cell;
 
 use rodb_compress::{ColumnCompression, PageValues};
 use rodb_io::PageRef;
-use rodb_types::{CorruptKind, DataType, Error, PageId, Result, Schema, Value};
+use rodb_types::{CorruptKind, DataType, Error, PageId, Result, Schema};
 
 pub use crate::crc::crc32;
 
@@ -280,13 +280,16 @@ impl<'a> RowPage<'a> {
     }
 }
 
-/// Builds column pages by buffering values and encoding them on emit.
+/// Builds column pages by staging values as their stored bytes and
+/// encoding them on emit.
 #[derive(Debug)]
 pub struct ColumnPageBuilder {
     page_size: usize,
     dtype: DataType,
     capacity: usize,
-    values: Vec<Value>,
+    /// The staged values' stored bytes, `dtype.width()` each.
+    raw: Vec<u8>,
+    count: usize,
 }
 
 impl ColumnPageBuilder {
@@ -298,12 +301,7 @@ impl ColumnPageBuilder {
         // a guaranteed-fit floor; the loader raises it by trial encoding
         // (see `TableBuilder::fit_values_per_page`).
         let body_bits = (body_capacity(page_size) - comp.codec.blob_header_bytes()) * 8;
-        ColumnPageBuilder {
-            page_size,
-            dtype,
-            capacity: body_bits / bits,
-            values: Vec::new(),
-        }
+        ColumnPageBuilder::with_capacity(page_size, dtype, body_bits / bits)
     }
 
     /// A builder with an externally chosen capacity — used for variable-rate
@@ -314,7 +312,8 @@ impl ColumnPageBuilder {
             page_size,
             dtype,
             capacity,
-            values: Vec::new(),
+            raw: Vec::new(),
+            count: 0,
         }
     }
 
@@ -323,26 +322,39 @@ impl ColumnPageBuilder {
         self.capacity
     }
 
+    /// Values the page can still take.
+    pub(crate) fn room(&self) -> usize {
+        self.capacity.saturating_sub(self.count)
+    }
+
     pub fn is_full(&self) -> bool {
-        self.values.len() >= self.capacity
+        self.count >= self.capacity
     }
 
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.count == 0
     }
 
-    pub fn push(&mut self, v: Value) -> Result<()> {
-        if self.is_full() {
+    /// Stage `n` values given as their stored bytes (`n × width` bytes).
+    pub fn push_raw(&mut self, raw: &[u8], n: usize) -> Result<()> {
+        if n > self.room() {
             return Err(Error::corrupt("push into full column page"));
         }
-        v.check_fits(self.dtype)?;
-        self.values.push(v);
+        if n.checked_mul(self.dtype.width()) != Some(raw.len()) {
+            return Err(Error::InvalidConfig(format!(
+                "{} stored bytes for {n} values of {}",
+                raw.len(),
+                self.dtype
+            )));
+        }
+        self.raw.extend_from_slice(raw);
+        self.count += n;
         Ok(())
     }
 
-    /// Encode the buffered values and emit the finished page.
+    /// Encode the staged values and emit the finished page.
     pub fn build(&mut self, comp: &ColumnCompression, page_id: PageId) -> Result<Vec<u8>> {
-        let enc = comp.encode_page(self.dtype, &self.values)?;
+        let enc = comp.encode_raw(self.dtype, &self.raw, self.count)?;
         let mut page = vec![0u8; self.page_size];
         if PAGE_HEADER + enc.data.len() > self.page_size - PAGE_TRAILER {
             return Err(Error::corrupt(format!(
@@ -350,23 +362,21 @@ impl ColumnPageBuilder {
                 enc.data.len()
             )));
         }
-        page[0..4].copy_from_slice(&(self.values.len() as u32).to_le_bytes());
+        page[0..4].copy_from_slice(&(self.count as u32).to_le_bytes());
         page[PAGE_HEADER..PAGE_HEADER + enc.data.len()].copy_from_slice(&enc.data);
         // Zone map for integer pages: trailer base = page min, reserved =
         // range + 1. Safe to overload base: FOR's encode base *is* the page
         // min, FOR-delta's base (the first value of a non-decreasing page)
         // equals the min, and the remaining codecs ignore base on decode.
-        let zone = match self.dtype {
-            DataType::Int if !self.values.is_empty() => {
-                let mut lo = i64::MAX;
-                let mut hi = i64::MIN;
-                for v in &self.values {
-                    let iv = v.as_int()? as i64;
-                    lo = lo.min(iv);
-                    hi = hi.max(iv);
-                }
-                u32::try_from(hi - lo + 1).ok().map(|z| (lo, z))
-            }
+        let ints = self.raw.as_chunks::<4>().0.iter();
+        let range = ints
+            .map(|v| i64::from(i32::from_le_bytes(*v)))
+            .fold(None, |r, v| {
+                let (lo, hi) = r.unwrap_or((v, v));
+                Some((lo.min(v), hi.max(v)))
+            });
+        let zone = match (self.dtype, range) {
+            (DataType::Int, Some((lo, hi))) => u32::try_from(hi - lo + 1).ok().map(|z| (lo, z)),
             _ => None,
         };
         match zone {
@@ -379,7 +389,8 @@ impl ColumnPageBuilder {
             }
             None => write_trailer(&mut page, page_id, enc.base),
         }
-        self.values.clear();
+        self.raw.clear();
+        self.count = 0;
         Ok(page)
     }
 }
@@ -470,7 +481,14 @@ impl<'a> ColumnPage<'a> {
 mod tests {
     use super::*;
     use rodb_compress::Codec;
-    use rodb_types::{tuple, Column};
+    use rodb_types::{tuple, Column, Value};
+
+    /// Stage one value through its stored bytes.
+    fn push(b: &mut ColumnPageBuilder, v: Value) -> Result<()> {
+        let mut raw = Vec::new();
+        v.encode_into(b.dtype, &mut raw)?;
+        b.push_raw(&raw, 1)
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -536,7 +554,7 @@ mod tests {
         assert_eq!(b.capacity(), col_values_per_page(4096, 12));
         let n = 100usize;
         for i in 0..n {
-            b.push(Value::Int(5000 + (i as i32 % 97))).unwrap();
+            push(&mut b, Value::Int(5000 + (i as i32 % 97))).unwrap();
         }
         let page = b.build(&comp, PageId(3)).unwrap();
         let cp = ColumnPage::new(&page, DataType::Int).unwrap();
@@ -552,8 +570,8 @@ mod tests {
     fn column_page_negative_base_survives_trailer() {
         let comp = ColumnCompression::new(Codec::For { bits: 8 }, None).unwrap();
         let mut b = ColumnPageBuilder::new(256, DataType::Int, &comp);
-        b.push(Value::Int(-100)).unwrap();
-        b.push(Value::Int(-50)).unwrap();
+        push(&mut b, Value::Int(-100)).unwrap();
+        push(&mut b, Value::Int(-50)).unwrap();
         let page = b.build(&comp, PageId(0)).unwrap();
         let cp = ColumnPage::new(&page, DataType::Int).unwrap();
         let pv = cp.values(&comp);
@@ -571,7 +589,7 @@ mod tests {
         ] {
             let mut b = ColumnPageBuilder::new(256, DataType::Int, &comp);
             for v in [40, 7, 199, 7] {
-                b.push(Value::Int(v)).unwrap();
+                push(&mut b, Value::Int(v)).unwrap();
             }
             let page = b.build(&comp, PageId(1)).unwrap();
             assert_eq!(page_zone(&page), Some((7, 199)), "{:?}", comp.codec.kind());
@@ -584,14 +602,14 @@ mod tests {
         // Text pages and row pages carry no zone.
         let comp = ColumnCompression::none();
         let mut b = ColumnPageBuilder::new(256, DataType::Text(4), &comp);
-        b.push(Value::text("ab")).unwrap();
+        push(&mut b, Value::text("ab")).unwrap();
         let page = b.build(&comp, PageId(2)).unwrap();
         assert_eq!(page_zone(&page), None);
 
         // A single-value page has min == max (the Eq boundary case).
         let comp = ColumnCompression::none();
         let mut b = ColumnPageBuilder::new(256, DataType::Int, &comp);
-        b.push(Value::Int(-5)).unwrap();
+        push(&mut b, Value::Int(-5)).unwrap();
         let page = b.build(&comp, PageId(3)).unwrap();
         assert_eq!(page_zone(&page), Some((-5, -5)));
     }
@@ -600,8 +618,8 @@ mod tests {
     fn type_checked_push() {
         let comp = ColumnCompression::none();
         let mut b = ColumnPageBuilder::new(4096, DataType::Int, &comp);
-        assert!(b.push(Value::text("oops")).is_err());
-        assert!(b.push(Value::Int(1)).is_ok());
+        assert!(push(&mut b, Value::text("oops")).is_err());
+        assert!(push(&mut b, Value::Int(1)).is_ok());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! which makes packed row pages strictly sequential-decode for those
 //! attributes — exactly like their column counterparts.
 
-use rodb_compress::{BitReader, BitWriter, ColumnCompression, Encoder, Field};
-use rodb_types::{Error, PageId, Result, Schema, Value};
+use rodb_compress::{BitReader, BitWriter, ColumnCompression, Field};
+use rodb_types::{Error, PageId, Result, Schema};
 
 use crate::page::{write_trailer, PageView, VerifiedPage, PAGE_HEADER, PAGE_TRAILER};
 
@@ -64,11 +64,15 @@ fn check_packable(comps: &[ColumnCompression]) -> Result<()> {
     }
 }
 
-/// Builds packed row pages by buffering whole rows.
+/// Builds packed row pages by staging each column's values as their stored
+/// bytes, a page's worth at a time.
 pub struct PackedRowPageBuilder {
     page_size: usize,
     capacity: usize,
-    rows: Vec<Vec<Value>>,
+    /// Per column, its declared width and the staged tuples' values at it.
+    widths: Vec<usize>,
+    cols: Vec<Vec<u8>>,
+    count: usize,
 }
 
 impl PackedRowPageBuilder {
@@ -94,7 +98,9 @@ impl PackedRowPageBuilder {
         Ok(PackedRowPageBuilder {
             page_size,
             capacity,
-            rows: Vec::new(),
+            widths: schema.columns().iter().map(|c| c.dtype.width()).collect(),
+            cols: vec![Vec::new(); schema.len()],
+            count: 0,
         })
     }
 
@@ -102,52 +108,67 @@ impl PackedRowPageBuilder {
         self.capacity
     }
 
+    /// Tuples the page can still take.
+    pub(crate) fn room(&self) -> usize {
+        self.capacity.saturating_sub(self.count)
+    }
+
     pub fn is_full(&self) -> bool {
-        self.rows.len() >= self.capacity
+        self.count >= self.capacity
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.count == 0
     }
 
-    pub fn push(&mut self, values: &[Value]) -> Result<()> {
-        if self.is_full() {
+    /// Stage `n` tuples given column by column: `col(c)` holds column
+    /// `c`'s `n` values as their stored bytes. Every column's length is
+    /// checked before any is staged.
+    pub fn push_columns<'c>(&mut self, col: impl Fn(usize) -> &'c [u8], n: usize) -> Result<()> {
+        if n > self.room() {
             return Err(Error::corrupt("push into full packed row page"));
         }
-        self.rows.push(values.to_vec());
+        let sized = |(c, &w): (usize, &usize)| n.checked_mul(w) == Some(col(c).len());
+        if !self.widths.iter().enumerate().all(sized) {
+            return Err(Error::corrupt("packed row columns do not match the schema"));
+        }
+        for (c, staged) in self.cols.iter_mut().enumerate() {
+            staged.extend_from_slice(col(c));
+        }
+        self.count += n;
         Ok(())
     }
 
-    /// Encode the buffered rows and emit the page.
+    /// Encode the staged tuples and emit the page: each column's codes
+    /// over the page at once, then interleaved tuple by tuple.
     pub fn build(
         &mut self,
         schema: &Schema,
         comps: &[ColumnCompression],
         page_id: PageId,
     ) -> Result<Vec<u8>> {
-        if self.rows.iter().any(|r| r.len() != schema.len()) {
+        if self.cols.len() != schema.len() || comps.len() != schema.len() {
             return Err(Error::corrupt("row arity mismatch"));
         }
-        // One encoder per column, its page base fixed over the page's rows.
-        let mut encoders = comps
+        let codes = comps
             .iter()
+            .zip(&self.cols)
             .enumerate()
-            .map(|(ci, comp)| {
-                Encoder::new(comp, schema.dtype(ci), self.rows.iter().map(|r| &r[ci]))
-            })
+            .map(|(ci, (comp, raw))| comp.page_codes(schema.dtype(ci), raw, self.count))
             .collect::<Result<Vec<_>>>()?;
-        let mut w = BitWriter::new();
-        for row in &self.rows {
-            for (v, enc) in row.iter().zip(&mut encoders) {
-                enc.write(v, &mut w)?;
+        let tuple_bits = packed_tuple_bits(schema, comps);
+        let mut w = BitWriter::with_capacity((self.count * tuple_bits).div_ceil(8));
+        for i in 0..self.count {
+            for col in &codes {
+                col.write(i, &mut w);
             }
         }
 
         let mut page = vec![0u8; self.page_size];
-        page[0..4].copy_from_slice(&(self.rows.len() as u32).to_le_bytes());
+        page[0..4].copy_from_slice(&(self.count as u32).to_le_bytes());
         let mut off = PAGE_HEADER;
         for k in base_columns(comps) {
-            page[off..off + 8].copy_from_slice(&encoders[k].base().to_le_bytes());
+            page[off..off + 8].copy_from_slice(&codes[k].base().to_le_bytes());
             off += 8;
         }
         let data = w.into_bytes();
@@ -156,7 +177,8 @@ impl PackedRowPageBuilder {
         }
         page[off..off + data.len()].copy_from_slice(&data);
         write_trailer(&mut page, page_id, 0);
-        self.rows.clear();
+        self.cols.iter_mut().for_each(Vec::clear);
+        self.count = 0;
         Ok(page)
     }
 }
@@ -404,7 +426,7 @@ impl PackedRowCursor<'_> {
 mod tests {
     use super::*;
     use rodb_compress::Codec;
-    use rodb_types::{Column, DataType};
+    use rodb_types::{Column, DataType, Value};
     use std::sync::Arc;
 
     fn schema() -> Schema {
@@ -445,6 +467,19 @@ mod tests {
         ]
     }
 
+    /// Stage one tuple through its values' stored bytes.
+    fn push(b: &mut PackedRowPageBuilder, s: &Schema, row: &[Value]) -> Result<()> {
+        let cols = row
+            .iter()
+            .zip(s.columns())
+            .map(|(v, c)| {
+                let mut raw = Vec::new();
+                v.encode_into(c.dtype, &mut raw).map(|()| raw)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        b.push_columns(|c| &cols[c], 1)
+    }
+
     #[test]
     fn packed_width_matches_figure5_math() {
         let s = schema();
@@ -470,7 +505,7 @@ mod tests {
         let mut b = PackedRowPageBuilder::new(4096, &s, &c).unwrap();
         let n = 200;
         for i in 0..n {
-            b.push(&row(i)).unwrap();
+            push(&mut b, &s, &row(i)).unwrap();
         }
         let page = b.build(&s, &c, PageId(5)).unwrap();
         assert_eq!(page.len(), 4096);
@@ -547,7 +582,7 @@ mod tests {
         for n in [cap, 1, 2, 130] {
             let mut b = PackedRowPageBuilder::new(4096, &s, &c).unwrap();
             for i in 0..n {
-                b.push(&every_codec_row(i)).unwrap();
+                push(&mut b, &s, &every_codec_row(i)).unwrap();
             }
             let page = b.build(&s, &c, PageId(3)).unwrap();
             let p = PackedRowPage::new(&page, &c).unwrap();
@@ -611,7 +646,7 @@ mod tests {
         let (s, c) = every_codec();
         let mut b = PackedRowPageBuilder::new(4096, &s, &c).unwrap();
         for i in 0..20 {
-            b.push(&every_codec_row(i)).unwrap();
+            push(&mut b, &s, &every_codec_row(i)).unwrap();
         }
         let mut page = b.build(&s, &c, PageId(9)).unwrap();
         let cap = packed_tuples_per_page(4096, &s, &c) as u32;
@@ -634,10 +669,10 @@ mod tests {
         let mut b = PackedRowPageBuilder::new(4096, &s, &c).unwrap();
         let cap = b.capacity();
         for i in 0..cap as i32 {
-            b.push(&row(i)).unwrap();
+            push(&mut b, &s, &row(i)).unwrap();
         }
         assert!(b.is_full());
-        assert!(b.push(&row(0)).is_err());
+        assert!(push(&mut b, &s, &row(0)).is_err());
     }
 
     #[test]
@@ -645,8 +680,8 @@ mod tests {
         let s = schema();
         let c = comps();
         let mut b = PackedRowPageBuilder::new(4096, &s, &c).unwrap();
-        b.push(&row(5)).unwrap();
-        b.push(&row(1)).unwrap(); // key decreases
+        push(&mut b, &s, &row(5)).unwrap();
+        push(&mut b, &s, &row(1)).unwrap(); // key decreases
         assert!(b.build(&s, &c, PageId(0)).is_err());
     }
 
@@ -659,7 +694,7 @@ mod tests {
         let cap = b.capacity();
         let vals: Vec<i32> = (0..cap as i32).map(|i| 10_000 + (i % 100)).collect();
         for &v in &vals {
-            b.push(&[Value::Int(v)]).unwrap();
+            push(&mut b, &s, &[Value::Int(v)]).unwrap();
         }
         let page = b.build(&s, &c, PageId(0)).unwrap();
         let p = PackedRowPage::new(&page, &c).unwrap();

@@ -293,8 +293,9 @@ impl Table {
         out
     }
 
-    /// Materialize every row through the given layout — a correctness oracle
-    /// for tests and the WOS merge path, not a query path.
+    /// Materialize every row through the given layout as `Value`s — the
+    /// correctness oracle for tests and the fuzzer, not a query or write
+    /// path (a rebuild reads [`Table::read_columns`]).
     pub fn read_all(&self, layout: Layout) -> Result<Vec<Vec<Value>>> {
         let mut out = Vec::with_capacity(self.row_count as usize);
         match layout {
@@ -347,6 +348,7 @@ impl Table {
                     for p in 0..col.pages {
                         let page = col.page(p, dtype)?;
                         let pv = page.values(&col.comp);
+                        self.more_values(ci, row, pv.count())?;
                         let mut cur = pv.cursor();
                         for _ in 0..pv.count() {
                             let mut raw = Vec::with_capacity(dtype.width());
@@ -355,15 +357,234 @@ impl Table {
                             row += 1;
                         }
                     }
-                    if row != self.row_count as usize {
-                        return Err(Error::corrupt(format!(
-                            "column {ci} has {row} values, table has {}",
-                            self.row_count
-                        )));
-                    }
+                    self.check_rows(ci, row)?;
                 }
             }
         }
         Ok(out)
+    }
+
+    /// The stored bytes of columns `cols`, one buffer per requested column
+    /// holding every row's value at full declared width, in row order —
+    /// what [`crate::TableBuilder::push_columns`] takes. Read through the
+    /// block decoders of whichever layout exists (row preferred, as
+    /// [`Table::read_all`]): a packed row page's column decoder, a plain
+    /// page's tuple slices, a PAX page's minipages, a column page's
+    /// [`rodb_compress::PageValues::decode_ints_into`] /
+    /// [`rodb_compress::PageValues::decode_raw_into`]. Every page is
+    /// checksummed as it is opened, and each column must hold exactly
+    /// `row_count` values (`Corrupt` otherwise, checked before a page's
+    /// values are appended).
+    pub fn read_columns(&self, cols: &[usize]) -> Result<Vec<Vec<u8>>> {
+        let dtypes = cols
+            .iter()
+            .map(|&c| match c < self.schema.len() {
+                true => Ok(self.schema.dtype(c)),
+                false => Err(Error::UnknownColumn(format!("column index {c}"))),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let mut out: Vec<Vec<u8>> = dtypes
+            .iter()
+            .map(|d| Vec::with_capacity(self.row_count as usize * d.width()))
+            .collect();
+        if let Some(rs) = &self.row {
+            let mut rows = 0usize;
+            for p in 0..rs.pages {
+                rows = match &rs.format {
+                    RowFormat::Plain { .. } => {
+                        let page = rs.page(p)?;
+                        let rows = self.more_values(0, rows, page.count())?;
+                        for raw in page.tuples() {
+                            for (o, &c) in out.iter_mut().zip(cols) {
+                                let at = self.schema.offset(c);
+                                o.extend_from_slice(&raw[at..at + self.schema.dtype(c).width()]);
+                            }
+                        }
+                        rows
+                    }
+                    RowFormat::Packed { comps, .. } => {
+                        let page = rs.packed_page(p)?;
+                        let page = page.columns(&self.schema, comps)?;
+                        let rows = self.more_values(0, rows, page.count())?;
+                        for (o, &c) in out.iter_mut().zip(cols) {
+                            page.column_raw(c, o)?;
+                        }
+                        rows
+                    }
+                    RowFormat::Pax => {
+                        let page = rs.pax_page(p, &self.schema)?;
+                        let rows = self.more_values(0, rows, page.count())?;
+                        for (o, &c) in out.iter_mut().zip(cols) {
+                            o.extend_from_slice(page.minipage(&self.schema, c));
+                        }
+                        rows
+                    }
+                };
+            }
+            self.check_rows(0, rows)?;
+            return Ok(out);
+        }
+        let cs = self.col_storage()?;
+        let mut ints = Vec::new();
+        for ((o, &c), dtype) in out.iter_mut().zip(cols).zip(dtypes) {
+            let col = &cs.columns[c];
+            let mut values = 0usize;
+            for p in 0..col.pages {
+                let page = col.page(p, dtype)?;
+                let pv = page.values(&col.comp);
+                values = self.more_values(c, values, pv.count())?;
+                if dtype.is_int() {
+                    pv.decode_ints_into(&mut ints)?;
+                    ints.iter()
+                        .for_each(|v| o.extend_from_slice(&v.to_le_bytes()));
+                } else {
+                    pv.decode_raw_into(0, pv.count(), o)?;
+                }
+            }
+            self.check_rows(c, values)?;
+        }
+        Ok(out)
+    }
+
+    /// `values + more`, the values column `col` holds once a page of
+    /// `more` is read: `Corrupt` when that exceeds `row_count`.
+    fn more_values(&self, col: usize, values: usize, more: usize) -> Result<usize> {
+        match values.checked_add(more) {
+            Some(total) if total as u64 <= self.row_count => Ok(total),
+            _ => Err(Error::corrupt(format!(
+                "column {col} has more than {} values",
+                self.row_count
+            ))),
+        }
+    }
+
+    /// `Corrupt` unless column `col` holds exactly `row_count` values.
+    fn check_rows(&self, col: usize, values: usize) -> Result<()> {
+        if values as u64 != self.row_count {
+            return Err(Error::corrupt(format!(
+                "column {col} has {values} values, table has {}",
+                self.row_count
+            )));
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::loader::{BuildLayouts, TableBuilder};
+    use rodb_compress::{Codec, Dictionary};
+    use rodb_types::{Column, DataType};
+
+    fn schema() -> Arc<Schema> {
+        let cols = vec![
+            Column::int("k"),
+            Column::text("t", 5),
+            Column::int("v"),
+            Column::new("l", DataType::Long),
+        ];
+        Arc::new(Schema::new(cols).unwrap())
+    }
+
+    fn row(i: usize) -> Vec<Value> {
+        vec![
+            Value::Int(i as i32 * 3),
+            Value::text(["AIR", "SHIP", "", "TRUCK"][i % 4]),
+            Value::Int((i / 7 % 20) as i32),
+            Value::Long(i as i64 * -1_000_000_007),
+        ]
+    }
+
+    fn build(rows: usize, layouts: BuildLayouts, pax: bool, comps: &[ColumnCompression]) -> Table {
+        let mut b = match pax {
+            true => TableBuilder::new_pax("t", schema(), 512, layouts),
+            false => TableBuilder::with_compression("t", schema(), 512, layouts, comps.to_vec()),
+        }
+        .unwrap();
+        (0..rows).for_each(|i| b.push_row(&row(i)).unwrap());
+        b.finish().unwrap()
+    }
+
+    /// Plain, packed-row-and-variable-rate, and PAX codec assignments.
+    fn codec_sets() -> Vec<(bool, Vec<ColumnCompression>)> {
+        let words = ["AIR", "SHIP", "", "TRUCK"].map(Value::text);
+        let dict = Arc::new(Dictionary::build(DataType::Text(5), words.iter()).unwrap());
+        let compressed = vec![
+            ColumnCompression::new(Codec::ForDelta { bits: 3 }, None).unwrap(),
+            ColumnCompression::new(Codec::DictFor { bits: 2 }, Some(dict)).unwrap(),
+            ColumnCompression::new(
+                Codec::Rle {
+                    value_bits: 5,
+                    len_bits: 3,
+                },
+                None,
+            )
+            .unwrap(),
+            ColumnCompression::none(),
+        ];
+        let plain = vec![ColumnCompression::none(); 4];
+        vec![(false, plain.clone()), (false, compressed), (true, plain)]
+    }
+
+    /// `rows` transposed into one buffer of stored bytes per column.
+    fn transposed(schema: &Schema, rows: &[Vec<Value>], cols: &[usize]) -> Vec<Vec<u8>> {
+        let mut out = vec![Vec::new(); cols.len()];
+        for row in rows {
+            for (o, &c) in out.iter_mut().zip(cols) {
+                row[c].encode_into(schema.dtype(c), o).unwrap();
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn read_columns_is_read_all_transposed_on_every_layout() {
+        for n in [0, 1, 700] {
+            for layouts in [
+                BuildLayouts::both(),
+                BuildLayouts::row_only(),
+                BuildLayouts::column_only(),
+            ] {
+                for (pax, comps) in codec_sets() {
+                    let t = build(n, layouts, pax, &comps);
+                    let what = format!("{n} rows {layouts:?} pax {pax} {:?}", comps[0].codec);
+                    let via = if layouts.row {
+                        Layout::Row
+                    } else {
+                        Layout::Column
+                    };
+                    let rows = t.read_all(via).unwrap();
+                    assert_eq!(rows.len(), n, "{what}");
+                    for cols in [vec![0, 1, 2, 3], vec![3, 1], vec![2], vec![]] {
+                        let got = t.read_columns(&cols).unwrap();
+                        assert_eq!(got, transposed(&t.schema, &rows, &cols), "{what} {cols:?}");
+                    }
+                    assert!(matches!(t.read_columns(&[4]), Err(Error::UnknownColumn(_))));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_layout_holding_more_or_fewer_values_than_the_table_is_corrupt() {
+        for (pax, comps) in codec_sets() {
+            for layouts in [BuildLayouts::column_only(), BuildLayouts::row_only()] {
+                // A 3-row build's files grafted under a 2-row table, and a
+                // 1-row build's.
+                let mut two = build(2, layouts, pax, &comps);
+                for rows in [3, 1] {
+                    let other = build(rows, layouts, pax, &comps);
+                    (two.row, two.col) = (other.row, other.col);
+                    let what = format!("{rows} rows as 2, {layouts:?} pax {pax}");
+                    let got = two.read_columns(&[0, 1, 2, 3]);
+                    assert!(matches!(got, Err(Error::Corrupt(_))), "{what}: {got:?}");
+                    if layouts.column {
+                        let got = two.read_all(Layout::Column);
+                        assert!(matches!(got, Err(Error::Corrupt(_))), "{what}: {got:?}");
+                    }
+                }
+            }
+        }
     }
 }
