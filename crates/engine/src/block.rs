@@ -95,14 +95,26 @@ impl TupleBlock {
         Ok(())
     }
 
-    /// Append an uninitialized (zeroed) tuple and return its index; scanners
-    /// fill fields in place via [`TupleBlock::field_mut`].
-    pub fn push_blank(&mut self, position: u64) -> usize {
-        let w = self.width();
-        self.data.extend(std::iter::repeat_n(0u8, w));
-        self.positions.push(position);
-        self.count += 1;
-        self.count - 1
+    /// A block of the tuples laid out row-major in `data`, one per position.
+    pub(crate) fn from_parts(
+        schema: Arc<Schema>,
+        data: Vec<u8>,
+        positions: Vec<u64>,
+    ) -> Result<TupleBlock> {
+        let count = positions.len();
+        if data.len() != count * schema.logical_width() {
+            return Err(Error::corrupt(format!(
+                "{} bytes for {count} tuples of width {}",
+                data.len(),
+                schema.logical_width()
+            )));
+        }
+        Ok(TupleBlock {
+            schema,
+            data,
+            positions,
+            count,
+        })
     }
 
     /// Mutable bytes of column `col` of tuple `i`.
@@ -207,8 +219,8 @@ mod tests {
     #[test]
     fn blank_fill_in_place() {
         let s = schema();
-        let mut b = TupleBlock::new(s.clone(), 2);
-        let i = b.push_blank(5);
+        let mut b = TupleBlock::from_parts(s.clone(), vec![0; s.logical_width()], vec![5]).unwrap();
+        let i = 0;
         b.field_mut(i, 0).copy_from_slice(&42i32.to_le_bytes());
         b.field_mut(i, 1)[..3].copy_from_slice(b"abc");
         assert_eq!(b.int(i, 0), 42);
@@ -246,8 +258,11 @@ mod tests {
     #[test]
     fn wrong_width_rejected() {
         let s = schema();
-        let mut b = TupleBlock::new(s, 1);
+        let mut b = TupleBlock::new(s.clone(), 1);
         assert!(b.push_tuple(&[0u8; 3], 0).is_err());
+        let w = s.logical_width();
+        assert!(TupleBlock::from_parts(s.clone(), vec![0; 2 * w - 1], vec![0, 1]).is_err());
+        assert!(TupleBlock::from_parts(s, vec![0; 2 * w], vec![0, 1]).is_ok());
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! up to a needed position (Figure 9's CPU effect), everything else is read
 //! per position from the held page. What this file keeps is the schedule —
 //! node 0 pulls pages and filters them (on the fast path in code space,
-//! which only node 0 can), later nodes are driven off the position list —
+//! which only node 0 can; otherwise a page at a time, a selection vector of
+//! the window's slots narrowed over the decoded run by the scan core's
+//! select kernel), later nodes are driven off the position list —
 //! and the *slow* variant (`ScanLayout::ColumnSlow`), which serializes disk
 //! requests per column: the reference variant of Figure 11 that loses the
 //! "one step ahead" controller advantage.
@@ -33,7 +35,9 @@ use crate::codepred::{rewrite_all, zone_rejects};
 use crate::op::{ExecContext, Operator};
 use crate::page_cursor::PageCursor;
 use crate::predicate::{scan_schema, Predicate};
-use crate::scan_core::{judge, ColumnNode, DecodePolicy, Pending, Sink, Window};
+use crate::scan_core::{
+    copy_fields, narrow, select_strided, ColumnNode, DecodePolicy, Pending, Sink, Window,
+};
 
 /// Disk-request submission aggressiveness over `nodes` column files (§4.5 /
 /// Figure 11): the pipelined scanner submits the next column's request while
@@ -62,6 +66,9 @@ pub struct ColumnScanner {
     /// Figure 11's slow variant: one disk request in flight at a time.
     slow: bool,
     scratch: Vec<u8>,
+    /// Node 0's selection vector over the page it decoded: indices into
+    /// the window's slots of it.
+    sel: Vec<usize>,
     /// Block indices a driven node keeps.
     keep: Vec<usize>,
     /// The positions of the block a driven node is reading.
@@ -99,6 +106,7 @@ impl ColumnScanner {
             nodes,
             slow,
             scratch: Vec::new(),
+            sel: Vec::new(),
             keep: Vec::new(),
             lineage: Vec::new(),
         })
@@ -214,18 +222,25 @@ impl ColumnScanner {
         } else {
             pv.decode_raw_into(slots.start, slots.len(), raw)?;
         }
-        let width = node.dtype.width();
-        for (slot, value) in slots.zip(raw.chunks_exact(width)) {
-            let pos = first_row + slot as u64;
-            if window.admits(pos) && judge(&node.preds, &mut node.pred_tallies, node.dtype, value)?
-            {
-                node.tally.positions_seen += 1; // {position, value} pair created
-                sink.push_with(pos, |out| {
-                    out.extend_from_slice(value);
-                    Ok(())
-                })?;
-            }
-        }
+        // The window's admitted slots, narrowed predicate by predicate over
+        // the decoded run; the survivors become {position, value} pairs.
+        let (dtype, width, run) = (node.dtype, node.dtype.width(), &raw[..]);
+        let first = first_row + slots.start as u64;
+        let sel = &mut self.sel;
+        sel.clear();
+        sel.extend((0..slots.len()).filter(|&k| window.admits(first + k as u64)));
+        narrow(&node.preds, &mut node.pred_tallies, sel, |_, pred, sel| {
+            select_strided(pred, dtype, run, width, sel);
+            Ok(())
+        })?;
+        node.tally.positions_seen += sel.len() as u64;
+        let positions = sel.iter().map(|&k| first + k as u64);
+        sink.push_rows(positions, |out| {
+            let at = out.len();
+            out.resize(at + sel.len() * width, 0);
+            copy_fields(run, width, width, sel, &mut out[at..], width);
+            Ok(())
+        })?;
         node.tally.values_decoded += count as u64;
         Ok(true)
     }
@@ -987,6 +1002,131 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Node 0's scalar path, two predicates on its column, over windows that
+    /// cut its pages: clean, and under `Skip` with a page of a driven column
+    /// quarantined so that later node-0 pages meet dropped ordinals. Rows
+    /// are the oracle's; tallies are the per-slot conjunction's over the
+    /// window's slots where nothing was dropped, and under `Skip` the
+    /// totals the per-slot loop counted.
+    #[test]
+    fn node0_narrows_its_window_like_the_per_slot_loop() {
+        use crate::scan_core::PredTally;
+        use rodb_storage::Layout;
+        use rodb_types::{HardwareConfig, OnCorrupt, SystemConfig};
+        const ROWS: u64 = 5_000;
+        const PAGE: usize = 1024;
+        let s = Arc::new(
+            Schema::new(vec![
+                Column::int("v"),
+                Column::int("id"),
+                Column::text("tag", 6),
+            ])
+            .unwrap(),
+        );
+        let comps = vec![
+            ColumnCompression::new(Codec::BitPack { bits: 7 }, None).unwrap(),
+            ColumnCompression::none(),
+            ColumnCompression::none(),
+        ];
+        let mut b =
+            TableBuilder::with_compression("n0", s, PAGE, BuildLayouts::column_only(), comps)
+                .unwrap();
+        for i in 0..ROWS as usize {
+            let tag = Value::text(["aa", "bb", "cc"][i % 3]);
+            b.push_row(&[Value::Int((i * 37 % 100) as i32), Value::Int(i as i32), tag])
+                .unwrap();
+        }
+        let clean = b.finish().unwrap();
+        let oracle = clean.read_all(Layout::Column).unwrap();
+        let vpp = clean.col_storage().unwrap().columns[0].values_per_page as u64;
+        let ids = clean.col_storage().unwrap().columns[1].values_per_page as u64;
+        let mut damaged = clean.clone();
+        let id = &mut damaged.col.as_mut().unwrap().columns[1];
+        Arc::make_mut(&mut id.file)[4 * PAGE + 100] ^= 0x10;
+        let lost = 4 * ids..5 * ids;
+        // The lost rows run past node 0's first page into its second.
+        assert!(
+            lost.contains(&(vpp - 1)) && lost.contains(&vpp),
+            "{vpp} {ids}"
+        );
+        let preds = vec![Predicate::ge(0, 10), Predicate::lt(0, 80)];
+        let cuts = [0, 1, 600, vpp - 1, vpp + 7, 2 * vpp + 3, ROWS - 1, ROWS];
+        // Under `Skip`: the evaluations and passes of both predicates, the
+        // pairs node 0 created and the rows returned, summed over the windows.
+        let (mut skip_totals, mut skip_slots) = ([0u64; 6], 0);
+        for (t, on_corrupt) in [(clean, OnCorrupt::Fail), (damaged, OnCorrupt::Skip)] {
+            let t = Arc::new(t);
+            let skip = on_corrupt == OnCorrupt::Skip;
+            let sys = SystemConfig {
+                page_size: PAGE,
+                ..SystemConfig::default()
+            }
+            .with_on_corrupt(on_corrupt);
+            for (i, &a) in cuts.iter().enumerate() {
+                for &b in &cuts[i..] {
+                    let what = format!("[{a}, {b}) {on_corrupt:?}");
+                    t.quarantine.clear();
+                    let ctx = ExecContext::new(HardwareConfig::default(), sys, 1.0).unwrap();
+                    let mut cs = ColumnScanner::new(
+                        t.clone(),
+                        vec![2, 0, 1],
+                        preds.clone(),
+                        false,
+                        &ctx,
+                        Some((a, b)),
+                    )
+                    .unwrap();
+                    let mut rows = Vec::new();
+                    while let Some(block) = cs.next().unwrap() {
+                        let positions = block.positions().iter().copied();
+                        rows.extend(positions.zip(block.rows().unwrap()));
+                    }
+                    let want: Vec<(u64, Vec<Value>)> = (a..b)
+                        .filter(|pos| !(skip && lost.contains(pos)))
+                        .map(|pos| (pos, &oracle[pos as usize]))
+                        .filter(|(_, row)| preds.iter().all(|p| p.eval_value(&row[0])))
+                        .map(|(pos, row)| {
+                            (pos, vec![row[2].clone(), row[0].clone(), row[1].clone()])
+                        })
+                        .collect();
+                    assert_eq!(rows, want, "{what}");
+                    let node = &cs.nodes[0];
+                    let (tallies, seen) = (node.pred_tallies.clone(), node.tally.positions_seen);
+                    let pages = a / vpp..b.div_ceil(vpp).max(a / vpp);
+                    let whole: u64 = pages.map(|p| vpp.min(ROWS - p * vpp)).sum();
+                    assert_eq!(node.tally.values_decoded, whole, "{what}");
+                    if skip {
+                        let got = [
+                            tallies[0].evals,
+                            tallies[0].passes,
+                            tallies[1].evals,
+                            tallies[1].passes,
+                            seen,
+                            rows.len() as u64,
+                        ];
+                        for (total, n) in skip_totals.iter_mut().zip(got) {
+                            *total += n;
+                        }
+                        skip_slots += b - a;
+                        continue;
+                    }
+                    let mut expect = vec![PredTally::default(); 2];
+                    let mut passed = 0;
+                    for pos in a..b {
+                        let holds = |_, p: &Predicate| Ok(p.eval_value(&oracle[pos as usize][0]));
+                        passed += u64::from(
+                            crate::scan_core::conjunction(&preds, &mut expect, holds).unwrap(),
+                        );
+                    }
+                    assert_eq!((tallies, seen), (expect, passed), "{what}");
+                }
+            }
+        }
+        assert_eq!(skip_totals, [64051, 57653, 57653, 44847, 44847, 42910]);
+        // Node 0 met dropped ordinals: it judged fewer slots than its windows hold.
+        assert!(skip_totals[0] < skip_slots, "{skip_slots}");
     }
 
     #[test]

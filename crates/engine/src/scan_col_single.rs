@@ -57,11 +57,14 @@ impl SingleIteratorColumnScanner {
         let out_schema = scan_schema(&table.schema, &projection, &predicates)?;
         let policy = DecodePolicy::EveryPage;
         let nodes = ColumnNode::open_all(&table, &projection, &predicates, ctx, range, policy)?;
-        let node_of = |col: &usize| nodes.iter().position(|n| n.col == *col);
-        let projected = projection
-            .iter()
-            .map(|col| node_of(col).expect("every projected column has a node"))
-            .collect();
+        // Each projected column has one node, which knows its output index
+        // (the projection holds no column twice: its schema validated).
+        let mut projected = vec![0; projection.len()];
+        for (ni, node) in nodes.iter().enumerate() {
+            if let Some(out) = node.out_col {
+                projected[out] = ni;
+            }
+        }
         // Fetch-all-then-iterate keeps multiple requests outstanding, like
         // the pipelined scanner.
         ctx.disk

@@ -8,10 +8,14 @@
 //!
 //! * **select** — [`conjunction`]: the short-circuit predicate loop with its
 //!   eval/pass tally, over a field accessor the caller's tuple format
-//!   supplies; [`narrow`] is the same rule over a page's selection vector;
+//!   supplies; [`narrow`] is the same rule over a page's selection vector,
+//!   and [`select_strided`] the one value-space kernel that narrows it over
+//!   a strided run of stored fields (a row page's column, a PAX minipage, a
+//!   decoded column);
 //! * **admit** — [`Window`]: the row-ordinal range a scan answers for, less
 //!   the ordinals degraded skips dropped;
-//! * **emit** — [`Sink`]: pending selections → [`TupleBlock`], with the
+//! * **emit** — [`Sink`]: pending selections → [`TupleBlock`], a page's
+//!   survivors pushed at once and a block taken in one copy, with the
 //!   block-hop and output-stream charges;
 //! * **decode / gather** — [`ColumnNode`]: one column file under a scan —
 //!   identity, [`PageCursor`], held-page decode state and one tally struct —
@@ -28,13 +32,13 @@ use std::sync::Arc;
 
 use rodb_cpu::CpuMeter;
 use rodb_storage::{ColumnStorage, Table, VerifiedPage};
-use rodb_types::{DataType, HardwareConfig, Result, Schema};
+use rodb_types::{DataType, HardwareConfig, Result, Schema, Value};
 
 use crate::block::TupleBlock;
 use crate::degraded::DropSet;
 use crate::op::ExecContext;
 use crate::page_cursor::PageCursor;
-use crate::predicate::{scan_columns, Predicate};
+use crate::predicate::{scan_columns, CmpOp, Predicate};
 
 // ---------------------------------------------------------------------------
 // select
@@ -92,19 +96,67 @@ pub(crate) fn narrow(
 
 /// Keep the slots of `sel` on which `holds` is true, in order, without a
 /// branch on the outcome.
-#[inline]
-pub(crate) fn retain(
-    sel: &mut Vec<usize>,
-    mut holds: impl FnMut(usize) -> Result<bool>,
-) -> Result<()> {
+#[inline(always)]
+pub(crate) fn retain(sel: &mut Vec<usize>, holds: impl Fn(usize) -> bool) {
     let mut n = 0;
     for k in 0..sel.len() {
         let slot = sel[k];
         sel[n] = slot;
-        n += usize::from(holds(slot)?);
+        n += usize::from(holds(slot));
     }
     sel.truncate(n);
-    Ok(())
+}
+
+/// The select kernel of every page loop: keep the slots of `sel` whose field
+/// satisfies `pred`, the `dtype`-wide field of slot `s` starting at byte
+/// `s * stride` of `bytes`. The run is a plain row page's column (the
+/// stored tuple width apart), a PAX minipage or a decoded column (the value
+/// width apart).
+///
+/// An int or long column against an int or long literal is one typed loop
+/// per operator, the literal widened to `i64` as [`Predicate::eval_raw`]
+/// widens it; text, and a pair `validate` rejects, is judged by `eval_raw`.
+pub(crate) fn select_strided(
+    pred: &Predicate,
+    dtype: DataType,
+    bytes: &[u8],
+    stride: usize,
+    sel: &mut Vec<usize>,
+) {
+    let lit = match pred.literal {
+        Value::Int(l) => Some(i64::from(l)),
+        Value::Long(l) => Some(l),
+        Value::Text(_) => None,
+    };
+    match (dtype, lit) {
+        (DataType::Int, Some(lit)) => keep_cmp(sel, pred.op, lit, |slot| {
+            let f = &bytes[slot * stride..][..4];
+            i64::from(i32::from_le_bytes([f[0], f[1], f[2], f[3]]))
+        }),
+        (DataType::Long, Some(lit)) => keep_cmp(sel, pred.op, lit, |slot| {
+            let f = &bytes[slot * stride..][..8];
+            i64::from_le_bytes([f[0], f[1], f[2], f[3], f[4], f[5], f[6], f[7]])
+        }),
+        _ => {
+            let width = dtype.width();
+            retain(sel, |slot| {
+                pred.eval_raw(dtype, &bytes[slot * stride..][..width])
+            })
+        }
+    }
+}
+
+/// [`retain`] on `read(slot) op lit`, one loop per operator.
+#[inline(always)]
+fn keep_cmp(sel: &mut Vec<usize>, op: CmpOp, lit: i64, read: impl Fn(usize) -> i64) {
+    match op {
+        CmpOp::Lt => retain(sel, |slot| read(slot) < lit),
+        CmpOp::Le => retain(sel, |slot| read(slot) <= lit),
+        CmpOp::Eq => retain(sel, |slot| read(slot) == lit),
+        CmpOp::Ne => retain(sel, |slot| read(slot) != lit),
+        CmpOp::Ge => retain(sel, |slot| read(slot) >= lit),
+        CmpOp::Gt => retain(sel, |slot| read(slot) > lit),
+    }
 }
 
 /// [`conjunction`] on one stored value at full declared width, which every
@@ -228,48 +280,64 @@ impl Sink {
 
     /// Append one row: `fill` appends its bytes, field by field if it likes.
     /// An error leaves the sink as it was, so a scan resumed past it stays
-    /// aligned.
+    /// aligned. For the producers that emit a row at a time.
     pub fn push_with(
         &mut self,
         pos: u64,
         fill: impl FnOnce(&mut Vec<u8>) -> Result<()>,
     ) -> Result<()> {
-        let len = self.bytes.len();
-        self.positions.push(pos);
+        self.push_rows([pos], fill)
+    }
+
+    /// Append a page's survivors at once: one row per position, `fill`
+    /// appends their bytes back to back. An error leaves the sink as it
+    /// was, every row of the call rolled back.
+    pub fn push_rows(
+        &mut self,
+        positions: impl IntoIterator<Item = u64>,
+        fill: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+    ) -> Result<()> {
+        let (rows, len) = (self.positions.len(), self.bytes.len());
+        self.positions.extend(positions);
         fill(&mut self.bytes).inspect_err(|_| {
-            self.positions.pop();
+            self.positions.truncate(rows);
             self.bytes.truncate(len);
         })
     }
 
-    /// Move up to `cap` pending rows into a block; `None` when none pend.
+    /// Move up to `cap` pending rows into a block, in one copy; `None` when
+    /// none pend.
     pub fn take(&mut self, cap: usize) -> Result<Option<TupleBlock>> {
         let take = self.remaining().min(cap);
         if take == 0 {
             return Ok(None);
         }
         debug_assert_eq!(self.bytes.len(), self.positions.len() * self.stride);
-        let mut block = TupleBlock::new(self.schema.clone(), take);
-        for idx in self.taken..self.taken + take {
-            let pos = self.positions[idx];
-            let raw = &self.bytes[idx * self.stride..(idx + 1) * self.stride];
-            match self.pending {
-                Pending::Tuples => block.push_tuple(raw, pos)?,
-                Pending::Column { out, .. } => {
-                    let bi = block.push_blank(pos);
-                    if let Some(oc) = out {
-                        block.field_mut(bi, oc).copy_from_slice(raw);
+        let rows = self.taken..self.taken + take;
+        let positions = self.positions[rows.clone()].to_vec();
+        let bytes = &self.bytes[rows.start * self.stride..rows.end * self.stride];
+        let data = match self.pending {
+            Pending::Tuples => bytes.to_vec(),
+            Pending::Column { width, out } => {
+                // One column lands in otherwise zeroed tuples.
+                let row = self.schema.logical_width();
+                let mut data = vec![0; take * row];
+                if let Some(oc) = out {
+                    let off = self.schema.offset(oc);
+                    for (i, value) in bytes.chunks_exact(width).enumerate() {
+                        data[i * row + off..][..width].copy_from_slice(value);
                     }
                 }
+                data
             }
-        }
+        };
         self.taken += take;
         if self.taken == self.positions.len() {
             self.positions.clear();
             self.bytes.clear();
             self.taken = 0;
         }
-        Ok(Some(block))
+        TupleBlock::from_parts(self.schema.clone(), data, positions).map(Some)
     }
 
     /// Charge `block` leaving the scanner: `hops` block-iterator calls (one
@@ -288,6 +356,44 @@ impl Sink {
             Sink::ship(ctx, block, 1);
         }
         Ok(block)
+    }
+}
+
+/// Copy the `width`-byte field of each slot of `sel` out of a strided run
+/// (slot `s`'s at byte `s * stride` of `src`) to every `dst_stride` bytes of
+/// `dst`, in order: a page's survivors into pending rows.
+#[inline]
+pub(crate) fn copy_fields(
+    src: &[u8],
+    stride: usize,
+    width: usize,
+    sel: &[usize],
+    dst: &mut [u8],
+    dst_stride: usize,
+) {
+    // An int's or a long's copy is one load and one store, not a call.
+    match width {
+        4 => copy_n::<4>(src, stride, sel, dst, dst_stride),
+        8 => copy_n::<8>(src, stride, sel, dst, dst_stride),
+        _ => {
+            for (i, &slot) in sel.iter().enumerate() {
+                dst[i * dst_stride..][..width].copy_from_slice(&src[slot * stride..][..width]);
+            }
+        }
+    }
+}
+
+/// [`copy_fields`] at a width known to the compiler.
+#[inline(always)]
+fn copy_n<const W: usize>(
+    src: &[u8],
+    stride: usize,
+    sel: &[usize],
+    dst: &mut [u8],
+    dst_stride: usize,
+) {
+    for (i, &slot) in sel.iter().enumerate() {
+        dst[i * dst_stride..][..W].copy_from_slice(&src[slot * stride..][..W]);
     }
 }
 
@@ -334,7 +440,6 @@ pub(crate) struct NodeTally {
 /// One column file under a scan: a scan node of the pipelined scanner, a
 /// cursor of the single-iterator scanner.
 pub(crate) struct ColumnNode {
-    pub col: usize,
     pub dtype: DataType,
     pub preds: Vec<Predicate>,
     /// Evaluations and passes of `preds`, one tally each.
@@ -389,7 +494,6 @@ impl ColumnNode {
                 .cloned()
                 .collect();
             Ok(ColumnNode {
-                col,
                 dtype: table.schema.dtype(col),
                 pred_tallies: vec![PredTally::default(); preds.len()],
                 preds,
@@ -644,7 +748,8 @@ mod tests {
                     let mut got = vec![PredTally::default(); n];
                     let mut sel = start.clone();
                     narrow(&preds, &mut got, &mut sel, |_, p, sel| {
-                        retain(sel, |slot| Ok(p.eval_int(values[slot])))
+                        retain(sel, |slot| p.eval_int(values[slot]));
+                        Ok(())
                     })
                     .unwrap();
                     assert_eq!((sel, got), (kept, want), "{order:?}[..{n}] from {start:?}");
@@ -660,6 +765,177 @@ mod tests {
             _ => Err(rodb_types::Error::corrupt("judge failed")),
         });
         assert!(failed.is_err());
+    }
+
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Ge,
+        CmpOp::Gt,
+    ];
+
+    /// Stored fields laid out one every `stride` bytes, the gaps filled with
+    /// a byte that is not theirs, so a field read at the wrong offset shows.
+    fn strided(fields: &[Vec<u8>], stride: usize) -> Vec<u8> {
+        let mut bytes = vec![0xA5; fields.len() * stride];
+        for (slot, field) in fields.iter().enumerate() {
+            bytes[slot * stride..][..field.len()].copy_from_slice(field);
+        }
+        bytes
+    }
+
+    /// Every column type with values at the `i32` / `i64` edges and either
+    /// side of the literals below, and literals of every kind against each.
+    fn kernel_cases() -> Vec<(DataType, Vec<Vec<u8>>, Vec<Value>)> {
+        let (min, max) = (i64::from(i32::MIN), i64::from(i32::MAX));
+        let ints = [
+            i32::MIN,
+            i32::MIN + 1,
+            -8,
+            -1,
+            0,
+            1,
+            6,
+            7,
+            8,
+            i32::MAX - 1,
+            i32::MAX,
+        ];
+        let longs = [
+            i64::MIN,
+            i64::MIN + 1,
+            min - 1,
+            min,
+            min + 1,
+            -1,
+            0,
+            6,
+            7,
+            8,
+            max - 1,
+            max,
+            max + 1,
+            i64::MAX - 1,
+            i64::MAX,
+        ];
+        let texts = ["", "a", "ab", "abc", "abcde", "abd", "b", "\x7f", "zz"];
+        let numeric = || {
+            let mut lits: Vec<Value> = [i32::MIN, -1, 0, 7, i32::MAX].map(Value::Int).to_vec();
+            let longs = [i64::MIN, min - 1, min, 7, max, max + 1, i64::MAX];
+            lits.extend(longs.map(Value::Long));
+            lits.push(Value::text("a"));
+            lits
+        };
+        let text = |v: &str| {
+            let mut raw = v.as_bytes().to_vec();
+            raw.resize(5, 0);
+            raw
+        };
+        let mut text_lits: Vec<Value> = ["", "ab", "abc", "abcde", "abcdef", "b"]
+            .map(Value::text)
+            .to_vec();
+        text_lits.extend([Value::Int(7), Value::Long(7)]);
+        vec![
+            (
+                DataType::Int,
+                ints.map(|v| v.to_le_bytes().to_vec()).to_vec(),
+                numeric(),
+            ),
+            (
+                DataType::Long,
+                longs.map(|v| v.to_le_bytes().to_vec()).to_vec(),
+                numeric(),
+            ),
+            (DataType::Text(5), texts.map(text).to_vec(), text_lits),
+        ]
+    }
+
+    #[test]
+    fn the_strided_kernel_keeps_what_eval_raw_keeps() {
+        for (dtype, fields, literals) in kernel_cases() {
+            let n = fields.len();
+            let width = dtype.width();
+            let selections: [Vec<usize>; 3] = [
+                (0..n).collect(),
+                (0..n).filter(|slot| slot % 3 != 1).collect(),
+                vec![],
+            ];
+            for stride in [width, 32, 150, (width | 1) + 2] {
+                let bytes = strided(&fields, stride);
+                for lit in &literals {
+                    for op in OPS {
+                        let pred = Predicate::new(0, op, lit.clone());
+                        for start in &selections {
+                            let want: Vec<usize> = start
+                                .iter()
+                                .copied()
+                                .filter(|&slot| pred.eval_raw(dtype, &fields[slot]))
+                                .collect();
+                            let mut sel = start.clone();
+                            select_strided(&pred, dtype, &bytes, stride, &mut sel);
+                            assert_eq!(
+                                sel, want,
+                                "{dtype:?} {pred} stride {stride} from {start:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn narrowing_with_the_kernel_tallies_like_conjunction() {
+        let ints: Vec<i32> = (-40..40).map(|i| i * 7 % 23).collect();
+        let fields: Vec<Vec<u8>> = ints.iter().map(|v| v.to_le_bytes().to_vec()).collect();
+        let bytes = strided(&fields, 32);
+        let all = [
+            Predicate::ge(0, -10),
+            Predicate::lt(0, 12),
+            Predicate::new(0, CmpOp::Ne, Value::Long(7)),
+            Predicate::new(0, CmpOp::Le, Value::Long(20)),
+        ];
+        let starts: [Vec<usize>; 3] = [
+            (0..ints.len()).collect(),
+            (5..60).step_by(2).collect(),
+            vec![],
+        ];
+        let mut orders: Vec<Vec<usize>> = (0..4).map(|a| vec![a]).collect();
+        for n in 2..=3 {
+            let longer: Vec<Vec<usize>> = orders
+                .iter()
+                .filter(|o| o.len() == n - 1)
+                .flat_map(|o| {
+                    (0..4)
+                        .filter(|b| !o.contains(b))
+                        .map(move |b| [&o[..], &[b]].concat())
+                })
+                .collect();
+            orders.extend(longer);
+        }
+        for order in orders {
+            let preds: Vec<Predicate> = order.iter().map(|&i| all[i].clone()).collect();
+            for start in &starts {
+                let mut want = vec![PredTally::default(); preds.len()];
+                let mut kept = Vec::new();
+                for &slot in start {
+                    let holds = |_, p: &Predicate| Ok(p.eval_raw(DataType::Int, &fields[slot]));
+                    if conjunction(&preds, &mut want, holds).unwrap() {
+                        kept.push(slot);
+                    }
+                }
+                let mut got = vec![PredTally::default(); preds.len()];
+                let mut sel = start.clone();
+                narrow(&preds, &mut got, &mut sel, |_, p, sel| {
+                    select_strided(p, DataType::Int, &bytes, 32, sel);
+                    Ok(())
+                })
+                .unwrap();
+                assert_eq!((sel, got), (kept, want), "{order:?} from {start:?}");
+            }
+        }
     }
 
     #[test]
@@ -680,30 +956,41 @@ mod tests {
     }
 
     /// Drain a sink the way every scanner does — fill until a block's worth
-    /// pends or the source ends, then emit — feeding `batch` rows at a time.
-    fn blocks(pending: Pending, cap: usize, batch: usize) -> Vec<(Vec<u8>, Vec<u64>)> {
+    /// pends or the source ends, then emit — feeding `batch` rows at a time,
+    /// in one `push_rows` each when `paged`, else a `push_with` per row.
+    fn blocks(pending: Pending, cap: usize, batch: usize, paged: bool) -> Vec<(Vec<u8>, Vec<u64>)> {
         let mut out: Vec<(Vec<u8>, Vec<u64>)> = Vec::new();
         const ROWS: u64 = 530;
         let schema = Arc::new(Schema::new(vec![Column::text("t", 3), Column::int("v")]).unwrap());
         let whole = matches!(pending, Pending::Tuples);
         let mut sink = Sink::new(schema, pending);
         let ctx = ExecContext::default_ctx();
+        let row = |pos: u64, out: &mut Vec<u8>| {
+            if whole {
+                out.extend_from_slice(&[b'a' + (pos % 26) as u8; 3]);
+            }
+            out.extend_from_slice(&(pos as i32 * 7).to_le_bytes());
+        };
         let mut next = 0u64;
         loop {
             while sink.remaining() < cap && next < ROWS {
-                for pos in next..(next + batch as u64).min(ROWS) {
-                    let v = (pos as i32 * 7).to_le_bytes();
-                    let text = [b'a' + (pos % 26) as u8; 3];
-                    sink.push_with(pos, |out| {
-                        if whole {
-                            out.extend_from_slice(&text);
-                        }
-                        out.extend_from_slice(&v);
+                let end = (next + batch as u64).min(ROWS);
+                if paged {
+                    let fill = |out: &mut Vec<u8>| {
+                        (next..end).for_each(|pos| row(pos, out));
                         Ok(())
-                    })
-                    .unwrap();
+                    };
+                    sink.push_rows(next..end, fill).unwrap();
+                } else {
+                    for pos in next..end {
+                        sink.push_with(pos, |out| {
+                            row(pos, out);
+                            Ok(())
+                        })
+                        .unwrap();
+                    }
                 }
-                next = (next + batch as u64).min(ROWS);
+                next = end;
             }
             let Some(block) = sink.emit(&ctx, cap).unwrap() else {
                 break;
@@ -724,7 +1011,7 @@ mod tests {
 
     #[test]
     fn sink_blocks_do_not_depend_on_how_it_was_fed() {
-        for cap in [1, 3, 100] {
+        for cap in [1, 3, 7, 100, 600] {
             for pending in [
                 || Pending::Tuples,
                 || Pending::Column {
@@ -736,9 +1023,14 @@ mod tests {
                     out: None,
                 },
             ] {
-                let paged = blocks(pending(), cap, 250);
-                let single = blocks(pending(), cap, 1);
+                let paged = blocks(pending(), cap, 250, true);
+                let single = blocks(pending(), cap, 1, false);
                 assert_eq!(paged, single, "cap {cap}");
+                // Whatever the batch, a page pushed at once or row by row.
+                for (batch, at_once) in [(250, false), (1, true), (37, true), (530, true)] {
+                    let fed = blocks(pending(), cap, batch, at_once);
+                    assert_eq!(fed, single, "cap {cap} batch {batch} paged={at_once}");
+                }
                 // Every block full but the last, positions in order.
                 let counts: Vec<usize> = paged.iter().map(|(_, p)| p.len()).collect();
                 assert_eq!(counts.iter().sum::<usize>(), 530);
@@ -775,8 +1067,44 @@ mod tests {
         });
         assert!(torn.is_err());
         sink.push_with(2, row).unwrap();
+        // A page's rows roll back as a whole.
+        let torn = sink.push_rows([3, 4, 5], |out| {
+            out.extend_from_slice(&[7; 20]);
+            Err(rodb_types::Error::corrupt("third row failed"))
+        });
+        assert!(torn.is_err());
+        let page = |out: &mut Vec<u8>| {
+            out.extend_from_slice(&[2; 16]);
+            Ok(())
+        };
+        sink.push_rows([6, 7], page).unwrap();
         let block = sink.take(10).unwrap().unwrap();
-        assert_eq!(block.positions(), &[0, 2]);
+        assert_eq!(block.positions(), &[0, 2, 6, 7]);
         assert_eq!(block.tuple(1), &[1; 8]);
+        assert_eq!(block.tuple(3), &[2; 8]);
+
+        // A pending column likewise: the failed page leaves no value behind.
+        let schema = Arc::new(Schema::new(vec![Column::int("a"), Column::int("b")]).unwrap());
+        let mut sink = Sink::new(
+            schema,
+            Pending::Column {
+                width: 4,
+                out: Some(1),
+            },
+        );
+        let torn = sink.push_rows([0, 1], |out| {
+            out.extend_from_slice(&[9; 4]);
+            Err(rodb_types::Error::corrupt("second value failed"))
+        });
+        assert!(torn.is_err());
+        sink.push_rows([2, 3], |out| {
+            out.extend_from_slice(&[[3; 4], [4; 4]].concat());
+            Ok(())
+        })
+        .unwrap();
+        let block = sink.take(10).unwrap().unwrap();
+        assert_eq!(block.positions(), &[2, 3]);
+        assert_eq!(block.tuple(0), &[0, 0, 0, 0, 3, 3, 3, 3]);
+        assert_eq!(block.tuple(1), &[0, 0, 0, 0, 4, 4, 4, 4]);
     }
 }

@@ -12,9 +12,11 @@
 //! packed (compressed) tuples of the -Z tables. The loop runs a page at a
 //! time: the slots the window admits form a selection vector, each
 //! predicate narrows it in turn ([`narrow`]), and only the survivors are
-//! projected. A reader judges one predicate over a selection and appends
-//! the projected fields of one slot, and is charged for decoding; it knows
-//! nothing of windows, tallies or blocks.
+//! projected, into the sink in one push per page. A plain or PAX reader
+//! presents each column as a strided run of its stored fields and selects
+//! over it with the scan core's kernel ([`select_strided`]); a reader
+//! appends the projected fields of a page's survivors and is charged for
+//! decoding; it knows nothing of windows, tallies or blocks.
 //!
 //! A packed page decodes a predicate's column once, on its codes where the
 //! predicate was rewritten into code space and on its values otherwise. A
@@ -37,7 +39,9 @@ use crate::codepred::{rewrite, CodePred};
 use crate::op::{ExecContext, Operator};
 use crate::page_cursor::PageCursor;
 use crate::predicate::{scan_schema, Predicate};
-use crate::scan_core::{narrow, retain, Pending, PredTally, Sink, Window};
+use crate::scan_core::{
+    copy_fields, narrow, retain, select_strided, Pending, PredTally, Sink, Window,
+};
 
 /// Scans a table's row representation, applying SARGable predicates and a
 /// projection.
@@ -47,6 +51,9 @@ pub struct RowScanner {
     /// (whole table by default; a morsel of it under parallel execution).
     pages: PageCursor,
     tuples: TupleLoop,
+    /// Per schema column: its offset in a stored tuple and its width,
+    /// looked up once per scan.
+    fields: Vec<(usize, usize)>,
     /// Packed pages: this page's code-space rewrites, and decode space.
     code_preds: Vec<Option<CodePred>>,
     decoded: Decoded,
@@ -94,6 +101,10 @@ impl RowScanner {
         range: Option<(u64, u64)>,
     ) -> Result<RowScanner> {
         let out_schema = scan_schema(&table.schema, &projection, &predicates)?;
+        let schema = &table.schema;
+        let fields = (0..schema.len())
+            .map(|col| (schema.offset(col), schema.dtype(col).width()))
+            .collect();
         let pages = PageCursor::open(ctx, &table, None, range)?;
         // A single sequential scan keeps one request outstanding.
         ctx.disk.borrow_mut().set_interleave(1);
@@ -112,6 +123,7 @@ impl RowScanner {
             table,
             pages,
             tuples,
+            fields,
             code_preds: Vec::new(),
             decoded: Decoded::default(),
         })
@@ -137,13 +149,18 @@ impl RowScanner {
     /// `first_row` is the page's first ordinal by file geometry.
     fn open_page(&mut self, page: &VerifiedPage, first_row: u64) -> Result<()> {
         let schema: &Schema = &self.table.schema;
+        let fields = &self.fields;
         match &self.table.row_storage()?.format {
             RowFormat::Plain { stored_width } => {
                 let page = page.row(*stored_width)?;
-                let reader = Stored::<_, _, false> {
+                let tuples = page.tuple_bytes();
+                let reader = Stored::<_, false> {
                     count: page.count(),
-                    tuple: |slot| page.tuple(slot),
-                    field: plain_field(schema),
+                    fields,
+                    column: |col: usize| {
+                        let field = tuples.get(fields[col].0..).unwrap_or_default();
+                        (field, *stored_width)
+                    },
                 };
                 self.tuples.process_page(reader, first_row)
             }
@@ -151,10 +168,10 @@ impl RowScanner {
                 // Same bytes off disk, but the fields of one column are
                 // contiguous in the page.
                 let page = page.pax(schema)?;
-                let reader = Stored::<_, _, true> {
+                let reader = Stored::<_, true> {
                     count: page.count(),
-                    tuple: |slot| slot,
-                    field: |slot, col| page.field(schema, slot, col),
+                    fields,
+                    column: |col: usize| (page.minipage(schema, col), fields[col].1),
                 };
                 self.tuples.process_page(reader, first_row)
             }
@@ -208,9 +225,9 @@ trait TupleReader {
         sel: &mut Vec<usize>,
     ) -> Result<()>;
 
-    /// Append columns `cols` of the tuple at `slot`, each at full declared
-    /// width.
-    fn project(&mut self, slot: usize, cols: &[usize], out: &mut Vec<u8>) -> Result<()>;
+    /// Append, for each slot of `sel` in order, columns `cols` of its tuple,
+    /// each at full declared width.
+    fn project(&mut self, sel: &[usize], cols: &[usize], out: &mut Vec<u8>) -> Result<()>;
 
     /// Whether predicate number `pi` is decided on this page's stored codes,
     /// its field never decoded.
@@ -244,11 +261,10 @@ impl TupleLoop {
             reader.keep(pi, pred, schema.dtype(pred.col), sel)
         })?;
         let passed = sel.len() as u64;
-        for &slot in sel.iter() {
-            self.sink.push_with(first_row + slot as u64, |out| {
-                reader.project(slot, &self.projection, out)
-            })?;
-        }
+        let positions = sel.iter().map(|&slot| first_row + slot as u64);
+        let projection = &self.projection;
+        self.sink
+            .push_rows(positions, |out| reader.project(sel, projection, out))?;
 
         let mut meter = self.ctx.meter.borrow_mut();
         reader.charge_decode(&mut meter, self, visited, passed);
@@ -278,30 +294,20 @@ impl TupleLoop {
     }
 }
 
-/// Plain and PAX pages: tuples stored at full width. `tuple(slot)` finds
-/// one — a plain page's slice of it, cut once however many fields are read,
-/// or a PAX page's slot itself — and `field(tuple, col)` lends a field of
-/// it: out of the tuple's slice, or out of the column's minipage. `DENSE`:
-/// see [`TupleReader::DENSE_L1`].
-struct Stored<G, F, const DENSE: bool> {
+/// Plain and PAX pages: tuples stored at full width, each column a strided
+/// run of its fields. `column(col)` lends one as `(bytes, stride)`: a plain
+/// page's tuple bytes from the field's offset on, a stored tuple apart, or
+/// a PAX page's minipage, a value apart. `fields` are the scan's per-column
+/// `(offset, width)`. `DENSE`: see [`TupleReader::DENSE_L1`].
+struct Stored<'f, C, const DENSE: bool> {
     count: usize,
-    tuple: G,
-    field: F,
+    fields: &'f [(usize, usize)],
+    column: C,
 }
 
-/// A plain tuple's field `col`: its slice of the tuple's bytes.
-fn plain_field<'a>(schema: &Schema) -> impl Fn(&'a [u8], usize) -> &'a [u8] + '_ {
-    |tuple, col| {
-        let off = schema.offset(col);
-        &tuple[off..off + schema.dtype(col).width()]
-    }
-}
-
-impl<'a, T, G, F, const DENSE: bool> TupleReader for Stored<G, F, DENSE>
+impl<'a, C, const DENSE: bool> TupleReader for Stored<'_, C, DENSE>
 where
-    T: Copy,
-    G: Fn(usize) -> T,
-    F: Fn(T, usize) -> &'a [u8],
+    C: Fn(usize) -> (&'a [u8], usize),
 {
     const DENSE_L1: bool = DENSE;
 
@@ -316,14 +322,25 @@ where
         dtype: DataType,
         sel: &mut Vec<usize>,
     ) -> Result<()> {
-        let field = |slot| (self.field)((self.tuple)(slot), pred.col);
-        retain(sel, |slot| Ok(pred.eval_raw(dtype, field(slot))))
+        let (bytes, stride) = (self.column)(pred.col);
+        select_strided(pred, dtype, bytes, stride, sel);
+        Ok(())
     }
 
-    fn project(&mut self, slot: usize, cols: &[usize], out: &mut Vec<u8>) -> Result<()> {
-        let tuple = (self.tuple)(slot);
+    /// A column at a time: each projected field of every survivor, into its
+    /// place in the survivors' output tuples.
+    fn project(&mut self, sel: &[usize], cols: &[usize], out: &mut Vec<u8>) -> Result<()> {
+        if sel.is_empty() {
+            return Ok(());
+        }
+        let row: usize = cols.iter().map(|&col| self.fields[col].1).sum();
+        let mut at = out.len();
+        out.resize(at + sel.len() * row, 0);
         for &col in cols {
-            out.extend_from_slice((self.field)(tuple, col));
+            let (bytes, stride) = (self.column)(col);
+            let width = self.fields[col].1;
+            copy_fields(bytes, stride, width, sel, &mut out[at..], row);
+            at += width;
         }
         Ok(())
     }
@@ -376,24 +393,27 @@ impl TupleReader for PackedTuples<'_> {
             let codes = &mut self.decoded.codes;
             codes.clear();
             self.cols.column_codes(pred.col, codes)?;
-            return retain(sel, |slot| Ok(cp.eval(codes[slot])));
+            retain(sel, |slot| cp.eval(codes[slot]));
+            return Ok(());
         }
-        let width = dtype.width();
         let values = self.column(pred.col)?;
-        retain(sel, |slot| {
-            Ok(pred.eval_raw(dtype, &values[slot * width..][..width]))
-        })
+        select_strided(pred, dtype, values, dtype.width(), sel);
+        Ok(())
     }
 
-    fn project(&mut self, slot: usize, cols: &[usize], out: &mut Vec<u8>) -> Result<()> {
-        for &col in cols {
-            let is_delta = matches!(self.comps[col].codec, Codec::ForDelta { .. });
-            if self.decoded.at[col].is_none() && !is_delta {
-                self.cols.field_raw_at(slot, col, out)?;
-                continue;
+    /// A survivor at a time, each field read at its slot unless its column
+    /// was decoded whole.
+    fn project(&mut self, sel: &[usize], cols: &[usize], out: &mut Vec<u8>) -> Result<()> {
+        for &slot in sel {
+            for &col in cols {
+                let is_delta = matches!(self.comps[col].codec, Codec::ForDelta { .. });
+                if self.decoded.at[col].is_none() && !is_delta {
+                    self.cols.field_raw_at(slot, col, out)?;
+                    continue;
+                }
+                let width = self.schema.dtype(col).width();
+                out.extend_from_slice(&self.column(col)?[slot * width..][..width]);
             }
-            let width = self.schema.dtype(col).width();
-            out.extend_from_slice(&self.column(col)?[slot * width..][..width]);
         }
         Ok(())
     }

@@ -274,6 +274,13 @@ impl<'a> RowPage<'a> {
         &body[i * self.stored_width..(i + 1) * self.stored_width]
     }
 
+    /// The bytes of every tuple on the page, back to back at stored width:
+    /// field `col` of tuple `i` sits at `i * stored_width + offset(col)`.
+    #[inline]
+    pub fn tuple_bytes(&self) -> &'a [u8] {
+        &self.view.body()[..self.count() * self.stored_width]
+    }
+
     /// Iterate raw tuples.
     pub fn tuples(&self) -> impl Iterator<Item = &'a [u8]> + '_ {
         (0..self.count()).map(move |i| self.tuple(i))
