@@ -187,6 +187,30 @@ impl<'a> BitReader<'a> {
         Ok((0..n).map(move |i| self.word_at(first + i * stride, bits)))
     }
 
+    /// The codes at the ascending indices `idx` of a fixed-width run that
+    /// starts at bit 0, each `bits` wide: one word load each, as
+    /// [`BitReader::read_at`], with the bounds checked once, against the
+    /// last index, before any is read.
+    #[inline]
+    pub(crate) fn gather<'i>(
+        &'i self,
+        idx: &'i [usize],
+        bits: u8,
+    ) -> Result<impl Iterator<Item = u64> + 'i> {
+        check_width(bits)?;
+        if let Some(&last) = idx.last() {
+            let last = last.checked_mul(bits as usize);
+            self.check_end(
+                last.ok_or_else(|| Error::corrupt("gathered read past usize"))?,
+                bits,
+            )?;
+        }
+        debug_assert!(idx.is_sorted(), "gathered indices must ascend");
+        Ok(idx
+            .iter()
+            .map(move |&i| self.word_at(i * bits as usize, bits)))
+    }
+
     /// `Corrupt` unless the `bits` at `bit_off` lie inside the buffer.
     #[inline]
     fn check_end(&self, bit_off: usize, bits: u8) -> Result<()> {

@@ -793,42 +793,82 @@ impl<'a> Field<'a> {
         first: usize,
         stride: usize,
         n: usize,
-        mut values: impl Iterator<Item = &'o mut [u8]>,
+        values: impl Iterator<Item = &'o mut [u8]>,
     ) -> Result<()> {
         if let ValueMap::Bytes(nb) = self.map {
-            for (i, value) in values.enumerate() {
-                r.read_bytes_into(first + i * stride, &mut value[..nb])?;
-            }
-            return Ok(());
+            let offs = (0..n).map(|i| first + i * stride);
+            return Field::fill_bytes(r, nb, offs, values).1;
         }
         let codes = self.codes_strided(r, first, stride, n)?;
-        if let Some((entries, offset)) = self.entries()? {
-            for (value, code) in values.zip(codes) {
-                value.copy_from_slice(entry(entries, value.len(), code, offset)?);
-            }
-            return Ok(());
-        }
-        self.want_int()?;
-        let ValueMap::Base(base) = self.map else {
-            return Err(Error::corrupt("int column stored as bytes"));
-        };
-        let int = |value: &mut [u8], code: u64| {
-            value.copy_from_slice(&(base.wrapping_add(code as i64) as i32).to_le_bytes());
-        };
         if !self.delta {
-            values.zip(codes).for_each(|(value, code)| int(value, code));
-            return Ok(());
+            return self.fill_codes(codes, values).1;
         }
         // The first value's code is 0: the page base carries it.
         let mut sum = 0u64;
-        if let Some(value) = values.next() {
-            int(value, 0);
-        }
-        for (value, delta) in values.zip(codes.skip(1)) {
+        let sums = codes.skip(1).map(move |delta| {
             sum = sum.wrapping_add(delta);
-            int(value, sum);
+            sum
+        });
+        self.fill_codes(std::iter::once(0).chain(sums), values).1
+    }
+
+    /// Copy the `nb` stored bytes at each bit offset of `offs` in `r` into
+    /// `values`, whose bytes past them stay as they are (zero): the map of
+    /// a field stored as bytes. Returns how many were copied, and the error
+    /// of the first that lies outside `r`.
+    #[inline]
+    fn fill_bytes<'o>(
+        r: &BitReader,
+        nb: usize,
+        offs: impl Iterator<Item = usize>,
+        values: impl Iterator<Item = &'o mut [u8]>,
+    ) -> (usize, Result<()>) {
+        let mut n = 0;
+        for (value, off) in values.zip(offs) {
+            if let Err(e) = r.read_bytes_into(off, &mut value[..nb]) {
+                return (n, Err(e));
+            }
+            n += 1;
         }
-        Ok(())
+        (n, Ok(()))
+    }
+
+    /// Write the value each of `codes` stands for into `values`, at full
+    /// declared width: a dictionary entry, or `base + code` as an int — the
+    /// value map [`Field::raw_strided`] and [`PageValues::gather_raw`]
+    /// share. Returns how many were written, and the error of the first
+    /// code that maps to none.
+    #[inline]
+    fn fill_codes<'o>(
+        &self,
+        codes: impl Iterator<Item = u64>,
+        values: impl Iterator<Item = &'o mut [u8]>,
+    ) -> (usize, Result<()>) {
+        let mut n = 0;
+        let entries = match self.entries() {
+            Ok(entries) => entries,
+            Err(e) => return (0, Err(e)),
+        };
+        if let Some((entries, offset)) = entries {
+            for (value, code) in values.zip(codes) {
+                match entry(entries, value.len(), code, offset) {
+                    Ok(entry) => value.copy_from_slice(entry),
+                    Err(e) => return (n, Err(e)),
+                }
+                n += 1;
+            }
+            return (n, Ok(()));
+        }
+        let base = match (self.want_int(), self.map) {
+            (Ok(()), ValueMap::Base(base)) => base,
+            (Ok(()), _) => return (0, Err(Error::corrupt("int column stored as bytes"))),
+            (Err(e), _) => return (0, Err(e)),
+        };
+        for (value, code) in values.zip(codes) {
+            value.copy_from_slice(&(base.wrapping_add(code as i64) as i32).to_le_bytes());
+            n += 1;
+        }
+        (n, Ok(()))
     }
 
     /// Append the ints a block of codes stands for: the block loop's map.
@@ -1252,6 +1292,84 @@ impl<'a> PageValues<'a> {
             }
             _ => self.field.raw_of(self.code_at(idx)?, out),
         }
+    }
+
+    /// Append the full-declared-width bytes of the values at the ascending
+    /// `slots` — [`PageValues::write_raw`] over a slot list, as one call:
+    /// the bounds checked once, against the last slot, each code read with
+    /// one word load and mapped without a per-value re-check, stored bytes
+    /// copied as slices, and a PFOR page's exception list parsed once and
+    /// walked beside the slots. Returns how many slots were appended; on an
+    /// error — the one `write_raw` raises at the first slot it fails on —
+    /// `out` holds exactly those values. FOR-delta and the RLE family have
+    /// no random access, and a lone slot nothing to share: those are read
+    /// one at a time.
+    pub fn gather_raw(&self, slots: &[usize], out: &mut Vec<u8>) -> (usize, Result<()>) {
+        let start = out.len();
+        // A lone slot spreads no bounds pass or exception-order check.
+        let mut done = match slots.len() {
+            0 | 1 => 0,
+            _ => self.gather_valid(slots, out),
+        };
+        // The slot a fast loop stopped short of — and any after it — takes
+        // `write_raw`, which raises that slot's own error.
+        for &slot in &slots[done..] {
+            if let Err(e) = self.write_raw(slot, out) {
+                out.truncate(start + done * self.field.dtype.width());
+                return (done, Err(e));
+            }
+            done += 1;
+        }
+        (done, Ok(()))
+    }
+
+    /// [`PageValues::gather_raw`]'s loops: append the values of the longest
+    /// prefix of `slots` that lies inside the page and its stored bytes and
+    /// maps cleanly, and return its length.
+    fn gather_valid(&self, slots: &[usize], out: &mut Vec<u8>) -> usize {
+        let (field, start, width) = (&self.field, out.len(), self.field.dtype.width());
+        let fits = |cap: usize| &slots[..slots.partition_point(|&s| s < cap.min(self.count))];
+        let n = if let ValueMap::Bytes(nb) = field.map {
+            let stored = (self.data.bit_len() / 8).checked_div(nb);
+            let slots = fits(stored.unwrap_or(usize::MAX));
+            out.resize(start + slots.len() * width, 0);
+            let offs = slots.iter().map(|&slot| slot * nb * 8);
+            let values = out[start..].chunks_exact_mut(width);
+            Field::fill_bytes(&self.data, nb, offs, values).0
+        } else {
+            let bits = field.bits;
+            if !self.comp.codec.random_access() || bits == 0 {
+                return 0;
+            }
+            let slots = fits(self.data.bit_len() / usize::from(bits));
+            let Ok(codes) = self.data.gather(slots, bits) else {
+                return 0;
+            };
+            // PFOR: the exception list, ascending like the slots, is walked
+            // beside them (a list out of order is left to `write_raw`).
+            let mut exc = match self.comp.codec {
+                Codec::Pfor { .. } => match self.pfor_exceptions(bits) {
+                    Ok(exc) if exc.iter().is_sorted_by_key(|(pos, _)| pos) => Some(exc.iter()),
+                    _ => return 0,
+                },
+                _ => None,
+            };
+            let mut patch = exc.as_mut().and_then(Iterator::next);
+            let codes = slots.iter().zip(codes).map(|(&slot, code)| {
+                while let Some((pos, patched)) = patch.filter(|&(pos, _)| pos as usize <= slot) {
+                    patch = exc.as_mut().and_then(Iterator::next);
+                    if pos as usize == slot {
+                        return patched;
+                    }
+                }
+                code
+            });
+            out.resize(start + slots.len() * width, 0);
+            let values = out[start..].chunks_exact_mut(width);
+            field.fill_codes(codes, values).0
+        };
+        out.truncate(start + n * width);
+        n
     }
 
     /// Sequential view over the page's values.
@@ -2275,5 +2393,113 @@ mod tests {
         assert!(config(
             &bitpack.encode_raw(DataType::Int, &[0; 7], 2).unwrap_err()
         ));
+    }
+
+    /// `slots` of `pv` read one at a time: the values appended until the
+    /// first slot that fails, and that slot's error.
+    fn per_slot(pv: &PageValues, slots: &[usize], out: &mut Vec<u8>) -> (usize, Result<()>) {
+        for (k, &slot) in slots.iter().enumerate() {
+            if let Err(e) = pv.write_raw(slot, out) {
+                return (k, Err(e));
+            }
+        }
+        (slots.len(), Ok(()))
+    }
+
+    /// A slot-list gather appends what reading its slots one at a time
+    /// appends — every codec (PFOR with exceptions before, inside and after
+    /// the list), dictionary text and ints, short text in TextPack, raw
+    /// longs and ints — over empty, single, first-only, last-only, gapped
+    /// and whole-page lists. A slot past the page and a dictionary code
+    /// past a (shortened) dictionary fail as the per-slot read fails them:
+    /// `Corrupt`, the same message, and exactly the values before it.
+    #[test]
+    fn a_slot_list_gather_equals_per_slot_reads_on_every_codec() {
+        let lists = |n: usize| -> Vec<Vec<usize>> {
+            vec![
+                vec![],
+                vec![n / 2],
+                vec![0],
+                vec![n - 1],
+                (0..n).step_by(3).collect(),
+                (n / 3..2 * n / 3).step_by(2).collect(),
+                (0..n).filter(|i| i % 9 == 4 || i % 5 == 0).collect(),
+                (0..n).collect(),
+            ]
+        };
+        let check = |comp: &ColumnCompression, dtype: DataType, vals: &[Value]| {
+            let n = vals.len();
+            let enc = comp.encode_page(dtype, vals).unwrap();
+            let pv = comp.open_page(dtype, &enc.data, enc.count, enc.base);
+            let mut beyond = vec![0, n / 2, n, n + 7];
+            beyond.dedup();
+            for slots in lists(n).into_iter().chain([beyond]) {
+                let what = format!("{:?} {dtype} over {n} values, slots {slots:?}", comp.codec);
+                let (mut want, mut got) = (vec![0xAB], vec![0xAB]);
+                let (k, read) = pv.gather_raw(&slots, &mut got);
+                let (want_k, want_read) = per_slot(&pv, &slots, &mut want);
+                assert_eq!((k, got), (want_k, want), "{what}");
+                // The word-load loops, not the per-slot fallback, read every
+                // slot inside the page of a codec with random access.
+                let fast = pv.gather_valid(&slots, &mut Vec::new());
+                let reach = if comp.codec.random_access() { k } else { 0 };
+                assert_eq!(fast, reach, "{what}");
+                match (read, want_read) {
+                    (Ok(()), Ok(())) => assert_eq!(k, slots.len(), "{what}"),
+                    (Err(e), Err(want_e)) => {
+                        assert!(matches!(e, Error::Corrupt(_)), "{what}: {e:?}");
+                        assert_eq!(e.to_string(), want_e.to_string(), "{what}");
+                        assert!(slots[k] >= n, "{what}");
+                    }
+                    (read, want_read) => panic!("{what}: {read:?} vs {want_read:?}"),
+                }
+            }
+        };
+        for bits in [3u8, 7, 10] {
+            for n in [1, 40, 333] {
+                for (comp, dtype, vals) in codec_pages(bits, n) {
+                    check(&comp, dtype, &vals);
+                }
+            }
+        }
+        for n in [1, 40, 333] {
+            for (comp, dtype, vals) in byte_pages(n) {
+                check(&comp, dtype, &vals);
+            }
+        }
+        // Codes past a shortened dictionary: the gather stops at the first.
+        let text = DataType::Text(5);
+        let words: Vec<Value> = (0..8).map(|v| Value::text(&format!("w{v}"))).collect();
+        let int_words: Vec<Value> = (0..8).map(|v| Value::Int(v * 11 - 30)).collect();
+        for (dtype, domain) in [(text, &words), (DataType::Int, &int_words)] {
+            let dict = |k: usize| Arc::new(Dictionary::build(dtype, domain[..k].iter()).unwrap());
+            let vals: Vec<Value> = (0..200).map(|i| domain[(i * i / 7) % 8].clone()).collect();
+            for codec in [Codec::Dict { bits: 3 }, Codec::DictFor { bits: 3 }] {
+                let full = ColumnCompression::new(codec.clone(), Some(dict(8))).unwrap();
+                let enc = full.encode_page(dtype, &vals).unwrap();
+                let short = ColumnCompression::new(codec, Some(dict(5))).unwrap();
+                let pv = short.open_page(dtype, &enc.data, enc.count, enc.base);
+                for slots in lists(vals.len()) {
+                    let what = format!("{:?} {dtype} slots {slots:?}", short.codec);
+                    let (mut want, mut got) = (Vec::new(), Vec::new());
+                    let (k, read) = pv.gather_raw(&slots, &mut got);
+                    let (want_k, want_read) = per_slot(&pv, &slots, &mut want);
+                    assert_eq!((k, &got), (want_k, &want), "{what}");
+                    assert_eq!(got.len(), k * dtype.width(), "{what}");
+                    let failed = slots.iter().position(|&s| vals[s] >= domain[5]);
+                    assert_eq!(failed.unwrap_or(slots.len()), k, "{what}");
+                    assert_eq!(pv.gather_valid(&slots, &mut Vec::new()), k, "{what}");
+                    match (read, want_read) {
+                        (Ok(()), Ok(())) => assert!(failed.is_none(), "{what}"),
+                        (Err(e), Err(want_e)) => {
+                            assert!(matches!(e, Error::Corrupt(_)), "{what}: {e:?}");
+                            assert!(e.to_string().contains("out of range"), "{what}: {e}");
+                            assert_eq!(e.to_string(), want_e.to_string(), "{what}");
+                        }
+                        (read, want_read) => panic!("{what}: {read:?} vs {want_read:?}"),
+                    }
+                }
+            }
+        }
     }
 }

@@ -126,6 +126,11 @@ impl TupleBlock {
         &mut self.data[off..off + fw]
     }
 
+    /// Mutable bytes of every tuple, row-major.
+    pub(crate) fn data_mut(&mut self) -> &mut [u8] {
+        &mut self.data
+    }
+
     /// Borrow the bytes of column `col` of tuple `i`.
     #[inline]
     pub fn field(&self, i: usize, col: usize) -> &[u8] {

@@ -265,6 +265,13 @@ impl PageCursor {
         }
     }
 
+    /// The rows `[first, end)` of the held clean page, after a successful
+    /// [`PageCursor::seek`]: every later position below `end` is on it.
+    #[inline]
+    pub fn held_span(&self) -> (u64, u64) {
+        (self.held_first_row, self.held_first_row + self.held_rows)
+    }
+
     /// The page the last [`PageCursor::seek`] landed on, and the ordinal of
     /// its first row: the error that seek failed with, if it failed.
     pub fn held(&self) -> Result<(&VerifiedPage, u64)> {

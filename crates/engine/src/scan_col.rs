@@ -13,12 +13,14 @@
 //!
 //! A scan node is the scan core's column node (`scan_core.rs`) opened under
 //! the *pipelined* decode policy: FOR-delta columns decode every stored code
-//! up to a needed position (Figure 9's CPU effect), everything else is read
-//! per position from the held page. What this file keeps is the schedule —
+//! up to a needed position (Figure 9's CPU effect), everything else is
+//! gathered from the held page. What this file keeps is the schedule —
 //! node 0 pulls pages and filters them (on the fast path in code space,
 //! which only node 0 can; otherwise a page at a time, a selection vector of
 //! the window's slots narrowed over the decoded run by the scan core's
-//! select kernel), later nodes are driven off the position list —
+//! select kernel), later nodes are driven off the position list a page's
+//! run at a time (one seek, one slot-list gather, the same select kernel
+//! over the gathered run and one strided copy into the block per run) —
 //! and the *slow* variant (`ScanLayout::ColumnSlow`), which serializes disk
 //! requests per column: the reference variant of Figure 11 that loses the
 //! "one step ahead" controller advantage.
@@ -36,7 +38,8 @@ use crate::op::{ExecContext, Operator};
 use crate::page_cursor::PageCursor;
 use crate::predicate::{scan_schema, Predicate};
 use crate::scan_core::{
-    copy_fields, narrow, select_strided, ColumnNode, DecodePolicy, Pending, Sink, Window,
+    copy_fields, narrow, scatter_fields, select_strided, ColumnNode, DecodePolicy, Pending, Sink,
+    Window,
 };
 
 /// Disk-request submission aggressiveness over `nodes` column files (§4.5 /
@@ -73,6 +76,10 @@ pub struct ColumnScanner {
     keep: Vec<usize>,
     /// The positions of the block a driven node is reading.
     lineage: Vec<u64>,
+    /// A driven node's run: the block indices of its positions, and their
+    /// slots on the held page.
+    run_rows: Vec<usize>,
+    run_slots: Vec<usize>,
 }
 
 impl ColumnScanner {
@@ -109,6 +116,8 @@ impl ColumnScanner {
             sel: Vec::new(),
             keep: Vec::new(),
             lineage: Vec::new(),
+            run_rows: Vec::new(),
+            run_slots: Vec::new(),
         })
     }
 
@@ -244,6 +253,91 @@ impl ColumnScanner {
         node.tally.values_decoded += count as u64;
         Ok(true)
     }
+
+    /// Drive the nodes after node 0 off `block`'s position list. The
+    /// positions ascend, so a node reads them in runs that fall on the page
+    /// it holds: per run one seek, one gather of the run's slots, the run
+    /// narrowed by the select kernel and its kept values copied into the
+    /// block at once. A position the window no longer admits — lost to a
+    /// page some node quarantined after it was produced — is passed over.
+    #[inline(never)]
+    fn drive(&mut self, block: &mut TupleBlock) -> Result<()> {
+        let (window, keep, lineage) = (&mut self.window, &mut self.keep, &mut self.lineage);
+        let (rows, slots, run, sel) = (
+            &mut self.run_rows,
+            &mut self.run_slots,
+            &mut self.scratch,
+            &mut self.sel,
+        );
+        for node in &mut self.nodes[1..] {
+            keep.clear();
+            lineage.clear();
+            lineage.extend_from_slice(block.positions());
+            let (dtype, width) = (node.dtype, node.dtype.width());
+            let (stride, at) = (
+                block.width(),
+                node.out_col.map(|oc| block.schema().offset(oc)),
+            );
+            let mut i = 0;
+            while i < lineage.len() {
+                let pos = lineage[i];
+                i += 1;
+                if !window.admits(pos) {
+                    continue;
+                }
+                node.tally.positions_seen += 1;
+                if let Err(e) = node.seek(pos, &mut window.dropped) {
+                    // Degraded skip: the position targets a page bad on
+                    // every replica.
+                    node.pages.absorb(e, pos, &mut window.dropped)?;
+                    continue;
+                }
+                // The run: this position and the block's later ones on the
+                // held page.
+                let (first_row, end) = node.pages.held_span();
+                rows.clear();
+                slots.clear();
+                rows.push(i - 1);
+                slots.push((pos - first_row) as usize);
+                while let Some(&next) = lineage.get(i).filter(|&&next| next < end) {
+                    if window.admits(next) {
+                        rows.push(i);
+                        slots.push((next - first_row) as usize);
+                    }
+                    i += 1;
+                }
+                node.tally.positions_seen += rows.len() as u64 - 1;
+                run.clear();
+                let (n, read) = node.read_run(slots, run);
+                sel.clear();
+                sel.extend(0..n);
+                narrow(&node.preds, &mut node.pred_tallies, sel, |_, pred, sel| {
+                    select_strided(pred, dtype, run, width, sel);
+                    Ok(())
+                })?;
+                if let Some(at) = at {
+                    scatter_fields(run, width, sel, rows, &mut block.data_mut()[at..], stride);
+                    node.tally.values_written += sel.len() as u64;
+                }
+                keep.extend(sel.iter().map(|&k| rows[k]));
+                if let Err(e) = read {
+                    // Slot `n` failed to decode. Under `Skip` its page is
+                    // quarantined, and the run's later positions with it:
+                    // they were never this node's to see.
+                    node.tally.positions_seen -= (rows.len() - n - 1) as u64;
+                    let failed = first_row + slots[n] as u64;
+                    node.pages.absorb(e, failed, &mut window.dropped)?;
+                }
+            }
+            if keep.len() < block.count() {
+                // Predicate (or degraded) nodes re-write the surviving
+                // tuples (§2.2.2).
+                let moved = block.retain_indices(keep);
+                self.ctx.meter.borrow_mut().project(0.0, 0.0, moved as f64);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The indices of the `block` values that pass, in order, written to `sel`
@@ -281,41 +375,7 @@ impl Operator for ColumnScanner {
                 self.nodes[0].tally.values_written += block.count() as u64;
             }
 
-            // Drive the remaining nodes off the position list.
-            for node in &mut self.nodes[1..] {
-                self.keep.clear();
-                self.lineage.clear();
-                self.lineage.extend_from_slice(block.positions());
-                for (i, &pos) in self.lineage.iter().enumerate() {
-                    if !self.window.admits(pos) {
-                        // Lost to a page another node quarantined after this
-                        // position had already been produced.
-                        continue;
-                    }
-                    node.tally.positions_seen += 1;
-                    let scratch = &mut self.scratch;
-                    let sought = node.seek(pos, &mut self.window.dropped);
-                    match sought.and_then(|()| node.passes(pos, scratch)) {
-                        Ok(false) => {}
-                        Ok(true) => {
-                            if let Some(oc) = node.out_col {
-                                block.field_mut(i, oc).copy_from_slice(scratch);
-                                node.tally.values_written += 1;
-                            }
-                            self.keep.push(i);
-                        }
-                        // Degraded skip: the requested position targets a
-                        // page bad on every replica.
-                        Err(e) => node.pages.absorb(e, pos, &mut self.window.dropped)?,
-                    }
-                }
-                if self.keep.len() < block.count() {
-                    // Predicate (or degraded) nodes re-write the surviving
-                    // tuples (§2.2.2).
-                    let moved = block.retain_indices(&self.keep);
-                    self.ctx.meter.borrow_mut().project(0.0, 0.0, moved as f64);
-                }
-            }
+            self.drive(&mut block)?;
 
             if !block.is_empty() {
                 // A block hop per scan node plus the hand-off to the parent.
@@ -1127,6 +1187,277 @@ mod tests {
         assert_eq!(skip_totals, [64051, 57653, 57653, 44847, 44847, 42910]);
         // Node 0 met dropped ordinals: it judged fewer slots than its windows hold.
         assert!(skip_totals[0] < skip_slots, "{skip_slots}");
+    }
+
+    /// The driven nodes — a PFOR column judging two predicates, a projected
+    /// Dict text column and a projected FOR-delta column, behind a BitPack
+    /// node 0 with its own predicate — over windows that cut their pages,
+    /// scalar and fast. Clean: rows are the oracle's, and every driven
+    /// tally is the per-position count — positions seen, predicate
+    /// evaluations and passes, values written, and values decoded or
+    /// gathered as each node's decode policy reads its pages. Under `Skip`
+    /// with a Dict text page quarantined mid-block, rows lose exactly its
+    /// ordinals and the summed tallies are the ones the per-slot loop
+    /// counted. With a dictionary too short for some of the text codes, the
+    /// scan fails at the first position holding one, under `Fail` and
+    /// `Skip` alike (a format error is never skipped), after the rows and
+    /// tallies the per-slot loop had reached.
+    #[test]
+    fn driven_nodes_read_runs_like_the_per_slot_loop() {
+        use crate::scan_core::PredTally;
+        use rodb_storage::Layout;
+        use rodb_types::{HardwareConfig, OnCorrupt, SystemConfig};
+        const ROWS: u64 = 6_000;
+        const PAGE: usize = 1024;
+        let s = Arc::new(
+            Schema::new(vec![
+                Column::int("v"),
+                Column::int("w"),
+                Column::text("tag", 6),
+                Column::int("id"),
+            ])
+            .unwrap(),
+        );
+        let words: Vec<Value> = ["aa", "bb", "cc", "dddddd"].map(Value::text).to_vec();
+        let dict = |n: usize| {
+            let d = Dictionary::build(DataType::Text(6), words[..n].iter()).unwrap();
+            ColumnCompression::new(Codec::Dict { bits: 8 }, Some(Arc::new(d))).unwrap()
+        };
+        let comps = vec![
+            ColumnCompression::new(Codec::BitPack { bits: 7 }, None).unwrap(),
+            ColumnCompression::new(Codec::Pfor { bits: 4 }, None).unwrap(),
+            dict(4),
+            ColumnCompression::new(Codec::ForDelta { bits: 2 }, None).unwrap(),
+        ];
+        let mut b =
+            TableBuilder::with_compression("dr", s, PAGE, BuildLayouts::column_only(), comps)
+                .unwrap();
+        for i in 0..ROWS as usize {
+            // `w` is small but for PFOR exceptions every 17th row; a rare
+            // text code is the one the short dictionary lacks.
+            let w = if i % 17 == 0 { 200 + i % 50 } else { i % 13 };
+            let word = if i % 257 == 100 {
+                3
+            } else {
+                (i * 7 + i / 5) % 3
+            };
+            b.push_row(&[
+                Value::Int((i * 37 % 100) as i32),
+                Value::Int(w as i32),
+                words[word].clone(),
+                Value::Int(i as i32),
+            ])
+            .unwrap();
+        }
+        let clean = b.finish().unwrap();
+        let oracle = clean.read_all(Layout::Column).unwrap();
+        let cols = &clean.col_storage().unwrap().columns;
+        let vpp: Vec<u64> = cols.iter().map(|c| c.values_per_page as u64).collect();
+        let page_rows = |col: usize, page: u64| vpp[col].min(ROWS - page * vpp[col]);
+        let tags = vpp[2];
+        let mut damaged = clean.clone();
+        let tag = &mut damaged.col.as_mut().unwrap().columns[2];
+        Arc::make_mut(&mut tag.file)[3 * PAGE + 100] ^= 0x10;
+        let lost = 3 * tags..4 * tags;
+        let mut short = clean.clone();
+        short.col.as_mut().unwrap().columns[2].comp = dict(3);
+        let preds = vec![
+            Predicate::lt(0, 70),
+            Predicate::ge(1, 3),
+            Predicate::new(1, CmpOp::Ne, Value::Int(7)),
+        ];
+        let cuts = [
+            0,
+            1,
+            600,
+            vpp[1] - 1,
+            vpp[1] + 7,
+            2 * tags + 3,
+            ROWS - 1,
+            ROWS,
+        ];
+        let passes = |pos: u64, col: usize| {
+            let row = &oracle[pos as usize];
+            preds
+                .iter()
+                .filter(|p| p.col == col)
+                .all(|p| p.eval_value(&row[col]))
+        };
+        // Node 0 is `v`; the driven nodes are `w`, `tag`, `id`.
+        let tallies = |cs: &ColumnScanner| -> Vec<u64> {
+            cs.nodes[1..]
+                .iter()
+                .flat_map(|node| {
+                    let t = &node.tally;
+                    let preds = node.pred_tallies.iter().flat_map(|p| [p.evals, p.passes]);
+                    [
+                        t.positions_seen,
+                        t.values_decoded,
+                        t.blocks_decoded,
+                        t.gathered,
+                        t.values_written,
+                    ]
+                    .into_iter()
+                    .chain(preds)
+                })
+                .collect()
+        };
+        let mut skip_totals = vec![0u64; 19];
+        let mut short_totals = [0u64; 6];
+        let tables = [
+            (clean, OnCorrupt::Fail),
+            (damaged, OnCorrupt::Skip),
+            (short.clone(), OnCorrupt::Fail),
+            (short, OnCorrupt::Skip),
+        ];
+        for (case, (t, on_corrupt)) in tables.into_iter().enumerate() {
+            let t = Arc::new(t);
+            for fast in [false, true] {
+                let sys = SystemConfig {
+                    page_size: PAGE,
+                    ..SystemConfig::default()
+                }
+                .with_scan_fast_path(fast)
+                .with_on_corrupt(on_corrupt);
+                for (i, &a) in cuts.iter().enumerate() {
+                    for &b in &cuts[i..] {
+                        let what = format!("[{a}, {b}) fast={fast} case {case}");
+                        t.quarantine.clear();
+                        let ctx = ExecContext::new(HardwareConfig::default(), sys, 1.0).unwrap();
+                        let mut cs = ColumnScanner::new(
+                            t.clone(),
+                            vec![2, 3, 0],
+                            preds.clone(),
+                            false,
+                            &ctx,
+                            Some((a, b)),
+                        )
+                        .unwrap();
+                        let mut rows = Vec::new();
+                        let failed = loop {
+                            match cs.next() {
+                                Ok(Some(block)) => {
+                                    let positions = block.positions().iter().copied();
+                                    rows.extend(positions.zip(block.rows().unwrap()));
+                                }
+                                Ok(None) => break None,
+                                Err(e) => break Some(e),
+                            }
+                        };
+                        // The positions reaching `w`, and `tag` and `id`.
+                        let to_w: Vec<u64> = (a..b).filter(|&pos| passes(pos, 0)).collect();
+                        let to_tag: Vec<u64> =
+                            to_w.iter().copied().filter(|&pos| passes(pos, 1)).collect();
+                        let want: Vec<(u64, Vec<Value>)> = to_tag
+                            .iter()
+                            .map(|&pos| {
+                                let row = &oracle[pos as usize];
+                                (pos, vec![row[2].clone(), row[3].clone(), row[0].clone()])
+                            })
+                            .collect();
+                        if case >= 2 {
+                            // The first position whose text code the short
+                            // dictionary lacks fails the scan; the rows
+                            // before it are a prefix of the clean ones.
+                            let bad = to_tag
+                                .iter()
+                                .find(|&&pos| oracle[pos as usize][2] == words[3]);
+                            let Some(&bad) = bad else {
+                                assert!(failed.is_none(), "{what}");
+                                assert_eq!(rows, want, "{what}");
+                                continue;
+                            };
+                            let e = failed.unwrap_or_else(|| panic!("{what}: no error"));
+                            assert!(
+                                e.to_string().contains("dictionary code 3 out of range"),
+                                "{e}"
+                            );
+                            assert!(matches!(e, Error::Corrupt(_)), "{what}: {e:?}");
+                            assert_eq!(rows[..], want[..rows.len()], "{what}");
+                            assert!(rows.iter().all(|(pos, _)| *pos < bad), "{what}");
+                            let tag = &cs.nodes[2].tally;
+                            let got = [
+                                rows.len() as u64,
+                                tag.positions_seen,
+                                tag.values_decoded,
+                                tag.values_written,
+                                cs.nodes[3].tally.positions_seen,
+                                cs.nodes[1].tally.positions_seen,
+                            ];
+                            for (total, n) in short_totals.iter_mut().zip(got) {
+                                *total += n;
+                            }
+                            continue;
+                        }
+                        assert!(failed.is_none(), "{what}: {failed:?}");
+                        if case == 1 {
+                            let kept = want.iter().filter(|(pos, _)| !lost.contains(pos));
+                            assert_eq!(rows, kept.cloned().collect::<Vec<_>>(), "{what}");
+                            for (total, n) in skip_totals.iter_mut().zip(tallies(&cs)) {
+                                *total += n;
+                            }
+                            continue;
+                        }
+                        assert_eq!(rows, want, "{what}");
+                        // `w` (PFOR): read per position off the fast path,
+                        // its target pages block-decoded and gathered on it.
+                        let w_pages = {
+                            let mut pages: Vec<u64> = to_w.iter().map(|&p| p / vpp[1]).collect();
+                            pages.dedup();
+                            pages.into_iter().map(|p| page_rows(1, p)).sum::<u64>()
+                        };
+                        let (w_values, w_blocks, w_gathered) = if fast {
+                            (0, w_pages, to_w.len() as u64)
+                        } else {
+                            (to_w.len() as u64, 0, 0)
+                        };
+                        let mut w_preds = vec![PredTally::default(); 2];
+                        for &pos in &to_w {
+                            let holds =
+                                |_, p: &Predicate| Ok(p.eval_value(&oracle[pos as usize][1]));
+                            crate::scan_core::conjunction(&preds[1..], &mut w_preds, holds)
+                                .unwrap();
+                        }
+                        // `id` (FOR-delta): every page up to the last target
+                        // is decoded whole — block work on the fast path.
+                        let id_pages: u64 = to_tag.last().map_or(0, |&last| {
+                            (a / vpp[3]..=last / vpp[3]).map(|p| page_rows(3, p)).sum()
+                        });
+                        let (id_values, id_blocks) =
+                            if fast { (0, id_pages) } else { (id_pages, 0) };
+                        let (n_w, n_tag) = (to_w.len() as u64, to_tag.len() as u64);
+                        let expect = vec![
+                            n_w,
+                            w_values,
+                            w_blocks,
+                            w_gathered,
+                            0,
+                            w_preds[0].evals,
+                            w_preds[0].passes,
+                            w_preds[1].evals,
+                            w_preds[1].passes,
+                            n_tag,
+                            n_tag,
+                            0,
+                            0,
+                            n_tag,
+                            n_tag,
+                            id_values,
+                            id_blocks,
+                            0,
+                            n_tag,
+                        ];
+                        assert_eq!(tallies(&cs), expect, "{what}");
+                    }
+                }
+            }
+        }
+        let skip_expect = [
+            90372, 45186, 88388, 45186, 0, 90372, 70680, 70680, 64128, 63816, 63792, 0, 0, 63792,
+            63792, 133776, 133776, 0, 63792,
+        ];
+        assert_eq!(skip_totals, skip_expect);
+        assert_eq!(short_totals, [8008, 11816, 11716, 11716, 8008, 21192]);
     }
 
     #[test]

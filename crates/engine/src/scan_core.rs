@@ -160,7 +160,7 @@ fn keep_cmp(sel: &mut Vec<usize>, op: CmpOp, lit: i64, read: impl Fn(usize) -> i
 }
 
 /// [`conjunction`] on one stored value at full declared width, which every
-/// predicate reads: a column node's.
+/// predicate reads: a column node's, read one position at a time.
 #[inline]
 pub(crate) fn judge(
     preds: &[Predicate],
@@ -371,30 +371,47 @@ pub(crate) fn copy_fields(
     dst: &mut [u8],
     dst_stride: usize,
 ) {
-    // An int's or a long's copy is one load and one store, not a call.
-    match width {
-        4 => copy_n::<4>(src, stride, sel, dst, dst_stride),
-        8 => copy_n::<8>(src, stride, sel, dst, dst_stride),
-        _ => {
-            for (i, &slot) in sel.iter().enumerate() {
-                dst[i * dst_stride..][..width].copy_from_slice(&src[slot * stride..][..width]);
-            }
-        }
-    }
+    let at = sel.iter().enumerate();
+    copy_at(
+        src,
+        dst,
+        width,
+        at.map(|(i, &slot)| (slot * stride, i * dst_stride)),
+    );
 }
 
-/// [`copy_fields`] at a width known to the compiler.
-#[inline(always)]
-fn copy_n<const W: usize>(
+/// Copy the `width`-byte value of each index `k` of `sel` out of a dense
+/// run (value `k` at byte `k * width` of `src`) to row `rows[k]` of `dst`,
+/// rows `dst_stride` bytes apart: a driven run's kept values into their
+/// block's tuples.
+#[inline]
+pub(crate) fn scatter_fields(
     src: &[u8],
-    stride: usize,
+    width: usize,
     sel: &[usize],
+    rows: &[usize],
     dst: &mut [u8],
     dst_stride: usize,
 ) {
-    for (i, &slot) in sel.iter().enumerate() {
-        dst[i * dst_stride..][..W].copy_from_slice(&src[slot * stride..][..W]);
+    let at = sel.iter().map(|&k| (k * width, rows[k] * dst_stride));
+    copy_at(src, dst, width, at);
+}
+
+/// Copy `width` bytes from `src` to `dst` at each `(from, to)` byte offset
+/// pair. An int's or a long's copy is one load and one store, not a call.
+#[inline(always)]
+fn copy_at(src: &[u8], dst: &mut [u8], width: usize, at: impl Iterator<Item = (usize, usize)>) {
+    match width {
+        4 => copy_n::<4>(src, dst, at),
+        8 => copy_n::<8>(src, dst, at),
+        _ => at.for_each(|(from, to)| dst[to..][..width].copy_from_slice(&src[from..][..width])),
     }
+}
+
+/// [`copy_at`] at a width known to the compiler.
+#[inline(always)]
+fn copy_n<const W: usize>(src: &[u8], dst: &mut [u8], at: impl Iterator<Item = (usize, usize)>) {
+    at.for_each(|(from, to)| dst[to..][..W].copy_from_slice(&src[from..][..W]));
 }
 
 // ---------------------------------------------------------------------------
@@ -409,7 +426,7 @@ pub(crate) enum DecodePolicy {
     /// §2.2.2, the pipelined scanner: a FOR-delta page is decoded whole on
     /// the way (every prior code is needed anyway — Figure 9's CPU effect);
     /// on the fast path an int *target* page is block-decoded once; anything
-    /// else is read per position from the held page.
+    /// else is gathered from the held page, a run of positions at a time.
     Pipelined,
     /// §4.2, the single-iterator scanner: every pulled page is decoded
     /// whole, and on the fast path its int predicates are judged in the
@@ -460,7 +477,7 @@ pub(crate) struct ColumnNode {
     /// Whether the held page was decoded whole — an int column's into
     /// `ints` by the page's int block decoder (metered as block work on the
     /// fast path, per value off it), any other column's into `raw` by its
-    /// range decoder. Otherwise values are read per position through the
+    /// range decoder. Otherwise values are gathered (or read) through the
     /// codec.
     decoded: bool,
     /// Also node 0's value-space filter scratch.
@@ -567,30 +584,49 @@ impl ColumnNode {
     }
 
     /// Append the value at `pos` of the held page (after a successful
-    /// [`ColumnNode::seek`]) at full declared width. A page not decoded
-    /// whole is read here one position at a time: the engine's one
-    /// per-slot decode.
+    /// [`ColumnNode::seek`]) at full declared width: a run of one position,
+    /// the single-iterator scanner's per-row read.
     #[inline]
     pub fn read(&mut self, pos: u64, out: &mut Vec<u8>) -> Result<()> {
-        let (page, first_row) = self.pages.held()?;
-        let slot = (pos - first_row) as usize;
+        let slot = (pos - self.pages.held()?.1) as usize;
+        self.read_run(std::slice::from_ref(&slot), out).1
+    }
+
+    /// Append the values at the ascending `slots` of the held page (after a
+    /// successful [`ColumnNode::seek`]) at full declared width, back to
+    /// back: a run of a driven node's positions (or the single-iterator
+    /// scanner's one). A page not decoded whole is gathered through the
+    /// codec in one call. Returns how many slots
+    /// were appended; on an error `out` holds exactly those values, and the
+    /// error is the one the codec's per-slot read raises at the next slot.
+    pub fn read_run(&mut self, slots: &[usize], out: &mut Vec<u8>) -> (usize, Result<()>) {
+        let page = match self.pages.held() {
+            Ok((page, _)) => page,
+            Err(e) => return (0, Err(e)),
+        };
         let width = self.dtype.width();
         let comp = &self.storage.comp;
         if !self.decoded {
-            // Sparse reads re-open the held page: no checksum pass here.
-            page.column(self.dtype).values(comp).write_raw(slot, out)?;
-            self.tally.values_decoded += 1;
-        } else if self.dtype == DataType::Int {
-            out.extend_from_slice(&self.ints[slot].to_le_bytes());
+            // One re-open of the held page per run: no checksum pass here.
+            let (n, read) = page.column(self.dtype).values(comp).gather_raw(slots, out);
+            self.tally.values_decoded += n as u64;
+            return (n, read);
+        }
+        out.reserve(slots.len() * width);
+        if self.dtype == DataType::Int {
+            let ints = &self.ints;
+            out.extend(slots.iter().flat_map(|&slot| ints[slot].to_le_bytes()));
             if self.policy == DecodePolicy::Pipelined && comp.codec.random_access() {
                 // Block-decoded for the lookups' sake, not the codec's or
                 // the policy's.
-                self.tally.gathered += 1;
+                self.tally.gathered += slots.len() as u64;
             }
         } else {
-            out.extend_from_slice(&self.raw[slot * width..][..width]);
+            for &slot in slots {
+                out.extend_from_slice(&self.raw[slot * width..][..width]);
+            }
         }
-        Ok(())
+        (slots.len(), Ok(()))
     }
 
     /// Whether the value at `pos` of the held page passes: the verdict of

@@ -17,7 +17,7 @@
 //! its set ([`crate::expo::prometheus`]).
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::json::Json;
 
@@ -303,8 +303,12 @@ impl Registry {
         GLOBAL.get_or_init(Registry::handle)
     }
 
+    /// The registry's state. A thread that panicked while holding the lock
+    /// cannot have left the set half-updated — every update is one
+    /// `MetricSet` call — so a poisoned lock is taken over, not re-raised
+    /// in every later caller.
     fn lock(&self) -> std::sync::MutexGuard<'_, MetricSet> {
-        self.state.lock().unwrap()
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Add `delta` to a named counter (created at zero on first use).
@@ -393,6 +397,27 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_registry_usable() {
+        let reg = Registry::handle();
+        reg.counter_add("held", 1.0);
+        let holder = reg.clone();
+        let died = std::thread::spawn(move || {
+            let _state = holder.lock();
+            panic!("a metrics caller panics holding the registry lock");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(reg.state.is_poisoned());
+        reg.counter_add("held", 2.0);
+        reg.observe("after", 5.0);
+        assert_eq!(reg.counter("held"), 3.0);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("held"), 3.0);
+        assert_eq!(snap.histogram("after").map(|h| h.count), Some(1));
+        assert!(reg.drain().get("counters").is_some());
+    }
 
     #[test]
     fn counters_and_histograms_accumulate_and_drain() {
