@@ -26,6 +26,8 @@ pub struct MemScan {
     predicates: Vec<Predicate>,
     /// Evaluations of one `next()` call, per predicate.
     tallies: Vec<PredTally>,
+    /// The rows of one `next()` call's survivors.
+    kept: Vec<usize>,
     /// Next source row to visit.
     next: usize,
     /// Position offset: tail rows continue the base table's row ordinals so
@@ -56,6 +58,7 @@ impl MemScan {
             rows,
             projection,
             tallies: vec![PredTally::default(); predicates.len()],
+            kept: Vec::new(),
             predicates,
             next: 0,
             base_pos,
@@ -71,28 +74,31 @@ impl Operator for MemScan {
     fn next(&mut self) -> Result<Option<TupleBlock>> {
         let cap = self.ctx.sys.block_tuples.max(1);
         let out_schema = self.sink.schema().clone();
-        let (visited, mut passes) = (self.next, 0u64);
+        let visited = self.next;
         self.tallies.fill(PredTally::default());
-        while self.sink.remaining() < cap && self.next < self.rows.len() {
+        self.kept.clear();
+        while self.sink.remaining() + self.kept.len() < cap && self.next < self.rows.len() {
             let row = &self.rows[self.next];
-            let pos = self.base_pos + self.next as u64;
-            self.next += 1;
             // An owned row: decided on the values themselves.
             let holds = |_, pred: &Predicate| Ok(pred.eval_value(&row[pred.col]));
-            if !conjunction(&self.predicates, &mut self.tallies, holds)? {
-                continue;
+            if conjunction(&self.predicates, &mut self.tallies, holds)? {
+                self.kept.push(self.next);
             }
-            passes += 1;
-            let mut fields = self.projection.iter().zip(out_schema.columns());
-            self.sink.push_with(pos, |out| {
-                fields.try_for_each(|(&c, col)| row[c].encode_into(col.dtype, out))
-            })?;
+            self.next += 1;
         }
+        // The call's survivors, encoded and pushed at once.
+        let positions = self.kept.iter().map(|&i| self.base_pos + i as u64);
+        self.sink.push_rows(positions, |out| {
+            self.kept.iter().try_for_each(|&i| {
+                let mut fields = self.projection.iter().zip(out_schema.columns());
+                fields.try_for_each(|(&c, col)| self.rows[i][c].encode_into(col.dtype, out))
+            })
+        })?;
         // Charge the scalar tuple-at-a-time costs the row scanner would pay,
         // minus every I/O-side term: the WOS tail is memory-resident.
         {
             let mut meter = self.ctx.meter.borrow_mut();
-            let passes = passes as f64;
+            let passes = self.kept.len() as f64;
             meter.row_iter((self.next - visited) as f64);
             if !self.predicates.is_empty() {
                 let evals: u64 = self.tallies.iter().map(|t| t.evals).sum();

@@ -272,11 +272,11 @@ impl PageCursor {
         (self.held_first_row, self.held_first_row + self.held_rows)
     }
 
-    /// The page the last [`PageCursor::seek`] landed on, and the ordinal of
-    /// its first row: the error that seek failed with, if it failed.
+    /// The page the last [`PageCursor::seek`] landed on, and its index in
+    /// the file: the error that seek failed with, if it failed.
     pub fn held(&self) -> Result<(&VerifiedPage, u64)> {
         match &self.held {
-            Some(Ok(page)) => Ok((page, self.held_first_row)),
+            Some(Ok(page)) => Ok((page, self.held_first_row / self.upp)),
             Some(Err(e)) => Err(e.clone()),
             None => Err(Error::InvalidPlan("no page held before a seek".into())),
         }

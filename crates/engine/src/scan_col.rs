@@ -140,12 +140,14 @@ impl ColumnScanner {
             }
         }
 
-        let Some((_, first_row, page)) = node.pages.next_or_skip(&mut window.dropped)? else {
+        let Some((index, first_row, page)) = node.pages.next_or_skip(&mut window.dropped)? else {
             return Ok(false);
         };
         let Some(page) = page else {
             return Ok(true);
         };
+        // A decode error behind a good checksum names its page.
+        let locate = |e| node.pages.locate(e, index);
         let comp = &node.storage.comp;
         let pv = page.column(node.dtype).values(comp);
         let count = pv.count();
@@ -154,6 +156,10 @@ impl ColumnScanner {
         // below is charged for the whole page, as the paper's scanner
         // decodes it.
         let slots = window.slots(first_row, count);
+        // Either path's scratch: a selection vector and a run of values.
+        let (sel, raw) = (&mut self.sel, &mut self.scratch);
+        sel.clear();
+        raw.clear();
 
         if node.fast && node.dtype == DataType::Int {
             // Code-space evaluation: rewrite the predicates against this
@@ -164,17 +170,10 @@ impl ColumnScanner {
             } else {
                 rewrite_all(&node.preds, comp, pv.base(), pv.code_base())
             };
-            // Survivors are gathered out of the block into {position, value}
-            // pairs.
-            let mut gather = |pos: u64, v: i32| {
-                node.tally.positions_seen += 1;
-                node.tally.gathered += 1;
-                sink.push_with(pos, |out| {
-                    out.extend_from_slice(&v.to_le_bytes());
-                    Ok(())
-                })
-            };
-            let mut sel = [0u8; BLOCK];
+            // The page's admitted survivors: their slots in `sel` and their
+            // values gathered out of the block into `raw`, pushed as
+            // {position, value} pairs at once.
+            let mut hit = [0u8; BLOCK];
             if let Some(cps) = code_preds {
                 let mut block = [0u64; BLOCK];
                 let mut slot = slots.start;
@@ -182,14 +181,15 @@ impl ColumnScanner {
                     // Blocks stay aligned to the page's, so full ones take
                     // the word kernels.
                     let codes = &mut block[..(BLOCK - slot % BLOCK).min(slots.end - slot)];
-                    pv.codes_block(slot, codes)?;
-                    let n = select(codes, &mut sel, |code| cps.iter().all(|cp| cp.eval(code)));
-                    for k in sel[..n].iter().map(|&k| usize::from(k)) {
-                        let pos = first_row + (slot + k) as u64;
-                        if window.admits(pos) {
+                    pv.codes_block(slot, codes).map_err(locate)?;
+                    let n = select(codes, &mut hit, |code| cps.iter().all(|cp| cp.eval(code)));
+                    for k in hit[..n].iter().map(|&k| usize::from(k)) {
+                        if window.admits(first_row + (slot + k) as u64) {
                             // The page's value map (PFOR codes arrive
                             // already exception-patched).
-                            gather(pos, pv.int_of(codes[k])?)?;
+                            let v = pv.int_of(codes[k]).map_err(locate)?;
+                            sel.push(slot + k);
+                            raw.extend_from_slice(&v.to_le_bytes());
                         }
                     }
                     slot += codes.len();
@@ -198,20 +198,27 @@ impl ColumnScanner {
                 // Value-space vectorized fallback (raw / FOR-delta /
                 // text-literal predicates): block-decode the page, then a
                 // branchless filter over the decoded ints.
-                pv.decode_ints_into(&mut node.ints)?;
+                pv.decode_ints_into(&mut node.ints).map_err(locate)?;
                 let ints = &node.ints[slots.clone()];
                 for (first, block) in slots.step_by(BLOCK).zip(ints.chunks(BLOCK)) {
-                    let n = select(block, &mut sel, |v| {
+                    let n = select(block, &mut hit, |v| {
                         node.preds.iter().all(|p| p.eval_int(v))
                     });
-                    for k in sel[..n].iter().map(|&k| usize::from(k)) {
-                        let pos = first_row + (first + k) as u64;
-                        if window.admits(pos) {
-                            gather(pos, block[k])?;
+                    for k in hit[..n].iter().map(|&k| usize::from(k)) {
+                        if window.admits(first_row + (first + k) as u64) {
+                            sel.push(first + k);
+                            raw.extend_from_slice(&block[k].to_le_bytes());
                         }
                     }
                 }
             }
+            node.tally.positions_seen += sel.len() as u64;
+            node.tally.gathered += sel.len() as u64;
+            let positions = sel.iter().map(|&slot| first_row + slot as u64);
+            sink.push_rows(positions, |out| {
+                out.extend_from_slice(raw);
+                Ok(())
+            })?;
             node.tally.blocks_decoded += count as u64;
             node.tally.vec_pred_evals += (count * node.preds.len()) as u64;
             return Ok(true);
@@ -219,24 +226,21 @@ impl ColumnScanner {
 
         // An int page goes through the int block decoder, anything else
         // through the range decoder over the window's slots.
-        let raw = &mut self.scratch;
-        raw.clear();
         if node.dtype == DataType::Int {
-            pv.decode_ints_into(&mut node.ints)?;
+            pv.decode_ints_into(&mut node.ints).map_err(locate)?;
             raw.extend(
                 node.ints[slots.clone()]
                     .iter()
                     .flat_map(|v| v.to_le_bytes()),
             );
         } else {
-            pv.decode_raw_into(slots.start, slots.len(), raw)?;
+            pv.decode_raw_into(slots.start, slots.len(), raw)
+                .map_err(locate)?;
         }
         // The window's admitted slots, narrowed predicate by predicate over
         // the decoded run; the survivors become {position, value} pairs.
         let (dtype, width, run) = (node.dtype, node.dtype.width(), &raw[..]);
         let first = first_row + slots.start as u64;
-        let sel = &mut self.sel;
-        sel.clear();
         sel.extend((0..slots.len()).filter(|&k| window.admits(first + k as u64)));
         narrow(&node.preds, &mut node.pred_tallies, sel, |_, pred, sel| {
             select_strided(pred, dtype, run, width, sel);
@@ -1189,6 +1193,78 @@ mod tests {
         assert!(skip_totals[0] < skip_slots, "{skip_slots}");
     }
 
+    /// A decode error behind a good checksum on node 0's page names that
+    /// page. A dictionary too short for some codes of the deepest column —
+    /// ints, decoded whole per page on both paths, or text, decoded over the
+    /// window's slots — fails the scan with the `(file, page)` of the first
+    /// page the window reaches holding such a code.
+    #[test]
+    fn node0_decode_errors_name_their_page() {
+        use rodb_types::{HardwareConfig, SystemConfig};
+        const ROWS: u64 = 5_000;
+        const PAGE: usize = 1024;
+        let s = Arc::new(Schema::new(vec![Column::int("v"), Column::text("tag", 6)]).unwrap());
+        let ints: Vec<Value> = [10, 20, 30, 40].map(Value::Int).to_vec();
+        let words: Vec<Value> = ["aa", "bb", "cc", "dddddd"].map(Value::text).to_vec();
+        let dict = |dtype: DataType, values: &[Value], n: usize| {
+            let d = Dictionary::build(dtype, values[..n].iter()).unwrap();
+            ColumnCompression::new(Codec::Dict { bits: 8 }, Some(Arc::new(d))).unwrap()
+        };
+        let comps = vec![
+            dict(DataType::Int, &ints, 4),
+            dict(DataType::Text(6), &words, 4),
+        ];
+        let mut b =
+            TableBuilder::with_compression("e0", s, PAGE, BuildLayouts::column_only(), comps)
+                .unwrap();
+        for i in 0..ROWS as usize {
+            // Every 1500th row from row 1200 holds the code a short
+            // dictionary lacks.
+            let k = if i % 1_500 == 1_200 { 3 } else { i % 3 };
+            b.push_row(&[ints[k].clone(), words[k].clone()]).unwrap();
+        }
+        let mut short = b.finish().unwrap();
+        let cols = &mut short.col.as_mut().unwrap().columns;
+        cols[0].comp = dict(DataType::Int, &ints, 3);
+        cols[1].comp = dict(DataType::Text(6), &words, 3);
+        let vpp: Vec<u64> = cols.iter().map(|c| c.values_per_page as u64).collect();
+        assert!(vpp.iter().all(|&n| (900..1_200).contains(&n)), "{vpp:?}");
+        let t = Arc::new(short);
+        let cases = [
+            (None, Some(1_200)),
+            (Some((2_000, ROWS)), Some(2_700)),
+            (Some((0, 900)), None),
+        ];
+        for col in [0, 1] {
+            for fast in [false, true] {
+                for (range, first_bad) in cases {
+                    let what = format!("col {col} fast={fast} {range:?}");
+                    let sys = SystemConfig {
+                        page_size: PAGE,
+                        ..SystemConfig::default()
+                    }
+                    .with_scan_fast_path(fast);
+                    let ctx = ExecContext::new(HardwareConfig::default(), sys, 1.0).unwrap();
+                    let mut cs =
+                        ColumnScanner::new(t.clone(), vec![col], vec![], false, &ctx, range)
+                            .unwrap();
+                    let got = collect_rows(&mut cs);
+                    let Some(bad) = first_bad else {
+                        assert!(got.is_ok(), "{what}: {got:?}");
+                        continue;
+                    };
+                    let Err(Error::Corrupt(e)) = got else {
+                        panic!("{what}: {got:?}");
+                    };
+                    assert!(e.msg.contains("dictionary code 3 out of range"), "{e:?}");
+                    // Node 0's file is the first a fresh context numbers.
+                    let page = bad / vpp[col];
+                    assert_eq!((e.file_id, e.page_id), (Some(1), Some(page)), "{what}");
+                }
+            }
+        }
+    }
+
     /// The driven nodes — a PFOR column judging two predicates, a projected
     /// Dict text column and a projected FOR-delta column, behind a BitPack
     /// node 0 with its own predicate — over windows that cut their pages,
@@ -1199,9 +1275,9 @@ mod tests {
     /// with a Dict text page quarantined mid-block, rows lose exactly its
     /// ordinals and the summed tallies are the ones the per-slot loop
     /// counted. With a dictionary too short for some of the text codes, the
-    /// scan fails at the first position holding one, under `Fail` and
-    /// `Skip` alike (a format error is never skipped), after the rows and
-    /// tallies the per-slot loop had reached.
+    /// scan fails at the first position holding one, with that position's
+    /// page, under `Fail` and `Skip` alike (a format error is never
+    /// skipped), after the rows and tallies the per-slot loop had reached.
     #[test]
     fn driven_nodes_read_runs_like_the_per_slot_loop() {
         use crate::scan_core::PredTally;
@@ -1372,7 +1448,13 @@ mod tests {
                                 e.to_string().contains("dictionary code 3 out of range"),
                                 "{e}"
                             );
-                            assert!(matches!(e, Error::Corrupt(_)), "{what}: {e:?}");
+                            // It names the page holding the code: `tag`'s
+                            // file, the third a fresh context numbers.
+                            let Error::Corrupt(c) = &e else {
+                                panic!("{what}: {e:?}");
+                            };
+                            let page = Some(bad / vpp[2]);
+                            assert_eq!((c.file_id, c.page_id), (Some(3), page), "{what}");
                             assert_eq!(rows[..], want[..rows.len()], "{what}");
                             assert!(rows.iter().all(|(pos, _)| *pos < bad), "{what}");
                             let tag = &cs.nodes[2].tally;
@@ -1510,7 +1592,8 @@ mod tests {
                         for pos in (0..t.row_count).step_by(step) {
                             raw.clear();
                             node.seek(pos, &mut Default::default()).unwrap();
-                            node.read(pos, &mut raw).unwrap();
+                            let slot = (pos - node.pages.held_span().0) as usize;
+                            node.read_run(&[slot], &mut raw).1.unwrap();
                             assert_eq!(
                                 raw, expect[pos as usize],
                                 "{} col {col} {policy:?} fast={fast} pos {pos}",

@@ -6,17 +6,17 @@
 //! ([`crate::plan`]) and the page boundary below them
 //! ([`crate::page_cursor`]) each primitive step of a scan has one home:
 //!
-//! * **select** — [`conjunction`]: the short-circuit predicate loop with its
-//!   eval/pass tally, over a field accessor the caller's tuple format
-//!   supplies; [`narrow`] is the same rule over a page's selection vector,
-//!   and [`select_strided`] the one value-space kernel that narrows it over
-//!   a strided run of stored fields (a row page's column, a PAX minipage, a
-//!   decoded column);
+//! * **select** — [`narrow`]: the short-circuit predicate loop with its
+//!   eval/pass tally over a selection vector, and [`select_strided`] the one
+//!   value-space kernel that narrows it over a strided run of stored fields
+//!   (a row page's column, a PAX minipage, a decoded column or run);
+//!   [`conjunction`] is the same rule on one tuple, for `MemScan`'s owned
+//!   rows;
 //! * **admit** — [`Window`]: the row-ordinal range a scan answers for, less
 //!   the ordinals degraded skips dropped;
 //! * **emit** — [`Sink`]: pending selections → [`TupleBlock`], a page's
-//!   survivors pushed at once and a block taken in one copy, with the
-//!   block-hop and output-stream charges;
+//!   (a run's, a call's) survivors pushed at once and a block taken in one
+//!   copy, with the block-hop and output-stream charges;
 //! * **decode / gather** — [`ColumnNode`]: one column file under a scan —
 //!   identity, [`PageCursor`], held-page decode state and one tally struct —
 //!   opened by [`ColumnNode::open_all`], flushed by [`ColumnNode::charge`].
@@ -24,9 +24,10 @@
 //! The row scanner, the pipelined column scanner, the single-iterator
 //! column scanner and `MemScan` configure these; none of them tallies a
 //! predicate, meters a decode, or assembles a block by hand (the CI lint job
-//! greps for it). What stays per scanner is its *schedule*:
-//! which page is pulled when, and — for node 0 of the pipelined scanner —
-//! the code-space block filter only it runs.
+//! greps for it), and none of them pushes or judges a row at a time: each
+//! is "selection vector ← slots; narrow; copy; one push". What stays per
+//! scanner is its *schedule*: which page is pulled when, and — for node 0
+//! of the pipelined scanner — the code-space block filter only it runs.
 
 use std::sync::Arc;
 
@@ -159,18 +160,6 @@ fn keep_cmp(sel: &mut Vec<usize>, op: CmpOp, lit: i64, read: impl Fn(usize) -> i
     }
 }
 
-/// [`conjunction`] on one stored value at full declared width, which every
-/// predicate reads: a column node's, read one position at a time.
-#[inline]
-pub(crate) fn judge(
-    preds: &[Predicate],
-    tallies: &mut [PredTally],
-    dtype: DataType,
-    raw: &[u8],
-) -> Result<bool> {
-    conjunction(preds, tallies, |_, pred| Ok(pred.eval_raw(dtype, raw)))
-}
-
 // ---------------------------------------------------------------------------
 // admit
 // ---------------------------------------------------------------------------
@@ -278,20 +267,10 @@ impl Sink {
         self.positions.len() - self.taken
     }
 
-    /// Append one row: `fill` appends its bytes, field by field if it likes.
-    /// An error leaves the sink as it was, so a scan resumed past it stays
-    /// aligned. For the producers that emit a row at a time.
-    pub fn push_with(
-        &mut self,
-        pos: u64,
-        fill: impl FnOnce(&mut Vec<u8>) -> Result<()>,
-    ) -> Result<()> {
-        self.push_rows([pos], fill)
-    }
-
     /// Append a page's survivors at once: one row per position, `fill`
     /// appends their bytes back to back. An error leaves the sink as it
-    /// was, every row of the call rolled back.
+    /// was, every row of the call rolled back, so a scan resumed past it
+    /// stays aligned.
     pub fn push_rows(
         &mut self,
         positions: impl IntoIterator<Item = u64>,
@@ -429,8 +408,8 @@ pub(crate) enum DecodePolicy {
     /// else is gathered from the held page, a run of positions at a time.
     Pipelined,
     /// §4.2, the single-iterator scanner: every pulled page is decoded
-    /// whole, and on the fast path its int predicates are judged in the
-    /// same pass.
+    /// whole into stored bytes, and on the fast path its int predicates are
+    /// charged as one vectorized pass over it.
     EveryPage,
 }
 
@@ -477,17 +456,14 @@ pub(crate) struct ColumnNode {
     /// Whether the held page was decoded whole — an int column's into
     /// `ints` by the page's int block decoder (metered as block work on the
     /// fast path, per value off it), any other column's into `raw` by its
-    /// range decoder. Otherwise values are gathered (or read) through the
-    /// codec.
+    /// range decoder. Otherwise values are gathered through the codec.
     decoded: bool,
     /// Also node 0's value-space filter scratch.
     pub ints: Vec<i32>,
-    /// The held page's values at full declared width, when decoded whole
-    /// and not ints.
-    raw: Vec<u8>,
-    /// Per-slot verdict of `preds` on the held page, where decoding judged
-    /// them in one vectorized pass (empty otherwise).
-    verdicts: Vec<bool>,
+    /// The held page's values at full declared width, back to back, when
+    /// decoded whole and not ints — or, under [`DecodePolicy::EveryPage`],
+    /// ints too.
+    pub raw: Vec<u8>,
     pub tally: NodeTally,
 }
 
@@ -522,7 +498,6 @@ impl ColumnNode {
                 decoded: false,
                 ints: Vec::new(),
                 raw: Vec::new(),
-                verdicts: Vec::new(),
                 tally: NodeTally::default(),
             })
         };
@@ -559,49 +534,43 @@ impl ColumnNode {
                 }
                 let pv = verified.column(self.dtype).values(comp);
                 let count = pv.count();
+                let every = self.policy == DecodePolicy::EveryPage;
+                self.raw.clear();
                 if self.dtype == DataType::Int {
                     pv.decode_ints_into(&mut self.ints)?;
+                    if every {
+                        // The run loop reads every column as stored bytes.
+                        self.raw
+                            .extend(self.ints.iter().flat_map(|v| v.to_le_bytes()));
+                    }
                 } else {
-                    self.raw.clear();
                     pv.decode_raw_into(0, count, &mut self.raw)?;
                 }
                 if fast_int {
                     self.tally.blocks_decoded += count as u64;
+                    if every {
+                        // The page's int predicates, priced as one
+                        // vectorized pass over it (`select_held` runs it).
+                        self.tally.vec_pred_evals += (count * self.preds.len()) as u64;
+                    }
                 } else {
                     self.tally.values_decoded += count as u64;
                 }
                 self.decoded = true;
-                if fast_int && self.policy == DecodePolicy::EveryPage && !self.preds.is_empty() {
-                    // The row loop's int predicates are judged here, in one
-                    // vectorized pass.
-                    let verdict = |&v| self.preds.iter().all(|p| p.eval_int(v));
-                    self.verdicts.clear();
-                    self.verdicts.extend(self.ints.iter().map(verdict));
-                    self.tally.vec_pred_evals += (count * self.preds.len()) as u64;
-                }
                 Ok(())
             })
     }
 
-    /// Append the value at `pos` of the held page (after a successful
-    /// [`ColumnNode::seek`]) at full declared width: a run of one position,
-    /// the single-iterator scanner's per-row read.
-    #[inline]
-    pub fn read(&mut self, pos: u64, out: &mut Vec<u8>) -> Result<()> {
-        let slot = (pos - self.pages.held()?.1) as usize;
-        self.read_run(std::slice::from_ref(&slot), out).1
-    }
-
     /// Append the values at the ascending `slots` of the held page (after a
     /// successful [`ColumnNode::seek`]) at full declared width, back to
-    /// back: a run of a driven node's positions (or the single-iterator
-    /// scanner's one). A page not decoded whole is gathered through the
-    /// codec in one call. Returns how many slots
+    /// back: a run of a driven node's positions. A page not decoded whole
+    /// is gathered through the codec in one call. Returns how many slots
     /// were appended; on an error `out` holds exactly those values, and the
-    /// error is the one the codec's per-slot read raises at the next slot.
+    /// error is the one the codec's per-slot read raises at the next slot,
+    /// located at the held page.
     pub fn read_run(&mut self, slots: &[usize], out: &mut Vec<u8>) -> (usize, Result<()>) {
-        let page = match self.pages.held() {
-            Ok((page, _)) => page,
+        let (page, page_index) = match self.pages.held() {
+            Ok(held) => held,
             Err(e) => return (0, Err(e)),
         };
         let width = self.dtype.width();
@@ -610,12 +579,11 @@ impl ColumnNode {
             // One re-open of the held page per run: no checksum pass here.
             let (n, read) = page.column(self.dtype).values(comp).gather_raw(slots, out);
             self.tally.values_decoded += n as u64;
-            return (n, read);
+            return (n, read.map_err(|e| self.pages.locate(e, page_index)));
         }
         out.reserve(slots.len() * width);
         if self.dtype == DataType::Int {
-            let ints = &self.ints;
-            out.extend(slots.iter().flat_map(|&slot| ints[slot].to_le_bytes()));
+            out.extend(slots.iter().flat_map(|&slot| self.ints[slot].to_le_bytes()));
             if self.policy == DecodePolicy::Pipelined && comp.codec.random_access() {
                 // Block-decoded for the lookups' sake, not the codec's or
                 // the policy's.
@@ -629,17 +597,24 @@ impl ColumnNode {
         (slots.len(), Ok(()))
     }
 
-    /// Whether the value at `pos` of the held page passes: the verdict of
-    /// the decode pass where it judged the page, else the value is read
-    /// into `scratch` (left there for the caller) and judged.
-    #[inline]
-    pub fn passes(&mut self, pos: u64, scratch: &mut Vec<u8>) -> Result<bool> {
-        if let Some(&verdict) = self.verdicts.get((pos - self.pages.held()?.1) as usize) {
-            return Ok(verdict);
+    /// Narrow `sel` — offsets from row `start`, each on the held page of an
+    /// every-page node — to the rows whose value passes `preds`, by the
+    /// select kernel over the held page's values from `start` on (`raw`). A
+    /// fast-path int page was charged its predicates as one vectorized pass
+    /// when decoded, so its narrowing tallies nothing.
+    pub fn select_held(&mut self, start: u64, sel: &mut Vec<usize>) -> Result<()> {
+        let (dtype, width) = (self.dtype, self.dtype.width());
+        let run = &self.raw[(start - self.pages.held_span().0) as usize * width..];
+        if self.fast && dtype == DataType::Int {
+            for pred in &self.preds {
+                select_strided(pred, dtype, run, width, sel);
+            }
+            return Ok(());
         }
-        scratch.clear();
-        self.read(pos, scratch)?;
-        judge(&self.preds, &mut self.pred_tallies, self.dtype, scratch)
+        narrow(&self.preds, &mut self.pred_tallies, sel, |_, pred, sel| {
+            select_strided(pred, dtype, run, width, sel);
+            Ok(())
+        })
     }
 
     /// End of a column scan (once, however often it is called): drain each
@@ -993,7 +968,7 @@ mod tests {
 
     /// Drain a sink the way every scanner does — fill until a block's worth
     /// pends or the source ends, then emit — feeding `batch` rows at a time,
-    /// in one `push_rows` each when `paged`, else a `push_with` per row.
+    /// in one `push_rows` each when `paged`, else one `push_rows` per row.
     fn blocks(pending: Pending, cap: usize, batch: usize, paged: bool) -> Vec<(Vec<u8>, Vec<u64>)> {
         let mut out: Vec<(Vec<u8>, Vec<u64>)> = Vec::new();
         const ROWS: u64 = 530;
@@ -1019,7 +994,7 @@ mod tests {
                     sink.push_rows(next..end, fill).unwrap();
                 } else {
                     for pos in next..end {
-                        sink.push_with(pos, |out| {
+                        sink.push_rows([pos], |out| {
                             row(pos, out);
                             Ok(())
                         })
@@ -1096,13 +1071,13 @@ mod tests {
             out.extend_from_slice(&[1; 8]);
             Ok(())
         };
-        sink.push_with(0, row).unwrap();
-        let torn = sink.push_with(1, |out| {
+        sink.push_rows([0], row).unwrap();
+        let torn = sink.push_rows([1], |out| {
             out.extend_from_slice(&[9; 4]);
             Err(rodb_types::Error::corrupt("second field failed"))
         });
         assert!(torn.is_err());
-        sink.push_with(2, row).unwrap();
+        sink.push_rows([2], row).unwrap();
         // A page's rows roll back as a whole.
         let torn = sink.push_rows([3, 4, 5], |out| {
             out.extend_from_slice(&[7; 20]);
