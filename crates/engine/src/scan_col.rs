@@ -14,13 +14,14 @@
 //! A scan node is the scan core's column node (`scan_core.rs`) opened under
 //! the *pipelined* decode policy: FOR-delta columns decode every stored code
 //! up to a needed position (Figure 9's CPU effect), everything else is
-//! gathered from the held page. What this file keeps is the schedule —
-//! node 0 pulls pages and filters them (on the fast path in code space,
-//! which only node 0 can; otherwise a page at a time, a selection vector of
-//! the window's slots narrowed over the decoded run by the scan core's
-//! select kernel), later nodes are driven off the position list a page's
-//! run at a time (one seek, one slot-list gather, the same select kernel
-//! over the gathered run and one strided copy into the block per run) —
+//! read from the held page at the needed slots only. What this file keeps
+//! is the schedule — node 0 pulls pages and filters them (on the fast
+//! path in code space, which only node 0 can; otherwise a page at a time,
+//! a selection vector of the window's slots narrowed over the decoded run
+//! by the scan core's select kernel), later nodes are driven off the
+//! position list a page's run at a time (one seek, one read of the run's
+//! slots, the same select kernel over the read run and one strided copy
+//! into the block per run) —
 //! and the *slow* variant (`ScanLayout::ColumnSlow`), which serializes disk
 //! requests per column: the reference variant of Figure 11 that loses the
 //! "one step ahead" controller advantage.
@@ -1481,8 +1482,10 @@ mod tests {
                             continue;
                         }
                         assert_eq!(rows, want, "{what}");
-                        // `w` (PFOR): read per position off the fast path,
-                        // its target pages block-decoded and gathered on it.
+                        // `w` (PFOR): billed per position off the fast
+                        // path; on it, billed a block decode per target page
+                        // and a gather per position, though only the read
+                        // slots are decoded.
                         let w_pages = {
                             let mut pages: Vec<u64> = to_w.iter().map(|&p| p / vpp[1]).collect();
                             pages.dedup();
@@ -1540,6 +1543,235 @@ mod tests {
         ];
         assert_eq!(skip_totals, skip_expect);
         assert_eq!(short_totals, [8008, 11816, 11716, 11716, 8008, 21192]);
+    }
+
+    /// Driven int nodes of every random-access codec — raw, BitPack, FOR,
+    /// PFOR (exceptions inside and outside the runs), Dict and Dict→FOR —
+    /// read lone, scattered, consecutive and whole-page runs, with and
+    /// without driven predicates, on both paths. Rows equal the oracle. Off
+    /// the fast path each value read is billed as decoded one at a time; on
+    /// it each target page as one block decode and each value read as a
+    /// gather out of it, as before the runs decoded only their slots. A
+    /// dictionary too short for codes only unread slots hold leaves a scan
+    /// exact; a run that reads one fails both paths alike, at its page,
+    /// after the same rows.
+    #[test]
+    fn the_fast_path_reads_only_its_slots_and_bills_as_before() {
+        use crate::scan_core::{conjunction, PredTally};
+        use rodb_storage::Layout;
+        use rodb_types::{HardwareConfig, SystemConfig};
+        const ROWS: usize = 12_000;
+        const PAGE: usize = 1024;
+        const LONE: usize = 1601;
+        let names = ["pick", "raw", "bp", "for", "pfor", "dict", "dictfor"];
+        let s = Arc::new(Schema::new(names.map(Column::int).to_vec()).unwrap());
+        let domain = [5, 17, 40, 900].map(Value::Int);
+        let dict = |n: usize, codec| {
+            let d = Dictionary::build(DataType::Int, domain[..n].iter()).unwrap();
+            ColumnCompression::new(codec, Some(Arc::new(d))).unwrap()
+        };
+        let plain = |codec| ColumnCompression::new(codec, None).unwrap();
+        let comps = vec![
+            ColumnCompression::none(),
+            ColumnCompression::none(),
+            plain(Codec::BitPack { bits: 7 }),
+            plain(Codec::For { bits: 8 }),
+            plain(Codec::Pfor { bits: 4 }),
+            dict(4, Codec::Dict { bits: 8 }),
+            dict(4, Codec::DictFor { bits: 6 }),
+        ];
+        // `pick` sorts the rows into run shapes: 1 lone, 0 consecutive, 2
+        // scattered, 3 none. The dictionary value a short dictionary lacks
+        // is only on rows of shape 3.
+        let rare = |i: usize| i % 1009 == 500;
+        let pick = |i: usize| match i {
+            _ if rare(i) => 3,
+            _ if i % LONE == 7 => 1,
+            1000..1300 | 5000..7500 => 0,
+            _ if i % 3 == 1 => 2,
+            _ => 3,
+        };
+        let mut b =
+            TableBuilder::with_compression("ro", s, PAGE, BuildLayouts::column_only(), comps)
+                .unwrap();
+        for i in 0..ROWS {
+            let (d, df) = match rare(i) {
+                true => (3, 3),
+                false => ((i * 7 + i / 5) % 3, (i / 5 + i % 2) % 3),
+            };
+            // PFOR: small values, an exception every 17th row.
+            let w = if i % 17 == 0 { 200 + i % 50 } else { i % 13 };
+            b.push_row(&[
+                Value::Int(pick(i)),
+                Value::Int(i as i32 * 7 - 3000),
+                Value::Int((i * 37 % 100) as i32),
+                Value::Int(1000 + (i * 13 % 250) as i32),
+                Value::Int(w as i32),
+                domain[d].clone(),
+                domain[df].clone(),
+            ])
+            .unwrap();
+        }
+        let clean = b.finish().unwrap();
+        let oracle = clean.read_all(Layout::Column).unwrap();
+        let cols = &clean.col_storage().unwrap().columns;
+        let vpp: Vec<usize> = cols.iter().map(|c| c.values_per_page).collect();
+        assert!(
+            vpp.iter().all(|&v| v < LONE),
+            "{vpp:?}: a lone run shares a page"
+        );
+        let mut short = clean.clone();
+        for col in [5, 6] {
+            let codec = short.col_storage().unwrap().columns[col].comp.codec.clone();
+            short.col.as_mut().unwrap().columns[col].comp = dict(3, codec);
+        }
+        let (clean, short) = (Arc::new(clean), Arc::new(short));
+        let shapes = [
+            ("lone", Predicate::eq(0, 1)),
+            ("consecutive", Predicate::eq(0, 0)),
+            ("scattered", Predicate::eq(0, 2)),
+            ("whole", Predicate::ge(0, 0)),
+        ];
+        let driven = [
+            Predicate::new(4, CmpOp::Ne, Value::Int(7)),
+            Predicate::ge(5, 17),
+        ];
+        let scan = |t: &Arc<Table>, preds: &[Predicate], fast: bool| {
+            let sys = SystemConfig {
+                page_size: PAGE,
+                block_tuples: 2500,
+                ..SystemConfig::default()
+            }
+            .with_scan_fast_path(fast);
+            let ctx = ExecContext::new(HardwareConfig::default(), sys, 1.0).unwrap();
+            let proj = (1..names.len()).collect();
+            let mut cs =
+                ColumnScanner::new(t.clone(), proj, preds.to_vec(), false, &ctx, None).unwrap();
+            let mut rows = Vec::new();
+            let failed = loop {
+                match cs.next() {
+                    Ok(Some(block)) => {
+                        let positions = block.positions().iter().copied();
+                        rows.extend(positions.zip(block.rows().unwrap()));
+                    }
+                    Ok(None) => break None,
+                    Err(e) => break Some(e),
+                }
+            };
+            (cs, rows, failed)
+        };
+        // Per driven node: its `NodeTally`, then each predicate's tally.
+        let tallies = |cs: &ColumnScanner| -> Vec<Vec<u64>> {
+            cs.nodes[1..]
+                .iter()
+                .map(|node| {
+                    let t = &node.tally;
+                    let preds = node.pred_tallies.iter().flat_map(|p| [p.evals, p.passes]);
+                    [
+                        t.positions_seen,
+                        t.values_decoded,
+                        t.blocks_decoded,
+                        t.gathered,
+                        t.vec_pred_evals,
+                        t.pages_skipped_z,
+                        t.values_written,
+                    ]
+                    .into_iter()
+                    .chain(preds)
+                    .collect()
+                })
+                .collect()
+        };
+        let mut totals = [[0u64; 9]; 2];
+        for (shape, pick_pred) in &shapes {
+            for with_driven in [false, true] {
+                let mut preds = vec![pick_pred.clone()];
+                if with_driven {
+                    preds.extend(driven.iter().cloned());
+                }
+                let order = crate::predicate::scan_columns(&[1, 2, 3, 4, 5, 6], &preds);
+                for fast in [false, true] {
+                    let what = format!("{shape} driven preds={with_driven} fast={fast}");
+                    let (cs, rows, failed) = scan(&clean, &preds, fast);
+                    assert!(failed.is_none(), "{what}: {failed:?}");
+                    // The positions reaching each driven node, and what it
+                    // should have billed for them.
+                    let mut reach: Vec<u64> = (0..ROWS as u64)
+                        .filter(|&pos| pick_pred.eval_value(&oracle[pos as usize][0]))
+                        .collect();
+                    let mut expect = Vec::new();
+                    for &col in &order[1..] {
+                        let n = reach.len() as u64;
+                        let mut pages: Vec<u64> =
+                            reach.iter().map(|&p| p / vpp[col] as u64).collect();
+                        pages.dedup();
+                        let page_rows: u64 = pages
+                            .iter()
+                            .map(|&p| (vpp[col] as u64).min(ROWS as u64 - p * vpp[col] as u64))
+                            .sum();
+                        let node_preds: Vec<Predicate> =
+                            preds.iter().filter(|p| p.col == col).cloned().collect();
+                        let mut pred_tallies = vec![PredTally::default(); node_preds.len()];
+                        reach.retain(|&pos| {
+                            let value = &oracle[pos as usize][col];
+                            let holds = |_, p: &Predicate| Ok(p.eval_value(value));
+                            conjunction(&node_preds, &mut pred_tallies, holds).unwrap()
+                        });
+                        let (values, blocks, gathered) =
+                            if fast { (0, page_rows, n) } else { (n, 0, 0) };
+                        let bill = [n, values, blocks, gathered, 0, 0, reach.len() as u64];
+                        let preds = pred_tallies.iter().flat_map(|p| [p.evals, p.passes]);
+                        expect.push(bill.into_iter().chain(preds).collect::<Vec<u64>>());
+                    }
+                    let got = tallies(&cs);
+                    assert_eq!(got, expect, "{what}");
+                    let want: Vec<(u64, Vec<Value>)> = reach
+                        .iter()
+                        .map(|&pos| (pos, oracle[pos as usize][1..].to_vec()))
+                        .collect();
+                    assert_eq!(rows, want, "{what}");
+                    for node in &got {
+                        for (total, n) in totals[usize::from(fast)].iter_mut().zip(node) {
+                            *total += n;
+                        }
+                    }
+                    if with_driven {
+                        continue;
+                    }
+                    // Under the short dictionaries: exact where no run reads
+                    // a rare slot, else the scalar path's error and rows.
+                    let (short_cs, short_rows, short_failed) = scan(&short, &preds, fast);
+                    let first_bad = want
+                        .iter()
+                        .map(|(pos, _)| *pos)
+                        .find(|&pos| rare(pos as usize));
+                    let Some(bad) = first_bad else {
+                        assert!(short_failed.is_none(), "{what}: {short_failed:?}");
+                        assert_eq!(short_rows, rows, "{what}");
+                        assert_eq!(tallies(&short_cs), got, "{what}");
+                        continue;
+                    };
+                    let e = short_failed.unwrap_or_else(|| panic!("{what}: no error"));
+                    let Error::Corrupt(c) = &e else {
+                        panic!("{what}: {e:?}");
+                    };
+                    assert!(
+                        e.to_string().contains("dictionary code 3 out of range"),
+                        "{e}"
+                    );
+                    assert_eq!(c.page_id, Some(bad / vpp[5] as u64), "{what}");
+                    assert!(short_rows.iter().all(|(pos, _)| *pos < bad), "{what}");
+                    assert_eq!(short_rows[..], want[..short_rows.len()], "{what}");
+                    let (_, scalar_rows, scalar_failed) = scan(&short, &preds, false);
+                    assert_eq!(scalar_failed.as_ref(), Some(&e), "{what}");
+                    assert_eq!(scalar_rows, short_rows, "{what}");
+                }
+            }
+        }
+        // Summed over the cells, per path.
+        let scalar = [181423, 181423, 0, 0, 0, 0, 173504, 34439, 26520];
+        let fast = [181423, 0, 394704, 181423, 0, 0, 173504, 34439, 26520];
+        assert_eq!(totals, [scalar, fast]);
     }
 
     #[test]
