@@ -9,46 +9,30 @@
 //! at every projectivity, while its cache behaviour (usr-L1) tracks the
 //! column store.
 
-use rodb_bench::{actual_rows, paper_config, seed};
+use std::fmt::Write;
+
 use rodb_core::projectivity_sweep;
 use rodb_engine::{Predicate, ScanLayout};
-use rodb_storage::BuildLayouts;
-use rodb_tpch::{load_lineitem, partkey_threshold, Variant};
-use std::sync::Arc;
+use rodb_tpch::{partkey_threshold, Variant};
 
-fn main() {
-    rodb_bench::banner(
+use crate::{banner, lineitem, paper_config, Result};
+
+pub(super) fn run() -> Result<String> {
+    let mut o = banner(
         "Ablation: PAX",
         "plain rows vs PAX rows vs columns (LINEITEM, 10% selectivity)",
     );
     let cfg = paper_config();
     let pred = Predicate::lt(0, partkey_threshold(0.10));
-    let plain = Arc::new(
-        load_lineitem(
-            actual_rows(),
-            seed(),
-            4096,
-            BuildLayouts::both(),
-            Variant::Plain,
-        )
-        .expect("plain loads"),
-    );
-    let pax = Arc::new(
-        load_lineitem(
-            actual_rows(),
-            seed(),
-            4096,
-            BuildLayouts::both(),
-            Variant::Pax,
-        )
-        .expect("pax loads"),
-    );
+    let plain = lineitem(Variant::Plain)?;
+    let pax = lineitem(Variant::Pax)?;
 
-    let rows = projectivity_sweep(&plain, ScanLayout::Row, &pred, &cfg).expect("rows");
-    let paxs = projectivity_sweep(&pax, ScanLayout::Row, &pred, &cfg).expect("pax");
-    let cols = projectivity_sweep(&plain, ScanLayout::Column, &pred, &cfg).expect("cols");
+    let rows = projectivity_sweep(&plain, ScanLayout::Row, &pred, &cfg)?;
+    let paxs = projectivity_sweep(&pax, ScanLayout::Row, &pred, &cfg)?;
+    let cols = projectivity_sweep(&plain, ScanLayout::Column, &pred, &cfg)?;
 
-    println!(
+    writeln!(
+        o,
         "\n{:>6} {:>6} | {:>9} {:>9} {:>9} | {:>9} {:>9} {:>9} | {:>8} {:>8} {:>8}",
         "attrs",
         "bytes",
@@ -61,10 +45,10 @@ fn main() {
         "row-L1",
         "pax-L1",
         "col-L1"
-    );
+    )?;
     for i in 0..rows.len() {
         let (r, p, c) = (&rows[i].report, &paxs[i].report, &cols[i].report);
-        println!(
+        writeln!(o,
             "{:>6} {:>6} | {:>9.2} {:>9.2} {:>9.2} | {:>9.2} {:>9.2} {:>9.2} | {:>8.3} {:>8.3} {:>8.3}",
             rows[i].attrs,
             rows[i].selected_bytes,
@@ -77,25 +61,32 @@ fn main() {
             r.cpu.usr_l1,
             p.cpu.usr_l1,
             c.cpu.usr_l1,
-        );
+        )?;
     }
 
     let last = rows.len() - 1;
-    println!(
+    writeln!(
+        o,
         "\nPAX I/O vs row I/O at full projection: {:.2}s vs {:.2}s \
          (paper: \"I/O performance is identical to that of a row-store\"; \
          PAX packs slightly denser — no per-tuple padding)",
         paxs[last].report.io_s(),
         rows[last].report.io_s()
-    );
-    println!(
+    )?;
+    writeln!(
+        o,
         "PAX usr-L1 at 1 attr: {:.3}s vs plain-row {:.3}s, column {:.3}s \
          (the §6 cache-locality benefit)",
         paxs[0].report.cpu.usr_l1, rows[0].report.cpu.usr_l1, cols[0].report.cpu.usr_l1
+    )?;
+    let (pax_io, row_io) = (paxs[last].report.io_s(), rows[last].report.io_s());
+    ensure!(
+        paxs[0].report.cpu.usr_l1 < rows[0].report.cpu.usr_l1,
+        "PAX usr-L1 >= rows'"
     );
-    assert!(paxs[0].report.cpu.usr_l1 < rows[0].report.cpu.usr_l1);
-    assert!(
-        (paxs[last].report.io_s() - rows[last].report.io_s()).abs() / rows[last].report.io_s()
-            < 0.05
+    ensure!(
+        (pax_io - row_io).abs() / row_io < 0.05,
+        "PAX I/O {pax_io:.2}s vs rows' {row_io:.2}s"
     );
+    Ok(o)
 }

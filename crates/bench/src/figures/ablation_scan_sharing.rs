@@ -10,28 +10,45 @@
 //! full solo CPU, so shared CPU grows with k while shared I/O stays one
 //! file pass.
 
-use rodb_bench::{lineitem, virtual_rows};
+use std::fmt::Write;
+
 use rodb_core::ExperimentConfig;
 use rodb_engine::{CursorQuery, Predicate, QueryPlan, ScanLayout, ScanSpec, SharedCursor};
 use rodb_tpch::{partkey_threshold, Variant};
-use rodb_trace::{Json, MetricsRegistry};
+use rodb_trace::Json;
 
-fn main() {
-    rodb_bench::banner(
+use super::{fresh_metrics, metrics_snapshot};
+use crate::{banner, lineitem, Result, ROWS, VIRTUAL_ROWS};
+
+/// `results/ablation_scan_sharing.txt`.
+pub(super) fn text() -> Result<String> {
+    Ok(run()?.0)
+}
+
+/// `results/ablation_scan_sharing.json`: the points and the metrics
+/// registry after the run.
+pub(super) fn json() -> Result<String> {
+    Ok(run()?.1)
+}
+
+fn run() -> Result<(String, String)> {
+    fresh_metrics();
+    let mut o = banner(
         "Ablation: scan sharing",
         "k queries off one stream vs k independent scans (LINEITEM rows)",
     );
-    let t = lineitem(Variant::Plain);
+    let t = lineitem(Variant::Plain)?;
     let cfg = ExperimentConfig {
-        virtual_rows: virtual_rows(),
+        virtual_rows: VIRTUAL_ROWS,
         ..Default::default()
     };
-    let scale = virtual_rows() as f64 / t.row_count as f64;
+    let scale = VIRTUAL_ROWS as f64 / t.row_count as f64;
 
-    println!(
+    writeln!(
+        o,
         "\n{:>3} | {:>12} {:>12} | {:>14} {:>14}",
         "k", "shared-io", "shared-cpu", "independent-io", "independent-cpu"
-    );
+    )?;
     let mut points: Vec<Json> = Vec::new();
     for k in [1usize, 2, 4, 8] {
         let queries: Vec<ScanSpec> = (0..k)
@@ -46,20 +63,17 @@ fn main() {
 
         // Shared: one cursor, one driver pass over the whole file.
         let mut cursor =
-            SharedCursor::new(t.clone(), ScanLayout::Row, 1, cfg.hw, cfg.sys, scale, None)
-                .expect("cursor");
+            SharedCursor::new(t.clone(), ScanLayout::Row, 1, cfg.hw, cfg.sys, scale, None)?;
         for (token, q) in queries.iter().enumerate() {
-            cursor
-                .attach(CursorQuery {
-                    token,
-                    plan: QueryPlan::new(q.clone()),
-                    collect: false,
-                })
-                .expect("attach");
+            cursor.attach(CursorQuery {
+                token,
+                plan: QueryPlan::new(q.clone()),
+                collect: false,
+            })?;
         }
         let mut shared_cpu = 0.0f64;
         while cursor.active_count() > 0 {
-            let step = cursor.step().expect("shared scan");
+            let step = cursor.step()?;
             shared_cpu += step.done.iter().map(|d| d.cpu_s).sum::<f64>();
         }
         let shared_io = cursor.io_stats().total_s();
@@ -71,7 +85,7 @@ fn main() {
         for q in &queries {
             let ec = ExperimentConfig {
                 competing_scans: k - 1,
-                virtual_rows: virtual_rows(),
+                virtual_rows: VIRTUAL_ROWS,
                 ..Default::default()
             };
             let r = rodb_core::scan_report(
@@ -80,17 +94,17 @@ fn main() {
                 &q.projection,
                 q.predicates[0].clone(),
                 &ec,
-            )
-            .expect("scan");
+            )?;
             // Concurrent queries: wall time is the slowest, CPU adds up.
             indep_io = indep_io.max(r.io_s());
             indep_cpu += r.cpu.total();
         }
 
-        println!(
+        writeln!(
+            o,
             "{:>3} | {:>12.2} {:>12.2} | {:>14.2} {:>14.2}",
             k, shared_io, shared_cpu, indep_io, indep_cpu
-        );
+        )?;
         let shared_total = shared_io.max(shared_cpu);
         let indep_total = indep_io.max(indep_cpu);
         points.push(
@@ -104,19 +118,20 @@ fn main() {
                 .set("sharing_speedup", indep_total / shared_total.max(1e-12)),
         );
     }
-    println!(
+    writeln!(
+        o,
         "\nShared I/O stays one file pass (~53 s at paper scale) for any k; \
          independent scans contend like Figure 11's competitors. CPU is \
          charged per query on both sides (riders keep their solo scan costs)."
-    );
+    )?;
 
     let doc = Json::obj()
         .set("bench", "ablation_scan_sharing")
-        .set("actual_rows", rodb_bench::actual_rows())
-        .set("virtual_rows", virtual_rows())
+        .set("actual_rows", ROWS)
+        .set("virtual_rows", VIRTUAL_ROWS)
         .set("points", points)
-        .set("metrics", MetricsRegistry::drain());
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/ablation_scan_sharing.json", doc.pretty()).expect("write results");
-    println!("wrote results/ablation_scan_sharing.json");
+        .set("metrics", metrics_snapshot());
+    // The `figures` bin writes both files of this run.
+    writeln!(o, "wrote results/ablation_scan_sharing.json")?;
+    Ok((o, doc.pretty()))
 }

@@ -9,34 +9,37 @@
 //! against the naive baseline that runs the same requests query-at-a-time,
 //! each paying its own full pass.
 //!
-//! Gates (exit 1 on failure):
+//! Gates (an `Err` on failure):
 //! 1. **Throughput** — at 8 concurrent queries the shared schedule must
 //!    finish the batch >= 2x faster on the modeled clock.
 //! 2. **Single-pass I/O** — the shared run's bytes read must be one file
 //!    pass per wraparound cycle (within 5%), not one pass per query.
 //!
-//! Results (throughput, latency p50/p95/p99, I/O, schedule counters) land
-//! in `results/bench_service.json`. `--smoke` shrinks the table for CI.
+//! Results (throughput, latency p50/p95/p99, I/O, schedule counters) are
+//! `results/bench_service.json`.
 
 use std::sync::Arc;
 
 use rodb_core::{QueryBuilder, QueryService, ServiceReport, ServiceRequest};
 use rodb_engine::{CmpOp, ScanLayout};
 use rodb_storage::{BuildLayouts, Table, TableBuilder};
-use rodb_trace::{Json, MetricsRegistry};
+use rodb_trace::Json;
 use rodb_types::{Column, HardwareConfig, Schema, ServiceSpec, SplitMix64, SystemConfig, Value};
+
+use super::{fresh_metrics, metrics_snapshot};
+use crate::{Result, ROWS, SEED, VIRTUAL_ROWS};
 
 const PAGE: usize = 4096;
 const QUERIES: usize = 8;
 
 /// Wide lineitem-style hot table: 8 int columns, so a row scan moves
 /// 32-byte tuples while each query touches one or two of them.
-fn build_table(n: usize) -> Arc<Table> {
-    let schema = Arc::new(
-        Schema::new((0..8).map(|i| Column::int(format!("f{i}"))).collect()).expect("schema"),
-    );
-    let mut b = TableBuilder::new("hot", schema, PAGE, BuildLayouts::both()).expect("builder");
-    for i in 0..n {
+fn build_table() -> Result<Arc<Table>> {
+    let schema = Arc::new(Schema::new(
+        (0..8).map(|i| Column::int(format!("f{i}"))).collect(),
+    )?);
+    let mut b = TableBuilder::new("hot", schema, PAGE, BuildLayouts::both())?;
+    for i in 0..ROWS {
         let v = i as i32;
         b.push_row(&[
             Value::Int(v % 100),
@@ -47,37 +50,25 @@ fn build_table(n: usize) -> Arc<Table> {
             Value::Int(v % 19),
             Value::Int(v % 23),
             Value::Int(v % 29),
-        ])
-        .expect("row");
+        ])?;
     }
-    Arc::new(b.finish().expect("table"))
+    Ok(Arc::new(b.finish()?))
 }
 
 /// The i-th narrow row-store query of the workload.
-fn query(table: &Arc<Table>, i: usize, sys: SystemConfig, vrows: u64) -> QueryBuilder {
+fn query(table: &Arc<Table>, i: usize, sys: SystemConfig) -> Result<QueryBuilder> {
     let q = QueryBuilder::new(table.clone(), HardwareConfig::default(), sys)
         .layout(ScanLayout::Row)
         .select_indices(&[i % 8, (i + 3) % 8])
-        .scale_to_rows(vrows);
-    if i % 2 == 1 {
-        q.filter("f1", CmpOp::Lt, Value::Int((1_000 * i) as i32))
-            .expect("predicate")
+        .scale_to_rows(VIRTUAL_ROWS);
+    Ok(if i % 2 == 1 {
+        q.filter("f1", CmpOp::Lt, Value::Int((1_000 * i) as i32))?
     } else {
         q
-    }
+    })
 }
 
-fn summarize(name: &str, r: &ServiceReport) -> Json {
-    println!(
-        "{name:>7}: makespan {:>8.2}s  throughput {:>6.3} q/s  p50 {:>7.2}s  p95 {:>7.2}s  \
-         p99 {:>7.2}s  read {:>6.2} GB",
-        r.makespan_s,
-        r.throughput(),
-        r.latency_quantile(0.50),
-        r.latency_quantile(0.95),
-        r.latency_quantile(0.99),
-        r.io.bytes_read / 1e9,
-    );
+fn summarize(r: &ServiceReport) -> Json {
     Json::obj()
         .set("makespan_s", r.makespan_s)
         .set("throughput_per_s", r.throughput())
@@ -89,22 +80,16 @@ fn summarize(name: &str, r: &ServiceReport) -> Json {
         .set("wraparounds", r.wraparounds)
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let n = if smoke { 20_000 } else { 200_000 };
-    let vrows = rodb_bench::virtual_rows();
-    rodb_bench::banner(
-        "bench_service",
-        "shared scan cursors vs query-at-a-time under Poisson arrivals",
-    );
-    let table = build_table(n);
-    let scale = vrows as f64 / n as f64;
+pub(super) fn run() -> Result<String> {
+    fresh_metrics();
+    let table = build_table()?;
+    let scale = VIRTUAL_ROWS as f64 / ROWS as f64;
     let hw = HardwareConfig::default();
 
     // Estimated single-pass disk time sets the arrival rate (all QUERIES
     // arrivals land within ~one pass, so the cursor actually gets riders)
     // and the slice width (~24 segments per cycle).
-    let pass_bytes = table.row.as_ref().expect("row storage").byte_len() as f64 * scale;
+    let pass_bytes = table.row_storage()?.byte_len() as f64 * scale;
     let est_pass_s = pass_bytes / hw.aggregate_disk_bw();
     let lambda = QUERIES as f64 / est_pass_s;
     let spec = ServiceSpec::new(QUERIES).with_slice(est_pass_s / 24.0);
@@ -116,93 +101,58 @@ fn main() {
 
     // Seeded open-loop Poisson arrivals: exponential inter-arrival times
     // via inverse transform, -ln(u)/lambda.
-    let mut rng = SplitMix64::new(rodb_bench::seed());
+    let mut rng = SplitMix64::new(SEED);
     let mut arrivals = Vec::with_capacity(QUERIES);
     let mut t = 0.0f64;
     for _ in 0..QUERIES {
         arrivals.push(t);
         t += -rng.f64().max(1e-12).ln() / lambda;
     }
-    println!(
-        "workload: {QUERIES} queries, lambda {lambda:.3}/s over an estimated {est_pass_s:.1}s \
-         pass, arrivals 0..{:.2}s",
-        arrivals.last().copied().unwrap_or(0.0)
-    );
 
-    let submit = |svc: &mut QueryService| {
+    let service = || -> Result<QueryService> {
+        let mut svc = QueryService::new(hw, sys)?;
         for (i, &at) in arrivals.iter().enumerate() {
             svc.submit(
-                ServiceRequest::new(query(&table, i, sys, vrows))
+                ServiceRequest::new(query(&table, i, sys)?)
                     .at(at)
                     .tenant(["a", "b", "c"][i % 3])
                     .measure_only(),
             );
         }
+        Ok(svc)
     };
-    let mut shared_svc = QueryService::new(hw, sys).expect("service");
-    submit(&mut shared_svc);
-    let shared = shared_svc.run().expect("shared run");
-    let mut naive_svc = QueryService::new(hw, sys).expect("service");
-    submit(&mut naive_svc);
-    let naive = naive_svc.run_query_at_a_time().expect("naive run");
-
-    println!();
-    let shared_json = summarize("shared", &shared);
-    let naive_json = summarize("naive", &naive);
+    let shared = service()?.run()?;
+    let naive = service()?.run_query_at_a_time()?;
     let ratio = naive.makespan_s / shared.makespan_s.max(1e-12);
-    let mut failed = false;
 
     // Gate 1: >= 2x aggregate throughput from sharing at 8 riders.
-    if ratio >= 2.0 {
-        println!("\ngate: shared cursors finish the batch {ratio:.2}x faster (need >= 2x)");
-    } else {
-        println!("\nFAIL: shared/naive makespan ratio {ratio:.2}x < 2x");
-        failed = true;
-    }
+    ensure!(ratio >= 2.0, "shared/naive makespan ratio {ratio:.2}x < 2x");
 
     // Gate 2: the shared run reads one file pass per wraparound cycle —
     // a solo query's pass is the unit (row scans read full tuples).
-    let solo_bytes = query(&table, 0, SystemConfig::default(), vrows)
-        .run()
-        .expect("solo pass")
+    let solo_bytes = query(&table, 0, SystemConfig::default())?
+        .run()?
         .report
         .io
         .bytes_read;
     let cycles = (shared.wraparounds + 1) as f64;
-    if shared.io.bytes_read <= cycles * solo_bytes * 1.05 {
-        println!(
-            "gate: shared I/O is {:.2} passes over {} wraparound cycle(s) — one stream, \
-             not {QUERIES}",
-            shared.io.bytes_read / solo_bytes,
-            shared.wraparounds + 1
-        );
-    } else {
-        println!(
-            "FAIL: shared run read {:.2} passes worth of bytes over {} cycle(s)",
-            shared.io.bytes_read / solo_bytes,
-            shared.wraparounds + 1
-        );
-        failed = true;
-    }
+    let passes = shared.io.bytes_read / solo_bytes;
+    ensure!(
+        shared.io.bytes_read <= cycles * solo_bytes * 1.05,
+        "shared run read {passes:.2} passes worth of bytes over {cycles} cycle(s)"
+    );
 
     let doc = Json::obj()
         .set("bench", "service")
-        .set("rows", n)
-        .set("smoke", smoke)
-        .set("virtual_rows", vrows)
+        .set("rows", ROWS)
+        .set("virtual_rows", VIRTUAL_ROWS)
         .set("queries", QUERIES)
         .set("lambda_per_s", lambda)
         .set("est_pass_s", est_pass_s)
-        .set("seed", rodb_bench::seed())
-        .set("shared", shared_json)
-        .set("naive", naive_json)
+        .set("seed", SEED)
+        .set("shared", summarize(&shared))
+        .set("naive", summarize(&naive))
         .set("throughput_ratio", ratio)
-        .set("metrics", MetricsRegistry::drain());
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/bench_service.json", doc.pretty()).expect("write results");
-    println!("wrote results/bench_service.json");
-
-    if failed {
-        std::process::exit(1);
-    }
+        .set("metrics", metrics_snapshot());
+    Ok(doc.pretty())
 }

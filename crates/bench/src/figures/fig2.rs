@@ -8,68 +8,75 @@
 //! with the simulator's calibrated scanner costs, and prints both the raw
 //! numbers and the paper's contour buckets.
 
+use std::fmt::Write;
+
 use rodb_model::{bucket, surface, Figure2Config};
 
-fn main() {
-    rodb_bench::banner(
+use crate::{banner, Result};
+
+pub(super) fn run() -> Result<String> {
+    let mut o = banner(
         "Figure 2",
         "column/row speedup surface (50% projection, 10% selectivity)",
     );
     let cfg = Figure2Config::default();
     let cells = surface(&cfg);
 
-    println!("\nSpeedup values (rows: cpdb, cols: tuple width in bytes)");
-    print!("{:>6} |", "cpdb");
+    writeln!(
+        o,
+        "\nSpeedup values (rows: cpdb, cols: tuple width in bytes)"
+    )?;
+    write!(o, "{:>6} |", "cpdb")?;
     for w in &cfg.widths {
-        print!(" {:>6}", w);
+        write!(o, " {:>6}", w)?;
     }
-    println!();
-    println!("{}", "-".repeat(8 + 7 * cfg.widths.len()));
+    writeln!(o, "\n{}", "-".repeat(8 + 7 * cfg.widths.len()))?;
     for (i, cpdb) in cfg.cpdbs.iter().enumerate().rev() {
-        print!("{cpdb:>6} |");
+        write!(o, "{cpdb:>6} |")?;
         for j in 0..cfg.widths.len() {
-            print!(" {:>6.2}", cells[i * cfg.widths.len() + j].speedup);
+            write!(o, " {:>6.2}", cells[i * cfg.widths.len() + j].speedup)?;
         }
-        println!();
+        writeln!(o)?;
     }
 
-    println!("\nContour buckets (paper legend: 0.4-0.8 ... 1.8-2.0)");
-    print!("{:>6} |", "cpdb");
+    writeln!(o, "\nContour buckets (paper legend: 0.4-0.8 ... 1.8-2.0)")?;
+    write!(o, "{:>6} |", "cpdb")?;
     for w in &cfg.widths {
-        print!(" {:>8}", w);
+        write!(o, " {:>8}", w)?;
     }
-    println!();
+    writeln!(o)?;
     for (i, cpdb) in cfg.cpdbs.iter().enumerate().rev() {
-        print!("{cpdb:>6} |");
+        write!(o, "{cpdb:>6} |")?;
         for j in 0..cfg.widths.len() {
-            print!(" {:>8}", bucket(cells[i * cfg.widths.len() + j].speedup));
+            write!(o, " {:>8}", bucket(cells[i * cfg.widths.len() + j].speedup))?;
         }
-        println!();
+        writeln!(o)?;
     }
 
     // The paper's two headline claims about this figure.
     let row_wins: Vec<_> = cells.iter().filter(|c| c.speedup < 1.0).collect();
-    println!("\nCells where the ROW store wins (speedup < 1):");
+    writeln!(o, "\nCells where the ROW store wins (speedup < 1):")?;
     if row_wins.is_empty() {
-        println!("  none");
+        writeln!(o, "  none")?;
     }
     for c in &row_wins {
-        println!(
+        writeln!(
+            o,
             "  width {:>4}B cpdb {:>5} -> {:.2}",
             c.tuple_width, c.cpdb, c.speedup
-        );
+        )?;
     }
-    let max_width_rows_win = row_wins
+    let widest = row_wins
         .iter()
         .map(|c| c.tuple_width)
         .fold(0.0f64, f64::max);
-    println!(
+    let cpdb = row_wins.iter().map(|c| c.cpdb).fold(0.0f64, f64::max);
+    writeln!(
+        o,
         "\nPaper: \"row stores have a potential advantage only when a relation \
          is lean (less than 20 bytes), and only for CPU-constrained \
-         environments (low cpdb)\""
-    );
-    println!(
-        "Measured: rows win only up to {max_width_rows_win} bytes and only at cpdb <= {}",
-        row_wins.iter().map(|c| c.cpdb).fold(0.0f64, f64::max)
-    );
+         environments (low cpdb)\"\n\
+         Measured: rows win only up to {widest} bytes and only at cpdb <= {cpdb}"
+    )?;
+    Ok(o)
 }

@@ -7,6 +7,7 @@
 //! on a platform configured to that cpdb, and compares the measured
 //! column/row speedup with the model's prediction.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
 use rodb_core::ExperimentConfig;
@@ -15,18 +16,20 @@ use rodb_model::{speedup_at, Figure2Config};
 use rodb_storage::{BuildLayouts, Table, TableBuilder};
 use rodb_types::{Column, HardwareConfig, Schema, Value};
 
-fn synthetic_table(width_bytes: usize, rows: u64) -> Arc<Table> {
+use crate::{banner, Result, VIRTUAL_ROWS};
+
+fn synthetic_table(width_bytes: usize, rows: u64) -> Result<Arc<Table>> {
     let nattrs = width_bytes / 4;
     let cols: Vec<Column> = (0..nattrs).map(|i| Column::int(format!("a{i}"))).collect();
-    let schema = Arc::new(Schema::new(cols).unwrap());
-    let mut b = TableBuilder::new("syn", schema, 4096, BuildLayouts::both()).unwrap();
+    let schema = Arc::new(Schema::new(cols)?);
+    let mut b = TableBuilder::new("syn", schema, 4096, BuildLayouts::both())?;
     for i in 0..rows {
         let row: Vec<Value> = (0..nattrs)
             .map(|c| Value::Int(((i as i64 * (c as i64 * 7 + 1)) % 1000) as i32))
             .collect();
-        b.push_row(&row).unwrap();
+        b.push_row(&row)?;
     }
-    Arc::new(b.finish().unwrap())
+    Ok(Arc::new(b.finish()?))
 }
 
 /// A platform with the requested cpdb (vary the clock, keep the paper's
@@ -38,52 +41,55 @@ fn platform(cpdb: f64) -> HardwareConfig {
     }
 }
 
-fn main() {
-    rodb_bench::banner(
+pub(super) fn run() -> Result<String> {
+    let mut o = banner(
         "Figure 2 (measured)",
         "engine-measured speedup vs model prediction, 50% proj / 10% sel",
     );
-    let rows = rodb_bench::actual_rows().min(100_000);
+    let rows = 100_000;
     let cfg = Figure2Config::default();
     let widths = [8usize, 16, 24, 32];
     let cpdbs = [9.0, 18.0, 72.0];
 
-    println!(
+    writeln!(
+        o,
         "\n{:>6} {:>6} | {:>9} {:>9} {:>7}",
         "cpdb", "width", "measured", "model", "ratio"
-    );
+    )?;
     let mut worst: f64 = 1.0;
     for &cpdb in &cpdbs {
         for &w in &widths {
-            let t = synthetic_table(w, rows);
+            let t = synthetic_table(w, rows)?;
             let nattrs = w / 4;
             let proj: Vec<usize> = (0..nattrs / 2).collect();
             let pred = Predicate::lt(0, 100); // values uniform in [0,1000) → 10%
             let ec = ExperimentConfig {
                 hw: platform(cpdb),
-                virtual_rows: rodb_bench::virtual_rows(),
+                virtual_rows: VIRTUAL_ROWS,
                 ..Default::default()
             };
-            let row =
-                rodb_core::scan_report(&t, ScanLayout::Row, &proj, pred.clone(), &ec).unwrap();
-            let col = rodb_core::scan_report(&t, ScanLayout::Column, &proj, pred, &ec).unwrap();
+            let row = rodb_core::scan_report(&t, ScanLayout::Row, &proj, pred.clone(), &ec)?;
+            let col = rodb_core::scan_report(&t, ScanLayout::Column, &proj, pred, &ec)?;
             let measured = row.elapsed_s / col.elapsed_s;
             let model = speedup_at(&cfg, w as f64, cpdb);
-            println!(
+            writeln!(
+                o,
                 "{:>6} {:>6} | {:>9.2} {:>9.2} {:>7.2}",
                 cpdb,
                 w,
                 measured,
                 model,
                 measured / model
-            );
+            )?;
             worst = worst.max((measured / model).max(model / measured));
         }
     }
-    println!(
+    writeln!(
+        o,
         "\nworst measured/model disagreement: {worst:.2}x \
          (the model ignores seeks — §5: \"for simplicity, we do not model disk \
          seeks\" — so measured speedups run slightly below prediction for \
          multi-column scans)"
-    );
+    )?;
+    Ok(o)
 }

@@ -8,92 +8,72 @@
 //! a CPU jump when attribute 2 joins the selection — plain FOR needs 16 bits
 //! instead of 8 but decodes cheaper.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
-use rodb_bench::{actual_rows, paper_config, seed};
 use rodb_compress::{Codec, ColumnCompression};
 use rodb_core::{format_breakdowns, format_sweep, projectivity_sweep};
 use rodb_engine::{Predicate, ScanLayout};
 use rodb_storage::BuildLayouts;
-use rodb_tpch::{load_orders, load_rows, orderdate_threshold, orders_schema, Variant};
+use rodb_tpch::{load_rows, orderdate_threshold, orders_schema, Variant};
 
-fn main() {
-    rodb_bench::banner("Figure 9", "ORDERS-Z (compressed), 10% selectivity");
+use crate::{banner, lineitem, orders, paper_config, Result, ROWS, SEED};
+
+pub(super) fn run() -> Result<String> {
+    let mut o = banner("Figure 9", "ORDERS-Z (compressed), 10% selectivity");
     let cfg = paper_config();
     let pred = Predicate::lt(0, orderdate_threshold(0.10));
 
     // Default ORDERS-Z: FOR-delta(8 bits) on O_ORDERKEY.
-    let t_delta = Arc::new(
-        load_orders(
-            actual_rows(),
-            seed(),
-            4096,
-            BuildLayouts::both(),
-            Variant::Compressed,
-        )
-        .expect("orders-z loads"),
-    );
+    let t_delta = orders(Variant::Compressed)?;
     // FOR variant: "Plain FOR compression for that attribute ... requires
     // more space (16 bits instead of 8), but is computationally less
     // intensive."
-    let mut comps = rodb_tpch::orders_z_compression().expect("codecs");
-    comps[1] = ColumnCompression::new(Codec::For { bits: 16 }, None).expect("FOR-16");
-    let t_for = Arc::new(
-        load_rows(
-            "orders_z_for",
-            orders_schema(),
-            comps,
-            rodb_tpch::OrdersGen::new(actual_rows(), seed()),
-            4096,
-            BuildLayouts::both(),
-        )
-        .expect("orders-z FOR variant loads"),
-    );
+    let mut comps = rodb_tpch::orders_z_compression()?;
+    comps[1] = ColumnCompression::new(Codec::For { bits: 16 }, None)?;
+    let t_for = Arc::new(load_rows(
+        "orders_z_for",
+        orders_schema(),
+        comps,
+        rodb_tpch::OrdersGen::new(ROWS, SEED),
+        4096,
+        BuildLayouts::both(),
+    )?);
 
-    let rows = projectivity_sweep(&t_delta, ScanLayout::Row, &pred, &cfg).expect("row sweep");
-    let col_delta =
-        projectivity_sweep(&t_delta, ScanLayout::Column, &pred, &cfg).expect("delta sweep");
-    let col_for = projectivity_sweep(&t_for, ScanLayout::Column, &pred, &cfg).expect("FOR sweep");
+    let rows = projectivity_sweep(&t_delta, ScanLayout::Row, &pred, &cfg)?;
+    let col_delta = projectivity_sweep(&t_delta, ScanLayout::Column, &pred, &cfg)?;
+    let col_for = projectivity_sweep(&t_for, ScanLayout::Column, &pred, &cfg)?;
 
-    println!(
-        "\n{}",
-        format_sweep(
-            "Figure 9 (left): elapsed seconds (x = uncompressed selected bytes)",
-            &[
-                ("row", &rows),
-                ("col-FORdelta", &col_delta),
-                ("col-FOR", &col_for),
-            ],
-        )
+    let sweep = format_sweep(
+        "Figure 9 (left): elapsed seconds (x = uncompressed selected bytes)",
+        &[
+            ("row", &rows),
+            ("col-FORdelta", &col_delta),
+            ("col-FOR", &col_for),
+        ],
     );
-    println!(
-        "{}",
-        format_breakdowns(
-            "Row store (packed tuples) CPU: 1 and 7 attrs",
-            &[rows[0].clone(), rows[6].clone()]
-        )
+    let row_cpu = format_breakdowns(
+        "Row store (packed tuples) CPU: 1 and 7 attrs",
+        &[rows[0].clone(), rows[6].clone()],
     );
-    println!(
-        "{}",
-        format_breakdowns(
-            "Column store, FOR-delta orderkey: CPU 1..7 attrs",
-            &col_delta
-        )
+    let delta_cpu = format_breakdowns(
+        "Column store, FOR-delta orderkey: CPU 1..7 attrs",
+        &col_delta,
     );
-    println!(
-        "{}",
-        format_breakdowns("Column store, plain FOR orderkey: CPU 1..7 attrs", &col_for)
-    );
+    let for_cpu = format_breakdowns("Column store, plain FOR orderkey: CPU 1..7 attrs", &col_for);
+    writeln!(o, "\n{sweep}\n{row_cpu}\n{delta_cpu}\n{for_cpu}")?;
 
     // Headline effects.
     let jump_delta = col_delta[1].report.cpu.user() - col_delta[0].report.cpu.user();
     let jump_for = col_for[1].report.cpu.user() - col_for[0].report.cpu.user();
-    println!(
+    writeln!(
+        o,
         "CPU jump when attribute 2 joins the selection: FOR-delta +{jump_delta:.2}s \
          vs FOR +{jump_for:.2}s (paper: delta shows \"a sudden jump\")"
-    );
-    let last = col_delta.last().unwrap();
-    println!(
+    )?;
+    let last = col_delta.last().ok_or("an empty sweep")?;
+    writeln!(
+        o,
         "Column store at full projection: cpu {:.1}s vs io {:.1}s -> {} \
          (paper: the compressed column store becomes CPU-bound)",
         last.report.cpu.total(),
@@ -103,32 +83,25 @@ fn main() {
         } else {
             "cpu-bound"
         }
-    );
-    println!(
+    )?;
+    writeln!(
+        o,
         "Row store sys time {:.2}s vs uncompressed ORDERS' ≈1.0s \
          (paper: \"Both systems exhibit reduced system times\")",
         rows[0].report.cpu.sys
-    );
+    )?;
 
     // §4.4's preamble: "we initially ran a selection query on LINEITEM-Z.
     // However, the results for total time did not offer any new insights
     // (the LINEITEM-Z tuple is 52 bytes, and we already saw the effect of a
     // 32-byte wide tuple)." Verify that non-result.
-    let li_z = std::sync::Arc::new(
-        rodb_tpch::load_lineitem(
-            rodb_bench::actual_rows(),
-            rodb_bench::seed(),
-            4096,
-            BuildLayouts::both(),
-            Variant::Compressed,
-        )
-        .expect("lineitem-z loads"),
-    );
+    let li_z = lineitem(Variant::Compressed)?;
     let li_pred = Predicate::lt(0, rodb_tpch::partkey_threshold(0.10));
-    let lz_rows = projectivity_sweep(&li_z, ScanLayout::Row, &li_pred, &cfg).expect("sweep");
-    let lz_cols = projectivity_sweep(&li_z, ScanLayout::Column, &li_pred, &cfg).expect("sweep");
+    let lz_rows = projectivity_sweep(&li_z, ScanLayout::Row, &li_pred, &cfg)?;
+    let lz_cols = projectivity_sweep(&li_z, ScanLayout::Column, &li_pred, &cfg)?;
     let r = &lz_rows[0].report;
-    println!(
+    writeln!(
+        o,
         "\nLINEITEM-Z check (§4.4 preamble): row scan {:.1}s, io-bound: {} — \
          a 51-byte packed tuple behaves like the mid-width cases of Fig. 6, \
          no new insight (as the paper found); column stays cheaper until \
@@ -136,5 +109,6 @@ fn main() {
         r.elapsed_s,
         r.io_bound(),
         100.0 * rodb_core::crossover_fraction(&lz_rows, &lz_cols).unwrap_or(1.0)
-    );
+    )?;
+    Ok(o)
 }

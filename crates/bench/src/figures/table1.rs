@@ -5,15 +5,17 @@
 //! disk time, memory-transfer time (usr-L2 + usr-L1), and CPU time, then
 //! compares with the paper's expected arrows.
 
+use std::fmt::Write;
 use std::sync::Arc;
 
-use rodb_bench::{lineitem, orders, paper_config};
 use rodb_core::{scan_report, ExperimentConfig};
 use rodb_engine::{Predicate, RunReport, ScanLayout};
 use rodb_model::{paper_table1, Trend};
 use rodb_storage::Table;
 use rodb_tpch::{orderdate_threshold, partkey_threshold, Variant};
 use rodb_types::HardwareConfig;
+
+use crate::{banner, lineitem, orders, paper_config, Result};
 
 struct Measured {
     disk: f64,
@@ -42,66 +44,61 @@ fn classify(before: &Measured, after: &Measured) -> (Trend, Trend, Trend) {
     )
 }
 
-fn col_scan(t: &Arc<Table>, attrs: usize, pred: Predicate, cfg: &ExperimentConfig) -> Measured {
+fn col_scan(
+    t: &Arc<Table>,
+    attrs: usize,
+    pred: Predicate,
+    cfg: &ExperimentConfig,
+) -> Result<Measured> {
     let proj: Vec<usize> = (0..attrs).collect();
-    measure(&scan_report(t, ScanLayout::Column, &proj, pred, cfg).expect("scan"))
+    Ok(measure(&scan_report(
+        t,
+        ScanLayout::Column,
+        &proj,
+        pred,
+        cfg,
+    )?))
 }
 
-fn main() {
-    rodb_bench::banner("Table 1", "expected vs measured performance trends");
-    let li = lineitem(Variant::Plain);
-    let li_z = lineitem(Variant::Compressed);
-    let or = orders(Variant::Plain);
+pub(super) fn run() -> Result<String> {
+    let mut o = banner("Table 1", "expected vs measured performance trends");
+    let li = lineitem(Variant::Plain)?;
+    let li_z = lineitem(Variant::Compressed)?;
+    let or = orders(Variant::Plain)?;
     let cfg = paper_config();
     let li_pred = |sel: f64| Predicate::lt(0, partkey_threshold(sel));
     let or_pred = |sel: f64| Predicate::lt(0, orderdate_threshold(sel));
+    // Every ORDERS row of the table scans all 7 attributes at 10%.
+    let orders_all = |cfg: &ExperimentConfig| col_scan(&or, 7, or_pred(0.10), cfg);
 
     // Measure each Table-1 row (column store, per the paper's focus).
     let measured: Vec<(Trend, Trend, Trend)> = vec![
         // 1. selecting more attributes (column store only): 4 -> 12 attrs.
         classify(
-            &col_scan(&li, 4, li_pred(0.10), &cfg),
-            &col_scan(&li, 12, li_pred(0.10), &cfg),
+            &col_scan(&li, 4, li_pred(0.10), &cfg)?,
+            &col_scan(&li, 12, li_pred(0.10), &cfg)?,
         ),
         // 2. decreased selectivity: 10% -> 0.1%.
         classify(
-            &col_scan(&li, 12, li_pred(0.10), &cfg),
-            &col_scan(&li, 12, li_pred(0.001), &cfg),
+            &col_scan(&li, 12, li_pred(0.10), &cfg)?,
+            &col_scan(&li, 12, li_pred(0.001), &cfg)?,
         ),
         // 3. narrower tuples: LINEITEM (150 B) -> ORDERS (32 B), all attrs.
-        classify(
-            &col_scan(&li, 16, li_pred(0.10), &cfg),
-            &col_scan(&or, 7, or_pred(0.10), &cfg),
-        ),
+        classify(&col_scan(&li, 16, li_pred(0.10), &cfg)?, &orders_all(&cfg)?),
         // 4. compression: LINEITEM -> LINEITEM-Z, all attrs.
         classify(
-            &col_scan(&li, 16, li_pred(0.10), &cfg),
-            &col_scan(&li_z, 16, li_pred(0.10), &cfg),
+            &col_scan(&li, 16, li_pred(0.10), &cfg)?,
+            &col_scan(&li_z, 16, li_pred(0.10), &cfg)?,
         ),
         // 5. larger prefetch: depth 2 -> 48 (ORDERS, all attrs).
         classify(
-            &col_scan(
-                &or,
-                7,
-                or_pred(0.10),
-                &paper_config().with_prefetch_depth(2),
-            ),
-            &col_scan(
-                &or,
-                7,
-                or_pred(0.10),
-                &paper_config().with_prefetch_depth(48),
-            ),
+            &orders_all(&paper_config().with_prefetch_depth(2))?,
+            &orders_all(&paper_config().with_prefetch_depth(48))?,
         ),
         // 6. more disk traffic: no competitor -> one competing scan.
         classify(
-            &col_scan(&or, 7, or_pred(0.10), &cfg),
-            &col_scan(
-                &or,
-                7,
-                or_pred(0.10),
-                &paper_config().with_competing_scans(1),
-            ),
+            &orders_all(&cfg)?,
+            &orders_all(&paper_config().with_competing_scans(1))?,
         ),
         // 7. more CPUs / more disks: 1 disk + 1 CPU -> 3 disks + 2 CPUs.
         // §5 models extra CPUs as extra clock; the memory bus stays at the
@@ -119,22 +116,21 @@ fn main() {
                 mem_bytes_per_cycle: 0.5,
                 ..HardwareConfig::default()
             };
-            classify(
-                &col_scan(&or, 7, or_pred(0.10), &before),
-                &col_scan(&or, 7, or_pred(0.10), &after),
-            )
+            classify(&orders_all(&before)?, &orders_all(&after)?)
         },
     ];
 
-    println!(
+    writeln!(
+        o,
         "\nNote on row 5 (larger prefetch): the paper's arrow is for time \
          spent, so \"larger prefetch\" DECREASES disk time.\n"
-    );
-    println!(
+    )?;
+    writeln!(
+        o,
         "{:<48} | {:^13} | {:^13} | {:^13} | section",
         "parameter", "disk (e/m)", "mem (e/m)", "cpu (e/m)"
-    );
-    println!("{}", "-".repeat(110));
+    )?;
+    writeln!(o, "{}", "-".repeat(110))?;
     let mut mismatches = 0;
     for (row, m) in paper_table1().iter().zip(&measured) {
         let ok = |e: Trend, g: Trend| e == g || e == Trend::Flat && g == Trend::Flat;
@@ -155,15 +151,20 @@ fn main() {
         if !ok(row.cpu, m.2) {
             mismatches += 1;
         }
-        println!(
+        writeln!(
+            o,
             "{:<48} | {:^13} | {:^13} | {:^13} | {}",
             row.parameter,
             fmt(row.disk, m.0),
             fmt(row.mem, m.1),
             fmt(row.cpu, m.2),
             row.section
-        );
+        )?;
     }
-    println!("\n(e = paper-expected, m = measured; '!' marks a direction mismatch)");
-    println!("Direction mismatches: {mismatches} of 21 cells");
+    writeln!(
+        o,
+        "\n(e = paper-expected, m = measured; '!' marks a direction mismatch)"
+    )?;
+    writeln!(o, "Direction mismatches: {mismatches} of 21 cells")?;
+    Ok(o)
 }

@@ -1,15 +1,12 @@
-//! Shared plumbing for the experiment harnesses (one binary per figure and
-//! table of the paper — see DESIGN.md's per-experiment index). Every bin
-//! prints modeled-clock numbers only, so its output regenerates byte for
-//! byte; host wall time is measured by the `benchmark/` package alone.
+//! The paper's figures, Table 1, the ablations and the service schedule as
+//! functions: [`figures::FIGURES`] names one per `results/` file, and the
+//! `figures` bin writes them all. Every figure prints modeled-clock numbers
+//! only, so its text regenerates byte for byte, and
+//! `crates/bench/tests/figures.rs` holds `results/` to it in tier-1; host
+//! wall time is measured by the `benchmark/` package alone.
 //!
-//! Environment knobs:
-//! * `RODB_ROWS` — actual rows generated per table (default 200 000).
-//!   Bigger is slower but smoother; results are reported at the virtual
-//!   (paper) scale either way.
-//! * `RODB_VROWS` — virtual row count reported (default 60 000 000, the
-//!   paper's LINEITEM scale-10 / ORDERS scale-40 cardinality).
-//! * `RODB_SEED` — generator seed (default 1).
+//! The scale is fixed: [`ROWS`] rows generated per table, reported at the
+//! paper's [`VIRTUAL_ROWS`], from generator seed [`SEED`].
 
 use std::sync::Arc;
 
@@ -17,61 +14,55 @@ use rodb_core::ExperimentConfig;
 use rodb_storage::{BuildLayouts, Table};
 use rodb_tpch::{load_lineitem, load_orders, Variant};
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Fails the figure with a claim its numbers do not bear out: returns
+/// `Err(format!($claim..))` unless `$holds`.
+macro_rules! ensure {
+    ($holds:expr, $($claim:tt)+) => {
+        let holds: bool = $holds;
+        if !holds {
+            return Err(format!($($claim)+).into());
+        }
+    };
 }
 
-/// Actual rows generated per table.
-pub fn actual_rows() -> u64 {
-    env_u64("RODB_ROWS", 200_000)
-}
+pub mod figures;
 
-/// Virtual rows reported (the paper's 60 M).
-pub fn virtual_rows() -> u64 {
-    env_u64("RODB_VROWS", 60_000_000)
-}
+/// A figure's text, or why it could not be made (a load or scan error, or
+/// a claim of the figure that the numbers do not bear out).
+pub type Result<T> = std::result::Result<T, Box<dyn std::error::Error>>;
+
+/// Rows generated per table.
+pub const ROWS: u64 = 200_000;
+
+/// Rows reported: the paper's LINEITEM scale-10 / ORDERS scale-40
+/// cardinality.
+pub const VIRTUAL_ROWS: u64 = 60_000_000;
 
 /// Generator seed.
-pub fn seed() -> u64 {
-    env_u64("RODB_SEED", 1)
-}
+pub const SEED: u64 = 1;
 
 /// Experiment config at paper scale.
-pub fn paper_config() -> ExperimentConfig {
+fn paper_config() -> ExperimentConfig {
     ExperimentConfig {
-        virtual_rows: virtual_rows(),
+        virtual_rows: VIRTUAL_ROWS,
         ..Default::default()
     }
 }
 
-/// LINEITEM (or LINEITEM-Z) with both layouts, at the harness row count.
-pub fn lineitem(variant: Variant) -> Arc<Table> {
-    Arc::new(
-        load_lineitem(actual_rows(), seed(), 4096, BuildLayouts::both(), variant)
-            .expect("lineitem loads"),
-    )
+/// LINEITEM (or a variant) with both layouts, at [`ROWS`].
+fn lineitem(variant: Variant) -> Result<Arc<Table>> {
+    let t = load_lineitem(ROWS, SEED, 4096, BuildLayouts::both(), variant)?;
+    Ok(Arc::new(t))
 }
 
-/// ORDERS (or ORDERS-Z) with both layouts, at the harness row count.
-pub fn orders(variant: Variant) -> Arc<Table> {
-    Arc::new(
-        load_orders(actual_rows(), seed(), 4096, BuildLayouts::both(), variant)
-            .expect("orders loads"),
-    )
+/// ORDERS (or a variant) with both layouts, at [`ROWS`].
+fn orders(variant: Variant) -> Result<Arc<Table>> {
+    let t = load_orders(ROWS, SEED, 4096, BuildLayouts::both(), variant)?;
+    Ok(Arc::new(t))
 }
 
-/// Standard banner so harness outputs are self-describing.
-pub fn banner(figure: &str, what: &str) {
-    println!("==========================================================");
-    println!("{figure}: {what}");
-    println!(
-        "actual rows {} | virtual rows {} | seed {}",
-        actual_rows(),
-        virtual_rows(),
-        seed()
-    );
-    println!("==========================================================");
+/// Standard banner, so every figure's text says what and at which scale.
+fn banner(figure: &str, what: &str) -> String {
+    let rule = "==========================================================";
+    format!("{rule}\n{figure}: {what}\nactual rows {ROWS} | virtual rows {VIRTUAL_ROWS} | seed {SEED}\n{rule}\n")
 }

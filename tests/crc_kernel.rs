@@ -151,3 +151,38 @@ fn a_flipped_wal_payload_bit_replays_to_the_frame_before_it() {
         (2, ends[1], 2)
     );
 }
+
+/// The tests above again with the decode tier pinned to `Scalar`: the
+/// checksum folds only off that tier, so there every input takes the
+/// portable slicing-by-16 loop. Run from tier-1's auto dispatch, this test
+/// re-runs its own binary with `RODB_FORCE_SCALAR=1`, filtered to them and
+/// to itself, which in the child asserts the tier and so the loop.
+#[test]
+fn the_reference_and_flipped_bit_tests_pass_on_the_scalar_tier() {
+    const ME: &str = "the_reference_and_flipped_bit_tests_pass_on_the_scalar_tier";
+    const TESTS: [&str; 4] = [
+        "kernel_matches_a_bit_at_a_time_reference",
+        "sealed_pages_of_all_four_formats_verify_and_any_flipped_bit_fails",
+        "a_flipped_wal_payload_bit_replays_to_the_frame_before_it",
+        ME,
+    ];
+    if std::env::var("RODB_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0") {
+        assert_eq!(
+            rodb::compress::active_tier(),
+            rodb::compress::KernelTier::Scalar
+        );
+        return;
+    }
+    let exe = std::env::current_exe().unwrap();
+    let run = std::process::Command::new(exe)
+        .args(TESTS)
+        .args(["--exact", "--test-threads", "1"])
+        .env("RODB_FORCE_SCALAR", "1")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    let report = format!("{stdout}{}", String::from_utf8_lossy(&run.stderr));
+    assert!(run.status.success(), "{report}");
+    let summary = format!("test result: ok. {} passed", TESTS.len());
+    assert!(stdout.contains(&summary), "{report}");
+}
