@@ -8,13 +8,31 @@
 #
 # Each gate runs in a subshell of its own under `set -e`, so its `cd`, its
 # `code` helper and its `exit` stay its own.
+#
+# Gates fail closed: each first `need`s every file and directory it names,
+# and a missing one fires the gate with its path. Without that, a renamed
+# file would pass — `! grep` reads grep's "no such file" as no hit, and
+# `awk` prints nothing for a file it cannot open.
 
 cd "$(dirname "$0")/.." || exit 2
+
+need() {
+  for p in "$@"; do
+    if [ ! -e "$p" ]; then echo "missing path: $p"; exit 1; fi
+  done
+}
+
+# `need` for a line a gate's `awk` range or exemption starts at.
+need_line() {
+  need "$1"
+  grep -qE "$2" "$1" || { echo "missing in $1: $2"; exit 1; }
+}
 
 # Bytes reach a decoder only through `VerifiedPage` (DESIGN.md,
 # "Checksummed pages"): nothing above the storage crate opens a page
 # type from raw bytes, so nothing above it can re-checksum one.
 no_page_type_constructor_above_storage() {
+  need crates/engine/src crates/core/src
   ! grep -rnE '(ColumnPage|RowPage|PackedRowPage|PaxPage|PageView)::new\(' \
   crates/engine/src crates/core/src
 }
@@ -31,7 +49,9 @@ no_page_type_constructor_above_storage() {
 # in any engine file is a per-row loop back. Test modules, which start
 # at `#[cfg(test)]`, are exempt.
 scan_primitives_have_one_home() {
+  need crates/engine/src
   cd crates/engine/src
+  need scan_core.rs predicate.rs scan_row.rs scan_col.rs scan_col_single.rs memscan.rs
   code() { awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$1"; }
   hits=$(
     for f in *.rs; do
@@ -54,6 +74,7 @@ scan_primitives_have_one_home() {
 # a second CRC. Exempt: tests/crc_kernel.rs, whose bit-at-a-time
 # reference must share no code with the crate.
 the_checksum_has_one_home() {
+  need crates src tests examples crates/storage/src/crc.rs tests/crc_kernel.rs
   ! grep -rniE --include='*.rs' 'EDB8_?8320|fn crc32|_mm_clmulepi64_si128' crates src tests examples \
   | grep -vE '^(crates/storage/src/crc\.rs|tests/crc_kernel\.rs):'
 }
@@ -63,6 +84,7 @@ the_checksum_has_one_home() {
 # checksum's folding tier (crates/storage/src/crc.rs). Comment lines
 # and test modules, which start at `#[cfg(test)]`, are exempt.
 unsafe_lives_in_named_files() {
+  need src crates/compress/src/simd.rs crates/compress/src/bits.rs crates/storage/src/crc.rs
   code() { awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$1" | grep -vE '^[^:]+:[0-9]+: *//'; }
   hits=$(
     for f in $(find crates/*/src src -name '*.rs'); do
@@ -88,6 +110,8 @@ an_accounted_field_has_one_home() {
   fields="$fields|retries|repairs|quarantined_pages|dropped_rows|wal_replayed|wal_discarded"
   fields="$fields|hits|misses|evictions|uops|seq_bytes|rand_misses|l1_lines"
   fields="$fields|branch_mispredicts|io_requests|io_bytes|io_switches|usr_[a-z0-9]+"
+  need crates/engine/src/traced.rs crates/core/src/service.rs
+  need_line crates/core/src/query.rs 'fn register_run\('
   hits=$(
     code crates/engine/src/traced.rs | grep -wE "$fields"
     code crates/core/src/query.rs | awk '/fn register_run\(/,/:     }$/' | grep -wE "$fields"
@@ -106,6 +130,7 @@ an_accounted_field_has_one_home() {
 # meter charges (codec.rs is exempt: header bytes and code widths are
 # the format, not a cost).
 a_design_is_priced_in_one_place() {
+  need crates src crates/core/src crates/cpu/src/costs.rs crates/compress/src/codec.rs
   pricers=$(grep -rlE '(row_scanner_cost|col_scanner_cost|store_rate|model::speedup)\(' crates/core/src)
   hits=$(
     [ "$(echo "$pricers" | grep -c .)" -le 1 ] || echo "priced in: $pricers"
@@ -138,6 +163,9 @@ a_design_is_priced_in_one_place() {
 # arm but the deleted names, and comment lines from the last four.
 a_codec_is_written_once() {
   code() { awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$1"; }
+  need crates src crates/engine/src crates/fuzz/src crates/storage/src/table.rs \
+    crates/storage/src/page_packed.rs crates/engine/src/scan_col.rs crates/storage/src/loader.rs \
+    crates/storage/src/page.rs crates/storage/src/page_pax.rs
   hits=$(
     for f in crates/storage/src/page_packed.rs crates/engine/src/scan_col.rs; do
       code $f | grep -E 'Codec::(BitPack|For|Dict|DictFor|Pfor|TextPack)\b'
@@ -168,6 +196,7 @@ a_codec_is_written_once() {
 # `settle_report(` lives in exec.rs and plan.rs only.
 one_executor_core() {
   code() { awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$1"; }
+  need crates src tests examples crates/engine/src/exec.rs crates/engine/src/plan.rs
   hits=$(
     grep -rnE 'QueryJob|JobOutcome|TaskOutcome|run_jobs|row_page_pass' crates src tests examples
     for f in $(find crates/*/src -name '*.rs'); do
@@ -188,6 +217,7 @@ one_executor_core() {
 # Comment lines and test modules are exempt.
 one_scan_entry_point() {
   code() { awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$1" | grep -vE '^[^:]+:[0-9]+: *//'; }
+  need crates src tests examples crates/engine/src/plan.rs
   hits=$(
     grep -rnE 'supports_ranges|ColumnScanMode|new_range' crates src tests examples
     for f in $(find crates/*/src src -name '*.rs'); do
@@ -212,6 +242,8 @@ one_scan_entry_point() {
 # modules are exempt from the site count.
 one_grouping_rule() {
   code() { awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$1" | grep -vE '^[^:]+:[0-9]+: *//'; }
+  need crates src tests examples crates/engine/src
+  need_line crates/engine/src/agg.rs '^    fn group\('
   hits=$(
     grep -rnE 'install_partial|with_row_range\(0, 0\)' crates src tests examples
     sites=$(for f in crates/engine/src/*.rs; do code $f | grep -F 'ungrouped input'; done)
@@ -252,10 +284,32 @@ no_idle_plane() {
   idle="$idle|\.shared_page_cache\(|enable_profiling|profile_snapshot|\bSort::new\("
   idle="$idle|\bmod sort\b|fn flatten\b|IDENT_FIELDS|bucket_pairs|event_counts|SIMD_BLOCKS"
   idle="$idle|simd_blocks_decoded|SharedCursorConfig"
+  need crates src tests examples crates/types crates/core/src/service.rs
   hits=$(
     grep -rnE --include='*.rs' "$idle" crates src tests examples | grep -vE "$comments"
     grep -rn --include='*.rs' 'wal_page' crates/types | grep -vE "$comments"
     code crates/core/src/service.rs | grep -wF 'Tracer'
+  ) || true
+  if [ -n "$hits" ]; then echo "$hits"; exit 1; fi
+}
+
+# Result rows stay blocks (DESIGN.md, "Blocks are the result format"):
+# a collected query keeps the blocks its plan emitted (`RowBatch`) and
+# readers borrow rows through `RowBatch::iter`, so no engine or core code
+# decodes a block into `Vec<Vec<Value>>` — no `collect_rows(`, no
+# `TupleBlock::rows()?` and no `to_rows(` outside block.rs, which
+# defines the decoders for tests, the oracle and examples. Comment lines
+# and test modules are exempt.
+result_rows_stay_blocks() {
+  code() { awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$1" | grep -vE '^[^:]+:[0-9]+: *//'; }
+  need crates/engine/src crates/core/src crates/engine/src/block.rs
+  hits=$(
+    for f in crates/engine/src/*.rs crates/core/src/*.rs; do
+      case $f in
+        crates/engine/src/block.rs) continue;;
+      esac
+      code $f | grep -E '\bcollect_rows\(|\.rows\(\)\?|\bto_rows\('
+    done
   ) || true
   if [ -n "$hits" ]; then echo "$hits"; exit 1; fi
 }
@@ -280,4 +334,5 @@ gate "One executor core" one_executor_core
 gate "One scan entry point" one_scan_entry_point
 gate "One grouping rule" one_grouping_rule
 gate "No idle plane" no_idle_plane
+gate "Result rows stay blocks" result_rows_stay_blocks
 exit $status

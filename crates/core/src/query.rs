@@ -25,7 +25,7 @@ use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 use rodb_engine::{
-    run_morsels, AggPlan, AggSpec, AggStrategy, CmpOp, ExecContext, Predicate, QueryPlan,
+    run_morsels, AggPlan, AggSpec, AggStrategy, CmpOp, ExecContext, Predicate, QueryPlan, RowBatch,
     RunReport, ScanLayout, ScanSpec,
 };
 use rodb_io::CacheStats;
@@ -44,9 +44,10 @@ static CACHE_KEYS: LazyLock<Keys<CacheStats>> = LazyLock::new(|| Keys::new("quer
 #[derive(Debug, Clone)]
 pub struct QueryResult {
     pub report: RunReport,
-    /// Result rows; populated by [`QueryBuilder::run_collect`], empty for
-    /// the measurement-only [`QueryBuilder::run`].
-    pub rows: Vec<Vec<Value>>,
+    /// Result rows, as the blocks the plan emitted; populated by
+    /// [`QueryBuilder::run_collect`], empty for the measurement-only
+    /// [`QueryBuilder::run`]. Read them with `rows.iter()`.
+    pub rows: RowBatch,
     /// Parallel-execution extras; `None` when the query ran serially.
     pub parallel: Option<ParallelInfo>,
     /// Operator span trace; populated when [`QueryBuilder::trace`] is on.
@@ -398,6 +399,58 @@ mod tests {
         db
     }
 
+    /// `run_collect` keeps the plan's blocks: views read them in place, and
+    /// only the `Vec<Vec<Value>>` bridge decodes, once, on first use.
+    #[test]
+    fn collected_rows_stay_blocks_until_dereferenced() {
+        let db = db();
+        let res = db
+            .query("tab")
+            .unwrap()
+            .layout(ScanLayout::Column)
+            .select(&["k", "v", "t"])
+            .unwrap()
+            .run_collect()
+            .unwrap();
+        assert_eq!(res.rows.len(), 1000);
+        let sum: i64 = res.rows.iter().map(|r| r.int(1) as i64).sum();
+        assert_eq!(sum, 999 * 1000 / 2);
+        assert!(!res.rows.is_decoded());
+        let bridged: &[Vec<Value>] = &res.rows;
+        assert!(res.rows.is_decoded());
+        assert_eq!(bridged, &res.rows.to_rows()[..]);
+        assert_eq!(
+            bridged[999],
+            vec![Value::Int(9), Value::Int(999), Value::text("bb\0\0")]
+        );
+    }
+
+    /// Two morsel workers hand back the serial rows, in serial order.
+    #[test]
+    fn two_threads_collect_the_serial_rows_in_order() {
+        let db = db();
+        for layout in [ScanLayout::Row, ScanLayout::Column] {
+            let q = db
+                .query("tab")
+                .unwrap()
+                .layout(layout)
+                .select(&["v", "t"])
+                .unwrap()
+                .filter("k", CmpOp::Lt, 5)
+                .unwrap();
+            let serial = q.clone().run_collect().unwrap();
+            let par = q.threads(2).run_collect().unwrap();
+            assert!(
+                par.parallel.as_ref().is_some_and(|p| p.morsels > 1),
+                "{layout}"
+            );
+            assert_eq!(par.rows, serial.rows, "{layout}");
+            assert_eq!(par.rows.len(), 500);
+            let v: Vec<i32> = par.rows.iter().map(|r| r.int(0)).collect();
+            assert!(v.windows(2).all(|w| w[0] < w[1]), "{layout}: out of order");
+        }
+    }
+
     #[test]
     fn select_filter_collect() {
         let db = db();
@@ -413,8 +466,8 @@ mod tests {
             .unwrap();
         assert_eq!(res.rows.len(), 100);
         assert_eq!(res.report.rows, 100);
-        for r in &res.rows {
-            assert_eq!(r[0].as_int().unwrap() % 10, 3);
+        for r in res.rows.iter() {
+            assert_eq!(r.int(0) % 10, 3);
         }
     }
 
@@ -455,8 +508,8 @@ mod tests {
             .run_collect()
             .unwrap();
         assert_eq!(res.rows.len(), 10);
-        for r in &res.rows {
-            assert_eq!(r[1], Value::Long(100));
+        for r in res.rows.iter() {
+            assert_eq!(r.long(1), 100);
         }
     }
 

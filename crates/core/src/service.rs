@@ -23,13 +23,15 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::PoisonError;
 
-use rodb_engine::{CursorQuery, QueryDone, ScanLayout, ScanSpec, SegmentStep, SharedCursor};
+use rodb_engine::{
+    CursorQuery, QueryDone, RowBatch, ScanLayout, ScanSpec, SegmentStep, SharedCursor,
+};
 use rodb_io::{shared_page_cache, IoStats, SharedPageCache};
 use rodb_storage::Layout;
 use rodb_trace::{
     FlightEntry, FlightRecorder, Histogram, Json, MetricsHandle, MonitorHandle, Registry, Timeline,
 };
-use rodb_types::{Error, HardwareConfig, Result, ServiceSpec, SystemConfig, Value};
+use rodb_types::{Error, HardwareConfig, Result, ServiceSpec, SystemConfig};
 
 use crate::query::QueryBuilder;
 
@@ -90,7 +92,8 @@ pub struct QueryOutcome {
     /// Arrival → completion on the modeled clock (for rejected queries:
     /// arrival → rejection).
     pub latency_s: f64,
-    pub rows: Vec<Vec<Value>>,
+    /// The collected rows, as blocks (empty unless collected).
+    pub rows: RowBatch,
     pub nrows: u64,
     /// Segment index the query attached to its cursor at.
     pub attach_seg: usize,
@@ -117,7 +120,7 @@ impl QueryOutcome {
             arrival_s: req.arrival_s,
             queue_wait_s,
             latency_s,
-            rows: Vec::new(),
+            rows: RowBatch::default(),
             nrows: 0,
             attach_seg: 0,
             wrapped: false,

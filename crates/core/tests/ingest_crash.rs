@@ -215,8 +215,8 @@ fn snapshot_queries_match_the_model_through_the_builder() {
         .unwrap();
     assert!(agg.parallel.is_none(), "tail queries must run serially");
     assert_eq!(
-        agg.rows[0][0],
-        Value::Long(snap.row_count() as i64),
+        agg.rows.iter().next().map(|r| r.long(0)),
+        Some(snap.row_count() as i64),
         "count must cover ROS + tail"
     );
 

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use rodb_core::{IngestStore, QueryBuilder, QueryService, ServiceRequest};
-use rodb_engine::{AggSpec, CmpOp, ScanLayout};
+use rodb_engine::{AggSpec, CmpOp, RowBatch, ScanLayout};
 use rodb_storage::page::verified_pages;
 use rodb_storage::{BuildLayouts, Table, TableBuilder};
 use rodb_trace::{monitor_handle, MetricsHandle, Registry};
@@ -94,7 +94,7 @@ fn workload(t: &Arc<Table>, hw: HardwareConfig, s: SystemConfig) -> Vec<ServiceR
     ]
 }
 
-fn solo_rows(req: &ServiceRequest) -> Vec<Vec<Value>> {
+fn solo_rows(req: &ServiceRequest) -> RowBatch {
     req.query.run_collect().unwrap().rows
 }
 
@@ -118,6 +118,38 @@ fn service_rows_are_bit_identical_to_solo_runs() {
     assert!(report.outcomes[2].wrapped || report.outcomes[3].wrapped);
     assert!(report.wraparounds >= 1);
     assert!(report.makespan_s > 0.0);
+}
+
+/// Riders hand their rows back as the blocks their plans emitted, through
+/// the shared cursor and query-at-a-time alike: nothing decodes them until
+/// a caller reads them through the `Vec<Vec<Value>>` bridge.
+#[test]
+fn service_outcomes_stay_blocks_until_dereferenced() {
+    let t = table(8_000);
+    let hw = HardwareConfig::default();
+    let s = sys(ServiceSpec::new(4));
+    let reqs = workload(&t, hw, s);
+    for shared in [true, false] {
+        let mut svc = QueryService::new(hw, s).unwrap();
+        for r in &reqs {
+            svc.submit(r.clone());
+        }
+        let report = if shared {
+            svc.run()
+        } else {
+            svc.run_query_at_a_time()
+        }
+        .unwrap();
+        for out in &report.outcomes {
+            assert_eq!(out.rows.len() as u64, out.nrows);
+            assert!(!out.rows.is_empty());
+            assert!(!out.rows.is_decoded(), "shared={shared}: decoded unread");
+        }
+        let first = &report.outcomes[0].rows;
+        let bridged: &[Vec<Value>] = first;
+        assert!(first.is_decoded());
+        assert_eq!(bridged, &first.to_rows()[..]);
+    }
 }
 
 #[test]
@@ -335,7 +367,8 @@ fn wos_tail_is_answered_serially_and_refused_by_the_service() {
 
     let solo = q.run_collect().unwrap();
     assert_eq!(solo.rows.len(), 1_050);
-    assert_eq!(solo.rows[1_049], vec![Value::Int(1_049), Value::Int(1_049)]);
+    let last = solo.rows.iter().last().unwrap().values();
+    assert_eq!(last, vec![Value::Int(1_049), Value::Int(1_049)]);
     for threads in [1, 3] {
         let res = q.clone().threads(threads).run_collect().unwrap();
         assert_eq!(res.rows, solo.rows, "threads={threads}");

@@ -7,10 +7,15 @@
 //! laid out by the block's output schema; both the row scanner and the
 //! column scanner emit exactly this format, which is what makes them
 //! interchangeable (Figure 4).
+//!
+//! Blocks are also the result format: a collected query hands back a
+//! [`RowBatch`], the blocks its plan emitted, and decodes a field only
+//! where a caller reads it.
 
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
-use rodb_types::{tuple, Error, Result, Schema, Value};
+use rodb_types::{tuple, DataType, Error, Result, Schema, Value};
 
 /// A block of densely packed tuples plus their source row positions.
 #[derive(Debug, Clone)]
@@ -184,6 +189,217 @@ impl TupleBlock {
     }
 }
 
+/// A collected query result: the output schema and the blocks the plan
+/// emitted, in emission order, without their lineage (the blocks'
+/// positions are dropped when they are pushed). Rows stay in block form —
+/// `count × logical_width` row-major bytes per block — and are read in
+/// place through [`RowBatch::iter`]'s [`RowView`]s; nothing is decoded
+/// into [`Value`]s unless a caller asks for one.
+///
+/// Every stored block holds a whole number of tuples of the batch's
+/// schema (checked when it is pushed or appended), so every field read is
+/// in bounds and every decode is total.
+#[derive(Clone, Default)]
+pub struct RowBatch {
+    /// The first pushed or appended block's; `None` before (no rows).
+    schema: Option<Arc<Schema>>,
+    /// Each block's tuples, row-major at the schema's logical width.
+    blocks: Vec<Vec<u8>>,
+    len: usize,
+    /// The `Vec<Vec<Value>>` bridge ([`Deref`]), filled on first use.
+    decoded: OnceLock<Vec<Vec<Value>>>,
+}
+
+impl RowBatch {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Take `schema` as the batch's, or check it equals the batch's own.
+    fn adopt(&mut self, schema: &Arc<Schema>) -> Result<()> {
+        match &self.schema {
+            None => self.schema = Some(schema.clone()),
+            Some(s) if Arc::ptr_eq(s, schema) || **s == **schema => {}
+            Some(s) => {
+                return Err(Error::InvalidPlan(format!(
+                    "rows of {} columns joined to a batch of {} columns, or of other types",
+                    schema.len(),
+                    s.len()
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// Keep `block`'s tuples (not its positions). A block left with more
+    /// than half its allocation unused (a scan's narrowed block) is shrunk,
+    /// so a batch never holds more than twice its tuple bytes.
+    pub fn push(&mut self, block: TupleBlock) -> Result<()> {
+        self.adopt(&block.schema)?;
+        if block.count == 0 {
+            return Ok(());
+        }
+        let mut data = block.data;
+        if data.capacity() > 2 * data.len() {
+            data.shrink_to_fit();
+        }
+        self.len += block.count;
+        self.blocks.push(data);
+        self.decoded.take();
+        Ok(())
+    }
+
+    /// Move `other`'s rows behind this batch's: O(blocks), no tuple is
+    /// copied. Fails if the two schemas differ.
+    pub fn append(&mut self, mut other: RowBatch) -> Result<()> {
+        if let Some(s) = &other.schema {
+            self.adopt(s)?;
+        }
+        self.len += other.len;
+        self.blocks.append(&mut other.blocks);
+        self.decoded.take();
+        Ok(())
+    }
+
+    /// Borrowed views of the rows, in order.
+    pub fn iter(&self) -> impl Iterator<Item = RowView<'_>> + '_ {
+        self.schema.iter().flat_map(move |schema| {
+            let width = schema.logical_width().max(1);
+            (self.blocks.iter())
+                .flat_map(move |block| block.chunks_exact(width))
+                .map(move |tuple| RowView { schema, tuple })
+        })
+    }
+
+    /// Decode every row into owned values — for tests, the oracle and
+    /// examples; the engine reads rows through [`RowBatch::iter`].
+    pub fn to_rows(&self) -> Vec<Vec<Value>> {
+        self.iter().map(|r| r.values()).collect()
+    }
+
+    /// Whether the [`Deref`] bridge has decoded this batch.
+    pub fn is_decoded(&self) -> bool {
+        self.decoded.get().is_some()
+    }
+}
+
+/// Lists the rows' values, as the `Vec<Vec<Value>>` it replaces did.
+impl std::fmt::Debug for RowBatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The bridge for callers still written against `Vec<Vec<Value>>` rows
+/// (the benchmark's `&r.rows` and `r.rows.len()`): the first dereference
+/// decodes every row once, through [`RowBatch::to_rows`], and keeps the
+/// decode. It exists only until the benchmark reads rows through
+/// [`RowBatch::iter`] (ROADMAP item 3: the benchmark switches, then this
+/// impl is deleted); non-test code under `crates/` and `src/` never goes
+/// through it.
+impl Deref for RowBatch {
+    type Target = [Vec<Value>];
+
+    fn deref(&self) -> &[Vec<Value>] {
+        self.decoded.get_or_init(|| self.to_rows())
+    }
+}
+
+/// Same rows in the same order: equal schemas (when both hold rows) and
+/// equal tuple bytes — which is value equality, since each type's stored
+/// bytes decode one way.
+impl PartialEq for RowBatch {
+    fn eq(&self, other: &RowBatch) -> bool {
+        if self.len != other.len {
+            return false;
+        }
+        if self.len > 0 && self.schema != other.schema {
+            return false;
+        }
+        self.iter()
+            .zip(other.iter())
+            .all(|(a, b)| a.bytes() == b.bytes())
+    }
+}
+
+impl PartialEq<Vec<Vec<Value>>> for RowBatch {
+    fn eq(&self, other: &Vec<Vec<Value>>) -> bool {
+        self.len == other.len() && self.iter().zip(other).all(|(r, o)| r == o[..])
+    }
+}
+
+/// One row of a [`RowBatch`], borrowed in place.
+#[derive(Clone, Copy)]
+pub struct RowView<'a> {
+    schema: &'a Schema,
+    tuple: &'a [u8],
+}
+
+impl<'a> RowView<'a> {
+    /// The row's raw bytes (the schema's logical width).
+    pub fn bytes(&self) -> &'a [u8] {
+        self.tuple
+    }
+
+    /// The stored bytes of column `col`.
+    pub fn field(&self, col: usize) -> &'a [u8] {
+        tuple::field_slice(self.schema, self.tuple, col)
+    }
+
+    /// An `Int` column.
+    pub fn int(&self, col: usize) -> i32 {
+        tuple::read_int(self.schema, self.tuple, col)
+    }
+
+    /// A `Long` column.
+    pub fn long(&self, col: usize) -> i64 {
+        tuple::read_long(self.schema, self.tuple, col)
+    }
+
+    /// Column `col` decoded to an owned value (text keeps its padding, as
+    /// [`Value::decode`] does).
+    pub fn value(&self, col: usize) -> Value {
+        match self.schema.dtype(col) {
+            DataType::Int => Value::Int(self.int(col)),
+            DataType::Long => Value::Long(self.long(col)),
+            DataType::Text(_) => Value::Text(self.field(col).into()),
+        }
+    }
+
+    /// Every column decoded.
+    pub fn values(&self) -> Vec<Value> {
+        (0..self.schema.len()).map(|c| self.value(c)).collect()
+    }
+}
+
+impl std::fmt::Debug for RowView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.values()).finish()
+    }
+}
+
+/// Column by column, without decoding: a value equals the stored field it
+/// would decode from.
+impl PartialEq<[Value]> for RowView<'_> {
+    fn eq(&self, other: &[Value]) -> bool {
+        self.schema.len() == other.len()
+            && other
+                .iter()
+                .enumerate()
+                .all(|(c, v)| match (self.schema.dtype(c), v) {
+                    (DataType::Int, Value::Int(x)) => self.int(c) == *x,
+                    (DataType::Long, Value::Long(x)) => self.long(c) == *x,
+                    (DataType::Text(_), Value::Text(b)) => self.field(c) == &**b,
+                    _ => false,
+                })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,5 +495,126 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(7));
         assert_eq!(rows[0][2], Value::Int(8));
+    }
+
+    /// A batch of `blocks` blocks of `per` rows each, row `i` = `(i, "t", -i)`.
+    fn batch(blocks: i32, per: i32) -> RowBatch {
+        let s = schema();
+        let mut out = RowBatch::default();
+        for b in 0..blocks {
+            let mut block = TupleBlock::new(s.clone(), per as usize);
+            for i in b * per..(b + 1) * per {
+                block.push_tuple(&encode(i, "t", -i, &s), i as u64).unwrap();
+            }
+            out.push(block).unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn views_to_rows_and_the_bridge_agree() {
+        for (blocks, per) in [(0, 0), (1, 0), (1, 1), (3, 4)] {
+            let b = batch(blocks, per);
+            let n = (blocks * per) as usize;
+            assert_eq!((b.len(), b.is_empty(), b.iter().count()), (n, n == 0, n));
+            let viewed: Vec<Vec<Value>> = b.iter().map(|r| r.values()).collect();
+            let rows = b.to_rows();
+            assert_eq!(viewed, rows);
+            assert!(!b.is_decoded());
+            assert_eq!(&*b, &rows[..]);
+            assert!(b.is_decoded());
+            assert_eq!(b, rows);
+            for (i, r) in b.iter().enumerate() {
+                let i = i as i32;
+                assert_eq!((r.int(0), r.int(2)), (i, -i));
+                assert_eq!(r.field(1), b"t\0\0\0\0");
+                assert_eq!(r.value(1), rows[i as usize][1]);
+                assert_eq!(r.bytes(), encode(i, "t", -i, &schema()));
+            }
+        }
+        assert!(RowBatch::default().iter().next().is_none());
+        assert_eq!(RowBatch::default().to_rows(), Vec::<Vec<Value>>::new());
+    }
+
+    #[test]
+    fn equality_ignores_block_boundaries() {
+        let (one, many) = (batch(1, 12), batch(4, 3));
+        assert_eq!(one, many);
+        assert_eq!((one.blocks.len(), many.blocks.len()), (1, 4));
+        assert_ne!(batch(1, 11), many);
+        assert_eq!(RowBatch::default(), batch(0, 0));
+        let mut rows = many.to_rows();
+        assert!(many == rows);
+        rows[5][1] = Value::text("t");
+        assert!(many != rows, "text compares at its stored width");
+    }
+
+    #[test]
+    fn append_moves_blocks_and_resets_the_bridge() {
+        let mut a = batch(2, 3);
+        let _ = &*a;
+        assert!(a.is_decoded());
+        a.append(RowBatch::default()).unwrap();
+        a.append(batch(1, 2)).unwrap();
+        assert!(!a.is_decoded());
+        assert_eq!((a.len(), a.blocks.len()), (8, 3));
+        assert_eq!(
+            a.to_rows()[6],
+            vec![Value::Int(0), Value::text("t\0\0\0\0"), Value::Int(0)]
+        );
+        let mut empty = RowBatch::default();
+        empty.append(batch(1, 1)).unwrap();
+        assert_eq!(empty.schema.as_deref(), Some(&*schema()));
+    }
+
+    #[test]
+    fn other_schemas_are_refused() {
+        let other = Arc::new(Schema::new(vec![Column::int("a")]).unwrap());
+        let mut b = batch(1, 1);
+        assert!(b.push(TupleBlock::new(other.clone(), 1)).is_err());
+        let mut others = RowBatch::default();
+        others.push(TupleBlock::new(other, 1)).unwrap();
+        assert!(b.append(others).is_err());
+        assert_eq!(b.len(), 1);
+    }
+
+    /// A kept block gives up its positions and, when mostly unused, its
+    /// spare capacity: a batch never outweighs the decoded rows it stands
+    /// for, even when a narrowed block keeps one row of a hundred.
+    #[test]
+    fn a_batch_is_no_larger_than_its_rows() {
+        let s = schema();
+        let mut b = RowBatch::default();
+        for i in 0..50 {
+            let mut block = TupleBlock::new(s.clone(), 100);
+            for j in 0..100 {
+                block
+                    .push_tuple(&encode(i * 100 + j, "t", j, &s), j as u64)
+                    .unwrap();
+            }
+            let keep: Vec<usize> = if i % 2 == 0 {
+                vec![7]
+            } else {
+                (0..100).collect()
+            };
+            block.retain_indices(&keep);
+            b.push(block).unwrap();
+        }
+        let held: usize = b.blocks.iter().map(|d| d.capacity()).sum::<usize>()
+            + b.blocks.capacity() * std::mem::size_of::<Vec<u8>>();
+        let rows = b.to_rows();
+        let decoded: usize = rows
+            .iter()
+            .map(|r| {
+                std::mem::size_of::<Vec<Value>>()
+                    + r.capacity() * std::mem::size_of::<Value>()
+                    + r.iter()
+                        .map(|v| v.as_text().map_or(0, <[u8]>::len))
+                        .sum::<usize>()
+            })
+            .sum();
+        assert_eq!(b.len(), 25 + 25 * 100);
+        assert!(held <= decoded, "batch {held} B, rows {decoded} B");
+        assert!(b.blocks.iter().all(|d| d.capacity() <= 2 * d.len()));
     }
 }

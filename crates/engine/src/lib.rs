@@ -25,7 +25,7 @@ pub mod shared_cursor;
 pub mod traced;
 
 pub use agg::{merge_partials, AggFunc, AggPartial, AggSpec, AggStrategy, Aggregate};
-pub use block::TupleBlock;
+pub use block::{RowBatch, RowView, TupleBlock};
 pub use codepred::{rewrite, rewrite_all, zone_rejects, CodePred};
 pub use degraded::DropSet;
 pub use exec::{run_to_completion, settle_report, RunReport};

@@ -14,7 +14,7 @@ use rodb_io::{DiskArray, SharedDisk};
 use rodb_trace::Tracer;
 use rodb_types::{HardwareConfig, Result, Schema, SystemConfig};
 
-use crate::block::TupleBlock;
+use crate::block::{RowBatch, TupleBlock};
 
 /// Shared per-query state: the simulated disk, the CPU meter, and the
 /// platform/system configuration.
@@ -152,29 +152,27 @@ pub fn drain(op: &mut dyn Operator) -> Result<(u64, u64)> {
 }
 
 /// Result rows (empty unless collected), row count, block count.
-pub type Drained = (Vec<Vec<rodb_types::Value>>, u64, u64);
+pub type Drained = (RowBatch, u64, u64);
 
-/// Drain an operator, materializing its rows when `collect` is set.
+/// Drain an operator, keeping its blocks as the result when `collect` is
+/// set; nothing is decoded.
 pub fn drain_rows(op: &mut dyn Operator, collect: bool) -> Result<Drained> {
     if !collect {
         let (rows, blocks) = drain(op)?;
-        return Ok((Vec::new(), rows, blocks));
+        return Ok((RowBatch::default(), rows, blocks));
     }
-    let mut rows = Vec::new();
+    let mut rows = RowBatch::default();
     let mut blocks = 0u64;
     while let Some(b) = op.next()? {
         blocks += 1;
-        rows.extend(b.rows()?);
+        rows.push(b)?;
     }
     let n = rows.len() as u64;
     Ok((rows, n, blocks))
 }
 
-/// Helper: collect all rows as values (tests and small results).
-pub fn collect_rows(op: &mut dyn Operator) -> Result<Vec<Vec<rodb_types::Value>>> {
-    let mut out = Vec::new();
-    while let Some(b) = op.next()? {
-        out.extend(b.rows()?);
-    }
-    Ok(out)
+/// Every row an operator produces, decoded (unit tests).
+#[cfg(test)]
+pub(crate) fn collect_rows(op: &mut dyn Operator) -> Result<Vec<Vec<rodb_types::Value>>> {
+    Ok(drain_rows(op, true)?.0.to_rows())
 }

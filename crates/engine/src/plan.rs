@@ -20,6 +20,7 @@ use rodb_trace::{QueryTrace, SpanKind};
 use rodb_types::{Error, HardwareConfig, Result, SystemConfig, Value};
 
 use crate::agg::{merge_partials, AggPartial, AggSpec, AggStrategy, Aggregate};
+use crate::block::RowBatch;
 use crate::exec::{settle_report, RunReport};
 use crate::memscan::{Chain, MemScan};
 use crate::op::{drain_rows, Drained, ExecContext, Operator};
@@ -131,9 +132,10 @@ pub struct QueryPlan {
 /// What one [`QueryPlan::run_on`] produced and cost on its context.
 #[derive(Debug)]
 pub struct PlanRun {
-    /// Result rows; empty unless collected, and for a ranged aggregating
-    /// run (whose answer is `partial`).
-    pub rows: Vec<Vec<Value>>,
+    /// Result rows, as the blocks the plan emitted; empty unless
+    /// collected, and for a ranged aggregating run (whose answer is
+    /// `partial`).
+    pub rows: RowBatch,
     /// The context's settled accounting.
     pub report: RunReport,
     /// The unemitted partial of a ranged aggregating run.
@@ -249,7 +251,7 @@ impl QueryPlan {
             let op = plan.aggregate(ctx)?;
             let label = op.label();
             let partial = record_block(ctx, &label, SpanKind::Agg, move || op.into_partial())?;
-            ((Vec::new(), 0, 0), Some(partial))
+            ((RowBatch::default(), 0, 0), Some(partial))
         } else {
             (drain_rows(plan.build(ctx)?.as_mut(), collect)?, None)
         };
@@ -264,7 +266,7 @@ impl QueryPlan {
     }
 
     /// Fold the ranged runs of this plan, in range order, into its answer:
-    /// rows concatenate, or the partial aggregates merge and are emitted
+    /// the pieces' blocks concatenate, or the partial aggregates merge and are emitted
     /// on a fresh single-core context, which reads no input. Returns the
     /// rows and that serial tail's CPU (zero when the plan does not
     /// aggregate).
@@ -277,11 +279,11 @@ impl QueryPlan {
         collect: bool,
     ) -> Result<(Drained, CpuBreakdown)> {
         let Some(agg) = &self.agg else {
-            let (mut rows, mut nrows, mut blocks) = (Vec::new(), 0, 0);
-            for mut piece in pieces {
+            let (mut rows, mut nrows, mut blocks) = (RowBatch::default(), 0, 0);
+            for piece in pieces {
                 nrows += piece.report.rows;
                 blocks += piece.report.blocks;
-                rows.append(&mut piece.rows);
+                rows.append(piece.rows)?;
             }
             return Ok(((rows, nrows, blocks), CpuBreakdown::default()));
         };

@@ -43,8 +43,9 @@ use std::sync::Arc;
 
 use rodb_io::{IoStats, SharedPageCache};
 use rodb_storage::Table;
-use rodb_types::{Error, HardwareConfig, Result, SystemConfig, Value};
+use rodb_types::{Error, HardwareConfig, Result, SystemConfig};
 
+use crate::block::RowBatch;
 use crate::exec::overlapped;
 use crate::op::ExecContext;
 use crate::plan::{PlanRun, QueryPlan, ScanLayout};
@@ -68,7 +69,7 @@ pub struct CursorQuery {
 #[derive(Debug, Clone)]
 pub struct QueryDone {
     pub token: usize,
-    pub rows: Vec<Vec<Value>>,
+    pub rows: RowBatch,
     pub nrows: u64,
     /// Segment index the query attached at.
     pub attach_seg: usize,
@@ -340,7 +341,7 @@ mod tests {
     use crate::plan::{AggPlan, ScanSpec};
     use crate::predicate::Predicate;
     use rodb_storage::{BuildLayouts, TableBuilder};
-    use rodb_types::{CacheSpec, Column, Schema};
+    use rodb_types::{CacheSpec, Column, Schema, Value};
 
     fn table(n: usize) -> Arc<Table> {
         let s = Arc::new(Schema::new(vec![Column::int("a"), Column::int("b")]).unwrap());

@@ -5,11 +5,16 @@
 use std::sync::Arc;
 
 use rodb_engine::{
-    op::collect_rows, AggSpec, AggStrategy, Aggregate, CmpOp, ExecContext, MergeJoin, Operator,
+    drain_rows, AggSpec, AggStrategy, Aggregate, CmpOp, ExecContext, MergeJoin, Operator,
     Predicate, ScanLayout, ScanSpec,
 };
 use rodb_storage::{BuildLayouts, Table, TableBuilder};
-use rodb_types::{Column, HardwareConfig, Schema, SystemConfig, Value};
+use rodb_types::{Column, HardwareConfig, Result, Schema, SystemConfig, Value};
+
+/// Every row `op` produces, decoded.
+fn collect_rows(op: &mut dyn Operator) -> Result<Vec<Vec<Value>>> {
+    Ok(drain_rows(op, true)?.0.to_rows())
+}
 
 fn table(n: usize, page_size: usize) -> Arc<Table> {
     table_in(0..n, page_size)

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use rodb_compress::{Codec, ColumnCompression};
-use rodb_engine::{drain_rows, ExecContext, MergeJoin, ScanLayout, ScanSpec};
+use rodb_engine::{drain_rows, ExecContext, MergeJoin, RowBatch, ScanLayout, ScanSpec};
 use rodb_storage::Table;
 use rodb_types::{DataType, Error, HardwareConfig, SystemConfig, Value};
 
@@ -69,7 +69,7 @@ fn join(
     filtered: bool,
     layout: ScanLayout,
     fast: bool,
-) -> rodb_types::Result<Vec<Vec<Value>>> {
+) -> rodb_types::Result<RowBatch> {
     let sys = SystemConfig {
         page_size: inputs[0].1 .0.page_size,
         scan_fast_path: fast,

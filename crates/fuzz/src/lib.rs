@@ -24,6 +24,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use rodb_core::{QueryBuilder, QueryResult, QueryService, ServiceReport, ServiceRequest};
+use rodb_engine::RowBatch;
 use rodb_io::{CacheStats, IoStats};
 use rodb_storage::page::verified_pages;
 use rodb_storage::{BuildLayouts, QuarantinedPage, Table, TableBuilder};
@@ -104,7 +105,7 @@ struct SoloRun {
 struct ServiceRun {
     table: Arc<Table>,
     /// Each rider's solo rows.
-    want: Rc<Vec<Rows>>,
+    want: Rc<Vec<RowBatch>>,
     has_tail: bool,
     report: rodb_types::Result<ServiceReport>,
 }

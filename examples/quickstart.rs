@@ -81,8 +81,15 @@ fn main() -> Result<()> {
         "\nrevenue by store (first 3 of {} groups):",
         result.rows.len()
     );
+    // The rows stay in the engine's blocks; each view reads its fields in
+    // place (group key `Int`, aggregates `Long`).
     for r in result.rows.iter().take(3) {
-        println!("  store {:>2}: {:>6} sales, {:>12} cents", r[0], r[1], r[2]);
+        println!(
+            "  store {:>2}: {:>6} sales, {:>12} cents",
+            r.int(0),
+            r.long(1),
+            r.long(2)
+        );
     }
 
     // 7. Ask the chooser (the Section-5 model, priced on this database's

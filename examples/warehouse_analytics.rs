@@ -59,10 +59,13 @@ fn main() -> Result<()> {
             res.rows.len()
         );
         if layout == ScanLayout::Column {
-            for r in &res.rows {
+            for r in res.rows.iter() {
                 println!(
                     "    flag {}: {:>8} lines, qty {:>9}, avg price {:>8}",
-                    r[0], r[1], r[2], r[3]
+                    r.value(0),
+                    r.long(1),
+                    r.long(2),
+                    r.long(3)
                 );
             }
         }
@@ -121,10 +124,7 @@ fn main() -> Result<()> {
             &ctx,
         )?;
         let mut root: Box<dyn Operator> = Box::new(agg);
-        let mut groups = Vec::new();
-        while let Some(b) = root.next()? {
-            groups.extend(b.rows()?);
-        }
+        let (groups, _, _) = rodb_engine::drain_rows(root.as_mut(), true)?;
         let report = rodb_engine::run_to_completion(root.as_mut(), &ctx)?;
         println!(
             "  {layout:>6}: {:>7.2} simulated s, {} priority groups",
@@ -132,8 +132,13 @@ fn main() -> Result<()> {
             groups.len()
         );
         if layout == ScanLayout::Column {
-            for g in &groups {
-                println!("    {:<12} {:>8} lineitems, qty {:>9}", g[0], g[1], g[2]);
+            for g in groups.iter() {
+                let priority = g.value(0).to_string();
+                println!(
+                    "    {priority:<12} {:>8} lineitems, qty {:>9}",
+                    g.long(1),
+                    g.long(2)
+                );
             }
         }
     }

@@ -36,8 +36,8 @@ pub mod prelude {
     };
     pub use rodb_engine::{
         AggFunc, AggPlan, AggSpec, AggStrategy, Aggregate, CmpOp, CursorQuery, ExecContext,
-        MergeJoin, Operator, Predicate, QueryPlan, RunReport, ScanLayout, ScanSpec, SharedCursor,
-        TupleBlock,
+        MergeJoin, Operator, Predicate, QueryPlan, RowBatch, RowView, RunReport, ScanLayout,
+        ScanSpec, SharedCursor, TupleBlock,
     };
     pub use rodb_model::{speedup_at, surface, Figure2Config, Platform, Workload};
     pub use rodb_storage::{

@@ -132,7 +132,7 @@ fn morsel_digest(q: QueryBuilder, cell: &str) -> u64 {
     h.report(&res.report)
         .f64(info.cpu_crit_s)
         .usize(info.morsels);
-    h.rows(&res.rows).finish()
+    h.rows(&res.rows.to_rows()).finish()
 }
 
 fn morsel_cells() -> &'static [(String, u64)] {
@@ -203,7 +203,9 @@ fn service_cells() -> Vec<(String, u64)> {
         let mut h = Digest::default();
         h.f64(report.makespan_s).fields("io", &report.io);
         for o in &report.outcomes {
-            h.f64(o.latency_s).usize(o.attach_seg).rows(&o.rows);
+            h.f64(o.latency_s)
+                .usize(o.attach_seg)
+                .rows(&o.rows.to_rows());
         }
         out.push((cell.to_string(), h.finish()));
     }

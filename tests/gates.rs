@@ -1,6 +1,7 @@
 //! The design lints run in tier-1. `ci/gates.sh` holds them, one function
 //! per gate; here it must pass on the tree, and each gate must fire — alone
-//! — on one planted offending line in a copy of the sources.
+//! — on one planted offending line in a copy of the sources, and on a file
+//! it names being renamed away (gates fail closed).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -37,7 +38,7 @@ fn every_design_gate_passes() {
 /// One offending line per gate: the gate, the file, and the line put at
 /// the top of that file (above any test module and outside any comment).
 /// Each line is spelled in two halves, so this file trips no gate itself.
-const PLANTS: [(&str, &str, &str); 11] = [
+const PLANTS: [(&str, &str, &str); 12] = [
     (
         "No page-type constructor above storage",
         "crates/engine/src/lib.rs",
@@ -93,7 +94,33 @@ const PLANTS: [(&str, &str, &str); 11] = [
         "crates/types/src/lib.rs",
         concat!("fn with_", "ingest() {}"),
     ),
+    (
+        "Result rows stay blocks",
+        "crates/core/src/lib.rs",
+        concat!("fn planted() { to_", "rows(); }"),
+    ),
 ];
+
+/// A file a gate names, renamed away: that gate must fire, name the file,
+/// and be the only one to fire.
+const RENAMES: [(&str, &str); 2] = [
+    (
+        "An accounted field has one home",
+        "crates/engine/src/traced.rs",
+    ),
+    ("One grouping rule", "crates/engine/src/agg.rs"),
+];
+
+/// One run of the gates over a copy of the sources.
+#[derive(Clone, Copy)]
+enum Case {
+    /// The copy as it is: every gate passes.
+    Clean,
+    /// `(gate, file, line)`: the line put at the top of the file.
+    Plant(&'static str, &'static str, &'static str),
+    /// `(gate, file)`: the file moved to `<stem>_renamed.rs`.
+    Rename(&'static str, &'static str),
+}
 
 /// Copies `from` into `to`, leaving out build output (`target/`).
 fn copy_tree(from: &Path, to: &Path) {
@@ -119,21 +146,40 @@ fn copy_sources(to: &Path) {
     }
 }
 
-/// Runs the gates over the copy at `root` with `plant`'s line at the top of
-/// its file: with no plant every gate must pass, and a plant must fire its
-/// gate and no other. `Some` says what went wrong.
-fn check(root: &Path, plant: Option<(&str, &str, &str)>) -> Option<String> {
-    let Some((gate, file, line)) = plant else {
-        let (fired, text) = run_gates(root);
-        return (!fired.is_empty()).then(|| format!("the unplanted copy fires {fired:?}:\n{text}"));
-    };
-    let path = root.join(file);
-    let kept = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, format!("{line}\n{kept}")).unwrap();
-    let (fired, text) = run_gates(root);
-    std::fs::write(&path, kept).unwrap();
-    (fired != [gate])
-        .then(|| format!("`{line}` in {file} fires {fired:?}, not [{gate:?}]:\n{text}"))
+/// Runs the gates over the copy at `root` as `case` changes it, and puts
+/// the copy back: a clean copy must pass every gate, a plant must fire its
+/// gate and no other, and a rename must too, naming the missing file.
+/// `Some` says what went wrong.
+fn check(root: &Path, case: Case) -> Option<String> {
+    match case {
+        Case::Clean => {
+            let (fired, text) = run_gates(root);
+            (!fired.is_empty()).then(|| format!("the unplanted copy fires {fired:?}:\n{text}"))
+        }
+        Case::Plant(gate, file, line) => {
+            let path = root.join(file);
+            let kept = std::fs::read_to_string(&path).unwrap();
+            std::fs::write(&path, format!("{line}\n{kept}")).unwrap();
+            let (fired, text) = run_gates(root);
+            std::fs::write(&path, kept).unwrap();
+            (fired != [gate])
+                .then(|| format!("`{line}` in {file} fires {fired:?}, not [{gate:?}]:\n{text}"))
+        }
+        Case::Rename(gate, file) => {
+            let path = root.join(file);
+            let moved = path.with_file_name(format!(
+                "{}_renamed.rs",
+                path.file_stem().unwrap().to_string_lossy()
+            ));
+            std::fs::rename(&path, &moved).unwrap();
+            let (fired, text) = run_gates(root);
+            std::fs::rename(&moved, &path).unwrap();
+            let named = text.contains(&format!("missing path: {file}"));
+            (fired != [gate] || !named).then(|| {
+                format!("renaming {file} fires {fired:?}, not [{gate:?}] naming it:\n{text}")
+            })
+        }
+    }
 }
 
 #[test]
@@ -141,8 +187,9 @@ fn each_gate_fires_alone_on_its_planted_line() {
     // Three copies, one per worker: each run of the script spawns a few
     // hundred short processes, so the cases share the cores.
     const WORKERS: usize = 3;
-    let cases: Vec<_> = std::iter::once(None)
-        .chain(PLANTS.into_iter().map(Some))
+    let cases: Vec<Case> = std::iter::once(Case::Clean)
+        .chain(PLANTS.map(|(gate, file, line)| Case::Plant(gate, file, line)))
+        .chain(RENAMES.map(|(gate, file)| Case::Rename(gate, file)))
         .collect();
     let failures: Vec<String> = std::thread::scope(|s| {
         let workers: Vec<_> = (0..WORKERS)
@@ -156,7 +203,7 @@ fn each_gate_fires_alone_on_its_planted_line() {
                         .iter()
                         .skip(w)
                         .step_by(WORKERS)
-                        .filter_map(|&plant| check(&root, plant))
+                        .filter_map(|&case| check(&root, case))
                         .collect();
                     std::fs::remove_dir_all(&root).unwrap();
                     failed

@@ -1,7 +1,9 @@
 //! Cross-crate correctness: every physical path through the system must
 //! produce identical query results — row vs column layout, plain vs
 //! compressed storage, pipelined vs single-iterator scanners — on the
-//! paper's TPC-H-derived workload.
+//! paper's TPC-H-derived workload. Results are compared as `RowBatch`es,
+//! block bytes against block bytes, and against the row oracle value by
+//! value; the whole file also runs forced onto the scalar decode tier.
 
 use rodb::prelude::*;
 use std::sync::Arc;
@@ -17,12 +19,7 @@ fn all_layouts() -> [ScanLayout; 4] {
     ]
 }
 
-fn collect(
-    t: &Arc<Table>,
-    layout: ScanLayout,
-    proj: &[usize],
-    preds: Vec<Predicate>,
-) -> Vec<Vec<Value>> {
+fn collect(t: &Arc<Table>, layout: ScanLayout, proj: &[usize], preds: Vec<Predicate>) -> RowBatch {
     let q = QueryBuilder::new(
         t.clone(),
         HardwareConfig::default(),
@@ -147,7 +144,7 @@ fn aggregates_agree_across_layouts_and_strategies() {
             count += 1;
         }
     }
-    let total: i64 = results[0].iter().map(|r| r[1].as_num().unwrap()).sum();
+    let total: i64 = results[0].iter().map(|r| r.long(1)).sum();
     assert_eq!(total, count);
 }
 
@@ -164,10 +161,7 @@ fn merge_join_agrees_with_nested_loop_oracle() {
         .build(&ctx)
         .unwrap();
     let mut join = MergeJoin::new(o_scan, 0, l_scan, 0, &ctx).unwrap();
-    let mut got = Vec::new();
-    while let Some(b) = join.next().unwrap() {
-        got.extend(b.rows().unwrap());
-    }
+    let got = rodb::engine::drain_rows(&mut join, true).unwrap().0;
 
     // Oracle.
     let o_rows = orders.read_all(Layout::Row).unwrap();
@@ -204,4 +198,42 @@ fn block_positions_point_back_at_source_rows() {
         }
     }
     assert!(seen > 0);
+}
+
+/// The tests above on the scalar decode tier. `RODB_FORCE_SCALAR=1` pins the
+/// tier for the whole process, so run from tier-1's auto dispatch this test
+/// re-runs its own binary with it set, filtered to the others and to
+/// itself, which in the child asserts the tier.
+#[test]
+fn the_layout_tests_pass_on_the_scalar_tier() {
+    const ME: &str = "the_layout_tests_pass_on_the_scalar_tier";
+    const TESTS: [&str; 8] = [
+        "lineitem_all_layouts_agree_across_selectivities",
+        "compressed_tables_agree_with_plain",
+        "pax_rows_agree_with_plain_rows_and_columns",
+        "lineitem_z_row_and_column_agree",
+        "aggregates_agree_across_layouts_and_strategies",
+        "merge_join_agrees_with_nested_loop_oracle",
+        "block_positions_point_back_at_source_rows",
+        ME,
+    ];
+    if std::env::var("RODB_FORCE_SCALAR").is_ok_and(|v| !v.is_empty() && v != "0") {
+        assert_eq!(
+            rodb::compress::active_tier(),
+            rodb::compress::KernelTier::Scalar
+        );
+        return;
+    }
+    let exe = std::env::current_exe().unwrap();
+    let run = std::process::Command::new(exe)
+        .args(TESTS)
+        .args(["--exact", "--test-threads", "2"])
+        .env("RODB_FORCE_SCALAR", "1")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    let report = format!("{stdout}{}", String::from_utf8_lossy(&run.stderr));
+    assert!(run.status.success(), "{report}");
+    let summary = format!("test result: ok. {} passed", TESTS.len());
+    assert!(stdout.contains(&summary), "{report}");
 }

@@ -279,8 +279,9 @@ fn aggregates_match_oracle() {
         if qualifying.is_empty() {
             assert!(res.is_empty());
         } else {
-            assert_eq!(res[0][0].as_num().unwrap(), qualifying.len() as i64);
-            assert_eq!(res[0][1].as_num().unwrap(), qualifying.iter().sum::<i64>());
+            let row = res.iter().next().unwrap();
+            assert_eq!(row.long(0), qualifying.len() as i64);
+            assert_eq!(row.long(1), qualifying.iter().sum::<i64>());
         }
     }
 }
